@@ -240,10 +240,22 @@ func TestClusterEndToEnd(t *testing.T) {
 		t.Errorf("table epoch %d did not advance past %d", after.Epoch, table.Epoch)
 	}
 
-	// Every block is still recoverable through the healed fleet.
-	for i := 1; i <= n; i++ {
-		b.DropLocal(i)
+	// Every block is still recoverable through the healed fleet, and each
+	// read is one pp-tuple exchange: the servers' own request counters
+	// (one registry for every server of this process, read over OpMetrics
+	// like a dashboard would) see one GetMany frame per read — two when
+	// the tuple straddles nodes, which stripes of 4 make common — and no
+	// single-block Get at all.
+	admin, err := transport.DialPool(fleet[(victim+1)%fleetSize].addr, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { admin.Close() })
+	before, err := admin.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.DropLocal()
 	for i := 1; i <= n; i++ {
 		got, err := b.Read(ctx, i)
 		if err != nil {
@@ -252,6 +264,16 @@ func TestClusterEndToEnd(t *testing.T) {
 		if !bytes.Equal(got, originals[i]) {
 			t.Fatalf("block %d corrupted across node failure", i)
 		}
+	}
+	afterReads, err := admin.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gets := afterReads.Counters["transport/get.count"] - before.Counters["transport/get.count"]; gets != 0 {
+		t.Errorf("%d reads cost %d single-block Get requests, want 0", n, gets)
+	}
+	if frames := afterReads.Counters["transport/getmany.count"] - before.Counters["transport/getmany.count"]; frames < n || frames > 2*n {
+		t.Errorf("%d reads cost %d GetMany frames, want one per read (two when its tuple straddles nodes)", n, frames)
 	}
 }
 

@@ -17,10 +17,18 @@
 // XORs it with the local d-block. Data blocks lost with the user's machine
 // are regenerated from pp-tuples fetched from two nodes. Whole-lattice
 // repair reuses the round-based engine of internal/entangle through a
-// network-backed BlockStore adapter that is pure routing + batching: the
-// engine's missing-block enumeration and its round-prefetch GetMany each
-// travel as one batched frame per storage node, and each round's commit
-// leaves as one PutMany frame per storage node.
+// network-backed BlockStore adapter that is pure routing + batching.
+//
+// Every bulk operation groups its keys by the NodeStore the Router
+// resolves — not by the router's group id, which under cluster.Router is
+// a volume, many of which share a node — and runs the per-node exchanges
+// concurrently. So under any router the engine's missing-block
+// enumeration, its round-prefetch GetMany and each round's commit cost
+// one batched frame per storage node touched (one per chunkEntries-sized
+// chunk when a round outgrows a frame), and their wall clock is the
+// slowest node's, not the sum. Read fetches a pp-tuple the same way: one
+// GetMany frame when both parities share a node, two frames in flight
+// together when they do not.
 package cooperative
 
 import (
@@ -36,6 +44,7 @@ import (
 	"aecodes/internal/lattice"
 	"aecodes/internal/store"
 	tenantpkg "aecodes/internal/tenant"
+	"aecodes/internal/xorblock"
 )
 
 // ErrNotFound is returned by NodeStore implementations for missing
@@ -433,10 +442,12 @@ func (b *Broker) parityKey(e lattice.Edge) string {
 }
 
 // routeGroup is one routing group's pending transfer: the node the
-// router resolved, the items headed there, and a representative
-// edge/key so the group can be re-routed after an Invalidate.
+// router resolved, the items headed there, and the group id plus a
+// representative edge/key so the group can be re-routed after an
+// Invalidate.
 type routeGroup struct {
 	node   NodeStore
+	gid    string
 	repE   lattice.Edge // any edge of the group, for re-routing
 	repKey string
 	items  []store.KV
@@ -452,17 +463,17 @@ func (b *Broker) groupParity(ctx context.Context, groups map[string]*routeGroup,
 	}
 	g := groups[gid]
 	if g == nil {
-		g = &routeGroup{node: node, repE: e, repKey: key}
+		g = &routeGroup{node: node, gid: gid, repE: e, repKey: key}
 		groups[gid] = g
 	}
 	g.items = append(g.items, store.KV{Key: key, Data: data})
 	return nil
 }
 
-// putGroup ships one group's items to node: batch-capable nodes receive
-// one PutMany frame per chunkEntries-sized chunk (one frame per node for
-// any realistic α or repair round), plain nodes fall back to per-block
-// Puts.
+// putGroup ships items to node: batch-capable nodes receive one PutMany
+// frame per chunkEntries-sized chunk (a single frame for a Backup call
+// and for any repair round of up to chunkEntries parities on that node),
+// plain nodes fall back to per-block Puts.
 func (b *Broker) putGroup(ctx context.Context, node NodeStore, items []store.KV) error {
 	bn, batched := node.(BatchNodeStore)
 	if !batched {
@@ -483,34 +494,92 @@ func (b *Broker) putGroup(ctx context.Context, node NodeStore, items []store.KV)
 	return nil
 }
 
-// uploadGrouped ships the groups in deterministic order. A group whose
-// node fails gets exactly one second chance through the router: when
-// Invalidate reports the route changed (the cluster manager re-placed
-// the volume off a dead node), the group is re-routed and retried on the
-// replacement node; a quota refusal is never retried — the same write
-// cannot succeed until space is freed.
+// fanOut runs fn(0) … fn(n-1) — one call per storage node an operation
+// touches, so never per key or per volume — and returns once all have
+// returned. A single call runs inline: the one-node case is the clean
+// Read and the Backup, where a goroutine hand-off costs more than it
+// overlaps. Otherwise the caller's goroutine takes call 0 and n-1
+// goroutines take the rest; fn must write only to its own slots.
+func fanOut(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	if n > 0 {
+		fn(0)
+	}
+	wg.Wait()
+}
+
+// uploadGrouped ships every storage node its groups as one batched
+// transfer, all nodes concurrently: groups are merged by the node they
+// routed to, in sorted group order so each node's frame is deterministic.
+// The first failure in that order is returned once every node is done.
 func (b *Broker) uploadGrouped(ctx context.Context, groups map[string]*routeGroup) error {
 	gids := make([]string, 0, len(groups))
 	for gid := range groups {
 		gids = append(gids, gid)
 	}
-	sort.Strings(gids) // deterministic upload order
+	sort.Strings(gids)
+	var perNode [][]*routeGroup
+	slot := make(map[NodeStore]int, 1)
 	for _, gid := range gids {
 		g := groups[gid]
-		err := b.putGroup(ctx, g.node, g.items)
-		if err == nil {
-			continue
+		k, ok := slot[g.node]
+		if !ok {
+			k = len(perNode)
+			slot[g.node] = k
+			perNode = append(perNode, nil)
 		}
-		if errors.Is(err, store.ErrQuotaExceeded) {
+		perNode[k] = append(perNode[k], g)
+	}
+	errs := make([]error, len(perNode))
+	fanOut(len(perNode), func(i int) {
+		errs[i] = b.uploadNode(ctx, perNode[i])
+	})
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
-		moved, ierr := b.router.Invalidate(ctx, gid)
+	}
+	return nil
+}
+
+// uploadNode ships the groups that routed to one node (vols[0].node) as
+// one transfer. When the node fails, each of its groups gets exactly one
+// second chance through the router: when Invalidate reports the route
+// changed (the cluster manager re-placed the volume off a dead node),
+// the group is re-routed and retried on the replacement node; a quota
+// refusal is never retried — the same write cannot succeed until space
+// is freed.
+func (b *Broker) uploadNode(ctx context.Context, vols []*routeGroup) error {
+	items := vols[0].items
+	if len(vols) > 1 {
+		total := 0
+		for _, g := range vols {
+			total += len(g.items)
+		}
+		items = make([]store.KV, 0, total)
+		for _, g := range vols {
+			items = append(items, g.items...)
+		}
+	}
+	err := b.putGroup(ctx, vols[0].node, items)
+	if err == nil || errors.Is(err, store.ErrQuotaExceeded) {
+		return err
+	}
+	for _, g := range vols {
+		moved, ierr := b.router.Invalidate(ctx, g.gid)
 		if ierr != nil || !moved {
 			return err
 		}
 		node, _, rerr := b.router.Route(ctx, g.repKey, g.repE)
 		if rerr != nil {
-			return fmt.Errorf("cooperative: re-routing group %s: %w (after %v)", gid, rerr, err)
+			return fmt.Errorf("cooperative: re-routing group %s: %w (after %v)", g.gid, rerr, err)
 		}
 		if err := b.putGroup(ctx, node, g.items); err != nil {
 			return err
@@ -612,7 +681,11 @@ func (b *Broker) DropLocal(positions ...int) {
 // Read returns block i: from the local store in the failure-free case
 // ("users can access their data directly from their local computers,
 // decoding is not required"), otherwise decoded from remote parities via
-// the first complete pp-tuple, falling back to multi-round repair.
+// the first complete pp-tuple, falling back to multi-round repair. Each
+// tuple tried costs one exchange: both parities travel in one GetMany
+// frame when they share a node, in two concurrent frames otherwise. A
+// context that ends mid-read is returned as is — it is not mistaken for
+// missing parities and answered with a repair.
 func (b *Broker) Read(ctx context.Context, i int) ([]byte, error) {
 	b.mu.RLock()
 	count := b.count
@@ -628,7 +701,22 @@ func (b *Broker) Read(ctx context.Context, i int) ([]byte, error) {
 		return nil, fmt.Errorf("cooperative: position %d out of range [1,%d]", i, count)
 	}
 	st := b.netStore()
-	if data, err := b.rep.RepairData(ctx, st, i); err == nil {
+	tuples, err := b.rep.Lattice().Tuples(i)
+	if err != nil {
+		return nil, err
+	}
+	for _, t := range tuples {
+		pair, err := st.GetMany(ctx, []store.Ref{store.ParityRef(t.In), store.ParityRef(t.Out)})
+		if err != nil {
+			return nil, err
+		}
+		if pair[0] == nil || pair[1] == nil {
+			continue
+		}
+		data, err := xorblock.Xor(pair[0], pair[1])
+		if err != nil {
+			return nil, err
+		}
 		out := make([]byte, len(data))
 		copy(out, data)
 		b.mu.Lock()
@@ -636,7 +724,7 @@ func (b *Broker) Read(ctx context.Context, i int) ([]byte, error) {
 		b.mu.Unlock()
 		return out, nil
 	}
-	// Single XOR failed: run rounds over the whole lattice, then retry.
+	// No complete tuple: run rounds over the whole lattice, then retry.
 	if _, err := b.rep.Repair(ctx, st, entangle.Options{}); err != nil {
 		return nil, err
 	}
@@ -784,10 +872,12 @@ func (b *Broker) RecoverState(ctx context.Context, opts RecoverOptions) error {
 // netStore adapts the broker's view of the network to the unified
 // BlockStore dialect so the generic repair engine can drive repairs. It
 // is pure routing and batching: refs and keys map to responsible nodes,
-// and bulk operations travel as one batched frame per node (for nodes
-// implementing BatchNodeStore). It keeps no cache — round-based repair's
-// read locality lives in the engine's own round prefetch, which arrives
-// here as one GetMany over the round's working set.
+// and bulk operations group by node — whatever routing groups the router
+// reports — and reach all nodes concurrently, one batched frame per node
+// and chunk (for nodes implementing BatchNodeStore). It keeps no cache —
+// round-based repair's read locality lives in the engine's own round
+// prefetch, which arrives here as one GetMany over the round's working
+// set.
 type netStore struct {
 	b *Broker // block state accessed under b.mu (the broker's own lock)
 }
@@ -877,20 +967,44 @@ func (s *netStore) fetchFromNode(ctx context.Context, node NodeStore, keys []str
 	return out
 }
 
+// nodeKeys is one storage node's share of a bulk read: the keys it is
+// responsible for and, per key, the caller's result slot it answers.
+type nodeKeys struct {
+	node  NodeStore
+	keys  []string
+	slots []int
+}
+
+// keysByNode groups routed keys by the NodeStore serving them, in order
+// of first appearance. Routers hand out one comparable NodeStore value
+// per node (a client pointer), which is what makes it a map key.
+type keysByNode struct {
+	index map[NodeStore]int
+	nodes []nodeKeys
+}
+
+func (g *keysByNode) add(node NodeStore, key string, slot int) {
+	k, ok := g.index[node]
+	if !ok {
+		if g.index == nil {
+			g.index = make(map[NodeStore]int)
+		}
+		k = len(g.nodes)
+		g.index[node] = k
+		g.nodes = append(g.nodes, nodeKeys{node: node})
+	}
+	g.nodes[k].keys = append(g.nodes[k].keys, key)
+	g.nodes[k].slots = append(g.nodes[k].slots, slot)
+}
+
 // GetMany implements store.BlockStore: data refs are served from the
 // user's machine, parity refs are grouped by responsible node and fetched
-// with one batched frame per node where the node supports it. This is the
-// path the repair engine's round prefetch travels.
+// from all nodes concurrently, one batched frame per node and chunk where
+// the node supports it. This is the path the repair engine's round
+// prefetch and Read's pp-tuple fetch travel. A context that ends during
+// the fetch is an error, not a batch of missing blocks.
 func (s *netStore) GetMany(ctx context.Context, refs []store.Ref) ([][]byte, error) {
 	out := make([][]byte, len(refs))
-	type want struct {
-		pos int // index into out
-		key string
-	}
-	type fetchGroup struct {
-		node   NodeStore
-		wanted []want
-	}
 	// Partition refs: local data and virtual parities answer under the
 	// lock, real parities collect for routing (the router may do I/O, so
 	// it runs outside the lock).
@@ -918,37 +1032,32 @@ func (s *netStore) GetMany(ctx context.Context, refs []store.Ref) ([][]byte, err
 		remote = append(remote, pending{pos: idx, edge: r.Edge})
 	}
 	s.b.mu.RUnlock()
-	byGroup := make(map[string]*fetchGroup)
+	var groups keysByNode
 	for _, p := range remote {
 		key := s.b.parityKey(p.edge)
-		node, gid, err := s.b.router.Route(ctx, key, p.edge)
+		node, _, err := s.b.router.Route(ctx, key, p.edge)
 		if err != nil {
 			continue // unroutable this round: the block stays missing
 		}
-		g := byGroup[gid]
-		if g == nil {
-			g = &fetchGroup{node: node}
-			byGroup[gid] = g
-		}
-		g.wanted = append(g.wanted, want{pos: p.pos, key: key})
+		groups.add(node, key, p.pos)
 	}
-	for _, g := range byGroup {
-		keys := make([]string, len(g.wanted))
-		for j, w := range g.wanted {
-			keys[j] = w.key
+	fanOut(len(groups.nodes), func(i int) {
+		g := &groups.nodes[i]
+		for j, blk := range s.fetchFromNode(ctx, g.node, g.keys) {
+			out[g.slots[j]] = blk
 		}
-		blocks := s.fetchFromNode(ctx, g.node, keys)
-		for j, w := range g.wanted {
-			out[w.pos] = blocks[j]
-		}
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // PutMany implements store.BlockStore: repaired data blocks return to the
 // user's machine, repaired parities are grouped by responsible node and
-// re-uploaded as one batched frame per node — the commit half of the
-// one-frame-per-node-per-round traffic shape.
+// re-uploaded to all nodes concurrently, one batched frame per node and
+// chunk — the commit half of the one-frame-per-node-per-round traffic
+// shape.
 func (s *netStore) PutMany(ctx context.Context, blocks []store.Block) error {
 	groups := make(map[string]*routeGroup)
 	for _, blk := range blocks {
@@ -1000,11 +1109,13 @@ func (s *netStore) heldOnNode(ctx context.Context, node NodeStore, keys []string
 
 // Missing implements store.Single: every data block the user's machine
 // lost, and every parity the lattice says should exist but no node
-// serves. Nodes speaking the presence-only protocol answer with
-// StatMany flags — no block contents cross the wire for enumeration, so
-// the engine's round prefetch is the only content transfer of a repair
-// round. Other batch-capable nodes fall back to one GetMany frame per
-// chunk with the contents discarded.
+// serves, asked of all nodes concurrently. Nodes speaking the
+// presence-only protocol answer with StatMany flags — no block contents
+// cross the wire for enumeration, so the engine's round prefetch is the
+// only content transfer of a repair round. Other batch-capable nodes fall
+// back to one GetMany frame per chunk with the contents discarded. A
+// context that ends during the enumeration is an error, not a lattice
+// with everything missing.
 func (s *netStore) Missing(ctx context.Context) (store.Missing, error) {
 	if err := ctx.Err(); err != nil {
 		return store.Missing{}, err
@@ -1019,16 +1130,13 @@ func (s *netStore) Missing(ctx context.Context) (store.Missing, error) {
 	}
 	s.b.mu.RUnlock()
 
-	type expected struct {
-		edge lattice.Edge
-		key  string
-	}
-	type statGroup struct {
-		node   NodeStore
-		wanted []expected
-	}
 	lat := s.b.rep.Lattice()
-	byGroup := make(map[string]*statGroup)
+	// expected lists every parity that should exist; held[k] turns true
+	// when the node responsible for expected[k] reports it. An unroutable
+	// parity joins no group and so stays missing: repair keeps trying
+	// once routes come back.
+	expected := make([]lattice.Edge, 0, count*len(lat.Classes()))
+	var groups keysByNode
 	for i := 1; i <= count; i++ {
 		for _, class := range lat.Classes() {
 			e, err := lat.OutEdge(class, i)
@@ -1036,40 +1144,27 @@ func (s *netStore) Missing(ctx context.Context) (store.Missing, error) {
 				continue
 			}
 			key := s.b.parityKey(e)
-			node, gid, rerr := s.b.router.Route(ctx, key, e)
-			if rerr != nil {
-				// Unroutable this round: report the parity missing so
-				// repair keeps trying once routes come back.
-				m.Parities = append(m.Parities, e)
-				continue
+			if node, _, rerr := s.b.router.Route(ctx, key, e); rerr == nil {
+				groups.add(node, key, len(expected))
 			}
-			g := byGroup[gid]
-			if g == nil {
-				g = &statGroup{node: node}
-				byGroup[gid] = g
-			}
-			g.wanted = append(g.wanted, expected{edge: e, key: key})
+			expected = append(expected, e)
 		}
 	}
-	gids := make([]string, 0, len(byGroup))
-	for gid := range byGroup {
-		gids = append(gids, gid)
-	}
-	sort.Strings(gids) // deterministic enumeration order
-	for _, gid := range gids {
-		g := byGroup[gid]
-		keys := make([]string, len(g.wanted))
-		for j, w := range g.wanted {
-			keys[j] = w.key
+	held := make([]bool, len(expected))
+	fanOut(len(groups.nodes), func(i int) {
+		g := &groups.nodes[i]
+		// A false entry covers both "node answered: not held" and "node
+		// unreachable" — either way the block is missing this round.
+		for j, ok := range s.heldOnNode(ctx, g.node, g.keys) {
+			held[g.slots[j]] = ok
 		}
-		held := s.heldOnNode(ctx, g.node, keys)
-		for j, w := range g.wanted {
-			// A false entry covers both "node answered: not held" and
-			// "node unreachable" — either way the block is missing this
-			// round.
-			if !held[j] {
-				m.Parities = append(m.Parities, w.edge)
-			}
+	})
+	if err := ctx.Err(); err != nil {
+		return store.Missing{}, err
+	}
+	for k, e := range expected {
+		if !held[k] {
+			m.Parities = append(m.Parities, e)
 		}
 	}
 	sort.Slice(m.Parities, func(a, b int) bool {

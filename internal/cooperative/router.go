@@ -22,8 +22,11 @@ import (
 type Router interface {
 	// Route returns the node serving the parity plus the routing group
 	// it belongs to: a volume ID in cluster mode, a node ordinal in flat
-	// mode. Blocks sharing a group batch into the same request frames,
-	// and the group is the handle Invalidate takes.
+	// mode. The broker batches by node — blocks whose routes return the
+	// same NodeStore value share request frames, whatever their groups —
+	// so a router must hand out one comparable value per node (a client
+	// pointer). The group is the unit of re-placement: the handle
+	// Invalidate takes when that node fails an upload.
 	Route(ctx context.Context, key string, e lattice.Edge) (NodeStore, string, error)
 	// Invalidate reports that the group's node failed a request. It
 	// returns true when the route has changed (or may have — e.g. the
