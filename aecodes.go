@@ -119,12 +119,6 @@ type SingleStore = store.Single
 // whole encode batch or repair round in one request per backend.
 type BlockStore = store.BlockStore
 
-// Store is the interface the round-based repair engine drives.
-//
-// Deprecated: Store is the old name for BlockStore; new code should say
-// BlockStore.
-type Store = BlockStore
-
 // BlockRef addresses one lattice block: a data position or a parity edge.
 type BlockRef = store.Ref
 

@@ -103,13 +103,6 @@ func parseArchiveBlock(raw []byte, blockSize int) (payload []byte, last bool, ve
 
 // ArchiveOptions tunes the streaming archive reader and writer.
 type ArchiveOptions struct {
-	// Context cancels in-flight encode or read work; nil means Background.
-	//
-	// Deprecated: contexts belong in call signatures, not option structs.
-	// Use NewArchiveWriterContext / OpenArchiveContext, which take the
-	// context first; the field is ignored when one of those supplied a
-	// non-nil context.
-	Context context.Context
 	// Workers is the number of encode pipeline workers (writer only);
 	// values < 1 default to GOMAXPROCS capped at the strand count.
 	Workers int
@@ -120,13 +113,6 @@ type ArchiveOptions struct {
 	// Window is the reader's prefetch span in blocks, fetched with one
 	// GetMany per refill. Values < 1 default to 16.
 	Window int
-}
-
-func (o ArchiveOptions) context() context.Context {
-	if o.Context == nil {
-		return context.Background()
-	}
-	return o.Context
 }
 
 func (o ArchiveOptions) window() int {
@@ -166,21 +152,15 @@ var _ io.WriteCloser = (*ArchiveWriter)(nil)
 // NewArchiveWriter returns a writer streaming into st through code. The
 // codec must be fresh (nothing entangled yet): the archive occupies
 // lattice positions 1..Blocks(). Storage obeys the BlockStore contract —
-// blocks are copied or transmitted before Put returns. Cancellation
-// comes from the deprecated opts.Context field; new code should call
-// NewArchiveWriterContext.
+// blocks are copied or transmitted before Put returns. The writer cannot
+// be cancelled; NewArchiveWriterContext takes a context.
 func NewArchiveWriter(code *Code, st BlockStore, opts ArchiveOptions) (*ArchiveWriter, error) {
-	return NewArchiveWriterContext(opts.context(), code, st, opts)
+	return NewArchiveWriterContext(context.Background(), code, st, opts)
 }
 
-// NewArchiveWriterContext is NewArchiveWriter with the cancellation
-// context in the signature, where it belongs: ctx cancels the encode
-// pipeline feeding st. A nil ctx falls back to the deprecated
-// opts.Context field (then Background).
+// NewArchiveWriterContext is NewArchiveWriter with a cancellation
+// context: ctx cancels the encode pipeline feeding st.
 func NewArchiveWriterContext(ctx context.Context, code *Code, st BlockStore, opts ArchiveOptions) (*ArchiveWriter, error) {
-	if ctx == nil {
-		ctx = opts.context()
-	}
 	if code == nil {
 		return nil, errors.New("aecodes: nil code")
 	}
@@ -340,21 +320,15 @@ func OpenArchive(code *Code, st BlockStore) *ArchiveReader {
 	return OpenArchiveOptions(code, st, ArchiveOptions{})
 }
 
-// OpenArchiveOptions is OpenArchive with explicit options. Cancellation
-// comes from the deprecated opts.Context field; new code should call
-// OpenArchiveContext.
+// OpenArchiveOptions is OpenArchive with explicit options. The reader
+// cannot be cancelled; OpenArchiveContext takes a context.
 func OpenArchiveOptions(code *Code, st BlockStore, opts ArchiveOptions) *ArchiveReader {
-	return OpenArchiveContext(opts.context(), code, st, opts)
+	return OpenArchiveContext(context.Background(), code, st, opts)
 }
 
-// OpenArchiveContext is OpenArchive with the cancellation context in the
-// signature, where it belongs: ctx cancels prefetches and degraded
-// reads issued by Read. A nil ctx falls back to the deprecated
-// opts.Context field (then Background).
+// OpenArchiveContext is OpenArchive with a cancellation context: ctx
+// cancels prefetches and degraded reads issued by Read.
 func OpenArchiveContext(ctx context.Context, code *Code, st BlockStore, opts ArchiveOptions) *ArchiveReader {
-	if ctx == nil {
-		ctx = opts.context()
-	}
 	return &ArchiveReader{
 		code:   code,
 		st:     st,

@@ -756,7 +756,7 @@ func benchmarkTransport(b *testing.B, batched bool) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := transport.Dial(addr)
+	c, err := transport.DialPool(addr, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -95,7 +95,7 @@ func TestClusterEndToEnd(t *testing.T) {
 
 	// Heartbeats travel the wire like aestored's loop sends them; the
 	// test drives the ticks so liveness follows the fake clock exactly.
-	hb, err := transport.Dial(mgrAddr)
+	hb, err := transport.DialPool(mgrAddr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

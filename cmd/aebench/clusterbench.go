@@ -41,7 +41,7 @@ func clusterBench(cfg clusterConfig) error {
 		return err
 	}
 	defer srv.Close()
-	client, err := transport.Dial(addr)
+	client, err := transport.DialPool(addr, 1)
 	if err != nil {
 		return err
 	}

@@ -256,7 +256,7 @@ func TestMultiTenantAestored(t *testing.T) {
 	}
 
 	// --- Anonymous compatibility: a pre-handshake client round-trips. ---
-	anon, err := transport.Dial(addr)
+	anon, err := transport.DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

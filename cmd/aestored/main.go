@@ -53,14 +53,14 @@
 // lines (one metric per line, histograms as count/mean/p50/p90/p99/
 // p999), "/metrics.json" the versioned JSON snapshot — the same
 // document the OpMetrics transport frame carries, so curl and
-// Client.Metrics always agree. The announcement line is "aestored
+// PoolClient.Metrics always agree. The announcement line is "aestored
 // metrics on <addr>".
 //
 // With -idletimeout set, connections idle longer than that are dropped
 // so abandoned broker connections cannot pin sockets forever. It
-// defaults to off: a reaped connection permanently poisons a plain
-// transport.Client (only the pool client redials), so only enable it
-// for nodes whose peers use transport.PoolClient.
+// defaults to off: transport.PoolClient redials a reaped connection on
+// its own, but a peer speaking the wire protocol over a bare socket has
+// to reconnect itself.
 //
 // With -cluster set to a cluster manager's address, the node joins the
 // fleet: it announces itself to the manager with periodic OpNodeStat
@@ -89,13 +89,14 @@ import (
 	"aecodes/internal/maintain"
 	"aecodes/internal/obs"
 	"aecodes/internal/segstore"
+	"aecodes/internal/store"
 	"aecodes/internal/tenant"
 	"aecodes/internal/transport"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "listen address")
-	idle := flag.Duration("idletimeout", 0, "drop connections idle this long (0 disables; poisons non-pool clients)")
+	idle := flag.Duration("idletimeout", 0, "drop connections idle this long (0 disables; pool clients redial, bare sockets must reconnect)")
 	data := flag.String("data", "", "durable data directory (append-only segment store); empty = memory-only")
 	sync := flag.Bool("sync", false, "fsync every append to the segment store (requires -data)")
 	segSize := flag.Int64("segsize", 0, "segment rotation threshold in bytes (0 = 64 MiB default; requires -data)")
@@ -128,7 +129,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	var store transport.BlockStore = transport.NewMemStore()
+	var backing tenant.Backing = transport.NewMemStore()
 	var seg *segstore.Store
 	if *data != "" {
 		var err error
@@ -150,9 +151,10 @@ func main() {
 			}
 			fmt.Printf("aestored: compacted %d dead bytes\n", st.DeadBytes-seg.Stats().DeadBytes)
 		}
-		store = seg
+		backing = seg
 	}
 
+	var served store.Keyed = backing
 	multiTenant := *tenantsFile != "" || *quota > 0 || *evictHW > 0
 	var reg *tenant.Registry
 	if multiTenant {
@@ -172,7 +174,7 @@ func main() {
 			cfg.HighWater = *evictHW
 		}
 		var err error
-		reg, err = tenant.NewRegistry(store, cfg)
+		reg, err = tenant.NewRegistry(backing, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "aestored:", err)
 			os.Exit(1)
@@ -185,18 +187,18 @@ func main() {
 		// The anonymous view becomes the default store, so pre-handshake
 		// clients are quota-accounted too; handshaked connections swap to
 		// their tenant's view through the resolver.
-		store = anon
+		served = anon
 		fmt.Printf("aestored: multi-tenant (%d configured tenants, %d live bytes accounted)\n",
 			len(cfg.Tenants), reg.TotalBytes())
 	}
 
-	srv, err := transport.NewServer(store)
+	srv, err := transport.NewServer(served)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aestored:", err)
 		os.Exit(1)
 	}
 	if reg != nil {
-		srv.SetTenantResolver(func(id string) (transport.BlockStore, error) {
+		srv.SetTenantResolver(func(id string) (store.Keyed, error) {
 			return reg.Open(id)
 		})
 	}

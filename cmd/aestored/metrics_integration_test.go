@@ -77,7 +77,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"-data", filepath.Join(dir, "data"), "-scrubrate", "1048576")
 
 	ctx := context.Background()
-	c, err := transport.Dial(addr)
+	c, err := transport.DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

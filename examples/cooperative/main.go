@@ -29,13 +29,6 @@ const (
 	nodeCount = 5
 )
 
-// tcpNode adapts a transport.Client to cooperative.BatchNodeStore (the
-// signatures already match, batch frames included; the type just
-// documents the intent).
-type tcpNode struct{ *transport.Client }
-
-var _ cooperative.BatchNodeStore = tcpNode{}
-
 func main() {
 	ctx := context.Background()
 	// Lower tier: five storage nodes, each a real TCP server.
@@ -52,12 +45,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		client, err := transport.Dial(addr)
+		client, err := transport.DialPool(addr, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
 		servers[i] = srv
-		nodes[i] = tcpNode{client}
+		nodes[i] = client
 		fmt.Printf("storage node %d listening on %s\n", i, addr)
 	}
 	defer func() {

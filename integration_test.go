@@ -27,7 +27,7 @@ func startTCPNetwork(t *testing.T, n int) ([]cooperative.NodeStore, []*transport
 		if err != nil {
 			t.Fatal(err)
 		}
-		client, err := transport.Dial(addr)
+		client, err := transport.DialPool(addr, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,32 +6,30 @@ import (
 	"go/types"
 )
 
-// RetainedPut enforces the copy-on-put contract from the store dialect:
-// a Put, PutMany, PutBatch, or PutBatchOwned implementation must consume
-// caller-provided slices before returning — copy them or write them out —
-// never retain them. PutBatchOwned is the ownership-transfer seam
-// (transport.OwnedBatchStore): callers recycle the backing frame buffer
-// the moment it returns, which turns a retained alias from a memory leak
-// into silent corruption — so the seam's implementations are checked
-// like every other put method, with no suppressions. The check is a forward
-// taint walk over the method body — parameters whose types carry slices
-// start tainted; assignments, range variables, field selections, slice
-// expressions, and composite literals propagate taint; copies (fresh
-// make/copy, byte-append into an untainted slice, string conversion)
-// clear it. Storing a tainted value into anything that outlives the
-// call — a receiver field, another parameter's pointee, or a package
-// variable — is a violation.
+// RetainedPut enforces the consume-before-return write contract of the
+// store dialect (stated on store.Keyed): a Put, PutMany or PutBatch
+// implementation must consume caller-provided slices before returning —
+// copy them or write them out — never retain them. Callers recycle the
+// backing buffer the moment the call returns (the transport server's
+// pooled receive frame, the broker's upload arena), which turns a
+// retained alias from a memory leak into silent corruption. The check is
+// a forward taint walk over the method body — parameters whose types
+// carry slices start tainted; assignments, range variables, field
+// selections, slice expressions, and composite literals propagate taint;
+// copies (fresh make/copy, byte-append into an untainted slice, string
+// conversion) clear it. Storing a tainted value into anything that
+// outlives the call — a receiver field, another parameter's pointee, or a
+// package variable — is a violation.
 var RetainedPut = &Analyzer{
 	Name: "retainedput",
-	Doc:  "flags Put/PutMany/PutBatch/PutBatchOwned implementations that store a caller slice without copying",
+	Doc:  "flags Put/PutMany/PutBatch implementations that store a caller slice without copying",
 	Run:  runRetainedPut,
 }
 
 var putMethodNames = map[string]bool{
-	"Put":           true,
-	"PutMany":       true,
-	"PutBatch":      true,
-	"PutBatchOwned": true,
+	"Put":      true,
+	"PutMany":  true,
+	"PutBatch": true,
 }
 
 func runRetainedPut(pass *Pass) error {

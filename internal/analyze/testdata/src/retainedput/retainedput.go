@@ -23,6 +23,9 @@ func (b *Bad) PutMany(kvs []KV) error {
 	return nil
 }
 
+// PutBatch's caller recycles the buffer behind the items at return (the
+// transport server's pooled receive frame), so a kept alias is not just
+// a leak but corruption-in-waiting.
 func (b *Bad) PutBatch(kvs []KV) error {
 	for _, kv := range kvs {
 		b.m[kv.Key] = kv.Data // want `PutBatch stores a caller slice without copying`
@@ -80,40 +83,26 @@ func (g *Good) PutBatch(kvs []KV) error {
 	return nil
 }
 
-// BadOwned retains through the ownership-transfer seam. PutBatchOwned's
-// caller recycles the backing buffer at return, so a kept alias is not
-// just a leak but corruption-in-waiting — the seam is checked exactly
-// like the borrowed-slice methods.
-type BadOwned struct {
+// GoodBatchCopy consumes every batch item before returning: copies
+// satisfy the contract (so does writing the bytes out, which leaves no
+// alias behind at all).
+type GoodBatchCopy struct {
 	m map[string][]byte
 }
 
-func (b *BadOwned) PutBatchOwned(kvs []KV) error {
-	for _, kv := range kvs {
-		b.m[kv.Key] = kv.Data // want `PutBatchOwned stores a caller slice without copying`
-	}
-	return nil
-}
-
-// GoodOwned consumes before returning: copies satisfy the promise (so
-// does writing the bytes out, which leaves no alias behind at all).
-type GoodOwned struct {
-	m map[string][]byte
-}
-
-func (g *GoodOwned) PutBatchOwned(kvs []KV) error {
+func (g *GoodBatchCopy) PutBatch(kvs []KV) error {
 	for _, kv := range kvs {
 		g.m[kv.Key] = append([]byte(nil), kv.Data...)
 	}
 	return nil
 }
 
-// GoodOwnedDelegate is the common in-repo shape: the owned variant
-// delegates to a PutBatch that already consumes.
-type GoodOwnedDelegate struct {
+// GoodBatchDelegate is the common in-repo shape: a view's PutBatch hands
+// the items to a backing put method that consumes them.
+type GoodBatchDelegate struct {
 	Good
 }
 
-func (g *GoodOwnedDelegate) PutBatchOwned(kvs []KV) error {
+func (g *GoodBatchDelegate) PutBatch(kvs []KV) error {
 	return g.PutMany(kvs)
 }

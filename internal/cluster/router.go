@@ -270,32 +270,35 @@ func (r *Router) node(addr string) (cooperative.NodeStore, error) {
 	return ns, nil
 }
 
+// dialNode opens the handle for one node carrying the tenant credential:
+// a pool whose every connection handshakes before joining the rotation,
+// or — through a custom Dial — a handle that is handshaked here, before
+// it can serve a request. A refused handshake closes the handle and
+// fails the route; a node never serves from the wrong namespace.
 func (r *Router) dialNode(addr, tenant string) (cooperative.NodeStore, error) {
-	if r.opts.Dial != nil {
-		ns, err := r.opts.Dial(addr)
+	if r.opts.Dial == nil {
+		pc, err := transport.DialPoolOptions(addr, r.opts.conns(), transport.PoolOptions{Tenant: tenant})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("cluster: dialing node %s: %w", addr, err)
 		}
-		if tenant != "" {
-			if hn, ok := ns.(cooperative.HelloNodeStore); ok {
-				if err := hn.Hello(context.Background(), tenant); err != nil {
-					closeNode(ns)
-					return nil, err
-				}
-			}
-		}
-		return ns, nil
+		return pc, nil
 	}
-	pc, err := transport.DialPoolOptions(addr, r.opts.conns(), transport.PoolOptions{Tenant: tenant})
+	ns, err := r.opts.Dial(addr)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: dialing node %s: %w", addr, err)
+		return nil, err
 	}
-	return pc, nil
+	if tenant != "" {
+		if err := ns.Hello(context.Background(), tenant); err != nil {
+			closeNode(ns)
+			return nil, fmt.Errorf("cluster: announcing credential to node %s: %w", addr, err)
+		}
+	}
+	return ns, nil
 }
 
 // SetCredential implements cooperative.CredentialRouter: announce the
 // tenant on every live node connection and carry it on future dials.
-// On partial failure the nodes already switched roll back to the
+// When a node refuses, the nodes already switched roll back to the
 // previous credential (best-effort), and new dials revert too.
 func (r *Router) SetCredential(ctx context.Context, tenant, previous string) error {
 	r.mu.Lock()
@@ -306,18 +309,12 @@ func (r *Router) SetCredential(ctx context.Context, tenant, previous string) err
 	}
 	r.mu.Unlock()
 	for i, ns := range pools {
-		hn, ok := ns.(cooperative.HelloNodeStore)
-		if !ok {
-			continue
-		}
-		if err := hn.Hello(ctx, tenant); err != nil {
+		if err := ns.Hello(ctx, tenant); err != nil {
 			r.mu.Lock()
 			r.tenant = previous
 			r.mu.Unlock()
-			for j := 0; j < i; j++ {
-				if prev, ok := pools[j].(cooperative.HelloNodeStore); ok {
-					prev.Hello(ctx, previous)
-				}
+			for _, switched := range pools[:i] {
+				switched.Hello(ctx, previous)
 			}
 			return fmt.Errorf("cluster: announcing credential: %w", err)
 		}

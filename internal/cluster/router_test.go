@@ -281,3 +281,69 @@ func TestBrokerOverClusterRouter(t *testing.T) {
 		t.Fatal("repaired block diverges from original")
 	}
 }
+
+// refusingNode is a node handle whose tenant handshake always fails.
+type refusingNode struct {
+	*cooperative.InMemoryNode
+	closed bool
+}
+
+func (n *refusingNode) Hello(ctx context.Context, tenant string) error {
+	return errors.New("handshake refused")
+}
+
+func (n *refusingNode) Close() error {
+	n.closed = true
+	return nil
+}
+
+// TestRouterCredentialCoversLateDials pins the credential on the custom
+// Dial path: SetCredential reaches the nodes already dialed, a node first
+// dialed afterwards is handshaked before Route hands it out, and a node
+// refusing that handshake is closed and fails the route — a credentialed
+// broker never writes into the anonymous namespace.
+func TestRouterCredentialCoversLateDials(t *testing.T) {
+	h := newManagerHarness(t)
+	h.addNode(t, "n1")
+	h.addNode(t, "n2")
+	r := h.newRouter(t, "alice", 8)
+	route := func(pos int) cooperative.NodeStore {
+		t.Helper()
+		ns, _, err := r.Route(bgCtx, "k", lattice.Edge{Class: lattice.Horizontal, Left: pos, Right: pos + 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ns
+	}
+	early := route(1)
+	if err := r.SetCredential(bgCtx, "acme", ""); err != nil {
+		t.Fatal(err)
+	}
+	if got := early.(*cooperative.InMemoryNode).Tenant(); got != "acme" {
+		t.Errorf("node dialed before SetCredential serves tenant %q, want acme", got)
+	}
+	late := early
+	for pos := 9; late == early && pos < 64*8; pos += 8 {
+		late = route(pos)
+	}
+	if late == early {
+		t.Fatal("every volume landed on one node")
+	}
+	if got := late.(*cooperative.InMemoryNode).Tenant(); got != "acme" {
+		t.Errorf("node dialed after SetCredential serves tenant %q, want acme", got)
+	}
+
+	refuser := &refusingNode{InMemoryNode: cooperative.NewInMemoryNode()}
+	rr, err := NewRouter(h.addr, RouterOptions{User: "bob", Tenant: "acme",
+		Dial: func(string) (cooperative.NodeStore, error) { return refuser, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rr.Close()
+	if _, _, err := rr.Route(bgCtx, "k", lattice.Edge{Class: lattice.Horizontal, Left: 1, Right: 2}); err == nil {
+		t.Error("Route handed out a node that refused the handshake")
+	}
+	if !refuser.closed {
+		t.Error("the handle that refused the handshake was not closed")
+	}
+}

@@ -1,6 +1,6 @@
 // The manager's routing service rides the existing wire protocol: a
-// Manager exposes its table through a read-only transport.BlockStore
-// serving reserved "!cluster/..." keys as JSON over plain OpGet. Brokers
+// Manager exposes its table through a read-only store.Keyed serving
+// reserved "!cluster/..." keys as JSON over plain OpGet. Brokers
 // and operators need no new frame types to route — any client that can
 // fetch a block can fetch a route — and the manager binary is just a
 // transport.Server over this store with the ClusterHandler attached.
@@ -12,7 +12,7 @@ import (
 	"strconv"
 	"strings"
 
-	"aecodes/internal/transport"
+	"aecodes/internal/store"
 )
 
 // Reserved routing keys. The "!" prefix cannot collide with broker
@@ -39,20 +39,20 @@ func StaleKey(epoch uint64, vol string) string {
 	return KeyStalePrefix + strconv.FormatUint(epoch, 10) + "/" + vol
 }
 
-// managerStore adapts a Manager to transport.BlockStore. Reads answer
-// routing queries; writes are refused — the routing table changes only
-// through heartbeats and stale hints, never through block traffic.
+// managerStore adapts a Manager to store.Keyed. Reads answer routing
+// queries; writes are refused — the routing table changes only through
+// heartbeats and stale hints, never through block traffic.
 type managerStore struct {
 	m *Manager
 }
 
-// Store returns the manager's routing table as a read-only BlockStore
+// Store returns the manager's routing table as a read-only store.Keyed
 // for a transport.Server to serve.
-func (m *Manager) Store() transport.BlockStore {
+func (m *Manager) Store() store.Keyed {
 	return managerStore{m: m}
 }
 
-// Get implements transport.BlockStore: answer a reserved routing key.
+// Get implements store.Keyed: answer a reserved routing key.
 // Unknown keys — and routing queries the manager cannot satisfy, such
 // as placement with no live nodes — report not-found.
 func (s managerStore) Get(key string) ([]byte, bool) {
@@ -86,13 +86,40 @@ func (s managerStore) Get(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// Put implements transport.BlockStore: the routing service is read-only.
-func (s managerStore) Put(key string, data []byte) error {
-	return errors.New("cluster: the manager stores routes, not blocks")
+// errReadOnly refuses every write: the routing service is read-only.
+var errReadOnly = errors.New("cluster: the manager stores routes, not blocks")
+
+// Put implements store.Keyed by refusing.
+func (s managerStore) Put(key string, data []byte) error { return errReadOnly }
+
+// PutBatch implements store.Keyed by refusing.
+func (s managerStore) PutBatch(items []store.KV) error { return errReadOnly }
+
+// Del implements store.Keyed: nothing to delete, nothing done.
+func (s managerStore) Del(key string) {}
+
+// GetBatch implements store.Keyed: one Get per key. Routing answers are
+// JSON documents, never empty, so nil means not-found as the contract
+// asks.
+func (s managerStore) GetBatch(keys []string) [][]byte {
+	out := make([][]byte, len(keys))
+	for i, k := range keys {
+		out[i], _ = s.Get(k)
+	}
+	return out
 }
 
-// Del implements transport.BlockStore: nothing to delete, nothing done.
-func (s managerStore) Del(key string) {}
+// StatBatch implements store.Keyed: one Get per key.
+func (s managerStore) StatBatch(keys []string) []int {
+	out := make([]int, len(keys))
+	for i, k := range keys {
+		out[i] = -1
+		if b, ok := s.Get(k); ok {
+			out[i] = len(b)
+		}
+	}
+	return out
+}
 
 func jsonOrMiss(v any) ([]byte, bool) {
 	data, err := json.Marshal(v)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"aecodes/internal/entangle"
 	"aecodes/internal/lattice"
 )
 
@@ -85,7 +86,7 @@ func TestRepairRoundBatchesPerNode(t *testing.T) {
 		m.ResetCounters()
 	}
 
-	stats, err := b.RepairLattice(bg)
+	stats, err := b.Repair(bg, entangle.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestRepairAfterNodeWipeBatched(t *testing.T) {
 	for _, m := range mems {
 		m.ResetCounters()
 	}
-	stats, err := b.RepairLattice(bg)
+	stats, err := b.Repair(bg, entangle.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestRepairCommitBatchesPerNode(t *testing.T) {
 	for _, m := range mems {
 		m.ResetCounters()
 	}
-	stats, err := b.RepairLattice(bg)
+	stats, err := b.Repair(bg, entangle.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

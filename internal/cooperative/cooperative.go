@@ -8,8 +8,7 @@
 // p-block per strand), and uploads the α parities of every block to storage
 // nodes chosen by hashing the block key. The lower tier is any set of
 // NodeStore implementations — in-memory nodes for tests and simulations, or
-// transport.Client / transport.PoolClient values for real TCP storage
-// nodes (both satisfy BatchNodeStore directly).
+// transport.PoolClient values for real TCP storage nodes.
 //
 // Repair follows Table III: to regenerate a parity lost with a faulty node,
 // the broker obtains the dp-tuple ids from the lattice, chooses a p-block,
@@ -52,55 +51,45 @@ import (
 // errors.Is works with either across every backend.
 var ErrNotFound = fmt.Errorf("cooperative: %w", store.ErrNotFound)
 
-// NodeStore is one remote storage node. transport.Client satisfies this
-// interface; InMemoryNode provides a local test double.
+// NodeStore is one remote storage node as the broker sees it — the client
+// side of store.Keyed, one method per wire operation. transport.PoolClient
+// is the TCP implementation; InMemoryNode is a local test double.
+//
+// Put and PutMany must copy or transmit the data before returning —
+// never retain it: the broker recycles its upload frame buffers across
+// calls.
 type NodeStore interface {
 	// Get fetches a block; implementations return ErrNotFound (or any
 	// error) when the block is unavailable.
 	Get(ctx context.Context, key string) ([]byte, error)
-	// Put stores a block. Implementations must copy or transmit data
-	// before returning — never retain it: the broker recycles its
-	// upload frame buffers across calls.
+	// Put stores a block.
 	Put(ctx context.Context, key string, data []byte) error
-}
-
-// BatchNodeStore is an optional NodeStore extension for bulk transfers.
-// transport.Client and transport.PoolClient both provide it; nodes that
-// implement it let the broker move a whole encode batch or repair round
-// in one request frame per node instead of one round-trip per block.
-type BatchNodeStore interface {
-	NodeStore
 	// GetMany returns one entry per key in order; missing blocks are nil.
 	// A missing block is not an error.
 	GetMany(ctx context.Context, keys []string) ([][]byte, error)
 	// PutMany stores all items in one exchange; items are applied in
 	// order and the first store error aborts the batch.
 	PutMany(ctx context.Context, items []store.KV) error
-}
-
-// StatNodeStore is an optional NodeStore extension for presence-only
-// enumeration: which of these keys do you hold, one flag per key, no
-// block contents on the wire. transport.Client and transport.PoolClient
-// both provide it; over nodes that do, the broker's missing-block
-// enumeration stops fetching (and discarding) whole blocks, leaving the
-// repair engine's round prefetch as the only content transfer.
-type StatNodeStore interface {
-	NodeStore
 	// StatMany returns one entry per key in order: true when the node
-	// holds the block.
+	// holds the block. No block contents travel, so the repair engine's
+	// round prefetch is the only content transfer of a repair round.
 	StatMany(ctx context.Context, keys []string) ([]bool, error)
-}
-
-// HelloNodeStore is an optional NodeStore extension for the tenant
-// handshake: a broker with a credential announces it to every capable
-// node so its keys land in (and read from) its own namespace.
-// transport.Client and transport.PoolClient both provide it.
-type HelloNodeStore interface {
-	NodeStore
 	// Hello switches the connection(s) behind this node to the tenant's
-	// namespace.
+	// namespace, so the broker's keys land in (and read from) it.
 	Hello(ctx context.Context, tenant string) error
 }
+
+// BatchNodeStore, StatNodeStore and HelloNodeStore were optional
+// extensions of NodeStore before it became the union every node already
+// implemented. The names survive only because bench/trace.go, which this
+// module's PRs may not edit, spells them in compile-time assertions; a
+// later benchmark PR drops those assertions and this block with them.
+// Nothing in the root module may reference them.
+type (
+	BatchNodeStore = NodeStore
+	StatNodeStore  = NodeStore
+	HelloNodeStore = NodeStore
+)
 
 // batchChunk bounds one GetMany/PutMany call by entry count
 // (conservatively below transport.MaxBatchEntries = 4096, without
@@ -143,11 +132,7 @@ type InMemoryNode struct {
 	statCalls     int
 }
 
-var (
-	_ BatchNodeStore = (*InMemoryNode)(nil)
-	_ StatNodeStore  = (*InMemoryNode)(nil)
-	_ HelloNodeStore = (*InMemoryNode)(nil)
-)
+var _ NodeStore = (*InMemoryNode)(nil)
 
 // NewInMemoryNode returns an empty, available node.
 func NewInMemoryNode() *InMemoryNode {
@@ -178,7 +163,7 @@ func (n *InMemoryNode) Get(ctx context.Context, key string) ([]byte, error) {
 	return out, nil
 }
 
-// GetMany implements BatchNodeStore: one simulated request frame however
+// GetMany implements NodeStore: one simulated request frame however
 // many keys are asked for.
 func (n *InMemoryNode) GetMany(ctx context.Context, keys []string) ([][]byte, error) {
 	n.mu.Lock()
@@ -198,7 +183,7 @@ func (n *InMemoryNode) GetMany(ctx context.Context, keys []string) ([][]byte, er
 	return out, nil
 }
 
-// StatMany implements StatNodeStore: one simulated presence-only frame
+// StatMany implements NodeStore: one simulated presence-only frame
 // for the whole key list.
 func (n *InMemoryNode) StatMany(ctx context.Context, keys []string) ([]bool, error) {
 	n.mu.Lock()
@@ -214,7 +199,7 @@ func (n *InMemoryNode) StatMany(ctx context.Context, keys []string) ([]bool, err
 	return out, nil
 }
 
-// Hello implements HelloNodeStore: the test double just records the
+// Hello implements NodeStore: the test double just records the
 // credential (its flat map stands in for one tenant's namespace).
 func (n *InMemoryNode) Hello(ctx context.Context, tenant string) error {
 	n.mu.Lock()
@@ -245,7 +230,7 @@ func (n *InMemoryNode) Put(ctx context.Context, key string, data []byte) error {
 	return nil
 }
 
-// PutMany implements BatchNodeStore: one simulated request frame for the
+// PutMany implements NodeStore: one simulated request frame for the
 // whole batch.
 func (n *InMemoryNode) PutMany(ctx context.Context, items []store.KV) error {
 	n.mu.Lock()
@@ -390,15 +375,13 @@ func NewRoutedBroker(user string, params lattice.Params, blockSize int, router R
 }
 
 // SetCredential validates and announces a tenant credential to every
-// node that speaks the handshake (transport clients and pools do): the
-// broker's uploads then land in — and its reads come from — its own
-// namespace on shared storage nodes, under whatever quota the node
-// grants that tenant. Nodes that do not speak the handshake are left
-// untouched. When any node refuses the credential, the nodes already
-// switched are rolled back to the broker's previous credential
-// (best-effort — a node that fails the rollback too is left to its
-// pool's redial path, which handshakes the current credential) and the
-// call fails with the broker's credential unchanged: the lattice is
+// node: the broker's uploads then land in — and its reads come from —
+// its own namespace on shared storage nodes, under whatever quota the
+// node grants that tenant. When any node refuses the credential, the
+// nodes already switched are rolled back to the broker's previous
+// credential (best-effort — a node that fails the rollback too is left
+// to its pool's redial path, which handshakes the current credential)
+// and the call fails with the broker's credential unchanged: the lattice is
 // never left split across namespaces. An over-quota upload later
 // surfaces as an error wrapping store.ErrQuotaExceeded — the broker
 // never retries it, because the same write cannot succeed until the
@@ -470,24 +453,14 @@ func (b *Broker) groupParity(ctx context.Context, groups map[string]*routeGroup,
 	return nil
 }
 
-// putGroup ships items to node: batch-capable nodes receive one PutMany
-// frame per chunkEntries-sized chunk (a single frame for a Backup call
-// and for any repair round of up to chunkEntries parities on that node),
-// plain nodes fall back to per-block Puts.
+// putGroup ships items to node as one PutMany frame per chunkEntries-sized
+// chunk: a single frame for a Backup call and for any repair round of up
+// to chunkEntries parities on that node.
 func (b *Broker) putGroup(ctx context.Context, node NodeStore, items []store.KV) error {
-	bn, batched := node.(BatchNodeStore)
-	if !batched {
-		for _, it := range items {
-			if err := node.Put(ctx, it.Key, it.Data); err != nil {
-				return fmt.Errorf("cooperative: uploading %s: %w", it.Key, err)
-			}
-		}
-		return nil
-	}
 	step := chunkEntries(b.blockSize)
 	for start := 0; start < len(items); start += step {
 		chunk := items[start:min(start+step, len(items))]
-		if err := bn.PutMany(ctx, chunk); err != nil {
+		if err := node.PutMany(ctx, chunk); err != nil {
 			return fmt.Errorf("cooperative: uploading %d blocks: %w", len(chunk), err)
 		}
 	}
@@ -761,9 +734,9 @@ func (b *Broker) RepairParity(ctx context.Context, e lattice.Edge) (string, erro
 
 // Missing reports the broker's current loss picture without repairing
 // anything: data blocks the user's machine lost, and parities no
-// storage node currently serves (enumerated presence-only over nodes
-// that support it). It is the health probe behind "do I need to run
-// RepairLattice" — cheap enough to poll, since no block contents move.
+// storage node currently serves (enumerated presence-only). It is the
+// health probe behind "do I need to run Repair" — cheap enough to poll,
+// since no block contents move.
 func (b *Broker) Missing(ctx context.Context) (store.Missing, error) {
 	return b.netStore().Missing(ctx)
 }
@@ -789,14 +762,6 @@ func (b *Broker) Health(ctx context.Context) (entangle.Health, error) {
 	return b.rep.Health(ctx, b.netStore(), count)
 }
 
-// RepairLattice runs round-based repair over the user's whole lattice.
-//
-// Deprecated: use Repair with zero entangle.Options, which also admits
-// rate limits and scoped targets.
-func (b *Broker) RepairLattice(ctx context.Context) (entangle.Stats, error) {
-	return b.Repair(ctx, entangle.Options{})
-}
-
 // RecoverOptions configures RecoverState.
 type RecoverOptions struct {
 	// Count is how many blocks had been backed up before the crash.
@@ -804,14 +769,6 @@ type RecoverOptions struct {
 	// Local holds the data blocks still present on the user's machine,
 	// keyed by position. The broker copies them.
 	Local map[int][]byte
-}
-
-// Recover rebuilds a broker's encoder state after a crash.
-//
-// Deprecated: use RecoverState, which takes the same values as an
-// options struct shared with the other repair entrypoints.
-func (b *Broker) Recover(ctx context.Context, count int, local map[int][]byte) error {
-	return b.RecoverState(ctx, RecoverOptions{Count: count, Local: local})
 }
 
 // RecoverState rebuilds a broker's encoder state after a crash: the
@@ -874,7 +831,7 @@ func (b *Broker) RecoverState(ctx context.Context, opts RecoverOptions) error {
 // is pure routing and batching: refs and keys map to responsible nodes,
 // and bulk operations group by node — whatever routing groups the router
 // reports — and reach all nodes concurrently, one batched frame per node
-// and chunk (for nodes implementing BatchNodeStore). It keeps no cache —
+// and chunk. It keeps no cache —
 // round-based repair's read locality lives in the engine's own round
 // prefetch, which arrives here as one GetMany over the round's working
 // set.
@@ -939,26 +896,15 @@ func (s *netStore) PutParity(ctx context.Context, e lattice.Edge, data []byte) e
 	return node.Put(ctx, key, data)
 }
 
-// fetchFromNode fetches keys from one node with the fewest possible
-// exchanges: one GetMany frame per chunkEntries-sized chunk for
-// batch-capable nodes, per-key Gets otherwise. The result has one entry
-// per key; a nil entry means the block is missing or the node was
-// unreachable for its chunk.
+// fetchFromNode fetches keys from one node, one GetMany frame per
+// chunkEntries-sized chunk. The result has one entry per key; a nil entry
+// means the block is missing or the node was unreachable for its chunk.
 func (s *netStore) fetchFromNode(ctx context.Context, node NodeStore, keys []string) [][]byte {
 	out := make([][]byte, len(keys))
-	bn, batched := node.(BatchNodeStore)
-	if !batched {
-		for i, key := range keys {
-			if data, err := node.Get(ctx, key); err == nil {
-				out[i] = data
-			}
-		}
-		return out
-	}
 	step := chunkEntries(s.b.blockSize)
 	for start := 0; start < len(keys); start += step {
 		end := min(start+step, len(keys))
-		blocks, err := bn.GetMany(ctx, keys[start:end])
+		blocks, err := node.GetMany(ctx, keys[start:end])
 		if err != nil || len(blocks) != end-start {
 			continue // node unreachable (or confused): chunk stays nil
 		}
@@ -999,8 +945,8 @@ func (g *keysByNode) add(node NodeStore, key string, slot int) {
 
 // GetMany implements store.BlockStore: data refs are served from the
 // user's machine, parity refs are grouped by responsible node and fetched
-// from all nodes concurrently, one batched frame per node and chunk where
-// the node supports it. This is the path the repair engine's round
+// from all nodes concurrently, one batched frame per node and chunk. This
+// is the path the repair engine's round
 // prefetch and Read's pp-tuple fetch travel. A context that ends during
 // the fetch is an error, not a batch of missing blocks.
 func (s *netStore) GetMany(ctx context.Context, refs []store.Ref) ([][]byte, error) {
@@ -1079,26 +1025,16 @@ func (s *netStore) PutMany(ctx context.Context, blocks []store.Block) error {
 }
 
 // heldOnNode answers the enumeration question for one node — which of
-// these keys do you hold — with the fewest bytes the node supports:
-// presence-only StatMany frames where available, GetMany frames with the
-// contents discarded otherwise, per-key Gets as the last resort. One
-// entry per key; an unreachable node holds nothing this round.
+// these keys do you hold — in presence-only StatMany frames. One entry
+// per key; an unreachable node holds nothing this round.
 func (s *netStore) heldOnNode(ctx context.Context, node NodeStore, keys []string) []bool {
 	held := make([]bool, len(keys))
-	sn, stat := node.(StatNodeStore)
-	if !stat {
-		blocks := s.fetchFromNode(ctx, node, keys)
-		for i, b := range blocks {
-			held[i] = b != nil
-		}
-		return held
-	}
 	// Presence flags are one byte per key, so the chunking that keeps
 	// content batches under the frame limit is only needed for the entry
 	// count, not the byte budget.
 	for start := 0; start < len(keys); start += batchChunk {
 		end := min(start+batchChunk, len(keys))
-		flags, err := sn.StatMany(ctx, keys[start:end])
+		flags, err := node.StatMany(ctx, keys[start:end])
 		if err != nil || len(flags) != end-start {
 			continue // node unreachable (or confused): chunk stays false
 		}
@@ -1109,12 +1045,10 @@ func (s *netStore) heldOnNode(ctx context.Context, node NodeStore, keys []string
 
 // Missing implements store.Single: every data block the user's machine
 // lost, and every parity the lattice says should exist but no node
-// serves, asked of all nodes concurrently. Nodes speaking the
-// presence-only protocol answer with StatMany flags — no block contents
-// cross the wire for enumeration, so the engine's round prefetch is the
-// only content transfer of a repair round. Other batch-capable nodes fall
-// back to one GetMany frame per chunk with the contents discarded. A
-// context that ends during the enumeration is an error, not a lattice
+// serves, asked of all nodes concurrently. Nodes answer with StatMany
+// flags — no block contents cross the wire for enumeration, so the
+// engine's round prefetch is the only content transfer of a repair round.
+// A context that ends during the enumeration is an error, not a lattice
 // with everything missing.
 func (s *netStore) Missing(ctx context.Context) (store.Missing, error) {
 	if err := ctx.Err(); err != nil {

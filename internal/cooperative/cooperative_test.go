@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"aecodes/internal/entangle"
 	"aecodes/internal/lattice"
 )
 
@@ -223,7 +224,7 @@ func TestRepairLatticeAfterNodeWipe(t *testing.T) {
 	if lost == 0 {
 		t.Skip("placement put nothing on node 3 for this seed")
 	}
-	stats, err := b.RepairLattice(bg)
+	stats, err := b.Repair(bg, entangle.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestBrokerCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := second.Recover(bg, 25, localCopy); err != nil {
+	if err := second.RecoverState(bg, RecoverOptions{Count: 25, Local: localCopy}); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
 	for _, data := range blocks[25:] {
@@ -443,7 +444,32 @@ func TestBackupValidatesSize(t *testing.T) {
 func TestRecoverValidation(t *testing.T) {
 	nodes, _ := newNetwork(2)
 	b := newBroker(t, nodes)
-	if err := b.Recover(bg, -1, nil); err == nil {
+	if err := b.RecoverState(bg, RecoverOptions{Count: -1}); err == nil {
 		t.Error("Recover accepted negative count")
+	}
+}
+
+// TestSetCredentialIsAllOrNothing pins the credential announcement over
+// the flat router: every node is handshaked, and when node k refuses,
+// nodes 0..k-1 roll back to the previous credential and the broker keeps
+// it — the lattice is never split across namespaces.
+func TestSetCredentialIsAllOrNothing(t *testing.T) {
+	nodes, mems := newNetwork(3)
+	b := newBroker(t, nodes)
+	tenants := func() string {
+		return mems[0].Tenant() + "," + mems[1].Tenant() + "," + mems[2].Tenant()
+	}
+	if err := b.SetCredential(bg, "first"); err != nil {
+		t.Fatal(err)
+	}
+	if got := tenants(); got != "first,first,first" || b.Tenant() != "first" {
+		t.Fatalf("after SetCredential(first): nodes %s, broker %q", got, b.Tenant())
+	}
+	mems[2].SetDown(true) // the last node refuses the handshake
+	if err := b.SetCredential(bg, "second"); err == nil {
+		t.Fatal("SetCredential succeeded with a node refusing")
+	}
+	if got := tenants(); got != "first,first,first" || b.Tenant() != "first" {
+		t.Errorf("after a refused SetCredential(second): nodes %s, broker %q; want the previous credential everywhere", got, b.Tenant())
 	}
 }

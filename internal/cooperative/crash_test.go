@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"aecodes/internal/cooperative"
+	"aecodes/internal/entangle"
 	"aecodes/internal/lattice"
 	"aecodes/internal/segstore"
 	"aecodes/internal/store"
@@ -112,7 +113,7 @@ func startHelper(t *testing.T, dir, addr string) *helperNode {
 // immediately before forwarding its killOn'th PutMany, so the node dies
 // in the middle of a backup upload.
 type crashingNode struct {
-	cooperative.BatchNodeStore
+	cooperative.NodeStore
 	kill   func()
 	killOn int
 
@@ -122,7 +123,7 @@ type crashingNode struct {
 }
 
 func (c *crashingNode) Put(ctx context.Context, key string, data []byte) error {
-	if err := c.BatchNodeStore.Put(ctx, key, data); err != nil {
+	if err := c.NodeStore.Put(ctx, key, data); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -140,7 +141,7 @@ func (c *crashingNode) PutMany(ctx context.Context, items []store.KV) error {
 		c.mu.Lock()
 	}
 	c.mu.Unlock()
-	if err := c.BatchNodeStore.PutMany(ctx, items); err != nil {
+	if err := c.NodeStore.PutMany(ctx, items); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -165,7 +166,7 @@ func (c *crashingNode) ackedKeys() []string {
 // puttingRecorder records every key written to a node — armed after the
 // restart to pin that repair re-uploads only what was actually lost.
 type puttingRecorder struct {
-	cooperative.BatchNodeStore
+	cooperative.NodeStore
 
 	mu   sync.Mutex
 	keys map[string]bool
@@ -175,7 +176,7 @@ func (r *puttingRecorder) Put(ctx context.Context, key string, data []byte) erro
 	r.mu.Lock()
 	r.keys[key] = true
 	r.mu.Unlock()
-	return r.BatchNodeStore.Put(ctx, key, data)
+	return r.NodeStore.Put(ctx, key, data)
 }
 
 func (r *puttingRecorder) PutMany(ctx context.Context, items []store.KV) error {
@@ -184,7 +185,7 @@ func (r *puttingRecorder) PutMany(ctx context.Context, items []store.KV) error {
 		r.keys[it.Key] = true
 	}
 	r.mu.Unlock()
-	return r.BatchNodeStore.PutMany(ctx, items)
+	return r.NodeStore.PutMany(ctx, items)
 }
 
 // TestRepairAfterSIGKILLReadsPersistedBlocks is the durability
@@ -214,10 +215,10 @@ func TestRepairAfterSIGKILLReadsPersistedBlocks(t *testing.T) {
 	}
 	t.Cleanup(func() { pool.Close() })
 	crash := &crashingNode{
-		BatchNodeStore: pool,
-		kill:           h.kill,
-		killOn:         10,
-		acked:          make(map[string]bool),
+		NodeStore: pool,
+		kill:      h.kill,
+		killOn:    10,
+		acked:     make(map[string]bool),
 	}
 	nodes := []cooperative.NodeStore{crash, cooperative.NewInMemoryNode(), cooperative.NewInMemoryNode()}
 	b, err := cooperative.NewBroker("crashuser", lattice.Params{Alpha: 3, S: 2, P: 5}, blockSize, nodes)
@@ -281,8 +282,8 @@ func TestRepairAfterSIGKILLReadsPersistedBlocks(t *testing.T) {
 	if err := pool.Del(ctx, deleted); err != nil {
 		t.Fatal(err)
 	}
-	rec := &puttingRecorder{BatchNodeStore: pool, keys: make(map[string]bool)}
-	crash.BatchNodeStore = rec
+	rec := &puttingRecorder{NodeStore: pool, keys: make(map[string]bool)}
+	crash.NodeStore = rec
 	var dropped []int
 	for pos := range originals {
 		if rng.Float64() < 0.33 {
@@ -291,7 +292,7 @@ func TestRepairAfterSIGKILLReadsPersistedBlocks(t *testing.T) {
 	}
 	b.DropLocal(dropped...)
 
-	stats, err := b.RepairLattice(ctx)
+	stats, err := b.Repair(ctx, entangle.Options{})
 	if err != nil {
 		t.Fatalf("repair against restarted node: %v", err)
 	}

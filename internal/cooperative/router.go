@@ -78,21 +78,15 @@ func (r *flatRouter) Invalidate(ctx context.Context, group string) (bool, error)
 }
 
 // SetCredential implements CredentialRouter: announce the tenant to
-// every node that speaks the handshake. When any node refuses, the nodes
-// already switched are rolled back to the previous credential
-// (best-effort — a node that fails the rollback too is left to its
-// pool's redial path, which handshakes the broker's current credential).
+// every node, in order. When node k refuses, nodes 0..k-1 are rolled back
+// to the previous credential (best-effort — a node that fails the
+// rollback too is left to its pool's redial path, which handshakes the
+// broker's current credential).
 func (r *flatRouter) SetCredential(ctx context.Context, tenant, previous string) error {
 	for i, n := range r.nodes {
-		hn, ok := n.(HelloNodeStore)
-		if !ok {
-			continue
-		}
-		if err := hn.Hello(ctx, tenant); err != nil {
-			for j := 0; j < i; j++ {
-				if prev, ok := r.nodes[j].(HelloNodeStore); ok {
-					prev.Hello(ctx, previous)
-				}
+		if err := n.Hello(ctx, tenant); err != nil {
+			for _, switched := range r.nodes[:i] {
+				switched.Hello(ctx, previous)
 			}
 			return fmt.Errorf("cooperative: announcing credential to node %d: %w", i, err)
 		}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"aecodes/internal/cooperative"
+	"aecodes/internal/entangle"
 	"aecodes/internal/lattice"
 	"aecodes/internal/transport"
 )
@@ -70,11 +71,11 @@ func (p *killableProxy) KillOldest() {
 	p.pairs = p.pairs[1:]
 }
 
-// poisonOnGetMany is a BatchNodeStore decorator that severs a proxied
+// poisonOnGetMany is a NodeStore decorator that severs a proxied
 // connection immediately before forwarding its killOn'th GetMany — for
 // round-based repair over this node, that is mid-prefetch.
 type poisonOnGetMany struct {
-	cooperative.BatchNodeStore
+	cooperative.NodeStore
 	kill   func()
 	killOn int
 
@@ -89,7 +90,7 @@ func (d *poisonOnGetMany) GetMany(ctx context.Context, keys []string) ([][]byte,
 		d.kill()
 	}
 	d.mu.Unlock()
-	return d.BatchNodeStore.GetMany(ctx, keys)
+	return d.NodeStore.GetMany(ctx, keys)
 }
 
 // TestRepairSurvivesMidPrefetchConnPoison is the end-to-end degraded-mode
@@ -134,7 +135,7 @@ func TestRepairSurvivesMidPrefetchConnPoison(t *testing.T) {
 			// The node whose connection dies mid-prefetch: the second
 			// GetMany a repair round sends it is the engine's round
 			// prefetch (the first is the Missing enumeration).
-			nodes = append(nodes, &poisonOnGetMany{BatchNodeStore: pool, kill: proxy.KillOldest, killOn: 2})
+			nodes = append(nodes, &poisonOnGetMany{NodeStore: pool, kill: proxy.KillOldest, killOn: 2})
 		} else {
 			nodes = append(nodes, pool)
 		}
@@ -162,7 +163,7 @@ func TestRepairSurvivesMidPrefetchConnPoison(t *testing.T) {
 		}
 	}
 
-	stats, err := b.RepairLattice(ctx)
+	stats, err := b.Repair(ctx, entangle.Options{})
 	if err != nil {
 		t.Fatalf("repair with mid-prefetch poison: %v", err)
 	}

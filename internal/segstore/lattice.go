@@ -23,30 +23,16 @@ type Shape struct {
 	BlockSize int            `json:"block_size"`
 }
 
-// Backend is the keyed store a Lattice view runs over: the segment
-// Store natively, or any other store speaking the same keyed batch
-// dialect — a tenant-namespaced view of a shared node, an in-memory
-// transport store. StatBatch must agree with the read path (a block
-// GetBatch would not serve stats as absent).
-type Backend interface {
-	Get(key string) ([]byte, bool)
-	Put(key string, data []byte) error
-	GetBatch(keys []string) [][]byte
-	PutBatch(items []store.KV) error
-	StatBatch(keys []string) []int
-}
-
-var _ Backend = (*Store)(nil)
-
-// Lattice is a store.BlockStore over a keyed Backend: data and parity
-// refs map to canonical keys (store.Ref's String form), batches ride the
-// backend's native batch operations (for the segment store: one lock
-// acquisition, one optional fsync per batch), and the shape is persisted
-// in the backend itself so reopening the directory restores the full
-// view. One Backend (or one tenant namespace of it) backs one view — the
-// view owns that whole key space.
+// Lattice is a store.BlockStore over a store.Keyed — the segment Store
+// natively, or a tenant-namespaced view of a shared node, or an in-memory
+// transport store: data and parity refs map to canonical keys
+// (store.Ref's String form), batches ride the store's batch operations
+// (for the segment store: one lock acquisition, one optional fsync per
+// batch), and the shape is persisted in the store itself so reopening
+// the directory restores the full view. One store (or one tenant
+// namespace of it) backs one view — the view owns that whole key space.
 type Lattice struct {
-	s     Backend
+	s     store.Keyed
 	shape Shape
 	lat   *lattice.Lattice
 }
@@ -55,7 +41,7 @@ var _ store.BlockStore = (*Lattice)(nil)
 
 // NewLattice creates a view with the given shape and persists the shape
 // in the store, overwriting any previous one.
-func NewLattice(s Backend, shape Shape) (*Lattice, error) {
+func NewLattice(s store.Keyed, shape Shape) (*Lattice, error) {
 	lat, err := lattice.New(shape.Params)
 	if err != nil {
 		return nil, err
@@ -77,7 +63,7 @@ func NewLattice(s Backend, shape Shape) (*Lattice, error) {
 }
 
 // OpenLattice restores the view persisted by a previous NewLattice.
-func OpenLattice(s Backend) (*Lattice, error) {
+func OpenLattice(s store.Keyed) (*Lattice, error) {
 	raw, ok := s.Get(shapeKey)
 	if !ok {
 		return nil, fmt.Errorf("segstore: store holds no lattice shape: %w", store.ErrNotFound)
@@ -97,7 +83,7 @@ func OpenLattice(s Backend) (*Lattice, error) {
 func (v *Lattice) Shape() Shape { return v.shape }
 
 // Store returns the backing keyed store.
-func (v *Lattice) Store() Backend { return v.s }
+func (v *Lattice) Store() store.Keyed { return v.s }
 
 // SetBlocks updates and persists the expected data-block count — the
 // durable analogue of a growing archive.

@@ -149,8 +149,8 @@ type Stats struct {
 }
 
 // Store is a durable keyed block store over append-only segment files.
-// It implements transport.BlockStore (Get/Put/Del) plus the native batch
-// extension (GetBatch/PutBatch), and is safe for concurrent use.
+// It implements store.Keyed (and, with Size and Each, tenant.Backing)
+// and is safe for concurrent use.
 type Store struct {
 	dir  string
 	opts Options
@@ -170,6 +170,8 @@ type Store struct {
 	truncated  int64                // torn tail removed by the last Open; guarded by mu
 	compactErr error                // first auto-compaction failure; guarded by mu
 }
+
+var _ store.Keyed = (*Store)(nil)
 
 // Open opens (or creates) the segment store in dir, scanning every
 // segment to rebuild the index and truncating a torn tail left by a
@@ -665,15 +667,6 @@ func (s *Store) PutBatch(items []store.KV) error {
 	obsAppendBlocks.Add(int64(len(items)))
 	s.updateShapeLocked()
 	return nil
-}
-
-// PutBatchOwned is the ownership-transfer variant of PutBatch
-// (transport.OwnedBatchStore / tenant.KeyedOwnedBatch). Every Data slice
-// is written to the active segment before the call returns — the batch
-// path consumes the caller's buffers by construction — so the two
-// variants share one implementation.
-func (s *Store) PutBatchOwned(items []store.KV) error {
-	return s.PutBatch(items)
 }
 
 // putBatchLocked appends all items with one vectored write per

@@ -11,6 +11,7 @@ import (
 
 	"aecodes/internal/segstore"
 	"aecodes/internal/store"
+	"aecodes/internal/store/storetest"
 )
 
 func openStore(t *testing.T, dir string, opts segstore.Options) *segstore.Store {
@@ -259,43 +260,13 @@ func TestBatchOps(t *testing.T) {
 	}
 }
 
-// TestPutBatchOwnedConsumesBuffers pins the ownership-transfer contract
-// on the durable store: the vectored write path must have the payload
-// fully on its way to the log before PutBatchOwned returns, so a caller
-// recycling (scribbling over) the frame buffer immediately afterwards —
-// as the transport server does — cannot corrupt what was stored, even
-// across a reopen.
-func TestPutBatchOwnedConsumesBuffers(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir, segstore.Options{SegmentSize: 4096})
-	arena := make([]byte, 96)
-	for i := range arena {
-		arena[i] = byte(i + 1)
-	}
-	want := append([]byte(nil), arena...)
-	items := []store.KV{
-		{Key: "a", Data: arena[:48]},
-		{Key: "b", Data: arena[48:]},
-	}
-	if err := s.PutBatchOwned(items); err != nil {
-		t.Fatal(err)
-	}
-	for i := range arena {
-		arena[i] = 0xEE
-	}
-	check := func(st *segstore.Store, label string) {
-		t.Helper()
-		a, okA := st.Get("a")
-		b, okB := st.Get("b")
-		if !okA || !okB || !bytes.Equal(a, want[:48]) || !bytes.Equal(b, want[48:]) {
-			t.Fatalf("%s: stored blocks reflect the recycled arena", label)
-		}
-	}
-	check(s, "in-memory")
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	check(openStore(t, dir, segstore.Options{SegmentSize: 4096}), "after reopen")
+// TestStoreKeyedContract runs the store.Keyed conformance suite over the
+// segment store, with segments small enough that the suite's batches
+// cross a rotation.
+func TestStoreKeyedContract(t *testing.T) {
+	storetest.RunKeyed(t, func(t *testing.T) store.Keyed {
+		return openStore(t, t.TempDir(), segstore.Options{SegmentSize: 64})
+	})
 }
 
 func TestConcurrentPutGet(t *testing.T) {

@@ -17,6 +17,13 @@
 // promoted with Batch (which wraps them in a BatchAdapter); batch-capable
 // backends implement BlockStore directly and Batch returns them as-is.
 //
+// Below the ref dialect sits the lower tier's one contract, Keyed: what a
+// storage node serves — blocks under opaque keys, single and batched,
+// with consume-before-return writes. The transport server, the tenant
+// registry and the durable lattice view are all written against it, and
+// cooperative.NodeStore is the same contract as a broker sees it through
+// the wire. It is stated here, once; the other packages point at it.
+//
 // Availability is reported through sentinel errors, not (value, bool)
 // pairs: a read of a block the store cannot currently serve returns
 // ErrNotFound (the block is missing or its location is down), and a
@@ -55,6 +62,42 @@ var ErrQuotaExceeded = errors.New("aecodes: storage quota exceeded")
 type KV struct {
 	Key  string
 	Data []byte
+}
+
+// Keyed is the lower tier's one contract: a storage node that puts and
+// gets blocks under "a value derived from the node id and the block
+// position" (§IV.A, Table III). Every store a transport.Server serves
+// implements all of it — the in-memory transport.MemStore, the durable
+// segstore.Store, a tenant.Store view of either — so one wire frame is
+// one call, whatever the store. Implementations must be safe for
+// concurrent use.
+//
+// Consume-before-return is the unconditional write contract: by the time
+// Put or PutBatch returns, the store has copied or written out every
+// data slice it was handed and keeps no alias. Callers recycle those
+// buffers the moment the call returns (the transport server's pooled
+// receive buffer, the broker's upload arena), so a store that retained
+// one would read recycled garbage. aelint's retainedput analyzer proves
+// it for every implementation in the repository and storetest.RunKeyed
+// exercises it at runtime.
+type Keyed interface {
+	// Get returns the block and whether it exists.
+	Get(key string) ([]byte, bool)
+	// Put stores a block.
+	Put(key string, data []byte) error
+	// Del removes a block; deleting a missing key is not an error.
+	Del(key string)
+	// GetBatch returns one entry per key in order; entries for missing
+	// keys are nil (a present-but-empty block is a non-nil empty slice).
+	GetBatch(keys []string) [][]byte
+	// PutBatch stores all items in order, so the last write of a key
+	// wins; the first failing entry aborts the batch and earlier entries
+	// may have been stored.
+	PutBatch(items []KV) error
+	// StatBatch returns one entry per key in order: the block's byte
+	// length when present, -1 when absent. It agrees with GetBatch entry
+	// for entry — a block GetBatch would not serve stats as absent.
+	StatBatch(keys []string) []int
 }
 
 // Ref addresses one lattice block: a data position (Parity false) or a

@@ -5,7 +5,8 @@
 // engine leans on (ErrNotFound sentinels, copy-on-put, GetMany's
 // nil-entry partial results, Missing agreeing with the availability
 // view, virtual edges reading as zero) are pinned in one place instead
-// of re-derived per backend.
+// of re-derived per backend. RunKeyed does the same for store.Keyed, the
+// contract a storage node serves.
 package storetest
 
 import (
@@ -277,6 +278,117 @@ func Run(t *testing.T, h Harness) {
 			}
 		})
 	}
+}
+
+// RunKeyed exercises the store.Keyed contract against fresh stores from
+// newStore: everything a transport.Server relies on when it turns one wire
+// frame into one store call and recycles the frame's buffer afterwards.
+func RunKeyed(t *testing.T, newStore func(t *testing.T) store.Keyed) {
+	// agree checks StatBatch against GetBatch entry for entry.
+	agree := func(t *testing.T, s store.Keyed, keys []string) [][]byte {
+		t.Helper()
+		blocks, sizes := s.GetBatch(keys), s.StatBatch(keys)
+		if len(blocks) != len(keys) || len(sizes) != len(keys) {
+			t.Fatalf("%d keys answered with %d blocks and %d sizes", len(keys), len(blocks), len(sizes))
+		}
+		for i, b := range blocks {
+			want := len(b)
+			if b == nil {
+				want = -1
+			}
+			if sizes[i] != want {
+				t.Errorf("StatBatch[%q] = %d, GetBatch says %d", keys[i], sizes[i], want)
+			}
+		}
+		return blocks
+	}
+
+	t.Run("PutGetDel", func(t *testing.T) {
+		s := newStore(t)
+		if _, ok := s.Get("k"); ok {
+			t.Error("Get on an empty store found a block")
+		}
+		s.Del("k") // deleting a missing key is not an error
+		if err := s.Put("k", []byte("one")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put("k", []byte("two!")); err != nil {
+			t.Fatal(err)
+		}
+		if b, ok := s.Get("k"); !ok || string(b) != "two!" {
+			t.Errorf("Get after overwrite = %q, %v", b, ok)
+		}
+		s.Del("k")
+		if _, ok := s.Get("k"); ok {
+			t.Error("Get after Del found the block")
+		}
+		if blocks := agree(t, s, []string{"k"}); blocks[0] != nil {
+			t.Error("GetBatch after Del served the block")
+		}
+	})
+
+	t.Run("MissingVersusEmpty", func(t *testing.T) {
+		s := newStore(t)
+		if err := s.Put("empty-put", nil); err != nil {
+			t.Fatal(err)
+		}
+		err := s.PutBatch([]store.KV{{Key: "empty-batch", Data: []byte{}}, {Key: "full", Data: []byte("content")}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := agree(t, s, []string{"full", "empty-put", "missing", "empty-batch"})
+		if string(blocks[0]) != "content" {
+			t.Errorf("full block = %q", blocks[0])
+		}
+		for _, i := range []int{1, 3} {
+			if blocks[i] == nil || len(blocks[i]) != 0 {
+				t.Errorf("present-but-empty entry %d = %#v, want non-nil empty", i, blocks[i])
+			}
+		}
+		if blocks[2] != nil {
+			t.Error("missing key came back non-nil")
+		}
+	})
+
+	t.Run("DuplicateKeysLastWins", func(t *testing.T) {
+		s := newStore(t)
+		err := s.PutBatch([]store.KV{
+			{Key: "dup", Data: []byte("first")},
+			{Key: "other", Data: []byte("x")},
+			{Key: "dup", Data: []byte("the last")},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blocks := agree(t, s, []string{"dup", "other"}); string(blocks[0]) != "the last" {
+			t.Errorf("duplicate key holds %q, want the batch's last write", blocks[0])
+		}
+	})
+
+	t.Run("ConsumeBeforeReturn", func(t *testing.T) {
+		// The caller recycles every data slice the moment the write
+		// returns — exactly what the server does with its pooled receive
+		// buffer — so scribbling over them must not reach what was stored.
+		s := newStore(t)
+		arena := []byte("single-put|batch-item-a|batch-item-b")
+		want := string(arena)
+		single, a, b := arena[:10], arena[11:23], arena[24:]
+		if err := s.Put("single", single); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutBatch([]store.KV{{Key: "a", Data: a}, {Key: "b", Data: b}}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range arena {
+			arena[i] = 0xEE
+		}
+		blocks := agree(t, s, []string{"single", "a", "b"})
+		for i, w := range []string{want[:10], want[11:23], want[24:]} {
+			if !bytes.Equal(blocks[i], []byte(w)) {
+				t.Errorf("entry %d = %q, want %q: the store retained the caller's buffer", i, blocks[i], w)
+			}
+		}
+	})
 }
 
 // block returns the deterministic content of block seed.

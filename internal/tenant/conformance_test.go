@@ -21,8 +21,8 @@ var conformanceShape = segstore.Shape{
 
 // latticeOver builds the ref-dialect view the repair engine speaks over
 // one tenant's namespaced, quota-enforced slice of a shared node: a
-// tenant.Store satisfies the segstore.Backend dialect, so the durable
-// lattice view runs over it unchanged.
+// tenant.Store is a store.Keyed, so the durable lattice view runs over
+// it unchanged.
 func latticeOver(t *testing.T, h *tenant.Store) store.BlockStore {
 	t.Helper()
 	v, err := segstore.NewLattice(h, conformanceShape)
@@ -95,4 +95,41 @@ func TestTenantWrappedSegstoreConformance(t *testing.T) {
 			return open(t, dirs[s])
 		},
 	})
+}
+
+// TestTenantStoreKeyedContract runs the store.Keyed conformance suite
+// over a named tenant's and the anonymous tenant's view of each backing —
+// a transport.Server serves these views exactly as it serves the backings
+// themselves. A neighbour holds the suite's keys too, so a namespace leak
+// fails it.
+func TestTenantStoreKeyedContract(t *testing.T) {
+	backings := map[string]func(t *testing.T) tenant.Backing{
+		"MemStore": func(*testing.T) tenant.Backing { return transport.NewMemStore() },
+		"Segstore": func(t *testing.T) tenant.Backing {
+			s, err := segstore.Open(t.TempDir(), segstore.Options{SegmentSize: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			return s
+		},
+	}
+	for name, backing := range backings {
+		for _, id := range []string{"suite", tenant.Anonymous} {
+			t.Run(name+"/tenant="+id, func(t *testing.T) {
+				storetest.RunKeyed(t, func(t *testing.T) store.Keyed {
+					reg, err := tenant.NewRegistry(backing(t), tenant.Config{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, k := range []string{"k", "dup", "a", "full"} {
+						if err := openTenant(t, reg, "neighbour").Put(k, []byte("not-your-block")); err != nil {
+							t.Fatal(err)
+						}
+					}
+					return openTenant(t, reg, id)
+				})
+			})
+		}
+	}
 }

@@ -10,55 +10,20 @@ import (
 	"aecodes/internal/store"
 )
 
-// Keyed is the backing store a Registry wraps: the keyed server-side
-// dialect both transport.MemStore and segstore.Store speak. Implementations
-// must be safe for concurrent use.
-type Keyed interface {
-	// Get returns the block and whether it exists.
-	Get(key string) ([]byte, bool)
-	// Put stores a block. Implementations must not retain data after
-	// returning — copy it or write it out (the repo-wide store write
-	// contract, enforced by the retainedput analyzer).
-	Put(key string, data []byte) error
-	// Del removes a block; deleting a missing key is not an error.
-	Del(key string)
-}
-
-// KeyedBatch is the optional batch extension of Keyed (one lock
-// acquisition / one fsync per batch on capable backings).
-type KeyedBatch interface {
-	GetBatch(keys []string) [][]byte
-	PutBatch(items []store.KV) error
-}
-
-// KeyedOwnedBatch is the optional ownership-transfer variant of the
-// batch write — the keyed mirror of transport.OwnedBatchStore. The
-// caller promises the Data slices are dead after the call returns, so
-// the backing may consume them in place (alias them into its own
-// write path) instead of treating them as borrowed.
-type KeyedOwnedBatch interface {
-	PutBatchOwned(items []store.KV) error
-}
-
-// KeyedStat is the optional presence probe: one entry per key, the
-// block's byte length when present, -1 when absent.
-type KeyedStat interface {
-	StatBatch(keys []string) []int
-}
-
-// Sizer is the optional O(1) size lookup quota accounting prefers over
-// reading whole blocks.
-type Sizer interface {
+// Backing is the store a Registry wraps: the store.Keyed contract plus
+// the two index walks quota accounting needs. transport.MemStore and
+// segstore.Store both implement it.
+type Backing interface {
+	store.Keyed
+	// Size returns the byte length of the block under key without
+	// reading it. It is separate from StatBatch because a durable
+	// backing's StatBatch reads and verifies each record, while admission
+	// only needs the index's answer.
 	Size(key string) (int64, bool)
-}
-
-// Enumerable walks every live key with its block size. The registry needs
-// it to rebuild per-tenant accounting when reopening a durable backing,
-// and to collect a victim's keys during eviction.
-type Enumerable interface {
-	// Each calls fn for every live key until fn returns false. The walk
-	// runs under the backing's lock: fn must not call back into the
-	// store.
+	// Each calls fn for every live key with its block size until fn
+	// returns false — how the registry rebuilds per-tenant accounting on
+	// reopen and finds a victim's keys during eviction. The walk runs
+	// under the backing's lock: fn must not call back into the store.
 	Each(fn func(key string, size int64) bool)
 }
 
@@ -91,12 +56,7 @@ type usage struct {
 // registry lock so quota admission, the backing write and the accounting
 // update are one atomic step.
 type Registry struct {
-	backing Keyed           // write-guarded by mu: mutations must stay atomic with quota accounting
-	batch   KeyedBatch      // nil when the backing is not batch-native; write-guarded by mu
-	owned   KeyedOwnedBatch // nil when the backing has no ownership-transfer seam; write-guarded by mu
-	stat    KeyedStat       // nil when the backing cannot stat
-	sizer   Sizer           // nil when the backing cannot size
-	enum    Enumerable      // nil when the backing cannot enumerate
+	backing Backing // write-guarded by mu: mutations must stay atomic with quota accounting
 	cfg     Config
 
 	mu        sync.Mutex
@@ -107,14 +67,12 @@ type Registry struct {
 	evictions int64             // tenants evicted so far; guarded by mu
 }
 
-// NewRegistry wraps backing. When the backing is Enumerable the existing
-// keys are walked once to rebuild per-tenant accounting — reopening a
-// durable segment store restores every tenant's usage without any side
-// file. A config with eviction enabled (HighWater > 0) requires an
-// Enumerable backing: eviction must be able to find a victim's keys.
+// NewRegistry wraps backing. The existing keys are walked once to rebuild
+// per-tenant accounting — reopening a durable segment store restores
+// every tenant's usage without any side file.
 //
 //lint:ignore lockscope r is unpublished until NewRegistry returns; no other goroutine can hold mu yet
-func NewRegistry(backing Keyed, cfg Config) (*Registry, error) {
+func NewRegistry(backing Backing, cfg Config) (*Registry, error) {
 	if backing == nil {
 		return nil, fmt.Errorf("tenant: nil backing store")
 	}
@@ -124,37 +82,17 @@ func NewRegistry(backing Keyed, cfg Config) (*Registry, error) {
 		tenants: make(map[string]*usage),
 		handles: make(map[string]*Store),
 	}
-	if o, ok := backing.(KeyedOwnedBatch); ok {
-		r.owned = o
-	}
-	if b, ok := backing.(KeyedBatch); ok {
-		r.batch = b
-	}
-	if s, ok := backing.(KeyedStat); ok {
-		r.stat = s
-	}
-	if s, ok := backing.(Sizer); ok {
-		r.sizer = s
-	}
-	if e, ok := backing.(Enumerable); ok {
-		r.enum = e
-	}
-	if cfg.HighWater > 0 && r.enum == nil {
-		return nil, fmt.Errorf("tenant: eviction (high_water=%d) needs an enumerable backing store", cfg.HighWater)
-	}
-	if r.enum != nil {
-		r.enum.Each(func(key string, size int64) bool {
-			id, ok := tenantOfKey(key)
-			if !ok {
-				return true // reserved internal key: charged to nobody
-			}
-			u := r.useLocked(id)
-			u.bytes += size
-			u.blocks++
-			r.total += size
-			return true
-		})
-	}
+	backing.Each(func(key string, size int64) bool {
+		id, ok := tenantOfKey(key)
+		if !ok {
+			return true // reserved internal key: charged to nobody
+		}
+		u := r.useLocked(id)
+		u.bytes += size
+		u.blocks++
+		r.total += size
+		return true
+	})
 	return r, nil
 }
 
@@ -271,25 +209,6 @@ func (r *Registry) policy() Policy {
 	return LRU{}
 }
 
-// sizeOfLocked returns the live payload size of a backing key. Callers
-// hold r.mu.
-func (r *Registry) sizeOfLocked(key string) (int64, bool) {
-	if r.sizer != nil {
-		return r.sizer.Size(key)
-	}
-	if r.stat != nil {
-		if n := r.stat.StatBatch([]string{key})[0]; n >= 0 {
-			return int64(n), true
-		}
-		return 0, false
-	}
-	b, ok := r.backing.Get(key)
-	if !ok {
-		return 0, false
-	}
-	return int64(len(b)), true
-}
-
 // touch advances a tenant's LRU clock.
 func (r *Registry) touch(id string) {
 	r.mu.Lock()
@@ -338,7 +257,7 @@ func (r *Registry) applyLocked(u *usage, dBytes, dBlocks int64) {
 // the lattice a tenant is actively writing would fight its own upload.
 // Callers hold r.mu.
 func (r *Registry) maybeEvictLocked(writer string) {
-	if r.cfg.HighWater <= 0 || r.total <= r.cfg.HighWater || r.enum == nil {
+	if r.cfg.HighWater <= 0 || r.total <= r.cfg.HighWater {
 		return
 	}
 	need := r.total - r.cfg.HighWater
@@ -367,7 +286,7 @@ func (r *Registry) maybeEvictLocked(writer string) {
 func (r *Registry) evictTenantLocked(id string, u *usage) {
 	pfx := Prefix + id + "/"
 	var keys []string
-	r.enum.Each(func(key string, _ int64) bool {
+	r.backing.Each(func(key string, _ int64) bool {
 		if id == Anonymous {
 			if !strings.HasPrefix(key, "!") {
 				keys = append(keys, key)
@@ -391,12 +310,9 @@ func (r *Registry) evictTenantLocked(id string, u *usage) {
 // recountLocked rebuilds one tenant's accounting from the backing store
 // — the error path of a partially applied batch. Callers hold r.mu.
 func (r *Registry) recountLocked(id string, u *usage) {
-	if r.enum == nil {
-		return // keep the optimistic numbers; nothing better is knowable
-	}
 	r.total -= u.bytes
 	u.bytes, u.blocks = 0, 0
-	r.enum.Each(func(key string, size int64) bool {
+	r.backing.Each(func(key string, size int64) bool {
 		if kid, ok := tenantOfKey(key); ok && kid == id {
 			u.bytes += size
 			u.blocks++
@@ -408,13 +324,14 @@ func (r *Registry) recountLocked(id string, u *usage) {
 }
 
 // Store is one tenant's namespaced, quota-enforcing view of the backing
-// store. It speaks the same keyed dialect as the backing (Get/Put/Del
-// plus the batch and stat extensions), so a transport.Server can serve it
-// directly. Safe for concurrent use.
+// store. It is a store.Keyed like the backing, so a transport.Server can
+// serve it directly. Safe for concurrent use.
 type Store struct {
 	reg *Registry
 	id  string
 }
+
+var _ store.Keyed = (*Store)(nil)
 
 // ID returns the tenant this view serves.
 func (h *Store) ID() string { return h.id }
@@ -473,7 +390,7 @@ func (h *Store) Put(key string, data []byte) error {
 	r := h.reg
 	r.mu.Lock()
 	u := r.useLocked(h.id)
-	old, had := r.sizeOfLocked(full)
+	old, had := r.backing.Size(full)
 	dBytes := int64(len(data))
 	var dBlocks int64 = 1
 	if had {
@@ -504,7 +421,7 @@ func (h *Store) Del(key string) {
 	r := h.reg
 	r.mu.Lock()
 	u := r.useLocked(h.id)
-	if old, had := r.sizeOfLocked(full); had {
+	if old, had := r.backing.Size(full); had {
 		r.backing.Del(full)
 		r.applyLocked(u, -old, -1)
 	}
@@ -512,24 +429,10 @@ func (h *Store) Del(key string) {
 }
 
 // GetBatch returns one entry per key in order; entries for missing keys
-// are nil. Batch-native backings serve the whole batch in one call.
+// are nil.
 func (h *Store) GetBatch(keys []string) [][]byte {
 	h.reg.touch(h.id)
-	full := h.keys(keys)
-	var out [][]byte
-	if h.reg.batch != nil {
-		out = h.reg.batch.GetBatch(full)
-	} else {
-		out = make([][]byte, len(full))
-		for i, k := range full {
-			if b, ok := h.reg.backing.Get(k); ok {
-				if b == nil {
-					b = []byte{}
-				}
-				out[i] = b
-			}
-		}
-	}
+	out := h.reg.backing.GetBatch(h.keys(keys))
 	for i, k := range keys {
 		if h.reserved(k) {
 			out[i] = nil
@@ -545,22 +448,6 @@ func (h *Store) GetBatch(keys []string) [][]byte {
 // backing itself follow the backing's partial-application contract; the
 // tenant's accounting is rebuilt from the store on that path.
 func (h *Store) PutBatch(items []store.KV) error {
-	return h.putBatch(items, false)
-}
-
-// PutBatchOwned is the ownership-transfer variant of PutBatch
-// (transport.OwnedBatchStore): the caller's Data slices are dead after
-// the call, so the consume flag passes straight through to a backing
-// that declares the same seam. On a backing without it the plain batch
-// path is already consume-clean — the Keyed write contract forbids
-// retaining put buffers — so the promise holds either way, and quota
-// admission, the backing write and the accounting update remain one
-// atomic step under the registry lock exactly as for PutBatch.
-func (h *Store) PutBatchOwned(items []store.KV) error {
-	return h.putBatch(items, true)
-}
-
-func (h *Store) putBatch(items []store.KV, owned bool) error {
 	r := h.reg
 	full := make([]store.KV, len(items))
 	for i, it := range items {
@@ -577,7 +464,7 @@ func (h *Store) putBatch(items []store.KV, owned bool) error {
 	newSize := make(map[string]int64, len(full))
 	for _, it := range full {
 		if _, seen := newSize[it.Key]; !seen {
-			if old, had := r.sizeOfLocked(it.Key); had {
+			if old, had := r.backing.Size(it.Key); had {
 				oldSize[it.Key] = old
 			}
 		}
@@ -596,20 +483,7 @@ func (h *Store) putBatch(items []store.KV, owned bool) error {
 		r.mu.Unlock()
 		return err
 	}
-	var err error
-	switch {
-	case owned && r.owned != nil:
-		err = r.owned.PutBatchOwned(full)
-	case r.batch != nil:
-		err = r.batch.PutBatch(full)
-	default:
-		for _, it := range full {
-			if err = r.backing.Put(it.Key, it.Data); err != nil {
-				break
-			}
-		}
-	}
-	if err != nil {
+	if err := r.backing.PutBatch(full); err != nil {
 		// The backing may have applied a prefix of the batch; recount
 		// this tenant from the store instead of guessing.
 		r.recountLocked(h.id, u)
@@ -623,26 +497,10 @@ func (h *Store) putBatch(items []store.KV, owned bool) error {
 }
 
 // StatBatch probes presence: one entry per key in order, the block's
-// byte length when present, -1 otherwise — without materializing
-// contents on capable backings.
+// byte length when present, -1 otherwise.
 func (h *Store) StatBatch(keys []string) []int {
 	h.reg.touch(h.id)
-	full := h.keys(keys)
-	var out []int
-	if h.reg.stat != nil {
-		out = h.reg.stat.StatBatch(full)
-	} else {
-		out = make([]int, len(full))
-		h.reg.mu.Lock()
-		for i, k := range full {
-			if n, ok := h.reg.sizeOfLocked(k); ok {
-				out[i] = int(n)
-			} else {
-				out[i] = -1
-			}
-		}
-		h.reg.mu.Unlock()
-	}
+	out := h.reg.backing.StatBatch(h.keys(keys))
 	for i, k := range keys {
 		if h.reserved(k) {
 			out[i] = -1

@@ -1,12 +1,14 @@
 // Package tenant makes one storage node shareable by many mutually
 // untrusting users, the §IV.A cooperative setting where "the nodes of the
-// system belong to many users": it wraps any keyed block store (the
-// in-memory transport store, the durable segment store) with per-tenant
-// namespaces, byte/block quotas enforced atomically at write time, usage
-// accounting rebuilt from the backing store on reopen, and a pluggable
-// eviction policy that sheds whole cold tenant lattices when the node
-// runs out of room — lattices which entanglement repair can later
-// regenerate from the surviving strands.
+// system belong to many users": it wraps a Backing — a store.Keyed that
+// can also size and enumerate its keys, i.e. the in-memory transport
+// store or the durable segment store — and hands out per-tenant Store
+// views that are store.Keyed themselves, with namespaces, byte/block
+// quotas enforced atomically at write time, usage accounting rebuilt from
+// the backing store on reopen, and a pluggable eviction policy that sheds
+// whole cold tenant lattices when the node runs out of room — lattices
+// which entanglement repair can later regenerate from the surviving
+// strands.
 //
 // Namespacing is by key prefix: tenant "alice" writing key "k" lands on
 // "!tenant/alice/k" in the backing store. The anonymous tenant — every

@@ -33,28 +33,13 @@ const MaxBatchEntries = 4096
 // type.
 type KV = store.KV
 
-// roundTripper is the request/response capability shared by Client and
-// the pooled pipeConn, letting both reuse one batch-op implementation.
-type roundTripper interface {
-	roundTrip(ctx context.Context, op byte, key string, payload []byte) (byte, []byte, error)
-	roundTripSegments(ctx context.Context, segs net.Buffers) (byte, []byte, error)
-}
-
-// PutMany stores all items in one round-trip. The whole batch goes out as
-// one frame via vectored I/O — block contents are handed to the kernel in
-// place, never copied into a contiguous payload. The server applies items
-// in order and reports the first store error; earlier items may have been
-// stored when an error is returned.
-func (c *Client) PutMany(ctx context.Context, items []KV) error {
-	return putMany(ctx, c, items)
-}
-
-func putMany(ctx context.Context, rt roundTripper, items []KV) error {
+// putMany is PoolClient.PutMany on one picked connection.
+func putMany(ctx context.Context, c *pipeConn, items []KV) error {
 	segs, arena, err := putManySegments(items)
 	if err != nil {
 		return err
 	}
-	status, resp, err := rt.roundTripSegments(ctx, segs)
+	status, resp, err := c.roundTripSegments(ctx, segs)
 	// The write has completed (or failed) by the time the round-trip
 	// returns, so the header arena can rejoin the frame pool either way.
 	putBuf(arena)
@@ -109,19 +94,13 @@ func putManySegments(items []KV) (net.Buffers, []byte, error) {
 	return segs, arena, nil
 }
 
-// GetMany fetches all keys in one round-trip. The result has one entry per
-// key in order; missing blocks are nil (a present-but-empty block comes
-// back as a non-nil empty slice). A missing block is not an error.
-func (c *Client) GetMany(ctx context.Context, keys []string) ([][]byte, error) {
-	return getMany(ctx, c, keys)
-}
-
-func getMany(ctx context.Context, rt roundTripper, keys []string) ([][]byte, error) {
+// getMany is PoolClient.GetMany on one picked connection.
+func getMany(ctx context.Context, c *pipeConn, keys []string) ([][]byte, error) {
 	payload, err := encodeGetManyReq(keys)
 	if err != nil {
 		return nil, err
 	}
-	status, resp, err := rt.roundTrip(ctx, OpGetMany, "", payload)
+	status, resp, err := c.roundTrip(ctx, OpGetMany, "", payload)
 	if err != nil {
 		return nil, err
 	}
@@ -138,32 +117,17 @@ func getMany(ctx context.Context, rt roundTripper, keys []string) ([][]byte, err
 	return blocks, nil
 }
 
-// servePutMany handles one OpPutMany frame on the server: one
-// PutBatchOwned call on a consume-safe store (the decoded items alias
-// the pooled receive buffer, which serveConn recycles the moment the
-// call returns), one PutBatch on a batch-native store, one Put per item
-// otherwise. decodePutMany never copies block data in any case — the
-// difference is only who owns the buffer afterwards.
-func servePutMany(conn net.Conn, view connView, payload []byte) error {
+// servePutMany handles one OpPutMany frame on the server: one PutBatch
+// call. The decoded items alias the pooled receive buffer, which
+// serveConn recycles the moment the handler returns — store.Keyed's
+// consume-before-return contract is what makes that safe.
+func servePutMany(conn net.Conn, st store.Keyed, payload []byte) error {
 	items, err := decodePutMany(payload)
 	if err != nil {
 		return writeResponse(conn, StatusError, []byte(err.Error()))
 	}
-	switch {
-	case view.owned != nil:
-		if perr := view.owned.PutBatchOwned(items); perr != nil {
-			return writeResponse(conn, storeStatus(perr), []byte(perr.Error()))
-		}
-	case view.batch != nil:
-		if perr := view.batch.PutBatch(items); perr != nil {
-			return writeResponse(conn, storeStatus(perr), []byte(perr.Error()))
-		}
-	default:
-		for _, it := range items {
-			if perr := view.store.Put(it.Key, it.Data); perr != nil {
-				return writeResponse(conn, storeStatus(perr), []byte(perr.Error()))
-			}
-		}
+	if perr := st.PutBatch(items); perr != nil {
+		return writeResponse(conn, storeStatus(perr), []byte(perr.Error()))
 	}
 	return writeResponse(conn, StatusOK, nil)
 }
@@ -171,25 +135,12 @@ func servePutMany(conn net.Conn, view connView, payload []byte) error {
 // serveGetMany handles one OpGetMany frame on the server. The response
 // frame is written with vectored I/O so block contents are never copied
 // into a contiguous response payload.
-func serveGetMany(conn net.Conn, view connView, payload []byte) error {
+func serveGetMany(conn net.Conn, st store.Keyed, payload []byte) error {
 	keys, err := decodeGetManyReq(payload)
 	if err != nil {
 		return writeResponse(conn, StatusError, []byte(err.Error()))
 	}
-	var blocks [][]byte
-	if view.batch != nil {
-		blocks = view.batch.GetBatch(keys)
-	} else {
-		blocks = make([][]byte, len(keys))
-		for i, k := range keys {
-			if b, ok := view.store.Get(k); ok {
-				if b == nil {
-					b = []byte{} // present-but-empty, distinct from missing
-				}
-				blocks[i] = b
-			}
-		}
-	}
+	blocks := st.GetBatch(keys)
 	respPayload := 4
 	for _, b := range blocks {
 		respPayload += 1 + 4 + len(b)
@@ -230,34 +181,17 @@ func serveGetMany(conn net.Conn, view connView, payload []byte) error {
 }
 
 // serveStatMany handles one OpStatMany frame: the request is a getManyQ
-// key list, the response statManyR — one held/not byte per key. A
-// stat-capable store answers from its index; anything else falls back to
-// fetching and discarding, which still keeps block contents off the
-// wire.
-func serveStatMany(conn net.Conn, view connView, payload []byte) error {
+// key list, the response statManyR — one held/not byte per key, answered
+// by one StatBatch call.
+func serveStatMany(conn net.Conn, st store.Keyed, payload []byte) error {
 	keys, err := decodeGetManyReq(payload)
 	if err != nil {
 		return writeResponse(conn, StatusError, []byte(err.Error()))
 	}
 	held := make([]byte, len(keys))
-	switch {
-	case view.stat != nil:
-		for i, n := range view.stat.StatBatch(keys) {
-			if n >= 0 {
-				held[i] = 1
-			}
-		}
-	case view.batch != nil:
-		for i, b := range view.batch.GetBatch(keys) {
-			if b != nil {
-				held[i] = 1
-			}
-		}
-	default:
-		for i, k := range keys {
-			if _, ok := view.store.Get(k); ok {
-				held[i] = 1
-			}
+	for i, n := range st.StatBatch(keys) {
+		if n >= 0 {
+			held[i] = 1
 		}
 	}
 	resp := make([]byte, 0, 4+len(held))
@@ -266,20 +200,13 @@ func serveStatMany(conn net.Conn, view connView, payload []byte) error {
 	return writeResponse(conn, StatusOK, resp)
 }
 
-// StatMany reports, in one round-trip, which keys the node holds: one
-// entry per key in order. Presence travels as one flag byte per key —
-// enumeration of a large lattice costs bytes proportional to the key
-// list, never to the block contents.
-func (c *Client) StatMany(ctx context.Context, keys []string) ([]bool, error) {
-	return statMany(ctx, c, keys)
-}
-
-func statMany(ctx context.Context, rt roundTripper, keys []string) ([]bool, error) {
+// statMany is PoolClient.StatMany on one picked connection.
+func statMany(ctx context.Context, c *pipeConn, keys []string) ([]bool, error) {
 	payload, err := encodeGetManyReq(keys)
 	if err != nil {
 		return nil, err
 	}
-	status, resp, err := rt.roundTrip(ctx, OpStatMany, "", payload)
+	status, resp, err := c.roundTrip(ctx, OpStatMany, "", payload)
 	if err != nil {
 		return nil, err
 	}

@@ -103,6 +103,10 @@ func TestBatchLimits(t *testing.T) {
 func TestMalformedBatchFrames(t *testing.T) {
 	_, addr := startServer(t)
 	c := dial(t, addr)
+	pc, err := c.pick() // the pool's one connection, for raw frames
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	bad := [][]byte{
 		{},                 // no count
@@ -120,7 +124,7 @@ func TestMalformedBatchFrames(t *testing.T) {
 	}
 	for op, name := range map[byte]string{OpPutMany: "putMany", OpGetMany: "getMany"} {
 		for i, payload := range bad {
-			status, _, err := c.roundTrip(bg, op, "", payload)
+			status, _, err := pc.roundTrip(bg, op, "", payload)
 			if err != nil {
 				t.Fatalf("%s[%d]: connection died: %v", name, i, err)
 			}

@@ -6,8 +6,8 @@
 // Ownership discipline: getBuf transfers ownership to the caller; putBuf
 // transfers it back. A buffer must be recycled at most once, and only
 // when no alias into it can outlive the recycle — the server recycles a
-// request payload only after the handler returned and only when the
-// store declared the consume-safe contract (OwnedBatchStore), and the
+// request payload once the handler has returned (store.Keyed's
+// consume-before-return contract covers the write handlers), and the
 // client recycles a response only on paths whose decoded result copies
 // out of it (put/stat acknowledgements, error texts). Payloads that
 // escape to callers (Get, GetMany) are simply never recycled: the pool

@@ -132,25 +132,16 @@ func (s *Server) serveUsage(conn net.Conn, tenant string, payload []byte) error 
 	return writeResponse(conn, StatusOK, resp)
 }
 
-// NodeStat sends one heartbeat; stat.ID travels as the frame key.
-func (c *Client) NodeStat(ctx context.Context, stat NodeStat) error {
-	return nodeStatOp(ctx, c, stat)
-}
-
-// Usage fetches per-tenant usage from the node: the named tenant's, or
-// every tenant's when tenant is "".
-func (c *Client) Usage(ctx context.Context, tenant string) ([]TenantUsage, error) {
-	return usageOp(ctx, c, tenant)
-}
-
-// NodeStat sends one heartbeat over a pooled connection.
+// NodeStat sends one heartbeat over a pooled connection; stat.ID travels
+// as the frame key.
 func (p *PoolClient) NodeStat(ctx context.Context, stat NodeStat) error {
 	return p.withConn(ctx, func(c *pipeConn) error {
 		return nodeStatOp(ctx, c, stat)
 	})
 }
 
-// Usage fetches per-tenant usage over a pooled connection.
+// Usage fetches per-tenant usage from the node over a pooled connection:
+// the named tenant's, or every tenant's when tenant is "".
 func (p *PoolClient) Usage(ctx context.Context, tenant string) ([]TenantUsage, error) {
 	var out []TenantUsage
 	err := p.withConn(ctx, func(c *pipeConn) error {
@@ -164,12 +155,12 @@ func (p *PoolClient) Usage(ctx context.Context, tenant string) ([]TenantUsage, e
 	return out, nil
 }
 
-func nodeStatOp(ctx context.Context, rt roundTripper, stat NodeStat) error {
+func nodeStatOp(ctx context.Context, c *pipeConn, stat NodeStat) error {
 	payload, err := EncodeNodeStat(stat)
 	if err != nil {
 		return err
 	}
-	status, resp, err := rt.roundTrip(ctx, OpNodeStat, stat.ID, payload)
+	status, resp, err := c.roundTrip(ctx, OpNodeStat, stat.ID, payload)
 	if err != nil {
 		return err
 	}
@@ -179,8 +170,8 @@ func nodeStatOp(ctx context.Context, rt roundTripper, stat NodeStat) error {
 	return nil
 }
 
-func usageOp(ctx context.Context, rt roundTripper, tenant string) ([]TenantUsage, error) {
-	status, resp, err := rt.roundTrip(ctx, OpUsage, tenant, nil)
+func usageOp(ctx context.Context, c *pipeConn, tenant string) ([]TenantUsage, error) {
+	status, resp, err := c.roundTrip(ctx, OpUsage, tenant, nil)
 	if err != nil {
 		return nil, err
 	}

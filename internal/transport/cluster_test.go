@@ -78,7 +78,7 @@ func clusterTestServer(t *testing.T, h ClusterHandler) string {
 func TestNodeStatRoundTrip(t *testing.T) {
 	handler := &fakeClusterHandler{}
 	addr := clusterTestServer(t, handler)
-	client, err := Dial(addr)
+	client, err := DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestNodeStatRoundTrip(t *testing.T) {
 
 func TestNodeStatWithoutHandlerRefused(t *testing.T) {
 	addr := clusterTestServer(t, nil)
-	client, err := Dial(addr)
+	client, err := DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestUsageQuery(t *testing.T) {
 		"beta": {Tenant: "beta", Bytes: 11, Blocks: 1},
 	}}
 	addr := clusterTestServer(t, handler)
-	client, err := Dial(addr)
+	client, err := DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestClusterOpsOverPool(t *testing.T) {
 func TestClusterHandlerErrorsTravelTyped(t *testing.T) {
 	handler := &fakeClusterHandler{err: store.ErrQuotaExceeded}
 	addr := clusterTestServer(t, handler)
-	client, err := Dial(addr)
+	client, err := DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,11 +122,6 @@ func (s *Server) serveMetrics(conn net.Conn, key string, payload []byte) error {
 	return writeResponse(conn, StatusOK, resp)
 }
 
-// Metrics fetches the node's process metrics snapshot.
-func (c *Client) Metrics(ctx context.Context) (obs.Snapshot, error) {
-	return metricsOp(ctx, c)
-}
-
 // Metrics fetches the node's process metrics snapshot over a pooled
 // connection.
 func (p *PoolClient) Metrics(ctx context.Context) (obs.Snapshot, error) {
@@ -142,8 +137,8 @@ func (p *PoolClient) Metrics(ctx context.Context) (obs.Snapshot, error) {
 	return out, nil
 }
 
-func metricsOp(ctx context.Context, rt roundTripper) (obs.Snapshot, error) {
-	status, resp, err := rt.roundTrip(ctx, OpMetrics, "", nil)
+func metricsOp(ctx context.Context, c *pipeConn) (obs.Snapshot, error) {
+	status, resp, err := c.roundTrip(ctx, OpMetrics, "", nil)
 	if err != nil {
 		return obs.Snapshot{}, err
 	}

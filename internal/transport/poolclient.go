@@ -70,8 +70,13 @@ func (o PoolOptions) redialMax() time.Duration {
 	return o.RedialMax
 }
 
-// PoolClient is a pool of pipelined connections to one storage node. It is
-// safe for concurrent use and offers the same operations as Client.
+// PoolClient is a pool of pipelined connections to one storage node — the
+// one TCP client; a caller that wants a single connection dials a pool of
+// one. It is safe for concurrent use.
+//
+// Every operation takes a context: a context that is already done fails
+// fast without touching the wire, and a context deadline (or, without one,
+// PoolOptions.ResponseTimeout) bounds the wait for the response.
 type PoolClient struct {
 	addr string
 	opts PoolOptions
@@ -381,7 +386,9 @@ func (p *PoolClient) Get(ctx context.Context, key string) ([]byte, error) {
 	return out, nil
 }
 
-// Put stores a block.
+// Put stores a block. A write the node's admission control refused
+// returns an error wrapping store.ErrQuotaExceeded — permanent for this
+// write, do not retry.
 func (p *PoolClient) Put(ctx context.Context, key string, data []byte) error {
 	return p.simple(ctx, OpPut, key, data)
 }
@@ -401,15 +408,20 @@ func (p *PoolClient) simple(ctx context.Context, op byte, key string, payload []
 	})
 }
 
-// PutMany stores all items in one round-trip on one pooled connection,
-// using vectored I/O like Client.PutMany.
+// PutMany stores all items in one round-trip on one pooled connection.
+// The whole batch goes out as one frame via vectored I/O — block contents
+// are handed to the kernel in place, never copied into a contiguous
+// payload. The server applies items in order and reports the first store
+// error; earlier items may have been stored when an error is returned.
 func (p *PoolClient) PutMany(ctx context.Context, items []KV) error {
 	return p.withConn(ctx, func(c *pipeConn) error {
 		return putMany(ctx, c, items)
 	})
 }
 
-// GetMany fetches all keys in one round-trip; missing blocks are nil.
+// GetMany fetches all keys in one round-trip. The result has one entry per
+// key in order; missing blocks are nil (a present-but-empty block comes
+// back as a non-nil empty slice). A missing block is not an error.
 func (p *PoolClient) GetMany(ctx context.Context, keys []string) ([][]byte, error) {
 	var out [][]byte
 	err := p.withConn(ctx, func(c *pipeConn) error {

@@ -27,7 +27,7 @@ func startTenantServer(t *testing.T, cfg tenant.Config) (string, *tenant.Registr
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetTenantResolver(func(id string) (BlockStore, error) { return reg.Open(id) })
+	srv.SetTenantResolver(func(id string) (store.Keyed, error) { return reg.Open(id) })
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -44,17 +44,12 @@ func TestHelloTenantIsolation(t *testing.T) {
 	addr, _, backing := startTenantServer(t, tenant.Config{})
 	ctx := context.Background()
 
-	dial := func(tenantID string) *Client {
-		c, err := Dial(addr)
+	dial := func(tenantID string) *PoolClient {
+		c, err := DialPoolOptions(addr, 1, PoolOptions{Tenant: tenantID})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("dialing as %q: %v", tenantID, err)
 		}
 		t.Cleanup(func() { c.Close() })
-		if tenantID != "" {
-			if err := c.Hello(ctx, tenantID); err != nil {
-				t.Fatalf("Hello(%q): %v", tenantID, err)
-			}
-		}
 		return c
 	}
 	alice := dial("alice")
@@ -62,7 +57,7 @@ func TestHelloTenantIsolation(t *testing.T) {
 	anon := dial("")
 
 	for _, tc := range []struct {
-		c    *Client
+		c    *PoolClient
 		body string
 	}{{alice, "from-alice"}, {bob, "from-bob"}, {anon, "from-anon"}} {
 		if err := tc.c.Put(ctx, "k", []byte(tc.body)); err != nil {
@@ -70,7 +65,7 @@ func TestHelloTenantIsolation(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		c    *Client
+		c    *PoolClient
 		want string
 	}{{alice, "from-alice"}, {bob, "from-bob"}, {anon, "from-anon"}} {
 		got, err := tc.c.Get(ctx, "k")
@@ -111,20 +106,20 @@ func TestHelloVersionGate(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	c, err := Dial(addr)
+	c := dial(t, addr)
+	pc, err := c.pick() // the pool's one connection, for raw handshakes
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
 	ctx := context.Background()
-	if err := c.Hello(ctx, ""); err != nil {
+	if err := helloConn(pc, ""); err != nil {
 		t.Errorf("anonymous hello against a single-tenant node = %v, want nil", err)
 	}
-	if err := c.Hello(ctx, "alice"); err == nil {
+	if err := helloConn(pc, "alice"); err == nil {
 		t.Error("named hello against a single-tenant node succeeded")
 	}
 	// A wrong version must be refused even where the tenant would be fine.
-	status, payload, err := c.roundTrip(ctx, OpHello, "", []byte{HelloVersion + 1})
+	status, payload, err := pc.roundTrip(ctx, OpHello, "", []byte{HelloVersion + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,55 +133,41 @@ func TestHelloVersionGate(t *testing.T) {
 }
 
 // TestQuotaStatusOverWire pins the typed quota refusal end to end: an
-// over-quota Put and PutMany both come back as store.ErrQuotaExceeded
-// through both client kinds, and the connection stays usable.
+// over-quota Put and PutMany both come back as store.ErrQuotaExceeded,
+// and — being remote errors, not connection faults — leave every pooled
+// connection usable.
 func TestQuotaStatusOverWire(t *testing.T) {
 	addr, _, _ := startTenantServer(t, tenant.Config{
 		Tenants: map[string]tenant.Quota{"alice": {MaxBytes: 64}},
 	})
 	ctx := context.Background()
 
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Hello(ctx, "alice"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put(ctx, "fits", make([]byte, 40)); err != nil {
-		t.Fatal(err)
-	}
-	err = c.Put(ctx, "big", make([]byte, 40))
-	if !errors.Is(err, store.ErrQuotaExceeded) {
-		t.Fatalf("over-quota Put over wire = %v, want ErrQuotaExceeded", err)
-	}
-	err = c.PutMany(ctx, []KV{{Key: "b", Data: make([]byte, 40)}})
-	if !errors.Is(err, store.ErrQuotaExceeded) {
-		t.Fatalf("over-quota PutMany over wire = %v, want ErrQuotaExceeded", err)
-	}
-	// Quota refusals are remote errors, not connection faults: reads
-	// still served.
-	if got, err := c.Get(ctx, "fits"); err != nil || len(got) != 40 {
-		t.Errorf("connection unusable after quota refusal: %v", err)
-	}
-
 	pool, err := DialPoolOptions(addr, 2, PoolOptions{Tenant: "alice"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	err = pool.Put(ctx, "big2", make([]byte, 40))
+	if err := pool.Put(ctx, "fits", make([]byte, 40)); err != nil {
+		t.Fatal(err)
+	}
+	err = pool.Put(ctx, "big", make([]byte, 40))
 	if !errors.Is(err, store.ErrQuotaExceeded) {
-		t.Fatalf("over-quota pool Put = %v, want ErrQuotaExceeded", err)
+		t.Fatalf("over-quota Put over wire = %v, want ErrQuotaExceeded", err)
+	}
+	err = pool.PutMany(ctx, []KV{{Key: "b", Data: make([]byte, 40)}})
+	if !errors.Is(err, store.ErrQuotaExceeded) {
+		t.Fatalf("over-quota PutMany over wire = %v, want ErrQuotaExceeded", err)
+	}
+	if got, err := pool.Get(ctx, "fits"); err != nil || len(got) != 40 {
+		t.Errorf("connection unusable after quota refusal: %v", err)
 	}
 	if pool.Live() != 2 {
 		t.Errorf("quota refusal poisoned pool connections: %d live, want 2", pool.Live())
 	}
 }
 
-// TestStatManyOverWire pins the presence-only op for both client kinds
-// and for a handshaked tenant's namespace.
+// TestStatManyOverWire pins the presence-only op inside a handshaked
+// tenant's namespace.
 func TestStatManyOverWire(t *testing.T) {
 	addr, _, _ := startTenantServer(t, tenant.Config{})
 	ctx := context.Background()
@@ -208,14 +189,11 @@ func TestStatManyOverWire(t *testing.T) {
 	}
 
 	// A different tenant's view holds nothing under the same keys.
-	c, err := Dial(addr)
+	c, err := DialPoolOptions(addr, 1, PoolOptions{Tenant: "bob"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Hello(ctx, "bob"); err != nil {
-		t.Fatal(err)
-	}
 	flags, err = c.StatMany(ctx, []string{"held"})
 	if err != nil {
 		t.Fatal(err)
@@ -225,46 +203,6 @@ func TestStatManyOverWire(t *testing.T) {
 	}
 	if _, err := c.StatMany(ctx, nil); err != nil {
 		t.Errorf("empty StatMany: %v", err)
-	}
-}
-
-// statlessStore hides every optional capability so the server must take
-// the fetch-and-discard fallback for OpStatMany.
-type statlessStore struct{ m *MemStore }
-
-func (s statlessStore) Get(key string) ([]byte, bool) { return s.m.Get(key) }
-func (s statlessStore) Put(key string, d []byte) error {
-	return s.m.Put(key, d)
-}
-func (s statlessStore) Del(key string) { s.m.Del(key) }
-
-// TestStatManyFallback pins the wire contract for stores without
-// StatBatch: the response is still presence-only flags.
-func TestStatManyFallback(t *testing.T) {
-	srv, err := NewServer(statlessStore{NewMemStore()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx := context.Background()
-	if err := c.Put(ctx, "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	flags, err := c.StatMany(ctx, []string{"k", "gone"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !flags[0] || flags[1] {
-		t.Errorf("fallback StatMany = %v, want [true false]", flags)
 	}
 }
 
@@ -287,7 +225,7 @@ func TestPoolRedialRehandshakes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv.SetTenantResolver(func(id string) (BlockStore, error) { return reg.Open(id) })
+		srv.SetTenantResolver(func(id string) (store.Keyed, error) { return reg.Open(id) })
 		bound, err := srv.Listen(addr)
 		if err != nil {
 			t.Fatal(err)

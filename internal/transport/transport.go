@@ -17,11 +17,15 @@
 // StatusError (payload carries the error text). Every request is framed
 // and independent; connections are persistent, serve any number of
 // requests, and default to the anonymous namespace until a handshake.
+//
+// A Server serves any store.Keyed — the contract, including the
+// consume-before-return write rule that lets the server recycle every
+// receive buffer, is stated there — and applies each frame with exactly
+// one store call. PoolClient is the one client.
 package transport
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -87,7 +91,7 @@ const (
 	MaxPayloadLen = 64 << 20 // 64 MiB
 )
 
-// ErrNotFound is returned by Client.Get for missing keys. It wraps the
+// ErrNotFound is returned by PoolClient.Get for missing keys. It wraps the
 // repository-wide store.ErrNotFound sentinel, so errors.Is works with
 // either across every backend.
 var ErrNotFound = fmt.Errorf("transport: %w", store.ErrNotFound)
@@ -123,88 +127,25 @@ func storeStatus(err error) byte {
 	return StatusError
 }
 
-// BlockStore is the storage a Server exposes; NewServer accepts any
-// implementation — the in-memory MemStore, the durable segstore.Store,
-// or anything else. Implementations must be safe for concurrent use.
-type BlockStore interface {
-	// Get returns the block and whether it exists.
-	Get(key string) ([]byte, bool)
-	// Put stores a block.
-	Put(key string, data []byte) error
-	// Del removes a block; deleting a missing key is not an error.
-	Del(key string)
-}
-
-// BatchBlockStore is an optional BlockStore extension. When the store a
-// Server serves implements it, the server applies each OpPutMany /
-// OpGetMany frame with one store call instead of one call per entry —
-// for a durable store that is one lock acquisition and one (optional)
-// fsync per frame rather than per block.
-type BatchBlockStore interface {
-	BlockStore
-	// GetBatch returns one entry per key in order; entries for missing
-	// keys are nil (a present-but-empty block is a non-nil empty slice).
-	GetBatch(keys []string) [][]byte
-	// PutBatch stores all items in order; the first failing entry aborts
-	// the batch and earlier entries may have been stored.
-	PutBatch(items []store.KV) error
-}
-
-// OwnedBatchStore is the ownership-transfer variant of the batch-store
-// seam, the contract that lets the server serve writes without copying:
-// a store declaring it promises that every write call — PutBatchOwned,
-// PutBatch and single Put alike — has fully consumed the caller's data
-// slices by the time it returns, either by copying them (MemStore) or by
-// writing them out (segstore appends to the segment file before
-// returning). The server then decodes OpPut/OpPutMany items as aliases
-// into a pooled receive buffer and recycles that buffer the moment the
-// call returns; a store that retained an alias would read recycled
-// garbage. Stores without the declaration still work — they get the old
-// behaviour, a garbage-collected buffer per frame — so a decorator or
-// test double that stashes items is safe by default and must opt in
-// explicitly for the zero-copy path (aelint's retainedput analyzer
-// proves the no-retention half for every in-repo implementation, and
-// storetest's buffer-reuse leg exercises it at runtime).
-type OwnedBatchStore interface {
-	BatchBlockStore
-	// PutBatchOwned stores all items exactly like PutBatch, under the
-	// consume-before-return promise above. The caller transfers
-	// ownership of every Data slice for the duration of the call and
-	// reclaims it at return, typically to recycle the backing frame
-	// buffer immediately.
-	PutBatchOwned(items []store.KV) error
-}
-
-// StatBlockStore is an optional BlockStore extension the server uses to
-// answer OpStatMany without materializing block contents. Stores without
-// it still serve the op — the server falls back to fetching and
-// discarding, which keeps the *wire* presence-only either way.
-type StatBlockStore interface {
-	BlockStore
-	// StatBatch returns one entry per key in order: the block's byte
-	// length when present, -1 when absent.
-	StatBatch(keys []string) []int
-}
-
 // TenantResolver maps a handshake's tenant ID to the store view that
 // connection should serve — typically a tenant registry handing out
 // namespaced, quota-enforcing views. Returning an error refuses the
 // handshake; wrap store.ErrQuotaExceeded to refuse it as a typed quota
 // condition (e.g. a strict node rejecting unknown tenants).
-type TenantResolver func(tenant string) (BlockStore, error)
+type TenantResolver func(tenant string) (store.Keyed, error)
 
-// MemStore is a trivial in-memory BlockStore.
+// MemStore is a trivial in-memory store.Keyed.
 type MemStore struct {
 	mu sync.RWMutex
 	m  map[string][]byte
 }
 
-var _ BlockStore = (*MemStore)(nil)
+var _ store.Keyed = (*MemStore)(nil)
 
 // NewMemStore returns an empty store.
 func NewMemStore() *MemStore { return &MemStore{m: make(map[string][]byte)} }
 
-// Get implements BlockStore.
+// Get implements store.Keyed.
 func (s *MemStore) Get(key string) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -218,7 +159,7 @@ func (s *MemStore) Get(key string) ([]byte, bool) {
 	return out, true
 }
 
-// Put implements BlockStore.
+// Put implements store.Keyed.
 func (s *MemStore) Put(key string, data []byte) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
@@ -229,21 +170,15 @@ func (s *MemStore) Put(key string, data []byte) error {
 	return nil
 }
 
-// Del implements BlockStore.
+// Del implements store.Keyed.
 func (s *MemStore) Del(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.m, key)
 }
 
-// GetBatch implements BatchBlockStore: one lock acquisition for the
-// whole batch.
-//
-// Beware when embedding MemStore in a test double or decorator: these
-// batch methods come along, so NewServer detects the wrapper as a
-// BatchBlockStore and batch frames bypass any Get/Put overrides —
-// override GetBatch/PutBatch as well to keep the decoration visible on
-// the batch path.
+// GetBatch implements store.Keyed: one lock acquisition for the whole
+// batch.
 func (s *MemStore) GetBatch(keys []string) [][]byte {
 	out := make([][]byte, len(keys))
 	s.mu.RLock()
@@ -261,7 +196,7 @@ func (s *MemStore) GetBatch(keys []string) [][]byte {
 	return out
 }
 
-// PutBatch implements BatchBlockStore: the batch is copied first, then
+// PutBatch implements store.Keyed: the batch is copied first, then
 // applied under one lock acquisition.
 func (s *MemStore) PutBatch(items []store.KV) error {
 	copies := make([][]byte, len(items))
@@ -279,13 +214,7 @@ func (s *MemStore) PutBatch(items []store.KV) error {
 	return nil
 }
 
-// PutBatchOwned implements OwnedBatchStore: PutBatch already copies every
-// item before returning, so the consume-before-return promise holds
-// as-is and frame buffers behind the items may be recycled by the
-// caller.
-func (s *MemStore) PutBatchOwned(items []store.KV) error { return s.PutBatch(items) }
-
-// StatBatch implements StatBlockStore: one entry per key in order, the
+// StatBatch implements store.Keyed: one entry per key in order, the
 // block's byte length when present, -1 otherwise — presence answered
 // without copying block contents.
 func (s *MemStore) StatBatch(keys []string) []int {
@@ -342,32 +271,9 @@ func (s *MemStore) Clear() {
 	s.m = make(map[string][]byte)
 }
 
-// connView is the store a single connection serves: the server default
-// until an OpHello handshake swaps in a tenant's view.
-type connView struct {
-	store BlockStore
-	batch BatchBlockStore // non-nil when store is batch-native
-	owned OwnedBatchStore // non-nil when writes may consume pooled frames
-	stat  StatBlockStore  // non-nil when store can stat
-}
-
-func viewOf(store BlockStore) connView {
-	v := connView{store: store}
-	if b, ok := store.(BatchBlockStore); ok {
-		v.batch = b
-	}
-	if o, ok := store.(OwnedBatchStore); ok {
-		v.owned = o
-	}
-	if st, ok := store.(StatBlockStore); ok {
-		v.stat = st
-	}
-	return v
-}
-
-// Server serves a BlockStore over TCP.
+// Server serves a store.Keyed over TCP.
 type Server struct {
-	def connView // the default (anonymous-tenant) view
+	def store.Keyed // the default (anonymous-tenant) store
 
 	mu          sync.Mutex
 	listener    net.Listener
@@ -385,11 +291,11 @@ type Server struct {
 
 // NewServer returns a server exposing store.
 // It returns an error when store is nil.
-func NewServer(store BlockStore) (*Server, error) {
-	if store == nil {
+func NewServer(st store.Keyed) (*Server, error) {
+	if st == nil {
 		return nil, errors.New("transport: nil store")
 	}
-	return &Server{def: viewOf(store), conns: make(map[net.Conn]struct{})}, nil
+	return &Server{def: st, conns: make(map[net.Conn]struct{})}, nil
 }
 
 // SetTenantResolver enables the tenant handshake: an OpHello naming a
@@ -483,32 +389,23 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.inflight.Add(1)
 		obsInflight.Add(1)
 		start := time.Now()
-		// The request payload came from the frame pool. Handlers decode it
-		// by aliasing, so it can be recycled only once no alias survives:
-		// always for reads and control ops (their handlers copy whatever
-		// they keep), for writes only under the store's consume-before-
-		// return promise (OwnedBatchStore). Without that promise the buffer
-		// is left to the garbage collector, exactly as before pooling.
-		recycle := true
 		switch op {
 		case OpGet:
-			if b, ok := view.store.Get(key); ok {
+			if b, ok := view.Get(key); ok {
 				err = writeResponse(conn, StatusOK, b)
 			} else {
 				err = writeResponse(conn, StatusNotFound, nil)
 			}
 		case OpPut:
-			recycle = view.owned != nil
-			if perr := view.store.Put(key, payload); perr != nil {
+			if perr := view.Put(key, payload); perr != nil {
 				err = writeResponse(conn, storeStatus(perr), []byte(perr.Error()))
 			} else {
 				err = writeResponse(conn, StatusOK, nil)
 			}
 		case OpDel:
-			view.store.Del(key)
+			view.Del(key)
 			err = writeResponse(conn, StatusOK, nil)
 		case OpPutMany:
-			recycle = view.owned != nil
 			err = servePutMany(conn, view, payload)
 		case OpGetMany:
 			err = serveGetMany(conn, view, payload)
@@ -526,9 +423,11 @@ func (s *Server) serveConn(conn net.Conn) {
 			err = writeResponse(conn, StatusError, []byte("unknown op"))
 		}
 		recordServed(op, len(key)+len(payload), start, err)
-		if recycle {
-			putBuf(payload)
-		}
+		// The request payload came from the frame pool and handlers decode
+		// it by aliasing. No alias survives the handler: reads and control
+		// ops copy whatever they keep, and writes run under store.Keyed's
+		// consume-before-return contract.
+		putBuf(payload)
 		s.inflight.Add(-1)
 		obsInflight.Sub(1)
 		if err != nil {
@@ -549,7 +448,7 @@ func (s *Server) Inflight() int {
 // from it. The current view is returned unchanged on refusal — a failed
 // handshake downgrades to the tenant the connection already had, it
 // never grants a different one.
-func (s *Server) serveHello(conn net.Conn, cur connView, tenant string, payload []byte) (connView, error) {
+func (s *Server) serveHello(conn net.Conn, cur store.Keyed, tenant string, payload []byte) (store.Keyed, error) {
 	version, err := parseHello(payload)
 	if err != nil {
 		return cur, writeResponse(conn, StatusError, []byte(err.Error()))
@@ -573,7 +472,7 @@ func (s *Server) serveHello(conn net.Conn, cur connView, tenant string, payload 
 	if view == nil {
 		return cur, writeResponse(conn, StatusError, []byte("transport: resolver returned no store"))
 	}
-	return viewOf(view), writeResponse(conn, StatusOK, []byte{version})
+	return view, writeResponse(conn, StatusOK, []byte{version})
 }
 
 // parseHello validates an OpHello payload and returns the negotiated
@@ -610,170 +509,6 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	s.wg.Wait()
 	return nil
-}
-
-// Client is a connection to one storage node. It is safe for concurrent
-// use; requests are serialised over the single connection.
-//
-// Every operation takes a context: a context that is already done fails
-// fast without touching the wire, and a context deadline is applied to
-// the connection for the duration of the round-trip. Cancellation of a
-// deadline-free context is only observed between round-trips.
-//
-// Any I/O failure (including a deadline expiry mid-exchange) poisons the
-// connection: the request/response pairing can no longer be trusted, so
-// the client closes the socket and every later operation returns the
-// original error instead of a stale response. Poisoning is permanent for
-// this Client — recover from a transient node failure by Dialing a fresh
-// one, or use PoolClient, which evicts and redials poisoned connections
-// automatically.
-type Client struct {
-	mu             sync.Mutex
-	conn           net.Conn
-	err            error // sticky fatal error; guarded by mu
-	defaultTimeout time.Duration
-}
-
-// Dial connects to a storage node.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	return &Client{conn: conn}, nil
-}
-
-// SetResponseTimeout installs a default per-request response deadline,
-// applied whenever a request's context carries none: a node that hangs
-// mid-exchange fails the request (and poisons this client) after d
-// instead of stalling the caller forever. Zero restores the default of
-// waiting indefinitely.
-func (c *Client) SetResponseTimeout(d time.Duration) {
-	c.mu.Lock()
-	c.defaultTimeout = d
-	c.mu.Unlock()
-}
-
-// Get fetches a block; it returns ErrNotFound for missing keys.
-func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
-	status, payload, err := c.roundTrip(ctx, OpGet, key, nil)
-	if err != nil {
-		return nil, err
-	}
-	switch status {
-	case StatusOK:
-		return payload, nil
-	case StatusNotFound:
-		return nil, ErrNotFound
-	default:
-		return nil, remoteError(status, payload)
-	}
-}
-
-// Put stores a block. A write the node's admission control refused
-// returns an error wrapping store.ErrQuotaExceeded — permanent for this
-// write, do not retry.
-func (c *Client) Put(ctx context.Context, key string, data []byte) error {
-	status, payload, err := c.roundTrip(ctx, OpPut, key, data)
-	if err != nil {
-		return err
-	}
-	return ackError(status, payload)
-}
-
-// Del removes a block.
-func (c *Client) Del(ctx context.Context, key string) error {
-	status, payload, err := c.roundTrip(ctx, OpDel, key, nil)
-	if err != nil {
-		return err
-	}
-	return ackError(status, payload)
-}
-
-// Hello performs the tenant handshake: every later request on this
-// client runs against the named tenant's namespace on the node. The
-// empty tenant is the anonymous namespace (a no-op on any server). A
-// refused handshake leaves the connection usable on whatever tenant it
-// already had.
-func (c *Client) Hello(ctx context.Context, tenant string) error {
-	status, payload, err := c.roundTrip(ctx, OpHello, tenant, []byte{HelloVersion})
-	if err != nil {
-		return err
-	}
-	return ackError(status, payload)
-}
-
-// Close closes the connection.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return nil // already torn down by a failed exchange
-	}
-	c.err = errors.New("transport: client closed")
-	return c.conn.Close()
-}
-
-func (c *Client) roundTrip(ctx context.Context, op byte, key string, payload []byte) (byte, []byte, error) {
-	return c.exchange(ctx, func() error { return writeRequest(c.conn, op, key, payload) })
-}
-
-// roundTripSegments sends a pre-framed request as scatter/gather segments
-// (one writev on TCP) and reads the response.
-func (c *Client) roundTripSegments(ctx context.Context, segs net.Buffers) (byte, []byte, error) {
-	return c.exchange(ctx, func() error {
-		_, err := segs.WriteTo(c.conn)
-		return err
-	})
-}
-
-// exchange performs one request/response pair under the client lock. A
-// failure anywhere in the exchange leaves an unknown number of bytes in
-// flight, so it poisons the connection rather than letting the next
-// request read this one's response.
-func (c *Client) exchange(ctx context.Context, write func() error) (byte, []byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return 0, nil, c.err
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, nil, err
-	}
-	defer c.applyDeadline(ctx)()
-	if err := write(); err != nil {
-		return 0, nil, c.poisonLocked(err)
-	}
-	status, payload, err := readResponse(c.conn)
-	if err != nil {
-		return 0, nil, c.poisonLocked(err)
-	}
-	return status, payload, nil
-}
-
-// poisonLocked records the first fatal error and closes the socket. Callers
-// hold c.mu.
-func (c *Client) poisonLocked(err error) error {
-	if c.err == nil {
-		c.err = fmt.Errorf("transport: connection broken: %w", err)
-		c.conn.Close()
-	}
-	return c.err
-}
-
-// applyDeadline installs the context deadline — or, when the context has
-// none, the client's default response timeout — on the connection and
-// returns the undo function. Callers hold c.mu.
-func (c *Client) applyDeadline(ctx context.Context) func() {
-	d, ok := ctx.Deadline()
-	if !ok {
-		if c.defaultTimeout <= 0 {
-			return func() {}
-		}
-		d = time.Now().Add(c.defaultTimeout)
-	}
-	c.conn.SetDeadline(d)
-	return func() { c.conn.SetDeadline(time.Time{}) }
 }
 
 func writeRequest(w io.Writer, op byte, key string, payload []byte) error {

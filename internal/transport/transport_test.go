@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"aecodes/internal/store"
 )
 
 // startServer returns a ready server, its address, and a cleanup-registered
@@ -28,9 +30,10 @@ func startServer(t *testing.T) (*MemStore, string) {
 	return store, addr
 }
 
-func dial(t *testing.T, addr string) *Client {
+// dial connects a pool of one: a single connection, requests in order.
+func dial(t *testing.T, addr string) *PoolClient {
 	t.Helper()
-	c, err := Dial(addr)
+	c, err := DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +132,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := DialPool(addr, 1)
 			if err != nil {
 				errs <- err
 				return
@@ -169,7 +172,7 @@ func TestServerCloseStopsService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(addr)
+	c, err := DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +186,8 @@ func TestServerCloseStopsService(t *testing.T) {
 	if err := c.Put(bg, "k2", []byte{2}); err == nil {
 		t.Error("Put succeeded after server close")
 	}
-	if _, err := Dial(addr); err == nil {
-		t.Error("Dial succeeded after server close")
+	if _, err := DialPool(addr, 1); err == nil {
+		t.Error("DialPool succeeded after server close")
 	}
 }
 
@@ -229,23 +232,15 @@ func (s *slowStore) Get(key string) ([]byte, bool) {
 	return s.MemStore.Get(key)
 }
 
-// TestClientPoisonedAfterDeadline pins the desynchronization fix: once a
-// round-trip dies on a context deadline, the late response must never be
-// attributed to the next request — the connection is torn down and every
-// later operation fails with the original error.
-func TestClientPoisonedAfterDeadline(t *testing.T) {
-	store := &slowStore{delay: 300 * time.Millisecond}
-	store.MemStore.m = map[string][]byte{"a": []byte("AAAA"), "b": []byte("BBBB")}
-	srv, err := NewServer(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(addr)
+// TestLateResponseNeverAttributedToNextRequest pins the desynchronization
+// fix on a pool of one: once a round-trip dies on a context deadline, the
+// connection it rode is torn down, so the late response can never be read
+// as the next request's. Until the redial lands the next call fails with
+// store.ErrUnavailable; it never returns the stale payload.
+func TestLateResponseNeverAttributedToNextRequest(t *testing.T) {
+	st := &slowStore{delay: 300 * time.Millisecond}
+	st.MemStore.m = map[string][]byte{"a": []byte("AAAA"), "b": []byte("BBBB")}
+	c, err := DialPoolOptions(startServerOn(t, st), 1, PoolOptions{RedialBackoff: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,10 +254,14 @@ func TestClientPoisonedAfterDeadline(t *testing.T) {
 	// Without poisoning, this would read request a's late response and
 	// return AAAA for key b.
 	got, err := c.Get(bg, "b")
-	if err == nil {
-		t.Fatalf("Get on a broken connection succeeded with %q", got)
+	if err == nil && string(got) != "BBBB" {
+		t.Fatalf("Get(b) after the deadline returned %q: a stale response was attributed to it", got)
 	}
-	if err := c.Put(bg, "c", []byte("C")); err == nil {
-		t.Fatal("Put on a broken connection succeeded")
+	if err != nil && !errors.Is(err, store.ErrUnavailable) {
+		t.Fatalf("Get(b) after the deadline = %v, want store.ErrUnavailable or success on a redialed connection", err)
+	}
+	waitFor(t, 2*time.Second, func() bool { return c.Live() == 1 }, "the poisoned conn to be redialed")
+	if got, err := c.Get(bg, "b"); err != nil || string(got) != "BBBB" {
+		t.Fatalf("Get(b) on the redialed connection = %q, %v", got, err)
 	}
 }
