@@ -292,9 +292,11 @@ func (c *Code) RepairParity(ctx context.Context, src Source, e Edge) ([]byte, er
 }
 
 // Repair runs synchronous repair rounds over the store until every missing
-// block is rebuilt or no more progress is possible. Each round issues one
-// Missing enumeration and commits its repairs with a single PutMany, so a
-// batch-native store moves whole rounds in one exchange per location.
+// block is rebuilt or no more progress is possible. The store is
+// enumerated once per run (one Missing call); each round then fetches only
+// the repair tuple it chose for every missing block — two reads per
+// repaired block — with one GetMany and commits with a single PutMany, so
+// a batch-native store moves whole rounds in one exchange per location.
 func (c *Code) Repair(ctx context.Context, st BlockStore, opts RepairOptions) (RepairStats, error) {
 	return c.rep.Repair(ctx, st, opts)
 }

@@ -571,9 +571,9 @@ func repairRoundBench() error {
 // repairBandwidthBench measures bytes moved per repaired block: repairing
 // each lost block through one minimal repair tuple (the maintenance
 // scheduler's healing path) vs a default whole-lattice round pass, over
-// identical data-only damage. Tuple repair should sit near two block
-// reads per repair; the round engine prefetches every candidate parity
-// for the round and lands far higher.
+// identical data-only damage. Both should sit near two block reads per
+// repair: tuple repair probes one tuple per target, and the round engine
+// fetches only the tuple its plan chose for each missing block.
 func repairBandwidthBench() error {
 	const (
 		n         = 512

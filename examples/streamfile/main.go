@@ -82,8 +82,9 @@ func main() {
 	}
 	fmt.Printf("degraded read: %d bytes, checksum ok = %v\n", n, bytes.Equal(hasher.Sum(nil), wantSum))
 
-	// Whole-system repair puts the lattice itself back to full redundancy;
-	// on a batch-native store each round moves as one exchange.
+	// Whole-system repair puts the lattice itself back to full redundancy:
+	// one enumeration of the store, then per round one batched fetch of the
+	// tuples it will XOR and one batched commit.
 	stats, err := readCode.Repair(ctx, store, aecodes.RepairOptions{})
 	if err != nil {
 		log.Fatal(err)

@@ -22,10 +22,10 @@
 // resolves — not by the router's group id, which under cluster.Router is
 // a volume, many of which share a node — and runs the per-node exchanges
 // concurrently. So under any router the engine's missing-block
-// enumeration, its round-prefetch GetMany and each round's commit cost
-// one batched frame per storage node touched (one per chunkEntries-sized
-// chunk when a round outgrows a frame), and their wall clock is the
-// slowest node's, not the sum. Read fetches a pp-tuple the same way: one
+// enumeration (once per Repair), each round's GetMany of the tuples it
+// chose and each round's commit cost one batched frame per storage node
+// touched (one per chunkEntries-sized chunk when a batch outgrows a
+// frame), and their wall clock is the slowest node's, not the sum. Read fetches a pp-tuple the same way: one
 // GetMany frame when both parities share a node, two frames in flight
 // together when they do not.
 package cooperative
@@ -831,10 +831,9 @@ func (b *Broker) RecoverState(ctx context.Context, opts RecoverOptions) error {
 // is pure routing and batching: refs and keys map to responsible nodes,
 // and bulk operations group by node — whatever routing groups the router
 // reports — and reach all nodes concurrently, one batched frame per node
-// and chunk. It keeps no cache —
-// round-based repair's read locality lives in the engine's own round
-// prefetch, which arrives here as one GetMany over the round's working
-// set.
+// and chunk. It keeps no cache — round-based repair's read locality lives
+// in the engine's own round prefetch, which arrives here as one GetMany
+// over the tuples the round chose.
 type netStore struct {
 	b *Broker // block state accessed under b.mu (the broker's own lock)
 }
@@ -946,8 +945,8 @@ func (g *keysByNode) add(node NodeStore, key string, slot int) {
 // GetMany implements store.BlockStore: data refs are served from the
 // user's machine, parity refs are grouped by responsible node and fetched
 // from all nodes concurrently, one batched frame per node and chunk. This
-// is the path the repair engine's round
-// prefetch and Read's pp-tuple fetch travel. A context that ends during
+// is the path the repair engine's round prefetch and Read's pp-tuple fetch
+// travel. A context that ends during
 // the fetch is an error, not a batch of missing blocks.
 func (s *netStore) GetMany(ctx context.Context, refs []store.Ref) ([][]byte, error) {
 	out := make([][]byte, len(refs))
@@ -1046,8 +1045,9 @@ func (s *netStore) heldOnNode(ctx context.Context, node NodeStore, keys []string
 // Missing implements store.Single: every data block the user's machine
 // lost, and every parity the lattice says should exist but no node
 // serves, asked of all nodes concurrently. Nodes answer with StatMany
-// flags — no block contents cross the wire for enumeration, so the
-// engine's round prefetch is the only content transfer of a repair round.
+// flags — no block contents cross the wire for enumeration, and the
+// engine asks once per Repair, so the round prefetch is the only content
+// transfer of a repair run.
 // A context that ends during the enumeration is an error, not a lattice
 // with everything missing.
 func (s *netStore) Missing(ctx context.Context) (store.Missing, error) {

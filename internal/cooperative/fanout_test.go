@@ -220,8 +220,9 @@ func TestClusterShapedTraffic(t *testing.T) {
 	}
 
 	// Repair: delete 15% of the parities and a third of the user's blocks.
-	// Each round is at most one StatMany, one GetMany and one PutMany
-	// frame per node — there are four volumes on every node.
+	// The run is one StatMany frame per node (768 keys each), then at most
+	// one GetMany and one PutMany frame per node per round — there are
+	// four volumes on every node.
 	for i := 1; i <= n; i++ {
 		if rng.Float64() < 0.33 {
 			b.DropLocal(i)
@@ -254,9 +255,155 @@ func TestClusterShapedTraffic(t *testing.T) {
 		if p.get != 0 || p.put != 0 {
 			t.Errorf("node %d served %d Gets and %d Puts during repair, want 0", k, p.get, p.put)
 		}
-		if p.stat > stats.Rounds+1 || p.getMany > stats.Rounds || p.putMany > stats.Rounds {
-			t.Errorf("node %d served %d StatMany, %d GetMany, %d PutMany frames over %d rounds; want ≤ %d, %d, %d",
-				k, p.stat, p.getMany, p.putMany, stats.Rounds, stats.Rounds+1, stats.Rounds, stats.Rounds)
+		if p.stat != 1 || p.getMany > stats.Rounds || p.putMany > stats.Rounds {
+			t.Errorf("node %d served %d StatMany, %d GetMany, %d PutMany frames over %d rounds; want 1, ≤ %d, ≤ %d",
+				k, p.stat, p.getMany, p.putMany, stats.Rounds, stats.Rounds, stats.Rounds)
+		}
+	}
+	for i := 1; i <= n; i++ {
+		if got, err := b.Read(bg, i); err != nil || !bytes.Equal(got, originals[i]) {
+			t.Fatalf("after repair Read(%d): wrong content or error %v", i, err)
+		}
+	}
+}
+
+// tapNode logs the size of every batched frame its node serves into one
+// sequence shared by the fleet. The engine finishes a round's fetch before
+// it commits, so the log of a repair run reads: StatMany frames, then per
+// round its GetMany frames followed by its PutMany frames.
+type tapNode struct {
+	*InMemoryNode
+	log *frameLog
+}
+
+type frameLog struct {
+	mu     sync.Mutex
+	events []frameEvent
+}
+
+type frameEvent struct {
+	node *tapNode
+	op   byte // 's'tat, 'g'et, 'p'ut
+	keys int
+}
+
+func (l *frameLog) add(n *tapNode, op byte, keys int) {
+	l.mu.Lock()
+	l.events = append(l.events, frameEvent{n, op, keys})
+	l.mu.Unlock()
+}
+
+func (n *tapNode) StatMany(ctx context.Context, keys []string) ([]bool, error) {
+	n.log.add(n, 's', len(keys))
+	return n.InMemoryNode.StatMany(ctx, keys)
+}
+
+func (n *tapNode) GetMany(ctx context.Context, keys []string) ([][]byte, error) {
+	n.log.add(n, 'g', len(keys))
+	return n.InMemoryNode.GetMany(ctx, keys)
+}
+
+func (n *tapNode) PutMany(ctx context.Context, items []store.KV) error {
+	n.log.add(n, 'p', len(items))
+	return n.InMemoryNode.PutMany(ctx, items)
+}
+
+// TestRepairEnumeratesOncePerRun pins the planned round on the wire: a
+// node is asked which keys it holds once per Repair — ⌈keys / batchChunk⌉
+// StatMany exchanges whatever the round count — and a round's GetMany
+// frames together carry at most two keys per block the round repairs.
+func TestRepairEnumeratesOncePerRun(t *testing.T) {
+	const (
+		n         = 1500 // 4500 parities on 4 nodes: more than one batchChunk each
+		stripe    = 64
+		blockSize = 16
+	)
+	log := &frameLog{}
+	taps := make([]*tapNode, 4)
+	nodes := make([]NodeStore, len(taps))
+	for i := range taps {
+		taps[i] = &tapNode{InMemoryNode: NewInMemoryNode(), log: log}
+		nodes[i] = taps[i]
+	}
+	b, err := NewRoutedBroker("erin", lattice.Params{Alpha: 3, S: 2, P: 5}, blockSize, newStripeRouter("erin", stripe, nodes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	originals := buildBrokerSystem(t, b, n, 23)
+
+	keysOn := make(map[NodeStore]int)
+	lat := b.rep.Lattice()
+	for i := 1; i <= n; i++ {
+		for _, class := range lat.Classes() {
+			e, err := lat.OutEdge(class, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			node, _, err := b.router.Route(bg, b.parityKey(e), e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keysOn[node]++
+		}
+	}
+
+	rng := rand.New(rand.NewSource(29))
+	for i := 1; i <= n; i++ {
+		if rng.Float64() < 0.33 {
+			b.DropLocal(i)
+		}
+	}
+	for _, tap := range taps {
+		keys := make([]string, 0, len(tap.blocks))
+		for k := range tap.blocks {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			if rng.Float64() < 0.2 {
+				delete(tap.blocks, k)
+			}
+		}
+	}
+	log.events = nil
+	stats, err := b.Repair(bg, entangle.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if left := len(stats.UnrepairedData) + len(stats.UnrepairedParities); left != 0 || stats.Rounds < 3 {
+		t.Fatalf("repair left %d blocks after %d rounds, want a clean run of several rounds", left, stats.Rounds)
+	}
+
+	statFrames := make(map[NodeStore]int)
+	var fetched []int // keys fetched, per round
+	var last byte
+	for _, ev := range log.events {
+		switch ev.op {
+		case 's':
+			statFrames[ev.node]++
+			if last != 0 && last != 's' {
+				t.Fatalf("StatMany after the first round started: the engine enumerated twice")
+			}
+		case 'g':
+			if last != 'g' {
+				fetched = append(fetched, 0)
+			}
+			fetched[len(fetched)-1] += ev.keys
+		}
+		last = ev.op
+	}
+	for _, tap := range taps {
+		if want := (keysOn[tap] + batchChunk - 1) / batchChunk; statFrames[tap] != want || want < 2 {
+			t.Errorf("node holding %d keys served %d StatMany frames over %d rounds, want ⌈keys/%d⌉ = %d (and ≥ 2 for the test to bite)",
+				keysOn[tap], statFrames[tap], stats.Rounds, batchChunk, want)
+		}
+	}
+	if len(fetched) != stats.Rounds {
+		t.Fatalf("log shows %d fetch phases for %d rounds", len(fetched), stats.Rounds)
+	}
+	for k, keys := range fetched {
+		if repaired := stats.PerRound[k].DataRepaired + stats.PerRound[k].ParityRepaired; keys > 2*repaired {
+			t.Errorf("round %d fetched %d keys to repair %d blocks, want ≤ 2 per block", k+1, keys, repaired)
 		}
 	}
 	for i := 1; i <= n; i++ {

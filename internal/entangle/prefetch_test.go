@@ -11,8 +11,9 @@ import (
 	"aecodes/internal/store"
 )
 
-// countingStore wraps a BlockStore and counts every call per method, so
-// tests can pin the engine's traffic shape exactly.
+// countingStore wraps a BlockStore, counts every call per method and
+// keeps the refs of every batch, so tests can pin the engine's traffic
+// shape exactly.
 type countingStore struct {
 	inner store.BlockStore
 
@@ -22,6 +23,8 @@ type countingStore struct {
 	getMany   int
 	putMany   int
 	missing   int
+	fetched   [][]store.Ref // one entry per GetMany call, in order
+	written   [][]store.Ref // one entry per PutMany call, in order
 }
 
 var _ store.BlockStore = (*countingStore)(nil)
@@ -51,12 +54,22 @@ func (c *countingStore) PutParity(ctx context.Context, e lattice.Edge, b []byte)
 }
 
 func (c *countingStore) GetMany(ctx context.Context, refs []store.Ref) ([][]byte, error) {
-	c.bump(&c.getMany)
+	c.mu.Lock()
+	c.getMany++
+	c.fetched = append(c.fetched, append([]store.Ref(nil), refs...))
+	c.mu.Unlock()
 	return c.inner.GetMany(ctx, refs)
 }
 
 func (c *countingStore) PutMany(ctx context.Context, blocks []store.Block) error {
-	c.bump(&c.putMany)
+	refs := make([]store.Ref, len(blocks))
+	for i, b := range blocks {
+		refs[i] = b.Ref
+	}
+	c.mu.Lock()
+	c.putMany++
+	c.written = append(c.written, refs)
+	c.mu.Unlock()
 	return c.inner.PutMany(ctx, blocks)
 }
 
@@ -117,14 +130,37 @@ func buildDamagedStore(t *testing.T, params lattice.Params, n, blockSize int, lo
 }
 
 // TestRepairRoundPrefetchShape pins the engine-level traffic shape on any
-// backend: each productive round issues exactly one Missing enumeration
-// and exactly one GetMany prefetch, planning never reads single blocks
-// from the store, and each productive round commits exactly one PutMany.
+// stable backend: one Missing enumeration per Repair however many rounds
+// it runs, one GetMany and one PutMany per productive round, no
+// single-block reads, and a fetch list that is exactly the chosen tuples
+// — nothing the enumeration listed as missing, at most two refs per block
+// the round repairs.
 func TestRepairRoundPrefetchShape(t *testing.T) {
+	const n = 150
+	params := lattice.Params{Alpha: 3, S: 2, P: 5}
 	for _, workers := range []int{1, 4} {
-		st, originals := buildDamagedStore(t, lattice.Params{Alpha: 3, S: 2, P: 5}, 150, 64, 0.3, int64(41+workers))
+		st, originals := buildDamagedStore(t, params, n, 64, 0.3, int64(41+workers))
+		enumerated, err := st.Missing(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		listed := make(map[store.Ref]bool) // the missing set, kept in step with the engine's
+		// A missing tail parity whose left dp-tuple is broken gets planned
+		// once over its right one, which lies beyond the lattice: two refs
+		// fetched (and answered nil) for a block that round cannot repair.
+		tailAllowance := 0
+		for _, i := range enumerated.Data {
+			listed[store.DataRef(i)] = true
+		}
+		for _, e := range enumerated.Parities {
+			listed[store.ParityRef(e)] = true
+			if e.Right > n {
+				tailAllowance += 2
+			}
+		}
+
 		cs := &countingStore{inner: st}
-		rep, err := NewRepairer(lattice.Params{Alpha: 3, S: 2, P: 5})
+		rep, err := NewRepairer(params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,16 +168,17 @@ func TestRepairRoundPrefetchShape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(stats.UnrepairedData) != 0 {
-			t.Fatalf("workers=%d: %d data blocks unrepaired", workers, len(stats.UnrepairedData))
+		if len(stats.UnrepairedData) != 0 || len(stats.UnrepairedParities) != 0 {
+			t.Fatalf("workers=%d: %d data + %d parity blocks unrepaired", workers,
+				len(stats.UnrepairedData), len(stats.UnrepairedParities))
+		}
+		if stats.Rounds < 2 {
+			t.Fatalf("workers=%d: %d rounds, want a multi-round run to pin per-run enumeration", workers, stats.Rounds)
 		}
 		getData, getParity, getMany, putMany, missing := cs.counts()
-		// Productive rounds plus the closing enumeration each call Missing;
-		// only productive rounds (and a possible final unproductive one that
-		// still had missing blocks) prefetch and commit.
-		if missing < stats.Rounds || missing > stats.Rounds+1 {
-			t.Errorf("workers=%d: %d Missing calls over %d rounds, want %d or %d",
-				workers, missing, stats.Rounds, stats.Rounds, stats.Rounds+1)
+		if missing != 1 {
+			t.Errorf("workers=%d: %d Missing calls over %d rounds, want exactly one per Repair",
+				workers, missing, stats.Rounds)
 		}
 		if getMany != stats.Rounds {
 			t.Errorf("workers=%d: %d GetMany prefetches over %d productive rounds, want exactly one per round",
@@ -155,7 +192,30 @@ func TestRepairRoundPrefetchShape(t *testing.T) {
 			t.Errorf("workers=%d: planning read %d data + %d parity single blocks from the store, want 0 (round cache bypassed)",
 				workers, getData, getParity)
 		}
-		for i := 1; i <= 150; i++ {
+		for k, refs := range cs.fetched {
+			seen := make(map[store.Ref]bool, len(refs))
+			for _, ref := range refs {
+				if listed[ref] {
+					t.Errorf("workers=%d round %d: fetched %v, which is still missing", workers, k+1, ref)
+				}
+				if seen[ref] {
+					t.Errorf("workers=%d round %d: fetched %v twice in one batch", workers, k+1, ref)
+				}
+				seen[ref] = true
+			}
+			if k >= len(cs.written) {
+				continue
+			}
+			if limit := 2*len(cs.written[k]) + tailAllowance; len(refs) > limit {
+				t.Errorf("workers=%d round %d: fetched %d refs to repair %d blocks, want ≤ %d (two per repair)",
+					workers, k+1, len(refs), len(cs.written[k]), limit)
+			}
+			// What the round committed is what later rounds may read.
+			for _, ref := range cs.written[k] {
+				delete(listed, ref)
+			}
+		}
+		for i := 1; i <= n; i++ {
 			got, err := st.GetData(context.Background(), i)
 			if err != nil {
 				t.Fatalf("workers=%d: d%d unavailable after repair: %v", workers, i, err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -149,8 +150,9 @@ func (r *Repairer) findParityOption(ctx context.Context, src Source, e lattice.E
 
 // Options configures round-based repair.
 type Options struct {
-	// MaxRounds caps the number of repair rounds; 0 means run until
-	// fixpoint.
+	// MaxRounds caps the number of productive repair rounds — the rounds
+	// Stats.Rounds and Stats.PerRound count; 0 means run until fixpoint.
+	// Rounds that repair nothing are bounded by Patience alone.
 	MaxRounds int
 	// DataOnly restricts repair to data blocks ("minimal maintenance",
 	// §V.C.2): missing parities are left unrepaired.
@@ -161,15 +163,18 @@ type Options struct {
 	// result is identical for any worker count: planning is read-only
 	// against the frozen pre-round state and commits stay ordered.
 	Workers int
-	// Patience is the number of consecutive zero-progress rounds tolerated
-	// before declaring a fixpoint. The default 0 stops at the first round
-	// that repairs nothing (the paper's Table VI semantics over a stable
-	// store). Over a flaky backend a round can repair nothing because
-	// reads were dropped rather than because nothing is repairable, so a
-	// small Patience lets repair ride out transient unavailability.
+	// Patience is the number of consecutive stalled rounds tolerated
+	// before declaring a fixpoint — rounds in which no missing block has
+	// a usable tuple left, or whose prefetch failed outright. The default
+	// 0 stops at the first (the paper's Table VI semantics over a stable
+	// store). Over a flaky backend a round can stall because reads were
+	// dropped rather than because nothing is repairable, so a small
+	// Patience lets repair ride out transient unavailability: every
+	// tolerated stall pauses RetryDelay and re-enumerates the store, which
+	// also forgets what earlier fetches failed to return.
 	Patience int
 	// RetryDelay is the pause between prefetch retry attempts and before
-	// re-enumerating after a zero-progress round, giving a blipped
+	// re-enumerating after a stalled round, giving a blipped
 	// backend (a transport pool mid-redial, a restarting node) real time
 	// to recover instead of burning every retry and Patience round in
 	// microseconds. Zero defaults to 50ms — on the order of the
@@ -228,9 +233,10 @@ type Stats struct {
 	UnrepairedData     []int
 	UnrepairedParities []lattice.Edge
 	// BytesRead counts block bytes the engine fetched to plan repairs —
-	// the numerator of bytes-moved-per-repaired-block. Scoped repair
-	// reads only the tuples it probes (≈2 blocks per repaired block);
-	// whole-lattice rounds prefetch the full working set.
+	// the numerator of bytes-moved-per-repaired-block. Both engines read
+	// only the tuple a repair uses: at most two blocks per repaired
+	// block, fewer where a tuple member is a virtual edge or is shared
+	// between two repairs of one round.
 	BytesRead int64
 }
 
@@ -244,13 +250,25 @@ func (s Stats) DataLoss() int { return len(s.UnrepairedData) }
 // when the round started, so the round count matches the paper's Table VI
 // semantics; newly repaired blocks become usable in the next round.
 //
-// Each round issues one Missing enumeration, one GetMany prefetch of the
-// round's entire repair-tuple working set into an engine-owned round
-// cache, and commits all of its repairs with a single PutMany batch —
-// so a batch-native store moves a whole round in a constant number of
-// requests per storage location, and planning reads never touch the
-// backend. The prefetch freezes the pre-round state: every planner reads
-// the same snapshot whatever the worker count.
+// The store is enumerated once per run: Missing seeds the engine's own
+// set of missing blocks, and every later round works from that set minus
+// what the engine has committed since. A round picks, for each missing
+// block, the first repair tuple none of whose members is in the set,
+// fetches exactly the chosen tuples with one GetMany into an engine-owned
+// round cache — the paper's two reads per repaired block — and commits
+// all of its repairs with a single PutMany batch, so a batch-native store
+// moves a whole round in a constant number of requests per storage
+// location and planning reads never touch the backend. The fetch freezes
+// the pre-round state: every planner reads the same snapshot whatever
+// the worker count.
+//
+// A block the enumeration called present but a fetch cannot return
+// (corrupted at rest since, on a node that just went away, or beyond the
+// lattice's extent at the tail) is remembered as unusable: no later tuple
+// is planned over it, it is never written, and the blocks that wanted it
+// move to their other tuples next round. The engine enumerates again only
+// after a stalled round tolerated by Options.Patience; the statistics'
+// Unrepaired lists are the engine's set at exit.
 func (r *Repairer) Repair(ctx context.Context, st Store, opts Options) (Stats, error) {
 	var stats Stats
 	var err error
@@ -266,104 +284,83 @@ func (r *Repairer) Repair(ctx context.Context, st Store, opts Options) (Stats, e
 // repairLattice is the whole-lattice ScopeLattice engine behind Repair.
 func (r *Repairer) repairLattice(ctx context.Context, st Store, opts Options) (Stats, error) {
 	var stats Stats
-	// final remembers the last enumeration when nothing was committed
-	// after it, so the usual exits (lattice healthy, fixpoint) do not pay
-	// a second whole-store sweep just for the closing statistics.
-	var final *store.Missing
-	zeroRounds := 0
-	for round := 1; ; round++ {
-		if opts.MaxRounds > 0 && round > opts.MaxRounds {
-			break
-		}
+	var loss *lossSet // nil: enumerate before the next round
+	stalled := 0
+	for opts.MaxRounds <= 0 || stats.Rounds < opts.MaxRounds {
 		if err := ctx.Err(); err != nil {
 			return stats, err
 		}
-		missing, err := st.Missing(ctx)
-		if err != nil {
-			return stats, fmt.Errorf("entangle: enumerating missing blocks: %w", err)
+		if loss == nil {
+			missing, err := st.Missing(ctx)
+			if err != nil {
+				return stats, fmt.Errorf("entangle: enumerating missing blocks: %w", err)
+			}
+			loss = newLossSet(missing)
 		}
-		missingPar := missing.Parities
-		if opts.DataOnly {
-			missingPar = nil
-		}
-		if len(missing.Data) == 0 && len(missingPar) == 0 {
-			final = &missing
+		if len(loss.data) == 0 && (opts.DataOnly || len(loss.par) == 0) {
 			break
 		}
 
-		// Prefetch the round's whole repair-tuple working set with one
-		// batch, then plan against that frozen snapshot. A prefetch whose
-		// bounded retries all failed is a backend outage lasting beyond
-		// this round: Patience treats it like a zero-progress round (the
-		// next enumeration starts over), and only when Patience is
-		// exhausted does it surface as the run's error.
-		cache, err := r.prefetchRound(ctx, st, missing.Data, missingPar, opts, &stats)
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return stats, cerr
-			}
-			zeroRounds++
-			if zeroRounds > opts.Patience {
-				return stats, fmt.Errorf("entangle: prefetching round %d: %w", round, err)
-			}
-			if serr := store.SleepCtx(ctx, opts.retryDelay()); serr != nil {
-				return stats, serr
-			}
-			continue
-		}
-		dataFixes, parFixes, err := r.planRound(ctx, cache, missing.Data, missingPar, opts.Workers)
+		// Plan from the set, fetch the chosen tuples with one batch, then
+		// XOR against that frozen snapshot.
+		plan, err := r.chooseTuples(loss, opts.DataOnly)
 		if err != nil {
 			return stats, err
 		}
+		var dataFixes []dataFix
+		var parFixes []parFix
+		var fetchErr error
+		if len(plan.refs) > 0 {
+			var cache *roundCache
+			cache, fetchErr = prefetchRound(ctx, st, plan.refs, loss, opts, &stats)
+			if cerr := ctx.Err(); cerr != nil {
+				return stats, cerr
+			}
+			if fetchErr == nil {
+				dataFixes, parFixes, err = r.planRound(ctx, cache, plan.data, plan.par, opts.Workers)
+				if err != nil {
+					return stats, err
+				}
+			}
+		}
 
 		if len(dataFixes) == 0 && len(parFixes) == 0 {
-			zeroRounds++
-			if zeroRounds > opts.Patience {
-				final = &missing
-				break // fixpoint: nothing more is repairable
+			if len(plan.refs) > 0 && fetchErr == nil {
+				// Every planned tuple lost a member to the fetch, and each of
+				// those members is now in the set: the next plan is strictly
+				// narrower, so this cannot spin.
+				continue
 			}
-			// Flaky reads may have starved this round; give the backend
-			// time to recover before trying again.
+			// Stalled: no missing block has a usable tuple left, or a
+			// prefetch whose bounded retries all failed — a backend outage
+			// lasting beyond this round. Without Patience that is the
+			// fixpoint (or the run's error); with it, the backend gets time
+			// to recover and a fresh enumeration replaces the set.
+			stalled++
+			if stalled > opts.Patience {
+				if fetchErr != nil {
+					return stats, fmt.Errorf("entangle: prefetching round %d: %w", stats.Rounds+1, fetchErr)
+				}
+				break
+			}
 			if serr := store.SleepCtx(ctx, opts.retryDelay()); serr != nil {
 				return stats, serr
 			}
+			loss = nil
 			continue
 		}
-		zeroRounds = 0
+		stalled = 0
 
 		// ...then commit the round as one batch, making this round's
-		// repairs visible to the next. Store implementations copy (or
-		// transmit) on PutMany — see the Store contract — so the planner's
-		// pooled buffers can be recycled as soon as the commit returns,
-		// keeping whole-round repair allocation-free in steady state.
-		commit := make([]store.Block, 0, len(dataFixes)+len(parFixes))
-		var commitBytes int64
-		for _, f := range dataFixes {
-			commit = append(commit, store.Block{Ref: store.DataRef(f.pos), Data: f.buf})
-			commitBytes += int64(len(f.buf))
+		// repairs visible to the next.
+		if err := commitRound(ctx, st, dataFixes, parFixes, opts); err != nil {
+			return stats, fmt.Errorf("entangle: committing round %d (%d blocks): %w",
+				stats.Rounds+1, len(dataFixes)+len(parFixes), err)
 		}
-		for _, f := range parFixes {
-			commit = append(commit, store.Block{Ref: store.ParityRef(f.edge), Data: f.buf})
-			commitBytes += int64(len(f.buf))
-		}
-		if opts.RateLimit != nil {
-			if lerr := opts.RateLimit.Acquire(ctx, len(commit), commitBytes); lerr != nil {
-				for _, b := range commit {
-					xorblock.PoolFor(len(b.Data)).Put(b.Data)
-				}
-				return stats, lerr
-			}
-		}
-		err = st.PutMany(ctx, commit)
-		for _, b := range commit {
-			xorblock.PoolFor(len(b.Data)).Put(b.Data)
-		}
-		if err != nil {
-			return stats, fmt.Errorf("entangle: committing round %d (%d blocks): %w", round, len(commit), err)
-		}
+		loss.repaired(dataFixes, parFixes)
 
-		// Rounds counts productive rounds only, whatever zero-progress
-		// Patience rounds were interleaved: PerRound[i].Round == i+1 always
+		// Rounds counts productive rounds only, whatever unproductive
+		// iterations were interleaved: PerRound[i].Round == i+1 always
 		// holds, and the Table VI round count stays comparable across
 		// stable and flaky backends.
 		stats.Rounds++
@@ -375,28 +372,152 @@ func (r *Repairer) repairLattice(ctx context.Context, st Store, opts Options) (S
 			stats.FirstRoundData = rs.DataRepaired
 		}
 	}
-	if final == nil {
-		// Only the MaxRounds exit lands here: a commit happened after the
-		// last enumeration, so the accounting needs a fresh sweep.
-		m, err := st.Missing(ctx)
-		if err != nil {
-			return stats, fmt.Errorf("entangle: final missing-block accounting: %w", err)
-		}
-		final = &m
-	}
-	stats.UnrepairedData = final.Data
-	stats.UnrepairedParities = final.Parities
+	stats.UnrepairedData = loss.data
+	stats.UnrepairedParities = loss.par
 	return stats, nil
 }
 
-// roundCache is the engine-owned snapshot of one repair round's working
-// set: every block any repair tuple of the round's missing blocks could
-// read, fetched with a single GetMany before planning starts. It serves
-// the planner as a Source — a ref absent from the snapshot (or fetched as
-// unavailable) reads as ErrNotFound, so a concurrent fault mid-round
-// cannot make two planners disagree about availability. The cache is
-// read-only after construction and therefore safe for any number of
-// planner goroutines.
+// commitRound writes one round's repairs with a single PutMany and returns
+// the planner's pooled buffers. Store implementations copy (or transmit)
+// on PutMany — see the Store contract — so the buffers can be recycled as
+// soon as the commit returns, keeping whole-round repair allocation-free
+// in steady state.
+func commitRound(ctx context.Context, st Store, dataFixes []dataFix, parFixes []parFix, opts Options) error {
+	commit := make([]store.Block, 0, len(dataFixes)+len(parFixes))
+	var commitBytes int64
+	for _, f := range dataFixes {
+		commit = append(commit, store.Block{Ref: store.DataRef(f.pos), Data: f.buf})
+		commitBytes += int64(len(f.buf))
+	}
+	for _, f := range parFixes {
+		commit = append(commit, store.Block{Ref: store.ParityRef(f.edge), Data: f.buf})
+		commitBytes += int64(len(f.buf))
+	}
+	defer func() {
+		for _, b := range commit {
+			xorblock.PoolFor(len(b.Data)).Put(b.Data)
+		}
+	}()
+	if opts.RateLimit != nil {
+		if err := opts.RateLimit.Acquire(ctx, len(commit), commitBytes); err != nil {
+			return err
+		}
+	}
+	return st.PutMany(ctx, commit)
+}
+
+// lossSet is the engine's picture of what the store cannot serve, kept
+// between enumerations so a round costs no store sweep: the blocks the
+// last Missing listed minus the repairs committed since, plus the blocks
+// a fetch has contradicted the enumeration about.
+type lossSet struct {
+	// data and par are the missing blocks in enumeration order — what
+	// repair still has to rebuild, and Stats.Unrepaired* at exit.
+	data []int
+	par  []lattice.Edge
+	// gone holds every block no tuple may be planned over: the missing
+	// ones above, and those a prefetch returned nil for although the
+	// enumeration called them present. The latter are only ever avoided,
+	// never rebuilt — the engine has no evidence they should exist
+	// (d_{n+1} at the lattice's tail does not). Virtual edges are never
+	// enumerated and never fetched, so they are never in it.
+	gone map[store.Ref]bool
+}
+
+// newLossSet copies the enumeration: the set is edited as rounds commit,
+// and a store may keep the slices it returned.
+func newLossSet(m store.Missing) *lossSet {
+	l := &lossSet{
+		data: slices.Clone(m.Data),
+		par:  slices.Clone(m.Parities),
+		gone: make(map[store.Ref]bool, len(m.Data)+len(m.Parities)),
+	}
+	for _, i := range m.Data {
+		l.gone[store.DataRef(i)] = true
+	}
+	for _, e := range m.Parities {
+		l.gone[store.ParityRef(e)] = true
+	}
+	return l
+}
+
+// repaired subtracts one round's committed fixes from the set.
+func (l *lossSet) repaired(dataFixes []dataFix, parFixes []parFix) {
+	for _, f := range dataFixes {
+		delete(l.gone, store.DataRef(f.pos))
+	}
+	for _, f := range parFixes {
+		delete(l.gone, store.ParityRef(f.edge))
+	}
+	l.data = slices.DeleteFunc(l.data, func(i int) bool { return !l.gone[store.DataRef(i)] })
+	l.par = slices.DeleteFunc(l.par, func(e lattice.Edge) bool { return !l.gone[store.ParityRef(e)] })
+}
+
+// roundPlan is one round's choice: the missing blocks that have a tuple
+// to try, and the real blocks of those tuples.
+type roundPlan struct {
+	data []int
+	par  []lattice.Edge
+	refs []store.Ref // deduplicated; virtual edges never need fetching
+}
+
+// chooseTuples picks, for every missing block, the first pp-tuple (data)
+// or dp-tuple (parity) none of whose members is in the set — the tuple
+// the planner will use if the fetch agrees with the enumeration. A block
+// with no such tuple sits the round out.
+func (r *Repairer) chooseTuples(loss *lossSet, dataOnly bool) (roundPlan, error) {
+	var plan roundPlan
+	fetching := make(map[store.Ref]bool)
+	// choose takes the tuple (a, b) unless the set holds a member of it.
+	choose := func(a, b store.Ref) bool {
+		if loss.gone[a] || loss.gone[b] {
+			return false
+		}
+		for _, ref := range [2]store.Ref{a, b} {
+			if !fetching[ref] && !(ref.Parity && ref.Edge.IsVirtual()) {
+				fetching[ref] = true
+				plan.refs = append(plan.refs, ref)
+			}
+		}
+		return true
+	}
+	for _, i := range loss.data {
+		tuples, err := r.lat.Tuples(i)
+		if err != nil {
+			return roundPlan{}, err
+		}
+		for _, t := range tuples {
+			if choose(store.ParityRef(t.In), store.ParityRef(t.Out)) {
+				plan.data = append(plan.data, i)
+				break
+			}
+		}
+	}
+	if dataOnly {
+		return plan, nil
+	}
+	for _, e := range loss.par {
+		options, err := r.lat.ParityOptions(e)
+		if err != nil {
+			return roundPlan{}, err
+		}
+		for _, opt := range options {
+			if choose(store.DataRef(opt.Data), store.ParityRef(opt.Parity)) {
+				plan.par = append(plan.par, e)
+				break
+			}
+		}
+	}
+	return plan, nil
+}
+
+// roundCache is the engine-owned snapshot of one repair round: the blocks
+// of the tuples chooseTuples picked, fetched with a single GetMany before
+// planning starts. It serves the planner as a Source — a ref absent from
+// the snapshot (or fetched as unavailable) reads as ErrNotFound, so a
+// concurrent fault mid-round cannot make two planners disagree about
+// availability. The cache is read-only after construction and therefore
+// safe for any number of planner goroutines.
 type roundCache struct {
 	blockSize int // learned from the first fetched block; 0 if none
 	data      map[int][]byte
@@ -429,79 +550,22 @@ func (c *roundCache) GetParity(ctx context.Context, e lattice.Edge) ([]byte, err
 	return nil, fmt.Errorf("entangle: parity %v not in round snapshot: %w", e, store.ErrNotFound)
 }
 
-// prefetchAttempts bounds the in-round retries of the working-set batch,
-// so a short ErrUnavailable burst from a flaky backend costs a retry
-// instead of aborting the whole repair run.
+// prefetchAttempts bounds the in-round retries of the tuple fetch, so a
+// short ErrUnavailable burst from a flaky backend costs a retry instead
+// of aborting the whole repair run.
 const prefetchAttempts = 3
 
-// workingSet enumerates, deduplicated, every block the round's planners
-// may read: both parities of every pp-tuple of each missing data block,
-// and the data block plus companion parity of every dp-tuple option of
-// each missing parity. Virtual edges are excluded (they never need
-// fetching).
-func (r *Repairer) workingSet(missingData []int, missingPar []lattice.Edge) ([]store.Ref, error) {
-	var refs []store.Ref
-	seenData := make(map[int]bool)
-	seenPar := make(map[edgeKey]bool)
-	addData := func(i int) {
-		if !seenData[i] {
-			seenData[i] = true
-			refs = append(refs, store.DataRef(i))
-		}
-	}
-	addPar := func(e lattice.Edge) {
-		if e.IsVirtual() {
-			return
-		}
-		if k := keyOf(e); !seenPar[k] {
-			seenPar[k] = true
-			refs = append(refs, store.ParityRef(e))
-		}
-	}
-	for _, i := range missingData {
-		tuples, err := r.lat.Tuples(i)
-		if err != nil {
-			return nil, err
-		}
-		for _, t := range tuples {
-			addPar(t.In)
-			addPar(t.Out)
-		}
-	}
-	for _, e := range missingPar {
-		opts, err := r.lat.ParityOptions(e)
-		if err != nil {
-			return nil, err
-		}
-		for _, opt := range opts {
-			addData(opt.Data)
-			addPar(opt.Parity)
-		}
-	}
-	return refs, nil
-}
-
-// prefetchRound issues the round's single GetMany over the working set
+// prefetchRound issues the round's single GetMany over the chosen tuples
 // and builds the snapshot the planners read from. A failed batch is
 // retried a bounded number of times with delay between attempts (flaky
 // backends burst; pools need their redial backoff to land); nil entries
-// — blocks the store cannot serve — are recorded as known-missing.
+// — blocks the store cannot serve after all — go into loss as unusable.
 // Fetched bytes are counted into stats and charged against the rate
 // limiter after the batch lands (the debt model: the engine only learns
 // sizes by reading).
-func (r *Repairer) prefetchRound(ctx context.Context, st Store, missingData []int, missingPar []lattice.Edge, opts Options, stats *Stats) (*roundCache, error) {
-	refs, err := r.workingSet(missingData, missingPar)
-	if err != nil {
-		return nil, err
-	}
-	cache := &roundCache{
-		data: make(map[int][]byte, len(missingPar)),
-		par:  make(map[edgeKey][]byte, len(refs)),
-	}
-	if len(refs) == 0 {
-		return cache, nil
-	}
+func prefetchRound(ctx context.Context, st Store, refs []store.Ref, loss *lossSet, opts Options, stats *Stats) (*roundCache, error) {
 	var blocks [][]byte
+	var err error
 	for attempt := 1; ; attempt++ {
 		blocks, err = st.GetMany(ctx, refs)
 		if err == nil {
@@ -511,26 +575,32 @@ func (r *Repairer) prefetchRound(ctx context.Context, st Store, missingData []in
 			return nil, cerr
 		}
 		if attempt >= prefetchAttempts {
-			return nil, fmt.Errorf("entangle: working-set prefetch failed after %d attempts: %w", attempt, err)
+			return nil, fmt.Errorf("entangle: tuple prefetch failed after %d attempts: %w", attempt, err)
 		}
 		if serr := store.SleepCtx(ctx, opts.retryDelay()); serr != nil {
 			return nil, serr
 		}
 	}
 	if len(blocks) != len(refs) {
-		return nil, fmt.Errorf("entangle: working-set prefetch returned %d entries, want %d", len(blocks), len(refs))
+		return nil, fmt.Errorf("entangle: tuple prefetch returned %d entries, want %d", len(blocks), len(refs))
+	}
+	cache := &roundCache{
+		data: make(map[int][]byte),
+		par:  make(map[edgeKey][]byte, len(refs)),
 	}
 	var fetched int64
 	served := 0
 	for idx, ref := range refs {
 		b := blocks[idx]
-		if b != nil {
-			if cache.blockSize == 0 {
-				cache.blockSize = len(b)
-			}
-			fetched += int64(len(b))
-			served++
+		if b == nil {
+			loss.gone[ref] = true
+			continue
 		}
+		if cache.blockSize == 0 {
+			cache.blockSize = len(b)
+		}
+		fetched += int64(len(b))
+		served++
 		if ref.Parity {
 			cache.par[keyOf(ref.Edge)] = b
 		} else {

@@ -28,6 +28,14 @@ var (
 	obsReadLatency = segScope.Histogram("read.latency")
 	obsReadBytes   = segScope.Counter("read.bytes")
 
+	// Enumeration path: StatBatch preads and CRC-checks every record it
+	// is asked about without returning it, so its cost shows nowhere on
+	// the read path above. One latency sample per call, plus keys probed
+	// and record bytes read.
+	obsStatLatency = segScope.Histogram("stat.latency")
+	obsStatKeys    = segScope.Counter("stat.keys")
+	obsStatBytes   = segScope.Counter("stat.bytes")
+
 	// Durability: every fsync of the active segment, wherever it came
 	// from (per-batch Options.Sync, explicit Sync, segment seal).
 	obsSyncLatency = segScope.Histogram("sync.latency")

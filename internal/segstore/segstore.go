@@ -610,10 +610,11 @@ func (s *Store) GetBatch(keys []string) [][]byte {
 // store costs O(1) resident memory — unlike GetBatch, which would
 // materialize every block.
 func (s *Store) StatBatch(keys []string) []int {
+	start := time.Now()
 	out := make([]int, len(keys))
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var scratch []byte
+	var read int64
 	for i, key := range keys {
 		out[i] = -1
 		if s.closed {
@@ -627,10 +628,15 @@ func (s *Store) StatBatch(keys []string) []int {
 		if int64(cap(scratch)) < n {
 			scratch = make([]byte, n)
 		}
+		read += n
 		if _, ok := s.readRecordLocked(scratch[:n], loc, key); ok {
 			out[i] = int(loc.dataLen)
 		}
 	}
+	s.mu.RUnlock()
+	obsStatLatency.Record(time.Since(start).Nanoseconds())
+	obsStatKeys.Add(int64(len(keys)))
+	obsStatBytes.Add(read)
 	return out
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"aecodes/internal/obs"
 	"aecodes/internal/segstore"
 	"aecodes/internal/store"
 	"aecodes/internal/store/storetest"
@@ -260,6 +261,40 @@ func TestBatchOps(t *testing.T) {
 	}
 }
 
+// TestPutBatchSpansWriteWindows pins the batch append across its write
+// windows: one batch of records both larger and smaller than a window
+// (1 MiB, 64 KiB and 7-byte blocks, 3 MiB in all) lands byte-exact, and
+// a reopen — which re-reads and CRC-checks every record — finds the same.
+func TestPutBatchSpansWriteWindows(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, segstore.Options{})
+	var items []store.KV
+	for i, size := range []int{1 << 20, 7, 64 << 10, 64 << 10, 1 << 20, 300 << 10, 7, 64 << 10, 512 << 10} {
+		data := make([]byte, size)
+		for j := range data {
+			data[j] = byte(i*31 + j*7 + j>>8)
+		}
+		items = append(items, store.KV{Key: fmt.Sprintf("k%d", i), Data: data})
+	}
+	if err := s.PutBatch(items); err != nil {
+		t.Fatal(err)
+	}
+	check := func(s *segstore.Store, when string) {
+		t.Helper()
+		for _, it := range items {
+			got, ok := s.Get(it.Key)
+			if !ok || !bytes.Equal(got, it.Data) {
+				t.Fatalf("%s: %s (%d bytes) came back ok=%v, %d bytes", when, it.Key, len(it.Data), ok, len(got))
+			}
+		}
+	}
+	check(s, "after PutBatch")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check(openStore(t, dir, segstore.Options{}), "after reopen")
+}
+
 // TestStoreKeyedContract runs the store.Keyed conformance suite over the
 // segment store, with segments small enough that the suite's batches
 // cross a rotation.
@@ -410,6 +445,33 @@ func TestStatBatchAgreesWithGetBatch(t *testing.T) {
 		if (sizes[i] >= 0) != (blocks[i] != nil) {
 			t.Errorf("StatBatch and GetBatch disagree on %s: size %d, block %v", key, sizes[i], blocks[i])
 		}
+	}
+}
+
+// TestStatBatchIsObserved pins that the enumeration probe shows up in the
+// registry like every other store.Keyed method: it preads whole records,
+// and a repair run's one sweep of the keyspace is otherwise invisible.
+func TestStatBatchIsObserved(t *testing.T) {
+	s := openStore(t, t.TempDir(), segstore.Options{})
+	payload := bytes.Repeat([]byte{3}, 100)
+	for _, key := range []string{"a", "b", "c"} {
+		if err := s.Put(key, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := obs.Default.Snapshot()
+	s.StatBatch([]string{"a", "b", "c", "missing"})
+	after := obs.Default.Snapshot()
+
+	if got := after.Counters["segstore/stat.keys"] - before.Counters["segstore/stat.keys"]; got != 4 {
+		t.Errorf("segstore/stat.keys moved by %d, want 4 (every key asked about)", got)
+	}
+	// Three records read, header and key included.
+	if got := after.Counters["segstore/stat.bytes"] - before.Counters["segstore/stat.bytes"]; got <= 3*int64(len(payload)) {
+		t.Errorf("segstore/stat.bytes moved by %d, want > %d (whole records of the 3 present keys)", got, 3*len(payload))
+	}
+	if got := after.Hists["segstore/stat.latency"].Count - before.Hists["segstore/stat.latency"].Count; got != 1 {
+		t.Errorf("segstore/stat.latency took %d samples, want 1 per call", got)
 	}
 }
 
