@@ -17,9 +17,14 @@
 // in that directory: a killed node reopens its log on restart, verifies
 // every record's CRC32-C, truncates a torn tail left by a crash
 // mid-write, and serves its surviving blocks — so a restart is a cheap
-// rejoin for the repair engine instead of a full re-entanglement. -sync
-// additionally fsyncs every append (power-loss durability at a
-// throughput cost), -compactdead runs a log compaction on startup when
+// rejoin for the repair engine instead of a full re-entanglement.
+// Acknowledged writes always survive a kill of the process; without
+// -sync a power loss may take what was written since the last sealed
+// segment reached the disk (at most two segments, see -segsize), with
+// -sync every write is acknowledged only once it is on disk (power-loss
+// durability at a throughput cost). A failed fsync stops the store for
+// writes — it is never retried — and the node keeps serving reads until
+// it is restarted. -compactdead runs a log compaction on startup when
 // at least that many bytes are reclaimable, and -compactratio keeps
 // compacting while serving: whenever dead bytes reach that share of the
 // log, the store reclaims them in place. Without -data the node is
@@ -98,8 +103,8 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "listen address")
 	idle := flag.Duration("idletimeout", 0, "drop connections idle this long (0 disables; pool clients redial, bare sockets must reconnect)")
 	data := flag.String("data", "", "durable data directory (append-only segment store); empty = memory-only")
-	sync := flag.Bool("sync", false, "fsync every append to the segment store (requires -data)")
-	segSize := flag.Int64("segsize", 0, "segment rotation threshold in bytes (0 = 64 MiB default; requires -data)")
+	sync := flag.Bool("sync", false, "acknowledge a write only after it is on disk: every append is fsynced, and so are a segment sealed by it and the directory (requires -data)")
+	segSize := flag.Int64("segsize", 0, "segment rotation threshold in bytes; a full segment is sealed (fsynced) beside the appends that follow, so without -sync a power loss can take at most two segments' worth of writes (0 = 64 MiB default; requires -data)")
 	compactDead := flag.Int64("compactdead", 0, "compact the log on startup when at least this many bytes are dead (0 disables; requires -data)")
 	compactRatio := flag.Float64("compactratio", 0, "auto-compact while serving when dead bytes reach this share of the log, e.g. 0.5 (0 disables; requires -data)")
 	tenantsFile := flag.String("tenants", "", "tenant config file (JSON; enables multi-tenancy)")

@@ -34,5 +34,5 @@ func syncDir(dir string) error {
 		return err
 	}
 	defer d.Close()
-	return d.Sync()
+	return fsync(d)
 }

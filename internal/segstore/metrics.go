@@ -9,6 +9,7 @@
 package segstore
 
 import (
+	"os"
 	"time"
 
 	"aecodes/internal/obs"
@@ -18,10 +19,13 @@ var (
 	segScope = obs.Default.Scope("segstore")
 
 	// Append path: one latency sample per batch (a single Put is a
-	// batch of one), plus payload bytes and block counts.
-	obsAppendLatency = segScope.Histogram("append.latency")
-	obsAppendBytes   = segScope.Counter("append.bytes")
-	obsAppendBlocks  = segScope.Counter("append.blocks")
+	// batch of one), plus payload bytes and block counts. The latency is
+	// the whole call; append.lockwait is the part of it spent waiting for
+	// the store lock, so the write itself is the difference.
+	obsAppendLatency  = segScope.Histogram("append.latency")
+	obsAppendLockWait = segScope.Histogram("append.lockwait")
+	obsAppendBytes    = segScope.Counter("append.bytes")
+	obsAppendBlocks   = segScope.Counter("append.blocks")
 
 	// Read path: one latency sample per Get/GetBatch call, plus payload
 	// bytes returned.
@@ -36,9 +40,14 @@ var (
 	obsStatKeys    = segScope.Counter("stat.keys")
 	obsStatBytes   = segScope.Counter("stat.bytes")
 
-	// Durability: every fsync of the active segment, wherever it came
-	// from (per-batch Options.Sync, explicit Sync, segment seal).
+	// Durability: one sample per fsync of a segment file, wherever it
+	// ran (the seal job, per-batch Options.Sync, explicit Sync, Close,
+	// compaction). seal.wait is the time a rotation or a barrier spent
+	// waiting for the last seal job — one sample per job, near zero when
+	// the job had finished by then; not an fsync of its own, and in its
+	// tail the sign that the disk is not keeping up with the appends.
 	obsSyncLatency = segScope.Histogram("sync.latency")
+	obsSealWait    = segScope.Histogram("seal.wait")
 
 	// Compaction: completed runs, failures, and time spent.
 	obsCompactRuns    = segScope.Counter("compact.runs")
@@ -72,11 +81,11 @@ func (s *Store) updateShapeLocked() {
 	obsDeadBytes.Set(s.deadBytesLocked())
 }
 
-// timedSyncLocked fsyncs the active segment and charges the latency to
-// the sync histogram. Callers hold s.mu.
-func (s *Store) timedSyncLocked() error {
+// timedSync fsyncs one segment file and charges the latency to the sync
+// histogram.
+func timedSync(f *os.File) error {
 	start := time.Now()
-	err := s.w.Sync()
+	err := fsync(f)
 	obsSyncLatency.Record(time.Since(start).Nanoseconds())
 	return err
 }

@@ -263,3 +263,81 @@ func TestTombstoneOutlivesShadowedRecord(t *testing.T) {
 		t.Fatal("tail key lost")
 	}
 }
+
+// TestPowerCutMidSealRecovery covers the two log shapes a power cut can
+// leave now that a segment is sealed beside the appends that follow it:
+// the sealed segment's tail never reached the disk although a newer
+// segment holds valid records, and the same with the newer segment's
+// directory entry lost as well. Open serves the valid prefix of every
+// segment, last write wins over what survived, and only the last
+// segment's torn tail is cut (and counted).
+func TestPowerCutMidSealRecovery(t *testing.T) {
+	// 77-byte records in 256-byte segments: three per segment, so k00–k02
+	// land in segment 1, k03–k05 in 2, k06–k08 in 3 (the active one).
+	const recLen, cut = 77, 10
+	build := func(t *testing.T) string {
+		dir := t.TempDir()
+		s := openStore(t, dir, segstore.Options{SegmentSize: 256})
+		for i := 0; i < 9; i++ {
+			if err := s.Put(fmt.Sprintf("k%02d", i), bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(segFiles(t, dir)); got != 3 {
+			t.Fatalf("layout changed: %d segments, want 3", got)
+		}
+		// The seal of segment 2 was in flight: its last record is cut
+		// mid-way.
+		if err := os.Truncate(filepath.Join(dir, "00000002.seg"), 3*recLen-cut); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	check := func(t *testing.T, s *segstore.Store, served []int, truncated int64) {
+		t.Helper()
+		if got := s.Stats().TruncatedBytes; got != truncated {
+			t.Errorf("TruncatedBytes = %d, want %d", got, truncated)
+		}
+		if s.Len() != len(served) {
+			t.Errorf("Len = %d, want %d", s.Len(), len(served))
+		}
+		for _, i := range served {
+			key := fmt.Sprintf("k%02d", i)
+			got, ok := s.Get(key)
+			if !ok || !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, 64)) {
+				t.Errorf("%s, in the valid prefix of its segment, not served (ok=%v)", key, ok)
+			}
+		}
+	}
+
+	t.Run("newer segment valid", func(t *testing.T) {
+		dir := build(t)
+		r := openStore(t, dir, segstore.Options{SegmentSize: 256})
+		// Segment 2 is not the last: its torn tail is skipped, not cut.
+		check(t, r, []int{0, 1, 2, 3, 4, 6, 7, 8}, 0)
+		if info, err := os.Stat(filepath.Join(dir, "00000002.seg")); err != nil || info.Size() != 3*recLen-cut {
+			t.Errorf("sealed segment 2 was rewritten by recovery: %v, %v", info, err)
+		}
+	})
+
+	t.Run("newer segment absent", func(t *testing.T) {
+		dir := build(t)
+		if err := os.Remove(filepath.Join(dir, "00000003.seg")); err != nil {
+			t.Fatal(err)
+		}
+		r := openStore(t, dir, segstore.Options{SegmentSize: 256})
+		// Segment 2 is now the last one: its torn tail is cut, and appends
+		// continue behind its valid prefix.
+		check(t, r, []int{0, 1, 2, 3, 4}, recLen-cut)
+		if err := r.Put("k05", bytes.Repeat([]byte{5}, 64)); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		check(t, openStore(t, dir, segstore.Options{SegmentSize: 256}), []int{0, 1, 2, 3, 4, 5}, 0)
+	})
+}

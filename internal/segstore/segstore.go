@@ -30,6 +30,16 @@
 // files. Compaction is crash-safe at every step: a crash between the
 // copy and the removal leaves duplicate records, and the last-write-wins
 // scan resolves them to the same contents on the next open.
+//
+// Durability. A completed write is in the kernel, so it survives a
+// process kill. It survives power loss once a barrier has returned:
+// Sync, Close, every write call under Options.Sync, and Compact before
+// it removes a file. A rotation does not wait for the disk: it starts a
+// seal job (see rotateLocked) that fsyncs the sealed segment and the
+// directory beside the appends that follow, and every barrier waits for
+// that job before it syncs the active segment. The first fsync that
+// fails, wherever it ran, fail-stops the store: reads keep serving,
+// every later write and barrier returns that error.
 package segstore
 
 import (
@@ -45,6 +55,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"aecodes/internal/hotpath"
@@ -79,6 +90,11 @@ const lockName = "LOCK"
 // — plain fsync of the files only pins their contents, not their
 // directory entries.
 
+// fsync flushes a segment file or (from syncDir) a directory to stable
+// storage. Every flush the store issues goes through it; tests swap it
+// to record the order of flushes and to inject a failure.
+var fsync = (*os.File).Sync
+
 // castagnoli is the CRC32-C table shared by the writer and the recovery
 // scan — the same polynomial the archive framing uses.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -89,12 +105,16 @@ type Options struct {
 	// would grow the active segment past it seals the segment and starts
 	// a new one. Values < 1 default to 64 MiB. A single record larger
 	// than the threshold still fits — a segment always accepts at least
-	// one record.
+	// one record. The sealed segment is fsynced beside the appends that
+	// follow and the next rotation waits for that, so without Sync at
+	// most two segments' worth of acknowledged bytes are not yet on disk.
 	SegmentSize int64
-	// Sync fsyncs the active segment after every append (single or
-	// batch). Off by default: completed writes already survive a process
-	// kill (they are in the kernel by the time Put returns), Sync only
-	// adds protection against the whole machine going down.
+	// Sync makes every write call (single or batch) a durability barrier:
+	// it returns only after every segment it touched and, when it crossed
+	// a rotation, the directory have been fsynced. Off by default:
+	// completed writes already survive a process kill (they are in the
+	// kernel by the time Put returns), Sync only adds protection against
+	// the whole machine going down.
 	Sync bool
 	// CompactRatio auto-triggers Compact when the dead-bytes share of
 	// the log's physical size reaches it (0 < ratio ≤ 1; 0 disables).
@@ -169,6 +189,15 @@ type Store struct {
 	batchArena []byte               // reusable header+key scratch for putBatchLocked; guarded by mu
 	truncated  int64                // torn tail removed by the last Open; guarded by mu
 	compactErr error                // first auto-compaction failure; guarded by mu
+
+	// The seal job in flight, at most one: rotateLocked starts it, and
+	// the next rotation and every barrier wait for it, all under mu.
+	seal    sync.WaitGroup
+	sealing bool // a job was started and not yet waited for; guarded by mu
+
+	// failed holds the first fsync failure. The seal job sets it without
+	// mu (a barrier may hold mu while it waits for the job), hence atomic.
+	failed atomic.Pointer[error]
 }
 
 var _ store.Keyed = (*Store)(nil)
@@ -401,8 +430,11 @@ func (s *Store) closeFiles() {
 	}
 }
 
-// Close syncs the active segment and closes every segment file. The
-// store is unusable afterwards; Close is idempotent.
+// Close is the last barrier: it waits for the seal job, syncs the active
+// segment and closes every segment file, so no goroutine or descriptor
+// of the store outlives it. A store that fail-stopped returns the fsync
+// error that stopped it. The store is unusable afterwards; Close is
+// idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -410,22 +442,53 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	var err error
-	if s.w != nil {
-		err = s.w.Sync()
-	}
+	err := s.barrierLocked()
 	s.closeFiles()
 	return err
 }
 
-// Sync flushes the active segment to stable storage.
+// Sync is a durability barrier: when it returns nil, every write
+// acknowledged before the call is on stable storage — the segment being
+// sealed, the directory entry of the active one, and the active segment.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.writableLocked(); err != nil {
+		return err
+	}
+	return s.barrierLocked()
+}
+
+// failure returns the fsync error that fail-stopped the store, or nil
+// while it accepts writes. After a failed fsync the kernel may have
+// dropped the dirty pages and report the next fsync clean, so the store
+// never retries one: every later Put, PutBatch, Sync and Compact returns
+// this error wrapped, Del leaves its key in place, Close returns it, and
+// reads keep serving what the log holds.
+func (s *Store) failure() error {
+	if p := s.failed.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// fail records err as the store's sticky failure unless an earlier one
+// is already recorded, and returns err.
+func (s *Store) fail(err error) error {
+	s.failed.CompareAndSwap(nil, &err)
+	return err
+}
+
+// writableLocked returns the error a write or barrier is refused with:
+// the store is closed, or an fsync failed. Callers hold s.mu.
+func (s *Store) writableLocked() error {
 	if s.closed {
 		return errors.New("segstore: store closed")
 	}
-	return s.timedSyncLocked()
+	if err := s.failure(); err != nil {
+		return fmt.Errorf("segstore: store stopped by a failed fsync: %w", err)
+	}
+	return nil
 }
 
 // Dir returns the directory holding the segment files.
@@ -562,11 +625,12 @@ func (s *Store) Put(key string, data []byte) error {
 }
 
 // Del removes a block by appending a tombstone record. Deleting a
-// missing key is a no-op (no tombstone is written).
+// missing key is a no-op (no tombstone is written), and so is any Del on
+// a closed or fail-stopped store: the key stays.
 func (s *Store) Del(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.writableLocked() != nil {
 		return
 	}
 	if _, ok := s.index[key]; !ok {
@@ -574,7 +638,7 @@ func (s *Store) Del(key string) {
 	}
 	// A failed tombstone append leaves the key present — the caller sees
 	// delete-after-restart semantics no worse than delete-never-happened.
-	if err := s.appendLocked(key, nil, true); err == nil {
+	if err := s.appendTombstoneLocked(key); err == nil {
 		s.maybeSyncLocked()
 		s.maybeCompactLocked()
 		s.updateShapeLocked()
@@ -641,7 +705,7 @@ func (s *Store) StatBatch(keys []string) []int {
 }
 
 // PutBatch stores all items in order under one lock acquisition and (with
-// Options.Sync) one fsync for the whole batch. The first failing write
+// Options.Sync) one barrier for the whole batch. The first failing write
 // aborts the batch; items in earlier flushed chunks are stored. Records
 // are laid out as scatter/gather segments and land with one vectored
 // write per rotation-bounded chunk — block payloads go from the caller's
@@ -658,8 +722,9 @@ func (s *Store) PutBatch(items []store.KV) error {
 	start := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("segstore: store closed")
+	obsAppendLockWait.Record(time.Since(start).Nanoseconds())
+	if err := s.writableLocked(); err != nil {
+		return err
 	}
 	if err := s.putBatchLocked(items); err != nil {
 		return err
@@ -810,26 +875,22 @@ func checkRecord(key string, data []byte) error {
 	return nil
 }
 
-// appendLocked assembles and writes one record, rotating the active
-// segment first when the append would overflow it. Callers hold s.mu and
-// have validated key and data.
-func (s *Store) appendLocked(key string, data []byte, tombstone bool) error {
-	recLen := int64(recHeaderLen + 2 + len(key) + len(data))
+// appendTombstoneLocked writes the tombstone record of key, rotating the
+// active segment first when the append would overflow it, and drops the
+// key from the index. Block records take the vectored batch path
+// (putBatchLocked); a tombstone is a header and a key. Callers hold s.mu.
+func (s *Store) appendTombstoneLocked(key string) error {
+	recLen := int64(recHeaderLen + 2 + len(key))
 	if s.woff > 0 && s.woff+recLen > s.opts.segmentSize() {
 		if err := s.rotateLocked(); err != nil {
 			return err
 		}
 	}
-	word0 := uint32(len(data)) | recVersion
-	if tombstone {
-		word0 |= recTombstone
-	}
 	rec := make([]byte, 0, recLen)
-	rec = binary.BigEndian.AppendUint32(rec, word0)
+	rec = binary.BigEndian.AppendUint32(rec, recVersion|recTombstone)
 	rec = binary.BigEndian.AppendUint32(rec, 0) // CRC placeholder
 	rec = binary.BigEndian.AppendUint16(rec, uint16(len(key)))
 	rec = append(rec, key...)
-	rec = append(rec, data...)
 	crc := crc32.Checksum(rec[0:4], castagnoli)
 	crc = crc32.Update(crc, castagnoli, rec[recHeaderLen:])
 	binary.BigEndian.PutUint32(rec[4:8], crc)
@@ -840,9 +901,9 @@ func (s *Store) appendLocked(key string, data []byte, tombstone bool) error {
 		s.w.Truncate(s.woff)
 		return fmt.Errorf("segstore: appending to segment %d: %w", s.active, err)
 	}
-	loc := recordLoc{seg: s.active, off: s.woff, keyLen: uint16(len(key)), dataLen: uint32(len(data))}
+	loc := recordLoc{seg: s.active, off: s.woff, keyLen: uint16(len(key))}
 	s.woff += recLen
-	s.applyRecord(key, tombstone, loc)
+	s.applyRecord(key, true, loc)
 	return nil
 }
 
@@ -850,39 +911,88 @@ func (s *Store) maybeSyncLocked() error {
 	if !s.opts.Sync {
 		return nil
 	}
-	return s.timedSyncLocked()
+	return s.barrierLocked()
 }
 
-// rotateLocked seals the active segment and starts the next one. The
-// sealed file stays open for ReadAt; appends move to the new segment.
+// rotateLocked seals the active segment and starts the next one without
+// waiting for the disk: it creates the next segment file, moves the
+// appends there and hands the sealed file to a seal job that runs beside
+// them. The sealed file stays open for ReadAt. Only one job is ever in
+// flight — a rotation first waits for the previous one — so what a power
+// cut can take from a store without Options.Sync is bounded by two
+// segments. Nothing in the new segment is claimed durable before a
+// barrier has waited for the job, which fsyncs its directory entry.
 func (s *Store) rotateLocked() error {
-	if err := s.timedSyncLocked(); err != nil {
-		return fmt.Errorf("segstore: sealing segment %d: %w", s.active, err)
+	if err := s.awaitSealLocked(); err != nil {
+		return err
 	}
 	id := s.active + 1
 	f, err := os.OpenFile(s.segPath(id), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("segstore: creating segment %d: %w", id, err)
 	}
-	// Pin the new directory entry: without this a power loss could drop
-	// the file (and every record acked into it) even though the record
-	// appends themselves were fsynced.
-	if err := syncDir(s.dir); err != nil {
-		f.Close()
-		os.Remove(s.segPath(id))
-		return fmt.Errorf("segstore: syncing %s: %w", s.dir, err)
-	}
-	s.sealedLen[s.active] = s.woff
+	sealedID, sealed := s.active, s.w
+	s.sealedLen[sealedID] = s.woff
 	s.files[id] = f
 	s.active = id
 	s.w = f
 	s.woff = 0
+	s.sealing = true
+	s.seal.Add(1)
+	go s.sealSegment(sealedID, sealed)
+	return nil
+}
+
+// sealSegment is the seal job: it fsyncs the sealed segment and then the
+// directory, which pins the entry of the segment created after it —
+// without that a power loss could drop the file and every record in it
+// although the records themselves were fsynced. The directory sync runs
+// here and not in rotateLocked because, issued while the file's fsync is
+// in flight, it joins the same journal commit and takes as long. The job
+// takes no lock: a barrier holds s.mu while it waits for it.
+func (s *Store) sealSegment(id uint64, f *os.File) {
+	defer s.seal.Done()
+	if err := timedSync(f); err != nil {
+		s.fail(fmt.Errorf("segstore: sealing segment %d: %w", id, err))
+		return
+	}
+	if err := syncDir(s.dir); err != nil {
+		s.fail(fmt.Errorf("segstore: syncing %s: %w", s.dir, err))
+	}
+}
+
+// awaitSealLocked waits for the seal job in flight, if any, and returns
+// the store's sticky failure — the job's own, when it just failed.
+// Callers hold s.mu, which is what keeps appends out while a barrier
+// waits and makes "at most one job" hold.
+func (s *Store) awaitSealLocked() error {
+	if s.sealing {
+		start := time.Now()
+		s.seal.Wait()
+		obsSealWait.Record(time.Since(start).Nanoseconds())
+		s.sealing = false
+	}
+	return s.failure()
+}
+
+// barrierLocked makes everything acknowledged so far durable: it waits
+// for the seal job, then fsyncs the active segment. A failure of either
+// is sticky. Callers hold s.mu.
+func (s *Store) barrierLocked() error {
+	if err := s.awaitSealLocked(); err != nil {
+		return err
+	}
+	if err := timedSync(s.w); err != nil {
+		return s.fail(fmt.Errorf("segstore: syncing segment %d: %w", s.active, err))
+	}
 	return nil
 }
 
 // Compact reclaims the space of superseded and deleted records: every
 // live record still located in a sealed segment is re-appended to the
-// log tail, the log is synced, and the sealed files are removed.
+// log tail, a barrier makes the copies durable (and waits for the seal
+// job, which may hold one of the files), and only then are the sealed
+// files removed.
 // Tombstones vanish with the sealed segments (every record they shadowed
 // lives in an older — also sealed, also removed — segment). A crash
 // between the copy and the removal leaves duplicates that the
@@ -893,8 +1003,8 @@ func (s *Store) rotateLocked() error {
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("segstore: store closed")
+	if err := s.writableLocked(); err != nil {
+		return err
 	}
 	err := s.timedCompactLocked()
 	if err == nil {
@@ -902,6 +1012,11 @@ func (s *Store) Compact() error {
 	}
 	return err
 }
+
+// compactBatchBytes bounds the payload bytes compaction holds in memory
+// between reading live records and re-appending them (one record larger
+// than this still goes through, alone).
+const compactBatchBytes = 4 << 20
 
 // compactLocked is Compact's body, shared with the auto-compaction
 // trigger. Callers hold s.mu.
@@ -925,18 +1040,34 @@ func (s *Store) compactLocked() error {
 		}
 		return live[a].loc.off < live[b].loc.off
 	})
-	for _, r := range live {
+	// Re-append through the batch path, a bounded number of bytes at a
+	// time: the payloads go from the read buffers to the file in the
+	// windowed vectored writes of writevAt, with no second copy of the
+	// record.
+	var (
+		batch      []store.KV
+		batchBytes int
+	)
+	for i, r := range live {
 		data, ok := s.getLocked(r.key)
 		if !ok {
 			s.dropLiveLocked(r.key)
-			continue
+		} else {
+			batch = append(batch, store.KV{Key: r.key, Data: data})
+			batchBytes += len(data)
 		}
-		if err := s.appendLocked(r.key, data, false); err != nil {
-			return err
+		if batchBytes >= compactBatchBytes || i == len(live)-1 {
+			if err := s.putBatchLocked(batch); err != nil {
+				return err
+			}
+			batch, batchBytes = batch[:0], 0
 		}
 	}
-	if err := s.w.Sync(); err != nil {
-		return fmt.Errorf("segstore: syncing after compaction: %w", err)
+	// Nothing is unlinked, and no sealed file closed, before the copies
+	// are durable and the seal job — which may hold one of those files —
+	// has finished.
+	if err := s.barrierLocked(); err != nil {
+		return err
 	}
 	// Remove sealed segments OLDEST FIRST. The order is load-bearing for
 	// deleted keys: a tombstone's segment must outlive every older
