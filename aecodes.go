@@ -39,7 +39,9 @@
 // repairing damaged blocks on the fly — from any BlockStore.
 //
 // Whole-system recovery after correlated failures uses Repair, which runs
-// synchronous repair rounds until every reachable block is regenerated.
+// synchronous repair rounds until every reachable block is regenerated;
+// the same rounds restricted to RepairOptions.Targets are how background
+// maintenance heals the most fragile blocks first (LatticeHealth.Targets).
 // Audit verifies a block against all of its strands, exposing the code's
 // anti-tampering property.
 //
@@ -148,29 +150,17 @@ type MemoryStore = entangle.MemoryStore
 func NewMemoryStore(blockSize int) *MemoryStore { return entangle.NewMemoryStore(blockSize) }
 
 // RepairOptions configures repair: round counts, worker fan-out, and —
-// shared with background maintenance — the RateLimit, Priority, Scope
-// and Targets knobs. The zero value runs whole-lattice rounds to
-// fixpoint, unmetered.
+// shared with background maintenance — the RateLimit, Priority and
+// Targets knobs. The zero value runs whole-lattice rounds to fixpoint,
+// unmetered; Targets restricts the same rounds to the listed blocks.
 type RepairOptions = entangle.Options
 
 // RepairStats summarises a Repair run: rounds, blocks repaired per round,
 // bytes read to plan the repairs, and what remained unrepairable.
 type RepairStats = entangle.Stats
 
-// RepairScope selects how much of the lattice one Repair call works on:
-// whole-lattice rounds, exactly the listed targets, or targets plus the
-// tuple companions needed to complete them.
-type RepairScope = entangle.Scope
-
-// The repair scopes.
-const (
-	ScopeLattice = entangle.ScopeLattice
-	ScopeBlock   = entangle.ScopeBlock
-	ScopeTuple   = entangle.ScopeTuple
-)
-
-// RepairPriority tags a repair run for schedulers sharing one rate
-// budget; higher runs first.
+// RepairPriority labels a repair run in the repair counters; nothing
+// schedules by it.
 type RepairPriority = entangle.Priority
 
 // The repair priorities.
@@ -292,11 +282,13 @@ func (c *Code) RepairParity(ctx context.Context, src Source, e Edge) ([]byte, er
 }
 
 // Repair runs synchronous repair rounds over the store until every missing
-// block is rebuilt or no more progress is possible. The store is
-// enumerated once per run (one Missing call); each round then fetches only
-// the repair tuple it chose for every missing block — two reads per
-// repaired block — with one GetMany and commits with a single PutMany, so
-// a batch-native store moves whole rounds in one exchange per location.
+// block is rebuilt or no more progress is possible. The run is seeded
+// once — one Missing call, or with opts.Targets one GetMany of the
+// targets, which then are the only blocks it may write; each round then
+// fetches only the repair tuple it chose for every missing block — two
+// reads per repaired block — with one GetMany and commits with a single
+// PutMany, so a batch-native store moves whole rounds in one exchange per
+// location.
 func (c *Code) Repair(ctx context.Context, st BlockStore, opts RepairOptions) (RepairStats, error) {
 	return c.rep.Repair(ctx, st, opts)
 }

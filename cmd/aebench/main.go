@@ -568,19 +568,19 @@ func repairRoundBench() error {
 	return nil
 }
 
-// repairBandwidthBench measures bytes moved per repaired block: repairing
-// each lost block through one minimal repair tuple (the maintenance
-// scheduler's healing path) vs a default whole-lattice round pass, over
-// identical data-only damage. Both should sit near two block reads per
-// repair: tuple repair probes one tuple per target, and the round engine
-// fetches only the tuple its plan chose for each missing block.
+// repairBandwidthBench measures bytes moved per repaired block over
+// identical data-only damage. Its two keys are one engine seeded two
+// ways: "tuple" hands it the lost blocks as Options.Targets (the
+// maintenance scheduler's healing path), "round" lets it enumerate the
+// store. Both should sit near two block reads per repair — the engine
+// fetches only the tuple it chose for each missing block.
 func repairBandwidthBench() error {
 	const (
 		n         = 512
 		blockSize = 64 << 10
 	)
 	params := lattice.Params{Alpha: 3, S: 2, P: 5}
-	build := func() (*entangle.MemoryStore, []int, error) {
+	build := func() (*entangle.MemoryStore, []store.Ref, error) {
 		enc, err := entangle.NewEncoder(params, blockSize)
 		if err != nil {
 			return nil, nil, err
@@ -607,11 +607,11 @@ func repairBandwidthBench() error {
 		// away, so both paths repair the same block set and the ratio
 		// isolates traffic, not repairability.
 		dmg := rand.New(rand.NewSource(99))
-		var lost []int
+		var lost []store.Ref
 		for i := 1; i <= n; i++ {
 			if dmg.Float64() < 0.15 {
 				st.LoseData(i)
-				lost = append(lost, i)
+				lost = append(lost, store.DataRef(i))
 			}
 		}
 		return st, lost, nil
@@ -622,15 +622,14 @@ func repairBandwidthBench() error {
 	}
 	fmt.Printf("Repair bandwidth — %s, %d blocks of %d KiB, 15%% data-only failures\n",
 		params, n, blockSize>>10)
-	measure := func(name string, opts entangle.Options) error {
+	measure := func(name string, targeted bool) error {
 		st, lost, err := build()
 		if err != nil {
 			return err
 		}
-		if opts.Scope != entangle.ScopeLattice {
-			for _, i := range lost {
-				opts.Targets = append(opts.Targets, store.DataRef(i))
-			}
+		var opts entangle.Options
+		if targeted {
+			opts.Targets = lost
 		}
 		start := time.Now()
 		stats, err := rep.Repair(context.Background(), st, opts)
@@ -651,10 +650,10 @@ func repairBandwidthBench() error {
 			BytesBlock: &perBlock, WallNs: elapsed.Nanoseconds()})
 		return nil
 	}
-	if err := measure("tuple", entangle.Options{Scope: entangle.ScopeBlock}); err != nil {
+	if err := measure("tuple", true); err != nil {
 		return err
 	}
-	return measure("round", entangle.Options{})
+	return measure("round", false)
 }
 
 func ablations(cfg sim.Config) error {

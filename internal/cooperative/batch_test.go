@@ -7,6 +7,7 @@ import (
 
 	"aecodes/internal/entangle"
 	"aecodes/internal/lattice"
+	"aecodes/internal/store"
 )
 
 // buildBrokerSystem backs up n random blocks through a broker over the
@@ -167,6 +168,46 @@ func TestRepairAfterNodeWipeBatched(t *testing.T) {
 	for i, m := range mems {
 		if m.GetCalls() != 0 {
 			t.Errorf("node %d served %d single Gets during repair, want 0", i, m.GetCalls())
+		}
+	}
+}
+
+// TestTargetedRepairBatchesPerNode asserts the same transport shape for a
+// run seeded with Targets, the background healer's path: the targets
+// travel in one GetMany frame per node where an enumeration would have
+// sent a StatMany, every round after that is at most one more, and no
+// single-block Get is issued however many targets there are.
+func TestTargetedRepairBatchesPerNode(t *testing.T) {
+	nodes, mems := newNetwork(4)
+	b := newBroker(t, nodes)
+	buildBrokerSystem(t, b, 80, 23)
+	var targets []store.Ref
+	for i := 11; len(targets) < 32; i += 2 {
+		e, err := b.rep.Lattice().OutEdge(lattice.Horizontal, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := b.parityKey(e)
+		delete(mems[flatIndex(t, b, key, e)].blocks, key)
+		targets = append(targets, store.ParityRef(e))
+	}
+	for _, m := range mems {
+		m.ResetCounters()
+	}
+	stats, err := b.Repair(bg, entangle.Options{Targets: targets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.ParityRepaired != len(targets) || stats.Rounds < 2 {
+		t.Fatalf("stats %+v, want all %d deleted parities repaired over several rounds", stats, len(targets))
+	}
+	for i, m := range mems {
+		if m.GetCalls() != 0 || m.BatchStatCalls() != 0 {
+			t.Errorf("node %d served %d single Gets and %d StatMany frames, want none of either", i, m.GetCalls(), m.BatchStatCalls())
+		}
+		if m.BatchCalls() > stats.Rounds+1 {
+			t.Errorf("node %d served %d GetMany frames over %d rounds, want ≤ one per round after the target fetch",
+				i, m.BatchCalls(), stats.Rounds)
 		}
 	}
 }

@@ -743,7 +743,7 @@ func (b *Broker) Missing(ctx context.Context) (store.Missing, error) {
 
 // Repair is the broker's unified repair entrypoint: it drives the
 // engine over the broker's network view with the caller's options —
-// whole-lattice rounds by default, or scoped tuple repair with a rate
+// whole-lattice rounds by default, or rounds over opts.Targets with a rate
 // limit when background maintenance calls ("all users will be
 // interested in the regeneration of their lattices to maintain the same
 // level of redundancy", §IV.A). It returns the engine statistics.

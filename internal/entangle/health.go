@@ -31,6 +31,10 @@ type Health struct {
 	// weighs how close each loss is to unrecoverable, not just how many
 	// blocks are gone. Zero means healthy.
 	Score float64
+	// unlocks lists, for each missing data block with no intact tuple,
+	// the missing parities of its tuples: rebuilding them is what makes
+	// the block repairable again (see Targets).
+	unlocks map[int][]lattice.Edge
 }
 
 // Healthy reports whether nothing is missing.
@@ -58,9 +62,39 @@ func (h Health) FragileFirst() []int {
 	return out
 }
 
+// Targets returns up to max blocks in heal order, each once: the missing
+// data blocks most fragile first, then the remaining missing parities.
+// This is where the healer's cascade policy lives — a data block with no
+// intact tuple is preceded by the missing parities of its tuples, so a
+// targeted Repair, which writes nothing but its targets, rebuilds them in
+// one round and the block in the next. It goes one level deep: a listed
+// parity whose own options are broken stays missing, and its data block
+// with it, until whole-lattice rounds reach them.
+func (h Health) Targets(max int) []store.Ref {
+	var out []store.Ref
+	listed := make(map[store.Ref]bool)
+	add := func(ref store.Ref) {
+		if !listed[ref] && len(out) < max {
+			listed[ref] = true
+			out = append(out, ref)
+		}
+	}
+	for _, i := range h.FragileFirst() {
+		for _, e := range h.unlocks[i] {
+			add(store.ParityRef(e))
+		}
+		add(store.DataRef(i))
+	}
+	for _, e := range h.Missing.Parities {
+		add(store.ParityRef(e))
+	}
+	return out
+}
+
 // Health probes st with one Missing enumeration and scores the damage
-// with pure lattice geometry. blocks is the expected data-block count
-// (recorded in the result; the store's own enumeration bounds the scan).
+// with pure lattice geometry. blocks is the expected data-block count:
+// it is recorded in the result and bounds the lattice, so a tail parity's
+// option that names a data block beyond it does not count.
 func (r *Repairer) Health(ctx context.Context, st store.Single, blocks int) (Health, error) {
 	m, err := st.Missing(ctx)
 	if err != nil {
@@ -70,6 +104,7 @@ func (r *Repairer) Health(ctx context.Context, st store.Single, blocks int) (Hea
 		Blocks:       blocks,
 		Missing:      m,
 		IntactTuples: make(map[int]int, len(m.Data)),
+		unlocks:      make(map[int][]lattice.Edge),
 	}
 	missPar := make(map[edgeKey]bool, len(m.Parities))
 	for _, e := range m.Parities {
@@ -88,10 +123,20 @@ func (r *Repairer) Health(ctx context.Context, st store.Single, blocks int) (Hea
 			return Health{}, err
 		}
 		intact := 0
+		var broken []lattice.Edge
 		for _, t := range tuples {
-			if present(t.In) && present(t.Out) {
+			before := len(broken)
+			for _, e := range [2]lattice.Edge{t.In, t.Out} {
+				if !present(e) {
+					broken = append(broken, e)
+				}
+			}
+			if len(broken) == before {
 				intact++
 			}
+		}
+		if intact == 0 {
+			h.unlocks[i] = broken
 		}
 		h.IntactTuples[i] = intact
 		h.Score += 1 / float64(1+intact)
@@ -106,7 +151,7 @@ func (r *Repairer) Health(ctx context.Context, st store.Single, blocks int) (Hea
 		}
 		intact := 0
 		for _, opt := range opts {
-			if !missData[opt.Data] && present(opt.Parity) {
+			if opt.Data <= blocks && !missData[opt.Data] && present(opt.Parity) {
 				intact++
 			}
 		}

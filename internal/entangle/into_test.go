@@ -2,7 +2,6 @@ package entangle
 
 import (
 	"bytes"
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -197,56 +196,5 @@ func TestApplyOpValidation(t *testing.T) {
 	}
 	if _, err := enc.ApplyOp(StrandOp{StrandID: 99}, make([]byte, 8)); err == nil {
 		t.Error("out-of-range strand id accepted")
-	}
-}
-
-func TestRepairIntoVariants(t *testing.T) {
-	params := lattice.Params{Alpha: 3, S: 2, P: 5}
-	const n, blockSize = 40, 16
-	store, originals := buildSystem(t, params, n, blockSize, 11)
-	r := mustRepairer(t, params)
-
-	store.LoseData(17)
-	dst := make([]byte, blockSize)
-	if err := r.RepairDataInto(bg, dst, store, 17); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dst, originals[17]) {
-		t.Error("RepairDataInto produced wrong content")
-	}
-
-	lat := r.Lattice()
-	e, err := lat.OutEdge(lattice.Horizontal, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, ok := store.Parity(e)
-	if !ok {
-		t.Fatal("parity unexpectedly missing")
-	}
-	want = append([]byte(nil), want...)
-	store.LoseParity(e)
-	if err := r.RepairParityInto(bg, dst, store, e); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dst, want) {
-		t.Error("RepairParityInto produced wrong content")
-	}
-
-	// ErrUnrepairable must leave dst untouched.
-	marker := bytes.Repeat([]byte{0xAB}, blockSize)
-	copy(dst, marker)
-	hopeless := NewMemoryStore(blockSize)
-	for i := 1; i <= n; i++ {
-		hopeless.PutData(bg, i, originals[i])
-		hopeless.LoseData(i)
-	}
-	// No parities at all: nothing to XOR... except virtual-edge tuples near
-	// the origin, so probe a deep position.
-	if err := r.RepairDataInto(bg, dst, hopeless, 30); !errors.Is(err, ErrUnrepairable) {
-		t.Fatalf("err = %v, want ErrUnrepairable", err)
-	}
-	if !bytes.Equal(dst, marker) {
-		t.Error("ErrUnrepairable clobbered dst")
 	}
 }

@@ -1,6 +1,6 @@
 // Observability: repair accounting flows into the process-global obs
 // registry under the "entangle" scope. Every Repair call — client-driven
-// or background — records its Stats keyed by scope and priority, so the
+// or background — records its Stats keyed by seed and priority, so the
 // broker's discarded Repair/Health results are still visible: bytes
 // moved per repaired block, unrepairable residue, and how much of the
 // work ran urgent versus background all show up in OpMetrics and
@@ -11,17 +11,6 @@ package entangle
 import "aecodes/internal/obs"
 
 var entangleScope = obs.Default.Scope("entangle")
-
-func scopeLabel(s Scope) string {
-	switch s {
-	case ScopeBlock:
-		return "block"
-	case ScopeTuple:
-		return "tuple"
-	default:
-		return "lattice"
-	}
-}
 
 func priorityLabel(p Priority) string {
 	switch {
@@ -35,9 +24,15 @@ func priorityLabel(p Priority) string {
 }
 
 // recordRepairObs mirrors one Repair run's Stats into counters named
-// repair.<scope>.<priority>.<field>.
+// repair.<seed>.<priority>.<field>, where seed says what the run started
+// from: "lattice" for the store's enumeration, "targets" for
+// Options.Targets.
 func recordRepairObs(opts Options, stats Stats, err error) {
-	p := "repair." + scopeLabel(opts.Scope) + "." + priorityLabel(opts.Priority) + "."
+	seed := "lattice"
+	if len(opts.Targets) > 0 {
+		seed = "targets"
+	}
+	p := "repair." + seed + "." + priorityLabel(opts.Priority) + "."
 	entangleScope.Counter(p + "runs").Inc()
 	if err != nil {
 		entangleScope.Counter(p + "errors").Inc()

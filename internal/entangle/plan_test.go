@@ -41,8 +41,9 @@ type oracleOutcome struct {
 // blocks, with no I/O and no block content: a missing block is repaired
 // in round k iff one of its tuples is wholly available when round k
 // starts. Available means inside the lattice's extent and not missing;
-// virtual edges always are.
-func setOracle(t testing.TB, lat *lattice.Lattice, n int, missing store.Missing, dataOnly bool) oracleOutcome {
+// virtual edges always are. Of the missing blocks only those in targets
+// may be rebuilt, when it is not empty.
+func setOracle(t testing.TB, lat *lattice.Lattice, n int, missing store.Missing, dataOnly bool, targets map[store.Ref]bool) oracleOutcome {
 	t.Helper()
 	goneData := make(map[int]bool)
 	gonePar := make(map[lattice.Edge]bool)
@@ -56,6 +57,10 @@ func setOracle(t testing.TB, lat *lattice.Lattice, n int, missing store.Missing,
 	parOK := func(e lattice.Edge) bool { return e.IsVirtual() || (e.Left <= n && !gonePar[e]) }
 
 	out := oracleOutcome{data: missing.Data, par: missing.Parities}
+	if len(targets) > 0 {
+		out.data = slices.DeleteFunc(slices.Clone(out.data), func(i int) bool { return !targets[store.DataRef(i)] })
+		out.par = slices.DeleteFunc(slices.Clone(out.par), func(e lattice.Edge) bool { return !targets[store.ParityRef(e)] })
+	}
 	for {
 		var fixedData, restData []int
 		var fixedPar, restPar []lattice.Edge
@@ -156,14 +161,34 @@ func (ref *referenceSystem) lose(k int) {
 // checkAgainstOracle repairs the reference system's current damage and
 // fails unless the engine did exactly what the set oracle predicts, read
 // no more than two blocks per repair, wrote nothing outside the lattice
-// and restored original content.
-func checkAgainstOracle(t testing.TB, ref *referenceSystem, opts Options) {
+// and restored original content. A non-zero mask (repeated) picks which
+// of the missing blocks are handed over as Targets, and then nothing but
+// them may be written. When the mask leaves a missing block out, rounds
+// and reads are not compared: the engine learns of a missing non-target
+// only by fetching a tuple it is in, so a target may slip a round behind
+// the oracle and read a tuple it cannot use.
+func checkAgainstOracle(t testing.TB, ref *referenceSystem, opts Options, mask byte) {
 	t.Helper()
 	enumerated, err := ref.st.Missing(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := setOracle(t, ref.lat, ref.n, enumerated, opts.DataOnly)
+	targets := make(map[store.Ref]bool)
+	pick := func(k int, r store.Ref) {
+		if mask&(1<<(k%8)) != 0 {
+			targets[r] = true
+			opts.Targets = append(opts.Targets, r)
+		}
+	}
+	for k, i := range enumerated.Data {
+		pick(k, store.DataRef(i))
+	}
+	for k, e := range enumerated.Parities {
+		pick(len(enumerated.Data)+k, store.ParityRef(e))
+	}
+	targeted := len(targets) > 0
+	partial := targeted && len(targets) < len(enumerated.Data)+len(enumerated.Parities)
+	want := setOracle(t, ref.lat, ref.n, enumerated, opts.DataOnly, targets)
 
 	rep, err := NewRepairer(ref.lat.Params())
 	if err != nil {
@@ -175,15 +200,22 @@ func checkAgainstOracle(t testing.TB, ref *referenceSystem, opts Options) {
 		t.Fatal(err)
 	}
 
-	if stats.Rounds != len(want.perRound) || !slices.Equal(stats.PerRound, want.perRound) {
-		t.Fatalf("engine ran rounds %+v, oracle predicts %+v", stats.PerRound, want.perRound)
-	}
-	wantFirst := 0
-	if len(want.perRound) > 0 {
-		wantFirst = want.perRound[0].DataRepaired
-	}
-	if stats.FirstRoundData != wantFirst {
-		t.Fatalf("FirstRoundData = %d, oracle predicts %d", stats.FirstRoundData, wantFirst)
+	if !partial {
+		if stats.Rounds != len(want.perRound) || !slices.Equal(stats.PerRound, want.perRound) {
+			t.Fatalf("engine ran rounds %+v, oracle predicts %+v", stats.PerRound, want.perRound)
+		}
+		wantFirst := 0
+		if len(want.perRound) > 0 {
+			wantFirst = want.perRound[0].DataRepaired
+		}
+		if stats.FirstRoundData != wantFirst {
+			t.Fatalf("FirstRoundData = %d, oracle predicts %d", stats.FirstRoundData, wantFirst)
+		}
+		blockSize := len(ref.data[1])
+		if limit := int64(2 * blockSize * (stats.DataRepaired + stats.ParityRepaired)); stats.BytesRead > limit {
+			t.Fatalf("BytesRead = %d for %d repairs of %d-byte blocks, want ≤ %d (two reads per repaired block)",
+				stats.BytesRead, stats.DataRepaired+stats.ParityRepaired, blockSize, limit)
+		}
 	}
 	if !slices.Equal(stats.UnrepairedData, want.data) {
 		t.Fatalf("UnrepairedData = %v, oracle predicts %v", stats.UnrepairedData, want.data)
@@ -191,28 +223,26 @@ func checkAgainstOracle(t testing.TB, ref *referenceSystem, opts Options) {
 	if !slices.Equal(stats.UnrepairedParities, want.par) {
 		t.Fatalf("UnrepairedParities = %v, oracle predicts %v", stats.UnrepairedParities, want.par)
 	}
-
-	blockSize := len(ref.data[1])
-	if limit := int64(2 * blockSize * (stats.DataRepaired + stats.ParityRepaired)); stats.BytesRead > limit {
-		t.Fatalf("BytesRead = %d for %d repairs of %d-byte blocks, want ≤ %d (two reads per repaired block)",
-			stats.BytesRead, stats.DataRepaired+stats.ParityRepaired, blockSize, limit)
-	}
-	if _, _, _, _, missing := cs.counts(); missing != 1 {
-		t.Fatalf("%d Missing calls on a stable store, want 1", missing)
+	if _, _, _, _, missing := cs.counts(); targeted == (missing == 1) {
+		t.Fatalf("%d Missing calls on a stable store, want one enumeration, or none with Targets", missing)
 	}
 	for _, batch := range cs.written {
 		for _, r := range batch {
-			if pos := position(r); pos < 1 || pos > ref.n {
-				t.Fatalf("engine wrote %v, outside the lattice 1..%d", r, ref.n)
+			if pos := position(r); pos < 1 || pos > ref.n || targeted && !targets[r] {
+				t.Fatalf("engine wrote %v, outside the lattice 1..%d or the targets", r, ref.n)
 			}
 		}
 	}
 
 	// Whatever is available now must be original content, and exactly the
-	// oracle's residue may still be missing.
+	// oracle's residue may still be missing of what was to be rebuilt.
 	after, err := ref.st.Missing(bg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if targeted {
+		after.Data = slices.DeleteFunc(after.Data, func(i int) bool { return !targets[store.DataRef(i)] })
+		after.Parities = slices.DeleteFunc(after.Parities, func(e lattice.Edge) bool { return !targets[store.ParityRef(e)] })
 	}
 	if !slices.Equal(after.Data, want.data) || !slices.Equal(after.Parities, want.par) {
 		t.Fatalf("store still misses %v / %v, oracle predicts %v / %v", after.Data, after.Parities, want.data, want.par)
@@ -230,15 +260,20 @@ func checkAgainstOracle(t testing.TB, ref *referenceSystem, opts Options) {
 }
 
 // TestRepairMatchesSetOracle is round equivalence as a property: over
-// every evaluated code setting, light to catastrophic damage and both
-// planner widths, the engine's rounds, per-round counts, first-round
-// share and unrepairable residue are exactly the set oracle's.
+// every evaluated code setting, light to catastrophic damage, both
+// worker counts and both seeds — the store's enumeration, and everything
+// it lists handed over as Targets — the engine's rounds, per-round
+// counts, first-round share and unrepairable residue are exactly the set
+// oracle's.
 func TestRepairMatchesSetOracle(t *testing.T) {
 	const n, blockSize = 150, 8
 	for _, params := range soundnessSettings {
 		t.Run(params.String(), func(t *testing.T) {
 			for _, damage := range []float64{0.1, 0.3, 0.5, 0.7} {
-				for _, workers := range []int{1, 4} {
+				for _, run := range []struct {
+					workers int
+					mask    byte
+				}{{1, 0}, {4, 0}, {1, 0xff}, {4, 0xff}} {
 					ref := buildReference(t, params, n, blockSize, int64(damage*100))
 					rng := rand.New(rand.NewSource(int64(damage * 1000)))
 					for k := range ref.ordered {
@@ -246,35 +281,36 @@ func TestRepairMatchesSetOracle(t *testing.T) {
 							ref.lose(k)
 						}
 					}
-					checkAgainstOracle(t, ref, Options{Workers: workers})
+					checkAgainstOracle(t, ref, Options{Workers: run.workers}, run.mask)
 				}
 			}
 		})
 	}
 }
 
-// FuzzRepairPlan drives the planner with arbitrary damage: the first four
-// bytes pick the code setting, lattice length, planner width and
-// DataOnly, the rest is a damage bitmap over the blocks in encoding order
-// (repeated when shorter than the lattice). The engine must match the set
-// oracle and never write a block outside 1..n.
+// FuzzRepairPlan drives the planner with arbitrary damage: the first five
+// bytes pick the code setting, lattice length, worker count, DataOnly
+// and checkAgainstOracle's target mask, the rest is a damage bitmap over
+// the blocks in encoding order (repeated when shorter than the lattice).
+// The engine must match the set oracle and never write a block outside
+// 1..n or, given Targets, outside them.
 func FuzzRepairPlan(f *testing.F) {
-	f.Add([]byte{4, 63, 1, 0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0}) // more under testdata/fuzz
+	f.Add([]byte{4, 63, 1, 0, 0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0}) // more under testdata/fuzz
 	f.Fuzz(func(t *testing.T, in []byte) {
-		if len(in) < 5 {
+		if len(in) < 6 {
 			return
 		}
 		params := soundnessSettings[int(in[0])%len(soundnessSettings)]
 		n := 4 + int(in[1])%93
 		opts := Options{Workers: 1 + 3*int(in[2]&1), DataOnly: in[3]&1 == 1}
-		bitmap := in[4:]
+		bitmap := in[5:]
 		ref := buildReference(t, params, n, 8, int64(in[1]))
 		for k := range ref.ordered {
 			if bitmap[(k/8)%len(bitmap)]&(1<<(k%8)) != 0 {
 				ref.lose(k)
 			}
 		}
-		checkAgainstOracle(t, ref, opts)
+		checkAgainstOracle(t, ref, opts, in[4])
 	})
 }
 
@@ -481,30 +517,41 @@ func TestRepairNeverWritesBeyondTail(t *testing.T) {
 // TestMaxRoundsDoesNotSwallowPatience pins that MaxRounds caps productive
 // rounds only. The first round here is starved by an ErrUnavailable burst
 // outlasting the prefetch's in-round retries; Patience allows the retry,
-// and the one productive round MaxRounds grants must still happen.
+// and the one productive round MaxRounds grants must still happen — after
+// seeding again from what seeded the run: the store's enumeration, or one
+// more fetch of the Targets.
 func TestMaxRoundsDoesNotSwallowPatience(t *testing.T) {
 	params := lattice.Params{Alpha: 3, S: 2, P: 5}
-	st, originals := buildDamagedStore(t, params, 60, 32, 0, 4)
-	for _, i := range []int{7, 23, 41} {
-		st.LoseData(i)
-	}
-	flaky := store.NewFlaky(st, store.FlakyOptions{FailEvery: 2, FailBurst: prefetchAttempts})
-	// Spend the schedule's one healthy call, so the burst starts with the
-	// engine's first prefetch and ends with its last in-round retry.
-	if _, err := flaky.GetMany(bg, nil); err != nil {
-		t.Fatal(err)
-	}
-	rep := mustRepairer(t, params)
-	stats, err := rep.Repair(bg, flaky, Options{MaxRounds: 1, Patience: 2, RetryDelay: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Rounds != 1 || stats.DataRepaired != 3 || len(stats.UnrepairedData) != 0 {
-		t.Fatalf("stats %+v, want the 3 blocks repaired in 1 productive round after the starved one", stats)
-	}
-	for _, i := range []int{7, 23, 41} {
-		if got, ok := st.Data(i); !ok || !bytes.Equal(got, originals[i]) {
-			t.Fatalf("d%d missing or wrong after repair", i)
+	lost := []store.Ref{store.DataRef(7), store.DataRef(23), store.DataRef(41)}
+	for _, targets := range [][]store.Ref{nil, lost} {
+		st, originals := buildDamagedStore(t, params, 60, 32, 0, 4)
+		for _, r := range lost {
+			st.LoseData(r.Index)
+		}
+		cs := &countingStore{inner: st}
+		// A target fetch is one more healthy call ahead of the burst.
+		flaky := store.NewFlaky(cs, store.FlakyOptions{FailEvery: 2 + min(len(targets), 1), FailBurst: prefetchAttempts})
+		// Spend a healthy call, so the burst starts with the engine's first
+		// tuple fetch and ends with its last in-round retry.
+		if _, err := flaky.GetMany(bg, nil); err != nil {
+			t.Fatal(err)
+		}
+		rep := mustRepairer(t, params)
+		stats, err := rep.Repair(bg, flaky, Options{MaxRounds: 1, Patience: 2, RetryDelay: -1, Targets: targets})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Rounds != 1 || stats.DataRepaired != 3 || len(stats.UnrepairedData) != 0 {
+			t.Fatalf("stats %+v, want the 3 blocks repaired in 1 productive round after the starved one", stats)
+		}
+		for _, r := range lost {
+			if got, ok := st.Data(r.Index); !ok || !bytes.Equal(got, originals[r.Index]) {
+				t.Fatalf("%v missing or wrong after repair", r)
+			}
+		}
+		targetFetches := len(cs.fetched) - stats.Rounds - 1 // all but the warm-up and the tuple fetch
+		if want := 2 * min(len(targets), 1); cs.missing+targetFetches != 2 || targetFetches != want {
+			t.Errorf("Targets=%v: %d enumerations and %d target fetches, want 2 seeds of the run's own kind", targets, cs.missing, targetFetches)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"aecodes/internal/hotpath"
 	"aecodes/internal/lattice"
 	"aecodes/internal/store"
 	"aecodes/internal/xorblock"
@@ -66,17 +65,6 @@ func (r *Repairer) RepairData(ctx context.Context, src Source, i int) ([]byte, e
 	return xorblock.Xor(in, out)
 }
 
-// RepairDataInto is RepairData writing into a caller-supplied buffer, so
-// hot repair loops can recycle blocks instead of allocating one per repair.
-// dst must have the block size; it is untouched on ErrUnrepairable.
-func (r *Repairer) RepairDataInto(ctx context.Context, dst []byte, src Source, i int) error {
-	in, out, err := r.findDataTuple(ctx, src, i)
-	if err != nil {
-		return err
-	}
-	return xorblock.XorInto(dst, in, out)
-}
-
 // findDataTuple locates the first complete pp-tuple for data block i and
 // returns its two parity blocks.
 func (r *Repairer) findDataTuple(ctx context.Context, src Source, i int) (in, out []byte, err error) {
@@ -114,16 +102,6 @@ func (r *Repairer) RepairParity(ctx context.Context, src Source, e lattice.Edge)
 	return xorblock.Xor(d, p)
 }
 
-// RepairParityInto is RepairParity writing into a caller-supplied buffer.
-// dst must have the block size; it is untouched on ErrUnrepairable.
-func (r *Repairer) RepairParityInto(ctx context.Context, dst []byte, src Source, e lattice.Edge) error {
-	d, p, err := r.findParityOption(ctx, src, e)
-	if err != nil {
-		return err
-	}
-	return xorblock.XorInto(dst, d, p)
-}
-
 // findParityOption locates the first complete dp-tuple for the parity on e
 // and returns the data block and companion parity.
 func (r *Repairer) findParityOption(ctx context.Context, src Source, e lattice.Edge) (d, p []byte, err error) {
@@ -155,13 +133,14 @@ type Options struct {
 	// Rounds that repair nothing are bounded by Patience alone.
 	MaxRounds int
 	// DataOnly restricts repair to data blocks ("minimal maintenance",
-	// §V.C.2): missing parities are left unrepaired.
+	// §V.C.2): no parity is rebuilt, whether the store enumerated it or
+	// Targets named it, and every missing one is reported unrepaired.
 	DataOnly bool
-	// Workers sets the number of goroutines planning repairs within a
-	// round ("the decoder can repair multiple single failures in
-	// parallel", §III.A). Values below 2 select the serial planner. The
-	// result is identical for any worker count: planning is read-only
-	// against the frozen pre-round state and commits stay ordered.
+	// Workers sets the number of goroutines XORing a round's repairs
+	// ("the decoder can repair multiple single failures in parallel",
+	// §III.A); values below 2 mean one. The result is identical for any
+	// worker count: the workers only read the round's fetched snapshot
+	// and commits stay ordered.
 	Workers int
 	// Patience is the number of consecutive stalled rounds tolerated
 	// before declaring a fixpoint — rounds in which no missing block has
@@ -170,11 +149,11 @@ type Options struct {
 	// store). Over a flaky backend a round can stall because reads were
 	// dropped rather than because nothing is repairable, so a small
 	// Patience lets repair ride out transient unavailability: every
-	// tolerated stall pauses RetryDelay and re-enumerates the store, which
+	// tolerated stall pauses RetryDelay and seeds the run again, which
 	// also forgets what earlier fetches failed to return.
 	Patience int
 	// RetryDelay is the pause between prefetch retry attempts and before
-	// re-enumerating after a stalled round, giving a blipped
+	// seeding again after a stalled round, giving a blipped
 	// backend (a transport pool mid-redial, a restarting node) real time
 	// to recover instead of burning every retry and Patience round in
 	// microseconds. Zero defaults to 50ms — on the order of the
@@ -185,16 +164,16 @@ type Options struct {
 	// budget is spent. Background maintenance shares one limiter across
 	// all of its tasks so foreground traffic keeps its p99.
 	RateLimit Limiter
-	// Priority tags the run for schedulers sharing a rate budget; the
-	// engine records it but does not act on it.
+	// Priority tags the run in the repair counters; the engine records
+	// it but does not act on it.
 	Priority Priority
-	// Scope selects the repair surface: whole-lattice rounds (the
-	// default, ScopeLattice), exactly Targets (ScopeBlock), or Targets
-	// plus the missing tuple companions needed to complete them
-	// (ScopeTuple). See the Scope constants.
-	Scope Scope
-	// Targets lists the blocks scoped repair rebuilds; ignored under
-	// ScopeLattice.
+	// Targets, when non-empty, restricts the run to these blocks: the
+	// engine fetches them instead of enumerating the store, drops the
+	// ones the store serves (a present block is never rewritten) and
+	// takes the rest as its whole loss set, so nothing else is ever
+	// written. A target whose every tuple needs a block that is missing
+	// and not itself a target stays unrepaired — Health.Targets lists
+	// the parities that unlock such a block ahead of it.
 	Targets []store.Ref
 }
 
@@ -229,14 +208,16 @@ type Stats struct {
 	// PerRound holds one entry per executed round.
 	PerRound []RoundStats
 	// UnrepairedData and UnrepairedParities list blocks that remained
-	// missing at fixpoint (irrecoverable under the current availability).
+	// missing at fixpoint (irrecoverable under the current availability);
+	// with Options.Targets, what is left of the targets.
 	UnrepairedData     []int
 	UnrepairedParities []lattice.Edge
-	// BytesRead counts block bytes the engine fetched to plan repairs —
-	// the numerator of bytes-moved-per-repaired-block. Both engines read
-	// only the tuple a repair uses: at most two blocks per repaired
-	// block, fewer where a tuple member is a virtual edge or is shared
-	// between two repairs of one round.
+	// BytesRead counts block bytes the engine fetched — the numerator of
+	// bytes-moved-per-repaired-block. The engine reads only the tuple a
+	// repair uses: at most two blocks per repaired block, fewer where a
+	// tuple member is a virtual edge or is shared between two repairs of
+	// one round. A targeted run also reads each target the store still
+	// serves, once.
 	BytesRead int64
 }
 
@@ -250,52 +231,46 @@ func (s Stats) DataLoss() int { return len(s.UnrepairedData) }
 // when the round started, so the round count matches the paper's Table VI
 // semantics; newly repaired blocks become usable in the next round.
 //
-// The store is enumerated once per run: Missing seeds the engine's own
-// set of missing blocks, and every later round works from that set minus
-// what the engine has committed since. A round picks, for each missing
-// block, the first repair tuple none of whose members is in the set,
-// fetches exactly the chosen tuples with one GetMany into an engine-owned
-// round cache — the paper's two reads per repaired block — and commits
-// all of its repairs with a single PutMany batch, so a batch-native store
+// The run is seeded once: the store's Missing enumeration — or, with
+// Options.Targets, the targets one GetMany cannot serve — becomes the
+// engine's own set of missing blocks, and every later round works from
+// that set minus what the engine has committed since. A round picks, for
+// each missing block, the first repair tuple none of whose members is in
+// the set, fetches exactly the chosen tuples with one GetMany — the
+// paper's two reads per repaired block — XORs each pair, and commits all
+// of its repairs with a single PutMany batch, so a batch-native store
 // moves a whole round in a constant number of requests per storage
-// location and planning reads never touch the backend. The fetch freezes
-// the pre-round state: every planner reads the same snapshot whatever
-// the worker count.
+// location. The fetch freezes the pre-round state: every worker reads the
+// same snapshot whatever the worker count.
 //
-// A block the enumeration called present but a fetch cannot return
-// (corrupted at rest since, on a node that just went away, or beyond the
-// lattice's extent at the tail) is remembered as unusable: no later tuple
-// is planned over it, it is never written, and the blocks that wanted it
-// move to their other tuples next round. The engine enumerates again only
-// after a stalled round tolerated by Options.Patience; the statistics'
-// Unrepaired lists are the engine's set at exit.
+// A block the seed called present but a fetch cannot return (corrupted at
+// rest since, on a node that just went away, beyond the lattice's extent
+// at the tail, or — on a targeted run — missing without being a target)
+// is remembered as unusable: no later tuple is planned over it, it is
+// never written, and the blocks that wanted it move to their other tuples
+// next round. The engine seeds again only after a stalled round tolerated
+// by Options.Patience; the statistics' Unrepaired lists are the engine's
+// set at exit.
 func (r *Repairer) Repair(ctx context.Context, st Store, opts Options) (Stats, error) {
-	var stats Stats
-	var err error
-	if opts.Scope != ScopeLattice {
-		stats, err = r.repairScoped(ctx, st, opts)
-	} else {
-		stats, err = r.repairLattice(ctx, st, opts)
-	}
+	stats, err := r.repair(ctx, st, opts)
 	recordRepairObs(opts, stats, err)
 	return stats, err
 }
 
-// repairLattice is the whole-lattice ScopeLattice engine behind Repair.
-func (r *Repairer) repairLattice(ctx context.Context, st Store, opts Options) (Stats, error) {
+// repair is Repair without the counters.
+func (r *Repairer) repair(ctx context.Context, st Store, opts Options) (Stats, error) {
 	var stats Stats
-	var loss *lossSet // nil: enumerate before the next round
+	var loss *lossSet // nil: seed before the next round
 	stalled := 0
 	for opts.MaxRounds <= 0 || stats.Rounds < opts.MaxRounds {
 		if err := ctx.Err(); err != nil {
 			return stats, err
 		}
 		if loss == nil {
-			missing, err := st.Missing(ctx)
-			if err != nil {
-				return stats, fmt.Errorf("entangle: enumerating missing blocks: %w", err)
+			var err error
+			if loss, err = seedLoss(ctx, st, opts, &stats); err != nil {
+				return stats, err
 			}
-			loss = newLossSet(missing)
 		}
 		if len(loss.data) == 0 && (opts.DataOnly || len(loss.par) == 0) {
 			break
@@ -303,29 +278,32 @@ func (r *Repairer) repairLattice(ctx context.Context, st Store, opts Options) (S
 
 		// Plan from the set, fetch the chosen tuples with one batch, then
 		// XOR against that frozen snapshot.
-		plan, err := r.chooseTuples(loss, opts.DataOnly)
+		jobs, refs, err := r.chooseTuples(loss, opts.DataOnly)
 		if err != nil {
 			return stats, err
 		}
-		var dataFixes []dataFix
-		var parFixes []parFix
+		var fixes []store.Block
 		var fetchErr error
-		if len(plan.refs) > 0 {
-			var cache *roundCache
-			cache, fetchErr = prefetchRound(ctx, st, plan.refs, loss, opts, &stats)
+		if len(refs) > 0 {
+			var blocks [][]byte
+			blocks, fetchErr = fetch(ctx, st, refs, opts, &stats)
 			if cerr := ctx.Err(); cerr != nil {
 				return stats, cerr
 			}
 			if fetchErr == nil {
-				dataFixes, parFixes, err = r.planRound(ctx, cache, plan.data, plan.par, opts.Workers)
-				if err != nil {
+				for idx, b := range blocks {
+					if b == nil {
+						loss.gone[refs[idx]] = true
+					}
+				}
+				if fixes, err = xorRound(jobs, blocks, opts.Workers); err != nil {
 					return stats, err
 				}
 			}
 		}
 
-		if len(dataFixes) == 0 && len(parFixes) == 0 {
-			if len(plan.refs) > 0 && fetchErr == nil {
+		if len(fixes) == 0 {
+			if len(refs) > 0 && fetchErr == nil {
 				// Every planned tuple lost a member to the fetch, and each of
 				// those members is now in the set: the next plan is strictly
 				// narrower, so this cannot spin.
@@ -335,7 +313,7 @@ func (r *Repairer) repairLattice(ctx context.Context, st Store, opts Options) (S
 			// prefetch whose bounded retries all failed — a backend outage
 			// lasting beyond this round. Without Patience that is the
 			// fixpoint (or the run's error); with it, the backend gets time
-			// to recover and a fresh enumeration replaces the set.
+			// to recover and a fresh seed replaces the set.
 			stalled++
 			if stalled > opts.Patience {
 				if fetchErr != nil {
@@ -353,18 +331,24 @@ func (r *Repairer) repairLattice(ctx context.Context, st Store, opts Options) (S
 
 		// ...then commit the round as one batch, making this round's
 		// repairs visible to the next.
-		if err := commitRound(ctx, st, dataFixes, parFixes, opts); err != nil {
-			return stats, fmt.Errorf("entangle: committing round %d (%d blocks): %w",
-				stats.Rounds+1, len(dataFixes)+len(parFixes), err)
+		if err := commitRound(ctx, st, fixes, opts); err != nil {
+			return stats, fmt.Errorf("entangle: committing round %d (%d blocks): %w", stats.Rounds+1, len(fixes), err)
 		}
-		loss.repaired(dataFixes, parFixes)
+		loss.repaired(fixes)
 
 		// Rounds counts productive rounds only, whatever unproductive
 		// iterations were interleaved: PerRound[i].Round == i+1 always
 		// holds, and the Table VI round count stays comparable across
 		// stable and flaky backends.
 		stats.Rounds++
-		rs := RoundStats{Round: stats.Rounds, DataRepaired: len(dataFixes), ParityRepaired: len(parFixes)}
+		rs := RoundStats{Round: stats.Rounds}
+		for _, f := range fixes {
+			if f.Ref.Parity {
+				rs.ParityRepaired++
+			} else {
+				rs.DataRepaired++
+			}
+		}
 		stats.PerRound = append(stats.PerRound, rs)
 		stats.DataRepaired += rs.DataRepaired
 		stats.ParityRepaired += rs.ParityRepaired
@@ -378,192 +362,177 @@ func (r *Repairer) repairLattice(ctx context.Context, st Store, opts Options) (S
 }
 
 // commitRound writes one round's repairs with a single PutMany and returns
-// the planner's pooled buffers. Store implementations copy (or transmit)
+// the round's pooled buffers. Store implementations copy (or transmit)
 // on PutMany — see the Store contract — so the buffers can be recycled as
 // soon as the commit returns, keeping whole-round repair allocation-free
 // in steady state.
-func commitRound(ctx context.Context, st Store, dataFixes []dataFix, parFixes []parFix, opts Options) error {
-	commit := make([]store.Block, 0, len(dataFixes)+len(parFixes))
+func commitRound(ctx context.Context, st Store, fixes []store.Block, opts Options) error {
 	var commitBytes int64
-	for _, f := range dataFixes {
-		commit = append(commit, store.Block{Ref: store.DataRef(f.pos), Data: f.buf})
-		commitBytes += int64(len(f.buf))
-	}
-	for _, f := range parFixes {
-		commit = append(commit, store.Block{Ref: store.ParityRef(f.edge), Data: f.buf})
-		commitBytes += int64(len(f.buf))
+	for _, f := range fixes {
+		commitBytes += int64(len(f.Data))
 	}
 	defer func() {
-		for _, b := range commit {
-			xorblock.PoolFor(len(b.Data)).Put(b.Data)
+		for _, f := range fixes {
+			xorblock.PoolFor(len(f.Data)).Put(f.Data)
 		}
 	}()
 	if opts.RateLimit != nil {
-		if err := opts.RateLimit.Acquire(ctx, len(commit), commitBytes); err != nil {
+		if err := opts.RateLimit.Acquire(ctx, len(fixes), commitBytes); err != nil {
 			return err
 		}
 	}
-	return st.PutMany(ctx, commit)
+	return st.PutMany(ctx, fixes)
 }
 
 // lossSet is the engine's picture of what the store cannot serve, kept
-// between enumerations so a round costs no store sweep: the blocks the
-// last Missing listed minus the repairs committed since, plus the blocks
-// a fetch has contradicted the enumeration about.
+// between seeds so a round costs no store sweep: the blocks the seed
+// found missing minus the repairs committed since, plus the blocks a
+// fetch has contradicted the seed about.
 type lossSet struct {
-	// data and par are the missing blocks in enumeration order — what
-	// repair still has to rebuild, and Stats.Unrepaired* at exit.
+	// data and par are the missing blocks in seed order — what repair
+	// still has to rebuild, and Stats.Unrepaired* at exit.
 	data []int
 	par  []lattice.Edge
 	// gone holds every block no tuple may be planned over: the missing
 	// ones above, and those a prefetch returned nil for although the
-	// enumeration called them present. The latter are only ever avoided,
-	// never rebuilt — the engine has no evidence they should exist
-	// (d_{n+1} at the lattice's tail does not). Virtual edges are never
+	// seed did not list them. The latter are only ever avoided, never
+	// rebuilt — the engine has no evidence they should exist (d_{n+1} at
+	// the lattice's tail does not) or leave to rebuild them (a missing
+	// block the caller's Targets left out). Virtual edges are never
 	// enumerated and never fetched, so they are never in it.
 	gone map[store.Ref]bool
 }
 
-// newLossSet copies the enumeration: the set is edited as rounds commit,
-// and a store may keep the slices it returned.
-func newLossSet(m store.Missing) *lossSet {
-	l := &lossSet{
-		data: slices.Clone(m.Data),
-		par:  slices.Clone(m.Parities),
-		gone: make(map[store.Ref]bool, len(m.Data)+len(m.Parities)),
+// add lists ref as missing, once.
+func (l *lossSet) add(ref store.Ref) {
+	if l.gone[ref] {
+		return
 	}
-	for _, i := range m.Data {
-		l.gone[store.DataRef(i)] = true
+	l.gone[ref] = true
+	if ref.Parity {
+		l.par = append(l.par, ref.Edge)
+	} else {
+		l.data = append(l.data, ref.Index)
 	}
-	for _, e := range m.Parities {
-		l.gone[store.ParityRef(e)] = true
-	}
-	return l
 }
 
 // repaired subtracts one round's committed fixes from the set.
-func (l *lossSet) repaired(dataFixes []dataFix, parFixes []parFix) {
-	for _, f := range dataFixes {
-		delete(l.gone, store.DataRef(f.pos))
-	}
-	for _, f := range parFixes {
-		delete(l.gone, store.ParityRef(f.edge))
+func (l *lossSet) repaired(fixes []store.Block) {
+	for _, f := range fixes {
+		delete(l.gone, f.Ref)
 	}
 	l.data = slices.DeleteFunc(l.data, func(i int) bool { return !l.gone[store.DataRef(i)] })
 	l.par = slices.DeleteFunc(l.par, func(e lattice.Edge) bool { return !l.gone[store.ParityRef(e)] })
 }
 
-// roundPlan is one round's choice: the missing blocks that have a tuple
-// to try, and the real blocks of those tuples.
-type roundPlan struct {
-	data []int
-	par  []lattice.Edge
-	refs []store.Ref // deduplicated; virtual edges never need fetching
+// seedLoss builds a run's loss set: everything the store's enumeration
+// lists, or — when the caller named Targets — the targets one fetch
+// cannot serve.
+func seedLoss(ctx context.Context, st Store, opts Options, stats *Stats) (*lossSet, error) {
+	loss := &lossSet{gone: make(map[store.Ref]bool)}
+	if len(opts.Targets) == 0 {
+		missing, err := st.Missing(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("entangle: enumerating missing blocks: %w", err)
+		}
+		for _, i := range missing.Data {
+			loss.add(store.DataRef(i))
+		}
+		for _, e := range missing.Parities {
+			loss.add(store.ParityRef(e))
+		}
+		return loss, nil
+	}
+	blocks, err := fetch(ctx, st, opts.Targets, opts, stats)
+	if err != nil {
+		return nil, fmt.Errorf("entangle: fetching the repair targets: %w", err)
+	}
+	for idx, ref := range opts.Targets {
+		if blocks[idx] == nil {
+			loss.add(ref)
+		}
+	}
+	return loss, nil
+}
+
+// job is one planned repair: ref = a ⊕ b, where a and b index the
+// round's fetch list and -1 stands for a virtual edge, which reads as
+// zeros and is never fetched.
+type job struct {
+	ref  store.Ref
+	a, b int
 }
 
 // chooseTuples picks, for every missing block, the first pp-tuple (data)
 // or dp-tuple (parity) none of whose members is in the set — the tuple
-// the planner will use if the fetch agrees with the enumeration. A block
+// the round will XOR if the fetch agrees with the seed — and returns the
+// repairs with the deduplicated list of real blocks they read. A block
 // with no such tuple sits the round out.
-func (r *Repairer) chooseTuples(loss *lossSet, dataOnly bool) (roundPlan, error) {
-	var plan roundPlan
-	fetching := make(map[store.Ref]bool)
-	// choose takes the tuple (a, b) unless the set holds a member of it.
-	choose := func(a, b store.Ref) bool {
+func (r *Repairer) chooseTuples(loss *lossSet, dataOnly bool) ([]job, []store.Ref, error) {
+	var jobs []job
+	var refs []store.Ref
+	fetching := make(map[store.Ref]int)
+	slot := func(ref store.Ref) int {
+		if ref.Parity && ref.Edge.IsVirtual() {
+			return -1
+		}
+		idx, ok := fetching[ref]
+		if !ok {
+			idx = len(refs)
+			fetching[ref] = idx
+			refs = append(refs, ref)
+		}
+		return idx
+	}
+	// choose takes the tuple (a, b) for ref unless the set holds a member
+	// of it.
+	choose := func(ref, a, b store.Ref) bool {
 		if loss.gone[a] || loss.gone[b] {
 			return false
 		}
-		for _, ref := range [2]store.Ref{a, b} {
-			if !fetching[ref] && !(ref.Parity && ref.Edge.IsVirtual()) {
-				fetching[ref] = true
-				plan.refs = append(plan.refs, ref)
-			}
-		}
+		jobs = append(jobs, job{ref: ref, a: slot(a), b: slot(b)})
 		return true
 	}
 	for _, i := range loss.data {
 		tuples, err := r.lat.Tuples(i)
 		if err != nil {
-			return roundPlan{}, err
+			return nil, nil, err
 		}
 		for _, t := range tuples {
-			if choose(store.ParityRef(t.In), store.ParityRef(t.Out)) {
-				plan.data = append(plan.data, i)
+			if choose(store.DataRef(i), store.ParityRef(t.In), store.ParityRef(t.Out)) {
 				break
 			}
 		}
 	}
 	if dataOnly {
-		return plan, nil
+		return jobs, refs, nil
 	}
 	for _, e := range loss.par {
 		options, err := r.lat.ParityOptions(e)
 		if err != nil {
-			return roundPlan{}, err
+			return nil, nil, err
 		}
 		for _, opt := range options {
-			if choose(store.DataRef(opt.Data), store.ParityRef(opt.Parity)) {
-				plan.par = append(plan.par, e)
+			if choose(store.ParityRef(e), store.DataRef(opt.Data), store.ParityRef(opt.Parity)) {
 				break
 			}
 		}
 	}
-	return plan, nil
+	return jobs, refs, nil
 }
 
-// roundCache is the engine-owned snapshot of one repair round: the blocks
-// of the tuples chooseTuples picked, fetched with a single GetMany before
-// planning starts. It serves the planner as a Source — a ref absent from
-// the snapshot (or fetched as unavailable) reads as ErrNotFound, so a
-// concurrent fault mid-round cannot make two planners disagree about
-// availability. The cache is read-only after construction and therefore
-// safe for any number of planner goroutines.
-type roundCache struct {
-	blockSize int // learned from the first fetched block; 0 if none
-	data      map[int][]byte
-	par       map[edgeKey][]byte
-}
-
-var _ Source = (*roundCache)(nil)
-
-// GetData implements Source against the snapshot.
-func (c *roundCache) GetData(ctx context.Context, i int) ([]byte, error) {
-	if b := c.data[i]; b != nil {
-		return b, nil
-	}
-	return nil, fmt.Errorf("entangle: d%d not in round snapshot: %w", i, store.ErrNotFound)
-}
-
-// GetParity implements Source against the snapshot; virtual edges read as
-// zero blocks once any real block has told the cache the block size.
-func (c *roundCache) GetParity(ctx context.Context, e lattice.Edge) ([]byte, error) {
-	if e.IsVirtual() {
-		if c.blockSize == 0 {
-			// Nothing real was fetched, so no tuple can complete anyway.
-			return nil, fmt.Errorf("entangle: parity %v: %w", e, store.ErrNotFound)
-		}
-		return store.ZeroBlock(c.blockSize), nil
-	}
-	if b := c.par[keyOf(e)]; b != nil {
-		return b, nil
-	}
-	return nil, fmt.Errorf("entangle: parity %v not in round snapshot: %w", e, store.ErrNotFound)
-}
-
-// prefetchAttempts bounds the in-round retries of the tuple fetch, so a
-// short ErrUnavailable burst from a flaky backend costs a retry instead
-// of aborting the whole repair run.
+// prefetchAttempts bounds the in-round retries of a fetch, so a short
+// ErrUnavailable burst from a flaky backend costs a retry instead of
+// aborting the whole repair run.
 const prefetchAttempts = 3
 
-// prefetchRound issues the round's single GetMany over the chosen tuples
-// and builds the snapshot the planners read from. A failed batch is
+// fetch is the engine's one read: a single GetMany over refs, one entry
+// back per ref and nil for what the store cannot serve. A failed batch is
 // retried a bounded number of times with delay between attempts (flaky
-// backends burst; pools need their redial backoff to land); nil entries
-// — blocks the store cannot serve after all — go into loss as unusable.
-// Fetched bytes are counted into stats and charged against the rate
-// limiter after the batch lands (the debt model: the engine only learns
-// sizes by reading).
-func prefetchRound(ctx context.Context, st Store, refs []store.Ref, loss *lossSet, opts Options, stats *Stats) (*roundCache, error) {
+// backends burst; pools need their redial backoff to land). Fetched bytes
+// are counted into stats and charged against the rate limiter after the
+// batch lands (the debt model: the engine only learns sizes by reading).
+func fetch(ctx context.Context, st Store, refs []store.Ref, opts Options, stats *Stats) ([][]byte, error) {
 	var blocks [][]byte
 	var err error
 	for attempt := 1; ; attempt++ {
@@ -575,174 +544,81 @@ func prefetchRound(ctx context.Context, st Store, refs []store.Ref, loss *lossSe
 			return nil, cerr
 		}
 		if attempt >= prefetchAttempts {
-			return nil, fmt.Errorf("entangle: tuple prefetch failed after %d attempts: %w", attempt, err)
+			return nil, fmt.Errorf("entangle: block fetch failed after %d attempts: %w", attempt, err)
 		}
 		if serr := store.SleepCtx(ctx, opts.retryDelay()); serr != nil {
 			return nil, serr
 		}
 	}
 	if len(blocks) != len(refs) {
-		return nil, fmt.Errorf("entangle: tuple prefetch returned %d entries, want %d", len(blocks), len(refs))
-	}
-	cache := &roundCache{
-		data: make(map[int][]byte),
-		par:  make(map[edgeKey][]byte, len(refs)),
+		return nil, fmt.Errorf("entangle: block fetch returned %d entries, want %d", len(blocks), len(refs))
 	}
 	var fetched int64
 	served := 0
-	for idx, ref := range refs {
-		b := blocks[idx]
-		if b == nil {
-			loss.gone[ref] = true
-			continue
-		}
-		if cache.blockSize == 0 {
-			cache.blockSize = len(b)
-		}
-		fetched += int64(len(b))
-		served++
-		if ref.Parity {
-			cache.par[keyOf(ref.Edge)] = b
-		} else {
-			cache.data[ref.Index] = b
+	for _, b := range blocks {
+		if b != nil {
+			fetched += int64(len(b))
+			served++
 		}
 	}
 	stats.BytesRead += fetched
-	hotpath.CountRepairRead(int(fetched))
 	if opts.RateLimit != nil {
 		if err := opts.RateLimit.Acquire(ctx, served, fetched); err != nil {
 			return nil, err
 		}
 	}
-	return cache, nil
+	return blocks, nil
 }
 
-// dataFix and parFix are planned repairs awaiting commit.
-type dataFix struct {
-	pos int
-	buf []byte
-}
-
-type parFix struct {
-	edge lattice.Edge
-	buf  []byte
-}
-
-// planRound computes every repair possible against the round snapshot
-// without committing anything. With workers ≥ 2 the planning fans
-// out over goroutines; results keep the input order either way, so the
-// round outcome is identical.
-func (r *Repairer) planRound(ctx context.Context, src Source, missingData []int, missingPar []lattice.Edge, workers int) ([]dataFix, []parFix, error) {
-	if workers < 2 {
-		return r.planSerial(ctx, src, missingData, missingPar)
+// xorRound computes every job whose two members the fetch returned, each
+// into a buffer from the process-wide block pool (commitRound returns
+// them), and lists the repairs in job order. A job that lost a member to
+// the fetch is dropped: the member is in the loss set by now, so the
+// block moves to another tuple next round. Workers stride the job list.
+func xorRound(jobs []job, blocks [][]byte, workers int) ([]store.Block, error) {
+	var zero []byte // what a virtual edge reads as; nil while nothing real was fetched
+	if i := slices.IndexFunc(blocks, func(b []byte) bool { return b != nil }); i >= 0 {
+		zero = store.ZeroBlock(len(blocks[i]))
 	}
-	dataBufs := make([][]byte, len(missingData))
-	parBufs := make([][]byte, len(missingPar))
+	member := func(idx int) []byte {
+		if idx < 0 {
+			return zero
+		}
+		return blocks[idx]
+	}
+	workers = max(workers, 1)
+	bufs := make([][]byte, len(jobs))
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for idx := w; idx < len(missingData); idx += workers {
-				buf, err := r.repairDataPooled(ctx, src, missingData[idx])
-				if errors.Is(err, ErrUnrepairable) {
+			for idx := w; idx < len(jobs); idx += workers {
+				a, b := member(jobs[idx].a), member(jobs[idx].b)
+				if a == nil || b == nil {
 					continue
 				}
-				if err != nil {
-					errs[w] = fmt.Errorf("entangle: repairing d%d: %w", missingData[idx], err)
+				buf := xorblock.PoolFor(len(a)).Get()
+				if err := xorblock.XorInto(buf, a, b); err != nil {
+					errs[w] = fmt.Errorf("entangle: repairing %v: %w", jobs[idx].ref, err)
 					return
 				}
-				dataBufs[idx] = buf
+				bufs[idx] = buf
 			}
-			for idx := w; idx < len(missingPar); idx += workers {
-				buf, err := r.repairParityPooled(ctx, src, missingPar[idx])
-				if errors.Is(err, ErrUnrepairable) {
-					continue
-				}
-				if err != nil {
-					errs[w] = fmt.Errorf("entangle: repairing %v: %w", missingPar[idx], err)
-					return
-				}
-				parBufs[idx] = buf
-			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
-	var dataFixes []dataFix
-	for idx, buf := range dataBufs {
+	fixes := make([]store.Block, 0, len(jobs))
+	for idx, buf := range bufs {
 		if buf != nil {
-			dataFixes = append(dataFixes, dataFix{pos: missingData[idx], buf: buf})
+			fixes = append(fixes, store.Block{Ref: jobs[idx].ref, Data: buf})
 		}
 	}
-	var parFixes []parFix
-	for idx, buf := range parBufs {
-		if buf != nil {
-			parFixes = append(parFixes, parFix{edge: missingPar[idx], buf: buf})
-		}
-	}
-	return dataFixes, parFixes, nil
-}
-
-func (r *Repairer) planSerial(ctx context.Context, src Source, missingData []int, missingPar []lattice.Edge) ([]dataFix, []parFix, error) {
-	dataFixes := make([]dataFix, 0, len(missingData))
-	parFixes := make([]parFix, 0, len(missingPar))
-	for _, i := range missingData {
-		buf, err := r.repairDataPooled(ctx, src, i)
-		if errors.Is(err, ErrUnrepairable) {
-			continue
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("entangle: repairing d%d: %w", i, err)
-		}
-		dataFixes = append(dataFixes, dataFix{pos: i, buf: buf})
-	}
-	for _, e := range missingPar {
-		buf, err := r.repairParityPooled(ctx, src, e)
-		if errors.Is(err, ErrUnrepairable) {
-			continue
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("entangle: repairing %v: %w", e, err)
-		}
-		parFixes = append(parFixes, parFix{edge: e, buf: buf})
-	}
-	return dataFixes, parFixes, nil
-}
-
-// repairDataPooled is RepairData drawing its output from the process-wide
-// block pool; the Repair commit loop returns the buffer after PutMany.
-func (r *Repairer) repairDataPooled(ctx context.Context, src Source, i int) ([]byte, error) {
-	in, out, err := r.findDataTuple(ctx, src, i)
-	if err != nil {
-		return nil, err
-	}
-	buf := xorblock.PoolFor(len(in)).Get()
-	if err := xorblock.XorInto(buf, in, out); err != nil {
-		xorblock.PoolFor(len(buf)).Put(buf)
-		return nil, err
-	}
-	return buf, nil
-}
-
-// repairParityPooled is RepairParity drawing its output from the
-// process-wide block pool.
-func (r *Repairer) repairParityPooled(ctx context.Context, src Source, e lattice.Edge) ([]byte, error) {
-	d, p, err := r.findParityOption(ctx, src, e)
-	if err != nil {
-		return nil, err
-	}
-	buf := xorblock.PoolFor(len(d)).Get()
-	if err := xorblock.XorInto(buf, d, p); err != nil {
-		xorblock.PoolFor(len(buf)).Put(buf)
-		return nil, err
-	}
-	return buf, nil
+	return fixes, nil
 }
 
 // AuditResult reports the consistency of one data block against its α

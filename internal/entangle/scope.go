@@ -1,15 +1,6 @@
 package entangle
 
-import (
-	"context"
-	"errors"
-	"fmt"
-
-	"aecodes/internal/hotpath"
-	"aecodes/internal/lattice"
-	"aecodes/internal/store"
-	"aecodes/internal/xorblock"
-)
+import "context"
 
 // Limiter is the rate-limit contract background repair draws from. The
 // engine charges actual I/O after it happens (a debt model): Acquire may
@@ -22,30 +13,9 @@ type Limiter interface {
 	Acquire(ctx context.Context, ops int, bytes int64) error
 }
 
-// Scope selects how much of the lattice one Repair call works on.
-type Scope int
-
-const (
-	// ScopeLattice runs whole-lattice repair rounds to fixpoint — the
-	// historical behavior, and the right choice when damage is unknown
-	// or widespread. Targets is ignored.
-	ScopeLattice Scope = iota
-	// ScopeBlock repairs exactly Options.Targets, each from its minimal
-	// local repair tuple (one XOR of two fetched blocks), reading
-	// nothing beyond the tuples it probes. Targets whose tuples are all
-	// incomplete are reported unrepaired, never cascaded.
-	ScopeBlock
-	// ScopeTuple is ScopeBlock plus one level of tuple completion: when
-	// a target data block has no complete pp-tuple, the engine first
-	// rebuilds one missing companion parity from its own dp-tuple, then
-	// retries the target. This is the background healer's scope — still
-	// local reads only, but it converges through single-parity gaps.
-	ScopeTuple
-)
-
-// Priority tags a repair run for schedulers sharing one rate budget.
-// The engine itself treats it as opaque metadata; internal/maintain
-// orders contending work by it, highest first.
+// Priority says who asked for a repair run and how urgent it is. It is
+// a label: the engine copies it into the repair counters' names
+// (repair.<seed>.<priority>.*) and nothing schedules by it.
 type Priority int
 
 const (
@@ -58,178 +28,3 @@ const (
 	// health probes found blocks with zero or one intact tuple left.
 	PriorityUrgent Priority = 1
 )
-
-// meteredSource adapts a backing store into the scoped planner's Source:
-// every fetched block is cached for the duration of the call (so tuple
-// probes never pay for the same block twice), counted into Stats.BytesRead
-// and the process-wide repair-read counter, and charged against the rate
-// limiter. Blocks repaired earlier in the same call are visible through
-// the cache before the final commit lands. Not safe for concurrent use;
-// scoped repair plans serially.
-type meteredSource struct {
-	src   Source
-	limit Limiter
-	stats *Stats
-	// cache holds fetch results keyed by ref: a nil entry records a miss,
-	// so repeated probes of an absent block stay free.
-	cache map[store.Ref][]byte
-}
-
-var _ Source = (*meteredSource)(nil)
-
-func (m *meteredSource) GetData(ctx context.Context, i int) ([]byte, error) {
-	return m.get(ctx, store.DataRef(i))
-}
-
-func (m *meteredSource) GetParity(ctx context.Context, e lattice.Edge) ([]byte, error) {
-	return m.get(ctx, store.ParityRef(e))
-}
-
-func (m *meteredSource) get(ctx context.Context, ref store.Ref) ([]byte, error) {
-	if b, ok := m.cache[ref]; ok {
-		if b == nil {
-			return nil, fmt.Errorf("entangle: %v known missing this pass: %w", ref, store.ErrNotFound)
-		}
-		return b, nil
-	}
-	b, err := store.Get(ctx, m.src, ref)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		m.cache[ref] = nil
-		return nil, err
-	}
-	m.cache[ref] = b
-	// Virtual-edge reads are synthesized zero blocks, not I/O: cache but
-	// do not meter them.
-	if !(ref.Parity && ref.Edge.IsVirtual()) {
-		m.stats.BytesRead += int64(len(b))
-		hotpath.CountRepairRead(len(b))
-		if m.limit != nil {
-			if err := m.limit.Acquire(ctx, 1, int64(len(b))); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return b, nil
-}
-
-// repairScoped is the ScopeBlock/ScopeTuple engine: repair exactly
-// opts.Targets through minimal local tuples, reading lazily from the
-// store instead of prefetching whole rounds. All successful repairs
-// commit with one PutMany at the end.
-func (r *Repairer) repairScoped(ctx context.Context, st Store, opts Options) (Stats, error) {
-	var stats Stats
-	src := &meteredSource{src: st, limit: opts.RateLimit, stats: &stats, cache: make(map[store.Ref][]byte)}
-	var commit []store.Block
-	defer func() {
-		// Store implementations copy on PutMany (see the Store contract),
-		// so the planner's pooled buffers recycle whether the call
-		// committed or bailed early.
-		for _, b := range commit {
-			xorblock.PoolFor(len(b.Data)).Put(b.Data)
-		}
-	}()
-	addFix := func(ref store.Ref, buf []byte) {
-		src.cache[ref] = buf
-		commit = append(commit, store.Block{Ref: ref, Data: buf})
-		if ref.Parity {
-			stats.ParityRepaired++
-		} else {
-			stats.DataRepaired++
-		}
-	}
-	repairOne := func(t store.Ref) ([]byte, error) {
-		if t.Parity {
-			return r.repairParityPooled(ctx, src, t.Edge)
-		}
-		return r.repairDataPooled(ctx, src, t.Index)
-	}
-	for _, t := range opts.Targets {
-		if err := ctx.Err(); err != nil {
-			return stats, err
-		}
-		if opts.DataOnly && t.Parity {
-			continue
-		}
-		if _, err := src.get(ctx, t); err == nil {
-			continue // verified present by the read: nothing to repair
-		} else if cerr := ctx.Err(); cerr != nil {
-			return stats, cerr
-		}
-		buf, err := repairOne(t)
-		if errors.Is(err, ErrUnrepairable) && opts.Scope == ScopeTuple && !t.Parity {
-			if r.healTupleCompanions(ctx, src, t.Index, addFix) {
-				buf, err = repairOne(t)
-			}
-		}
-		if errors.Is(err, ErrUnrepairable) {
-			if t.Parity {
-				stats.UnrepairedParities = append(stats.UnrepairedParities, t.Edge)
-			} else {
-				stats.UnrepairedData = append(stats.UnrepairedData, t.Index)
-			}
-			continue
-		}
-		if err != nil {
-			return stats, fmt.Errorf("entangle: repairing %v: %w", t, err)
-		}
-		addFix(t, buf)
-	}
-	if len(commit) > 0 {
-		var bytes int64
-		for _, b := range commit {
-			bytes += int64(len(b.Data))
-		}
-		if opts.RateLimit != nil {
-			if err := opts.RateLimit.Acquire(ctx, len(commit), bytes); err != nil {
-				return stats, err
-			}
-		}
-		if err := st.PutMany(ctx, commit); err != nil {
-			return stats, fmt.Errorf("entangle: committing %d scoped repairs: %w", len(commit), err)
-		}
-		stats.Rounds = 1
-		stats.FirstRoundData = stats.DataRepaired
-		stats.PerRound = []RoundStats{{Round: 1, DataRepaired: stats.DataRepaired, ParityRepaired: stats.ParityRepaired}}
-	}
-	return stats, nil
-}
-
-// healTupleCompanions tries to complete one pp-tuple of data block i by
-// rebuilding its missing companion parities from their own dp-tuples —
-// the single level of cascade ScopeTuple allows. It reports whether some
-// tuple of i became complete; repaired parities are recorded through add
-// so they commit alongside the target.
-func (r *Repairer) healTupleCompanions(ctx context.Context, src *meteredSource, i int, add func(store.Ref, []byte)) bool {
-	tuples, err := r.lat.Tuples(i)
-	if err != nil {
-		return false
-	}
-	for _, t := range tuples {
-		healed, complete := false, true
-		for _, e := range [2]lattice.Edge{t.In, t.Out} {
-			if e.IsVirtual() {
-				continue
-			}
-			if _, err := src.get(ctx, store.ParityRef(e)); err == nil {
-				continue
-			}
-			if ctx.Err() != nil {
-				return false
-			}
-			buf, rerr := r.repairParityPooled(ctx, src, e)
-			if rerr != nil {
-				complete = false
-				break
-			}
-			add(store.ParityRef(e), buf)
-			healed = true
-		}
-		if complete && healed {
-			return true
-		}
-	}
-	return false
-}

@@ -3,14 +3,14 @@ package entangle
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"aecodes/internal/lattice"
 	"aecodes/internal/store"
 )
 
-// loseTuple breaks one pp-tuple of data block i by removing the given
-// real edge of it.
+// loseEdge removes the real edge e from the store.
 func loseEdge(t *testing.T, st *MemoryStore, e lattice.Edge) {
 	t.Helper()
 	if e.IsVirtual() {
@@ -26,7 +26,7 @@ func TestScopeBlockRepairsOnlyTargets(t *testing.T) {
 
 	st.LoseData(60)
 	st.LoseData(61)
-	stats, err := r.Repair(bg, st, Options{Scope: ScopeBlock, Targets: []store.Ref{store.DataRef(60)}})
+	stats, err := r.Repair(bg, st, Options{Targets: []store.Ref{store.DataRef(60)}})
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
@@ -38,7 +38,7 @@ func TestScopeBlockRepairsOnlyTargets(t *testing.T) {
 		t.Errorf("target block 60 not restored correctly")
 	}
 	if _, ok := st.Data(61); ok {
-		t.Errorf("block 61 was repaired, but scoped repair must touch only its targets")
+		t.Errorf("block 61 was repaired, but a targeted run must touch only its targets")
 	}
 	// A single-tuple repair of an interior block reads exactly the two
 	// parities of one pp-tuple — the minimal-bandwidth property the
@@ -48,60 +48,67 @@ func TestScopeBlockRepairsOnlyTargets(t *testing.T) {
 	}
 }
 
-func TestScopeBlockDoesNotCascade(t *testing.T) {
-	params := lattice.Params{Alpha: 3, S: 2, P: 5}
-	st, _ := buildSystem(t, params, 120, 64, 12)
-	r := mustRepairer(t, params)
-	lat := r.Lattice()
-
-	// Break every pp-tuple of block 60 by removing one parity from each.
-	tuples, err := lat.Tuples(60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.LoseData(60)
-	for _, tup := range tuples {
-		loseEdge(t, st, tup.In)
-	}
-	stats, err := r.Repair(bg, st, Options{Scope: ScopeBlock, Targets: []store.Ref{store.DataRef(60)}})
-	if err != nil {
-		t.Fatalf("Repair: %v", err)
-	}
-	if stats.DataRepaired != 0 || len(stats.UnrepairedData) != 1 || stats.UnrepairedData[0] != 60 {
-		t.Fatalf("ScopeBlock with no intact tuple: stats = %+v, want block 60 unrepaired", stats)
-	}
-}
-
+// TestScopeTupleHealsCompanionParity pins where the healer's cascade
+// lives: the engine writes nothing but its targets, so a data block with
+// no intact tuple stays missing as a bare target, and Health.Targets is
+// what lists the parities that unlock it ahead of it.
 func TestScopeTupleHealsCompanionParity(t *testing.T) {
 	params := lattice.Params{Alpha: 3, S: 2, P: 5}
-	st, originals := buildSystem(t, params, 120, 64, 13)
 	r := mustRepairer(t, params)
-	lat := r.Lattice()
-
-	// Same damage as above: no pp-tuple of 60 is complete. ScopeTuple may
-	// rebuild one missing companion parity from its own dp-tuple, which
-	// unlocks the target.
-	tuples, err := lat.Tuples(60)
+	tuples, err := r.Lattice().Tuples(60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.LoseData(60)
-	for _, tup := range tuples {
-		loseEdge(t, st, tup.In)
-	}
-	stats, err := r.Repair(bg, st, Options{Scope: ScopeTuple, Targets: []store.Ref{store.DataRef(60)}})
+	far, err := r.Lattice().OutEdge(lattice.Horizontal, 20)
 	if err != nil {
-		t.Fatalf("Repair: %v", err)
+		t.Fatal(err)
 	}
-	if stats.DataRepaired != 1 {
-		t.Fatalf("stats.DataRepaired = %d, want 1 (companion cascade should unlock the target)", stats.DataRepaired)
-	}
-	if stats.ParityRepaired < 1 {
-		t.Errorf("stats.ParityRepaired = %d, want >= 1 (the healed companion commits too)", stats.ParityRepaired)
-	}
-	got, ok := st.Data(60)
-	if !ok || !bytes.Equal(got, originals[60]) {
-		t.Errorf("target block 60 not restored correctly through the cascade")
+	// No pp-tuple of 60 is complete; 90 keeps all of its tuples.
+	want := []store.Ref{store.ParityRef(tuples[0].In), store.ParityRef(tuples[1].In), store.ParityRef(tuples[2].In),
+		store.DataRef(60), store.DataRef(90), store.ParityRef(far)}
+	for _, dataOnly := range []bool{false, true} {
+		rounds, data, parity := 2, 2, 4
+		if dataOnly {
+			rounds, data, parity = 1, 1, 0 // no parity job, so 60 stays locked
+		}
+		st, originals := buildSystem(t, params, 120, 64, 13)
+		for _, e := range []lattice.Edge{tuples[0].In, tuples[1].In, tuples[2].In, far} {
+			loseEdge(t, st, e)
+		}
+		st.LoseData(60)
+		st.LoseData(90)
+		h, err := r.Health(bg, st, 120)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Most fragile data first behind its tuples' missing parities (and
+		// only a tuple-less block gets them), then the parities not listed
+		// yet, each block once.
+		if got := h.Targets(32); !slices.Equal(got, want) || !slices.Equal(h.Targets(2), want[:2]) {
+			t.Fatalf("Targets(32) = %v, Targets(2) = %v; want %v and its first two", got, h.Targets(2), want)
+		}
+
+		cs := &countingStore{inner: st}
+		stats, err := r.Repair(bg, cs, Options{Targets: want[3:4]})
+		if err != nil || !slices.Equal(stats.UnrepairedData, []int{60}) || cs.putMany != 0 {
+			t.Fatalf("bare target d60: stats %+v, %d commits, err %v; want it unrepaired and nothing written", stats, cs.putMany, err)
+		}
+
+		stats, err = r.Repair(bg, st, Options{Targets: h.Targets(32), DataOnly: dataOnly})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Rounds != rounds || stats.DataRepaired != data || stats.ParityRepaired != parity ||
+			len(stats.UnrepairedData)+len(stats.UnrepairedParities) != len(want)-data-parity {
+			t.Fatalf("DataOnly=%v: stats %+v, want %d data + %d parity repairs in %d rounds and every other target unrepaired",
+				dataOnly, stats, data, parity, rounds)
+		}
+		if limit := int64(2 * 64 * (data + parity)); stats.BytesRead > limit {
+			t.Errorf("DataOnly=%v: BytesRead = %d, want ≤ %d (two reads per repair)", dataOnly, stats.BytesRead, limit)
+		}
+		if got, ok := st.Data(60); ok == dataOnly || ok && !bytes.Equal(got, originals[60]) {
+			t.Errorf("DataOnly=%v: d60 served=%v, or with the wrong content", dataOnly, ok)
+		}
 	}
 }
 
@@ -110,12 +117,13 @@ func TestScopedRepairSkipsPresentTargets(t *testing.T) {
 	st, _ := buildSystem(t, params, 120, 64, 14)
 	r := mustRepairer(t, params)
 
-	stats, err := r.Repair(bg, st, Options{Scope: ScopeBlock, Targets: []store.Ref{store.DataRef(7), store.DataRef(8)}})
+	cs := &countingStore{inner: st}
+	stats, err := r.Repair(bg, cs, Options{Targets: []store.Ref{store.DataRef(7), store.DataRef(8)}})
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
-	if stats.DataRepaired != 0 || stats.Rounds != 0 {
-		t.Errorf("present targets repaired: %+v", stats)
+	if stats.DataRepaired != 0 || stats.Rounds != 0 || cs.putMany != 0 {
+		t.Errorf("present targets rewritten: %+v, %d commits", stats, cs.putMany)
 	}
 }
 
@@ -144,18 +152,18 @@ func TestScopedRepairChargesLimiter(t *testing.T) {
 
 	st.LoseData(60)
 	lim := &acquireLog{}
-	stats, err := r.Repair(bg, st, Options{Scope: ScopeBlock, Targets: []store.Ref{store.DataRef(60)}, RateLimit: lim})
+	stats, err := r.Repair(bg, st, Options{Targets: []store.Ref{store.DataRef(60)}, RateLimit: lim})
 	if err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
-	// Every metered read and the final commit must charge the bucket:
-	// reads (BytesRead) plus one repaired block written back.
+	// Every fetch and the commit must charge the bucket: reads
+	// (BytesRead) plus one repaired block written back.
 	want := stats.BytesRead + 64
 	if lim.bytes != want {
 		t.Errorf("limiter charged %d bytes, want %d (reads %d + one committed block)", lim.bytes, want, stats.BytesRead)
 	}
-	if lim.calls < 2 {
-		t.Errorf("limiter charged %d times, want at least a read and a commit charge", lim.calls)
+	if lim.calls != 3 {
+		t.Errorf("limiter charged %d times, want 3: the target fetch, the tuple fetch and the commit", lim.calls)
 	}
 }
 
@@ -231,5 +239,27 @@ func TestHealthScoresFragility(t *testing.T) {
 	maxScore := minScore + 0.5*float64(len(h.Missing.Parities))
 	if h.Score < minScore || h.Score > maxScore {
 		t.Errorf("Score = %v, want within [%v, %v]", h.Score, minScore, maxScore)
+	}
+}
+
+// TestHealthTailParityHasOneOption: the right option of a tail parity
+// names a data block beyond the lattice, which no enumeration lists as
+// missing and which must not count as intact.
+func TestHealthTailParityHasOneOption(t *testing.T) {
+	params := lattice.Params{Alpha: 3, S: 2, P: 5}
+	const n = 40
+	st, _ := buildSystem(t, params, n, 16, 18)
+	r := mustRepairer(t, params)
+	tail, err := r.Lattice().OutEdge(lattice.Horizontal, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loseEdge(t, st, tail)
+	h, err := r.Health(bg, st, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 0.5 / 2; h.Score != want {
+		t.Errorf("losing %v of a %d-block lattice scores %v, want %v: only d%d ⊕ its in-parity exists", tail, n, h.Score, want, n)
 	}
 }

@@ -31,21 +31,3 @@ func CountCopy(n int) {
 // start. Benchmarks snapshot it around a workload and divide by blocks
 // moved to report bytes-copied-per-block.
 func CopiedBytes() uint64 { return copiedBytes.Load() }
-
-var repairReadBytes atomic.Uint64
-
-// CountRepairRead records n bytes of block content the repair engine
-// fetched from a store to plan repairs — the numerator of
-// bytes-moved-per-repaired-block, the repair-bandwidth analogue of the
-// copy counter above. AE's local repair tuples should keep this near
-// two blocks per repaired block; whole-stripe strategies pay far more.
-func CountRepairRead(n int) {
-	if n > 0 {
-		repairReadBytes.Add(uint64(n))
-	}
-}
-
-// RepairReadBytes returns the total repair-read bytes since process
-// start. Benchmarks snapshot it around a repair run and divide by
-// blocks repaired.
-func RepairReadBytes() uint64 { return repairReadBytes.Load() }

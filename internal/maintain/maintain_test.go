@@ -361,9 +361,6 @@ func TestHealTaskTargetsFragileFirst(t *testing.T) {
 		t.Fatalf("Repair called %d times, want 1", len(ft.calls))
 	}
 	opts := ft.calls[0]
-	if opts.Scope != entangle.ScopeTuple {
-		t.Errorf("Scope = %v, want ScopeTuple", opts.Scope)
-	}
 	if opts.Priority != entangle.PriorityUrgent {
 		t.Errorf("Priority = %v, want Urgent (block 20 has one intact tuple)", opts.Priority)
 	}
@@ -378,7 +375,7 @@ func TestHealTaskTargetsFragileFirst(t *testing.T) {
 func TestHealTaskFallsBackToLatticeScope(t *testing.T) {
 	ft := &fakeTarget{
 		health: damagedHealth(),
-		// Scoped repair completes nothing; the fallback round pass does.
+		// The targeted run completes nothing; the fallback round pass does.
 		results: []entangle.Stats{{}, {DataRepaired: 2}},
 	}
 	task := &HealTask{Open: func(ctx context.Context) (HealTarget, error) { return ft, nil }}
@@ -387,10 +384,10 @@ func TestHealTaskFallsBackToLatticeScope(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(ft.calls) != 2 {
-		t.Fatalf("Repair called %d times, want scoped + fallback", len(ft.calls))
+		t.Fatalf("Repair called %d times, want targeted + fallback", len(ft.calls))
 	}
-	if ft.calls[1].Scope != entangle.ScopeLattice {
-		t.Errorf("fallback Scope = %v, want ScopeLattice", ft.calls[1].Scope)
+	if len(ft.calls[0].Targets) == 0 || len(ft.calls[1].Targets) != 0 {
+		t.Errorf("Targets = %v then %v, want a targeted run, then a whole-lattice one", ft.calls[0].Targets, ft.calls[1].Targets)
 	}
 	if ft.calls[1].MaxRounds <= 0 {
 		t.Errorf("fallback MaxRounds = %d, want bounded", ft.calls[1].MaxRounds)

@@ -92,24 +92,27 @@ func (t storeTarget) Repair(ctx context.Context, opts entangle.Options) (entangl
 }
 
 // HealTask proactively repairs a lattice, most-fragile blocks first:
-// each step probes health, picks the Batch most urgent targets
-// (fewest intact repair tuples first), and repairs them through minimal
-// local tuples (ScopeTuple) so bytes moved stay near two blocks per
-// repaired block. If scoped repair cannot make progress but damage
-// remains, the step falls back to one whole-lattice pass — rounds
-// propagate repairs that single tuples cannot reach — still under the
-// same rate limit.
+// each step probes health and runs one targeted Repair over the Batch
+// most urgent blocks in Health.Targets order (fewest intact repair
+// tuples first, a tuple-less block behind the parities that unlock it),
+// so bytes moved stay at two blocks per repaired block. If the targets
+// cannot make progress but damage remains, the step falls back to one
+// bounded whole-lattice pass — rounds propagate repairs that the
+// targets' own tuples cannot reach — still under the same rate limit.
 type HealTask struct {
 	// Open resolves the lattice to heal at step time (it may not exist
 	// yet, or its shape may change across re-archives). An error
 	// wrapping store.ErrNotFound means "nothing to heal": the task stays
 	// idle without logging.
 	Open func(ctx context.Context) (HealTarget, error)
-	// Opts is the template for repair calls; Scope and Targets are
+	// Opts is the template for repair calls; Priority and Targets are
 	// overwritten per step, everything else (RateLimit, Workers, ...)
 	// passes through.
 	Opts entangle.Options
-	// Batch caps targets per step; <=0 defaults to 32.
+	// Batch caps targets per step; <=0 defaults to 32. It is also the
+	// grain of the rate limit: the engine charges the limiter once per
+	// fetched batch of at most Batch targets (and their tuples), not per
+	// block.
 	Batch int
 }
 
@@ -137,25 +140,11 @@ func (t *HealTask) RunOnce(ctx context.Context) (Progress, error) {
 		batch = 32
 	}
 	opts := t.Opts
-	opts.Scope = entangle.ScopeTuple
 	opts.Priority = entangle.PriorityBackground
 	if urgent(h) {
 		opts.Priority = entangle.PriorityUrgent
 	}
-	var targets []store.Ref
-	for _, i := range h.FragileFirst() {
-		if len(targets) >= batch {
-			break
-		}
-		targets = append(targets, store.DataRef(i))
-	}
-	for _, e := range h.Missing.Parities {
-		if len(targets) >= batch {
-			break
-		}
-		targets = append(targets, store.ParityRef(e))
-	}
-	opts.Targets = targets
+	opts.Targets = h.Targets(batch)
 	stats, err := target.Repair(ctx, opts)
 	found := h.MissingData() + h.MissingParities()
 	repaired := stats.DataRepaired + stats.ParityRepaired
@@ -164,15 +153,12 @@ func (t *HealTask) RunOnce(ctx context.Context) (Progress, error) {
 		return prog, err
 	}
 	if repaired == 0 {
-		// Scoped tuples could not complete anything: one whole-lattice
+		// The targets could not complete anything: one whole-lattice
 		// pass propagates repairs across rounds. MaxRounds bounds the
 		// step so the scheduler keeps interleaving other tasks.
-		full := t.Opts
-		full.Scope = entangle.ScopeLattice
-		if full.MaxRounds <= 0 {
-			full.MaxRounds = 4
-		}
-		fstats, ferr := target.Repair(ctx, full)
+		opts.Targets = nil
+		opts.MaxRounds = 4
+		fstats, ferr := target.Repair(ctx, opts)
 		prog.Bytes += fstats.BytesRead
 		prog.Repaired += fstats.DataRepaired + fstats.ParityRepaired
 		prog.Ops += fstats.DataRepaired + fstats.ParityRepaired
