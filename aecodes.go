@@ -274,6 +274,18 @@ func (c *Code) RepairData(ctx context.Context, src Source, i int) ([]byte, error
 	return c.rep.RepairData(ctx, src, i)
 }
 
+// DecodeData rebuilds the data blocks at positions together and writes
+// nothing — a repair round that does not commit, the degraded read
+// ArchiveReader does for the missing blocks of a window. Every position
+// starts on its first pp-tuple, all chosen tuples travel in one GetMany,
+// and only the positions whose tuple came back incomplete move to their
+// next one: at most α store calls however many positions are asked for.
+// The result is parallel to positions, nil where every tuple of a
+// position is incomplete.
+func (c *Code) DecodeData(ctx context.Context, st BlockStore, positions []int) ([][]byte, error) {
+	return c.rep.DecodeData(ctx, st, positions)
+}
+
 // RepairParity rebuilds the parity on edge e from either of its two
 // dp-tuples (an adjacent data block plus that block's neighbouring parity
 // on the same strand).

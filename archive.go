@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"aecodes/internal/pipeline"
 	"aecodes/internal/xorblock"
@@ -110,8 +111,12 @@ type ArchiveOptions struct {
 	// writer's in-flight window: at most Workers·Depth+2 block buffers are
 	// live regardless of file size. Values < 1 default to 16.
 	Depth int
-	// Window is the reader's prefetch span in blocks, fetched with one
-	// GetMany per refill. Values < 1 default to 16.
+	// Window is the reader's fetch span in blocks: one GetMany fetches a
+	// window, one DecodeData rebuilds what is missing from it. When a
+	// window holds 2 MiB or more the next one is read ahead on a goroutine
+	// of its own while this one is consumed, so up to 2 × Window blocks
+	// are resident and the store sees that GetMany concurrently with the
+	// consumer's own calls. Values < 1 default to 16.
 	Window int
 }
 
@@ -287,32 +292,67 @@ func (w *ArchiveWriter) Bytes() int64 { return w.bytes }
 // valid after Close.
 func (w *ArchiveWriter) Parities() int { return w.encStats.Parities }
 
-// ArchiveReader streams an archive's payload back out of a BlockStore,
-// prefetching Window blocks per GetMany batch and regenerating any
-// missing block on the fly with a degraded read (one XOR when a pp-tuple
-// survives). It holds one prefetch window of blocks at a time, so memory
-// stays bounded regardless of archive size.
+// ArchiveReader streams an archive's payload back out of a BlockStore in
+// two stages. The fetch stage reads one window with one GetMany and
+// regenerates whatever came back missing with one DecodeData — a repair
+// round that does not commit: at most α more store calls per damaged
+// window, one XOR per block when a pp-tuple survives (§III). The consume
+// stage — Read and WriteTo — validates and copies: every byte it returns
+// has passed the framing, version-lock and CRC32-C checks, whichever stage
+// produced the block.
 //
-// A missing block that cannot be repaired is an error, never a silent
-// EOF: end-of-archive is determined solely by the final-block flag the
-// writer embedded.
+// When a window holds at least 2 MiB (readAheadMinBytes) the fetch stage
+// works a window ahead: the moment the consumer takes over window k, a
+// goroutine fetches window k+1 while the caller's goroutine consumes
+// window k. At most one fetch is in flight, so the reader holds no more
+// than 2 × Window data blocks (plus, while a damaged window is decoded,
+// the two parities of each of its missing blocks) regardless of archive
+// size. There is nothing to close: a fetch goroutine lives for one window
+// and ends with its store call, whether or not anyone is left to take the
+// result. Smaller windows, and every archive's first, are fetched on the
+// caller's goroutine when the consumer runs out of blocks.
 //
-// ArchiveReader is not safe for concurrent use.
+// Errors keep stream order. A failed or cancelled fetch of window k+1
+// surfaces only after every byte of window k has been delivered, and a
+// block that can neither be read nor rebuilt fails the stream at its own
+// position. A missing block that cannot be repaired is an error, never a
+// silent EOF: end-of-archive is determined solely by the final-block flag
+// the writer embedded, and once that block is consumed Read returns
+// io.EOF without consulting the fetch stage. The fetch stage stops at the
+// first block whose header claims to be final; only when that header is
+// missing or corrupt does it fetch one speculative window past the end,
+// whose outcome is never looked at.
+//
+// The store must tolerate the GetMany calls of a window being read ahead
+// running concurrently with a degraded read by the consume stage, as the
+// BlockStore contract requires. ArchiveReader itself is not safe for
+// concurrent use.
 type ArchiveReader struct {
-	code   *Code
-	st     BlockStore
-	ctx    context.Context
-	window int
+	code      *Code
+	st        BlockStore
+	ctx       context.Context
+	window    int
+	readAhead bool // a window is large enough to be worth a hand-off, see readAheadMinBytes
 
-	next    int      // lattice position of the next block to consume
-	pending [][]byte // prefetched raw blocks for positions next, next+1, ...
-	payload []byte   // unread payload of the current block
-	fin     bool     // final block consumed: next Read returns EOF
-	ver     int      // framing version locked from the first block; 0 = unknown
-	err     error    // sticky failure
+	next    int                // lattice position of the next block to consume
+	pending [][]byte           // rest of the window being consumed: positions next, next+1, ...
+	ahead   chan archiveWindow // the fetch in flight, of the window after pending; nil when there is none
+	payload []byte             // unread payload of the current block
+	fin     bool               // final block consumed: next Read returns EOF
+	ver     int                // framing version locked from the first block; 0 = unknown
+	err     error              // sticky failure
 }
 
 var _ io.Reader = (*ArchiveReader)(nil)
+
+// archiveWindow is what the fetch stage hands over: the raw blocks of
+// Window consecutive positions, nil where the store served nothing and no
+// tuple was complete either.
+type archiveWindow struct {
+	blocks [][]byte
+	final  bool // a block claims to be the archive's last: nothing is fetched ahead of this window
+	err    error
+}
 
 // OpenArchive returns a streaming reader over the archive in st with
 // default options.
@@ -327,74 +367,141 @@ func OpenArchiveOptions(code *Code, st BlockStore, opts ArchiveOptions) *Archive
 }
 
 // OpenArchiveContext is OpenArchive with a cancellation context: ctx
-// cancels prefetches and degraded reads issued by Read.
+// aborts the store calls of both stages, and a Read waiting for a window
+// being read ahead returns ctx.Err() without waiting for the store.
 func OpenArchiveContext(ctx context.Context, code *Code, st BlockStore, opts ArchiveOptions) *ArchiveReader {
+	window := opts.window()
 	return &ArchiveReader{
-		code:   code,
-		st:     st,
-		ctx:    ctx,
-		window: opts.window(),
-		next:   1,
+		code:      code,
+		st:        st,
+		ctx:       ctx,
+		window:    window,
+		readAhead: window*code.BlockSize() >= readAheadMinBytes,
+		next:      1,
 	}
 }
 
-// refill prefetches the next window of raw blocks with one GetMany.
-func (r *ArchiveReader) refill() error {
+// readAheadMinBytes is the least a window must hold for the fetch stage to
+// work ahead of the consumer. Handing a window from one goroutine to
+// another costs a wake-up, tens of microseconds when it crosses cores,
+// and a window of small blocks is consumed in less: over a page-cache-hot
+// segstore on two cores (BenchmarkArchiveRead) reading ahead loses
+// 15–40 % with 64 KiB a window, breaks even at 1 MiB and wins 1.2–1.6×
+// from 4 MiB up. Smaller windows are fetched in line, by the same code,
+// when the consumer runs out.
+const readAheadMinBytes = 2 << 20
+
+// claimsFinal reports whether raw's header word carries the final-block
+// flag. Nothing has validated raw yet, so this is a hint: it decides how
+// far the fetch stage works ahead, never where the stream ends.
+func claimsFinal(raw []byte) bool {
+	return len(raw) >= archiveHeaderLenV1 && binary.BigEndian.Uint32(raw)&archiveLastFlag != 0
+}
+
+// fetchWindow is the fetch stage: one GetMany of the window starting at
+// first, then one DecodeData of the positions that came back missing. It
+// may run on its own goroutine, so it touches nothing of the reader that
+// changes after construction.
+func (r *ArchiveReader) fetchWindow(first int) archiveWindow {
 	refs := make([]BlockRef, r.window)
 	for i := range refs {
-		refs[i] = DataRef(r.next + i)
+		refs[i] = DataRef(first + i)
 	}
 	blocks, err := r.st.GetMany(r.ctx, refs)
 	if err != nil {
-		return fmt.Errorf("aecodes: prefetching archive blocks %d..%d: %w", r.next, r.next+r.window-1, err)
+		return archiveWindow{err: fmt.Errorf("aecodes: prefetching archive blocks %d..%d: %w", first, first+r.window-1, err)}
 	}
 	if len(blocks) != len(refs) {
-		return fmt.Errorf("aecodes: prefetch returned %d entries, want %d", len(blocks), len(refs))
+		return archiveWindow{err: fmt.Errorf("aecodes: prefetch returned %d entries, want %d", len(blocks), len(refs))}
 	}
-	r.pending = blocks
+	// Past a served block that claims to be final lies the end of the
+	// lattice, where nothing is stored and nothing can be decoded.
+	end := slices.IndexFunc(blocks, claimsFinal)
+	if end < 0 {
+		end = len(blocks)
+	}
+	var missing []int
+	for i, b := range blocks[:end] {
+		if b == nil {
+			missing = append(missing, first+i)
+		}
+	}
+	if len(missing) > 0 {
+		// A decode that fails leaves its positions nil: the consumer tries
+		// each again where the stream reaches it, so the error surfaces at
+		// its position and after the bytes before it.
+		if decoded, err := r.code.DecodeData(r.ctx, r.st, missing); err == nil {
+			for k, pos := range missing {
+				blocks[pos-first] = decoded[k]
+			}
+		}
+	}
+	return archiveWindow{blocks: blocks, final: slices.ContainsFunc(blocks, claimsFinal)}
+}
+
+// nextWindow makes the next window the one being consumed. It takes over
+// what the fetch stage has read ahead — or, when nothing was (the first
+// window, small windows, a stream that goes on past a block whose header
+// wrongly claimed to be final), fetches in line — and, unless a block in
+// the window says the archive ends there, sets the fetch stage to read
+// the window after it.
+func (r *ArchiveReader) nextWindow() error {
+	var w archiveWindow
+	if r.ahead == nil {
+		w = r.fetchWindow(r.next)
+	} else {
+		select {
+		case w = <-r.ahead:
+		case <-r.ctx.Done():
+			return r.ctx.Err()
+		}
+		r.ahead = nil
+	}
+	if w.err != nil {
+		return w.err
+	}
+	r.pending = w.blocks
+	if r.readAhead && !w.final {
+		first := r.next + len(r.pending)
+		// One slot, so the send never blocks: a reader dropped mid-stream
+		// strands no goroutine once the fetch's store call returns.
+		ch := make(chan archiveWindow, 1)
+		r.ahead = ch
+		go func() { ch <- r.fetchWindow(first) }()
+	}
 	return nil
 }
 
-// advance loads the next block's payload, repairing the block if the
-// store cannot serve it — or if what the store served fails its framing
-// or checksum validation: detected corruption gets the same degraded
-// read a missing block does, so a flipped bit costs one XOR, not the
-// archive.
+// advance loads the next block's payload. The reader's one degraded path
+// is a DecodeData of that position alone, taken in three cases: the
+// fetch stage left the block missing; what was served (or decoded) fails
+// its framing, checksum or version validation — detected corruption gets
+// the same degraded read a missing block does, so a flipped bit costs one
+// XOR, not the archive; or the archive's first block parses as v1, which
+// has no checksum and no locked version to vouch for it (a v2 block with
+// a flipped version bit lands there too), so it is cross-checked against
+// its strands and the strand-derived content wins.
 func (r *ArchiveReader) advance() error {
 	if len(r.pending) == 0 {
-		if err := r.refill(); err != nil {
+		if err := r.nextWindow(); err != nil {
 			return err
 		}
 	}
 	raw := r.pending[0]
 	r.pending = r.pending[1:]
-	repaired := false
-	if raw == nil {
-		// Degraded read: rebuild this block from its strands, one XOR if a
-		// pp-tuple survives (§III), without writing anything back.
-		rep, err := r.code.RepairData(r.ctx, r.st, r.next)
-		if err != nil {
-			return fmt.Errorf("aecodes: archive block d%d unreadable (damaged beyond degraded read; run Repair): %w", r.next, err)
-		}
-		raw, repaired = rep, true
-	}
 	payload, last, ver, err := r.parseChecked(raw)
-	if err != nil && !repaired {
-		// The stored block is corrupt (checksum, framing, or a version
-		// flip). Its strands still hold the truth: degraded-read it and
-		// validate again.
-		if rep, rerr := r.code.RepairData(r.ctx, r.st, r.next); rerr == nil {
-			payload, last, ver, err = r.parseChecked(rep)
-		}
-	}
-	if err == nil && ver == 1 && r.ver == 0 && !repaired {
-		// An unlocked (first) block parsing as v1 has no checksum and no
-		// locked version to vouch for it — a v2 block with a flipped
-		// version bit would land here too. Cross-check against the
-		// strands: if the surviving parities reconstruct different
-		// content, the stored block is corrupt and the strands win.
-		if rep, rerr := r.code.RepairData(r.ctx, r.st, r.next); rerr == nil && !xorblock.Equal(rep, raw) {
-			payload, last, ver, err = r.parseChecked(rep)
+	if err != nil || (ver == 1 && r.ver == 0) {
+		decoded, derr := r.code.DecodeData(r.ctx, r.st, []int{r.next})
+		switch {
+		case derr == nil && decoded[0] != nil:
+			if !xorblock.Equal(decoded[0], raw) {
+				payload, last, ver, err = r.parseChecked(decoded[0])
+			}
+		case raw == nil:
+			if derr == nil {
+				derr = ErrUnrepairable
+			}
+			return fmt.Errorf("aecodes: archive block d%d unreadable (damaged beyond degraded read; run Repair): %w", r.next, derr)
 		}
 	}
 	if err != nil {

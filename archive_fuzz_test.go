@@ -2,6 +2,7 @@ package aecodes
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"testing"
 )
 
@@ -50,5 +51,48 @@ func FuzzParseArchiveBlock(f *testing.F) {
 		default:
 			t.Fatalf("parser reported version %d", version)
 		}
+	})
+}
+
+// FuzzArchiveRead writes an archive, damages it and streams it back. The
+// inputs pick the payload length, the block size, the reader's window,
+// the sizes of the Read calls and — through one seed, whose low bits set
+// how much — which data blocks go missing, which are corrupted at rest
+// and which parities are lost. Whatever they pick, Read and WriteTo must
+// deliver what the synchronous reference reader delivers and end as it
+// ends: a byte-exact round trip, or the same class of error after the
+// same bytes. A reader that hangs trips the fuzzer's own watchdog.
+func FuzzArchiveRead(f *testing.F) {
+	f.Add(uint16(1000), uint8(1), uint8(4), uint64(1), uint64(0)) // more under testdata/fuzz
+	f.Fuzz(func(t *testing.T, length uint16, blockSel, window uint8, readSeed, damageSeed uint64) {
+		blockSize := []int{16, 64, 256, 4096}[blockSel%4]
+		capacity := archiveCapacity(blockSize)
+		payload := make([]byte, int(length)%(200*capacity)) // at most 200 blocks
+		rand.New(rand.NewSource(int64(length))).Read(payload)
+		a := newTestArchive(t, blockSize, payload)
+
+		share := []float64{0, 0.05, 0.15, 0.4}[damageSeed%4]
+		rng := rand.New(rand.NewSource(int64(damageSeed)))
+		for i := 1; i <= a.blocks; i++ {
+			switch roll := rng.Float64(); {
+			case roll < share:
+				a.st.LoseData(i)
+			case roll < 1.5*share:
+				a.corrupt(t, i, rng.Intn(blockSize), 1<<rng.Intn(8))
+			}
+			for _, tu := range a.tuples(t, i) {
+				if rng.Float64() < share {
+					a.st.LoseParity(tu.Out)
+				}
+			}
+		}
+
+		rng = rand.New(rand.NewSource(int64(readSeed)))
+		sizes := make([]int, 1+rng.Intn(8))
+		for k := range sizes {
+			sizes[k] = 1 + rng.Intn(3*blockSize)
+		}
+		want, wantClass := a.reference(t)
+		checkAgainstReference(t, a, int(window), sizes, want, wantClass)
 	})
 }

@@ -12,7 +12,9 @@
 package aecodes_test
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -25,6 +27,7 @@ import (
 	"aecodes/internal/mep"
 	"aecodes/internal/pipeline"
 	"aecodes/internal/reedsolomon"
+	"aecodes/internal/segstore"
 	"aecodes/internal/sim"
 	"aecodes/internal/transport"
 	"aecodes/internal/writeperf"
@@ -798,6 +801,99 @@ func benchmarkTransport(b *testing.B, batched bool) {
 
 func BenchmarkTransportPerBlock(b *testing.B) { benchmarkTransport(b, false) }
 func BenchmarkTransportBatched(b *testing.B)  { benchmarkTransport(b, true) }
+
+// BenchmarkArchiveRead streams an archive back out of a segstore.Lattice
+// in 1 MiB Read calls at three block sizes, clean and with 15 % of its
+// data blocks and of its parities deleted. The small sizes show what a
+// goroutine hand-off per window costs where a window is only 64 KiB; the
+// damaged 1 MiB case shows a window's missing blocks decoded in one batch.
+// The damage spares the last pp-tuple of every deleted data block, so the
+// stream always completes and some blocks need their second or third
+// tuple.
+func BenchmarkArchiveRead(b *testing.B) {
+	params := aecodes.Params{Alpha: 3, S: 2, P: 5}
+	for _, size := range []struct {
+		name              string
+		blockSize, blocks int
+	}{{"4KiB", 4 << 10, 1024}, {"64KiB", 64 << 10, 256}, {"1MiB", 1 << 20, 64}} {
+		seg, err := segstore.Open(b.TempDir(), segstore.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		view, err := segstore.NewLattice(seg, segstore.Shape{Params: params, BlockSize: size.blockSize})
+		if err != nil {
+			b.Fatal(err)
+		}
+		code, err := aecodes.New(params, size.blockSize)
+		if err != nil {
+			b.Fatal(err)
+		}
+		payload := make([]byte, size.blocks*(size.blockSize-8))
+		rand.New(rand.NewSource(1)).Read(payload)
+		w, err := aecodes.NewArchiveWriter(code, view, aecodes.ArchiveOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := w.Write(payload); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+		read := func(b *testing.B) {
+			buf := make([]byte, 1<<20)
+			b.SetBytes(int64(len(payload)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := aecodes.OpenArchive(code, view)
+				total := 0
+				for {
+					n, err := r.Read(buf)
+					total += n
+					if errors.Is(err, io.EOF) {
+						break
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				if total != len(payload) {
+					b.Fatalf("read %d bytes of %d", total, len(payload))
+				}
+			}
+		}
+		b.Run(size.name+"/clean", read)
+
+		rng := rand.New(rand.NewSource(2))
+		spared := make(map[aecodes.Edge]bool)
+		for i := 1; i <= size.blocks; i++ {
+			if rng.Float64() < 0.15 {
+				seg.Del(aecodes.DataRef(i).String())
+				tuples, err := code.Lattice().Tuples(i)
+				if err != nil {
+					b.Fatal(err)
+				}
+				last := tuples[len(tuples)-1]
+				spared[last.In], spared[last.Out] = true, true
+			}
+		}
+		for i := 1; i <= size.blocks; i++ {
+			tuples, err := code.Lattice().Tuples(i)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, tu := range tuples {
+				if !spared[tu.Out] && rng.Float64() < 0.15 {
+					seg.Del(aecodes.ParityRef(tu.Out).String())
+				}
+			}
+		}
+		b.Run(size.name+"/damaged", read)
+		if err := seg.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkDisasterRecoveryAE3Paper runs the paper-scale experiment (1M
 // blocks, 50% disaster) once per iteration — the heavyweight headline.

@@ -291,11 +291,7 @@ func (r *Repairer) repair(ctx context.Context, st Store, opts Options) (Stats, e
 				return stats, cerr
 			}
 			if fetchErr == nil {
-				for idx, b := range blocks {
-					if b == nil {
-						loss.gone[refs[idx]] = true
-					}
-				}
+				loss.refused(refs, blocks)
 				if fixes, err = xorRound(jobs, blocks, opts.Workers); err != nil {
 					return stats, err
 				}
@@ -384,6 +380,67 @@ func commitRound(ctx context.Context, st Store, fixes []store.Block, opts Option
 	return st.PutMany(ctx, fixes)
 }
 
+// DecodeData rebuilds the data blocks at positions without writing
+// anything: a repair round that does not commit, which is what a streaming
+// reader's degraded read of a window is. The positions are the whole loss
+// set. Every pass picks, for each position still short, its first pp-tuple
+// no member of which a fetch has come back without, fetches the chosen
+// tuples with one deduplicated GetMany and XORs the complete ones; only
+// the positions that came back short move on to their next tuple. Pass k
+// therefore reads strands of the k-th class only: a call is at most α
+// store calls, however many positions it is given, and fetches no block
+// twice.
+//
+// The result is parallel to positions: the rebuilt block — drawn from the
+// process-wide pool and the caller's to keep — or nil where no tuple is
+// complete, as for any position beyond the lattice's extent, whose
+// out-edges were never written.
+func (r *Repairer) DecodeData(ctx context.Context, st Store, positions []int) (out [][]byte, err error) {
+	loss := &lossSet{gone: make(map[store.Ref]bool)}
+	for _, i := range positions {
+		loss.add(store.DataRef(i))
+	}
+	decoded := make(map[int][]byte, len(positions))
+	defer func() {
+		if err != nil {
+			for _, b := range decoded {
+				xorblock.PoolFor(len(b)).Put(b)
+			}
+		}
+	}()
+	var stats Stats
+	for len(loss.data) > 0 {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		jobs, refs, err := r.chooseTuples(loss, true)
+		if err != nil {
+			return nil, err
+		}
+		if len(jobs) == 0 {
+			break
+		}
+		blocks, err := fetch(ctx, st, refs, Options{}, &stats)
+		if err != nil {
+			return nil, err
+		}
+		loss.refused(refs, blocks)
+		fixes, err := xorRound(jobs, blocks, 1)
+		if err != nil {
+			return nil, err
+		}
+		for _, f := range fixes {
+			decoded[f.Ref.Index] = f.Data
+		}
+		loss.repaired(fixes)
+	}
+	out = make([][]byte, len(positions))
+	for k, i := range positions {
+		out[k] = decoded[i]
+	}
+	return out, nil
+}
+
 // lossSet is the engine's picture of what the store cannot serve, kept
 // between seeds so a round costs no store sweep: the blocks the seed
 // found missing minus the repairs committed since, plus the blocks a
@@ -413,6 +470,16 @@ func (l *lossSet) add(ref store.Ref) {
 		l.par = append(l.par, ref.Edge)
 	} else {
 		l.data = append(l.data, ref.Index)
+	}
+}
+
+// refused puts into the set every ref a fetch came back without: no
+// later tuple is planned over it.
+func (l *lossSet) refused(refs []store.Ref, blocks [][]byte) {
+	for idx, b := range blocks {
+		if b == nil {
+			l.gone[refs[idx]] = true
+		}
 	}
 }
 
@@ -572,9 +639,11 @@ func fetch(ctx context.Context, st Store, refs []store.Ref, opts Options, stats 
 
 // xorRound computes every job whose two members the fetch returned, each
 // into a buffer from the process-wide block pool (commitRound returns
-// them), and lists the repairs in job order. A job that lost a member to
-// the fetch is dropped: the member is in the loss set by now, so the
-// block moves to another tuple next round. Workers stride the job list.
+// them; DecodeData hands them to its caller), and lists the repairs in
+// job order. A job that lost a member to the fetch is dropped: the member
+// is in the loss set by now, so the block moves to another tuple next
+// round. Workers stride the job list; when one fails, every buffer drawn
+// goes back to the pool.
 func xorRound(jobs []job, blocks [][]byte, workers int) ([]store.Block, error) {
 	var zero []byte // what a virtual edge reads as; nil while nothing real was fetched
 	if i := slices.IndexFunc(blocks, func(b []byte) bool { return b != nil }); i >= 0 {
@@ -589,27 +658,36 @@ func xorRound(jobs []job, blocks [][]byte, workers int) ([]store.Block, error) {
 	workers = max(workers, 1)
 	bufs := make([][]byte, len(jobs))
 	errs := make([]error, workers)
+	work := func(w int) {
+		for idx := w; idx < len(jobs); idx += workers {
+			a, b := member(jobs[idx].a), member(jobs[idx].b)
+			if a == nil || b == nil {
+				continue
+			}
+			bufs[idx] = xorblock.PoolFor(len(a)).Get()
+			if err := xorblock.XorInto(bufs[idx], a, b); err != nil {
+				errs[w] = fmt.Errorf("entangle: repairing %v: %w", jobs[idx].ref, err)
+				return
+			}
+		}
+	}
+	// The caller's goroutine is worker 0, so a single worker starts none.
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for idx := w; idx < len(jobs); idx += workers {
-				a, b := member(jobs[idx].a), member(jobs[idx].b)
-				if a == nil || b == nil {
-					continue
-				}
-				buf := xorblock.PoolFor(len(a)).Get()
-				if err := xorblock.XorInto(buf, a, b); err != nil {
-					errs[w] = fmt.Errorf("entangle: repairing %v: %w", jobs[idx].ref, err)
-					return
-				}
-				bufs[idx] = buf
-			}
+			work(w)
 		}()
 	}
+	work(0)
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
+		for _, buf := range bufs {
+			if buf != nil {
+				xorblock.PoolFor(len(buf)).Put(buf)
+			}
+		}
 		return nil, err
 	}
 	fixes := make([]store.Block, 0, len(jobs))

@@ -186,6 +186,11 @@ type Single interface {
 // matches the ref count. Missing must agree with the same availability
 // view — a block GetMany would return nil for is either enumerated by
 // Missing or outside the store's expected set.
+//
+// Implementations must be safe for concurrent use. The encode pipeline
+// calls PutMany from all of its workers at once, and a streaming archive
+// reader keeps one GetMany running in the background (the next window)
+// while the goroutine it is read from may issue another.
 type BlockStore interface {
 	Single
 	// GetMany returns one entry per ref in order; entries for blocks the
