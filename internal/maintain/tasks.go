@@ -23,7 +23,8 @@ type Scrubber interface {
 type ScrubTask struct {
 	Store Scrubber
 	// Chunk bounds one step's record bytes; <=0 defaults to 1 MiB.
-	// It also bounds how long the store's write lock is held per step.
+	// It also bounds how long a step holds the store's read lock, which
+	// keeps writers (not readers) waiting.
 	Chunk int64
 	// Limit, when set, charges each step's scanned bytes (debt model).
 	Limit *Bucket

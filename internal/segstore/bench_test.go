@@ -2,10 +2,152 @@ package segstore_test
 
 import (
 	"fmt"
+	"math"
+	"os"
 	"testing"
 
 	"aecodes/internal/segstore"
+	"aecodes/internal/store"
 )
+
+// Bulk-call benchmarks: the grid the split floor (bulkFloor) was set
+// from. Every point runs twice at the same GOMAXPROCS — "serial" with the
+// floor out of reach (one chunk, in line) and "parallel" with the floor
+// at one byte (one chunk per core) — over record sizes of 4 KiB, 64 KiB
+// and 1 MiB and batches of 128 KiB to 64 MiB of records. Compare with
+// -cpu 2 (or more); at -cpu 1 both modes are one chunk.
+
+var (
+	bulkRecSizes = []int{4 << 10, 64 << 10, 1 << 20}
+	bulkTotals   = []int{128 << 10, 512 << 10, 2 << 20, 8 << 20, 16 << 20, 32 << 20, 64 << 20}
+	bulkModes    = []struct {
+		name  string
+		floor int64
+	}{{"serial", math.MaxInt64}, {"parallel", 1}}
+)
+
+func sizeName(n int) string {
+	if n >= 1<<20 {
+		return fmt.Sprintf("%dMiB", n>>20)
+	}
+	return fmt.Sprintf("%dKiB", n>>10)
+}
+
+// bulkItems is total bytes of recSize-byte blocks under keys blk-NNNNNN.
+func bulkItems(recSize, total int) []store.KV {
+	items := make([]store.KV, total/recSize)
+	for i := range items {
+		data := make([]byte, recSize)
+		for j := range data {
+			data[j] = byte(i*131 + j*7)
+		}
+		items[i] = store.KV{Key: fmt.Sprintf("blk-%06d", i), Data: data}
+	}
+	return items
+}
+
+// benchBulkRead runs read (StatBatch or GetBatch) over the grid against
+// one store per record size holding the largest batch.
+func benchBulkRead(b *testing.B, read func(s *segstore.Store, keys []string)) {
+	for _, rec := range bulkRecSizes {
+		items := bulkItems(rec, bulkTotals[len(bulkTotals)-1])
+		s, err := segstore.Open(b.TempDir(), segstore.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.PutBatch(items); err != nil {
+			b.Fatal(err)
+		}
+		keys := make([]string, len(items))
+		for i, it := range items {
+			keys[i] = it.Key
+		}
+		for _, total := range bulkTotals {
+			if total < 2*rec {
+				continue // one record: nothing to split
+			}
+			for _, mode := range bulkModes {
+				b.Run(fmt.Sprintf("rec=%s/total=%s/%s", sizeName(rec), sizeName(total), mode.name), func(b *testing.B) {
+					old := segstore.SetBulkFloor(mode.floor)
+					defer segstore.SetBulkFloor(old)
+					batch := keys[:total/rec]
+					b.SetBytes(int64(total))
+					b.ResetTimer()
+					for n := 0; n < b.N; n++ {
+						read(s, batch)
+					}
+				})
+			}
+		}
+		s.Close()
+	}
+}
+
+// BenchmarkStatBatch is the Missing sweep: every record pread and
+// CRC-checked into per-chunk scratch.
+func BenchmarkStatBatch(b *testing.B) {
+	benchBulkRead(b, func(s *segstore.Store, keys []string) { s.StatBatch(keys) })
+}
+
+// BenchmarkGetBatch is a repair fetch or an archive window: every record
+// pread into its own buffer and CRC-checked.
+func BenchmarkGetBatch(b *testing.B) {
+	benchBulkRead(b, func(s *segstore.Store, keys []string) { s.GetBatch(keys) })
+}
+
+// BenchmarkPutBatch is a repair commit: framed before the lock and split
+// in "parallel" mode, framed under it in "serial" mode, then appended.
+// The store is replaced, outside the timer, every 512 MiB appended.
+func BenchmarkPutBatch(b *testing.B) {
+	for _, rec := range bulkRecSizes {
+		for _, total := range bulkTotals {
+			if total < 2*rec {
+				continue
+			}
+			items := bulkItems(rec, total)
+			for _, mode := range bulkModes {
+				b.Run(fmt.Sprintf("rec=%s/total=%s/%s", sizeName(rec), sizeName(total), mode.name), func(b *testing.B) {
+					old := segstore.SetBulkFloor(mode.floor)
+					defer segstore.SetBulkFloor(old)
+					var (
+						s       *segstore.Store
+						dir     string
+						written int
+					)
+					reopen := func() {
+						if s != nil {
+							s.Close()
+							os.RemoveAll(dir)
+						}
+						var err error
+						if dir, err = os.MkdirTemp(b.TempDir(), "put"); err != nil {
+							b.Fatal(err)
+						}
+						if s, err = segstore.Open(dir, segstore.Options{}); err != nil {
+							b.Fatal(err)
+						}
+						written = 0
+					}
+					reopen()
+					defer func() { s.Close() }()
+					b.SetBytes(int64(total))
+					b.ResetTimer()
+					for n := 0; n < b.N; n++ {
+						if written >= 512<<20 {
+							b.StopTimer()
+							reopen()
+							b.StartTimer()
+						}
+						if err := s.PutBatch(items); err != nil {
+							b.Fatal(err)
+						}
+						written += total
+					}
+				})
+			}
+		}
+	}
+}
 
 // BenchmarkAppendAcrossRotations appends 1 MiB records into 16 MiB
 // segments, closing the store inside the timed region: every 16th append

@@ -166,8 +166,9 @@ func (v *Lattice) PutParity(ctx context.Context, e lattice.Edge, b []byte) error
 // Missing implements store.Single: the expected set is data positions
 // 1..Blocks plus every real out-edge of those positions
 // (lattice.RealOutEdges), probed with ONE StatBatch — one lock
-// acquisition and one reusable scratch buffer, never materializing
-// block contents. Each candidate record is still read and CRC-verified,
+// acquisition, split across cores for a large lattice, one pooled
+// scratch buffer per core, never materializing block contents. Each
+// candidate record is still read and CRC-verified,
 // so a record corrupted at rest is reported for repair exactly like an
 // absent one — Missing agrees with GetMany's availability view.
 func (v *Lattice) Missing(ctx context.Context) (store.Missing, error) {

@@ -40,6 +40,12 @@ var (
 	obsStatKeys    = segScope.Counter("stat.keys")
 	obsStatBytes   = segScope.Counter("stat.bytes")
 
+	// Bulk calls (StatBatch, GetBatch, the framing of a large PutBatch)
+	// split across cores from bulkFloor record bytes up: the record bytes
+	// of every call that was split. Its share of stat.bytes + read.bytes
+	// + append.bytes is the share of the work that can use a second core.
+	obsBulkParallelBytes = segScope.Counter("bulk.parallel_bytes")
+
 	// Durability: one sample per fsync of a segment file, wherever it
 	// ran (the seal job, per-batch Options.Sync, explicit Sync, Close,
 	// compaction). seal.wait is the time a rotation or a barrier spent

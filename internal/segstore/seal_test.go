@@ -123,16 +123,6 @@ func (g *gate) before(event string) error {
 	return nil
 }
 
-func mustOpen(t *testing.T, dir string, opts Options) *Store {
-	t.Helper()
-	s, err := Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s
-}
-
 // rec is a 64-byte block; with a 3-byte key a record is 77 bytes, so a
 // 256-byte segment holds exactly three.
 func rec(i int) (string, []byte) {

@@ -590,29 +590,7 @@ func (s *Store) getLocked(key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return s.readRecordLocked(make([]byte, loc.recLen()), loc, key)
-}
-
-// readRecordLocked reads and verifies one record into buf (sized recLen by
-// the caller) and returns the data slice within buf. Callers hold s.mu.
-func (s *Store) readRecordLocked(buf []byte, loc recordLoc, key string) ([]byte, bool) {
-	f := s.files[loc.seg]
-	if _, err := f.ReadAt(buf, loc.off); err != nil {
-		return nil, false
-	}
-	word0 := binary.BigEndian.Uint32(buf[0:4])
-	wantCRC := binary.BigEndian.Uint32(buf[4:8])
-	rest := buf[recHeaderLen:]
-	crc := crc32.Checksum(buf[0:4], castagnoli)
-	crc = crc32.Update(crc, castagnoli, rest)
-	if word0&recVersion == 0 || crc != wantCRC {
-		return nil, false
-	}
-	stored := rest[2 : 2+loc.keyLen]
-	if string(stored) != key {
-		return nil, false
-	}
-	return rest[2+int(loc.keyLen):], true
+	return readRecord(s.files[loc.seg], make([]byte, loc.recLen()), loc, key)
 }
 
 // Put stores a block under key, appending one record to the active
@@ -647,21 +625,26 @@ func (s *Store) Del(key string) {
 
 // GetBatch returns one entry per key in order under a single lock
 // acquisition; entries for missing (or corrupt-at-rest) keys are nil.
+// The records are read and verified in chunks on every core once the
+// batch is large enough (see runChunks).
 func (s *Store) GetBatch(keys []string) [][]byte {
 	start := time.Now()
 	out := make([][]byte, len(keys))
 	s.mu.RLock()
-	var bytes int64
-	for i, key := range keys {
-		if b, ok := s.getLocked(key); ok {
-			if b == nil {
-				b = []byte{}
+	ps := s.probesLocked(keys)
+	runChunks(len(ps), func(i int) int64 { return ps[i].size() }, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if p := ps[i]; p.f != nil {
+				// A verified payload is never nil: it slices the buffer.
+				out[i], _ = readRecord(p.f, make([]byte, p.loc.recLen()), p.loc, keys[i])
 			}
-			out[i] = b
-			bytes += int64(len(b))
 		}
-	}
+	})
 	s.mu.RUnlock()
+	var bytes int64
+	for _, b := range out {
+		bytes += int64(len(b))
+	}
 	obsReadLatency.Record(time.Since(start).Nanoseconds())
 	obsReadBytes.Add(bytes)
 	return out
@@ -670,33 +653,27 @@ func (s *Store) GetBatch(keys []string) [][]byte {
 // StatBatch probes presence without retaining content: one entry per
 // key in order, the block's byte length when its record is present and
 // CRC-valid, -1 otherwise. The whole batch runs under one lock
-// acquisition and reuses one scratch buffer, so enumerating a large
-// store costs O(1) resident memory — unlike GetBatch, which would
+// acquisition, split like GetBatch's, and each chunk verifies its
+// records in one pooled scratch buffer, so enumerating a large store
+// costs O(cores) resident memory — unlike GetBatch, which would
 // materialize every block.
 func (s *Store) StatBatch(keys []string) []int {
 	start := time.Now()
 	out := make([]int, len(keys))
 	s.mu.RLock()
-	var scratch []byte
-	var read int64
-	for i, key := range keys {
-		out[i] = -1
-		if s.closed {
-			continue
+	ps := s.probesLocked(keys)
+	read := runChunks(len(ps), func(i int) int64 { return ps[i].size() }, func(lo, hi int) {
+		scratch := scratchPool.Get().(*[]byte)
+		for i := lo; i < hi; i++ {
+			out[i] = -1
+			if p := ps[i]; p.f != nil {
+				if _, ok := readRecord(p.f, scratchFor(scratch, p.loc.recLen()), p.loc, keys[i]); ok {
+					out[i] = int(p.loc.dataLen)
+				}
+			}
 		}
-		loc, ok := s.index[key]
-		if !ok {
-			continue
-		}
-		n := loc.recLen()
-		if int64(cap(scratch)) < n {
-			scratch = make([]byte, n)
-		}
-		read += n
-		if _, ok := s.readRecordLocked(scratch[:n], loc, key); ok {
-			out[i] = int(loc.dataLen)
-		}
-	}
+		scratchPool.Put(scratch)
+	})
 	s.mu.RUnlock()
 	obsStatLatency.Record(time.Since(start).Nanoseconds())
 	obsStatKeys.Add(int64(len(keys)))
@@ -710,14 +687,22 @@ func (s *Store) StatBatch(keys []string) []int {
 // are laid out as scatter/gather segments and land with one vectored
 // write per rotation-bounded chunk — block payloads go from the caller's
 // slices to the file without a user-space staging copy on platforms with
-// pwritev (see writevAt).
+// pwritev (see writevAt). A batch of at least bulkFloor record bytes is
+// framed — its CRCs computed, on every core — before the lock is taken;
+// a smaller one is framed under the lock, as framing single-block Puts
+// outside it made a pipelined writer slower (DESIGN.md).
 func (s *Store) PutBatch(items []store.KV) error {
-	var payload int64
+	var payload, recBytes int64
 	for _, it := range items {
 		if err := checkRecord(it.Key, it.Data); err != nil {
 			return err
 		}
 		payload += int64(len(it.Data))
+		recBytes += int64(recHeaderLen + 2 + len(it.Key) + len(it.Data))
+	}
+	var framed []byte
+	if recBytes >= bulkFloor {
+		framed = frameRecords(nil, items)
 	}
 	start := time.Now()
 	s.mu.Lock()
@@ -726,7 +711,7 @@ func (s *Store) PutBatch(items []store.KV) error {
 	if err := s.writableLocked(); err != nil {
 		return err
 	}
-	if err := s.putBatchLocked(items); err != nil {
+	if err := s.putBatchLocked(items, framed); err != nil {
 		return err
 	}
 	if err := s.maybeSyncLocked(); err != nil {
@@ -741,23 +726,19 @@ func (s *Store) PutBatch(items []store.KV) error {
 }
 
 // putBatchLocked appends all items with one vectored write per
-// rotation-bounded chunk. Record headers and keys are assembled into a
-// reusable arena (sized up front — segments alias into it, so it must
-// never reallocate mid-chunk); block payloads are gathered straight from
-// the caller's slices. The index is applied per flushed chunk, so a
-// failing write aborts the batch with earlier chunks stored and the
-// active segment truncated back to the chunk start — the same torn-tail
+// rotation-bounded chunk. framed holds the items' record headers and
+// keys as frameRecords lays them out; when nil they are framed here,
+// into a reusable arena. Block payloads are gathered straight from the
+// caller's slices. The index is applied per flushed chunk, so a failing
+// write aborts the batch with earlier chunks stored and the active
+// segment truncated back to the chunk start — the same torn-tail
 // discipline as the single-record path. Callers hold s.mu and have
 // validated every item.
-func (s *Store) putBatchLocked(items []store.KV) error {
-	need := 0
-	for _, it := range items {
-		need += recHeaderLen + 2 + len(it.Key)
+func (s *Store) putBatchLocked(items []store.KV, framed []byte) error {
+	if framed == nil {
+		s.batchArena = frameRecords(s.batchArena, items)
+		framed = s.batchArena
 	}
-	if cap(s.batchArena) < need {
-		s.batchArena = make([]byte, 0, need)
-	}
-	arena := s.batchArena[:0]
 
 	type pendingRec struct {
 		key string
@@ -768,6 +749,7 @@ func (s *Store) putBatchLocked(items []store.KV) error {
 		pending    []pendingRec
 		payload    int64 // block-payload bytes in the current chunk
 		chunkStart = s.woff
+		hdrOff     int // the next item's header within framed
 	)
 	flush := func() error {
 		if len(pending) == 0 {
@@ -802,17 +784,8 @@ func (s *Store) putBatchLocked(items []store.KV) error {
 			}
 			chunkStart = s.woff
 		}
-		hdrStart := len(arena)
-		word0 := uint32(len(it.Data)) | recVersion
-		arena = binary.BigEndian.AppendUint32(arena, word0)
-		arena = binary.BigEndian.AppendUint32(arena, 0) // CRC placeholder
-		arena = binary.BigEndian.AppendUint16(arena, uint16(len(it.Key)))
-		arena = append(arena, it.Key...)
-		hdr := arena[hdrStart:]
-		crc := crc32.Checksum(hdr[0:4], castagnoli)
-		crc = crc32.Update(crc, castagnoli, hdr[recHeaderLen:])
-		crc = crc32.Update(crc, castagnoli, it.Data)
-		binary.BigEndian.PutUint32(hdr[4:8], crc)
+		hdr := framed[hdrOff : hdrOff+recHeaderLen+2+len(it.Key)]
+		hdrOff += len(hdr)
 		vecs = append(vecs, hdr)
 		if len(it.Data) > 0 {
 			vecs = append(vecs, it.Data)
@@ -824,9 +797,7 @@ func (s *Store) putBatchLocked(items []store.KV) error {
 		payload += int64(len(it.Data))
 		s.woff += recLen
 	}
-	err := flush()
-	s.batchArena = arena[:0]
-	return err
+	return flush()
 }
 
 // maybeCompactLocked runs the auto-compaction trigger after a completed
@@ -1057,7 +1028,7 @@ func (s *Store) compactLocked() error {
 			batchBytes += len(data)
 		}
 		if batchBytes >= compactBatchBytes || i == len(live)-1 {
-			if err := s.putBatchLocked(batch); err != nil {
+			if err := s.putBatchLocked(batch, nil); err != nil {
 				return err
 			}
 			batch, batchBytes = batch[:0], 0

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"aecodes/internal/obs"
 	"aecodes/internal/store"
@@ -36,12 +37,16 @@ type Usage struct {
 	Blocks int64
 }
 
-// usage is the internal accounting record.
+// usage is the internal accounting record. Records are never removed
+// from the registry, so a Store handle keeps a pointer to its tenant's.
 type usage struct {
-	quota   Quota
-	bytes   int64
-	blocks  int64
-	lastUse int64 // registry logical clock; larger = hotter
+	quota  Quota
+	bytes  int64
+	blocks int64
+	// lastUse is the registry clock at the tenant's last read or write;
+	// larger = hotter. Atomic: a read stamps it without the registry
+	// lock, which a writer holds across its whole backing append.
+	lastUse atomic.Int64
 
 	// gBytes and gBlocks are the tenant's footprint gauges, resolved
 	// once at record creation so accounting updates never format
@@ -63,8 +68,9 @@ type Registry struct {
 	tenants   map[string]*usage // guarded by mu
 	handles   map[string]*Store // guarded by mu
 	total     int64             // Σ tenants' bytes; guarded by mu
-	clock     int64             // logical LRU clock; guarded by mu
 	evictions int64             // tenants evicted so far; guarded by mu
+
+	clock atomic.Int64 // logical LRU clock; atomic, so reads advance it without mu
 }
 
 // NewRegistry wraps backing. The existing keys are walked once to rebuild
@@ -150,8 +156,7 @@ func (r *Registry) Open(id string) (*Store, error) {
 			return nil, err
 		}
 	}
-	r.useLocked(id)
-	h := &Store{reg: r, id: id}
+	h := &Store{reg: r, id: id, use: r.useLocked(id)}
 	r.handles[id] = h
 	return h, nil
 }
@@ -209,12 +214,10 @@ func (r *Registry) policy() Policy {
 	return LRU{}
 }
 
-// touch advances a tenant's LRU clock.
-func (r *Registry) touch(id string) {
-	r.mu.Lock()
-	r.clock++
-	r.useLocked(id).lastUse = r.clock
-	r.mu.Unlock()
+// touch advances the LRU clock and stamps a tenant with it. It takes no
+// lock: reads must not queue behind another tenant's write.
+func (r *Registry) touch(u *usage) {
+	u.lastUse.Store(r.clock.Add(1))
 }
 
 // admitLocked charges a write delta against a tenant's quota, returning
@@ -247,8 +250,7 @@ func (r *Registry) applyLocked(u *usage, dBytes, dBlocks int64) {
 	u.bytes += dBytes
 	u.blocks += dBlocks
 	r.total += dBytes
-	r.clock++
-	u.lastUse = r.clock
+	r.touch(u)
 	r.publishUsageLocked(u)
 }
 
@@ -266,7 +268,7 @@ func (r *Registry) maybeEvictLocked(writer string) {
 		if id == writer || u.bytes == 0 || u.bytes <= u.quota.Reservation {
 			continue
 		}
-		cands = append(cands, Candidate{ID: id, Bytes: u.bytes, LastUse: u.lastUse})
+		cands = append(cands, Candidate{ID: id, Bytes: u.bytes, LastUse: u.lastUse.Load()})
 	}
 	for _, id := range r.policy().Victims(cands, need) {
 		if r.total <= r.cfg.HighWater {
@@ -329,6 +331,7 @@ func (r *Registry) recountLocked(id string, u *usage) {
 type Store struct {
 	reg *Registry
 	id  string
+	use *usage // the tenant's accounting record; reads only stamp its lastUse
 }
 
 var _ store.Keyed = (*Store)(nil)
@@ -373,7 +376,7 @@ func (h *Store) Get(key string) ([]byte, bool) {
 	if h.reserved(key) {
 		return nil, false
 	}
-	h.reg.touch(h.id)
+	h.reg.touch(h.use)
 	return h.reg.backing.Get(h.key(key))
 }
 
@@ -431,7 +434,7 @@ func (h *Store) Del(key string) {
 // GetBatch returns one entry per key in order; entries for missing keys
 // are nil.
 func (h *Store) GetBatch(keys []string) [][]byte {
-	h.reg.touch(h.id)
+	h.reg.touch(h.use)
 	out := h.reg.backing.GetBatch(h.keys(keys))
 	for i, k := range keys {
 		if h.reserved(k) {
@@ -499,7 +502,7 @@ func (h *Store) PutBatch(items []store.KV) error {
 // StatBatch probes presence: one entry per key in order, the block's
 // byte length when present, -1 otherwise.
 func (h *Store) StatBatch(keys []string) []int {
-	h.reg.touch(h.id)
+	h.reg.touch(h.use)
 	out := h.reg.backing.StatBatch(h.keys(keys))
 	for i, k := range keys {
 		if h.reserved(k) {

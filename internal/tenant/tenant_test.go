@@ -6,7 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"aecodes/internal/segstore"
 	"aecodes/internal/store"
@@ -446,6 +449,74 @@ func TestReopenAccounting(t *testing.T) {
 	}
 	if _, ok := alice2.Get("a2"); ok {
 		t.Error("deleted block resurrected across reopen")
+	}
+}
+
+// parkingBacking is a MemStore whose PutBatch, once armed, parks until
+// released — a write holding the registry lock across a slow append.
+type parkingBacking struct {
+	*transport.MemStore
+	armed   atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (p *parkingBacking) PutBatch(items []store.KV) error {
+	if p.armed.CompareAndSwap(true, false) {
+		close(p.parked)
+		<-p.release
+	}
+	return p.MemStore.PutBatch(items)
+}
+
+// TestReadsDoNotQueueBehindWrites pins that a tenant's reads take no
+// registry lock: while another tenant's PutBatch is parked inside the
+// backing (holding the registry lock for its quota accounting), Get,
+// GetBatch and StatBatch on a neighbour still return.
+func TestReadsDoNotQueueBehindWrites(t *testing.T) {
+	backing := &parkingBacking{
+		MemStore: transport.NewMemStore(),
+		parked:   make(chan struct{}),
+		release:  make(chan struct{}),
+	}
+	reg, err := tenant.NewRegistry(backing, tenant.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice := openTenant(t, reg, "alice")
+	bob := openTenant(t, reg, "bob")
+	if err := bob.Put("k", []byte("bobs")); err != nil {
+		t.Fatal(err)
+	}
+	backing.armed.Store(true)
+	writeDone := make(chan error, 1)
+	go func() { writeDone <- alice.PutBatch([]store.KV{{Key: "a", Data: []byte("alices")}}) }()
+	var releasing sync.Once
+	release := func() { releasing.Do(func() { close(backing.release) }) }
+	defer release() // a failing test must not leave the writer parked
+	<-backing.parked
+
+	readDone := make(chan string, 1)
+	go func() {
+		b, _ := bob.Get("k")
+		got := bob.GetBatch([]string{"k"})
+		held := bob.StatBatch([]string{"k"})
+		readDone <- fmt.Sprintf("%s %s %d", b, got[0], held[0])
+	}()
+	select {
+	case got := <-readDone:
+		if want := "bobs bobs 4"; got != want {
+			t.Errorf("reads beside the parked write = %q, want %q", got, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("bob's reads queued behind alice's parked PutBatch")
+	}
+	release()
+	if err := <-writeDone; err != nil {
+		t.Fatalf("parked PutBatch: %v", err)
+	}
+	if u := alice.Usage(); u.Blocks != 1 {
+		t.Errorf("alice usage after the parked write = %+v, want 1 block", u)
 	}
 }
 
