@@ -3,7 +3,6 @@ package segstore_test
 import (
 	"fmt"
 	"math"
-	"os"
 	"testing"
 
 	"aecodes/internal/segstore"
@@ -93,60 +92,6 @@ func BenchmarkStatBatch(b *testing.B) {
 // pread into its own buffer and CRC-checked.
 func BenchmarkGetBatch(b *testing.B) {
 	benchBulkRead(b, func(s *segstore.Store, keys []string) { s.GetBatch(keys) })
-}
-
-// BenchmarkPutBatch is a repair commit: framed before the lock and split
-// in "parallel" mode, framed under it in "serial" mode, then appended.
-// The store is replaced, outside the timer, every 512 MiB appended.
-func BenchmarkPutBatch(b *testing.B) {
-	for _, rec := range bulkRecSizes {
-		for _, total := range bulkTotals {
-			if total < 2*rec {
-				continue
-			}
-			items := bulkItems(rec, total)
-			for _, mode := range bulkModes {
-				b.Run(fmt.Sprintf("rec=%s/total=%s/%s", sizeName(rec), sizeName(total), mode.name), func(b *testing.B) {
-					old := segstore.SetBulkFloor(mode.floor)
-					defer segstore.SetBulkFloor(old)
-					var (
-						s       *segstore.Store
-						dir     string
-						written int
-					)
-					reopen := func() {
-						if s != nil {
-							s.Close()
-							os.RemoveAll(dir)
-						}
-						var err error
-						if dir, err = os.MkdirTemp(b.TempDir(), "put"); err != nil {
-							b.Fatal(err)
-						}
-						if s, err = segstore.Open(dir, segstore.Options{}); err != nil {
-							b.Fatal(err)
-						}
-						written = 0
-					}
-					reopen()
-					defer func() { s.Close() }()
-					b.SetBytes(int64(total))
-					b.ResetTimer()
-					for n := 0; n < b.N; n++ {
-						if written >= 512<<20 {
-							b.StopTimer()
-							reopen()
-							b.StartTimer()
-						}
-						if err := s.PutBatch(items); err != nil {
-							b.Fatal(err)
-						}
-						written += total
-					}
-				})
-			}
-		}
-	}
 }
 
 // BenchmarkAppendAcrossRotations appends 1 MiB records into 16 MiB

@@ -6,21 +6,19 @@ import (
 	"os"
 	"runtime"
 	"sync"
-
-	"aecodes/internal/store"
 )
 
-// Bulk calls use every core. StatBatch, GetBatch and the framing of a
-// large PutBatch spend their time preading records and computing
-// CRC32-C over them, record by record, and a record's check depends on
-// nothing but its own bytes. runChunks splits such a call into
-// contiguous chunks of about equal record bytes and runs them on up to
-// GOMAXPROCS goroutines. A batch under bulkFloor record bytes runs in
-// line as one chunk: below it the goroutine hand-off costs more than
-// the second core saves (DESIGN.md has the measurements it was set
-// from).
+// Bulk calls use every core. StatBatch and GetBatch spend their time
+// preading records and computing CRC32-C over them, record by record,
+// and a record's check depends on nothing but its own bytes. runChunks
+// splits such a call into contiguous chunks of about equal record bytes
+// and runs them on up to GOMAXPROCS goroutines. A batch under bulkFloor
+// record bytes runs in line as one chunk: below it the goroutine
+// hand-off costs more than the second core saves (DESIGN.md has the
+// measurements it was set from). PutBatch is not split: its CRCs are a
+// tenth of an append's cost, and splitting them lost at the floor.
 //
-// A read caller resolves its keys under s.mu and holds the read lock
+// A caller resolves its keys under s.mu and holds the read lock
 // until runChunks returns, so Compact and Close cannot close a file
 // under a chunk; the chunks themselves touch no store state, only the
 // files and locations they were handed.
@@ -140,41 +138,4 @@ func scratchFor(buf *[]byte, n int64) []byte {
 		*buf = make([]byte, n)
 	}
 	return (*buf)[:n]
-}
-
-// frameRecords lays out the header and key of every item's record in
-// dst, in order — word0, CRC32-C over the whole record, keyLen, key —
-// and returns it, grown when short. A record's framing does not depend
-// on the offset it lands at, so a large batch can be framed before the
-// store lock is taken; the CRC work is split like any bulk call's.
-func frameRecords(dst []byte, items []store.KV) []byte {
-	need := 0
-	for _, it := range items {
-		need += recHeaderLen + 2 + len(it.Key)
-	}
-	if cap(dst) < need {
-		dst = make([]byte, need)
-	}
-	dst = dst[:need]
-	recSize := func(i int) int64 {
-		return int64(recHeaderLen + 2 + len(items[i].Key) + len(items[i].Data))
-	}
-	runChunks(len(items), recSize, func(lo, hi int) {
-		off := 0
-		for _, it := range items[:lo] {
-			off += recHeaderLen + 2 + len(it.Key)
-		}
-		for _, it := range items[lo:hi] {
-			hdr := dst[off : off+recHeaderLen+2+len(it.Key)]
-			binary.BigEndian.PutUint32(hdr[0:4], uint32(len(it.Data))|recVersion)
-			binary.BigEndian.PutUint16(hdr[8:10], uint16(len(it.Key)))
-			copy(hdr[recHeaderLen+2:], it.Key)
-			crc := crc32.Checksum(hdr[0:4], castagnoli)
-			crc = crc32.Update(crc, castagnoli, hdr[recHeaderLen:])
-			crc = crc32.Update(crc, castagnoli, it.Data)
-			binary.BigEndian.PutUint32(hdr[4:8], crc)
-			off += len(hdr)
-		}
-	})
-	return dst
 }

@@ -1,9 +1,8 @@
 package segstore
 
 // Tests of the bulk path (runChunks): split calls return exactly what
-// the one-chunk path returns, a batch framed before the lock lands
-// byte-identical to one framed under it, and split reads stay safe
-// beside writes, deletes and compaction.
+// the one-chunk path returns, and split reads stay safe beside writes,
+// deletes and compaction.
 
 import (
 	"bytes"
@@ -203,102 +202,6 @@ func TestBulkReadsMatchSerial(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// segBytes reads every segment file of dir, by name.
-func segBytes(t *testing.T, dir string) map[string][]byte {
-	t.Helper()
-	names, err := filepath.Glob(filepath.Join(dir, "*"+segExt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make(map[string][]byte, len(names))
-	for _, name := range names {
-		b, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[filepath.Base(name)] = b
-	}
-	return out
-}
-
-func indexOf(s *Store) map[string]recordLoc {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string]recordLoc, len(s.index))
-	for k, v := range s.index {
-		out[k] = v
-	}
-	return out
-}
-
-// TestFramingBeforeTheLockIsByteIdentical pins that a batch framed
-// before the lock, on four cores, leaves the same segment files and the
-// same index as the same batches framed under the lock in one chunk —
-// across rotations, with duplicate keys and empty blocks — and that
-// both reopen to the same index.
-func TestFramingBeforeTheLockIsByteIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var batches [][]store.KV
-	for b := 0; b < 12; b++ {
-		var items []store.KV
-		for i := 0; i < 1+rng.Intn(24); i++ {
-			data := make([]byte, rng.Intn(16<<10))
-			if i%7 == 3 {
-				data = nil
-			}
-			rng.Read(data)
-			items = append(items, store.KV{Key: "k" + strconv.Itoa(rng.Intn(60)), Data: data})
-		}
-		batches = append(batches, items)
-	}
-	opts := Options{SegmentSize: 96 << 10}
-	put := func(dir string, floor int64, procs int) *Store {
-		s := mustOpen(t, dir, opts)
-		withBulk(floor, procs, func() {
-			for _, items := range batches {
-				if err := s.PutBatch(items); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-		return s
-	}
-	inLockDir, preLockDir := t.TempDir(), t.TempDir()
-	inLock := put(inLockDir, math.MaxInt64, 1)
-	before := obsBulkParallelBytes.Value()
-	preLock := put(preLockDir, 1, 4)
-	if obsBulkParallelBytes.Value() == before {
-		t.Fatal("no batch took the split framing path")
-	}
-	if inLock.Stats().Segments < 3 {
-		t.Fatal("batches did not span rotations")
-	}
-	if !reflect.DeepEqual(indexOf(inLock), indexOf(preLock)) {
-		t.Fatal("index after pre-lock framing differs from in-lock framing")
-	}
-	for _, s := range []*Store{inLock, preLock} {
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a, b := segBytes(t, inLockDir), segBytes(t, preLockDir)
-	if len(a) != len(b) {
-		t.Fatalf("%d segment files framed in the lock, %d before it", len(a), len(b))
-	}
-	for name, want := range a {
-		if !bytes.Equal(b[name], want) {
-			t.Fatalf("segment %s differs between in-lock and pre-lock framing", name)
-		}
-	}
-	ra, rb := mustOpen(t, inLockDir, opts), mustOpen(t, preLockDir, opts)
-	if !reflect.DeepEqual(indexOf(ra), indexOf(rb)) {
-		t.Fatal("reopened indexes differ")
-	}
-	if st := rb.Stats(); st.TruncatedBytes != 0 {
-		t.Fatalf("pre-lock framing left %d bytes that fail recovery", st.TruncatedBytes)
 	}
 }
 

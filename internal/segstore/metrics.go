@@ -40,10 +40,10 @@ var (
 	obsStatKeys    = segScope.Counter("stat.keys")
 	obsStatBytes   = segScope.Counter("stat.bytes")
 
-	// Bulk calls (StatBatch, GetBatch, the framing of a large PutBatch)
-	// split across cores from bulkFloor record bytes up: the record bytes
-	// of every call that was split. Its share of stat.bytes + read.bytes
-	// + append.bytes is the share of the work that can use a second core.
+	// Bulk reads (StatBatch, GetBatch) split across cores from bulkFloor
+	// record bytes up: the record bytes of every call that was split. Its
+	// share of stat.bytes + read.bytes is the share of the verification
+	// work that can use a second core.
 	obsBulkParallelBytes = segScope.Counter("bulk.parallel_bytes")
 
 	// Durability: one sample per fsync of a segment file, wherever it

@@ -687,22 +687,14 @@ func (s *Store) StatBatch(keys []string) []int {
 // are laid out as scatter/gather segments and land with one vectored
 // write per rotation-bounded chunk — block payloads go from the caller's
 // slices to the file without a user-space staging copy on platforms with
-// pwritev (see writevAt). A batch of at least bulkFloor record bytes is
-// framed — its CRCs computed, on every core — before the lock is taken;
-// a smaller one is framed under the lock, as framing single-block Puts
-// outside it made a pipelined writer slower (DESIGN.md).
+// pwritev (see writevAt).
 func (s *Store) PutBatch(items []store.KV) error {
-	var payload, recBytes int64
+	var payload int64
 	for _, it := range items {
 		if err := checkRecord(it.Key, it.Data); err != nil {
 			return err
 		}
 		payload += int64(len(it.Data))
-		recBytes += int64(recHeaderLen + 2 + len(it.Key) + len(it.Data))
-	}
-	var framed []byte
-	if recBytes >= bulkFloor {
-		framed = frameRecords(nil, items)
 	}
 	start := time.Now()
 	s.mu.Lock()
@@ -711,7 +703,7 @@ func (s *Store) PutBatch(items []store.KV) error {
 	if err := s.writableLocked(); err != nil {
 		return err
 	}
-	if err := s.putBatchLocked(items, framed); err != nil {
+	if err := s.putBatchLocked(items); err != nil {
 		return err
 	}
 	if err := s.maybeSyncLocked(); err != nil {
@@ -726,19 +718,23 @@ func (s *Store) PutBatch(items []store.KV) error {
 }
 
 // putBatchLocked appends all items with one vectored write per
-// rotation-bounded chunk. framed holds the items' record headers and
-// keys as frameRecords lays them out; when nil they are framed here,
-// into a reusable arena. Block payloads are gathered straight from the
-// caller's slices. The index is applied per flushed chunk, so a failing
-// write aborts the batch with earlier chunks stored and the active
-// segment truncated back to the chunk start — the same torn-tail
+// rotation-bounded chunk. Record headers and keys are assembled into a
+// reusable arena (sized up front — segments alias into it, so it must
+// never reallocate mid-chunk); block payloads are gathered straight from
+// the caller's slices. The index is applied per flushed chunk, so a
+// failing write aborts the batch with earlier chunks stored and the
+// active segment truncated back to the chunk start — the same torn-tail
 // discipline as the single-record path. Callers hold s.mu and have
 // validated every item.
-func (s *Store) putBatchLocked(items []store.KV, framed []byte) error {
-	if framed == nil {
-		s.batchArena = frameRecords(s.batchArena, items)
-		framed = s.batchArena
+func (s *Store) putBatchLocked(items []store.KV) error {
+	need := 0
+	for _, it := range items {
+		need += recHeaderLen + 2 + len(it.Key)
 	}
+	if cap(s.batchArena) < need {
+		s.batchArena = make([]byte, 0, need)
+	}
+	arena := s.batchArena[:0]
 
 	type pendingRec struct {
 		key string
@@ -749,7 +745,6 @@ func (s *Store) putBatchLocked(items []store.KV, framed []byte) error {
 		pending    []pendingRec
 		payload    int64 // block-payload bytes in the current chunk
 		chunkStart = s.woff
-		hdrOff     int // the next item's header within framed
 	)
 	flush := func() error {
 		if len(pending) == 0 {
@@ -784,8 +779,17 @@ func (s *Store) putBatchLocked(items []store.KV, framed []byte) error {
 			}
 			chunkStart = s.woff
 		}
-		hdr := framed[hdrOff : hdrOff+recHeaderLen+2+len(it.Key)]
-		hdrOff += len(hdr)
+		hdrStart := len(arena)
+		word0 := uint32(len(it.Data)) | recVersion
+		arena = binary.BigEndian.AppendUint32(arena, word0)
+		arena = binary.BigEndian.AppendUint32(arena, 0) // CRC placeholder
+		arena = binary.BigEndian.AppendUint16(arena, uint16(len(it.Key)))
+		arena = append(arena, it.Key...)
+		hdr := arena[hdrStart:]
+		crc := crc32.Checksum(hdr[0:4], castagnoli)
+		crc = crc32.Update(crc, castagnoli, hdr[recHeaderLen:])
+		crc = crc32.Update(crc, castagnoli, it.Data)
+		binary.BigEndian.PutUint32(hdr[4:8], crc)
 		vecs = append(vecs, hdr)
 		if len(it.Data) > 0 {
 			vecs = append(vecs, it.Data)
@@ -797,7 +801,9 @@ func (s *Store) putBatchLocked(items []store.KV, framed []byte) error {
 		payload += int64(len(it.Data))
 		s.woff += recLen
 	}
-	return flush()
+	err := flush()
+	s.batchArena = arena[:0]
+	return err
 }
 
 // maybeCompactLocked runs the auto-compaction trigger after a completed
@@ -1028,7 +1034,7 @@ func (s *Store) compactLocked() error {
 			batchBytes += len(data)
 		}
 		if batchBytes >= compactBatchBytes || i == len(live)-1 {
-			if err := s.putBatchLocked(batch, nil); err != nil {
+			if err := s.putBatchLocked(batch); err != nil {
 				return err
 			}
 			batch, batchBytes = batch[:0], 0

@@ -217,7 +217,15 @@ func (r *Registry) policy() Policy {
 // touch advances the LRU clock and stamps a tenant with it. It takes no
 // lock: reads must not queue behind another tenant's write.
 func (r *Registry) touch(u *usage) {
-	u.lastUse.Store(r.clock.Add(1))
+	u.stamp(r.clock.Add(1))
+}
+
+// stamp raises lastUse to tick. The clock's Add and the stamp are two
+// atomic steps, so racing touches can arrive out of order; the stamp
+// only moves forward, so the older tick never overwrites the newer.
+func (u *usage) stamp(tick int64) {
+	for old := u.lastUse.Load(); tick > old && !u.lastUse.CompareAndSwap(old, tick); old = u.lastUse.Load() {
+	}
 }
 
 // admitLocked charges a write delta against a tenant's quota, returning
