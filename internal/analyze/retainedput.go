@@ -20,9 +20,18 @@ import (
 // conversion) clear it. Storing a tainted value into anything that
 // outlives the call — a receiver field, another parameter's pointee, or a
 // package variable — is a violation.
+//
+// The same walk checks the read contract's mirror image: the blocks a
+// store.Keyed ReadBatch lends its callback live in a pooled arena that
+// the next read overwrites, so they are valid only until the callback
+// returns. The [][]byte parameter of every function literal passed to a
+// ReadBatch call starts tainted, and storing it or any sub-slice into
+// anything declared outside the literal (a free variable of the
+// enclosing function, a package variable), into a field, or sending it
+// on any channel is a violation; the same copies clear the taint.
 var RetainedPut = &Analyzer{
 	Name: "retainedput",
-	Doc:  "flags Put/PutMany/PutBatch implementations that store a caller slice without copying",
+	Doc:  "flags Put/PutMany/PutBatch implementations that store a caller slice, and ReadBatch callbacks that keep a borrowed block, without copying",
 	Run:  runRetainedPut,
 }
 
@@ -44,16 +53,25 @@ func runRetainedPut(pass *Pass) error {
 			}
 			checkPutMethod(pass, fd)
 		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if lit := readBatchCallback(call); lit != nil {
+					checkReadCallback(pass, lit)
+				}
+			}
+			return true
+		})
 	}
 	return nil
 }
 
 func checkPutMethod(pass *Pass, fd *ast.FuncDecl) {
 	tw := &taintWalker{
-		pass:    pass,
-		name:    fd.Name.Name,
-		tainted: make(map[types.Object]bool),
-		params:  make(map[types.Object]bool),
+		pass:     pass,
+		tainted:  make(map[types.Object]bool),
+		params:   make(map[types.Object]bool),
+		storeMsg: fd.Name.Name + " stores a caller slice without copying; the store contract requires a copy before returning",
+		sendMsg:  fd.Name.Name + " sends a caller slice on a retained channel without copying; the store contract requires a copy",
 	}
 	if recv := funcRecv(pass.Pkg.Info, fd); recv != nil {
 		tw.recv = recv
@@ -73,12 +91,50 @@ func checkPutMethod(pass *Pass, fd *ast.FuncDecl) {
 	tw.block(fd.Body)
 }
 
+// readBatchCallback returns the function literal passed as the callback
+// of a ReadBatch call, or nil.
+func readBatchCallback(call *ast.CallExpr) *ast.FuncLit {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "ReadBatch" || len(call.Args) == 0 {
+		return nil
+	}
+	lit, _ := call.Args[len(call.Args)-1].(*ast.FuncLit)
+	return lit
+}
+
+// checkReadCallback walks a ReadBatch callback with its [][]byte
+// parameter tainted: the blocks it lends.
+func checkReadCallback(pass *Pass, lit *ast.FuncLit) {
+	const why = "it is valid only until the callback returns"
+	tw := &taintWalker{
+		pass:     pass,
+		tainted:  make(map[types.Object]bool),
+		lit:      lit,
+		storeMsg: "ReadBatch callback stores a borrowed block without copying; " + why,
+		sendMsg:  "ReadBatch callback sends a borrowed block on a channel without copying; " + why,
+	}
+	for _, field := range lit.Type.Params.List {
+		for _, name := range field.Names {
+			if obj := pass.Pkg.Info.Defs[name]; obj != nil && types.Identical(obj.Type(), lentBlocks) {
+				tw.tainted[obj] = true
+			}
+		}
+	}
+	tw.block(lit.Body)
+}
+
+// lentBlocks is the type of the blocks a ReadBatch callback borrows.
+var lentBlocks = types.NewSlice(types.NewSlice(types.Typ[types.Byte]))
+
+// taintWalker follows tainted memory through one body: a Put method's
+// (recv and params set) or a ReadBatch callback's (lit set).
 type taintWalker struct {
-	pass    *Pass
-	name    string
-	recv    types.Object
-	params  map[types.Object]bool
-	tainted map[types.Object]bool
+	pass              *Pass
+	recv              types.Object
+	params            map[types.Object]bool
+	lit               *ast.FuncLit
+	tainted           map[types.Object]bool
+	storeMsg, sendMsg string
 }
 
 func (tw *taintWalker) block(b *ast.BlockStmt) {
@@ -159,9 +215,10 @@ func (tw *taintWalker) stmt(s ast.Stmt) {
 	case *ast.SendStmt:
 		// A send can publish the slice to a long-lived consumer; treat
 		// like storing into escaping state only when the value is
-		// tainted and the channel is persistent.
-		if tw.taintedExpr(x.Value) && tw.persistentLvalue(x.Chan) {
-			tw.pass.Reportf(x.Pos(), "%s sends a caller slice on a retained channel without copying; the store contract requires a copy", tw.name)
+		// tainted and the channel is persistent. A borrowed block sent
+		// anywhere reaches a goroutine that may read it after the loan.
+		if tw.taintedExpr(x.Value) && (tw.lit != nil || tw.persistentLvalue(x.Chan)) {
+			tw.pass.Reportf(x.Pos(), "%s", tw.sendMsg)
 		}
 	}
 }
@@ -197,7 +254,7 @@ func (tw *taintWalker) assign(a *ast.AssignStmt) {
 			continue
 		}
 		if tw.persistentLvalue(lhs) {
-			tw.pass.Reportf(a.Pos(), "%s stores a caller slice without copying; the store contract requires a copy before returning", tw.name)
+			tw.pass.Reportf(a.Pos(), "%s", tw.storeMsg)
 			continue
 		}
 		if id, ok := lhs.(*ast.Ident); ok {
@@ -214,7 +271,8 @@ func (tw *taintWalker) assign(a *ast.AssignStmt) {
 
 // persistentLvalue reports whether storing into e outlives the call:
 // the target is rooted at the receiver, at a (pointer/map/slice)
-// parameter, or at a package-level variable.
+// parameter, or at a package-level variable. In a ReadBatch callback it
+// is anything declared outside the literal, or any field.
 func (tw *taintWalker) persistentLvalue(e ast.Expr) bool {
 	root := rootIdent(e)
 	if root == nil {
@@ -226,6 +284,10 @@ func (tw *taintWalker) persistentLvalue(e ast.Expr) bool {
 	}
 	if obj == nil {
 		return false
+	}
+	if tw.lit != nil {
+		inside := obj.Pos() >= tw.lit.Pos() && obj.Pos() < tw.lit.End()
+		return !inside || tw.selectsField(e)
 	}
 	if obj == tw.recv {
 		// Bare `s = ...` rebinding a value receiver is local; anything
@@ -243,6 +305,30 @@ func (tw *taintWalker) persistentLvalue(e ast.Expr) bool {
 		return true
 	}
 	return false
+}
+
+// selectsField reports whether the lvalue e stores through a struct
+// field anywhere along its path.
+func (tw *taintWalker) selectsField(e ast.Expr) bool {
+	for {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			if sel, ok := tw.pass.Pkg.Info.Selections[x]; ok && sel.Kind() == types.FieldVal {
+				return true
+			}
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		default:
+			return false
+		}
+	}
 }
 
 // taintedExpr reports whether evaluating e can yield memory aliased

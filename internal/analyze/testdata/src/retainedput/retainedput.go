@@ -106,3 +106,63 @@ type GoodBatchDelegate struct {
 func (g *GoodBatchDelegate) PutBatch(kvs []KV) error {
 	return g.PutMany(kvs)
 }
+
+// Lender stands in for a store.Keyed: ReadBatch lends fn blocks that are
+// valid only until fn returns.
+type Lender struct{}
+
+func (Lender) ReadBatch(keys []string, fn func(blocks [][]byte) error) error {
+	return fn(make([][]byte, len(keys)))
+}
+
+var lastBlock []byte
+
+type holder struct {
+	kept []byte
+	ch   chan []byte
+}
+
+// badReads keeps borrowed blocks past the callback: in a free variable,
+// a package variable, a field (of a local too) and a channel.
+func badReads(l Lender, h *holder) ([]byte, [][]byte) {
+	var kept []byte
+	var all [][]byte
+	l.ReadBatch(nil, func(blocks [][]byte) error {
+		kept = blocks[0]          // want `ReadBatch callback stores a borrowed block without copying`
+		all = blocks              // want `ReadBatch callback stores a borrowed block without copying`
+		lastBlock = blocks[1][2:] // want `ReadBatch callback stores a borrowed block without copying`
+		h.kept = blocks[0]        // want `ReadBatch callback stores a borrowed block without copying`
+		for _, b := range blocks {
+			h.ch <- b // want `ReadBatch callback sends a borrowed block on a channel without copying`
+			local := make(chan []byte, 1)
+			local <- b // want `ReadBatch callback sends a borrowed block on a channel without copying`
+		}
+		var rec struct{ b []byte }
+		rec.b = blocks[0]            // want `ReadBatch callback stores a borrowed block without copying`
+		all = append(all, blocks[0]) // want `ReadBatch callback stores a borrowed block without copying`
+		return nil
+	})
+	return kept, all
+}
+
+// goodReads copies what it keeps; what stays local to the callback dies
+// with it.
+func goodReads(l Lender, write func([][]byte) error) ([]byte, string, [][]byte) {
+	var kept []byte
+	var s string
+	var out [][]byte
+	l.ReadBatch(nil, func(blocks [][]byte) error {
+		kept = append([]byte(nil), blocks[0]...)
+		cp := make([]byte, len(blocks[1]))
+		copy(cp, blocks[1])
+		out = append(out, cp)
+		s = string(blocks[2])
+		var segs [][]byte
+		for _, b := range blocks {
+			segs = append(segs, b)
+		}
+		blocks[0] = nil
+		return write(segs)
+	})
+	return kept, s, out
+}

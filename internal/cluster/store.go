@@ -98,15 +98,15 @@ func (s managerStore) PutBatch(items []store.KV) error { return errReadOnly }
 // Del implements store.Keyed: nothing to delete, nothing done.
 func (s managerStore) Del(key string) {}
 
-// GetBatch implements store.Keyed: one Get per key. Routing answers are
-// JSON documents, never empty, so nil means not-found as the contract
-// asks.
-func (s managerStore) GetBatch(keys []string) [][]byte {
+// ReadBatch implements store.Keyed: one Get per key, the answers handed
+// to fn. Routing answers are JSON documents, never empty, so nil means
+// not-found as the contract asks.
+func (s managerStore) ReadBatch(keys []string, fn func(blocks [][]byte) error) error {
 	out := make([][]byte, len(keys))
 	for i, k := range keys {
 		out[i], _ = s.Get(k)
 	}
-	return out
+	return fn(out)
 }
 
 // StatBatch implements store.Keyed: one Get per key.

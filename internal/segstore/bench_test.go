@@ -45,8 +45,9 @@ func bulkItems(recSize, total int) []store.KV {
 	return items
 }
 
-// benchBulkRead runs read (StatBatch or GetBatch) over the grid against
-// one store per record size holding the largest batch.
+// benchBulkRead runs read (StatBatch, GetBatch or ReadBatch) over the
+// grid against one store per record size holding the largest batch,
+// reporting allocations: a read that allocates per record shows it.
 func benchBulkRead(b *testing.B, read func(s *segstore.Store, keys []string)) {
 	for _, rec := range bulkRecSizes {
 		items := bulkItems(rec, bulkTotals[len(bulkTotals)-1])
@@ -71,6 +72,7 @@ func benchBulkRead(b *testing.B, read func(s *segstore.Store, keys []string)) {
 					defer segstore.SetBulkFloor(old)
 					batch := keys[:total/rec]
 					b.SetBytes(int64(total))
+					b.ReportAllocs()
 					b.ResetTimer()
 					for n := 0; n < b.N; n++ {
 						read(s, batch)
@@ -92,6 +94,15 @@ func BenchmarkStatBatch(b *testing.B) {
 // pread into its own buffer and CRC-checked.
 func BenchmarkGetBatch(b *testing.B) {
 	benchBulkRead(b, func(s *segstore.Store, keys []string) { s.GetBatch(keys) })
+}
+
+// BenchmarkReadBatch is a node serving GetMany: every record pread into
+// its slot of one pooled arena and CRC-checked, then lent to a callback
+// that does nothing with it.
+func BenchmarkReadBatch(b *testing.B) {
+	benchBulkRead(b, func(s *segstore.Store, keys []string) {
+		s.ReadBatch(keys, func([][]byte) error { return nil })
+	})
 }
 
 // BenchmarkAppendAcrossRotations appends 1 MiB records into 16 MiB

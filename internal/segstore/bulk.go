@@ -8,15 +8,16 @@ import (
 	"sync"
 )
 
-// Bulk calls use every core. StatBatch and GetBatch spend their time
-// preading records and computing CRC32-C over them, record by record,
-// and a record's check depends on nothing but its own bytes. runChunks
-// splits such a call into contiguous chunks of about equal record bytes
-// and runs them on up to GOMAXPROCS goroutines. A batch under bulkFloor
-// record bytes runs in line as one chunk: below it the goroutine
-// hand-off costs more than the second core saves (DESIGN.md has the
-// measurements it was set from). PutBatch is not split: its CRCs are a
-// tenth of an append's cost, and splitting them lost at the floor.
+// Bulk calls use every core. StatBatch and the batch reads spend their
+// time preading records and computing CRC32-C over them, record by
+// record, and a record's check depends on nothing but its own bytes.
+// runChunks splits such a call into contiguous chunks of about equal
+// record bytes and runs them on up to GOMAXPROCS goroutines. A batch
+// under bulkFloor record bytes runs in line as one chunk: below it the
+// goroutine hand-off costs more than the second core saves (DESIGN.md
+// has the measurements it was set from). PutBatch is not split: its
+// CRCs are a tenth of an append's cost, and splitting them lost at the
+// floor.
 //
 // A caller resolves its keys under s.mu and holds the read lock
 // until runChunks returns, so Compact and Close cannot close a file
@@ -74,10 +75,12 @@ func runParallel(n, chunks int, total int64, size func(i int) int64, fn func(lo,
 
 // probe is one key of a bulk read resolved under s.mu: the segment file
 // holding its live record and the record's location, or f == nil when
-// the key has none.
+// the key has none. at is the record's offset in a batch arena holding
+// every record of the call in key order.
 type probe struct {
 	f   *os.File
 	loc recordLoc
+	at  int64
 }
 
 // size is the record bytes a chunk reads for p.
@@ -88,19 +91,32 @@ func (p probe) size() int64 {
 	return p.loc.recLen()
 }
 
-// probesLocked resolves keys for a bulk read. Callers hold s.mu (the
-// read lock suffices) until the reads are done.
-func (s *Store) probesLocked(keys []string) []probe {
+// probesLocked resolves keys for a bulk read and returns their probes
+// with the batch's record bytes. Callers hold s.mu (the read lock
+// suffices) until the reads are done.
+func (s *Store) probesLocked(keys []string) ([]probe, int64) {
 	ps := make([]probe, len(keys))
 	if s.closed {
-		return ps
+		return ps, 0
 	}
+	var at int64
 	for i, key := range keys {
 		if loc, ok := s.index[key]; ok {
-			ps[i] = probe{f: s.files[loc.seg], loc: loc}
+			ps[i] = probe{f: s.files[loc.seg], loc: loc, at: at}
+			at += loc.recLen()
 		}
 	}
-	return ps
+	return ps, at
+}
+
+// buf returns the buffer p's record is read into: its own slot of arena,
+// capped so no slot reaches into the next, or a fresh one when arena is
+// nil.
+func (p probe) buf(arena []byte) []byte {
+	if arena == nil {
+		return make([]byte, p.size())
+	}
+	return arena[p.at : p.at+p.size() : p.at+p.size()]
 }
 
 // readRecord reads the record at loc from f into buf (loc.recLen()
@@ -128,8 +144,10 @@ func readRecord(f *os.File, buf []byte, loc recordLoc, key string) ([]byte, bool
 }
 
 // scratchPool holds the buffers StatBatch and ScrubStep verify records
-// in, one per chunk, grown to the largest record seen: a sweep of the
-// whole store allocates nothing once the pool is warm.
+// in, one per chunk, grown to the largest record seen, and ReadBatch's
+// arenas, one per call, grown to the largest batch: a sweep of the
+// whole store, or a node serving reads, allocates no record buffer once
+// the pool is warm.
 var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // scratchFor returns *buf resliced to n bytes, growing it when short.

@@ -165,9 +165,10 @@ func bulkFixture(t *testing.T, rng *rand.Rand) (*Store, []string) {
 
 // TestBulkReadsMatchSerial is the equivalence property: for random
 // batches (missing keys, empty blocks, duplicates, deleted keys, records
-// in sealed and active segments, records corrupted at rest) StatBatch
-// and GetBatch return what one Get per key returns — whether the batch
-// runs as one chunk or split, on one core or four.
+// in sealed and active segments, records corrupted at rest) StatBatch,
+// GetBatch and ReadBatch return what one Get per key returns — whether
+// the batch runs as one chunk or split, on one core or four. A corrupt
+// record reads as nil through all of them.
 func TestBulkReadsMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	s, keys := bulkFixture(t, rng)
@@ -198,6 +199,17 @@ func TestBulkReadsMatchSerial(t *testing.T) {
 						if (blocks[i] == nil) != (wantData[i] == nil) || !bytes.Equal(blocks[i], wantData[i]) {
 							t.Fatalf("trial %d floor %d procs %d: GetBatch[%d] (%s) differs from Get", trial, floor, procs, i, key)
 						}
+					}
+					err := s.ReadBatch(batch, func(lent [][]byte) error {
+						for i, key := range batch {
+							if (lent[i] == nil) != (wantData[i] == nil) || !bytes.Equal(lent[i], wantData[i]) {
+								return fmt.Errorf("ReadBatch[%d] (%s) differs from Get", i, key)
+							}
+						}
+						return nil
+					})
+					if err != nil {
+						t.Fatalf("trial %d floor %d procs %d: %v", trial, floor, procs, err)
 					}
 				})
 			}
@@ -236,11 +248,11 @@ func TestBulkPathsReadTheSameRecords(t *testing.T) {
 	}
 }
 
-// TestBulkReadsBesideWritesDeletesAndCompaction races split StatBatch
-// and GetBatch calls against PutBatch across rotations, Del and Compact
-// (run it under -race). A read returns a key's old or new value, never
-// another key's bytes, and once the store is closed no goroutine of the
-// bulk path is left running.
+// TestBulkReadsBesideWritesDeletesAndCompaction races split StatBatch,
+// GetBatch and ReadBatch calls against PutBatch across rotations, Del
+// and Compact (run it under -race). A read returns a key's old or new
+// value, never another key's bytes, and once the store is closed no
+// goroutine of the bulk path is left running.
 func TestBulkReadsBesideWritesDeletesAndCompaction(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	withBulk(4<<10, 4, func() {
@@ -313,6 +325,18 @@ func TestBulkReadsBesideWritesDeletesAndCompaction(t *testing.T) {
 							return
 						}
 					}
+					err := s.ReadBatch(all, func(lent [][]byte) error {
+						for i, b := range lent {
+							if b != nil && !valid(all[i], b) {
+								return fmt.Errorf("ReadBatch(%s) lent bytes that are no version of it: %.24q", all[i], b)
+							}
+						}
+						return nil
+					})
+					if err != nil {
+						t.Error(err)
+						return
+					}
 				}
 			}()
 		}
@@ -333,6 +357,70 @@ func TestBulkReadsBesideWritesDeletesAndCompaction(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// TestReadBatchAllocatesNoRecordBuffers pins the lending read: once the
+// pool is warm, ReadBatch of 2 or 256 records of 64 KiB allocates the
+// same handful of objects, and well under 1 % of the bytes it reads —
+// every record lands in the pooled arena.
+func TestReadBatchAllocatesNoRecordBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts over pooled buffers mean nothing under -race")
+	}
+	s := mustOpen(t, t.TempDir(), Options{})
+	block := make([]byte, 64<<10)
+	keys := make([]string, 256)
+	items := make([]store.KV, len(keys))
+	for i := range keys {
+		keys[i] = fmt.Sprintf("blk-%03d", i)
+		items[i] = store.KV{Key: keys[i], Data: block}
+	}
+	if err := s.PutBatch(items); err != nil {
+		t.Fatal(err)
+	}
+	objects := map[int]float64{}
+	for _, n := range []int{2, 256} {
+		batch := keys[:n]
+		read := func() {
+			err := s.ReadBatch(batch, func(blocks [][]byte) error {
+				for i, b := range blocks {
+					if len(b) != len(block) {
+						return fmt.Errorf("%s read %d bytes, want %d", batch[i], len(b), len(block))
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var bytes uint64
+		objects[n], bytes = measureAllocs(read)
+		if records := uint64(n * len(block)); bytes*100 >= records {
+			t.Errorf("reading %d records allocates %d bytes a call, ≥ 1%% of the %d record bytes", n, bytes, records)
+		}
+	}
+	if objects[2] != objects[256] {
+		t.Errorf("reading 2 records allocates %v objects, 256 records %v: something is allocated per record", objects[2], objects[256])
+	}
+}
+
+// measureAllocs runs fn once to warm the pools, then reports the objects
+// one call allocates and the bytes it allocates on average over ten
+// calls — both with one P, so every call meets the pool slot the last
+// one filled.
+func measureAllocs(fn func()) (objects float64, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	objects = testing.AllocsPerRun(20, fn)
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return objects, (after.TotalAlloc - before.TotalAlloc) / runs
 }
 
 // corruptRecord flips the last byte of key's live record on disk.

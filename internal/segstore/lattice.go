@@ -216,7 +216,7 @@ func (v *Lattice) GetMany(ctx context.Context, refs []store.Ref) ([][]byte, erro
 	for i, r := range refs {
 		keys[i] = refKey(r)
 	}
-	blocks := v.s.GetBatch(keys)
+	blocks := v.getBatch(keys)
 	for i, r := range refs {
 		if r.Parity && r.Edge.IsVirtual() {
 			blocks[i] = store.ZeroBlock(v.shape.BlockSize)
@@ -227,6 +227,27 @@ func (v *Lattice) GetMany(ctx context.Context, refs []store.Ref) ([][]byte, erro
 		}
 	}
 	return blocks, nil
+}
+
+// getBatch reads keys into buffers the caller keeps: the repair engine
+// and the archive reader hold blocks across calls, so a lent block will
+// not do. A Store reads each record straight into a buffer of its own
+// (GetBatch); any other Keyed lends, and each block is copied out.
+func (v *Lattice) getBatch(keys []string) [][]byte {
+	if s, ok := v.s.(*Store); ok {
+		return s.GetBatch(keys)
+	}
+	var out [][]byte
+	v.s.ReadBatch(keys, func(blocks [][]byte) error {
+		out = make([][]byte, len(blocks))
+		for i, b := range blocks {
+			if b != nil {
+				out[i] = append([]byte{}, b...)
+			}
+		}
+		return nil
+	})
+	return out
 }
 
 // PutMany implements store.BlockStore natively: the whole batch is

@@ -27,8 +27,10 @@ var (
 	obsAppendBytes    = segScope.Counter("append.bytes")
 	obsAppendBlocks   = segScope.Counter("append.blocks")
 
-	// Read path: one latency sample per Get/GetBatch call, plus payload
-	// bytes returned.
+	// Read path: one latency sample per Get, GetBatch or ReadBatch call,
+	// plus payload bytes returned. ReadBatch's sample ends before its
+	// callback runs: it times the reads, not what the caller does with
+	// them.
 	obsReadLatency = segScope.Histogram("read.latency")
 	obsReadBytes   = segScope.Counter("read.bytes")
 
@@ -40,10 +42,10 @@ var (
 	obsStatKeys    = segScope.Counter("stat.keys")
 	obsStatBytes   = segScope.Counter("stat.bytes")
 
-	// Bulk reads (StatBatch, GetBatch) split across cores from bulkFloor
-	// record bytes up: the record bytes of every call that was split. Its
-	// share of stat.bytes + read.bytes is the share of the verification
-	// work that can use a second core.
+	// Bulk reads (StatBatch, GetBatch, ReadBatch) split across cores
+	// from bulkFloor record bytes up: the record bytes of every call that
+	// was split. Its share of stat.bytes + read.bytes is the share of the
+	// verification work that can use a second core.
 	obsBulkParallelBytes = segScope.Counter("bulk.parallel_bytes")
 
 	// Durability: one sample per fsync of a segment file, wherever it

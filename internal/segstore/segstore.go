@@ -623,20 +623,48 @@ func (s *Store) Del(key string) {
 	}
 }
 
+// ReadBatch implements store.Keyed: the batch is read and verified as
+// GetBatch reads it, but every record lands in its own slot of one arena
+// drawn from scratchPool, so once the pool is warm serving a batch
+// allocates no record buffer. fn runs after the read lock is released;
+// the arena goes back to the pool when fn returns, which is why fn must
+// not keep a block.
+func (s *Store) ReadBatch(keys []string, fn func(blocks [][]byte) error) error {
+	arena := scratchPool.Get().(*[]byte)
+	defer scratchPool.Put(arena)
+	return fn(s.readBatch(keys, arena))
+}
+
 // GetBatch returns one entry per key in order under a single lock
 // acquisition; entries for missing (or corrupt-at-rest) keys are nil.
-// The records are read and verified in chunks on every core once the
-// batch is large enough (see runChunks).
+// Each block is read into a buffer of its own, which the caller keeps:
+// Lattice serves it to the archive reader and the repair engine, which
+// hold blocks across calls.
 func (s *Store) GetBatch(keys []string) [][]byte {
+	return s.readBatch(keys, nil)
+}
+
+// readBatch is the one batch read path: keys are resolved under the read
+// lock, every live record is read and verified by readRecord — in chunks
+// on every core once the batch is large enough (see runChunks) — and the
+// lock is released before it returns. Entry i is the payload of keys[i],
+// nil when it has no record or the record fails the check. The records
+// land in *arena, grown to the batch's record bytes, or, when arena is
+// nil, each in a fresh buffer.
+func (s *Store) readBatch(keys []string, arena *[]byte) [][]byte {
 	start := time.Now()
 	out := make([][]byte, len(keys))
 	s.mu.RLock()
-	ps := s.probesLocked(keys)
+	ps, total := s.probesLocked(keys)
+	var slots []byte
+	if arena != nil {
+		slots = scratchFor(arena, total)
+	}
 	runChunks(len(ps), func(i int) int64 { return ps[i].size() }, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if p := ps[i]; p.f != nil {
 				// A verified payload is never nil: it slices the buffer.
-				out[i], _ = readRecord(p.f, make([]byte, p.loc.recLen()), p.loc, keys[i])
+				out[i], _ = readRecord(p.f, p.buf(slots), p.loc, keys[i])
 			}
 		}
 	})
@@ -653,15 +681,15 @@ func (s *Store) GetBatch(keys []string) [][]byte {
 // StatBatch probes presence without retaining content: one entry per
 // key in order, the block's byte length when its record is present and
 // CRC-valid, -1 otherwise. The whole batch runs under one lock
-// acquisition, split like GetBatch's, and each chunk verifies its
+// acquisition, split like readBatch's, and each chunk verifies its
 // records in one pooled scratch buffer, so enumerating a large store
-// costs O(cores) resident memory — unlike GetBatch, which would
-// materialize every block.
+// costs O(cores) resident memory — unlike a batch read, which would
+// hold every block at once.
 func (s *Store) StatBatch(keys []string) []int {
 	start := time.Now()
 	out := make([]int, len(keys))
 	s.mu.RLock()
-	ps := s.probesLocked(keys)
+	ps, _ := s.probesLocked(keys)
 	read := runChunks(len(ps), func(i int) int64 { return ps[i].size() }, func(lo, hi int) {
 		scratch := scratchPool.Get().(*[]byte)
 		for i := lo; i < hi; i++ {

@@ -19,10 +19,11 @@
 //
 // Below the ref dialect sits the lower tier's one contract, Keyed: what a
 // storage node serves — blocks under opaque keys, single and batched,
-// with consume-before-return writes. The transport server, the tenant
-// registry and the durable lattice view are all written against it, and
-// cooperative.NodeStore is the same contract as a broker sees it through
-// the wire. It is stated here, once; the other packages point at it.
+// with consume-before-return writes and lending batch reads. The
+// transport server, the tenant registry and the durable lattice view are
+// all written against it, and cooperative.NodeStore is the same contract
+// as a broker sees it through the wire. It is stated here, once; the
+// other packages point at it.
 //
 // Availability is reported through sentinel errors, not (value, bool)
 // pairs: a read of a block the store cannot currently serve returns
@@ -80,6 +81,17 @@ type KV struct {
 // one would read recycled garbage. aelint's retainedput analyzer proves
 // it for every implementation in the repository and storetest.RunKeyed
 // exercises it at runtime.
+//
+// Lending is the batch read contract, its mirror: ReadBatch hands fn
+// blocks the store still owns — a pooled read arena, or the stored
+// slices themselves — so a node serves a batch without a buffer per
+// block.
+// Every block fn sees is valid only until fn returns and must never be
+// modified; fn may rewrite the outer slice's entries. No store lock is
+// held while fn runs, so fn may block on the network, and writes,
+// deletes and compactions that complete meanwhile do not change the
+// bytes fn holds. A caller that keeps a block copies it inside fn;
+// retainedput proves that no callback in the repository keeps one.
 type Keyed interface {
 	// Get returns the block and whether it exists.
 	Get(key string) ([]byte, bool)
@@ -87,16 +99,19 @@ type Keyed interface {
 	Put(key string, data []byte) error
 	// Del removes a block; deleting a missing key is not an error.
 	Del(key string)
-	// GetBatch returns one entry per key in order; entries for missing
-	// keys are nil (a present-but-empty block is a non-nil empty slice).
-	GetBatch(keys []string) [][]byte
+	// ReadBatch calls fn once with one entry per key in order: the
+	// block lent under the contract above, nil for a missing key (a
+	// present-but-empty block is a non-nil empty slice). It returns fn's
+	// error.
+	ReadBatch(keys []string, fn func(blocks [][]byte) error) error
 	// PutBatch stores all items in order, so the last write of a key
 	// wins; the first failing entry aborts the batch and earlier entries
 	// may have been stored.
 	PutBatch(items []KV) error
 	// StatBatch returns one entry per key in order: the block's byte
-	// length when present, -1 when absent. It agrees with GetBatch entry
-	// for entry — a block GetBatch would not serve stats as absent.
+	// length when present, -1 when absent. It agrees with ReadBatch
+	// entry for entry — a block ReadBatch would not serve stats as
+	// absent.
 	StatBatch(keys []string) []int
 }
 

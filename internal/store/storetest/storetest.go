@@ -13,7 +13,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	"aecodes/internal/lattice"
 	"aecodes/internal/store"
@@ -194,8 +196,9 @@ func Run(t *testing.T, h Harness) {
 	t.Run("GetManyStableAfterOverwrite", func(t *testing.T) {
 		// The read-side mirror: blocks GetMany hands out belong to the
 		// caller and must not alias store internals — overwriting the
-		// position afterwards must not mutate the previously returned
-		// slice under the repair engine's feet.
+		// position afterwards, or reading it again into whatever buffer
+		// the store reuses, must not mutate the previously returned slice
+		// under the repair engine's feet.
 		s := h.New(t)
 		if err := s.PutData(ctx, 1, h.block(1)); err != nil {
 			t.Fatal(err)
@@ -205,6 +208,9 @@ func Run(t *testing.T, h Harness) {
 			t.Fatal(err)
 		}
 		if err := s.PutData(ctx, 1, h.block(9)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.GetMany(ctx, []store.Ref{store.DataRef(1)}); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got[0], h.block(1)) {
@@ -284,10 +290,13 @@ func Run(t *testing.T, h Harness) {
 // newStore: everything a transport.Server relies on when it turns one wire
 // frame into one store call and recycles the frame's buffer afterwards.
 func RunKeyed(t *testing.T, newStore func(t *testing.T) store.Keyed) {
-	// agree checks StatBatch against GetBatch entry for entry.
+	// agree returns the blocks ReadBatch lends for keys, copied out of
+	// the loan (nil stays nil, empty stays non-nil empty), and checks
+	// StatBatch against them entry for entry.
 	agree := func(t *testing.T, s store.Keyed, keys []string) [][]byte {
 		t.Helper()
-		blocks, sizes := s.GetBatch(keys), s.StatBatch(keys)
+		blocks := ReadCopy(t, s, keys)
+		sizes := s.StatBatch(keys)
 		if len(blocks) != len(keys) || len(sizes) != len(keys) {
 			t.Fatalf("%d keys answered with %d blocks and %d sizes", len(keys), len(blocks), len(sizes))
 		}
@@ -297,7 +306,7 @@ func RunKeyed(t *testing.T, newStore func(t *testing.T) store.Keyed) {
 				want = -1
 			}
 			if sizes[i] != want {
-				t.Errorf("StatBatch[%q] = %d, GetBatch says %d", keys[i], sizes[i], want)
+				t.Errorf("StatBatch[%q] = %d, ReadBatch says %d", keys[i], sizes[i], want)
 			}
 		}
 		return blocks
@@ -323,7 +332,7 @@ func RunKeyed(t *testing.T, newStore func(t *testing.T) store.Keyed) {
 			t.Error("Get after Del found the block")
 		}
 		if blocks := agree(t, s, []string{"k"}); blocks[0] != nil {
-			t.Error("GetBatch after Del served the block")
+			t.Error("ReadBatch after Del served the block")
 		}
 	})
 
@@ -336,17 +345,94 @@ func RunKeyed(t *testing.T, newStore func(t *testing.T) store.Keyed) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blocks := agree(t, s, []string{"full", "empty-put", "missing", "empty-batch"})
-		if string(blocks[0]) != "content" {
-			t.Errorf("full block = %q", blocks[0])
+		// A read may name a key twice: each entry answers for itself.
+		blocks := agree(t, s, []string{"full", "empty-put", "missing", "empty-batch", "full", "missing", "empty-put"})
+		for _, i := range []int{0, 4} {
+			if string(blocks[i]) != "content" {
+				t.Errorf("full block entry %d = %q", i, blocks[i])
+			}
 		}
-		for _, i := range []int{1, 3} {
+		for _, i := range []int{1, 3, 6} {
 			if blocks[i] == nil || len(blocks[i]) != 0 {
 				t.Errorf("present-but-empty entry %d = %#v, want non-nil empty", i, blocks[i])
 			}
 		}
-		if blocks[2] != nil {
-			t.Error("missing key came back non-nil")
+		for _, i := range []int{2, 5} {
+			if blocks[i] != nil {
+				t.Errorf("missing key entry %d came back non-nil", i)
+			}
+		}
+	})
+
+	t.Run("LoanOutlivesWrites", func(t *testing.T) {
+		// What ReadBatch lends stays put while fn runs: a write, a delete
+		// and (where the store has one) a compaction completing inside fn
+		// leave the bytes fn holds unchanged. They run on another
+		// goroutine that fn waits for, so a store that held its lock
+		// across fn would never see them complete.
+		s := newStore(t)
+		old := map[string][]byte{"kept": []byte("old contents"), "gone": []byte("deleted later")}
+		for k, v := range old {
+			if err := s.Put(k, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fresh := []byte("new contents") // as long as the old: an in-place overwrite would show
+		keys := []string{"kept", "gone"}
+		var writer sync.WaitGroup
+		err := s.ReadBatch(keys, func(blocks [][]byte) error {
+			done := make(chan error, 1)
+			writer.Add(1)
+			go func() {
+				defer writer.Done()
+				err := s.Put("kept", fresh)
+				s.Del("gone")
+				if c, ok := s.(interface{ Compact() error }); ok && err == nil {
+					err = c.Compact()
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					return err
+				}
+			case <-time.After(10 * time.Second):
+				return errors.New("a write could not complete while fn ran: the store holds a lock across fn")
+			}
+			for i, k := range keys {
+				if !bytes.Equal(blocks[i], old[k]) {
+					t.Errorf("lent %s changed under fn: %q, want %q", k, blocks[i], old[k])
+				}
+			}
+			return nil
+		})
+		writer.Wait() // a writer the held lock stalled finishes once it is released
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := agree(t, s, keys)
+		if !bytes.Equal(blocks[0], fresh) || blocks[1] != nil {
+			t.Errorf("the next read served [%q %q], want the new state [%q <nil>]", blocks[0], blocks[1], fresh)
+		}
+	})
+
+	t.Run("CallbackError", func(t *testing.T) {
+		s := newStore(t)
+		if err := s.Put("k", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		errFn := errors.New("storetest: callback failed")
+		calls := 0
+		err := s.ReadBatch([]string{"k", "missing"}, func([][]byte) error {
+			calls++
+			return errFn
+		})
+		if err != errFn || calls != 1 {
+			t.Errorf("ReadBatch = %v after %d callbacks, want fn's own error after 1", err, calls)
+		}
+		if blocks := agree(t, s, []string{"k"}); string(blocks[0]) != "v" {
+			t.Errorf("read after a failed callback = %q, want %q", blocks[0], "v")
 		}
 	})
 
@@ -389,6 +475,29 @@ func RunKeyed(t *testing.T, newStore func(t *testing.T) store.Keyed) {
 			}
 		}
 	})
+}
+
+// ReadCopy returns what one ReadBatch call lends for keys, copied out
+// inside the callback: nil stays nil, and an empty block stays a non-nil
+// empty slice.
+func ReadCopy(t *testing.T, s store.Keyed, keys []string) [][]byte {
+	t.Helper()
+	var out [][]byte
+	calls := 0
+	err := s.ReadBatch(keys, func(blocks [][]byte) error {
+		calls++
+		out = make([][]byte, len(blocks))
+		for i, b := range blocks {
+			if b != nil {
+				out[i] = append([]byte{}, b...)
+			}
+		}
+		return nil
+	})
+	if err != nil || calls != 1 {
+		t.Fatalf("ReadBatch = %v after %d callbacks, want nil after 1", err, calls)
+	}
+	return out
 }
 
 // block returns the deterministic content of block seed.

@@ -439,17 +439,18 @@ func (h *Store) Del(key string) {
 	r.mu.Unlock()
 }
 
-// GetBatch returns one entry per key in order; entries for missing keys
-// are nil.
-func (h *Store) GetBatch(keys []string) [][]byte {
+// ReadBatch implements store.Keyed: the backing lends the blocks under
+// the tenant's keys, and reserved keys read as missing.
+func (h *Store) ReadBatch(keys []string, fn func(blocks [][]byte) error) error {
 	h.reg.touch(h.use)
-	out := h.reg.backing.GetBatch(h.keys(keys))
-	for i, k := range keys {
-		if h.reserved(k) {
-			out[i] = nil
+	return h.reg.backing.ReadBatch(h.keys(keys), func(blocks [][]byte) error {
+		for i, k := range keys {
+			if h.reserved(k) {
+				blocks[i] = nil
+			}
 		}
-	}
-	return out
+		return fn(blocks)
+	})
 }
 
 // PutBatch stores all items with one atomic quota admission for the

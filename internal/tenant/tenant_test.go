@@ -13,6 +13,7 @@ import (
 
 	"aecodes/internal/segstore"
 	"aecodes/internal/store"
+	"aecodes/internal/store/storetest"
 	"aecodes/internal/tenant"
 	"aecodes/internal/transport"
 )
@@ -91,9 +92,9 @@ func TestNamespaceIsolation(t *testing.T) {
 		t.Errorf("alice's block not under %q", tenant.Prefix+"alice/k")
 	}
 	// Batch reads respect the namespace too.
-	got := bob.GetBatch([]string{"k", "missing"})
+	got := storetest.ReadCopy(t, bob, []string{"k", "missing"})
 	if string(got[0]) != "from-bob" || got[1] != nil {
-		t.Errorf("GetBatch through bob = [%q %v]", got[0], got[1])
+		t.Errorf("ReadBatch through bob = [%q %v]", got[0], got[1])
 	}
 	held := alice.StatBatch([]string{"k", "missing"})
 	if held[0] != len("from-alice") || held[1] != -1 {
@@ -128,8 +129,8 @@ func TestAnonymousCannotAddressReservedKeys(t *testing.T) {
 	if b, ok := anon.Get(escape); ok {
 		t.Fatalf("anonymous Get read a tenant's block: %q", b)
 	}
-	if got := anon.GetBatch([]string{escape}); got[0] != nil {
-		t.Fatalf("anonymous GetBatch read a tenant's block: %q", got[0])
+	if got := storetest.ReadCopy(t, anon, []string{escape}); got[0] != nil {
+		t.Fatalf("anonymous ReadBatch read a tenant's block: %q", got[0])
 	}
 	if held := anon.StatBatch([]string{escape}); held[0] != -1 {
 		t.Fatalf("anonymous StatBatch probed a tenant's block: %d", held[0])
@@ -472,7 +473,7 @@ func (p *parkingBacking) PutBatch(items []store.KV) error {
 // TestReadsDoNotQueueBehindWrites pins that a tenant's reads take no
 // registry lock: while another tenant's PutBatch is parked inside the
 // backing (holding the registry lock for its quota accounting), Get,
-// GetBatch and StatBatch on a neighbour still return.
+// ReadBatch and StatBatch on a neighbour still return.
 func TestReadsDoNotQueueBehindWrites(t *testing.T) {
 	backing := &parkingBacking{
 		MemStore: transport.NewMemStore(),
@@ -499,9 +500,13 @@ func TestReadsDoNotQueueBehindWrites(t *testing.T) {
 	readDone := make(chan string, 1)
 	go func() {
 		b, _ := bob.Get("k")
-		got := bob.GetBatch([]string{"k"})
+		var got string
+		bob.ReadBatch([]string{"k"}, func(blocks [][]byte) error {
+			got = string(blocks[0])
+			return nil
+		})
 		held := bob.StatBatch([]string{"k"})
-		readDone <- fmt.Sprintf("%s %s %d", b, got[0], held[0])
+		readDone <- fmt.Sprintf("%s %s %d", b, got, held[0])
 	}()
 	select {
 	case got := <-readDone:

@@ -132,52 +132,54 @@ func servePutMany(conn net.Conn, st store.Keyed, payload []byte) error {
 	return writeResponse(conn, StatusOK, nil)
 }
 
-// serveGetMany handles one OpGetMany frame on the server. The response
-// frame is written with vectored I/O so block contents are never copied
-// into a contiguous response payload.
+// serveGetMany handles one OpGetMany frame on the server: one ReadBatch
+// call, whose callback writes the response frame with vectored I/O
+// straight from the blocks the store lends — no buffer per block, and
+// no copy into a contiguous response payload.
 func serveGetMany(conn net.Conn, st store.Keyed, payload []byte) error {
 	keys, err := decodeGetManyReq(payload)
 	if err != nil {
 		return writeResponse(conn, StatusError, []byte(err.Error()))
 	}
-	blocks := st.GetBatch(keys)
-	respPayload := 4
-	for _, b := range blocks {
-		respPayload += 1 + 4 + len(b)
-	}
-	if respPayload > MaxPayloadLen {
-		return writeResponse(conn, StatusError,
-			[]byte(fmt.Sprintf("transport: batch payload too large (%d bytes)", respPayload)))
-	}
-	hdrSize := 1 + 4 + 4 + len(blocks)*(1+4)
-	arena := getBuf(hdrSize)[:0]
-	segs := make(net.Buffers, 0, 1+2*len(blocks))
-	mark := 0
-	seal := func() {
-		segs = append(segs, arena[mark:len(arena):len(arena)])
-		mark = len(arena)
-	}
-	arena = append(arena, StatusOK)
-	arena = binary.BigEndian.AppendUint32(arena, uint32(respPayload))
-	arena = binary.BigEndian.AppendUint32(arena, uint32(len(blocks)))
-	seal()
-	for _, b := range blocks {
-		if b == nil {
-			arena = append(arena, 0)
-			arena = binary.BigEndian.AppendUint32(arena, 0)
-			seal()
-			continue
+	return st.ReadBatch(keys, func(blocks [][]byte) error {
+		respPayload := 4
+		for _, b := range blocks {
+			respPayload += 1 + 4 + len(b)
 		}
-		arena = append(arena, 1)
-		arena = binary.BigEndian.AppendUint32(arena, uint32(len(b)))
+		if respPayload > MaxPayloadLen {
+			return writeResponse(conn, StatusError,
+				[]byte(fmt.Sprintf("transport: batch payload too large (%d bytes)", respPayload)))
+		}
+		hdrSize := 1 + 4 + 4 + len(blocks)*(1+4)
+		arena := getBuf(hdrSize)[:0]
+		segs := make(net.Buffers, 0, 1+2*len(blocks))
+		mark := 0
+		seal := func() {
+			segs = append(segs, arena[mark:len(arena):len(arena)])
+			mark = len(arena)
+		}
+		arena = append(arena, StatusOK)
+		arena = binary.BigEndian.AppendUint32(arena, uint32(respPayload))
+		arena = binary.BigEndian.AppendUint32(arena, uint32(len(blocks)))
 		seal()
-		if len(b) > 0 {
-			segs = append(segs, b)
+		for _, b := range blocks {
+			if b == nil {
+				arena = append(arena, 0)
+				arena = binary.BigEndian.AppendUint32(arena, 0)
+				seal()
+				continue
+			}
+			arena = append(arena, 1)
+			arena = binary.BigEndian.AppendUint32(arena, uint32(len(b)))
+			seal()
+			if len(b) > 0 {
+				segs = append(segs, b)
+			}
 		}
-	}
-	_, err = segs.WriteTo(conn)
-	putBuf(arena) // the vectored write has consumed the header segments
-	return err
+		_, err := segs.WriteTo(conn)
+		putBuf(arena) // the vectored write has consumed the header segments
+		return err
+	})
 }
 
 // serveStatMany handles one OpStatMany frame: the request is a getManyQ
@@ -302,19 +304,25 @@ func encodeGetManyReq(keys []string) ([]byte, error) {
 	return buf, nil
 }
 
+// decodeGetManyReq decodes a key list. The keys are substrings of one
+// string copied from the payload, so a request costs the same two
+// allocations whatever its key count; no store keeps a key it was only
+// asked to read.
 func decodeGetManyReq(payload []byte) ([]string, error) {
 	count, rest, err := batchHeader(payload)
 	if err != nil {
 		return nil, err
 	}
+	all := string(rest)
 	keys := make([]string, 0, count)
 	for n := 0; n < count; n++ {
-		var key string
-		key, rest, err = takeKey(rest)
+		var key []byte
+		key, rest, err = takeKeyBytes(rest)
 		if err != nil {
 			return nil, err
 		}
-		keys = append(keys, key)
+		end := len(all) - len(rest)
+		keys = append(keys, all[end-len(key):end])
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("transport: %d trailing bytes in batch", len(rest))
@@ -367,19 +375,26 @@ func batchHeader(payload []byte) (int, []byte, error) {
 	return int(count), payload[4:], nil
 }
 
+// takeKey splits one length-prefixed key off rest.
 func takeKey(rest []byte) (string, []byte, error) {
+	key, rest, err := takeKeyBytes(rest)
+	return string(key), rest, err
+}
+
+// takeKeyBytes is takeKey with the key aliasing rest.
+func takeKeyBytes(rest []byte) ([]byte, []byte, error) {
 	if len(rest) < 2 {
-		return "", nil, fmt.Errorf("transport: truncated batch key length")
+		return nil, nil, fmt.Errorf("transport: truncated batch key length")
 	}
 	n := int(binary.BigEndian.Uint16(rest))
 	rest = rest[2:]
 	if n > MaxKeyLen {
-		return "", nil, fmt.Errorf("transport: key length %d exceeds limit", n)
+		return nil, nil, fmt.Errorf("transport: key length %d exceeds limit", n)
 	}
 	if len(rest) < n {
-		return "", nil, fmt.Errorf("transport: truncated batch key")
+		return nil, nil, fmt.Errorf("transport: truncated batch key")
 	}
-	return string(rest[:n]), rest[n:], nil
+	return rest[:n], rest[n:], nil
 }
 
 func takeBlock(rest []byte) ([]byte, []byte, error) {

@@ -21,8 +21,8 @@ func TestMemStoreKeyedContract(t *testing.T) {
 // makes.
 type countingStore struct {
 	*MemStore
-	singles                             atomic.Int64 // Get + Put + Del
-	getBatches, putBatches, statBatches atomic.Int64
+	singles                              atomic.Int64 // Get + Put + Del
+	readBatches, putBatches, statBatches atomic.Int64
 }
 
 func (c *countingStore) Get(key string) ([]byte, bool) {
@@ -40,9 +40,9 @@ func (c *countingStore) Del(key string) {
 	c.MemStore.Del(key)
 }
 
-func (c *countingStore) GetBatch(keys []string) [][]byte {
-	c.getBatches.Add(1)
-	return c.MemStore.GetBatch(keys)
+func (c *countingStore) ReadBatch(keys []string, fn func(blocks [][]byte) error) error {
+	c.readBatches.Add(1)
+	return c.MemStore.ReadBatch(keys, fn)
 }
 
 func (c *countingStore) PutBatch(items []store.KV) error {
@@ -95,8 +95,8 @@ func TestServerUsesNativeBatchStore(t *testing.T) {
 			if !held[0] || held[1] || !held[2] {
 				t.Errorf("StatMany = %v, want [true false true]", held)
 			}
-			if p, g, s := cs.putBatches.Load(), cs.getBatches.Load(), cs.statBatches.Load(); p != 1 || g != 1 || s != 1 {
-				t.Errorf("one frame of each kind made %d PutBatch, %d GetBatch, %d StatBatch calls, want 1 each", p, g, s)
+			if p, g, s := cs.putBatches.Load(), cs.readBatches.Load(), cs.statBatches.Load(); p != 1 || g != 1 || s != 1 {
+				t.Errorf("one frame of each kind made %d PutBatch, %d ReadBatch, %d StatBatch calls, want 1 each", p, g, s)
 			}
 			if got := cs.singles.Load(); got != 0 {
 				t.Errorf("batch frames made %d single-key store calls", got)

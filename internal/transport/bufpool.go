@@ -10,8 +10,9 @@
 // consume-before-return contract covers the write handlers), and the
 // client recycles a response only on paths whose decoded result copies
 // out of it (put/stat acknowledgements, error texts). Payloads that
-// escape to callers (Get, GetMany) are simply never recycled: the pool
-// degrades to plain allocation, never to corruption.
+// escape to callers (Get, GetMany) never come from the pool: the client
+// reads them into exact-size allocations (recycledResponse), so they
+// neither drain a bucket other frames return to nor zero a power of two.
 package transport
 
 import (

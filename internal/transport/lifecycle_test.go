@@ -120,17 +120,17 @@ func (s *stallStore) Get(key string) ([]byte, bool) {
 	return s.MemStore.Get(key)
 }
 
-// GetBatch keeps the stall visible on the batch path too: without this
+// ReadBatch keeps the stall visible on the batch path too: without this
 // override the server would serve OpGetMany via the promoted
-// MemStore.GetBatch and bypass the hung-node simulation.
-func (s *stallStore) GetBatch(keys []string) [][]byte {
+// MemStore.ReadBatch and bypass the hung-node simulation.
+func (s *stallStore) ReadBatch(keys []string, fn func(blocks [][]byte) error) error {
 	for _, key := range keys {
 		if strings.HasPrefix(key, s.prefix) {
 			<-s.release
 			break
 		}
 	}
-	return s.MemStore.GetBatch(keys)
+	return s.MemStore.ReadBatch(keys, fn)
 }
 
 // TestPoolResponseTimeoutFailsHungRequest pins the timeout wheel: a node

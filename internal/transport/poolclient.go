@@ -503,6 +503,7 @@ type pipeResult struct {
 type pipePending struct {
 	ch       chan pipeResult
 	deadline time.Time // zero means no deadline
+	recycled bool      // the caller returns the response to the frame pool
 }
 
 // pipeConn is one pipelined connection: writes are serialised, responses
@@ -563,24 +564,40 @@ func (c *pipeConn) roundTrip(ctx context.Context, op byte, key string, payload [
 	if len(payload) > MaxPayloadLen {
 		return 0, nil, fmt.Errorf("transport: payload too large (%d bytes)", len(payload))
 	}
-	return c.send(c.deadlineFor(ctx), func() error { return writeRequest(c.conn, op, key, payload) })
+	return c.send(c.deadlineFor(ctx), recycledResponse(op), func() error { return writeRequest(c.conn, op, key, payload) })
 }
 
-// roundTripSegments is roundTrip for a pre-framed scatter/gather request.
+// roundTripSegments is roundTrip for a pre-framed scatter/gather request;
+// segs[0] opens with the frame's op byte.
 func (c *pipeConn) roundTripSegments(ctx context.Context, segs net.Buffers) (byte, []byte, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, nil, err
 	}
-	return c.send(c.deadlineFor(ctx), func() error {
+	return c.send(c.deadlineFor(ctx), recycledResponse(segs[0][0]), func() error {
 		_, err := segs.WriteTo(c.conn)
 		return err
 	})
 }
 
-// send enqueues a pending response slot with its deadline, performs the
-// write under the write lock, and waits for the reader (or the timeout
-// wheel) to deliver the matching response.
-func (c *pipeConn) send(deadline time.Time, write func() error) (byte, []byte, error) {
+// recycledResponse reports whether the caller of op hands the response
+// payload back to the frame pool: acknowledgements (ackError) and stat
+// flags (statMany) are decoded and recycled. Every other response
+// escapes — Get and GetMany give theirs to the caller, and the control
+// ops decode from theirs without recycling — so readLoop allocates it
+// exact-size instead of draining a pooled buffer that never returns.
+func recycledResponse(op byte) bool {
+	switch op {
+	case OpPut, OpDel, OpPutMany, OpStatMany:
+		return true
+	}
+	return false
+}
+
+// send enqueues a pending response slot with its deadline and whether
+// its caller recycles the response, performs the write under the write
+// lock, and waits for the reader (or the timeout wheel) to deliver the
+// matching response.
+func (c *pipeConn) send(deadline time.Time, recycled bool, write func() error) (byte, []byte, error) {
 	ch := make(chan pipeResult, 1)
 	c.wmu.Lock()
 	c.mu.Lock()
@@ -590,7 +607,7 @@ func (c *pipeConn) send(deadline time.Time, write func() error) (byte, []byte, e
 		c.wmu.Unlock()
 		return 0, nil, err
 	}
-	c.pending = append(c.pending, pipePending{ch: ch, deadline: deadline})
+	c.pending = append(c.pending, pipePending{ch: ch, deadline: deadline, recycled: recycled})
 	c.armTimeoutLocked()
 	c.mu.Unlock()
 	err := write()
@@ -669,7 +686,7 @@ func (c *pipeConn) onTimeout() {
 // first fault.
 func (c *pipeConn) readLoop() {
 	for {
-		status, payload, err := readResponse(c.conn)
+		status, payload, err := readResponse(c.conn, c.responseBuf)
 		if err == nil {
 			c.mu.Lock()
 			if len(c.pending) == 0 {
@@ -701,6 +718,20 @@ func (c *pipeConn) readLoop() {
 		}
 		return
 	}
+}
+
+// responseBuf allocates the payload buffer of the response readLoop is
+// reading: from the frame pool when the oldest pending slot — the one
+// the response answers — recycles it, exact-size otherwise. Only
+// readLoop pops slots, so the slot it looks at is the one it resolves.
+func (c *pipeConn) responseBuf(n int) []byte {
+	c.mu.Lock()
+	recycled := len(c.pending) > 0 && c.pending[0].recycled
+	c.mu.Unlock()
+	if recycled {
+		return getBuf(n)
+	}
+	return make([]byte, n)
 }
 
 func (c *pipeConn) close() error {

@@ -177,23 +177,20 @@ func (s *MemStore) Del(key string) {
 	delete(s.m, key)
 }
 
-// GetBatch implements store.Keyed: one lock acquisition for the whole
-// batch.
-func (s *MemStore) GetBatch(keys []string) [][]byte {
-	out := make([][]byte, len(keys))
+// ReadBatch implements store.Keyed with one lock acquisition for the
+// whole batch, and lends fn the stored slices themselves, uncopied. That
+// is safe because a stored slice is never written again: Put and
+// PutBatch store fresh copies and replace the map entry, they never
+// modify a stored slice in place, so the bytes fn holds stay what they
+// were even when the key is overwritten or deleted while fn runs.
+func (s *MemStore) ReadBatch(keys []string, fn func(blocks [][]byte) error) error {
+	blocks := make([][]byte, len(keys))
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	for i, key := range keys {
-		b, ok := s.m[key]
-		if !ok {
-			continue
-		}
-		cp := make([]byte, len(b))
-		copy(cp, b)
-		hotpath.CountCopy(len(b))
-		out[i] = cp
+		blocks[i] = s.m[key]
 	}
-	return out
+	s.mu.RUnlock()
+	return fn(blocks)
 }
 
 // PutBatch implements store.Keyed: the batch is copied first, then
@@ -571,7 +568,11 @@ func writeResponse(w io.Writer, status byte, payload []byte) error {
 	return err
 }
 
-func readResponse(r io.Reader) (status byte, payload []byte, err error) {
+// readResponse reads one response frame, its payload into the buffer
+// alloc returns for the payload length: the client's readLoop draws it
+// from the frame pool only when the caller recycles the response (see
+// recycledResponse).
+func readResponse(r io.Reader, alloc func(n int) []byte) (status byte, payload []byte, err error) {
 	var head [5]byte
 	if _, err = io.ReadFull(r, head[:]); err != nil {
 		return 0, nil, err
@@ -581,25 +582,9 @@ func readResponse(r io.Reader) (status byte, payload []byte, err error) {
 	if payloadLen > MaxPayloadLen {
 		return 0, nil, fmt.Errorf("transport: payload length %d exceeds limit", payloadLen)
 	}
-	// Small responses (acks, errors, stat bitmaps) are decoded and
-	// recycled by the caller, so they come from the frame pool. Large
-	// responses are Get/GetMany payloads whose blocks escape to the
-	// caller and are never recycled — an exact-size plain allocation
-	// beats a pooled power-of-two bucket that would round an 8 MB frame
-	// up to 16 MB of zeroing with no second use.
-	if payloadLen > maxPooledResponse {
-		payload = make([]byte, payloadLen)
-	} else {
-		payload = getBuf(int(payloadLen))
-	}
+	payload = alloc(int(payloadLen))
 	if _, err = io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
 	return status, payload, nil
 }
-
-// maxPooledResponse bounds which response payloads readResponse draws
-// from the frame pool; anything larger is assumed to escape (block
-// payloads) and takes an exact-size allocation instead. putBuf refuses
-// non-bucket capacities, so the two kinds can meet it safely.
-const maxPooledResponse = 64 << 10
