@@ -243,8 +243,9 @@ func TestClusterEndToEnd(t *testing.T) {
 	// Every block is still recoverable through the healed fleet, and each
 	// read is one pp-tuple exchange: the servers' own request counters
 	// (one registry for every server of this process, read over OpMetrics
-	// like a dashboard would) see one GetMany frame per read — two when
-	// the tuple straddles nodes, which stripes of 4 make common — and no
+	// like a dashboard would) see one XorMany frame per read whose tuple
+	// one node holds, one GetMany frame on each of two nodes when the
+	// tuple straddles them — which stripes of 4 make common — and no
 	// single-block Get at all.
 	admin, err := transport.DialPool(fleet[(victim+1)%fleetSize].addr, 1)
 	if err != nil {
@@ -272,8 +273,13 @@ func TestClusterEndToEnd(t *testing.T) {
 	if gets := afterReads.Counters["transport/get.count"] - before.Counters["transport/get.count"]; gets != 0 {
 		t.Errorf("%d reads cost %d single-block Get requests, want 0", n, gets)
 	}
-	if frames := afterReads.Counters["transport/getmany.count"] - before.Counters["transport/getmany.count"]; frames < n || frames > 2*n {
-		t.Errorf("%d reads cost %d GetMany frames, want one per read (two when its tuple straddles nodes)", n, frames)
+	delta := func(name string) int64 { return afterReads.Counters[name] - before.Counters[name] }
+	xors, getManys := delta("transport/xormany.count"), delta("transport/getmany.count")
+	if frames := xors + getManys; frames < n || frames > 2*n {
+		t.Errorf("%d reads cost %d XorMany and %d GetMany frames, want one per read (two when its tuple straddles nodes)", n, xors, getManys)
+	}
+	if xors == 0 {
+		t.Errorf("no read was a node-side XOR: %d GetMany frames", getManys)
 	}
 }
 

@@ -25,9 +25,13 @@
 // enumeration (once per Repair), each round's GetMany of the tuples it
 // chose and each round's commit cost one batched frame per storage node
 // touched (one per chunkEntries-sized chunk when a batch outgrows a
-// frame), and their wall clock is the slowest node's, not the sum. Read fetches a pp-tuple the same way: one
-// GetMany frame when both parities share a node, two frames in flight
-// together when they do not.
+// frame), and their wall clock is the slowest node's, not the sum. Read
+// decodes a lost block from a pp-tuple on the node when it can: when
+// both parities share a node that answers XorMany, that node sends their
+// XOR — one block on the wire, one exchange. Otherwise the tuple is
+// fetched the bulk way: one GetMany frame when both parities share a
+// node, two frames in flight together when they do not, XORed by the
+// broker.
 package cooperative
 
 import (
@@ -41,6 +45,7 @@ import (
 	"aecodes/internal/blockstore"
 	"aecodes/internal/entangle"
 	"aecodes/internal/lattice"
+	"aecodes/internal/obs"
 	"aecodes/internal/store"
 	tenantpkg "aecodes/internal/tenant"
 	"aecodes/internal/xorblock"
@@ -50,6 +55,17 @@ import (
 // blocks. It wraps the repository-wide store.ErrNotFound sentinel, so
 // errors.Is works with either across every backend.
 var ErrNotFound = fmt.Errorf("cooperative: %w", store.ErrNotFound)
+
+// How Read served the pp-tuples it tried: answered by one node-side XOR
+// exchange, or fetched as two blocks and XORed by the broker (a tuple
+// straddling two nodes, a virtual member, a node without XorMany, or a
+// node that refused it). A tuple whose XorMany found the node unreachable
+// counts in neither.
+var (
+	coopScope        = obs.Default.Scope("cooperative")
+	obsReadNodeXor   = coopScope.Counter("read.node_xor")
+	obsReadPairFetch = coopScope.Counter("read.pair_fetch")
+)
 
 // NodeStore is one remote storage node as the broker sees it — the client
 // side of store.Keyed, one method per wire operation. transport.PoolClient
@@ -91,6 +107,21 @@ type (
 	HelloNodeStore = NodeStore
 )
 
+// xorNode is a NodeStore that decodes for the reader. XorMany reads keys
+// as pairs and returns one entry per pair in order: the XOR of the two
+// blocks when the node holds both at equal length, nil otherwise. An
+// error wrapping store.ErrUnavailable means the node could not be
+// reached; any other error is a refusal — a node that predates the op
+// answers "unknown op" — and Read then fetches the pair instead.
+// transport.PoolClient and InMemoryNode implement it. It is not a
+// NodeStore method only because bench/trace.go asserts at compile time
+// that its traced node satisfies NodeStore, and that file changes only in
+// a benchmark PR; that PR folds XorMany into NodeStore together with the
+// aliases above.
+type xorNode interface {
+	XorMany(ctx context.Context, keys []string) ([][]byte, error)
+}
+
 // batchChunk bounds one GetMany/PutMany call by entry count
 // (conservatively below transport.MaxBatchEntries = 4096, without
 // importing that package), and batchChunkBytes bounds the expected frame
@@ -130,9 +161,13 @@ type InMemoryNode struct {
 	putCalls      int
 	batchPutCalls int
 	statCalls     int
+	xorCalls      int
 }
 
-var _ NodeStore = (*InMemoryNode)(nil)
+var (
+	_ NodeStore = (*InMemoryNode)(nil)
+	_ xorNode   = (*InMemoryNode)(nil)
+)
 
 // NewInMemoryNode returns an empty, available node.
 func NewInMemoryNode() *InMemoryNode {
@@ -178,6 +213,30 @@ func (n *InMemoryNode) GetMany(ctx context.Context, keys []string) ([][]byte, er
 			cp := make([]byte, len(b))
 			copy(cp, b)
 			out[i] = cp
+		}
+	}
+	return out, nil
+}
+
+// XorMany decodes on the node: one simulated frame answering, per pair
+// of keys, the XOR of the two blocks when both are held at equal length
+// and nil otherwise.
+func (n *InMemoryNode) XorMany(ctx context.Context, keys []string) ([][]byte, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.xorCalls++
+	if n.down {
+		return nil, fmt.Errorf("cooperative: %w", store.ErrUnavailable)
+	}
+	if len(keys)%2 != 0 {
+		return nil, fmt.Errorf("cooperative: xor of %d keys is not a list of pairs", len(keys))
+	}
+	out := make([][]byte, len(keys)/2)
+	for k := range out {
+		a, okA := n.blocks[keys[2*k]]
+		b, okB := n.blocks[keys[2*k+1]]
+		if okA && okB && len(a) == len(b) {
+			out[k], _ = xorblock.Xor(a, b)
 		}
 	}
 	return out, nil
@@ -286,11 +345,18 @@ func (n *InMemoryNode) BatchStatCalls() int {
 	return n.statCalls
 }
 
+// XorCalls returns the number of XorMany requests served.
+func (n *InMemoryNode) XorCalls() int {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.xorCalls
+}
+
 // ResetCounters zeroes the request counters.
 func (n *InMemoryNode) ResetCounters() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.getCalls, n.batchGetCalls, n.putCalls, n.batchPutCalls, n.statCalls = 0, 0, 0, 0, 0
+	n.getCalls, n.batchGetCalls, n.putCalls, n.batchPutCalls, n.statCalls, n.xorCalls = 0, 0, 0, 0, 0, 0
 }
 
 // Len returns the number of blocks held (even while down).
@@ -655,10 +721,15 @@ func (b *Broker) DropLocal(positions ...int) {
 // ("users can access their data directly from their local computers,
 // decoding is not required"), otherwise decoded from remote parities via
 // the first complete pp-tuple, falling back to multi-round repair. Each
-// tuple tried costs one exchange: both parities travel in one GetMany
-// frame when they share a node, in two concurrent frames otherwise. A
-// context that ends mid-read is returned as is — it is not mistaken for
-// missing parities and answered with a repair.
+// tuple tried costs one exchange. When both parities live on one node
+// that can decode, it is one XorMany frame and the node sends their XOR:
+// one block on the wire, and the broker keeps that block as is. Any
+// other tuple — straddling two nodes, with a virtual member at the
+// lattice head, or on a node without the op or that refuses it — travels
+// as its two parities, in one GetMany frame when they share a node and
+// in two concurrent frames otherwise, XORed here. A context that ends
+// mid-read is returned as is — it is not mistaken for missing parities
+// and answered with a repair.
 func (b *Broker) Read(ctx context.Context, i int) ([]byte, error) {
 	b.mu.RLock()
 	count := b.count
@@ -679,16 +750,12 @@ func (b *Broker) Read(ctx context.Context, i int) ([]byte, error) {
 		return nil, err
 	}
 	for _, t := range tuples {
-		pair, err := st.GetMany(ctx, []store.Ref{store.ParityRef(t.In), store.ParityRef(t.Out)})
+		data, err := st.decodeTuple(ctx, t)
 		if err != nil {
 			return nil, err
 		}
-		if pair[0] == nil || pair[1] == nil {
+		if data == nil {
 			continue
-		}
-		data, err := xorblock.Xor(pair[0], pair[1])
-		if err != nil {
-			return nil, err
 		}
 		out := make([]byte, len(data))
 		copy(out, data)
@@ -854,7 +921,7 @@ func (s *netStore) GetData(ctx context.Context, i int) ([]byte, error) {
 }
 
 // GetParity implements store.Source: a remote fetch from the responsible
-// node (Table III step 4).
+// node (Table III step 4). A block that is not blockSize long is missing.
 func (s *netStore) GetParity(ctx context.Context, e lattice.Edge) ([]byte, error) {
 	if e.IsVirtual() {
 		return store.ZeroBlock(s.b.blockSize), nil
@@ -870,7 +937,11 @@ func (s *netStore) GetParity(ctx context.Context, e lattice.Edge) ([]byte, error
 	if err != nil {
 		return nil, fmt.Errorf("cooperative: routing %s: %w", key, err)
 	}
-	return node.Get(ctx, key)
+	data, err := node.Get(ctx, key)
+	if err == nil && len(data) != s.b.blockSize {
+		return nil, fmt.Errorf("cooperative: %s holds %d bytes, want %d: %w", key, len(data), s.b.blockSize, store.ErrNotFound)
+	}
+	return data, err
 }
 
 // PutData implements store.Single: repaired data returns to the user.
@@ -897,7 +968,8 @@ func (s *netStore) PutParity(ctx context.Context, e lattice.Edge, data []byte) e
 
 // fetchFromNode fetches keys from one node, one GetMany frame per
 // chunkEntries-sized chunk. The result has one entry per key; a nil entry
-// means the block is missing or the node was unreachable for its chunk.
+// means the block is missing, is not blockSize long (no XOR could use
+// it), or the node was unreachable for its chunk.
 func (s *netStore) fetchFromNode(ctx context.Context, node NodeStore, keys []string) [][]byte {
 	out := make([][]byte, len(keys))
 	step := chunkEntries(s.b.blockSize)
@@ -907,7 +979,11 @@ func (s *netStore) fetchFromNode(ctx context.Context, node NodeStore, keys []str
 		if err != nil || len(blocks) != end-start {
 			continue // node unreachable (or confused): chunk stays nil
 		}
-		copy(out[start:end], blocks)
+		for j, blk := range blocks {
+			if len(blk) == s.b.blockSize {
+				out[start+j] = blk
+			}
+		}
 	}
 	return out
 }
@@ -945,10 +1021,60 @@ func (g *keysByNode) add(node NodeStore, key string, slot int) {
 // GetMany implements store.BlockStore: data refs are served from the
 // user's machine, parity refs are grouped by responsible node and fetched
 // from all nodes concurrently, one batched frame per node and chunk. This
-// is the path the repair engine's round prefetch and Read's pp-tuple fetch
-// travel. A context that ends during
-// the fetch is an error, not a batch of missing blocks.
+// is the path the repair engine's round prefetch travels, and Read's
+// pp-tuple fetch when no one node can decode the tuple. A context that
+// ends during the fetch is an error, not a batch of missing blocks.
 func (s *netStore) GetMany(ctx context.Context, refs []store.Ref) ([][]byte, error) {
+	out, groups := s.resolve(ctx, refs)
+	s.fetchGroups(ctx, &groups, out)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// decodeTuple returns the data block a pp-tuple decodes to, t.In ⊕
+// t.Out, or nil when a member is missing. When one node serves both
+// parities and can decode, it is asked for their XOR, and the block it
+// sends is the result; otherwise both parities are fetched as GetMany
+// would and XORed here.
+func (s *netStore) decodeTuple(ctx context.Context, t lattice.Tuple) ([]byte, error) {
+	pair, groups := s.resolve(ctx, []store.Ref{store.ParityRef(t.In), store.ParityRef(t.Out)})
+	if len(groups.nodes) == 1 && len(groups.nodes[0].keys) == 2 {
+		if xn, ok := groups.nodes[0].node.(xorNode); ok {
+			res, err := xn.XorMany(ctx, groups.nodes[0].keys)
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, cerr
+			}
+			switch {
+			case err == nil && len(res) == 1:
+				obsReadNodeXor.Inc()
+				if len(res[0]) != s.b.blockSize {
+					return nil, nil // a member is missing or of the wrong size
+				}
+				return res[0], nil
+			case errors.Is(err, store.ErrUnavailable):
+				return nil, nil // as a failed GetMany: the members are missing
+			}
+			// A refusal: fetch the pair instead.
+		}
+	}
+	obsReadPairFetch.Inc()
+	s.fetchGroups(ctx, &groups, pair)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if pair[0] == nil || pair[1] == nil {
+		return nil, nil
+	}
+	return xorblock.Xor(pair[0], pair[1])
+}
+
+// resolve answers what the broker holds itself — the user's data blocks
+// and virtual parities — into a result with one entry per ref, and
+// groups every other parity by the node serving it. A parity never
+// created or not routable joins no group and stays nil.
+func (s *netStore) resolve(ctx context.Context, refs []store.Ref) ([][]byte, keysByNode) {
 	out := make([][]byte, len(refs))
 	// Partition refs: local data and virtual parities answer under the
 	// lock, real parities collect for routing (the router may do I/O, so
@@ -986,16 +1112,18 @@ func (s *netStore) GetMany(ctx context.Context, refs []store.Ref) ([][]byte, err
 		}
 		groups.add(node, key, p.pos)
 	}
+	return out, groups
+}
+
+// fetchGroups fetches every group from its node, all nodes concurrently,
+// into the result slots the groups name.
+func (s *netStore) fetchGroups(ctx context.Context, groups *keysByNode, out [][]byte) {
 	fanOut(len(groups.nodes), func(i int) {
 		g := &groups.nodes[i]
 		for j, blk := range s.fetchFromNode(ctx, g.node, g.keys) {
 			out[g.slots[j]] = blk
 		}
 	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // PutMany implements store.BlockStore: repaired data blocks return to the

@@ -13,6 +13,7 @@ import (
 
 	"aecodes/internal/entangle"
 	"aecodes/internal/lattice"
+	"aecodes/internal/obs"
 	"aecodes/internal/store"
 )
 
@@ -96,19 +97,27 @@ func stripedSystem(t *testing.T, user string, stripe, n, blockSize int, seed int
 }
 
 // frames sums the requests the nodes served since the last reset.
-type frames struct{ get, getMany, put, putMany, stat int }
+type frames struct{ get, getMany, put, putMany, stat, xor int }
 
 func countFrames(mems []*InMemoryNode) (total frames, perNode []frames) {
 	for _, m := range mems {
-		f := frames{m.GetCalls(), m.BatchCalls(), m.PutCalls(), m.BatchPutCalls(), m.BatchStatCalls()}
+		f := frames{m.GetCalls(), m.BatchCalls(), m.PutCalls(), m.BatchPutCalls(), m.BatchStatCalls(), m.XorCalls()}
 		perNode = append(perNode, f)
 		total.get += f.get
 		total.getMany += f.getMany
 		total.put += f.put
 		total.putMany += f.putMany
 		total.stat += f.stat
+		total.xor += f.xor
 	}
 	return total, perNode
+}
+
+// readCounters returns the broker's read-path counters: tuples answered
+// by a node-side XOR, and tuples fetched as two blocks.
+func readCounters() (nodeXor, pairFetch int64) {
+	c := obs.Default.Snapshot().Counters
+	return c["cooperative/read.node_xor"], c["cooperative/read.pair_fetch"]
 }
 
 func resetAll(mems []*InMemoryNode) {
@@ -117,22 +126,28 @@ func resetAll(mems []*InMemoryNode) {
 	}
 }
 
-// tupleNodes returns how many distinct nodes hold the real parities of t
-// — the GetMany frames one try of that tuple costs.
-func tupleNodes(t *testing.T, b *Broker, tu lattice.Tuple) int {
+// tupleFrames returns the frames one try of tuple tu costs: one XorMany
+// when one node holds both of its parities, otherwise one GetMany per
+// distinct node holding a real parity.
+func tupleFrames(t *testing.T, b *Broker, tu lattice.Tuple) frames {
 	t.Helper()
 	seen := map[NodeStore]bool{}
+	remote := 0
 	for _, e := range []lattice.Edge{tu.In, tu.Out} {
 		if e.IsVirtual() {
 			continue
 		}
+		remote++
 		node, _, err := b.router.Route(bg, b.parityKey(e), e)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seen[node] = true
 	}
-	return len(seen)
+	if remote == 2 && len(seen) == 1 {
+		return frames{xor: 1}
+	}
+	return frames{getMany: len(seen)}
 }
 
 // TestClusterShapedTraffic pins the exchange counts of every operation
@@ -162,36 +177,52 @@ func TestClusterShapedTraffic(t *testing.T) {
 	}
 	lat := b.rep.Lattice()
 
-	// Clean read: one GetMany frame when the first tuple shares a node,
-	// one frame on each of two nodes when it does not; never a Get.
+	// Clean read: one XorMany frame when one node holds the first tuple
+	// whole, one GetMany frame on each of two nodes when the tuple
+	// straddles them (or one, beside a virtual member); never a Get. The
+	// read counters agree with the frames.
 	b.DropLocal()
-	sameNode := 0
+	sameNode, straddling, virtual := 0, 0, 0
 	for i := 1; i <= n; i++ {
 		tuples, err := lat.Tuples(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := tupleNodes(t, b, tuples[0])
-		if want == 1 {
-			sameNode++
+		want := tupleFrames(t, b, tuples[0])
+		sameNode += want.xor
+		if want.getMany == 2 {
+			straddling++
+		}
+		if tuples[0].In.IsVirtual() {
+			virtual++
 		}
 		resetAll(mems)
+		xor0, pair0 := readCounters()
 		got, err := b.Read(bg, i)
 		if err != nil || !bytes.Equal(got, originals[i]) {
 			t.Fatalf("Read(%d): wrong content or error %v", i, err)
 		}
 		f, per := countFrames(mems)
-		if f.getMany != want || f.get != 0 || f.stat != 0 {
-			t.Fatalf("clean Read(%d) cost %d GetMany frames, %d Gets, %d StatMany; want %d, 0, 0", i, f.getMany, f.get, f.stat, want)
+		if f.xor != want.xor || f.getMany != want.getMany || f.get != 0 || f.stat != 0 {
+			t.Fatalf("clean Read(%d) cost %d XorMany, %d GetMany frames, %d Gets, %d StatMany; want %d, %d, 0, 0",
+				i, f.xor, f.getMany, f.get, f.stat, want.xor, want.getMany)
 		}
 		for k, p := range per {
-			if p.getMany > 1 {
-				t.Fatalf("clean Read(%d) sent node %d %d frames, want ≤ 1", i, k, p.getMany)
+			if p.getMany+p.xor > 1 {
+				t.Fatalf("clean Read(%d) sent node %d %d frames, want ≤ 1", i, k, p.getMany+p.xor)
 			}
+		}
+		xor1, pair1 := readCounters()
+		if xor1-xor0 != int64(want.xor) || pair1-pair0 != int64(1-want.xor) {
+			t.Fatalf("clean Read(%d) counted %d node XORs and %d pair fetches, want %d and %d",
+				i, xor1-xor0, pair1-pair0, want.xor, 1-want.xor)
 		}
 	}
 	if share := float64(sameNode) / n; share < 0.95 {
-		t.Errorf("only %.0f%% of clean reads were one frame; stripes of %d should give ≈ 97%%", 100*share, stripe)
+		t.Errorf("only %.0f%% of clean reads were one node-side XOR; stripes of %d should give ≈ 97%%", 100*share, stripe)
+	}
+	if straddling == 0 || virtual == 0 {
+		t.Errorf("%d clean reads' first tuples straddled two nodes and %d had a virtual in-edge: a pair-fetch leg went unchecked", straddling, virtual)
 	}
 
 	// Degraded read: every tuple tried costs one exchange, and a read with
@@ -207,15 +238,22 @@ func TestClusterShapedTraffic(t *testing.T) {
 		mem.mu.Lock()
 		delete(mem.blocks, b.parityKey(in))
 		mem.mu.Unlock()
-		want := tupleNodes(t, b, tuples[0]) + tupleNodes(t, b, tuples[1])
+		first, second := tupleFrames(t, b, tuples[0]), tupleFrames(t, b, tuples[1])
+		want := frames{xor: first.xor + second.xor, getMany: first.getMany + second.getMany}
 		b.DropLocal(i)
 		resetAll(mems)
+		xor0, pair0 := readCounters()
 		got, err := b.Read(bg, i)
 		if err != nil || !bytes.Equal(got, originals[i]) {
 			t.Fatalf("degraded Read(%d): wrong content or error %v", i, err)
 		}
-		if f, _ := countFrames(mems); f.getMany != want || f.get != 0 || f.stat != 0 {
-			t.Errorf("degraded Read(%d) over two tuples cost %d GetMany frames, %d Gets, %d StatMany; want %d, 0, 0", i, f.getMany, f.get, f.stat, want)
+		if f, _ := countFrames(mems); f.xor != want.xor || f.getMany != want.getMany || f.get != 0 || f.stat != 0 {
+			t.Errorf("degraded Read(%d) over two tuples cost %d XorMany, %d GetMany frames, %d Gets, %d StatMany; want %d, %d, 0, 0",
+				i, f.xor, f.getMany, f.get, f.stat, want.xor, want.getMany)
+		}
+		if xor1, pair1 := readCounters(); xor1-xor0 != int64(want.xor) || pair1-pair0 != int64(2-want.xor) {
+			t.Errorf("degraded Read(%d) counted %d node XORs and %d pair fetches, want %d and %d",
+				i, xor1-xor0, pair1-pair0, want.xor, 2-want.xor)
 		}
 	}
 
@@ -545,6 +583,11 @@ func (n *cancellingNode) GetMany(ctx context.Context, keys []string) ([][]byte, 
 	return n.InMemoryNode.GetMany(ctx, keys)
 }
 
+func (n *cancellingNode) XorMany(ctx context.Context, keys []string) ([][]byte, error) {
+	n.cancel()
+	return n.InMemoryNode.XorMany(ctx, keys)
+}
+
 func (n *cancellingNode) StatMany(ctx context.Context, keys []string) ([]bool, error) {
 	n.cancel()
 	return n.InMemoryNode.StatMany(ctx, keys)
@@ -552,7 +595,8 @@ func (n *cancellingNode) StatMany(ctx context.Context, keys []string) ([]bool, e
 
 // TestCancellationIsNotMissing: a context that ends mid-fetch surfaces as
 // its error from GetMany, Missing and Read — not as an all-missing result
-// that Read answers with a whole-lattice repair.
+// that Read answers with a whole-lattice repair. The one node holds every
+// tuple whole, so Read's exchange is the node-side XOR.
 func TestCancellationIsNotMissing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -568,6 +612,9 @@ func TestCancellationIsNotMissing(t *testing.T) {
 
 	if _, err := b.Read(ctx, 10); !errors.Is(err, context.Canceled) {
 		t.Errorf("Read under a cancelled context = %v, want context.Canceled", err)
+	}
+	if node.XorCalls() != 1 || node.BatchCalls() != 0 {
+		t.Errorf("cancelled Read sent %d XorMany and %d GetMany frames, want 1 and 0", node.XorCalls(), node.BatchCalls())
 	}
 	if node.BatchStatCalls() != 0 || node.BatchPutCalls() != 0 {
 		t.Errorf("cancelled Read went on to repair the lattice: %d StatMany, %d PutMany", node.BatchStatCalls(), node.BatchPutCalls())

@@ -521,13 +521,34 @@ func (h *Store) StatBatch(keys []string) []int {
 	return out
 }
 
+// keys returns the backing keys of a read's key list. The prefixed keys
+// are substrings of one string, so a read costs the same allocations
+// whatever its key count; the backing keeps no key it was only asked to
+// read, so none pins that string.
 func (h *Store) keys(keys []string) []string {
 	if h.id == Anonymous {
 		return keys
 	}
+	prefix := len(Prefix) + len(h.id) + 1
+	size := 0
+	for _, k := range keys {
+		size += prefix + len(k)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, k := range keys {
+		b.WriteString(Prefix)
+		b.WriteString(h.id)
+		b.WriteByte('/')
+		b.WriteString(k)
+	}
+	all := b.String()
 	full := make([]string, len(keys))
+	off := 0
 	for i, k := range keys {
-		full[i] = h.key(k)
+		end := off + prefix + len(k)
+		full[i] = all[off:end]
+		off = end
 	}
 	return full
 }

@@ -10,6 +10,9 @@
 //	getManyR := count(4) { found(1) dataLen(4) data }*
 //	statManyQ = getManyQ
 //	statManyR := count(4) { held(1) }*
+//	xorManyQ  = getManyQ with an even count, read as pairs (a, b)
+//	xorManyR  = getManyR with one entry per pair: found=1 and a⊕b when
+//	            both members are held at equal length, found=0 otherwise
 //
 // count is capped at MaxBatchEntries and the whole payload at
 // MaxPayloadLen (enforced by the framing layer); oversized or malformed
@@ -96,11 +99,18 @@ func putManySegments(items []KV) (net.Buffers, []byte, error) {
 
 // getMany is PoolClient.GetMany on one picked connection.
 func getMany(ctx context.Context, c *pipeConn, keys []string) ([][]byte, error) {
+	return readMany(ctx, c, OpGetMany, keys, len(keys))
+}
+
+// readMany sends keys as a getManyQ under op and decodes the getManyR
+// answer, which must carry want entries: one per key for OpGetMany, one
+// per pair for OpXorMany.
+func readMany(ctx context.Context, c *pipeConn, op byte, keys []string, want int) ([][]byte, error) {
 	payload, err := encodeGetManyReq(keys)
 	if err != nil {
 		return nil, err
 	}
-	status, resp, err := c.roundTrip(ctx, OpGetMany, "", payload)
+	status, resp, err := c.roundTrip(ctx, op, "", payload)
 	if err != nil {
 		return nil, err
 	}
@@ -111,8 +121,8 @@ func getMany(ctx context.Context, c *pipeConn, keys []string) ([][]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	if len(blocks) != len(keys) {
-		return nil, fmt.Errorf("transport: got %d batch entries, want %d", len(blocks), len(keys))
+	if len(blocks) != want {
+		return nil, fmt.Errorf("transport: got %d batch entries, want %d", len(blocks), want)
 	}
 	return blocks, nil
 }

@@ -102,6 +102,7 @@ func init() {
 		OpNodeStat: "nodestat",
 		OpUsage:    "usage",
 		OpMetrics:  "metrics",
+		OpXorMany:  "xormany",
 	} {
 		opTab[op] = newOpMetrics(name)
 	}

@@ -485,8 +485,11 @@ var errPipeClosed = errors.New("transport: connection closed")
 // errConnFault marks failures that poisoned the connection they happened
 // on — I/O errors, response timeouts, protocol desynchronisation. The
 // pool treats them as grounds for eviction + retry on another
-// connection; remote errors and context errors never carry it.
-var errConnFault = errors.New("transport: connection fault")
+// connection; remote errors and context errors never carry it. It wraps
+// store.ErrUnavailable: an operation that exhausted its retries on
+// faulted connections failed because the node could not be reached,
+// which callers tell apart from a node that answered with a refusal.
+var errConnFault = fmt.Errorf("transport: connection fault: %w", store.ErrUnavailable)
 
 // errResponseTimeout is the fault recorded when a request's response
 // deadline expires before the node answers.
@@ -582,9 +585,10 @@ func (c *pipeConn) roundTripSegments(ctx context.Context, segs net.Buffers) (byt
 // recycledResponse reports whether the caller of op hands the response
 // payload back to the frame pool: acknowledgements (ackError) and stat
 // flags (statMany) are decoded and recycled. Every other response
-// escapes — Get and GetMany give theirs to the caller, and the control
-// ops decode from theirs without recycling — so readLoop allocates it
-// exact-size instead of draining a pooled buffer that never returns.
+// escapes — Get, GetMany and XorMany give theirs to the caller, and the
+// control ops decode from theirs without recycling — so readLoop
+// allocates it exact-size instead of draining a pooled buffer that never
+// returns.
 func recycledResponse(op byte) bool {
 	switch op {
 	case OpPut, OpDel, OpPutMany, OpStatMany:

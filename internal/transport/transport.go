@@ -10,7 +10,9 @@
 //
 // Operations: OpGet fetches a block by key (payload empty), OpPut stores a
 // block, OpDel removes one; OpPutMany/OpGetMany move batches and
-// OpStatMany answers presence-only flags (see batch.go); OpHello is the
+// OpStatMany answers presence-only flags (see batch.go); OpXorMany
+// answers the XOR of each pair of keys, so a pp-tuple the node holds
+// whole crosses the wire as one block (see xor.go); OpHello is the
 // version-gated tenant handshake — the key names a tenant, and the rest
 // of the connection serves that tenant's namespace. Status is StatusOK,
 // StatusNotFound, StatusQuota (admission control refused a write) or
@@ -408,6 +410,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			err = serveGetMany(conn, view, payload)
 		case OpStatMany:
 			err = serveStatMany(conn, view, payload)
+		case OpXorMany:
+			err = serveXorMany(conn, view, payload)
 		case OpHello:
 			view, err = s.serveHello(conn, view, key, payload)
 		case OpNodeStat:
