@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"aecodes/internal/benchfmt"
-	"aecodes/internal/hotpath"
 	"aecodes/internal/obs"
 	"aecodes/internal/segstore"
 	"aecodes/internal/store"
@@ -53,18 +52,20 @@ func (c netConfig) mbps(batches int, d time.Duration) float64 {
 	return float64(batches) * float64(c.blocks) * float64(c.blockSize) / (1 << 20) / d.Seconds()
 }
 
-// copyMeter snapshots the process-wide hotpath copy counter so each
-// measured phase can report block-payload bytes copied per block moved
-// — the zero-copy path's guarded number.
-type copyMeter struct{ start uint64 }
+// copyMeter reads the process-wide hotpath/copied_bytes counter from an
+// obs snapshot so each measured phase can report block-payload bytes
+// copied per block moved — the zero-copy path's guarded number.
+type copyMeter struct{ start int64 }
 
-func startCopyMeter() copyMeter { return copyMeter{start: hotpath.CopiedBytes()} }
+func copiedBytes() int64 { return obs.Default.Snapshot().Counters["hotpath/copied_bytes"] }
+
+func startCopyMeter() copyMeter { return copyMeter{start: copiedBytes()} }
 
 // perBlock returns copied bytes per block for n blocks moved since the
 // snapshot, as a pointer because a measured zero must be recorded (and
 // guarded), not omitted.
 func (m copyMeter) perBlock(n int) *float64 {
-	v := float64(hotpath.CopiedBytes()-m.start) / float64(n)
+	v := float64(copiedBytes()-m.start) / float64(n)
 	return &v
 }
 

@@ -18,7 +18,7 @@ type Result struct {
 	NsPerOp    float64 `json:"ns_op,omitempty"`
 	MBps       float64 `json:"mb_s,omitempty"`
 	// BytesBlock is block-payload bytes copied in user space per block
-	// moved (internal/hotpath), the zero-copy path's guarded number. A
+	// moved (the hotpath/copied_bytes obs counter), the zero-copy path's guarded number. A
 	// pointer so that a measured zero — the whole point of the vectored
 	// write path — is recorded and guarded rather than omitted as empty.
 	BytesBlock *float64 `json:"bytes_block,omitempty"`

@@ -97,76 +97,69 @@ func corruptRecord(t *testing.T, dir, key string) {
 	t.Fatalf("record for %q not found in any segment", key)
 }
 
-// TestSchedulerHealsAtRestCorruption is the end-to-end maintenance
-// contract: bit rot injected on disk after a segstore reopen is caught
-// by the scrub (which drops the record, surfacing it as missing) and
-// regenerated by the healing task — no client ever calls Repair.
-func TestSchedulerHealsAtRestCorruption(t *testing.T) {
+// rottedArchive builds an archive of 40 blocks of 1 KiB, reopens it
+// (recovery CRC-checks the log and keeps everything) and rots the data
+// records of victims at rest, returning the reopened store and the data
+// originals. The rot is still listed present: the store answers
+// presence from its index, and nothing has read the records yet.
+func rottedArchive(t *testing.T, victims []int) (*segstore.Store, map[int][]byte) {
+	t.Helper()
 	dir := t.TempDir()
 	seg, err := segstore.Open(dir, segstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := lattice.Params{Alpha: 3, S: 2, P: 5}
-	const n, blockSize = 40, 1024
-	originals := buildArchive(t, seg, params, n, blockSize)
+	originals := buildArchive(t, seg, lattice.Params{Alpha: 3, S: 2, P: 5}, 40, 1024)
 	if err := seg.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Reopen (recovery CRC-checks the log and keeps everything), then rot
-	// two blocks at rest — damage only a running scrub can find.
 	seg, err = segstore.Open(dir, segstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer seg.Close()
-	victims := []int{7, 23}
+	t.Cleanup(func() { seg.Close() })
 	for _, i := range victims {
 		corruptRecord(t, dir, store.DataRef(i).String())
 	}
 	for _, i := range victims {
-		if _, ok := seg.Get(store.DataRef(i).String()); ok {
-			t.Fatalf("corrupt record d%d still serves", i)
+		if !seg.Has(store.DataRef(i).String()) {
+			t.Fatalf("d%d unlisted before any read or scrub found its rot", i)
 		}
 	}
+	return seg, originals
+}
 
-	bucket := maintain.NewBucket(16<<20, 0)
-	sched := maintain.NewScheduler(maintain.Options{
-		Limit:     bucket,
-		IdleDelay: time.Millisecond,
-	},
-		&maintain.ScrubTask{Store: seg, Limit: bucket},
-		&maintain.HealTask{
-			Open: func(ctx context.Context) (maintain.HealTarget, error) {
-				lat, err := segstore.OpenLattice(seg)
-				if err != nil {
-					return nil, err
-				}
-				rep, err := entangle.NewRepairer(lat.Shape().Params)
-				if err != nil {
-					return nil, err
-				}
-				return maintain.NewStoreTarget(rep, lat, lat.Shape().Blocks), nil
-			},
-			Opts: entangle.Options{RateLimit: bucket},
+// healTask is the healing task aestored runs over a segstore lattice.
+func healTask(seg *segstore.Store, bucket *maintain.Bucket) *maintain.HealTask {
+	return &maintain.HealTask{
+		Open: func(ctx context.Context) (maintain.HealTarget, error) {
+			lat, err := segstore.OpenLattice(seg)
+			if err != nil {
+				return nil, err
+			}
+			rep, err := entangle.NewRepairer(lat.Shape().Params)
+			if err != nil {
+				return nil, err
+			}
+			return maintain.NewStoreTarget(rep, lat, lat.Shape().Blocks), nil
 		},
-	)
+		Opts: entangle.Options{RateLimit: bucket},
+	}
+}
+
+// runUntilHealed runs sched until the healing task has repaired as many
+// blocks as there are victims, checks that every victim then reads back
+// its original, and returns the scheduler's stats. It waits on the
+// task's count rather than reading the victims: a read of a rotted
+// record would itself find the rot.
+func runUntilHealed(t *testing.T, sched *maintain.Scheduler, seg *segstore.Store, victims []int, originals map[int][]byte) map[string]maintain.TaskStats {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { defer close(done); sched.Run(ctx) }()
 
-	healed := func() bool {
-		for _, i := range victims {
-			got, ok := seg.Get(store.DataRef(i).String())
-			if !ok || !bytes.Equal(got, originals[i]) {
-				return false
-			}
-		}
-		return true
-	}
 	deadline := time.After(30 * time.Second)
-	for !healed() {
+	for sched.Stats()["heal"].Repaired < len(victims) {
 		select {
 		case <-deadline:
 			cancel()
@@ -177,14 +170,56 @@ func TestSchedulerHealsAtRestCorruption(t *testing.T) {
 	}
 	cancel()
 	<-done
+	for _, i := range victims {
+		if got, ok := seg.Get(store.DataRef(i).String()); !ok || !bytes.Equal(got, originals[i]) {
+			t.Errorf("d%d after healing: ok=%v, equal to the original: %v", i, ok, bytes.Equal(got, originals[i]))
+		}
+	}
+	return sched.Stats()
+}
 
-	stats := sched.Stats()
+// TestSchedulerHealsAtRestCorruption is the end-to-end maintenance
+// contract: bit rot injected on disk after a segstore reopen is caught
+// by the scrub (which drops the record, surfacing it as missing) and
+// regenerated by the healing task — no client ever calls Repair.
+func TestSchedulerHealsAtRestCorruption(t *testing.T) {
+	victims := []int{7, 23}
+	seg, originals := rottedArchive(t, victims)
+	bucket := maintain.NewBucket(16<<20, 0)
+	sched := maintain.NewScheduler(maintain.Options{
+		Limit:     bucket,
+		IdleDelay: time.Millisecond,
+	},
+		&maintain.ScrubTask{Store: seg, Limit: bucket},
+		healTask(seg, bucket),
+	)
+	stats := runUntilHealed(t, sched, seg, victims, originals)
 	if stats["scrub"].Found < len(victims) {
 		t.Errorf("scrub found %d corruptions, want >= %d", stats["scrub"].Found, len(victims))
 	}
-	if stats["heal"].Repaired < len(victims) {
-		t.Errorf("heal repaired %d blocks, want >= %d", stats["heal"].Repaired, len(victims))
+}
+
+// TestHealTaskHealsReadFoundRot is the same damage with no scrub at all:
+// a foreground read that meets the rot gets nothing and drops the key,
+// which is enough for the healing task alone to regenerate it.
+func TestHealTaskHealsReadFoundRot(t *testing.T) {
+	victims := []int{7, 23}
+	seg, originals := rottedArchive(t, victims)
+	for _, i := range victims {
+		key := store.DataRef(i).String()
+		if _, ok := seg.Get(key); ok {
+			t.Fatalf("corrupt record d%d still serves", i)
+		}
+		if seg.Has(key) {
+			t.Fatalf("the read that found d%d corrupt left it listed", i)
+		}
 	}
+	bucket := maintain.NewBucket(16<<20, 0)
+	sched := maintain.NewScheduler(maintain.Options{
+		Limit:     bucket,
+		IdleDelay: time.Millisecond,
+	}, healTask(seg, bucket))
+	runUntilHealed(t, sched, seg, victims, originals)
 }
 
 // TestForegroundLatencyUnderBackgroundHealing guards the tentpole's
@@ -242,6 +277,8 @@ func TestForegroundLatencyUnderBackgroundHealing(t *testing.T) {
 	}
 	var inflight atomic.Int64
 	bucket := maintain.NewBucket(1<<20, 0)
+	heal := healTask(seg, bucket)
+	heal.Batch = 8
 	sched := maintain.NewScheduler(maintain.Options{
 		Limit:         bucket,
 		Pressure:      func() bool { return inflight.Load() > 0 },
@@ -249,21 +286,7 @@ func TestForegroundLatencyUnderBackgroundHealing(t *testing.T) {
 		PressureDelay: time.Millisecond,
 	},
 		&maintain.ScrubTask{Store: seg, Limit: bucket, Chunk: 64 << 10},
-		&maintain.HealTask{
-			Open: func(ctx context.Context) (maintain.HealTarget, error) {
-				lat, err := segstore.OpenLattice(seg)
-				if err != nil {
-					return nil, err
-				}
-				rep, err := entangle.NewRepairer(lat.Shape().Params)
-				if err != nil {
-					return nil, err
-				}
-				return maintain.NewStoreTarget(rep, lat, lat.Shape().Blocks), nil
-			},
-			Opts:  entangle.Options{RateLimit: bucket},
-			Batch: 8,
-		},
+		heal,
 	)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})

@@ -45,9 +45,9 @@ func bulkItems(recSize, total int) []store.KV {
 	return items
 }
 
-// benchBulkRead runs read (StatBatch, GetBatch or ReadBatch) over the
-// grid against one store per record size holding the largest batch,
-// reporting allocations: a read that allocates per record shows it.
+// benchBulkRead runs read (GetBatch or ReadBatch) over the grid against
+// one store per record size holding the largest batch, reporting
+// allocations: a read that allocates per record shows it.
 func benchBulkRead(b *testing.B, read func(s *segstore.Store, keys []string)) {
 	for _, rec := range bulkRecSizes {
 		items := bulkItems(rec, bulkTotals[len(bulkTotals)-1])
@@ -82,12 +82,6 @@ func benchBulkRead(b *testing.B, read func(s *segstore.Store, keys []string)) {
 		}
 		s.Close()
 	}
-}
-
-// BenchmarkStatBatch is the Missing sweep: every record pread and
-// CRC-checked into per-chunk scratch.
-func BenchmarkStatBatch(b *testing.B) {
-	benchBulkRead(b, func(s *segstore.Store, keys []string) { s.StatBatch(keys) })
 }
 
 // BenchmarkGetBatch is a repair fetch or an archive window: every record

@@ -8,9 +8,10 @@ import (
 	"sync"
 )
 
-// Bulk calls use every core. StatBatch and the batch reads spend their
-// time preading records and computing CRC32-C over them, record by
-// record, and a record's check depends on nothing but its own bytes.
+// Bulk calls use every core. The batch reads spend their time preading
+// records and computing CRC32-C over them, record by record, and a
+// record's check depends on nothing but its own bytes. (StatBatch reads
+// no record: it answers from the index, in line.)
 // runChunks splits such a call into contiguous chunks of about equal
 // record bytes and runs them on up to GOMAXPROCS goroutines. A batch
 // under bulkFloor record bytes runs in line as one chunk: below it the
@@ -30,11 +31,11 @@ import (
 var bulkFloor int64 = 8 << 20
 
 // runChunks runs fn over contiguous chunks [lo, hi) of the n items of a
-// bulk call, whose i-th item has size(i) record bytes, and returns the
-// batch's record bytes once every chunk has returned. One chunk, run in
-// line, below bulkFloor; otherwise one chunk per core, at most one per
-// bulkFloor/2 bytes, the last run on the caller's goroutine.
-func runChunks(n int, size func(i int) int64, fn func(lo, hi int)) int64 {
+// bulk call, whose i-th item has size(i) record bytes, and returns once
+// every chunk has. One chunk, run in line, below bulkFloor; otherwise
+// one chunk per core, at most one per bulkFloor/2 bytes, the last run on
+// the caller's goroutine.
+func runChunks(n int, size func(i int) int64, fn func(lo, hi int)) {
 	var total int64
 	for i := 0; i < n; i++ {
 		total += size(i)
@@ -45,11 +46,10 @@ func runChunks(n int, size func(i int) int64, fn func(lo, hi int)) int64 {
 	}
 	if chunks < 2 {
 		fn(0, n)
-		return total
+		return
 	}
 	obsBulkParallelBytes.Add(total)
 	runParallel(n, chunks, total, size, fn)
-	return total
 }
 
 // runParallel is runChunks' split: chunk c ends at the first item that
@@ -143,11 +143,10 @@ func readRecord(f *os.File, buf []byte, loc recordLoc, key string) ([]byte, bool
 	return rest[2+int(loc.keyLen):], true
 }
 
-// scratchPool holds the buffers StatBatch and ScrubStep verify records
-// in, one per chunk, grown to the largest record seen, and ReadBatch's
-// arenas, one per call, grown to the largest batch: a sweep of the
-// whole store, or a node serving reads, allocates no record buffer once
-// the pool is warm.
+// scratchPool holds the buffers ScrubStep verifies records in, grown to
+// the largest record seen, and ReadBatch's arenas, one per call, grown
+// to the largest batch: a scrub of the whole store, or a node serving
+// reads, allocates no record buffer once the pool is warm.
 var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // scratchFor returns *buf resliced to n bytes, growing it when short.

@@ -66,14 +66,11 @@ func TestRunChunksSplitsContiguously(t *testing.T) {
 		var mu sync.Mutex
 		var got [][2]int
 		withBulk(tc.floor, tc.procs, func() {
-			sum := runChunks(len(sizes), func(i int) int64 { return sizes[i] }, func(lo, hi int) {
+			runChunks(len(sizes), func(i int) int64 { return sizes[i] }, func(lo, hi int) {
 				mu.Lock()
 				got = append(got, [2]int{lo, hi})
 				mu.Unlock()
 			})
-			if sum != total {
-				t.Errorf("floor %d procs %d: runChunks returned %d record bytes, want %d", tc.floor, tc.procs, sum, total)
-			}
 		})
 		if len(got) != tc.wantChunks {
 			t.Errorf("floor %d procs %d: %d chunks, want %d", tc.floor, tc.procs, len(got), tc.wantChunks)
@@ -168,7 +165,8 @@ func bulkFixture(t *testing.T, rng *rand.Rand) (*Store, []string) {
 // in sealed and active segments, records corrupted at rest) StatBatch,
 // GetBatch and ReadBatch return what one Get per key returns — whether
 // the batch runs as one chunk or split, on one core or four. A corrupt
-// record reads as nil through all of them.
+// record reads as nil through all of them, and once the Get has dropped
+// it, stats -1.
 func TestBulkReadsMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	s, keys := bulkFixture(t, rng)
@@ -218,33 +216,46 @@ func TestBulkReadsMatchSerial(t *testing.T) {
 }
 
 // TestBulkPathsReadTheSameRecords pins the observability half of the
-// equivalence: stat.keys and stat.bytes move by the same amount whether
-// a sweep runs as one chunk or split (every record is still read and
-// verified), and bulk.parallel_bytes moves only on the split path, by
-// the batch's record bytes.
+// equivalence: the first sweep drops the fixture's corrupt records and
+// counts them in read.dropped; after it, read.bytes moves by the same
+// amount whether a sweep runs as one chunk or split, nothing more is
+// dropped, and bulk.parallel_bytes moves only on the split path, by the
+// batch's record bytes.
 func TestBulkPathsReadTheSameRecords(t *testing.T) {
 	s, keys := bulkFixture(t, rand.New(rand.NewSource(3)))
-	sweep := func(floor int64, procs int) (statKeys, statBytes, parallel int64) {
+	sweep := func(floor int64, procs int) (readBytes, dropped, parallel int64) {
 		withBulk(floor, procs, func() {
 			before := obs.Default.Snapshot()
-			s.StatBatch(keys)
+			s.GetBatch(keys)
 			after := obs.Default.Snapshot()
-			statKeys = after.Counters["segstore/stat.keys"] - before.Counters["segstore/stat.keys"]
-			statBytes = after.Counters["segstore/stat.bytes"] - before.Counters["segstore/stat.bytes"]
+			readBytes = after.Counters["segstore/read.bytes"] - before.Counters["segstore/read.bytes"]
+			dropped = after.Counters["segstore/read.dropped"] - before.Counters["segstore/read.dropped"]
 			parallel = after.Counters["segstore/bulk.parallel_bytes"] - before.Counters["segstore/bulk.parallel_bytes"]
 		})
 		return
 	}
-	k1, b1, p1 := sweep(math.MaxInt64, 1)
-	k4, b4, p4 := sweep(1, 4)
-	if k1 != int64(len(keys)) || k4 != k1 {
-		t.Errorf("stat.keys moved by %d (one chunk) and %d (split), want %d both", k1, k4, len(keys))
+	live := s.Len()
+	if _, d0, _ := sweep(math.MaxInt64, 1); d0 == 0 || s.Len() != live-int(d0) {
+		t.Fatalf("first sweep dropped %d keys and left %d of %d: the fixture's rot went unnoticed", d0, s.Len(), live)
 	}
+	var records int64
+	s.mu.RLock()
+	for _, key := range keys {
+		if loc, ok := s.index[key]; ok {
+			records += loc.recLen()
+		}
+	}
+	s.mu.RUnlock()
+	b1, d1, p1 := sweep(math.MaxInt64, 1)
+	b4, d4, p4 := sweep(1, 4)
 	if b1 == 0 || b4 != b1 {
-		t.Errorf("stat.bytes moved by %d (one chunk) and %d (split), want equal and nonzero", b1, b4)
+		t.Errorf("read.bytes moved by %d (one chunk) and %d (split), want equal and nonzero", b1, b4)
 	}
-	if p1 != 0 || p4 != b4 {
-		t.Errorf("bulk.parallel_bytes moved by %d (one chunk) and %d (split), want 0 and %d", p1, p4, b4)
+	if d1 != 0 || d4 != 0 {
+		t.Errorf("read.dropped moved by %d (one chunk) and %d (split) over clean records, want 0", d1, d4)
+	}
+	if p1 != 0 || p4 != records {
+		t.Errorf("bulk.parallel_bytes moved by %d (one chunk) and %d (split), want 0 and %d", p1, p4, records)
 	}
 }
 
@@ -426,6 +437,13 @@ func measureAllocs(fn func()) (objects float64, bytes uint64) {
 // corruptRecord flips the last byte of key's live record on disk.
 func corruptRecord(t *testing.T, s *Store, key string) {
 	t.Helper()
+	flipRecordByte(t, s, key, -1)
+}
+
+// flipRecordByte flips byte at of key's live record on disk, counted
+// from the record's start modulo its length (-1 is the last byte).
+func flipRecordByte(t *testing.T, s *Store, key string, at int64) {
+	t.Helper()
 	s.mu.RLock()
 	loc, ok := s.index[key]
 	f := s.files[loc.seg]
@@ -434,7 +452,7 @@ func corruptRecord(t *testing.T, s *Store, key string) {
 		t.Fatalf("%s has no live record", key)
 	}
 	var b [1]byte
-	off := loc.off + loc.recLen() - 1
+	off := loc.off + (at%loc.recLen()+loc.recLen())%loc.recLen()
 	if _, err := f.ReadAt(b[:], off); err != nil {
 		t.Fatal(err)
 	}

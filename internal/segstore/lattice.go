@@ -165,12 +165,12 @@ func (v *Lattice) PutParity(ctx context.Context, e lattice.Edge, b []byte) error
 
 // Missing implements store.Single: the expected set is data positions
 // 1..Blocks plus every real out-edge of those positions
-// (lattice.RealOutEdges), probed with ONE StatBatch — one lock
-// acquisition, split across cores for a large lattice, one pooled
-// scratch buffer per core, never materializing block contents. Each
-// candidate record is still read and CRC-verified,
-// so a record corrupted at rest is reported for repair exactly like an
-// absent one — Missing agrees with GetMany's availability view.
+// (lattice.RealOutEdges), probed with ONE StatBatch — over a Store, one
+// read lock and one index lookup per key, no record read. A record
+// corrupted at rest since Open is listed present until a read (GetMany,
+// GetData, a node's GetMany) or a scrub finds it: the read returns nil
+// and drops the key, the repair engine plans around the nil, and the
+// next Missing lists the block for repair.
 func (v *Lattice) Missing(ctx context.Context) (store.Missing, error) {
 	if err := ctx.Err(); err != nil {
 		return store.Missing{}, err

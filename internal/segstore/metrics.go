@@ -33,20 +33,29 @@ var (
 	// them.
 	obsReadLatency = segScope.Histogram("read.latency")
 	obsReadBytes   = segScope.Counter("read.bytes")
+	// read.dropped counts the keys a foreground read found failing their
+	// check and dropped from the index — rot no scrub had reached yet;
+	// scrub.corrupt below counts the scrub's own finds.
+	obsReadDropped = segScope.Counter("read.dropped")
 
-	// Enumeration path: StatBatch preads and CRC-checks every record it
-	// is asked about without returning it, so its cost shows nowhere on
-	// the read path above. One latency sample per call, plus keys probed
-	// and record bytes read.
+	// Enumeration path: StatBatch answers from the index and reads no
+	// record. One latency sample per call, plus keys probed.
 	obsStatLatency = segScope.Histogram("stat.latency")
 	obsStatKeys    = segScope.Counter("stat.keys")
-	obsStatBytes   = segScope.Counter("stat.bytes")
 
-	// Bulk reads (StatBatch, GetBatch, ReadBatch) split across cores
-	// from bulkFloor record bytes up: the record bytes of every call that
-	// was split. Its share of stat.bytes + read.bytes is the share of the
-	// verification work that can use a second core.
+	// Bulk reads (GetBatch, ReadBatch) split across cores from bulkFloor
+	// record bytes up: the record bytes of every call that was split —
+	// the share of a workload's record verification that can use a
+	// second core.
 	obsBulkParallelBytes = segScope.Counter("bulk.parallel_bytes")
+
+	// Block-payload bytes copied in user space on the socket↔store path:
+	// the number the zero-copy frame path exists to keep at zero. Only
+	// deliberate copies count — a store copying on put (transport's
+	// MemStore), a staging fallback before a write — never kernel-side
+	// socket or page-cache transfers. transport resolves the same
+	// counter; aebench reports it per block moved.
+	obsCopiedBytes = obs.Default.Scope("hotpath").Counter("copied_bytes")
 
 	// Durability: one sample per fsync of a segment file, wherever it
 	// ran (the seal job, per-batch Options.Sync, explicit Sync, Close,

@@ -24,8 +24,9 @@ type ScrubResult struct {
 // ScrubStep reads and CRC-verifies live records in key order, starting
 // strictly after the `after` cursor, until maxBytes of records have been
 // read or the key space is exhausted. Corrupt records are dropped from
-// the index (per-read CRC already makes them unreadable; dropping makes
-// the damage visible to Missing without waiting for a read). The reads
+// the index (a read that meets one drops it too; the scrub finds the
+// ones no read has touched, and the drop is what makes the damage
+// visible to StatBatch and so to Missing). The reads
 // run under the store's read lock, beside foreground reads; only the
 // drop takes the write lock, and it drops a key only while the index
 // still points at the record that failed — a key rewritten in between
@@ -39,23 +40,23 @@ func (s *Store) ScrubStep(after string, maxBytes int64) ScrubResult {
 	return res
 }
 
-// scrubFinding is a record that failed verification: its key and where
+// badRecord is a record that failed verification: its key and where
 // the index pointed when it did.
-type scrubFinding struct {
+type badRecord struct {
 	key string
 	loc recordLoc
 }
 
 // scrubVerify is ScrubStep's read half, under the read lock: it verifies
 // records and returns the ones that failed, leaving the index alone.
-func (s *Store) scrubVerify(after string, maxBytes int64) (ScrubResult, []scrubFinding) {
+func (s *Store) scrubVerify(after string, maxBytes int64) (ScrubResult, []badRecord) {
 	if maxBytes <= 0 {
 		maxBytes = 4 << 20
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var res ScrubResult
-	var bad []scrubFinding
+	var bad []badRecord
 	if s.closed {
 		return res, nil
 	}
@@ -72,7 +73,7 @@ func (s *Store) scrubVerify(after string, maxBytes int64) (ScrubResult, []scrubF
 		loc := s.index[key]
 		n := loc.recLen()
 		if _, ok := readRecord(s.files[loc.seg], scratchFor(scratch, n), loc, key); !ok {
-			bad = append(bad, scrubFinding{key, loc})
+			bad = append(bad, badRecord{key, loc})
 		}
 		res.Scanned++
 		res.Bytes += n
@@ -85,10 +86,18 @@ func (s *Store) scrubVerify(after string, maxBytes int64) (ScrubResult, []scrubF
 	return res, bad
 }
 
-// dropCorrupt is ScrubStep's write half: it drops each finding's key
-// whose index entry still points at the record that failed, and returns
-// the keys it dropped.
-func (s *Store) dropCorrupt(bad []scrubFinding) []string {
+// dropUnreadable is the read paths' write half, run once the read lock
+// is released and only when a record failed its check: it drops those
+// keys like a scrub finding and counts them in read.dropped.
+func (s *Store) dropUnreadable(bad []badRecord) {
+	obsReadDropped.Add(int64(len(s.dropCorrupt(bad))))
+}
+
+// dropCorrupt is the write half of ScrubStep and of every read: it drops
+// each finding's key whose index entry still points at the record that
+// failed — a Put or Compact in between wins — and returns the keys it
+// dropped.
+func (s *Store) dropCorrupt(bad []badRecord) []string {
 	if len(bad) == 0 {
 		return nil
 	}

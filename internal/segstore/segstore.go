@@ -23,7 +23,11 @@
 // one, the torn tail is truncated so the next append lands at a valid
 // offset. Reads re-verify the record CRC, so a block corrupted at rest
 // reads as missing — the repair engine regenerates it from its strands —
-// instead of serving bad bytes.
+// instead of serving bad bytes, and the read drops the key from the
+// index. Presence (StatBatch, Size, Has, Each) is answered from the
+// index alone: every entry was verified when it entered the index, so a
+// record that rots after Open stays listed until a read, ScrubStep or
+// Compact finds it.
 //
 // Deletes append a tombstone record; Compact rewrites the live records
 // of sealed segments to the tail of the log and removes the sealed
@@ -58,7 +62,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"aecodes/internal/hotpath"
 	"aecodes/internal/store"
 )
 
@@ -169,7 +172,7 @@ type Stats struct {
 }
 
 // Store is a durable keyed block store over append-only segment files.
-// It implements store.Keyed (and, with Size and Each, tenant.Backing)
+// It implements store.Keyed (and, with Size, Each and Dropped, tenant.Backing)
 // and is safe for concurrent use.
 type Store struct {
 	dir  string
@@ -198,6 +201,10 @@ type Store struct {
 	// failed holds the first fsync failure. The seal job sets it without
 	// mu (a barrier may hold mu while it waits for the job), hence atomic.
 	failed atomic.Pointer[error]
+
+	// dropped counts the keys dropped because their record failed its
+	// check (see Dropped). Written under mu, read without it.
+	dropped atomic.Uint64
 }
 
 var _ store.Keyed = (*Store)(nil)
@@ -395,13 +402,20 @@ func (s *Store) applyRecord(key string, tombstone bool, loc recordLoc) {
 }
 
 // dropLiveLocked removes a key whose record turned out unreadable,
-// keeping the live-byte counters in step. Callers hold s.mu.
+// keeping the live-byte counters and Dropped in step. Callers hold s.mu.
 func (s *Store) dropLiveLocked(key string) {
 	if old, ok := s.index[key]; ok {
 		s.liveInSeg[old.seg] -= old.recLen()
 		delete(s.index, key)
+		s.dropped.Add(1)
 	}
 }
+
+// Dropped counts the keys the store has dropped on its own since Open —
+// not through Del: records a read, ScrubStep or Compact found failing
+// their check. A caller that keeps totals over what the index holds
+// (tenant.Registry's usage) rebuilds them when the count moves.
+func (s *Store) Dropped() uint64 { return s.dropped.Load() }
 
 // countingReader counts consumed bytes so the scan knows each record's
 // offset without a second pass.
@@ -539,10 +553,9 @@ func (s *Store) deadBytesLocked() int64 {
 	return dead
 }
 
-// Size reports the payload length of the block under key without reading
-// it: an index lookup, O(1). A record corrupted at rest still sizes as
-// present (only reads verify the CRC) — callers that must agree with the
-// read path use StatBatch instead.
+// Size reports the payload length of the block under key from the index,
+// without reading it: StatBatch's answer for one key. Like StatBatch it
+// lists a record that rotted after Open until a read or scrub finds it.
 func (s *Store) Size(key string) (int64, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -568,29 +581,26 @@ func (s *Store) Each(fn func(key string, size int64) bool) {
 
 // Get returns the block stored under key and whether it exists. The
 // record's CRC is verified on every read: a record corrupted at rest
-// reads as missing, so the caller's repair machinery regenerates the
-// block instead of receiving bad bytes.
+// reads as missing, and is dropped from the index, so the caller's
+// repair machinery regenerates the block instead of receiving bad bytes.
 func (s *Store) Get(key string) ([]byte, bool) {
 	start := time.Now()
+	var b []byte
 	s.mu.RLock()
-	b, ok := s.getLocked(key)
+	loc, indexed := s.index[key]
+	indexed = indexed && !s.closed
+	ok := false
+	if indexed {
+		b, ok = readRecord(s.files[loc.seg], make([]byte, loc.recLen()), loc, key)
+	}
 	s.mu.RUnlock()
 	obsReadLatency.Record(time.Since(start).Nanoseconds())
 	if ok {
 		obsReadBytes.Add(int64(len(b)))
+	} else if indexed {
+		s.dropUnreadable([]badRecord{{key, loc}})
 	}
 	return b, ok
-}
-
-func (s *Store) getLocked(key string) ([]byte, bool) {
-	if s.closed {
-		return nil, false
-	}
-	loc, ok := s.index[key]
-	if !ok {
-		return nil, false
-	}
-	return readRecord(s.files[loc.seg], make([]byte, loc.recLen()), loc, key)
 }
 
 // Put stores a block under key, appending one record to the active
@@ -648,9 +658,10 @@ func (s *Store) GetBatch(keys []string) [][]byte {
 // lock, every live record is read and verified by readRecord — in chunks
 // on every core once the batch is large enough (see runChunks) — and the
 // lock is released before it returns. Entry i is the payload of keys[i],
-// nil when it has no record or the record fails the check. The records
-// land in *arena, grown to the batch's record bytes, or, when arena is
-// nil, each in a fresh buffer.
+// nil when it has no record or the record fails the check; a record that
+// fails it is dropped from the index once the read lock is released. The
+// records land in *arena, grown to the batch's record bytes, or, when
+// arena is nil, each in a fresh buffer.
 func (s *Store) readBatch(keys []string, arena *[]byte) [][]byte {
 	start := time.Now()
 	out := make([][]byte, len(keys))
@@ -670,42 +681,41 @@ func (s *Store) readBatch(keys []string, arena *[]byte) [][]byte {
 	})
 	s.mu.RUnlock()
 	var bytes int64
-	for _, b := range out {
+	var bad []badRecord
+	for i, b := range out {
 		bytes += int64(len(b))
+		if b == nil && ps[i].f != nil {
+			bad = append(bad, badRecord{keys[i], ps[i].loc})
+		}
 	}
 	obsReadLatency.Record(time.Since(start).Nanoseconds())
 	obsReadBytes.Add(bytes)
+	if bad != nil {
+		s.dropUnreadable(bad)
+	}
 	return out
 }
 
-// StatBatch probes presence without retaining content: one entry per
-// key in order, the block's byte length when its record is present and
-// CRC-valid, -1 otherwise. The whole batch runs under one lock
-// acquisition, split like readBatch's, and each chunk verifies its
-// records in one pooled scratch buffer, so enumerating a large store
-// costs O(cores) resident memory — unlike a batch read, which would
-// hold every block at once.
+// StatBatch probes presence from the index: one entry per key in order,
+// the block's byte length when the index holds a record for it, -1
+// otherwise. It reads no record. Every index entry was verified when it
+// entered the index — at append or by Open's scan — so the answer agrees
+// with ReadBatch except for a record corrupted at rest since, which
+// stats present until a read, ScrubStep or Compact finds it and drops
+// the key.
 func (s *Store) StatBatch(keys []string) []int {
 	start := time.Now()
 	out := make([]int, len(keys))
 	s.mu.RLock()
-	ps, _ := s.probesLocked(keys)
-	read := runChunks(len(ps), func(i int) int64 { return ps[i].size() }, func(lo, hi int) {
-		scratch := scratchPool.Get().(*[]byte)
-		for i := lo; i < hi; i++ {
-			out[i] = -1
-			if p := ps[i]; p.f != nil {
-				if _, ok := readRecord(p.f, scratchFor(scratch, p.loc.recLen()), p.loc, keys[i]); ok {
-					out[i] = int(p.loc.dataLen)
-				}
-			}
+	for i, key := range keys {
+		out[i] = -1
+		if loc, ok := s.index[key]; ok && !s.closed {
+			out[i] = int(loc.dataLen)
 		}
-		scratchPool.Put(scratch)
-	})
+	}
 	s.mu.RUnlock()
 	obsStatLatency.Record(time.Since(start).Nanoseconds())
 	obsStatKeys.Add(int64(len(keys)))
-	obsStatBytes.Add(read)
 	return out
 }
 
@@ -787,7 +797,7 @@ func (s *Store) putBatchLocked(items []store.KV) error {
 			return fmt.Errorf("segstore: appending to segment %d: %w", s.active, err)
 		}
 		if writevCopies {
-			hotpath.CountCopy(int(payload))
+			obsCopiedBytes.Add(payload)
 		}
 		for _, p := range pending {
 			s.applyRecord(p.key, false, p.loc)
@@ -1054,7 +1064,7 @@ func (s *Store) compactLocked() error {
 		batchBytes int
 	)
 	for i, r := range live {
-		data, ok := s.getLocked(r.key)
+		data, ok := readRecord(s.files[r.loc.seg], make([]byte, r.loc.recLen()), r.loc, r.key)
 		if !ok {
 			s.dropLiveLocked(r.key)
 		} else {

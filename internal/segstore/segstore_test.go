@@ -404,9 +404,11 @@ func TestSecondOpenRefused(t *testing.T) {
 	r.Close()
 }
 
-// TestStatBatchAgreesWithGetBatch pins the presence probe: same
-// availability view as GetBatch (including CRC verification), plus the
-// block length, without materializing content.
+// TestStatBatchAgreesWithGetBatch pins the presence probe's contract: it
+// answers from the index and reads nothing, so it agrees with GetBatch
+// on every record except one corrupted at rest that no read has found
+// yet — that one stats present until GetBatch returns nil for it, and
+// absent from then on.
 func TestStatBatchAgreesWithGetBatch(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, segstore.Options{})
@@ -435,24 +437,38 @@ func TestStatBatchAgreesWithGetBatch(t *testing.T) {
 	f.Close()
 
 	keys := []string{"a", "empty", "missing", "corrupt"}
+	before := obs.Default.Snapshot()
 	sizes := s.StatBatch(keys)
+	after := obs.Default.Snapshot()
+	if moved := after.Counters["segstore/read.bytes"] - before.Counters["segstore/read.bytes"]; moved != 0 {
+		t.Errorf("StatBatch moved segstore/read.bytes by %d: it must read no record", moved)
+	}
 	blocks := s.GetBatch(keys)
-	want := []int{5, 0, -1, -1}
-	for i, key := range keys {
-		if sizes[i] != want[i] {
-			t.Errorf("StatBatch[%s] = %d, want %d", key, sizes[i], want[i])
+	for i, want := range []int{5, 0, -1, 64} {
+		if sizes[i] != want {
+			t.Errorf("StatBatch[%s] = %d, want %d", keys[i], sizes[i], want)
 		}
+	}
+	for i, key := range keys[:3] {
 		if (sizes[i] >= 0) != (blocks[i] != nil) {
 			t.Errorf("StatBatch and GetBatch disagree on %s: size %d, block %v", key, sizes[i], blocks[i])
 		}
 	}
+	if blocks[3] != nil {
+		t.Fatalf("GetBatch served the corrupt record: %v", blocks[3])
+	}
+	if got := s.StatBatch(keys); got[3] != -1 || got[0] != 5 {
+		t.Errorf("after the read found the rot StatBatch = %v, want the corrupt key at -1 and the rest unchanged", got)
+	}
 }
 
 // TestStatBatchIsObserved pins that the enumeration probe shows up in the
-// registry like every other store.Keyed method: it preads whole records,
-// and a repair run's one sweep of the keyspace is otherwise invisible.
+// registry like every other store.Keyed method — one latency sample per
+// call and every key asked about — and that a read that finds rot counts
+// the key it drops in read.dropped.
 func TestStatBatchIsObserved(t *testing.T) {
-	s := openStore(t, t.TempDir(), segstore.Options{})
+	dir := t.TempDir()
+	s := openStore(t, dir, segstore.Options{})
 	payload := bytes.Repeat([]byte{3}, 100)
 	for _, key := range []string{"a", "b", "c"} {
 		if err := s.Put(key, payload); err != nil {
@@ -466,12 +482,33 @@ func TestStatBatchIsObserved(t *testing.T) {
 	if got := after.Counters["segstore/stat.keys"] - before.Counters["segstore/stat.keys"]; got != 4 {
 		t.Errorf("segstore/stat.keys moved by %d, want 4 (every key asked about)", got)
 	}
-	// Three records read, header and key included.
-	if got := after.Counters["segstore/stat.bytes"] - before.Counters["segstore/stat.bytes"]; got <= 3*int64(len(payload)) {
-		t.Errorf("segstore/stat.bytes moved by %d, want > %d (whole records of the 3 present keys)", got, 3*len(payload))
-	}
 	if got := after.Hists["segstore/stat.latency"].Count - before.Hists["segstore/stat.latency"].Count; got != 1 {
 		t.Errorf("segstore/stat.latency took %d samples, want 1 per call", got)
+	}
+
+	// Rot the last record ("c"): the first read drops it, the second
+	// finds nothing to drop.
+	seg := activeSegment(t, dir)
+	f, err := os.OpenFile(seg, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xFF}, info.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	before = obs.Default.Snapshot()
+	if _, ok := s.Get("c"); ok {
+		t.Fatal("Get served the corrupt record")
+	}
+	s.GetBatch([]string{"a", "c"})
+	after = obs.Default.Snapshot()
+	if got := after.Counters["segstore/read.dropped"] - before.Counters["segstore/read.dropped"]; got != 1 {
+		t.Errorf("segstore/read.dropped moved by %d, want 1 (the corrupt key, once)", got)
 	}
 }
 

@@ -109,9 +109,9 @@ type Keyed interface {
 	// may have been stored.
 	PutBatch(items []KV) error
 	// StatBatch returns one entry per key in order: the block's byte
-	// length when present, -1 when absent. It agrees with ReadBatch
-	// entry for entry — a block ReadBatch would not serve stats as
-	// absent.
+	// length when present, -1 when absent. It agrees with ReadBatch on
+	// every block not corrupted at rest since the store last verified it;
+	// a store that finds a block corrupt stops listing it.
 	StatBatch(keys []string) []int
 }
 
@@ -200,7 +200,9 @@ type Single interface {
 // block had at some point during the call, and the entry count always
 // matches the ref count. Missing must agree with the same availability
 // view — a block GetMany would return nil for is either enumerated by
-// Missing or outside the store's expected set.
+// Missing or outside the store's expected set — except for a block
+// corrupted at rest that no read has found yet: it may be listed present
+// until a GetMany returns nil for it, and is enumerated from then on.
 //
 // Implementations must be safe for concurrent use. The encode pipeline
 // calls PutMany from all of its workers at once, and a streaming archive

@@ -292,7 +292,8 @@ func Run(t *testing.T, h Harness) {
 func RunKeyed(t *testing.T, newStore func(t *testing.T) store.Keyed) {
 	// agree returns the blocks ReadBatch lends for keys, copied out of
 	// the loan (nil stays nil, empty stays non-nil empty), and checks
-	// StatBatch against them entry for entry.
+	// StatBatch against them entry for entry. Nothing here corrupts a
+	// block at rest, which is the one case the contract lets them differ.
 	agree := func(t *testing.T, s store.Keyed, keys []string) [][]byte {
 		t.Helper()
 		blocks := ReadCopy(t, s, keys)

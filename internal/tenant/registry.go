@@ -12,20 +12,24 @@ import (
 )
 
 // Backing is the store a Registry wraps: the store.Keyed contract plus
-// the two index walks quota accounting needs. transport.MemStore and
+// the index reads quota accounting needs. transport.MemStore and
 // segstore.Store both implement it.
 type Backing interface {
 	store.Keyed
-	// Size returns the byte length of the block under key without
-	// reading it. It is separate from StatBatch because a durable
-	// backing's StatBatch reads and verifies each record, while admission
-	// only needs the index's answer.
+	// Size returns the byte length of the block under key from the
+	// backing's index, without reading it: StatBatch's answer for one
+	// key, without a slice per call.
 	Size(key string) (int64, bool)
 	// Each calls fn for every live key with its block size until fn
 	// returns false — how the registry rebuilds per-tenant accounting on
 	// reopen and finds a victim's keys during eviction. The walk runs
 	// under the backing's lock: fn must not call back into the store.
 	Each(fn func(key string, size int64) bool)
+	// Dropped counts the keys the backing has dropped on its own, not
+	// through Del — a segstore drops a record a read, scrub or
+	// compaction finds corrupt. The registry rebuilds its accounting
+	// with one Each walk when the count moves.
+	Dropped() uint64
 }
 
 // Usage is one tenant's live footprint.
@@ -69,6 +73,7 @@ type Registry struct {
 	handles   map[string]*Store // guarded by mu
 	total     int64             // Σ tenants' bytes; guarded by mu
 	evictions int64             // tenants evicted so far; guarded by mu
+	dropped   uint64            // backing.Dropped() when accounting was last rebuilt; guarded by mu
 
 	clock atomic.Int64 // logical LRU clock; atomic, so reads advance it without mu
 }
@@ -87,8 +92,21 @@ func NewRegistry(backing Backing, cfg Config) (*Registry, error) {
 		cfg:     cfg,
 		tenants: make(map[string]*usage),
 		handles: make(map[string]*Store),
+		dropped: backing.Dropped(),
 	}
-	backing.Each(func(key string, size int64) bool {
+	r.rebuildLocked()
+	return r, nil
+}
+
+// rebuildLocked recomputes every tenant's accounting from the backing
+// with one Each walk and publishes it. Callers hold r.mu (or are inside
+// NewRegistry).
+func (r *Registry) rebuildLocked() {
+	r.total = 0
+	for _, u := range r.tenants {
+		u.bytes, u.blocks = 0, 0
+	}
+	r.backing.Each(func(key string, size int64) bool {
 		id, ok := tenantOfKey(key)
 		if !ok {
 			return true // reserved internal key: charged to nobody
@@ -99,7 +117,21 @@ func NewRegistry(backing Backing, cfg Config) (*Registry, error) {
 		r.total += size
 		return true
 	})
-	return r, nil
+	for _, u := range r.tenants {
+		r.publishUsageLocked(u)
+	}
+}
+
+// resyncLocked rebuilds the accounting when the backing has dropped keys
+// on its own since the last look, so a dropped key stops being charged
+// and rewriting it charges it once. The count is read before the walk: a
+// drop racing the walk moves it again and the next write rebuilds once
+// more. Every write calls this first. Callers hold r.mu.
+func (r *Registry) resyncLocked() {
+	if dropped := r.backing.Dropped(); dropped != r.dropped {
+		r.dropped = dropped
+		r.rebuildLocked()
+	}
 }
 
 // tenantOfKey attributes a backing-store key: tenant-prefixed keys to
@@ -317,22 +349,6 @@ func (r *Registry) evictTenantLocked(id string, u *usage) {
 	r.publishUsageLocked(u)
 }
 
-// recountLocked rebuilds one tenant's accounting from the backing store
-// — the error path of a partially applied batch. Callers hold r.mu.
-func (r *Registry) recountLocked(id string, u *usage) {
-	r.total -= u.bytes
-	u.bytes, u.blocks = 0, 0
-	r.backing.Each(func(key string, size int64) bool {
-		if kid, ok := tenantOfKey(key); ok && kid == id {
-			u.bytes += size
-			u.blocks++
-		}
-		return true
-	})
-	r.total += u.bytes
-	r.publishUsageLocked(u)
-}
-
 // Store is one tenant's namespaced, quota-enforcing view of the backing
 // store. It is a store.Keyed like the backing, so a transport.Server can
 // serve it directly. Safe for concurrent use.
@@ -400,6 +416,7 @@ func (h *Store) Put(key string, data []byte) error {
 	full := h.key(key)
 	r := h.reg
 	r.mu.Lock()
+	r.resyncLocked()
 	u := r.useLocked(h.id)
 	old, had := r.backing.Size(full)
 	dBytes := int64(len(data))
@@ -431,6 +448,7 @@ func (h *Store) Del(key string) {
 	full := h.key(key)
 	r := h.reg
 	r.mu.Lock()
+	r.resyncLocked()
 	u := r.useLocked(h.id)
 	if old, had := r.backing.Size(full); had {
 		r.backing.Del(full)
@@ -469,6 +487,7 @@ func (h *Store) PutBatch(items []store.KV) error {
 		full[i] = store.KV{Key: h.key(it.Key), Data: it.Data}
 	}
 	r.mu.Lock()
+	r.resyncLocked()
 	u := r.useLocked(h.id)
 	// Final-state delta: the last write of a key wins; duplicate keys in
 	// one batch charge only their final size.
@@ -497,8 +516,8 @@ func (h *Store) PutBatch(items []store.KV) error {
 	}
 	if err := r.backing.PutBatch(full); err != nil {
 		// The backing may have applied a prefix of the batch; recount
-		// this tenant from the store instead of guessing.
-		r.recountLocked(h.id, u)
+		// from the store instead of guessing.
+		r.rebuildLocked()
 		r.mu.Unlock()
 		return err
 	}

@@ -5,7 +5,8 @@
 // store or the durable segment store — and hands out per-tenant Store
 // views that are store.Keyed themselves, with namespaces, byte/block
 // quotas enforced atomically at write time, usage accounting rebuilt from
-// the backing store on reopen, and a pluggable eviction policy that sheds
+// the backing store on reopen and after the backing drops a key on its
+// own (a corrupt record), and a pluggable eviction policy that sheds
 // whole cold tenant lattices when the node runs out of room — lattices
 // which entanglement repair can later regenerate from the surviving
 // strands.

@@ -453,6 +453,77 @@ func TestReopenAccounting(t *testing.T) {
 	}
 }
 
+// TestUsageExactAcrossADropAndRewrite pins accounting over keys the
+// backing drops on its own: a segstore record that rots is dropped by
+// the scrub or by the read that finds it, and rewriting the block must
+// charge it once, not on top of the charge the lost record still held.
+func TestUsageExactAcrossADropAndRewrite(t *testing.T) {
+	dir := t.TempDir()
+	seg, err := segstore.Open(dir, segstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	reg, err := tenant.NewRegistry(seg, tenant.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice := openTenant(t, reg, "alice")
+	block := make([]byte, 1024)
+	for _, key := range []string{"a", "b"} {
+		if err := alice.Put(key, block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// rotLast flips the last byte of the newest record: the one just
+	// written.
+	rotLast := func() {
+		t.Helper()
+		segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+		if err != nil || len(segs) == 0 {
+			t.Fatalf("no segment files: %v", err)
+		}
+		f, err := os.OpenFile(segs[len(segs)-1], os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		info, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte{0xFF}, info.Size()-1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := tenant.Usage{Bytes: 2048, Blocks: 2}
+
+	rotLast()
+	if res := seg.ScrubStep("", 0); len(res.Corrupt) != 1 {
+		t.Fatalf("scrub found %v, want the rotted record", res.Corrupt)
+	}
+	if err := alice.Put("b", block); err != nil {
+		t.Fatal(err)
+	}
+	if got := alice.Usage(); got != want {
+		t.Errorf("after a scrub drop and a Put rewrite, usage = %+v, want %+v", got, want)
+	}
+
+	rotLast()
+	if _, ok := alice.Get("b"); ok {
+		t.Fatal("the rotted record served")
+	}
+	if err := alice.PutBatch([]store.KV{{Key: "b", Data: block}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := alice.Usage(); got != want {
+		t.Errorf("after a read drop and a PutBatch rewrite, usage = %+v, want %+v", got, want)
+	}
+	if got := reg.TotalBytes(); got != want.Bytes {
+		t.Errorf("node total = %d, want %d", got, want.Bytes)
+	}
+}
+
 // parkingBacking is a MemStore whose PutBatch, once armed, parks until
 // released — a write holding the registry lock across a slow append.
 type parkingBacking struct {

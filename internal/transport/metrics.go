@@ -72,6 +72,11 @@ var (
 	obsPoolRetries    = transportScope.Counter("pool.retries")
 	obsPoolTimeouts   = transportScope.Counter("pool.timeouts")
 
+	// Block-payload bytes copied in user space on the socket↔store path
+	// (MemStore copies every block it stores and every Get it serves);
+	// segstore resolves the same counter for its staging fallback.
+	obsCopiedBytes = obs.Default.Scope("hotpath").Counter("copied_bytes")
+
 	// opTab maps an op byte to its handles; unknown ops share the
 	// "other" slot. Built once at init so serveConn never touches a map.
 	opTab [256]*opMetrics

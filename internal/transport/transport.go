@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"aecodes/internal/hotpath"
 	"aecodes/internal/store"
 )
 
@@ -157,7 +156,7 @@ func (s *MemStore) Get(key string) ([]byte, bool) {
 	}
 	out := make([]byte, len(b))
 	copy(out, b)
-	hotpath.CountCopy(len(b))
+	obsCopiedBytes.Add(int64(len(b)))
 	return out, true
 }
 
@@ -165,7 +164,7 @@ func (s *MemStore) Get(key string) ([]byte, bool) {
 func (s *MemStore) Put(key string, data []byte) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	hotpath.CountCopy(len(data))
+	obsCopiedBytes.Add(int64(len(data)))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.m[key] = cp
@@ -202,7 +201,7 @@ func (s *MemStore) PutBatch(items []store.KV) error {
 	for i, it := range items {
 		cp := make([]byte, len(it.Data))
 		copy(cp, it.Data)
-		hotpath.CountCopy(len(it.Data))
+		obsCopiedBytes.Add(int64(len(it.Data)))
 		copies[i] = cp
 	}
 	s.mu.Lock()
@@ -254,6 +253,10 @@ func (s *MemStore) Each(fn func(key string, size int64) bool) {
 		}
 	}
 }
+
+// Dropped implements tenant.Backing: a MemStore never drops a key on its
+// own, so it is always 0.
+func (s *MemStore) Dropped() uint64 { return 0 }
 
 // Len returns the number of stored blocks.
 func (s *MemStore) Len() int {
