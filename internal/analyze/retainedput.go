@@ -7,8 +7,9 @@ import (
 )
 
 // RetainedPut enforces the consume-before-return write contract of the
-// store dialect (stated on store.Keyed): a Put, PutMany or PutBatch
-// implementation must consume caller-provided slices before returning —
+// store dialect (stated on store.Keyed): a Put, PutMany, PutBatch or
+// XorPutMany implementation must consume caller-provided slices before
+// returning —
 // copy them or write them out — never retain them. Callers recycle the
 // backing buffer the moment the call returns (the transport server's
 // pooled receive frame, the broker's upload arena), which turns a
@@ -31,14 +32,15 @@ import (
 // on any channel is a violation; the same copies clear the taint.
 var RetainedPut = &Analyzer{
 	Name: "retainedput",
-	Doc:  "flags Put/PutMany/PutBatch implementations that store a caller slice, and ReadBatch callbacks that keep a borrowed block, without copying",
+	Doc:  "flags Put/PutMany/PutBatch/XorPutMany implementations that store a caller slice, and ReadBatch callbacks that keep a borrowed block, without copying",
 	Run:  runRetainedPut,
 }
 
 var putMethodNames = map[string]bool{
-	"Put":      true,
-	"PutMany":  true,
-	"PutBatch": true,
+	"Put":        true,
+	"PutMany":    true,
+	"PutBatch":   true,
+	"XorPutMany": true,
 }
 
 func runRetainedPut(pass *Pass) error {

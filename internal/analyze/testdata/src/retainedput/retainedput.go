@@ -45,6 +45,21 @@ func (b *BadLocal) Put(key string, data []byte) error {
 	return nil
 }
 
+// XorPut is an in-place rebuild item: the store keeps Data ⊕ Src.
+type XorPut struct {
+	Dst, Src string
+	Data     []byte
+}
+
+// XorPutMany is a write like PutBatch: the items' data slices are the
+// caller's until the call returns.
+func (b *Bad) XorPutMany(items []XorPut) ([]bool, error) {
+	for _, it := range items {
+		b.last = it.Data // want `XorPutMany stores a caller slice without copying`
+	}
+	return nil, nil
+}
+
 type BadSend struct {
 	ch chan []byte
 }
@@ -165,4 +180,23 @@ func goodReads(l Lender, write func([][]byte) error) ([]byte, string, [][]byte) 
 		return write(segs)
 	})
 	return kept, s, out
+}
+
+// goodXorInto is a node's in-place rebuild: each lent block is XORed
+// into a buffer the callback does not own, and a flag records it. The
+// block is read, never kept.
+func goodXorInto(l Lender, dsts [][]byte, applied []byte) {
+	l.ReadBatch(nil, func(blocks [][]byte) error {
+		for k, src := range blocks {
+			dst := dsts[k]
+			if src == nil || len(src) != len(dst) {
+				continue
+			}
+			for i := range dst {
+				dst[i] ^= src[i]
+			}
+			applied[k] = 1
+		}
+		return nil
+	})
 }

@@ -57,7 +57,9 @@ func TestBackupReusesParityFrame(t *testing.T) {
 // TestRepairRoundBatchesPerNode asserts the transport shape of round-based
 // repair over batch-capable nodes: one StatMany per node per run, every
 // round's reads arrive via GetMany — at most one batched request per node
-// per round — and zero single-block Get round-trips.
+// per round — and zero single-block Get round-trips. A parity-only round
+// whose every tuple one node holds reads nothing at all: it is at most
+// one XorPutMany frame per node.
 func TestRepairRoundBatchesPerNode(t *testing.T) {
 	const (
 		nodesCount = 5
@@ -122,7 +124,31 @@ func TestRepairRoundBatchesPerNode(t *testing.T) {
 			t.Errorf("node %d served %d StatMany frames over %d rounds, want 1 per Repair",
 				i, m.BatchStatCalls(), stats.Rounds)
 		}
+		if m.XorPutCalls() != 0 || m.BatchPutCalls() != 0 {
+			t.Errorf("node %d served %d XorPutMany and %d PutMany frames, want none: no parity was lost",
+				i, m.XorPutCalls(), m.BatchPutCalls())
+		}
 	}
+
+	// Under the flat router about one parity in five has its first
+	// dp-tuple's companion on its own node. Losing just those, the one
+	// round sends each node at most one XorPutMany frame and nothing else.
+	dropped := dropColocated(t, b, func(lattice.Edge) bool { return true })
+	resetAll(mems)
+	stats, err = b.Repair(bg, entangle.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Rounds != 1 || stats.ParityRepaired != len(dropped) || len(dropped) < 20 {
+		t.Fatalf("co-located repair: %d of %d parities in %d rounds, want all of ≥ 20 in 1", stats.ParityRepaired, len(dropped), stats.Rounds)
+	}
+	for i, m := range mems {
+		if m.GetCalls()+m.BatchCalls()+m.PutCalls()+m.BatchPutCalls() != 0 || m.XorPutCalls() > 1 {
+			t.Errorf("node %d served %d Get, %d GetMany, %d Put, %d PutMany, %d XorPutMany frames; want only ≤ 1 XorPutMany",
+				i, m.GetCalls(), m.BatchCalls(), m.PutCalls(), m.BatchPutCalls(), m.XorPutCalls())
+		}
+	}
+	checkRestored(t, b, dropped)
 }
 
 // TestRepairAfterNodeWipeBatched wipes one node's disk (the node stays
@@ -309,8 +335,12 @@ func TestBackupBatchesPerNode(t *testing.T) {
 }
 
 // TestRepairCommitBatchesPerNode asserts the write half of the repair
-// traffic shape: a repair round's commit arrives as PutMany frames — at
-// most one per node per round — with zero single-block Put round-trips.
+// traffic shape: a repair round's parities arrive at a node as at most one
+// XorPutMany frame — those it rebuilds from a companion it holds — and
+// at most one PutMany frame — those the broker rebuilt — with zero
+// single-block Put round-trips. A wiped node holds no companions, so the
+// first round is the broker's; a later one may rebuild on the node over
+// companions the first restored.
 func TestRepairCommitBatchesPerNode(t *testing.T) {
 	const (
 		nodesCount = 5
@@ -337,6 +367,7 @@ func TestRepairCommitBatchesPerNode(t *testing.T) {
 	for _, m := range mems {
 		m.ResetCounters()
 	}
+	xor0, pair0 := repairCounters()
 	stats, err := b.Repair(bg, entangle.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -348,9 +379,13 @@ func TestRepairCommitBatchesPerNode(t *testing.T) {
 		if m.PutCalls() != 0 {
 			t.Errorf("node %d served %d single Puts during repair commit, want 0", i, m.PutCalls())
 		}
-		if m.BatchPutCalls() > stats.Rounds {
-			t.Errorf("node %d served %d PutMany frames over %d rounds, want ≤ one per round",
-				i, m.BatchPutCalls(), stats.Rounds)
+		if m.BatchPutCalls() > stats.Rounds || m.XorPutCalls() > stats.Rounds {
+			t.Errorf("node %d served %d PutMany and %d XorPutMany frames over %d rounds, want ≤ one of each per round",
+				i, m.BatchPutCalls(), m.XorPutCalls(), stats.Rounds)
 		}
+	}
+	xor1, pair1 := repairCounters()
+	if onNode, byBroker := xor1-xor0, pair1-pair0; onNode+byBroker != int64(lost) || byBroker == 0 {
+		t.Errorf("counted %d node and %d broker rebuilds of %d parities, want them to sum up with the first round the broker's", onNode, byBroker, lost)
 	}
 }

@@ -11,27 +11,32 @@
 // transport.PoolClient values for real TCP storage nodes.
 //
 // Repair follows Table III: to regenerate a parity lost with a faulty node,
-// the broker obtains the dp-tuple ids from the lattice, chooses a p-block,
-// computes its location key, fetches it from the responsible node, and
-// XORs it with the local d-block. Data blocks lost with the user's machine
-// are regenerated from pp-tuples fetched from two nodes. Whole-lattice
-// repair reuses the round-based engine of internal/entangle through a
-// network-backed BlockStore adapter that is pure routing + batching.
+// the broker obtains the dp-tuple ids from the lattice, chooses a p-block
+// and computes its location key. Steps 4–5 — fetch the p-block, XOR it
+// with the local d-block — run on the node: when the p-block and the lost
+// parity share a node, the broker sends that node the d-block and the
+// node stores their XOR, so the parity costs one block on the wire. A
+// tuple straddling two nodes, or a node without the op, falls back to the
+// broker fetching the p-block, XORing and uploading. Data blocks lost
+// with the user's machine are regenerated from pp-tuples fetched from two
+// nodes. Whole-lattice repair reuses the round-based engine of
+// internal/entangle through a network-backed BlockStore adapter that is
+// pure routing + batching.
 //
 // Every bulk operation groups its keys by the NodeStore the Router
 // resolves — not by the router's group id, which under cluster.Router is
 // a volume, many of which share a node — and runs the per-node exchanges
 // concurrently. So under any router the engine's missing-block
 // enumeration (once per Repair), each round's GetMany of the tuples it
-// chose and each round's commit cost one batched frame per storage node
-// touched (one per chunkEntries-sized chunk when a batch outgrows a
-// frame), and their wall clock is the slowest node's, not the sum. Read
-// decodes a lost block from a pp-tuple on the node when it can: when
-// both parities share a node that answers XorMany, that node sends their
-// XOR — one block on the wire, one exchange. Otherwise the tuple is
-// fetched the bulk way: one GetMany frame when both parities share a
-// node, two frames in flight together when they do not, XORed by the
-// broker.
+// chose, and its commit — in-place rebuilds and uploads in flight
+// together — cost one batched frame of each kind per storage node touched
+// (one per chunkEntries-sized chunk when a batch outgrows a frame), and
+// their wall clock is the slowest node's, not the sum. Read decodes a
+// lost block from a pp-tuple on the node when it can: when both parities
+// share a node that answers XorMany, that node sends their XOR — one
+// block on the wire, one exchange. Otherwise the tuple is fetched the
+// bulk way: one GetMany frame when both parities share a node, two frames
+// in flight together when they do not, XORed by the broker.
 package cooperative
 
 import (
@@ -60,11 +65,15 @@ var ErrNotFound = fmt.Errorf("cooperative: %w", store.ErrNotFound)
 // exchange, or fetched as two blocks and XORed by the broker (a tuple
 // straddling two nodes, a virtual member, a node without XorMany, or a
 // node that refused it). A tuple whose XorMany found the node unreachable
-// counts in neither.
+// counts in neither. The repair counters split the parities the broker's
+// repairs rebuilt the same way: on the node that holds the companion, or
+// by the broker, which XORed and uploaded them.
 var (
-	coopScope        = obs.Default.Scope("cooperative")
-	obsReadNodeXor   = coopScope.Counter("read.node_xor")
-	obsReadPairFetch = coopScope.Counter("read.pair_fetch")
+	coopScope          = obs.Default.Scope("cooperative")
+	obsReadNodeXor     = coopScope.Counter("read.node_xor")
+	obsReadPairFetch   = coopScope.Counter("read.pair_fetch")
+	obsRepairNodeXor   = coopScope.Counter("repair.node_xor")
+	obsRepairPairFetch = coopScope.Counter("repair.pair_fetch")
 )
 
 // NodeStore is one remote storage node as the broker sees it — the client
@@ -122,6 +131,21 @@ type xorNode interface {
 	XorMany(ctx context.Context, keys []string) ([][]byte, error)
 }
 
+// xorPutNode is a NodeStore that rebuilds in place. XorPutMany stores
+// Dst = Data ⊕ Src for every item whose Src the node holds at len(Data)
+// and the batch does not write, and returns one flag per item in order:
+// true when Dst was stored. An error wrapping store.ErrUnavailable means
+// the node could not be reached and one wrapping store.ErrQuotaExceeded
+// that it refused the write; any other error is a refusal of the op — a
+// node that predates it answers "unknown op" — and the broker rebuilds
+// those parities itself and asks that node no more. Nodes must be
+// comparable: the broker keys them in maps, as keysByNode does.
+// transport.PoolClient and InMemoryNode implement
+// it. It is optional for the reason xorNode is.
+type xorPutNode interface {
+	XorPutMany(ctx context.Context, items []store.XorKV) ([]bool, error)
+}
+
 // batchChunk bounds one GetMany/PutMany call by entry count
 // (conservatively below transport.MaxBatchEntries = 4096, without
 // importing that package), and batchChunkBytes bounds the expected frame
@@ -162,11 +186,13 @@ type InMemoryNode struct {
 	batchPutCalls int
 	statCalls     int
 	xorCalls      int
+	xorPutCalls   int
 }
 
 var (
-	_ NodeStore = (*InMemoryNode)(nil)
-	_ xorNode   = (*InMemoryNode)(nil)
+	_ NodeStore  = (*InMemoryNode)(nil)
+	_ xorNode    = (*InMemoryNode)(nil)
+	_ xorPutNode = (*InMemoryNode)(nil)
 )
 
 // NewInMemoryNode returns an empty, available node.
@@ -237,6 +263,37 @@ func (n *InMemoryNode) XorMany(ctx context.Context, keys []string) ([][]byte, er
 		b, okB := n.blocks[keys[2*k+1]]
 		if okA && okB && len(a) == len(b) {
 			out[k], _ = xorblock.Xor(a, b)
+		}
+	}
+	return out, nil
+}
+
+// XorPutMany rebuilds on the node: one simulated frame storing, per
+// item, Dst = Data ⊕ Src when the node holds Src at len(Data) and no item
+// of the batch writes Src, and answering one flag per item. Every read
+// sees the node as it was before the batch.
+func (n *InMemoryNode) XorPutMany(ctx context.Context, items []store.XorKV) ([]bool, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.xorPutCalls++
+	if n.down {
+		return nil, fmt.Errorf("cooperative: %w", store.ErrUnavailable)
+	}
+	written := make(map[string]bool, len(items))
+	for _, it := range items {
+		written[it.Dst] = true
+	}
+	out := make([]bool, len(items))
+	rebuilt := make([][]byte, len(items))
+	for k, it := range items {
+		if src, ok := n.blocks[it.Src]; ok && len(src) == len(it.Data) && !written[it.Src] {
+			rebuilt[k], _ = xorblock.Xor(it.Data, src)
+			out[k] = true
+		}
+	}
+	for k, it := range items {
+		if out[k] {
+			n.blocks[it.Dst] = rebuilt[k]
 		}
 	}
 	return out, nil
@@ -352,11 +409,18 @@ func (n *InMemoryNode) XorCalls() int {
 	return n.xorCalls
 }
 
+// XorPutCalls returns the number of XorPutMany requests served.
+func (n *InMemoryNode) XorPutCalls() int {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.xorPutCalls
+}
+
 // ResetCounters zeroes the request counters.
 func (n *InMemoryNode) ResetCounters() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.getCalls, n.batchGetCalls, n.putCalls, n.batchPutCalls, n.statCalls, n.xorCalls = 0, 0, 0, 0, 0, 0
+	n.getCalls, n.batchGetCalls, n.putCalls, n.batchPutCalls, n.statCalls, n.xorCalls, n.xorPutCalls = 0, 0, 0, 0, 0, 0, 0
 }
 
 // Len returns the number of blocks held (even while down).
@@ -387,6 +451,10 @@ type Broker struct {
 	// transmit a block before its Put/PutMany returns — by the time
 	// uploadGrouped comes back, no node holds an alias into the arena.
 	parityBufs [][]byte
+
+	// noXorPut holds the nodes (xorPutNode keys) that refused an in-place
+	// rebuild: the broker rebuilds their parities itself from then on.
+	noXorPut sync.Map
 
 	// mu guards the broker's mutable block state. Never held across
 	// router, node, or repair-engine calls — the engine calls back into
@@ -782,21 +850,58 @@ func (b *Broker) Read(ctx context.Context, i int) ([]byte, error) {
 
 // RepairParity regenerates one parity block following the Table III steps
 // and re-uploads it. It returns the routing group (node ordinal in flat
-// mode, volume ID in cluster mode) now holding the block.
+// mode, volume ID in cluster mode) now holding the block. The dp-tuples
+// are tried in order, skipping any whose data block the user lost. When
+// the companion parity shares the parity's node, the tuple goes out as
+// one in-place rebuild: steps 4–5 run there and the user's d-block is the
+// one block on the wire. Otherwise the broker fetches the companion, XORs
+// and uploads. A tuple whose companion is missing moves on to the next;
+// with none left the error is entangle.ErrUnrepairable.
 func (b *Broker) RepairParity(ctx context.Context, e lattice.Edge) (string, error) {
-	data, err := b.rep.RepairParity(ctx, b.netStore(), e)
-	if err != nil {
-		return "", err
-	}
+	st := b.netStore()
 	key := b.parityKey(e)
 	node, gid, err := b.router.Route(ctx, key, e)
 	if err != nil {
 		return "", fmt.Errorf("cooperative: routing %s: %w", key, err)
 	}
-	if err := node.Put(ctx, key, data); err != nil {
-		return "", fmt.Errorf("cooperative: re-uploading %s: %w", key, err)
+	options, err := b.rep.Lattice().ParityOptions(e)
+	if err != nil {
+		return "", err
 	}
-	return gid, nil
+	dst := store.ParityRef(e)
+	for _, opt := range options {
+		if err := ctx.Err(); err != nil {
+			return "", err
+		}
+		d, err := st.GetData(ctx, opt.Data)
+		if err != nil {
+			continue
+		}
+		if src := store.ParityRef(opt.Parity); st.InPlace(ctx, dst, src) {
+			applied, err := st.XorPutMany(ctx, []store.XorPut{{Dst: dst, Src: src, Data: d}})
+			if err != nil {
+				return "", fmt.Errorf("cooperative: rebuilding %s: %w", key, err)
+			}
+			if applied[0] {
+				return gid, nil
+			}
+			continue
+		}
+		p, err := st.GetParity(ctx, opt.Parity)
+		if err != nil {
+			continue
+		}
+		data, err := xorblock.Xor(d, p)
+		if err != nil {
+			return "", err
+		}
+		if err := node.Put(ctx, key, data); err != nil {
+			return "", fmt.Errorf("cooperative: re-uploading %s: %w", key, err)
+		}
+		obsRepairPairFetch.Inc()
+		return gid, nil
+	}
+	return "", entangle.ErrUnrepairable
 }
 
 // Missing reports the broker's current loss picture without repairing
@@ -905,7 +1010,10 @@ type netStore struct {
 	b *Broker // block state accessed under b.mu (the broker's own lock)
 }
 
-var _ store.BlockStore = (*netStore)(nil)
+var (
+	_ store.BlockStore = (*netStore)(nil)
+	_ store.XorPutter  = (*netStore)(nil)
+)
 
 func (b *Broker) netStore() *netStore { return &netStore{b: b} }
 
@@ -1130,9 +1238,11 @@ func (s *netStore) fetchGroups(ctx context.Context, groups *keysByNode, out [][]
 // user's machine, repaired parities are grouped by responsible node and
 // re-uploaded to all nodes concurrently, one batched frame per node and
 // chunk — the commit half of the one-frame-per-node-per-round traffic
-// shape.
+// shape. Its only caller is repair, so every parity it uploads counts as
+// one the broker rebuilt.
 func (s *netStore) PutMany(ctx context.Context, blocks []store.Block) error {
 	groups := make(map[string]*routeGroup)
+	parities := 0
 	for _, blk := range blocks {
 		if !blk.Ref.Parity {
 			if err := s.PutData(ctx, blk.Ref.Index, blk.Data); err != nil {
@@ -1147,8 +1257,168 @@ func (s *netStore) PutMany(ctx context.Context, blocks []store.Block) error {
 		if err := s.b.groupParity(ctx, groups, blk.Ref.Edge, blk.Data); err != nil {
 			return err
 		}
+		parities++
 	}
-	return s.b.uploadGrouped(ctx, groups)
+	if err := s.b.uploadGrouped(ctx, groups); err != nil {
+		return err
+	}
+	obsRepairPairFetch.Add(int64(parities))
+	return nil
+}
+
+// InPlace implements store.XorPutter: the parity dst can be rebuilt on
+// the node its companion src lives on when both route to one node that
+// implements the op and has not refused it.
+func (s *netStore) InPlace(ctx context.Context, dst, src store.Ref) bool {
+	_, _, ok := s.inPlace(ctx, dst, src)
+	return ok
+}
+
+// inPlace resolves an in-place rebuild: the node dst and src both route
+// to, and the item in its key dialect without Data.
+func (s *netStore) inPlace(ctx context.Context, dst, src store.Ref) (xorPutNode, store.XorKV, bool) {
+	if !dst.Parity || !src.Parity || src.Edge.IsVirtual() {
+		return nil, store.XorKV{}, false
+	}
+	kv := store.XorKV{Dst: s.b.parityKey(dst.Edge), Src: s.b.parityKey(src.Edge)}
+	dn, _, err := s.b.router.Route(ctx, kv.Dst, dst.Edge)
+	if err != nil {
+		return nil, kv, false
+	}
+	sn, _, err := s.b.router.Route(ctx, kv.Src, src.Edge)
+	if err != nil || sn != dn {
+		return nil, kv, false
+	}
+	xn, ok := dn.(xorPutNode)
+	if !ok {
+		return nil, kv, false
+	}
+	if _, refused := s.b.noXorPut.Load(xn); refused {
+		return nil, kv, false
+	}
+	return xn, kv, true
+}
+
+// XorPutMany implements store.XorPutter, Table III steps 4–5 on the node:
+// the items go to the node InPlace found them on, all nodes concurrently,
+// one XorPutMany frame per node and chunkEntries-sized chunk, and the
+// node stores Data ⊕ Src. An unreachable node answers false for its
+// items, as its GetMany leaves them nil; a quota refusal or a context
+// that ends is the batch's error. A node that refuses the op — one that
+// predates it answers "unknown op" — is not asked again, and the items
+// it refused, like any whose route has moved off one node since InPlace,
+// are rebuilt by the broker.
+func (s *netStore) XorPutMany(ctx context.Context, items []store.XorPut) ([]bool, error) {
+	type nodeItems struct {
+		node  xorPutNode
+		items []store.XorKV
+		slots []int
+	}
+	var groups []nodeItems
+	index := make(map[xorPutNode]int)
+	var here []int // the items the broker rebuilds
+	for k, it := range items {
+		node, kv, ok := s.inPlace(ctx, it.Dst, it.Src)
+		if !ok {
+			here = append(here, k)
+			continue
+		}
+		g, seen := index[node]
+		if !seen {
+			g = len(groups)
+			index[node] = g
+			groups = append(groups, nodeItems{node: node})
+		}
+		kv.Data = it.Data
+		groups[g].items = append(groups[g].items, kv)
+		groups[g].slots = append(groups[g].slots, k)
+	}
+	applied := make([]bool, len(items))
+	refused := make([][]int, len(groups))
+	errs := make([]error, len(groups))
+	fanOut(len(groups), func(i int) {
+		refused[i], errs[i] = s.pushToNode(ctx, groups[i].node, groups[i].items, groups[i].slots, applied)
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	for _, r := range refused {
+		here = append(here, r...)
+	}
+	if len(here) > 0 {
+		if err := s.rebuildHere(ctx, items, here, applied); err != nil {
+			return nil, err
+		}
+	}
+	return applied, nil
+}
+
+// pushToNode sends one node its items, one XorPutMany frame per
+// chunkEntries-sized chunk, and marks the slots of the parities it stored
+// in applied. A chunk the node could not be reached for stays false, and
+// a quota refusal is the error. When the node refuses the op it is
+// remembered as refusing, and the slots of the chunk and of every chunk
+// after it are returned unsent for the broker to rebuild.
+func (s *netStore) pushToNode(ctx context.Context, node xorPutNode, items []store.XorKV, slots []int, applied []bool) ([]int, error) {
+	step := chunkEntries(s.b.blockSize)
+	for start := 0; start < len(items); start += step {
+		end := min(start+step, len(items))
+		res, err := node.XorPutMany(ctx, items[start:end])
+		switch {
+		case err == nil && len(res) == end-start:
+			for m, k := range slots[start:end] {
+				if res[m] {
+					applied[k] = true
+					obsRepairNodeXor.Inc()
+				}
+			}
+		case errors.Is(err, store.ErrQuotaExceeded):
+			return nil, fmt.Errorf("cooperative: rebuilding %d parities: %w", end-start, err)
+		case errors.Is(err, store.ErrUnavailable) || ctx.Err() != nil:
+			// As a failed GetMany: the companions are missing this round.
+		default: // a refusal, or an answer of the wrong length
+			s.b.noXorPut.Store(node, true)
+			return slots[start:], nil
+		}
+	}
+	return nil, nil
+}
+
+// rebuildHere is Table III steps 4–5 on the broker for the items at
+// slots: their companions in one GetMany, the XOR here, the results in
+// one PutMany, as a repair round without in-place rebuilds does. An item
+// whose companion does not arrive stays false.
+func (s *netStore) rebuildHere(ctx context.Context, items []store.XorPut, slots []int, applied []bool) error {
+	srcs := make([]store.Ref, len(slots))
+	for m, k := range slots {
+		srcs[m] = items[k].Src
+	}
+	companions, err := s.GetMany(ctx, srcs)
+	if err != nil {
+		return err
+	}
+	var rebuilt []store.Block
+	var done []int
+	for m, k := range slots {
+		if c := companions[m]; c != nil && len(c) == len(items[k].Data) {
+			x, err := xorblock.Xor(items[k].Data, c)
+			if err != nil {
+				return err
+			}
+			rebuilt = append(rebuilt, store.Block{Ref: items[k].Dst, Data: x})
+			done = append(done, k)
+		}
+	}
+	if err := s.PutMany(ctx, rebuilt); err != nil {
+		return err
+	}
+	for _, k := range done {
+		applied[k] = true
+	}
+	return nil
 }
 
 // heldOnNode answers the enumeration question for one node — which of

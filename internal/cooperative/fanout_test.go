@@ -97,11 +97,11 @@ func stripedSystem(t *testing.T, user string, stripe, n, blockSize int, seed int
 }
 
 // frames sums the requests the nodes served since the last reset.
-type frames struct{ get, getMany, put, putMany, stat, xor int }
+type frames struct{ get, getMany, put, putMany, stat, xor, xorPut int }
 
 func countFrames(mems []*InMemoryNode) (total frames, perNode []frames) {
 	for _, m := range mems {
-		f := frames{m.GetCalls(), m.BatchCalls(), m.PutCalls(), m.BatchPutCalls(), m.BatchStatCalls(), m.XorCalls()}
+		f := frames{m.GetCalls(), m.BatchCalls(), m.PutCalls(), m.BatchPutCalls(), m.BatchStatCalls(), m.XorCalls(), m.XorPutCalls()}
 		perNode = append(perNode, f)
 		total.get += f.get
 		total.getMany += f.getMany
@@ -109,6 +109,7 @@ func countFrames(mems []*InMemoryNode) (total frames, perNode []frames) {
 		total.putMany += f.putMany
 		total.stat += f.stat
 		total.xor += f.xor
+		total.xorPut += f.xorPut
 	}
 	return total, perNode
 }
@@ -118,6 +119,83 @@ func countFrames(mems []*InMemoryNode) (total frames, perNode []frames) {
 func readCounters() (nodeXor, pairFetch int64) {
 	c := obs.Default.Snapshot().Counters
 	return c["cooperative/read.node_xor"], c["cooperative/read.pair_fetch"]
+}
+
+// repairCounters returns the broker's repair counters: parities rebuilt
+// on a node, and parities the broker XORed and uploaded.
+func repairCounters() (nodeXor, pairFetch int64) {
+	c := obs.Default.Snapshot().Counters
+	return c["cooperative/repair.node_xor"], c["cooperative/repair.pair_fetch"]
+}
+
+// nodeOf returns the in-memory node behind the node the broker routes
+// parity e to.
+func nodeOf(t *testing.T, b *Broker, e lattice.Edge) *InMemoryNode {
+	t.Helper()
+	node, _, err := b.router.Route(bg, b.parityKey(e), e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch n := node.(type) {
+	case *InMemoryNode:
+		return n
+	case bareNode:
+		return n.NodeStore.(*InMemoryNode)
+	case refusingNode:
+		return n.InMemoryNode
+	}
+	t.Fatalf("no in-memory node behind a %T", node)
+	return nil
+}
+
+// dropColocated deletes each parity pick accepts whose first dp-tuple
+// companion is a real parity on the same node that stays, and returns
+// the deleted parities with their content. Every deleted parity can then
+// be rebuilt on its node in one round. pick sees positions in ascending
+// order, so a companion — the in-edge of the parity's left end — is
+// decided before the parity it serves.
+func dropColocated(t *testing.T, b *Broker, pick func(lattice.Edge) bool) map[lattice.Edge][]byte {
+	t.Helper()
+	lat := b.rep.Lattice()
+	dropped := make(map[lattice.Edge][]byte)
+	for i := 1; i <= b.Count(); i++ {
+		for _, class := range lat.Classes() {
+			e, err := lat.OutEdge(class, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts, err := lat.ParityOptions(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := opts[0].Parity
+			if c.IsVirtual() || dropped[c] != nil || !pick(e) {
+				continue
+			}
+			node := nodeOf(t, b, e)
+			if nodeOf(t, b, c) != node {
+				continue
+			}
+			key := b.parityKey(e)
+			node.mu.Lock()
+			dropped[e] = node.blocks[key]
+			delete(node.blocks, key)
+			node.mu.Unlock()
+		}
+	}
+	return dropped
+}
+
+// checkRestored fails unless every dropped parity is back with its old
+// content.
+func checkRestored(t *testing.T, b *Broker, dropped map[lattice.Edge][]byte) {
+	t.Helper()
+	for e, want := range dropped {
+		got, err := nodeOf(t, b, e).Get(bg, b.parityKey(e))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("parity %v not restored byte for byte (err %v)", e, err)
+		}
+	}
 }
 
 func resetAll(mems []*InMemoryNode) {
@@ -225,6 +303,35 @@ func TestClusterShapedTraffic(t *testing.T) {
 		t.Errorf("%d clean reads' first tuples straddled two nodes and %d had a virtual in-edge: a pair-fetch leg went unchecked", straddling, virtual)
 	}
 
+	// Parity-only repair whose every tuple one node holds: the run is one
+	// StatMany frame per node, then one round of at most one XorPutMany
+	// frame per node — no GetMany, no PutMany, nothing single-block — and
+	// every parity is rebuilt on its node.
+	drop := rand.New(rand.NewSource(43))
+	dropped := dropColocated(t, b, func(lattice.Edge) bool { return drop.Float64() < 0.15 })
+	resetAll(mems)
+	xor0, pair0 := repairCounters()
+	stats, err := b.Repair(bg, entangle.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Rounds != 1 || stats.ParityRepaired != len(dropped) || len(dropped) < 100 {
+		t.Fatalf("co-located repair: %d of %d parities in %d rounds, want all of ≥ 100 in 1", stats.ParityRepaired, len(dropped), stats.Rounds)
+	}
+	total, per := countFrames(mems)
+	if total.getMany != 0 || total.putMany != 0 || total.get != 0 || total.put != 0 || total.xor != 0 {
+		t.Errorf("co-located repair sent %+v, want XorPutMany and StatMany frames only", total)
+	}
+	for k, p := range per {
+		if p.stat != 1 || p.xorPut > 1 {
+			t.Errorf("node %d served %d StatMany and %d XorPutMany frames for one round, want 1 and ≤ 1", k, p.stat, p.xorPut)
+		}
+	}
+	if xor1, pair1 := repairCounters(); xor1-xor0 != int64(len(dropped)) || pair1 != pair0 {
+		t.Errorf("co-located repair counted %d node rebuilds and %d broker rebuilds, want %d and 0", xor1-xor0, pair1-pair0, len(dropped))
+	}
+	checkRestored(t, b, dropped)
+
 	// Degraded read: every tuple tried costs one exchange, and a read with
 	// a complete tuple left never falls back to a repair.
 	for _, i := range []int{5, 64, 65, 500, 1000} {
@@ -258,9 +365,12 @@ func TestClusterShapedTraffic(t *testing.T) {
 	}
 
 	// Repair: delete 15% of the parities and a third of the user's blocks.
-	// The run is one StatMany frame per node (768 keys each), then at most
-	// one GetMany and one PutMany frame per node per round — there are
-	// four volumes on every node.
+	// The run is one StatMany frame per node (768 keys each), then per
+	// round and node at most one GetMany frame (the data repairs' tuples
+	// and the companions of the parities the broker rebuilds), one
+	// XorPutMany frame (the parities whose tuple the node holds) and one
+	// PutMany frame (the rest) — there are four volumes on every node.
+	// Every parity is rebuilt once, most on their node.
 	for i := 1; i <= n; i++ {
 		if rng.Float64() < 0.33 {
 			b.DropLocal(i)
@@ -281,22 +391,29 @@ func TestClusterShapedTraffic(t *testing.T) {
 		m.mu.Unlock()
 	}
 	resetAll(mems)
-	stats, err := b.Repair(bg, entangle.Options{})
+	xor0, pair0 = repairCounters()
+	stats, err = b.Repair(bg, entangle.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if left := len(stats.UnrepairedData) + len(stats.UnrepairedParities); left != 0 || stats.Rounds == 0 {
 		t.Fatalf("repair left %d blocks after %d rounds", left, stats.Rounds)
 	}
-	_, per := countFrames(mems)
+	_, per = countFrames(mems)
 	for k, p := range per {
 		if p.get != 0 || p.put != 0 {
 			t.Errorf("node %d served %d Gets and %d Puts during repair, want 0", k, p.get, p.put)
 		}
-		if p.stat != 1 || p.getMany > stats.Rounds || p.putMany > stats.Rounds {
-			t.Errorf("node %d served %d StatMany, %d GetMany, %d PutMany frames over %d rounds; want 1, ≤ %d, ≤ %d",
-				k, p.stat, p.getMany, p.putMany, stats.Rounds, stats.Rounds, stats.Rounds)
+		if p.stat != 1 || p.getMany > stats.Rounds || p.xorPut > stats.Rounds || p.putMany > stats.Rounds {
+			t.Errorf("node %d served %d StatMany, %d GetMany, %d XorPutMany, %d PutMany frames over %d rounds; want 1 and ≤ %d of each other",
+				k, p.stat, p.getMany, p.xorPut, p.putMany, stats.Rounds, stats.Rounds)
 		}
+	}
+	xor1, pair1 := repairCounters()
+	onNode, byBroker := xor1-xor0, pair1-pair0
+	if onNode+byBroker != int64(stats.ParityRepaired) || 10*onNode < 9*int64(stats.ParityRepaired) || byBroker == 0 {
+		t.Errorf("repair counted %d node rebuilds and %d broker rebuilds for %d parities, want them to sum up, ≥ 90%% on nodes and some by the broker",
+			onNode, byBroker, stats.ParityRepaired)
 	}
 	for i := 1; i <= n; i++ {
 		if got, err := b.Read(bg, i); err != nil || !bytes.Equal(got, originals[i]) {
@@ -306,9 +423,11 @@ func TestClusterShapedTraffic(t *testing.T) {
 }
 
 // tapNode logs the size of every batched frame its node serves into one
-// sequence shared by the fleet. The engine finishes a round's fetch before
-// it commits, so the log of a repair run reads: StatMany frames, then per
-// round its GetMany frames followed by its PutMany frames.
+// sequence shared by the fleet, and roundTap marks in it where each of
+// the engine's rounds starts: at the round's one fetch. The engine
+// finishes a round's fetch before it commits, so the log of a repair run
+// reads: StatMany frames, then per round its mark, its GetMany frames and
+// then its XorPutMany and PutMany frames, which go out together.
 type tapNode struct {
 	*InMemoryNode
 	log *frameLog
@@ -320,8 +439,8 @@ type frameLog struct {
 }
 
 type frameEvent struct {
-	node *tapNode
-	op   byte // 's'tat, 'g'et, 'p'ut
+	node *tapNode // nil for a round mark
+	op   byte     // 's'tat, 'g'et, 'p'ut, 'x'orput, 'r'ound
 	keys int
 }
 
@@ -346,10 +465,27 @@ func (n *tapNode) PutMany(ctx context.Context, items []store.KV) error {
 	return n.InMemoryNode.PutMany(ctx, items)
 }
 
+func (n *tapNode) XorPutMany(ctx context.Context, items []store.XorKV) ([]bool, error) {
+	n.log.add(n, 'x', len(items))
+	return n.InMemoryNode.XorPutMany(ctx, items)
+}
+
+// roundTap is the broker's netStore with the engine's fetches marked.
+type roundTap struct {
+	*netStore
+	log *frameLog
+}
+
+func (r roundTap) GetMany(ctx context.Context, refs []store.Ref) ([][]byte, error) {
+	r.log.add(nil, 'r', len(refs))
+	return r.netStore.GetMany(ctx, refs)
+}
+
 // TestRepairEnumeratesOncePerRun pins the planned round on the wire: a
 // node is asked which keys it holds once per Repair — ⌈keys / batchChunk⌉
-// StatMany exchanges whatever the round count — and a round's GetMany
-// frames together carry at most two keys per block the round repairs.
+// StatMany exchanges whatever the round count — and a round reads every
+// key before it writes, at most two per block it repairs: the keys of its
+// GetMany frames, and one companion per parity rebuilt on its node.
 func TestRepairEnumeratesOncePerRun(t *testing.T) {
 	const (
 		n         = 1500 // 4500 parities on 4 nodes: more than one batchChunk each
@@ -404,7 +540,7 @@ func TestRepairEnumeratesOncePerRun(t *testing.T) {
 		}
 	}
 	log.events = nil
-	stats, err := b.Repair(bg, entangle.Options{})
+	stats, err := b.rep.Repair(bg, roundTap{b.netStore(), log}, entangle.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +549,8 @@ func TestRepairEnumeratesOncePerRun(t *testing.T) {
 	}
 
 	statFrames := make(map[NodeStore]int)
-	var fetched []int // keys fetched, per round
+	var reads []int // keys the nodes read, per round
+	pushed := 0
 	var last byte
 	for _, ev := range log.events {
 		switch ev.op {
@@ -422,11 +559,19 @@ func TestRepairEnumeratesOncePerRun(t *testing.T) {
 			if last != 0 && last != 's' {
 				t.Fatalf("StatMany after the first round started: the engine enumerated twice")
 			}
+		case 'r':
+			reads = append(reads, 0)
 		case 'g':
-			if last != 'g' {
-				fetched = append(fetched, 0)
+			if last != 'r' && last != 'g' {
+				t.Fatalf("a GetMany frame after round %d began to write", len(reads))
 			}
-			fetched[len(fetched)-1] += ev.keys
+			reads[len(reads)-1] += ev.keys
+		case 'x':
+			if len(reads) == 0 {
+				t.Fatal("an XorPutMany frame before the first round")
+			}
+			reads[len(reads)-1] += ev.keys // one companion read per item
+			pushed += ev.keys
 		}
 		last = ev.op
 	}
@@ -436,12 +581,12 @@ func TestRepairEnumeratesOncePerRun(t *testing.T) {
 				keysOn[tap], statFrames[tap], stats.Rounds, batchChunk, want)
 		}
 	}
-	if len(fetched) != stats.Rounds {
-		t.Fatalf("log shows %d fetch phases for %d rounds", len(fetched), stats.Rounds)
+	if len(reads) != stats.Rounds || pushed == 0 {
+		t.Fatalf("log shows %d rounds for %d and %d parities rebuilt on their node, want some", len(reads), stats.Rounds, pushed)
 	}
-	for k, keys := range fetched {
+	for k, keys := range reads {
 		if repaired := stats.PerRound[k].DataRepaired + stats.PerRound[k].ParityRepaired; keys > 2*repaired {
-			t.Errorf("round %d fetched %d keys to repair %d blocks, want ≤ 2 per block", k+1, keys, repaired)
+			t.Errorf("round %d read %d keys to repair %d blocks, want ≤ 2 per block", k+1, keys, repaired)
 		}
 	}
 	for i := 1; i <= n; i++ {

@@ -17,9 +17,10 @@ import (
 )
 
 // startOldNode fronts a storage node with a proxy that plays a node built
-// before OpXorMany: it answers that op with StatusError "unknown op", as
-// the server's default case does, and relays every other request to the
-// backend one exchange at a time, so responses stay in request order.
+// before OpXorMany and OpXorPutMany: it answers those ops with StatusError
+// "unknown op", as the server's default case does, and relays every other
+// request to the backend one exchange at a time, so responses stay in
+// request order.
 func startOldNode(t *testing.T, backend string) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -64,7 +65,7 @@ func relayWithoutXor(client, up net.Conn) {
 		if _, err := io.ReadFull(req, payload); err != nil {
 			return
 		}
-		if head[0] == transport.OpXorMany {
+		if head[0] == transport.OpXorMany || head[0] == transport.OpXorPutMany {
 			msg := []byte("unknown op")
 			frame := append([]byte{transport.StatusError}, binary.BigEndian.AppendUint32(nil, uint32(len(msg)))...)
 			if _, err := client.Write(append(frame, msg...)); err != nil {

@@ -3,6 +3,8 @@ package cooperative_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -10,9 +12,15 @@ import (
 	"testing"
 	"time"
 
+	"aecodes/internal/blockstore"
+	"aecodes/internal/cluster"
 	"aecodes/internal/cooperative"
 	"aecodes/internal/entangle"
 	"aecodes/internal/lattice"
+	"aecodes/internal/obs"
+	"aecodes/internal/segstore"
+	"aecodes/internal/store"
+	"aecodes/internal/tenant"
 	"aecodes/internal/transport"
 )
 
@@ -192,5 +200,228 @@ func TestRepairSurvivesMidPrefetchConnPoison(t *testing.T) {
 	// And the healed pool serves traffic: one more full round trip.
 	if err := pools[0].Put(ctx, "healed", []byte("ok")); err != nil {
 		t.Fatalf("Put through healed pool: %v", err)
+	}
+}
+
+// segstoreFleet starts a cluster manager and four storage nodes, each
+// serving its own segstore over TCP, announces the nodes to the manager
+// and returns the manager's address. With old, every node is fronted by
+// startOldNode's proxy: a node built before the node-side ops.
+func segstoreFleet(t *testing.T, old bool) string {
+	t.Helper()
+	ctx := context.Background()
+	mgr, err := cluster.NewManager(cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgrSrv, err := transport.NewServer(mgr.Store())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgrSrv.SetClusterHandler(mgr)
+	mgrAddr, err := mgrSrv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mgrSrv.Close() })
+	hb, err := transport.DialPool(mgrAddr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { hb.Close() })
+	for i := 0; i < 4; i++ {
+		seg, err := segstore.Open(t.TempDir(), segstore.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { seg.Close() })
+		srv, err := transport.NewServer(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		if old {
+			addr = startOldNode(t, addr)
+		}
+		if err := hb.NodeStat(ctx, transport.NodeStat{ID: fmt.Sprintf("node-%d", i), Addr: addr}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return mgrAddr
+}
+
+// TestRepairOnNodesOverTCP is a parity-only loss on a four-node fleet of
+// segstore-backed nodes behind a cluster manager, repaired over real
+// sockets. Current nodes rebuild at least 90 % of the parities in place
+// (cooperative/repair.node_xor); nodes built before OpXorPutMany refuse
+// it, and the broker rebuilds every parity itself. Either way every
+// rebuilt parity equals the deleted one byte for byte.
+func TestRepairOnNodesOverTCP(t *testing.T) {
+	const (
+		n         = 512 // eight 64-block volumes
+		blockSize = 1024
+		user      = "tcprepair"
+	)
+	params := lattice.Params{Alpha: 3, S: 2, P: 5}
+	lat, err := lattice.New(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, old := range []bool{false, true} {
+		name := "current nodes"
+		if old {
+			name = "nodes without OpXorPutMany"
+		}
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			router, err := cluster.NewRouter(segstoreFleet(t, old), cluster.RouterOptions{User: user})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { router.Close() })
+			b, err := cooperative.NewRoutedBroker(user, params, blockSize, router)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(47))
+			for i := 1; i <= n; i++ {
+				data := make([]byte, blockSize)
+				rng.Read(data)
+				if _, err := b.Backup(ctx, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// Delete a sixth of the parities, remembering each one's bytes.
+			type parity struct {
+				node cooperative.NodeStore
+				key  string
+				data []byte
+			}
+			var deleted []parity
+			for i := 1; i <= n; i++ {
+				for _, class := range lat.Classes() {
+					if rng.Float64() >= 0.16 {
+						continue
+					}
+					e, err := lat.OutEdge(class, i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					key := user + "/" + blockstore.ParityKey(e)
+					node, _, err := router.Route(ctx, key, e)
+					if err != nil {
+						t.Fatal(err)
+					}
+					data, err := node.Get(ctx, key)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := node.(*transport.PoolClient).Del(ctx, key); err != nil {
+						t.Fatal(err)
+					}
+					deleted = append(deleted, parity{node, key, data})
+				}
+			}
+
+			before := obs.Default.Snapshot().Counters
+			stats, err := b.Repair(ctx, entangle.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := obs.Default.Snapshot().Counters
+			if left := len(stats.UnrepairedData) + len(stats.UnrepairedParities); left != 0 || stats.ParityRepaired != len(deleted) {
+				t.Fatalf("repaired %d of %d parities, %d blocks left", stats.ParityRepaired, len(deleted), left)
+			}
+			for _, p := range deleted {
+				got, err := p.node.Get(ctx, p.key)
+				if err != nil || !bytes.Equal(got, p.data) {
+					t.Fatalf("%s not restored byte for byte (err %v)", p.key, err)
+				}
+			}
+			onNode := after["cooperative/repair.node_xor"] - before["cooperative/repair.node_xor"]
+			byBroker := after["cooperative/repair.pair_fetch"] - before["cooperative/repair.pair_fetch"]
+			if onNode+byBroker != int64(stats.ParityRepaired) {
+				t.Errorf("counted %d node and %d broker rebuilds of %d parities", onNode, byBroker, stats.ParityRepaired)
+			}
+			if old && onNode != 0 {
+				t.Errorf("nodes without the op rebuilt %d parities", onNode)
+			}
+			if !old && 10*onNode < 9*int64(stats.ParityRepaired) {
+				t.Errorf("nodes rebuilt %d of %d parities in place, want ≥ 90 %%", onNode, stats.ParityRepaired)
+			}
+		})
+	}
+}
+
+// TestRepairQuotaOverTCP: a tenant with no room left for the parities a
+// repair rebuilds gets the node's quota refusal back from Repair as
+// store.ErrQuotaExceeded, and nothing is written.
+func TestRepairQuotaOverTCP(t *testing.T) {
+	const (
+		n         = 40
+		blockSize = 256
+	)
+	params := lattice.Params{Alpha: 3, S: 2, P: 5}
+	reg, err := tenant.NewRegistry(transport.NewMemStore(), tenant.Config{
+		Tenants: map[string]tenant.Quota{"alice": {MaxBytes: n * 3 * blockSize}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice, err := reg.Open("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := transport.NewServer(alice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	pool, err := transport.DialPool(addr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pool.Close() })
+	ctx := context.Background()
+	b, err := cooperative.NewBroker("alice", params, blockSize, []cooperative.NodeStore{pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= n; i++ {
+		if _, err := b.Backup(ctx, make([]byte, blockSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Free one parity's bytes and spend them on something else.
+	lat, err := lattice.New(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := lat.OutEdge(lattice.Horizontal, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := "alice/" + blockstore.ParityKey(e)
+	if err := pool.Del(ctx, key); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Put(ctx, "squatter", make([]byte, blockSize)); err != nil {
+		t.Fatal(err)
+	}
+	usage := alice.Usage()
+	if _, err := b.Repair(ctx, entangle.Options{}); !errors.Is(err, store.ErrQuotaExceeded) {
+		t.Fatalf("Repair over quota = %v, want store.ErrQuotaExceeded", err)
+	}
+	if _, err := pool.Get(ctx, key); !errors.Is(err, store.ErrNotFound) || alice.Usage() != usage {
+		t.Errorf("a refused repair wrote: Get = %v, usage %+v → %+v", err, usage, alice.Usage())
 	}
 }

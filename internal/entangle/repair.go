@@ -212,12 +212,15 @@ type Stats struct {
 	// with Options.Targets, what is left of the targets.
 	UnrepairedData     []int
 	UnrepairedParities []lattice.Edge
-	// BytesRead counts block bytes the engine fetched — the numerator of
-	// bytes-moved-per-repaired-block. The engine reads only the tuple a
+	// BytesRead counts the block bytes the repairs read — the numerator
+	// of blocks-read-per-repaired-block. The engine reads only the tuple a
 	// repair uses: at most two blocks per repaired block, fewer where a
 	// tuple member is a virtual edge or is shared between two repairs of
-	// one round. A targeted run also reads each target the store still
-	// serves, once.
+	// one round. A companion a store read to rebuild a parity in place
+	// (store.XorPutter) counts as if the engine had fetched it, so the
+	// figure counts repair reads wherever they happen, not bytes that
+	// crossed into the engine. A targeted run also reads each target the
+	// store still serves, once.
 	BytesRead int64
 }
 
@@ -243,6 +246,18 @@ func (s Stats) DataLoss() int { return len(s.UnrepairedData) }
 // location. The fetch freezes the pre-round state: every worker reads the
 // same snapshot whatever the worker count.
 //
+// On a store that rebuilds in place (store.XorPutter), a parity the round
+// repairs from a dp-tuple whose parity member — the companion — the store
+// reports in place with it is not XORed by the engine: the round fetches
+// only the data member d and hands it to one XorPutMany, and the store
+// stores d ⊕ companion where the companion lives. Every other repair
+// takes the fetch and the PutMany. The pushes and the commit go out
+// together once the fetch is in — no push reads a block the round writes
+// — so a round stays a fetch and one write deep. A push reads, like every
+// repair of the round, only blocks present when the round started, so
+// rounds, repairs and reads come out as on any other store. A companion
+// the store cannot serve is handled as a nil fetch entry.
+//
 // A block the seed called present but a fetch cannot return (corrupted at
 // rest since, on a node that just went away, beyond the lattice's extent
 // at the tail, or — on a targeted run — missing without being a target)
@@ -260,7 +275,8 @@ func (r *Repairer) Repair(ctx context.Context, st Store, opts Options) (Stats, e
 // repair is Repair without the counters.
 func (r *Repairer) repair(ctx context.Context, st Store, opts Options) (Stats, error) {
 	var stats Stats
-	var loss *lossSet // nil: seed before the next round
+	xp, _ := st.(store.XorPutter) // nil: the engine XORs every repair
+	var loss *lossSet             // nil: seed before the next round
 	stalled := 0
 	for opts.MaxRounds <= 0 || stats.Rounds < opts.MaxRounds {
 		if err := ctx.Err(); err != nil {
@@ -276,30 +292,36 @@ func (r *Repairer) repair(ctx context.Context, st Store, opts Options) (Stats, e
 			break
 		}
 
-		// Plan from the set, fetch the chosen tuples with one batch, then
-		// XOR against that frozen snapshot.
-		jobs, refs, err := r.chooseTuples(loss, opts.DataOnly)
+		// Plan from the set, fetch the chosen tuples with one batch, XOR
+		// against that frozen snapshot, then commit the round — the XORed
+		// repairs with one PutMany, the pushes with one XorPutMany —
+		// making its repairs visible to the next.
+		p, err := r.chooseTuples(ctx, loss, opts.DataOnly, xp)
 		if err != nil {
 			return stats, err
 		}
-		var fixes []store.Block
+		var done []store.Ref
 		var fetchErr error
-		if len(refs) > 0 {
+		if len(p.refs) > 0 {
 			var blocks [][]byte
-			blocks, fetchErr = fetch(ctx, st, refs, opts, &stats)
+			blocks, fetchErr = fetch(ctx, st, p.refs, opts, &stats)
 			if cerr := ctx.Err(); cerr != nil {
 				return stats, cerr
 			}
 			if fetchErr == nil {
-				loss.refused(refs, blocks)
-				if fixes, err = xorRound(jobs, blocks, opts.Workers); err != nil {
+				loss.refused(p.refs, blocks)
+				fixes, err := xorRound(p.jobs, blocks, opts.Workers)
+				if err != nil {
 					return stats, err
+				}
+				if done, err = commitRound(ctx, st, xp, p, blocks, fixes, loss, opts, &stats); err != nil {
+					return stats, fmt.Errorf("entangle: committing round %d: %w", stats.Rounds+1, err)
 				}
 			}
 		}
 
-		if len(fixes) == 0 {
-			if len(refs) > 0 && fetchErr == nil {
+		if len(done) == 0 {
+			if len(p.refs) > 0 && fetchErr == nil {
 				// Every planned tuple lost a member to the fetch, and each of
 				// those members is now in the set: the next plan is strictly
 				// narrower, so this cannot spin.
@@ -324,13 +346,7 @@ func (r *Repairer) repair(ctx context.Context, st Store, opts Options) (Stats, e
 			continue
 		}
 		stalled = 0
-
-		// ...then commit the round as one batch, making this round's
-		// repairs visible to the next.
-		if err := commitRound(ctx, st, fixes, opts); err != nil {
-			return stats, fmt.Errorf("entangle: committing round %d (%d blocks): %w", stats.Rounds+1, len(fixes), err)
-		}
-		loss.repaired(fixes)
+		loss.repaired(done)
 
 		// Rounds counts productive rounds only, whatever unproductive
 		// iterations were interleaved: PerRound[i].Round == i+1 always
@@ -338,8 +354,8 @@ func (r *Repairer) repair(ctx context.Context, st Store, opts Options) (Stats, e
 		// stable and flaky backends.
 		stats.Rounds++
 		rs := RoundStats{Round: stats.Rounds}
-		for _, f := range fixes {
-			if f.Ref.Parity {
+		for _, ref := range done {
+			if ref.Parity {
 				rs.ParityRepaired++
 			} else {
 				rs.DataRepaired++
@@ -357,27 +373,99 @@ func (r *Repairer) repair(ctx context.Context, st Store, opts Options) (Stats, e
 	return stats, nil
 }
 
-// commitRound writes one round's repairs with a single PutMany and returns
-// the round's pooled buffers. Store implementations copy (or transmit)
-// on PutMany — see the Store contract — so the buffers can be recycled as
-// soon as the commit returns, keeping whole-round repair allocation-free
-// in steady state.
-func commitRound(ctx context.Context, st Store, fixes []store.Block, opts Options) error {
-	var commitBytes int64
-	for _, f := range fixes {
-		commitBytes += int64(len(f.Data))
-	}
+// commitRound writes one round's repairs and returns the refs written:
+// the XORed fixes with a single PutMany and, on a store that rebuilds in
+// place, the pushes whose data member the fetch returned with a single
+// XorPutMany in flight beside it. Neither reads what the other writes.
+// A push answered false puts its companion into the loss set, as a nil
+// fetch entry would, so its parity moves to its other dp-tuple next
+// round. The fixes' pooled buffers go back to the pool on return: store
+// implementations copy (or transmit) on PutMany — see the Store contract
+// — which keeps whole-round repair allocation-free in steady state.
+func commitRound(ctx context.Context, st Store, xp store.XorPutter, p plan, blocks [][]byte, fixes []store.Block, loss *lossSet, opts Options, stats *Stats) ([]store.Ref, error) {
 	defer func() {
 		for _, f := range fixes {
 			xorblock.PoolFor(len(f.Data)).Put(f.Data)
 		}
 	}()
+	items, reads := p.sendable(blocks)
+	var applied []bool
+	var pushErr error
+	var wg sync.WaitGroup
+	if len(items) > 0 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			applied, pushErr = pushRound(ctx, xp, items, reads, opts)
+		}()
+	}
+	var putErr error
+	if len(fixes) > 0 {
+		putErr = putRound(ctx, st, fixes, opts)
+	}
+	wg.Wait()
+	if err := errors.Join(putErr, pushErr); err != nil {
+		return nil, err
+	}
+
+	done := blockRefs(fixes)
+	for k, ok := range applied {
+		if !ok {
+			loss.gone[items[k].Src] = true
+			continue
+		}
+		done = append(done, items[k].Dst)
+		if reads[k] {
+			stats.BytesRead += int64(len(items[k].Data))
+		}
+	}
+	return done, nil
+}
+
+// putRound writes the round's XORed fixes with a single PutMany, charged
+// to the rate limiter first.
+func putRound(ctx context.Context, st Store, fixes []store.Block, opts Options) error {
 	if opts.RateLimit != nil {
+		var commitBytes int64
+		for _, f := range fixes {
+			commitBytes += int64(len(f.Data))
+		}
 		if err := opts.RateLimit.Acquire(ctx, len(fixes), commitBytes); err != nil {
 			return err
 		}
 	}
 	return st.PutMany(ctx, fixes)
+}
+
+// pushRound hands the round's sendable pushes to the store with a single
+// XorPutMany, charged to the rate limiter first as the fetch and commit
+// it replaces would have been: a write per push, and a read per item that
+// reads a companion the round's fetch did not. It returns one answer per
+// item.
+func pushRound(ctx context.Context, xp store.XorPutter, items []store.XorPut, reads []bool, opts Options) ([]bool, error) {
+	if opts.RateLimit != nil {
+		var ops int
+		var size int64
+		for k, it := range items {
+			n := 1
+			if reads[k] {
+				n = 2
+			}
+			ops += n
+			size += int64(n * len(it.Data))
+		}
+		if err := opts.RateLimit.Acquire(ctx, ops, size); err != nil {
+			return nil, err
+		}
+	}
+	applied, err := xp.XorPutMany(ctx, items)
+	if err != nil {
+		return nil, fmt.Errorf("rebuilding %d parities in place: %w", len(items), err)
+	}
+	if len(applied) != len(items) {
+		return nil, fmt.Errorf("in-place rebuild answered %d entries, want %d", len(applied), len(items))
+	}
+	return applied, nil
 }
 
 // DecodeData rebuilds the data blocks at positions without writing
@@ -413,26 +501,26 @@ func (r *Repairer) DecodeData(ctx context.Context, st Store, positions []int) (o
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		jobs, refs, err := r.chooseTuples(loss, true)
+		p, err := r.chooseTuples(ctx, loss, true, nil)
 		if err != nil {
 			return nil, err
 		}
-		if len(jobs) == 0 {
+		if len(p.jobs) == 0 {
 			break
 		}
-		blocks, err := fetch(ctx, st, refs, Options{}, &stats)
+		blocks, err := fetch(ctx, st, p.refs, Options{}, &stats)
 		if err != nil {
 			return nil, err
 		}
-		loss.refused(refs, blocks)
-		fixes, err := xorRound(jobs, blocks, 1)
+		loss.refused(p.refs, blocks)
+		fixes, err := xorRound(p.jobs, blocks, 1)
 		if err != nil {
 			return nil, err
 		}
 		for _, f := range fixes {
 			decoded[f.Ref.Index] = f.Data
 		}
-		loss.repaired(fixes)
+		loss.repaired(blockRefs(fixes))
 	}
 	out = make([][]byte, len(positions))
 	for k, i := range positions {
@@ -455,8 +543,9 @@ type lossSet struct {
 	// seed did not list them. The latter are only ever avoided, never
 	// rebuilt — the engine has no evidence they should exist (d_{n+1} at
 	// the lattice's tail does not) or leave to rebuild them (a missing
-	// block the caller's Targets left out). Virtual edges are never
-	// enumerated and never fetched, so they are never in it.
+	// block the caller's Targets left out) — and the companions an
+	// in-place rebuild was refused over. Virtual edges are never
+	// enumerated, fetched or pushed, so they are never in it.
 	gone map[store.Ref]bool
 }
 
@@ -483,10 +572,10 @@ func (l *lossSet) refused(refs []store.Ref, blocks [][]byte) {
 	}
 }
 
-// repaired subtracts one round's committed fixes from the set.
-func (l *lossSet) repaired(fixes []store.Block) {
-	for _, f := range fixes {
-		delete(l.gone, f.Ref)
+// repaired subtracts one round's committed repairs from the set.
+func (l *lossSet) repaired(refs []store.Ref) {
+	for _, ref := range refs {
+		delete(l.gone, ref)
 	}
 	l.data = slices.DeleteFunc(l.data, func(i int) bool { return !l.gone[store.DataRef(i)] })
 	l.par = slices.DeleteFunc(l.par, func(e lattice.Edge) bool { return !l.gone[store.ParityRef(e)] })
@@ -530,24 +619,59 @@ type job struct {
 	a, b int
 }
 
+// push is one planned in-place rebuild: the store writes ref = a ⊕
+// companion where the companion lives, a indexing the round's fetch list.
+type push struct {
+	ref, companion store.Ref
+	a              int
+}
+
+// plan is one round's repairs: jobs the engine XORs from the fetched
+// refs, and pushes a store that rebuilds in place runs. fetching indexes
+// refs.
+type plan struct {
+	jobs     []job
+	pushes   []push
+	refs     []store.Ref
+	fetching map[store.Ref]int
+}
+
+// sendable lists the pushes whose data member the fetch returned as
+// XorPutMany items. reads[k] is true when item k is the first to read a
+// companion the round's fetch did not: what the push adds to the round's
+// reads.
+func (p plan) sendable(blocks [][]byte) (items []store.XorPut, reads []bool) {
+	read := make(map[store.Ref]bool)
+	for _, j := range p.pushes {
+		d := blocks[j.a]
+		if d == nil {
+			continue
+		}
+		_, fetched := p.fetching[j.companion]
+		items = append(items, store.XorPut{Dst: j.ref, Src: j.companion, Data: d})
+		reads = append(reads, !fetched && !read[j.companion])
+		read[j.companion] = true
+	}
+	return items, reads
+}
+
 // chooseTuples picks, for every missing block, the first pp-tuple (data)
 // or dp-tuple (parity) none of whose members is in the set — the tuple
 // the round will XOR if the fetch agrees with the seed — and returns the
 // repairs with the deduplicated list of real blocks they read. A block
-// with no such tuple sits the round out.
-func (r *Repairer) chooseTuples(loss *lossSet, dataOnly bool) ([]job, []store.Ref, error) {
-	var jobs []job
-	var refs []store.Ref
-	fetching := make(map[store.Ref]int)
+// with no such tuple sits the round out. With xp, a parity whose chosen
+// companion xp reports in place with it becomes a push.
+func (r *Repairer) chooseTuples(ctx context.Context, loss *lossSet, dataOnly bool, xp store.XorPutter) (plan, error) {
+	p := plan{fetching: make(map[store.Ref]int)}
 	slot := func(ref store.Ref) int {
 		if ref.Parity && ref.Edge.IsVirtual() {
 			return -1
 		}
-		idx, ok := fetching[ref]
+		idx, ok := p.fetching[ref]
 		if !ok {
-			idx = len(refs)
-			fetching[ref] = idx
-			refs = append(refs, ref)
+			idx = len(p.refs)
+			p.fetching[ref] = idx
+			p.refs = append(p.refs, ref)
 		}
 		return idx
 	}
@@ -557,13 +681,17 @@ func (r *Repairer) chooseTuples(loss *lossSet, dataOnly bool) ([]job, []store.Re
 		if loss.gone[a] || loss.gone[b] {
 			return false
 		}
-		jobs = append(jobs, job{ref: ref, a: slot(a), b: slot(b)})
+		if xp != nil && ref.Parity && !b.Edge.IsVirtual() && xp.InPlace(ctx, ref, b) {
+			p.pushes = append(p.pushes, push{ref: ref, companion: b, a: slot(a)})
+			return true
+		}
+		p.jobs = append(p.jobs, job{ref: ref, a: slot(a), b: slot(b)})
 		return true
 	}
 	for _, i := range loss.data {
 		tuples, err := r.lat.Tuples(i)
 		if err != nil {
-			return nil, nil, err
+			return plan{}, err
 		}
 		for _, t := range tuples {
 			if choose(store.DataRef(i), store.ParityRef(t.In), store.ParityRef(t.Out)) {
@@ -572,12 +700,12 @@ func (r *Repairer) chooseTuples(loss *lossSet, dataOnly bool) ([]job, []store.Re
 		}
 	}
 	if dataOnly {
-		return jobs, refs, nil
+		return p, nil
 	}
 	for _, e := range loss.par {
 		options, err := r.lat.ParityOptions(e)
 		if err != nil {
-			return nil, nil, err
+			return plan{}, err
 		}
 		for _, opt := range options {
 			if choose(store.ParityRef(e), store.DataRef(opt.Data), store.ParityRef(opt.Parity)) {
@@ -585,7 +713,16 @@ func (r *Repairer) chooseTuples(loss *lossSet, dataOnly bool) ([]job, []store.Re
 			}
 		}
 	}
-	return jobs, refs, nil
+	return p, nil
+}
+
+// blockRefs lists the refs of blocks.
+func blockRefs(blocks []store.Block) []store.Ref {
+	refs := make([]store.Ref, len(blocks))
+	for i, b := range blocks {
+		refs[i] = b.Ref
+	}
+	return refs
 }
 
 // prefetchAttempts bounds the in-round retries of a fetch, so a short

@@ -65,6 +65,14 @@ type KV struct {
 	Data []byte
 }
 
+// XorKV is one item of a keyed in-place rebuild: the node that holds Src
+// stores Dst = Data ⊕ Src. It is XorPut in the key dialect, the item
+// type of the transport's OpXorPutMany.
+type XorKV struct {
+	Dst, Src string
+	Data     []byte
+}
+
 // Keyed is the lower tier's one contract: a storage node that puts and
 // gets blocks under "a value derived from the node id and the block
 // position" (§IV.A, Table III). Every store a transport.Server serves
@@ -220,6 +228,34 @@ type BlockStore interface {
 	// Like the single-block puts, implementations must not retain the
 	// Data slices after returning.
 	PutMany(ctx context.Context, blocks []Block) error
+}
+
+// XorPut is one in-place rebuild: the store stores Dst = Data ⊕ Src
+// where Src lives, so Src never travels to the caller — a parity rebuilt
+// from a dp-tuple, p_{i,j} = d_i ⊕ p_{h,i}, sends d_i once.
+type XorPut struct {
+	Dst, Src Ref
+	Data     []byte
+}
+
+// XorPutter is the optional capability of a BlockStore that rebuilds in
+// place. InPlace reports whether the store can rebuild dst from src where
+// src lives — for a network store, whether both route to one node that
+// can. Callers hand XorPutMany only such items and rebuild the others
+// from their own fetch; an item that stops being in place before it is
+// sent is still answered. XorPutMany returns one entry per item in
+// order: true when Dst now holds Data ⊕ Src, false when Src could not be
+// served at len(Data) — exactly as a nil GetMany entry — and then Dst is
+// not written. Items read only what the batch does not write. The error
+// return is reserved for failures of the whole batch, such as a context
+// end or a quota refusal (wrapping ErrQuotaExceeded). Like PutMany, it
+// must not retain the Data slices after returning. It is optional rather
+// than a BlockStore method because the benchmark's traced store asserts
+// at compile time that it is a BlockStore; a store without it repairs
+// through GetMany and PutMany.
+type XorPutter interface {
+	InPlace(ctx context.Context, dst, src Ref) bool
+	XorPutMany(ctx context.Context, items []XorPut) ([]bool, error)
 }
 
 // Get dispatches a single-block read through a ref.

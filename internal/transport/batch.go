@@ -13,6 +13,10 @@
 //	xorManyQ  = getManyQ with an even count, read as pairs (a, b)
 //	xorManyR  = getManyR with one entry per pair: found=1 and a⊕b when
 //	            both members are held at equal length, found=0 otherwise
+//	xorPutManyQ := count(4) { dstKeyLen(2) dst srcKeyLen(2) src dataLen(4) data }*
+//	xorPutManyR  = statManyR with one entry per item: 1 when the node
+//	            stored dst = data ⊕ src, 0 when it holds no src at
+//	            len(data) or the frame also writes src (see xorput.go)
 //
 // count is capped at MaxBatchEntries and the whole payload at
 // MaxPayloadLen (enforced by the framing layer); oversized or malformed
@@ -73,28 +77,61 @@ func putManySegments(items []KV) (net.Buffers, []byte, error) {
 	if payload > MaxPayloadLen {
 		return nil, nil, fmt.Errorf("transport: batch payload too large (%d bytes)", payload)
 	}
-	arena := getBuf(hdrSize)[:0]
-	segs := make(net.Buffers, 0, 1+2*len(items))
-	mark := 0
-	seal := func() {
-		segs = append(segs, arena[mark:len(arena):len(arena)])
-		mark = len(arena)
-	}
-	arena = append(arena, OpPutMany)
-	arena = binary.BigEndian.AppendUint16(arena, 0)
-	arena = binary.BigEndian.AppendUint32(arena, uint32(payload))
-	arena = binary.BigEndian.AppendUint32(arena, uint32(len(items)))
-	seal()
+	g := newGather(hdrSize, len(items))
+	g.arena = append(g.arena, OpPutMany)
+	g.arena = binary.BigEndian.AppendUint16(g.arena, 0)
+	g.arena = binary.BigEndian.AppendUint32(g.arena, uint32(payload))
+	g.arena = binary.BigEndian.AppendUint32(g.arena, uint32(len(items)))
 	for _, it := range items {
-		arena = binary.BigEndian.AppendUint16(arena, uint16(len(it.Key)))
-		arena = append(arena, it.Key...)
-		arena = binary.BigEndian.AppendUint32(arena, uint32(len(it.Data)))
-		seal()
-		if len(it.Data) > 0 {
-			segs = append(segs, it.Data)
-		}
+		g.arena = appendKey(g.arena, it.Key)
+		g.arena = binary.BigEndian.AppendUint32(g.arena, uint32(len(it.Data)))
+		g.block(it.Data)
 	}
-	return segs, arena, nil
+	return g.frame(), g.arena, nil
+}
+
+// gather lays a frame out as scatter/gather segments: every header byte
+// goes into one exactly-sized pooled arena, which therefore never
+// reallocates, and every block is referenced in place, never copied.
+type gather struct {
+	arena []byte
+	segs  net.Buffers
+	mark  int // arena bytes already closed into segments
+}
+
+// newGather returns a gather whose arena holds hdrSize header bytes and
+// whose segment list has room for blocks blocks.
+func newGather(hdrSize, blocks int) gather {
+	return gather{arena: getBuf(hdrSize)[:0], segs: make(net.Buffers, 0, 1+2*blocks)}
+}
+
+// block closes the header bytes appended since the last block into one
+// segment and references b after them.
+func (g *gather) block(b []byte) {
+	g.seal()
+	if len(b) > 0 {
+		g.segs = append(g.segs, b)
+	}
+}
+
+// frame closes any trailing header bytes into a segment and returns the
+// frame's segments.
+func (g *gather) frame() net.Buffers {
+	if g.mark < len(g.arena) {
+		g.seal()
+	}
+	return g.segs
+}
+
+func (g *gather) seal() {
+	g.segs = append(g.segs, g.arena[g.mark:len(g.arena):len(g.arena)])
+	g.mark = len(g.arena)
+}
+
+// appendKey appends a length-prefixed key.
+func appendKey(buf []byte, key string) []byte {
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(key)))
+	return append(buf, key...)
 }
 
 // getMany is PoolClient.GetMany on one picked connection.
@@ -160,34 +197,22 @@ func serveGetMany(conn net.Conn, st store.Keyed, payload []byte) error {
 			return writeResponse(conn, StatusError,
 				[]byte(fmt.Sprintf("transport: batch payload too large (%d bytes)", respPayload)))
 		}
-		hdrSize := 1 + 4 + 4 + len(blocks)*(1+4)
-		arena := getBuf(hdrSize)[:0]
-		segs := make(net.Buffers, 0, 1+2*len(blocks))
-		mark := 0
-		seal := func() {
-			segs = append(segs, arena[mark:len(arena):len(arena)])
-			mark = len(arena)
-		}
-		arena = append(arena, StatusOK)
-		arena = binary.BigEndian.AppendUint32(arena, uint32(respPayload))
-		arena = binary.BigEndian.AppendUint32(arena, uint32(len(blocks)))
-		seal()
+		g := newGather(1+4+4+len(blocks)*(1+4), len(blocks))
+		g.arena = append(g.arena, StatusOK)
+		g.arena = binary.BigEndian.AppendUint32(g.arena, uint32(respPayload))
+		g.arena = binary.BigEndian.AppendUint32(g.arena, uint32(len(blocks)))
 		for _, b := range blocks {
-			if b == nil {
-				arena = append(arena, 0)
-				arena = binary.BigEndian.AppendUint32(arena, 0)
-				seal()
-				continue
+			found := byte(0)
+			if b != nil {
+				found = 1
 			}
-			arena = append(arena, 1)
-			arena = binary.BigEndian.AppendUint32(arena, uint32(len(b)))
-			seal()
-			if len(b) > 0 {
-				segs = append(segs, b)
-			}
+			g.arena = append(g.arena, found)
+			g.arena = binary.BigEndian.AppendUint32(g.arena, uint32(len(b)))
+			g.block(b)
 		}
+		segs := g.frame()
 		_, err := segs.WriteTo(conn)
-		putBuf(arena) // the vectored write has consumed the header segments
+		putBuf(g.arena) // the vectored write has consumed the header segments
 		return err
 	})
 }
@@ -222,23 +247,29 @@ func statMany(ctx context.Context, c *pipeConn, keys []string) ([]bool, error) {
 	if err != nil {
 		return nil, err
 	}
+	return flagsResponse(status, resp, len(keys))
+}
+
+// flagsResponse decodes a statManyR answer that must carry want flags —
+// StatMany's and XorPutMany's — and returns the response frame to the
+// pool. decodeStatManyResp copies the flags out, so the frame can rejoin
+// the pool even on a decode error (the error text is formatted from
+// counts, not aliases).
+func flagsResponse(status byte, resp []byte, want int) ([]bool, error) {
 	if status != StatusOK {
 		rerr := remoteError(status, resp)
 		putBuf(resp)
 		return nil, rerr
 	}
-	held, err := decodeStatManyResp(resp)
-	// decodeStatManyResp copies the flags out, so the response frame can
-	// rejoin the pool even on a decode error (the error text is formatted
-	// from counts, not aliases).
+	flags, err := decodeStatManyResp(resp)
 	putBuf(resp)
 	if err != nil {
 		return nil, err
 	}
-	if len(held) != len(keys) {
-		return nil, fmt.Errorf("transport: got %d stat entries, want %d", len(held), len(keys))
+	if len(flags) != want {
+		return nil, fmt.Errorf("transport: got %d flags, want %d", len(flags), want)
 	}
-	return held, nil
+	return flags, nil
 }
 
 func decodeStatManyResp(payload []byte) ([]bool, error) {
@@ -308,8 +339,7 @@ func encodeGetManyReq(keys []string) ([]byte, error) {
 	buf := make([]byte, 0, size)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(keys)))
 	for _, k := range keys {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(k)))
-		buf = append(buf, k...)
+		buf = appendKey(buf, k)
 	}
 	return buf, nil
 }

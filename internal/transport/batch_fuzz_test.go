@@ -38,9 +38,10 @@ func served(t *testing.T, handler func(net.Conn) error) []byte {
 func batchKey(k int) string { return fmt.Sprintf("k%d", k) }
 
 // FuzzBatchFrames feeds one arbitrary batch payload to every batch
-// decoder: putMany and getManyQ, which a node parses from any client, the
-// XorMany pair rule on top of getManyQ, and getManyR and statManyR, which
-// a client parses from a node. No decoder may panic or size anything past
+// decoder: putMany, getManyQ and xorPutManyQ, which a node parses from any
+// client, the XorMany pair rule on top of getManyQ, and getManyR and
+// statManyR — the flag list StatMany and XorPutMany answer — which a
+// client parses from a node. No decoder may panic or size anything past
 // the count the frame declares, and whatever one accepts must re-encode —
 // through the production encoder or server handler — to the very same
 // bytes.
@@ -87,6 +88,13 @@ func FuzzBatchFrames(f *testing.F) {
 				t.Fatal("putMany round trip not stable")
 			}
 			putBuf(arena)
+		}
+
+		if items, err := decodeXorPutMany(frame); err == nil {
+			sized("xorPutManyQ", len(items), cap(items))
+			if !bytes.Equal(xorPutFrame(t, items), frame) {
+				t.Fatal("xorPutManyQ round trip not stable")
+			}
 		}
 
 		keys, qerr := decodeGetManyReq(frame)
@@ -149,6 +157,16 @@ func FuzzBatchFrames(f *testing.F) {
 			}
 			if re := served(t, func(c net.Conn) error { return serveStatMany(c, st, q) }); !bytes.Equal(re, frame) {
 				t.Fatal("statManyR round trip through serveStatMany not stable")
+			}
+			// The same flags as an XorPutMany answer: item k reads the
+			// empty block under key k, held exactly where flag k is set.
+			items := make([]XorPut, len(held))
+			for k := range held {
+				items[k] = XorPut{Dst: "d" + keys[k], Src: keys[k]}
+			}
+			q = xorPutFrame(t, items)
+			if re := served(t, func(c net.Conn) error { return serveXorPutMany(c, st, q) }); !bytes.Equal(re, frame) {
+				t.Fatal("statManyR round trip through serveXorPutMany not stable")
 			}
 		}
 	})

@@ -97,17 +97,18 @@ func init() {
 		opTab[i] = other
 	}
 	for op, name := range map[byte]string{
-		OpGet:      "get",
-		OpPut:      "put",
-		OpDel:      "del",
-		OpPutMany:  "putmany",
-		OpGetMany:  "getmany",
-		OpHello:    "hello",
-		OpStatMany: "statmany",
-		OpNodeStat: "nodestat",
-		OpUsage:    "usage",
-		OpMetrics:  "metrics",
-		OpXorMany:  "xormany",
+		OpGet:        "get",
+		OpPut:        "put",
+		OpDel:        "del",
+		OpPutMany:    "putmany",
+		OpGetMany:    "getmany",
+		OpHello:      "hello",
+		OpStatMany:   "statmany",
+		OpNodeStat:   "nodestat",
+		OpUsage:      "usage",
+		OpMetrics:    "metrics",
+		OpXorMany:    "xormany",
+		OpXorPutMany: "xorputmany",
 	} {
 		opTab[op] = newOpMetrics(name)
 	}

@@ -583,15 +583,15 @@ func (c *pipeConn) roundTripSegments(ctx context.Context, segs net.Buffers) (byt
 }
 
 // recycledResponse reports whether the caller of op hands the response
-// payload back to the frame pool: acknowledgements (ackError) and stat
-// flags (statMany) are decoded and recycled. Every other response
+// payload back to the frame pool: acknowledgements (ackError) and flag
+// lists (flagsResponse) are decoded and recycled. Every other response
 // escapes — Get, GetMany and XorMany give theirs to the caller, and the
 // control ops decode from theirs without recycling — so readLoop
 // allocates it exact-size instead of draining a pooled buffer that never
 // returns.
 func recycledResponse(op byte) bool {
 	switch op {
-	case OpPut, OpDel, OpPutMany, OpStatMany:
+	case OpPut, OpDel, OpPutMany, OpStatMany, OpXorPutMany:
 		return true
 	}
 	return false

@@ -12,7 +12,10 @@
 // block, OpDel removes one; OpPutMany/OpGetMany move batches and
 // OpStatMany answers presence-only flags (see batch.go); OpXorMany
 // answers the XOR of each pair of keys, so a pp-tuple the node holds
-// whole crosses the wire as one block (see xor.go); OpHello is the
+// whole crosses the wire as one block (see xor.go); OpXorPutMany stores
+// data ⊕ src under dst for each item, so a parity whose dp-tuple
+// companion the node holds is rebuilt there from the one block the
+// broker sends (see xorput.go); OpHello is the
 // version-gated tenant handshake — the key names a tenant, and the rest
 // of the connection serves that tenant's namespace. Status is StatusOK,
 // StatusNotFound, StatusQuota (admission control refused a write) or
@@ -415,6 +418,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			err = serveStatMany(conn, view, payload)
 		case OpXorMany:
 			err = serveXorMany(conn, view, payload)
+		case OpXorPutMany:
+			err = serveXorPutMany(conn, view, payload)
 		case OpHello:
 			view, err = s.serveHello(conn, view, key, payload)
 		case OpNodeStat:
