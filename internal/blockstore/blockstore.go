@@ -11,17 +11,15 @@ import (
 	"sync"
 
 	"aecodes/internal/lattice"
+	"aecodes/internal/store"
 )
 
-// DataKey names the data block at lattice position i ("d26" in the paper's
-// notation).
-func DataKey(i int) string { return fmt.Sprintf("d:%d", i) }
+// DataKey forwards to store.DataKey, the one spelling of data block names.
+func DataKey(i int) string { return store.DataKey(i) }
 
-// ParityKey names the parity block on edge e ("p21,26" tagged with its
-// strand class, as in Table V).
-func ParityKey(e lattice.Edge) string {
-	return fmt.Sprintf("p:%s:%d:%d", e.Class, e.Left, e.Right)
-}
+// ParityKey forwards to store.ParityKey, the one spelling of parity block
+// names.
+func ParityKey(e lattice.Edge) string { return store.ParityKey(e) }
 
 // Node is one storage location. Nodes are managed by a Cluster; use the
 // cluster methods to mutate them.

@@ -85,6 +85,7 @@ type Router struct {
 
 var _ cooperative.Router = (*Router)(nil)
 var _ cooperative.CredentialRouter = (*Router)(nil)
+var _ cooperative.GroupRouter = (*Router)(nil)
 
 // NewRouter connects to the cluster manager and returns a volume-sharded
 // router for the user. The manager dial is synchronous; node connections
@@ -113,15 +114,26 @@ func NewRouter(managerAddr string, opts RouterOptions) (*Router, error) {
 // parity travels with its left endpoint, so every block of a stripe —
 // data index and all α parity classes — routes to one volume.
 func VolumeID(user string, volumeBlocks, pos int) string {
+	return user + "/" + strconv.Itoa(stripeOf(volumeBlocks, pos))
+}
+
+// stripeOf numbers the stripe of VolumeBlocks positions that pos falls
+// in, from 0.
+func stripeOf(volumeBlocks, pos int) int {
 	if pos < 1 {
 		pos = 1 // virtual strand seeds fold into the first stripe
 	}
-	return user + "/" + strconv.Itoa((pos-1)/volumeBlocks)
+	return (pos - 1) / volumeBlocks
 }
 
 func (r *Router) volumeOf(e lattice.Edge) string {
 	return VolumeID(r.user, r.stripe, e.Left)
 }
+
+// Group implements cooperative.GroupRouter: a parity's group is the
+// stripe VolumeID names its volume by, so the broker routes each volume
+// once per call instead of each key.
+func (r *Router) Group(e lattice.Edge) int { return stripeOf(r.stripe, e.Left) }
 
 // Route implements cooperative.Router: resolve the parity's volume to
 // its node. A cached-table miss is the ErrStale redirect — the route is

@@ -96,6 +96,25 @@ func TestVolumeID(t *testing.T) {
 	}
 }
 
+// TestRouterGroupIsTheVolume: the group the router reports to the broker
+// names the volume Route answers with, for every position — virtual
+// seeds included — so routing once per group is routing once per volume.
+func TestRouterGroupIsTheVolume(t *testing.T) {
+	h := newManagerHarness(t)
+	h.addNode(t, "n1")
+	r := h.newRouter(t, "alice", 8)
+	for pos := -4; pos <= 40; pos++ {
+		e := lattice.Edge{Class: lattice.RightHanded, Left: pos, Right: pos + 3}
+		_, vol, err := r.Route(bgCtx, "k", e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("alice/%d", r.Group(e)); vol != want {
+			t.Fatalf("position %d: Route names volume %q, Group %d", pos, vol, r.Group(e))
+		}
+	}
+}
+
 func TestRouterResolvesCachesAndRedirects(t *testing.T) {
 	h := newManagerHarness(t)
 	h.addNode(t, "n1")

@@ -12,7 +12,7 @@ import (
 
 // buildBrokerSystem backs up n random blocks through a broker over the
 // given nodes and returns the originals (1-based).
-func buildBrokerSystem(t *testing.T, b *Broker, n int, seed int64) [][]byte {
+func buildBrokerSystem(t testing.TB, b *Broker, n int, seed int64) [][]byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	originals := make([][]byte, n+1)

@@ -31,7 +31,12 @@
 // chose, and its commit — in-place rebuilds and uploads in flight
 // together — cost one batched frame of each kind per storage node touched
 // (one per chunkEntries-sized chunk when a batch outgrows a frame), and
-// their wall clock is the slowest node's, not the sum. Read decodes a
+// their wall clock is the slowest node's, not the sum. Naming and routing
+// cost per group, not per key, where the router names its groups
+// (GroupRouter, which cluster.Router implements): a bulk call builds its
+// keys as substrings of one allocation, one Read, Repair, Health or
+// Missing call routes each volume once, and a Backup routes its α
+// parities once. Read decodes a
 // lost block from a pp-tuple on the node when it can: when both parities
 // share a node that answers XorMany, that node sends their XOR — one
 // block on the wire, one exchange. Otherwise the tuple is fetched the
@@ -45,9 +50,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 
-	"aecodes/internal/blockstore"
 	"aecodes/internal/entangle"
 	"aecodes/internal/lattice"
 	"aecodes/internal/obs"
@@ -67,13 +72,16 @@ var ErrNotFound = fmt.Errorf("cooperative: %w", store.ErrNotFound)
 // node that refused it). A tuple whose XorMany found the node unreachable
 // counts in neither. The repair counters split the parities the broker's
 // repairs rebuilt the same way: on the node that holds the companion, or
-// by the broker, which XORed and uploaded them.
+// by the broker, which XORed and uploaded them. route.calls counts the
+// broker's Router.Route invocations: one per key under a router without
+// groups, one per group and call under a GroupRouter.
 var (
 	coopScope          = obs.Default.Scope("cooperative")
 	obsReadNodeXor     = coopScope.Counter("read.node_xor")
 	obsReadPairFetch   = coopScope.Counter("read.pair_fetch")
 	obsRepairNodeXor   = coopScope.Counter("repair.node_xor")
 	obsRepairPairFetch = coopScope.Counter("repair.pair_fetch")
+	obsRouteCalls      = coopScope.Counter("route.calls")
 )
 
 // NodeStore is one remote storage node as the broker sees it — the client
@@ -553,9 +561,53 @@ func (b *Broker) Count() int {
 }
 
 // parityKey derives the system-wide block name: "a value derived from
-// the node id and the block position in the lattice" (§IV.A).
+// the node id and the block position in the lattice" (§IV.A) — the
+// user's namespace and the parity's store.ParityKey, "<user>/p:…", built
+// in one allocation.
 func (b *Broker) parityKey(e lattice.Edge) string {
-	return b.user + "/" + blockstore.ParityKey(e)
+	var buf [64]byte
+	prefix := append(append(buf[:0], b.user...), '/')
+	return string(store.AppendParityKey(prefix, e))
+}
+
+// keyGuess is the expected length of a key after its "<user>" prefix:
+// "/p:rh:" and two four-digit positions.
+const keyGuess = 16
+
+// parityKeys returns the keys of the n parities edge(0) … edge(n-1),
+// built as substrings of one string: a bulk call costs the same few
+// allocations whatever its key count.
+func (b *Broker) parityKeys(n int, edge func(k int) lattice.Edge) []string {
+	var sb strings.Builder
+	sb.Grow(n * (len(b.user) + keyGuess))
+	var small [8]int // where each key ends; a Backup's fit without an allocation
+	ends := small[:0]
+	if n > len(small) {
+		ends = make([]int, 0, n)
+	}
+	var buf [48]byte
+	for k := 0; k < n; k++ {
+		sb.WriteString(b.user)
+		sb.WriteByte('/')
+		sb.Write(store.AppendParityKey(buf[:0], edge(k)))
+		ends = append(ends, sb.Len())
+	}
+	s := sb.String()
+	keys := make([]string, n)
+	start := 0
+	for k, end := range ends {
+		keys[k] = s[start:end]
+		start = end
+	}
+	return keys
+}
+
+// route asks the router for the node and group of the parity named key.
+// Every Router.Route the broker makes goes through here, and is counted
+// in cooperative/route.calls.
+func (b *Broker) route(ctx context.Context, key string, e lattice.Edge) (NodeStore, string, error) {
+	obsRouteCalls.Inc()
+	return b.router.Route(ctx, key, e)
 }
 
 // routeGroup is one routing group's pending transfer: the node the
@@ -570,21 +622,15 @@ type routeGroup struct {
 	items  []store.KV
 }
 
-// groupParity routes one parity into its group, creating the group on
-// first sight (Table III step 3, "compute location key").
-func (b *Broker) groupParity(ctx context.Context, groups map[string]*routeGroup, e lattice.Edge, data []byte) error {
-	key := b.parityKey(e)
-	node, gid, err := b.router.Route(ctx, key, e)
-	if err != nil {
-		return fmt.Errorf("cooperative: routing %s: %w", key, err)
-	}
+// addToGroup puts one routed parity into its group, creating the group
+// on first sight.
+func addToGroup(groups map[string]*routeGroup, node NodeStore, gid string, e lattice.Edge, key string, data []byte) {
 	g := groups[gid]
 	if g == nil {
 		g = &routeGroup{node: node, gid: gid, repE: e, repKey: key}
 		groups[gid] = g
 	}
 	g.items = append(g.items, store.KV{Key: key, Data: data})
-	return nil
 }
 
 // putGroup ships items to node as one PutMany frame per chunkEntries-sized
@@ -626,7 +672,8 @@ func fanOut(n int, fn func(i int)) {
 // transfer, all nodes concurrently: groups are merged by the node they
 // routed to, in sorted group order so each node's frame is deterministic.
 // The first failure in that order is returned once every node is done.
-func (b *Broker) uploadGrouped(ctx context.Context, groups map[string]*routeGroup) error {
+// rt is the call's route table, nil for a Backup.
+func (b *Broker) uploadGrouped(ctx context.Context, rt *routeTable, groups map[string]*routeGroup) error {
 	gids := make([]string, 0, len(groups))
 	for gid := range groups {
 		gids = append(gids, gid)
@@ -646,7 +693,7 @@ func (b *Broker) uploadGrouped(ctx context.Context, groups map[string]*routeGrou
 	}
 	errs := make([]error, len(perNode))
 	fanOut(len(perNode), func(i int) {
-		errs[i] = b.uploadNode(ctx, perNode[i])
+		errs[i] = b.uploadNode(ctx, rt, perNode[i])
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -662,8 +709,10 @@ func (b *Broker) uploadGrouped(ctx context.Context, groups map[string]*routeGrou
 // changed (the cluster manager re-placed the volume off a dead node),
 // the group is re-routed and retried on the replacement node; a quota
 // refusal is never retried — the same write cannot succeed until space
-// is freed.
-func (b *Broker) uploadNode(ctx context.Context, vols []*routeGroup) error {
+// is freed. The re-route asks the router itself, and once the groups are
+// invalidated rt drops every route to the failed node, so the rest of
+// the call routes them afresh too.
+func (b *Broker) uploadNode(ctx context.Context, rt *routeTable, vols []*routeGroup) error {
 	items := vols[0].items
 	if len(vols) > 1 {
 		total := 0
@@ -679,12 +728,13 @@ func (b *Broker) uploadNode(ctx context.Context, vols []*routeGroup) error {
 	if err == nil || errors.Is(err, store.ErrQuotaExceeded) {
 		return err
 	}
+	defer rt.forgetNode(vols[0].node)
 	for _, g := range vols {
 		moved, ierr := b.router.Invalidate(ctx, g.gid)
 		if ierr != nil || !moved {
 			return err
 		}
-		node, _, rerr := b.router.Route(ctx, g.repKey, g.repE)
+		node, _, rerr := b.route(ctx, g.repKey, g.repE)
 		if rerr != nil {
 			return fmt.Errorf("cooperative: re-routing group %s: %w (after %v)", g.gid, rerr, err)
 		}
@@ -722,13 +772,7 @@ func (b *Broker) Backup(ctx context.Context, data []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	groups := make(map[string]*routeGroup, len(ent.Parities))
-	for _, p := range ent.Parities {
-		if err := b.groupParity(ctx, groups, p.Edge, p.Data); err != nil {
-			return 0, err
-		}
-	}
-	if err := b.uploadGrouped(ctx, groups); err != nil {
+	if err := b.upload(ctx, ent.Parities); err != nil {
 		return 0, err
 	}
 	cp := make([]byte, len(data))
@@ -738,6 +782,49 @@ func (b *Broker) Backup(ctx context.Context, data []byte) (int, error) {
 	b.count = ent.Index
 	b.mu.Unlock()
 	return ent.Index, nil
+}
+
+// upload ships one Backup's parities: Table III step 3, "compute location
+// key", then one PutMany per node. The keys are built in one allocation.
+// When the router names groups and the parities share one — always under
+// cluster.Router, whose volumes hold every class of a position — the block
+// is routed once and goes out with no grouping map; otherwise every
+// parity is routed and the groups merge per node.
+func (b *Broker) upload(ctx context.Context, parities []entangle.Parity) error {
+	keys := b.parityKeys(len(parities), func(k int) lattice.Edge { return parities[k].Edge })
+	if gr, ok := b.router.(GroupRouter); ok && oneGroup(gr, parities) {
+		e := parities[0].Edge
+		node, gid, err := b.route(ctx, keys[0], e)
+		if err != nil {
+			return fmt.Errorf("cooperative: routing %s: %w", keys[0], err)
+		}
+		items := make([]store.KV, len(parities))
+		for k, p := range parities {
+			items[k] = store.KV{Key: keys[k], Data: p.Data}
+		}
+		return b.uploadNode(ctx, nil, []*routeGroup{{node: node, gid: gid, repE: e, repKey: keys[0], items: items}})
+	}
+	groups := make(map[string]*routeGroup, len(parities))
+	for k, p := range parities {
+		node, gid, err := b.route(ctx, keys[k], p.Edge)
+		if err != nil {
+			return fmt.Errorf("cooperative: routing %s: %w", keys[k], err)
+		}
+		addToGroup(groups, node, gid, p.Edge, keys[k], p.Data)
+	}
+	return b.uploadGrouped(ctx, nil, groups)
+}
+
+// oneGroup reports whether gr puts all of a block's α ≥ 1 parities in one
+// group.
+func oneGroup(gr GroupRouter, parities []entangle.Parity) bool {
+	g := gr.Group(parities[0].Edge)
+	for _, p := range parities[1:] {
+		if gr.Group(p.Edge) != g {
+			return false
+		}
+	}
+	return true
 }
 
 // BackupStream splits r into blockSize blocks (zero-padding the tail) and
@@ -860,7 +947,7 @@ func (b *Broker) Read(ctx context.Context, i int) ([]byte, error) {
 func (b *Broker) RepairParity(ctx context.Context, e lattice.Edge) (string, error) {
 	st := b.netStore()
 	key := b.parityKey(e)
-	node, gid, err := b.router.Route(ctx, key, e)
+	node, gid, err := st.routes.route(ctx, e, key)
 	if err != nil {
 		return "", fmt.Errorf("cooperative: routing %s: %w", key, err)
 	}
@@ -983,7 +1070,7 @@ func (b *Broker) RecoverState(ctx context.Context, opts RecoverOptions) error {
 				return err
 			}
 			key := b.parityKey(out)
-			node, _, err := b.router.Route(ctx, key, out)
+			node, _, err := b.route(ctx, key, out)
 			if err != nil {
 				return fmt.Errorf("cooperative: routing head %s: %w", key, err)
 			}
@@ -1003,11 +1090,12 @@ func (b *Broker) RecoverState(ctx context.Context, opts RecoverOptions) error {
 // is pure routing and batching: refs and keys map to responsible nodes,
 // and bulk operations group by node — whatever routing groups the router
 // reports — and reach all nodes concurrently, one batched frame per node
-// and chunk. It keeps no cache — round-based repair's read locality lives
-// in the engine's own round prefetch, which arrives here as one GetMany
-// over the tuples the round chose.
+// and chunk. It keeps no block cache — round-based repair's read locality
+// lives in the engine's own round prefetch, which arrives here as one
+// GetMany over the tuples the round chose — only the call's routes.
 type netStore struct {
-	b *Broker // block state accessed under b.mu (the broker's own lock)
+	b      *Broker // block state accessed under b.mu (the broker's own lock)
+	routes routeTable
 }
 
 var (
@@ -1015,7 +1103,14 @@ var (
 	_ store.XorPutter  = (*netStore)(nil)
 )
 
-func (b *Broker) netStore() *netStore { return &netStore{b: b} }
+// netStore returns the view of one broker call, with a route table of
+// its own.
+func (b *Broker) netStore() *netStore {
+	s := &netStore{b: b}
+	s.routes.b = b
+	s.routes.gr, _ = b.router.(GroupRouter)
+	return s
+}
 
 // GetData implements store.Source: the user's local block store.
 func (s *netStore) GetData(ctx context.Context, i int) ([]byte, error) {
@@ -1041,11 +1136,14 @@ func (s *netStore) GetParity(ctx context.Context, e lattice.Edge) ([]byte, error
 		return nil, fmt.Errorf("cooperative: parity %v never created: %w", e, store.ErrNotFound)
 	}
 	key := s.b.parityKey(e)
-	node, _, err := s.b.router.Route(ctx, key, e)
+	node, _, err := s.routes.route(ctx, e, key)
 	if err != nil {
 		return nil, fmt.Errorf("cooperative: routing %s: %w", key, err)
 	}
 	data, err := node.Get(ctx, key)
+	if errors.Is(err, store.ErrUnavailable) {
+		s.routes.forgetNode(node)
+	}
 	if err == nil && len(data) != s.b.blockSize {
 		return nil, fmt.Errorf("cooperative: %s holds %d bytes, want %d: %w", key, len(data), s.b.blockSize, store.ErrNotFound)
 	}
@@ -1067,11 +1165,15 @@ func (s *netStore) PutData(ctx context.Context, i int, b []byte) error {
 // callers may recycle the slice after return.
 func (s *netStore) PutParity(ctx context.Context, e lattice.Edge, data []byte) error {
 	key := s.b.parityKey(e)
-	node, _, err := s.b.router.Route(ctx, key, e)
+	node, _, err := s.routes.route(ctx, e, key)
 	if err != nil {
 		return fmt.Errorf("cooperative: routing %s: %w", key, err)
 	}
-	return node.Put(ctx, key, data)
+	err = node.Put(ctx, key, data)
+	if errors.Is(err, store.ErrUnavailable) {
+		s.routes.forgetNode(node)
+	}
+	return err
 }
 
 // fetchFromNode fetches keys from one node, one GetMany frame per
@@ -1084,6 +1186,9 @@ func (s *netStore) fetchFromNode(ctx context.Context, node NodeStore, keys []str
 	for start := 0; start < len(keys); start += step {
 		end := min(start+step, len(keys))
 		blocks, err := node.GetMany(ctx, keys[start:end])
+		if errors.Is(err, store.ErrUnavailable) {
+			s.routes.forgetNode(node)
+		}
 		if err != nil || len(blocks) != end-start {
 			continue // node unreachable (or confused): chunk stays nil
 		}
@@ -1113,6 +1218,13 @@ type keysByNode struct {
 }
 
 func (g *keysByNode) add(node NodeStore, key string, slot int) {
+	k := g.nodeIndex(node)
+	g.nodes[k].keys = append(g.nodes[k].keys, key)
+	g.nodes[k].slots = append(g.nodes[k].slots, slot)
+}
+
+// nodeIndex returns node's place in g.nodes, adding it on first sight.
+func (g *keysByNode) nodeIndex(node NodeStore) int {
 	k, ok := g.index[node]
 	if !ok {
 		if g.index == nil {
@@ -1122,8 +1234,30 @@ func (g *keysByNode) add(node NodeStore, key string, slot int) {
 		g.index[node] = k
 		g.nodes = append(g.nodes, nodeKeys{node: node})
 	}
-	g.nodes[k].keys = append(g.nodes[k].keys, key)
-	g.nodes[k].slots = append(g.nodes[k].slots, slot)
+	return k
+}
+
+// fill hands keys[k] with slot k to the node at index owner[k] — none
+// when it is negative — sizing each node's lists exactly, so a sweep
+// over many keys allocates per node, not per key. The nodes come from
+// nodeIndex and hold no keys yet.
+func (g *keysByNode) fill(owner []int, keys []string) {
+	counts := make([]int, len(g.nodes))
+	for _, o := range owner {
+		if o >= 0 {
+			counts[o]++
+		}
+	}
+	for k, c := range counts {
+		g.nodes[k].keys = make([]string, 0, c)
+		g.nodes[k].slots = make([]int, 0, c)
+	}
+	for k, o := range owner {
+		if o >= 0 {
+			g.nodes[o].keys = append(g.nodes[o].keys, keys[k])
+			g.nodes[o].slots = append(g.nodes[o].slots, k)
+		}
+	}
 }
 
 // GetMany implements store.BlockStore: data refs are served from the
@@ -1162,6 +1296,7 @@ func (s *netStore) decodeTuple(ctx context.Context, t lattice.Tuple) ([]byte, er
 				}
 				return res[0], nil
 			case errors.Is(err, store.ErrUnavailable):
+				s.routes.forgetNode(groups.nodes[0].node)
 				return nil, nil // as a failed GetMany: the members are missing
 			}
 			// A refusal: fetch the pair instead.
@@ -1211,14 +1346,14 @@ func (s *netStore) resolve(ctx context.Context, refs []store.Ref) ([][]byte, key
 		remote = append(remote, pending{pos: idx, edge: r.Edge})
 	}
 	s.b.mu.RUnlock()
+	keys := s.b.parityKeys(len(remote), func(k int) lattice.Edge { return remote[k].edge })
 	var groups keysByNode
-	for _, p := range remote {
-		key := s.b.parityKey(p.edge)
-		node, _, err := s.b.router.Route(ctx, key, p.edge)
+	for k, p := range remote {
+		node, _, err := s.routes.route(ctx, p.edge, keys[k])
 		if err != nil {
 			continue // unroutable this round: the block stays missing
 		}
-		groups.add(node, key, p.pos)
+		groups.add(node, keys[k], p.pos)
 	}
 	return out, groups
 }
@@ -1241,28 +1376,34 @@ func (s *netStore) fetchGroups(ctx context.Context, groups *keysByNode, out [][]
 // shape. Its only caller is repair, so every parity it uploads counts as
 // one the broker rebuilt.
 func (s *netStore) PutMany(ctx context.Context, blocks []store.Block) error {
-	groups := make(map[string]*routeGroup)
-	parities := 0
-	for _, blk := range blocks {
+	var parities []int // the blocks that go to nodes
+	for k, blk := range blocks {
 		if !blk.Ref.Parity {
 			if err := s.PutData(ctx, blk.Ref.Index, blk.Data); err != nil {
 				return err
 			}
 			continue
 		}
-		// blk.Data stays valid for the whole call (the engine recycles it
-		// only after PutMany returns), and the NodeStore contract has each
-		// node copy or transmit before its Put/PutMany returns — so no
-		// extra copy is needed here.
-		if err := s.b.groupParity(ctx, groups, blk.Ref.Edge, blk.Data); err != nil {
-			return err
-		}
-		parities++
+		parities = append(parities, k)
 	}
-	if err := s.b.uploadGrouped(ctx, groups); err != nil {
+	keys := s.b.parityKeys(len(parities), func(k int) lattice.Edge { return blocks[parities[k]].Ref.Edge })
+	groups := make(map[string]*routeGroup)
+	for k, idx := range parities {
+		// blocks[idx].Data stays valid for the whole call (the engine
+		// recycles it only after PutMany returns), and the NodeStore
+		// contract has each node copy or transmit before its Put/PutMany
+		// returns — so no extra copy is needed here.
+		e := blocks[idx].Ref.Edge
+		node, gid, err := s.routes.route(ctx, e, keys[k])
+		if err != nil {
+			return fmt.Errorf("cooperative: routing %s: %w", keys[k], err)
+		}
+		addToGroup(groups, node, gid, e, keys[k], blocks[idx].Data)
+	}
+	if err := s.b.uploadGrouped(ctx, &s.routes, groups); err != nil {
 		return err
 	}
-	obsRepairPairFetch.Add(int64(parities))
+	obsRepairPairFetch.Add(int64(len(parities)))
 	return nil
 }
 
@@ -1270,33 +1411,33 @@ func (s *netStore) PutMany(ctx context.Context, blocks []store.Block) error {
 // the node its companion src lives on when both route to one node that
 // implements the op and has not refused it.
 func (s *netStore) InPlace(ctx context.Context, dst, src store.Ref) bool {
-	_, _, ok := s.inPlace(ctx, dst, src)
+	_, ok := s.inPlace(ctx, dst, src)
 	return ok
 }
 
 // inPlace resolves an in-place rebuild: the node dst and src both route
-// to, and the item in its key dialect without Data.
-func (s *netStore) inPlace(ctx context.Context, dst, src store.Ref) (xorPutNode, store.XorKV, bool) {
+// to. Under a GroupRouter both routes come from the call's table; no key
+// is named unless the router must be asked.
+func (s *netStore) inPlace(ctx context.Context, dst, src store.Ref) (xorPutNode, bool) {
 	if !dst.Parity || !src.Parity || src.Edge.IsVirtual() {
-		return nil, store.XorKV{}, false
+		return nil, false
 	}
-	kv := store.XorKV{Dst: s.b.parityKey(dst.Edge), Src: s.b.parityKey(src.Edge)}
-	dn, _, err := s.b.router.Route(ctx, kv.Dst, dst.Edge)
+	dn, _, err := s.routes.route(ctx, dst.Edge, "")
 	if err != nil {
-		return nil, kv, false
+		return nil, false
 	}
-	sn, _, err := s.b.router.Route(ctx, kv.Src, src.Edge)
+	sn, _, err := s.routes.route(ctx, src.Edge, "")
 	if err != nil || sn != dn {
-		return nil, kv, false
+		return nil, false
 	}
 	xn, ok := dn.(xorPutNode)
 	if !ok {
-		return nil, kv, false
+		return nil, false
 	}
 	if _, refused := s.b.noXorPut.Load(xn); refused {
-		return nil, kv, false
+		return nil, false
 	}
-	return xn, kv, true
+	return xn, true
 }
 
 // XorPutMany implements store.XorPutter, Table III steps 4–5 on the node:
@@ -1314,23 +1455,36 @@ func (s *netStore) XorPutMany(ctx context.Context, items []store.XorPut) ([]bool
 		items []store.XorKV
 		slots []int
 	}
-	var groups []nodeItems
-	index := make(map[xorPutNode]int)
-	var here []int // the items the broker rebuilds
+	var here []int         // the items the broker rebuilds
+	var sent []int         // the items a node rebuilds,
+	var nodes []xorPutNode // and the node each goes to
 	for k, it := range items {
-		node, kv, ok := s.inPlace(ctx, it.Dst, it.Src)
+		node, ok := s.inPlace(ctx, it.Dst, it.Src)
 		if !ok {
 			here = append(here, k)
 			continue
 		}
-		g, seen := index[node]
+		sent = append(sent, k)
+		nodes = append(nodes, node)
+	}
+	// Item m's dst and src keys are keys[2m] and keys[2m+1].
+	keys := s.b.parityKeys(2*len(sent), func(m int) lattice.Edge {
+		it := items[sent[m/2]]
+		if m%2 == 0 {
+			return it.Dst.Edge
+		}
+		return it.Src.Edge
+	})
+	var groups []nodeItems
+	index := make(map[xorPutNode]int)
+	for m, k := range sent {
+		g, seen := index[nodes[m]]
 		if !seen {
 			g = len(groups)
-			index[node] = g
-			groups = append(groups, nodeItems{node: node})
+			index[nodes[m]] = g
+			groups = append(groups, nodeItems{node: nodes[m]})
 		}
-		kv.Data = it.Data
-		groups[g].items = append(groups[g].items, kv)
+		groups[g].items = append(groups[g].items, store.XorKV{Dst: keys[2*m], Src: keys[2*m+1], Data: items[k].Data})
 		groups[g].slots = append(groups[g].slots, k)
 	}
 	applied := make([]bool, len(items))
@@ -1377,8 +1531,11 @@ func (s *netStore) pushToNode(ctx context.Context, node xorPutNode, items []stor
 			}
 		case errors.Is(err, store.ErrQuotaExceeded):
 			return nil, fmt.Errorf("cooperative: rebuilding %d parities: %w", end-start, err)
-		case errors.Is(err, store.ErrUnavailable) || ctx.Err() != nil:
+		case errors.Is(err, store.ErrUnavailable):
 			// As a failed GetMany: the companions are missing this round.
+			s.routes.forgetNode(node)
+		case ctx.Err() != nil:
+			// The caller gave up; the node refused nothing.
 		default: // a refusal, or an answer of the wrong length
 			s.b.noXorPut.Store(node, true)
 			return slots[start:], nil
@@ -1432,6 +1589,9 @@ func (s *netStore) heldOnNode(ctx context.Context, node NodeStore, keys []string
 	for start := 0; start < len(keys); start += batchChunk {
 		end := min(start+batchChunk, len(keys))
 		flags, err := node.StatMany(ctx, keys[start:end])
+		if errors.Is(err, store.ErrUnavailable) {
+			s.routes.forgetNode(node)
+		}
 		if err != nil || len(flags) != end-start {
 			continue // node unreachable (or confused): chunk stays false
 		}
@@ -1466,22 +1626,26 @@ func (s *netStore) Missing(ctx context.Context) (store.Missing, error) {
 	// expected lists every parity that should exist; held[k] turns true
 	// when the node responsible for expected[k] reports it. An unroutable
 	// parity joins no group and so stays missing: repair keeps trying
-	// once routes come back.
+	// once routes come back. The keys are one allocation and, under a
+	// GroupRouter, the routes one per volume.
 	expected := make([]lattice.Edge, 0, count*len(lat.Classes()))
-	var groups keysByNode
 	for i := 1; i <= count; i++ {
 		for _, class := range lat.Classes() {
-			e, err := lat.OutEdge(class, i)
-			if err != nil {
-				continue
+			if e, err := lat.OutEdge(class, i); err == nil {
+				expected = append(expected, e)
 			}
-			key := s.b.parityKey(e)
-			if node, _, rerr := s.b.router.Route(ctx, key, e); rerr == nil {
-				groups.add(node, key, len(expected))
-			}
-			expected = append(expected, e)
 		}
 	}
+	keys := s.b.parityKeys(len(expected), func(k int) lattice.Edge { return expected[k] })
+	var groups keysByNode
+	owner := make([]int, len(expected))
+	for k, e := range expected {
+		owner[k] = -1
+		if node, _, err := s.routes.route(ctx, e, keys[k]); err == nil {
+			owner[k] = groups.nodeIndex(node)
+		}
+	}
+	groups.fill(owner, keys)
 	held := make([]bool, len(expected))
 	fanOut(len(groups.nodes), func(i int) {
 		g := &groups.nodes[i]

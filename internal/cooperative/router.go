@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"sync"
 
 	"aecodes/internal/lattice"
 	"aecodes/internal/placement"
@@ -34,6 +35,88 @@ type Router interface {
 	// retry can reach a different node; false when the topology is fixed
 	// and retrying is pointless.
 	Invalidate(ctx context.Context, group string) (bool, error)
+}
+
+// GroupRouter is the optional Router capability that makes the broker's
+// control path per group instead of per key. Group reports, with no I/O,
+// the routing group of the parity on e as an integer: parities of equal
+// Group route to one node under one group id, so the route of one holds
+// for all of them until that group is invalidated or its node fails.
+// With it a Backup routes its α parities once when they share a group,
+// and a netStore routes each group once per call (routeTable).
+// cluster.Router implements it — the group is the volume's stripe. A
+// router without it has every key routed, as the flat router does and
+// as does any decorator that does not forward it.
+type GroupRouter interface {
+	Group(e lattice.Edge) int
+}
+
+// routeTable is the routes of one broker call. Under a GroupRouter it
+// keeps each group's node and group id from the group's first Route on,
+// so the call routes every group once however many of its keys it names;
+// without one it keeps nothing and every parity is routed. A netStore —
+// the view one Read, Repair, Health or Missing call builds — owns one,
+// and no table outlives its call. Entries never outlive their node's
+// health either: a node reached through the table that answers
+// store.ErrUnavailable, or fails an upload (whose groups the broker then
+// invalidates), loses every entry that points at it, and the next use of
+// those groups routes afresh.
+type routeTable struct {
+	b  *Broker
+	gr GroupRouter // nil: every parity is routed
+
+	mu     sync.Mutex
+	groups map[int]groupRoute // guarded by mu
+}
+
+// groupRoute is what Route answered for a group's first parity.
+type groupRoute struct {
+	node NodeStore
+	gid  string
+}
+
+// route returns the node serving the parity on e and its group id. key
+// is e's key, or "" to have it built only when the router is asked.
+func (t *routeTable) route(ctx context.Context, e lattice.Edge, key string) (NodeStore, string, error) {
+	var g int
+	if t.gr != nil {
+		g = t.gr.Group(e)
+		t.mu.Lock()
+		r, ok := t.groups[g]
+		t.mu.Unlock()
+		if ok {
+			return r.node, r.gid, nil
+		}
+	}
+	if key == "" {
+		key = t.b.parityKey(e)
+	}
+	node, gid, err := t.b.route(ctx, key, e)
+	if err != nil || t.gr == nil {
+		return node, gid, err
+	}
+	t.mu.Lock()
+	if t.groups == nil {
+		t.groups = make(map[int]groupRoute)
+	}
+	t.groups[g] = groupRoute{node: node, gid: gid}
+	t.mu.Unlock()
+	return node, gid, nil
+}
+
+// forgetNode drops every route to node. A nil table — Backup's, which
+// routes afresh on every call — holds none.
+func (t *routeTable) forgetNode(node any) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for g, r := range t.groups {
+		if any(r.node) == node {
+			delete(t.groups, g)
+		}
+	}
 }
 
 // CredentialRouter is the optional Router extension for tenant routing:

@@ -9,10 +9,10 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"aecodes/internal/blockstore"
 	"aecodes/internal/cluster"
 	"aecodes/internal/cooperative"
 	"aecodes/internal/entangle"
@@ -312,7 +312,7 @@ func TestRepairOnNodesOverTCP(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					key := user + "/" + blockstore.ParityKey(e)
+					key := user + "/" + store.ParityKey(e)
 					node, _, err := router.Route(ctx, key, e)
 					if err != nil {
 						t.Fatal(err)
@@ -410,7 +410,7 @@ func TestRepairQuotaOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := "alice/" + blockstore.ParityKey(e)
+	key := "alice/" + store.ParityKey(e)
 	if err := pool.Del(ctx, key); err != nil {
 		t.Fatal(err)
 	}
@@ -423,5 +423,273 @@ func TestRepairQuotaOverTCP(t *testing.T) {
 	}
 	if _, err := pool.Get(ctx, key); !errors.Is(err, store.ErrNotFound) || alice.Usage() != usage {
 		t.Errorf("a refused repair wrote: Get = %v, usage %+v → %+v", err, usage, alice.Usage())
+	}
+}
+
+// managerClock is a hand-advanced time source for a cluster manager: a
+// node dies when the clock passes its TTL while the others keep beating.
+type managerClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *managerClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *managerClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
+// frameWatch is shared by a fleet's tapped node handles: once the broker
+// has invalidated a volume it counts, per node address and op, the frames
+// still sent; afterPush runs once each XorPutMany frame has returned.
+type frameWatch struct {
+	invalidated atomic.Bool
+	afterPush   func(addr string)
+
+	mu    sync.Mutex
+	after map[string]map[string]int // addr → op → frames since the first Invalidate
+}
+
+func (w *frameWatch) count(addr, op string) {
+	if !w.invalidated.Load() {
+		return
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.after[addr] == nil {
+		w.after[addr] = make(map[string]int)
+	}
+	w.after[addr][op]++
+}
+
+// tappedNode is a pool client whose every frame the watch sees.
+type tappedNode struct {
+	*transport.PoolClient
+	addr  string
+	watch *frameWatch
+}
+
+func (n *tappedNode) Get(ctx context.Context, key string) ([]byte, error) {
+	n.watch.count(n.addr, "Get")
+	return n.PoolClient.Get(ctx, key)
+}
+
+func (n *tappedNode) Put(ctx context.Context, key string, data []byte) error {
+	n.watch.count(n.addr, "Put")
+	return n.PoolClient.Put(ctx, key, data)
+}
+
+func (n *tappedNode) GetMany(ctx context.Context, keys []string) ([][]byte, error) {
+	n.watch.count(n.addr, "GetMany")
+	return n.PoolClient.GetMany(ctx, keys)
+}
+
+func (n *tappedNode) PutMany(ctx context.Context, items []store.KV) error {
+	n.watch.count(n.addr, "PutMany")
+	return n.PoolClient.PutMany(ctx, items)
+}
+
+func (n *tappedNode) StatMany(ctx context.Context, keys []string) ([]bool, error) {
+	n.watch.count(n.addr, "StatMany")
+	return n.PoolClient.StatMany(ctx, keys)
+}
+
+func (n *tappedNode) XorMany(ctx context.Context, keys []string) ([][]byte, error) {
+	n.watch.count(n.addr, "XorMany")
+	return n.PoolClient.XorMany(ctx, keys)
+}
+
+func (n *tappedNode) XorPutMany(ctx context.Context, items []store.XorKV) ([]bool, error) {
+	n.watch.count(n.addr, "XorPutMany")
+	applied, err := n.PoolClient.XorPutMany(ctx, items)
+	n.watch.afterPush(n.addr)
+	return applied, err
+}
+
+// watchedRouter is the cluster router, group capability included, with
+// the broker's Invalidate calls reported to the watch.
+type watchedRouter struct {
+	*cluster.Router
+	watch *frameWatch
+}
+
+func (r watchedRouter) Invalidate(ctx context.Context, group string) (bool, error) {
+	moved, err := r.Router.Invalidate(ctx, group)
+	r.watch.invalidated.Store(true)
+	return moved, err
+}
+
+// TestRepairFollowsReplacementMidRun: the node serving a volume dies
+// between two rounds of one Repair over TCP, and the manager re-places
+// the volume once the broker reports it. The broker's per-call route
+// table must not keep sending to the dead address: after the Invalidate
+// at most one more frame per op may go there, and the run converges —
+// re-seeded once the stalled rounds show the loss — with every parity,
+// the dead volume's rebuilt on its new node, equal to the original.
+func TestRepairFollowsReplacementMidRun(t *testing.T) {
+	const (
+		n         = 256 // four 64-block volumes
+		blockSize = 256
+		user      = "mover"
+		ttl       = 10 * time.Second
+	)
+	ctx := context.Background()
+	params := lattice.Params{Alpha: 3, S: 2, P: 5}
+	lat, err := lattice.New(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := &managerClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
+	mgr, err := cluster.NewManager(cluster.Options{TTL: ttl, Clock: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgrSrv, err := transport.NewServer(mgr.Store())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgrSrv.SetClusterHandler(mgr)
+	mgrAddr, err := mgrSrv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mgrSrv.Close() })
+	servers := make(map[string]*transport.Server) // node address → server
+	ids := make(map[string]string)                // node address → node ID
+	for i := 0; i < 5; i++ {
+		srv, err := transport.NewServer(transport.NewMemStore())
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		servers[addr], ids[addr] = srv, fmt.Sprintf("node-%d", i)
+	}
+	beat := func(except string) {
+		for addr, id := range ids {
+			if addr == except {
+				continue
+			}
+			if err := mgr.NodeStat(transport.NodeStat{ID: id, Addr: addr}); err != nil {
+				t.Errorf("heartbeat %s: %v", id, err)
+			}
+		}
+	}
+	beat("")
+
+	watch := &frameWatch{after: make(map[string]map[string]int), afterPush: func(string) {}}
+	router, err := cluster.NewRouter(mgrAddr, cluster.RouterOptions{User: user, Dial: func(addr string) (cooperative.NodeStore, error) {
+		pool, err := transport.DialPoolOptions(addr, 2, transport.PoolOptions{RedialBackoff: time.Millisecond})
+		if err != nil {
+			return nil, err
+		}
+		return &tappedNode{PoolClient: pool, addr: addr, watch: watch}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { router.Close() })
+	b, err := cooperative.NewRoutedBroker(user, params, blockSize, watchedRouter{router, watch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(53))
+	for i := 1; i <= n; i++ {
+		data := make([]byte, blockSize)
+		rng.Read(data)
+		if _, err := b.Backup(ctx, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parityNode := func(e lattice.Edge) (*tappedNode, string) {
+		t.Helper()
+		key := user + "/" + store.ParityKey(e)
+		node, _, err := router.Route(ctx, key, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return node.(*tappedNode), key
+	}
+	originals := make(map[lattice.Edge][]byte)
+	for i := 1; i <= n; i++ {
+		for _, class := range lat.Classes() {
+			e, err := lat.OutEdge(class, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			node, key := parityNode(e)
+			if originals[e], err = node.Get(ctx, key); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// The victim serves volume 1 (positions 65–128). Three consecutive
+	// parities of one of its horizontal strands go: round 1 rebuilds the
+	// outer two on the node, in one XorPutMany frame, and the middle one
+	// waits for a companion.
+	victimVol := cluster.VolumeID(user, cluster.DefaultVolumeBlocks, 65)
+	victim := mgr.TableSnapshot().Routes[victimVol]
+	e, err := lat.OutEdge(lattice.Horizontal, 84)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 3; k++ {
+		node, key := parityNode(e)
+		if node.addr != victim {
+			t.Fatalf("%s routes to %s, not the victim %s", key, node.addr, victim)
+		}
+		if err := node.Del(ctx, key); err != nil {
+			t.Fatal(err)
+		}
+		if e, err = lat.OutEdge(lattice.Horizontal, e.Right); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Once that frame is answered the node dies, and the manager sees it
+	// dead: its clock passes the TTL while every other node beats.
+	var killed atomic.Bool
+	watch.afterPush = func(addr string) {
+		if addr == victim && killed.CompareAndSwap(false, true) {
+			servers[victim].Close()
+			clk.Advance(ttl + time.Second)
+			beat(victim)
+		}
+	}
+
+	stats, err := b.Repair(ctx, entangle.Options{Patience: 3, RetryDelay: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !killed.Load() || !watch.invalidated.Load() {
+		t.Fatalf("killed %v, invalidated %v: the run never lost the node or never reported it", killed.Load(), watch.invalidated.Load())
+	}
+	if left := len(stats.UnrepairedData) + len(stats.UnrepairedParities); left != 0 {
+		t.Fatalf("repair left %d blocks after %d rounds", left, stats.Rounds)
+	}
+	if addr := mgr.TableSnapshot().Routes[victimVol]; addr == victim {
+		t.Fatalf("volume %s still placed on the dead node", victimVol)
+	}
+	for e, want := range originals {
+		node, key := parityNode(e)
+		if got, err := node.Get(ctx, key); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s not restored byte for byte on %s (err %v)", key, node.addr, err)
+		}
+	}
+	watch.mu.Lock()
+	defer watch.mu.Unlock()
+	for op, frames := range watch.after[victim] {
+		if frames > 1 {
+			t.Errorf("%d %s frames went to the dead node after the broker invalidated its volume, want ≤ 1", frames, op)
+		}
 	}
 }
