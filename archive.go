@@ -10,6 +10,7 @@ import (
 	"slices"
 
 	"aecodes/internal/pipeline"
+	"aecodes/internal/store"
 	"aecodes/internal/xorblock"
 )
 
@@ -323,6 +324,12 @@ func (w *ArchiveWriter) Parities() int { return w.encStats.Parities }
 // missing or corrupt does it fetch one speculative window past the end,
 // whose outcome is never looked at.
 //
+// Blocks go back where they came from once the consumer has moved past
+// them: what the store served through Release (see store.Releaser; a
+// store that recycles nothing ignores it), what the reader decoded to
+// the block pool. A reader abandoned mid-stream leaves the blocks it
+// holds to the garbage collector.
+//
 // The store must tolerate the GetMany calls of a window being read ahead
 // running concurrently with a degraded read by the consume stage, as the
 // BlockStore contract requires. ArchiveReader itself is not safe for
@@ -335,12 +342,15 @@ type ArchiveReader struct {
 	readAhead bool // a window is large enough to be worth a hand-off, see readAheadMinBytes
 
 	next    int                // lattice position of the next block to consume
-	pending [][]byte           // rest of the window being consumed: positions next, next+1, ...
+	pending archiveWindow      // rest of the window being consumed: positions next, next+1, ...
 	ahead   chan archiveWindow // the fetch in flight, of the window after pending; nil when there is none
+	cur     []byte             // the block payload slices, handed back when the reader moves past it
+	curDec  bool               // cur was decoded by the reader, not served by the store
 	payload []byte             // unread payload of the current block
 	fin     bool               // final block consumed: next Read returns EOF
 	ver     int                // framing version locked from the first block; 0 = unknown
 	err     error              // sticky failure
+	one     [1][]byte          // the argument of a one-block Release
 }
 
 var _ io.Reader = (*ArchiveReader)(nil)
@@ -349,9 +359,17 @@ var _ io.Reader = (*ArchiveReader)(nil)
 // Window consecutive positions, nil where the store served nothing and no
 // tuple was complete either.
 type archiveWindow struct {
-	blocks [][]byte
-	final  bool // a block claims to be the archive's last: nothing is fetched ahead of this window
-	err    error
+	blocks  [][]byte
+	decoded []bool // decoded[k]: blocks[k] was rebuilt by DecodeData, so it is the reader's, not the store's
+	final   bool   // a block claims to be the archive's last: nothing is fetched ahead of this window
+	err     error
+}
+
+// shift takes the window's first block off it.
+func (w *archiveWindow) shift() (b []byte, decoded bool) {
+	b, decoded = w.blocks[0], w.decoded[0]
+	w.blocks, w.decoded = w.blocks[1:], w.decoded[1:]
+	return b, decoded
 }
 
 // OpenArchive returns a streaming reader over the archive in st with
@@ -426,6 +444,7 @@ func (r *ArchiveReader) fetchWindow(first int) archiveWindow {
 			missing = append(missing, first+i)
 		}
 	}
+	isDecoded := make([]bool, len(blocks))
 	if len(missing) > 0 {
 		// A decode that fails leaves its positions nil: the consumer tries
 		// each again where the stream reaches it, so the error surfaces at
@@ -433,10 +452,11 @@ func (r *ArchiveReader) fetchWindow(first int) archiveWindow {
 		if decoded, err := r.code.DecodeData(r.ctx, r.st, missing); err == nil {
 			for k, pos := range missing {
 				blocks[pos-first] = decoded[k]
+				isDecoded[pos-first] = decoded[k] != nil
 			}
 		}
 	}
-	return archiveWindow{blocks: blocks, final: slices.ContainsFunc(blocks, claimsFinal)}
+	return archiveWindow{blocks: blocks, decoded: isDecoded, final: slices.ContainsFunc(blocks, claimsFinal)}
 }
 
 // nextWindow makes the next window the one being consumed. It takes over
@@ -460,9 +480,9 @@ func (r *ArchiveReader) nextWindow() error {
 	if w.err != nil {
 		return w.err
 	}
-	r.pending = w.blocks
+	r.pending = w
 	if r.readAhead && !w.final {
-		first := r.next + len(r.pending)
+		first := r.next + len(w.blocks)
 		// One slot, so the send never blocks: a reader dropped mid-stream
 		// strands no goroutine once the fetch's store call returns.
 		ch := make(chan archiveWindow, 1)
@@ -482,21 +502,26 @@ func (r *ArchiveReader) nextWindow() error {
 // a flipped version bit lands there too), so it is cross-checked against
 // its strands and the strand-derived content wins.
 func (r *ArchiveReader) advance() error {
-	if len(r.pending) == 0 {
+	r.handBack()
+	if len(r.pending.blocks) == 0 {
 		if err := r.nextWindow(); err != nil {
 			return err
 		}
 	}
-	raw := r.pending[0]
-	r.pending = r.pending[1:]
+	raw, rawDec := r.pending.shift()
+	r.cur, r.curDec = raw, rawDec
 	payload, last, ver, err := r.parseChecked(raw)
 	if err != nil || (ver == 1 && r.ver == 0) {
 		decoded, derr := r.code.DecodeData(r.ctx, r.st, []int{r.next})
 		switch {
 		case derr == nil && decoded[0] != nil:
-			if !xorblock.Equal(decoded[0], raw) {
-				payload, last, ver, err = r.parseChecked(decoded[0])
+			if xorblock.Equal(decoded[0], raw) {
+				r.release(decoded[0], true)
+				break
 			}
+			payload, last, ver, err = r.parseChecked(decoded[0])
+			r.handBack()
+			r.cur, r.curDec = decoded[0], true
 		case raw == nil:
 			if derr == nil {
 				derr = ErrUnrepairable
@@ -511,7 +536,35 @@ func (r *ArchiveReader) advance() error {
 	r.payload = payload
 	r.fin = last
 	r.next++
+	if last {
+		// Nothing past the final block is ever consumed.
+		for len(r.pending.blocks) > 0 {
+			r.release(r.pending.shift())
+		}
+	}
 	return nil
+}
+
+// handBack releases the block the payload slices, once the reader is
+// done with it.
+func (r *ArchiveReader) handBack() {
+	r.release(r.cur, r.curDec)
+	r.cur = nil
+}
+
+// release hands b back to its owner: the block pool when the reader
+// decoded it — DecodeData's blocks are the caller's — and the store
+// otherwise.
+func (r *ArchiveReader) release(b []byte, decoded bool) {
+	switch {
+	case b == nil:
+	case decoded:
+		xorblock.PoolFor(len(b)).Put(b)
+	default:
+		r.one[0] = b
+		store.Release(r.st, r.one[:])
+		r.one[0] = nil
+	}
 }
 
 // parseChecked parses one raw block and enforces the archive's locked
@@ -538,6 +591,7 @@ func (r *ArchiveReader) Read(p []byte) (int, error) {
 	for total < len(p) {
 		if len(r.payload) == 0 {
 			if r.fin {
+				r.handBack()
 				if total > 0 {
 					return total, nil
 				}
@@ -569,6 +623,7 @@ func (r *ArchiveReader) WriteTo(dst io.Writer) (int64, error) {
 				return total, r.err
 			}
 			if r.fin {
+				r.handBack()
 				return total, nil
 			}
 			if err := r.advance(); err != nil {

@@ -58,7 +58,10 @@ func FuzzParseArchiveBlock(f *testing.F) {
 // inputs pick the payload length, the block size, the reader's window,
 // the sizes of the Read calls and — through one seed, whose low bits set
 // how much — which data blocks go missing, which are corrupted at rest
-// and which parities are lost. Whatever they pick, Read and WriteTo must
+// and which parities are lost. Bit 2 of the block selector picks the
+// store the reader reads: the MemoryStore the archive was written to, or
+// a segstore.Lattice copy of it behind the use-after-release guard
+// (storetest.Poisoned). Whatever they pick, Read and WriteTo must
 // deliver what the synchronous reference reader delivers and end as it
 // ends: a byte-exact round trip, or the same class of error after the
 // same bytes. A reader that hangs trips the fuzzer's own watchdog.
@@ -93,6 +96,10 @@ func FuzzArchiveRead(f *testing.F) {
 			sizes[k] = 1 + rng.Intn(3*blockSize)
 		}
 		want, wantClass := a.reference(t)
-		checkAgainstReference(t, a, int(window), sizes, want, wantClass)
+		var st BlockStore = a.st
+		if blockSel&4 != 0 {
+			st = a.onSegstore(t)
+		}
+		checkAgainstReference(t, a.code, st, int(window), sizes, want, wantClass)
 	})
 }

@@ -16,6 +16,9 @@ import (
 	"time"
 
 	"aecodes/internal/lattice"
+	"aecodes/internal/obs"
+	"aecodes/internal/segstore"
+	"aecodes/internal/store/storetest"
 	"aecodes/internal/xorblock"
 )
 
@@ -167,11 +170,11 @@ func readInCalls(r io.Reader, sizes []int) ([]byte, error) {
 	}
 }
 
-// checkAgainstReference reads the archive through ArchiveReader — by Read
-// in calls of the given sizes, and by WriteTo — and fails unless both
-// deliver want, the bytes the reference reader delivered, and end in the
-// class of error it ended in after them.
-func checkAgainstReference(t testing.TB, a *testArchive, window int, sizes []int, want []byte, wantClass string) {
+// checkAgainstReference reads the archive in st through ArchiveReader —
+// by Read in calls of the given sizes, and by WriteTo — and fails unless
+// both deliver want, the bytes the reference reader delivered, and end in
+// the class of error it ended in after them.
+func checkAgainstReference(t testing.TB, code *Code, st BlockStore, window int, sizes []int, want []byte, wantClass string) {
 	t.Helper()
 	compare := func(how string, got []byte, err error) {
 		t.Helper()
@@ -186,16 +189,48 @@ func checkAgainstReference(t testing.TB, a *testArchive, window int, sizes []int
 	// Whatever the window holds, with the fetch stage working ahead and
 	// with it running in line.
 	for _, ahead := range []bool{true, false} {
-		r := OpenArchiveOptions(a.code, a.st, ArchiveOptions{Window: window})
+		r := OpenArchiveOptions(code, st, ArchiveOptions{Window: window})
 		r.readAhead = ahead
 		got, err := readInCalls(r, sizes)
 		compare(fmt.Sprintf("Read (ahead %v)", ahead), got, err)
-		r = OpenArchiveOptions(a.code, a.st, ArchiveOptions{Window: window})
+		r = OpenArchiveOptions(code, st, ArchiveOptions{Window: window})
 		r.readAhead = ahead
 		var sink bytes.Buffer
 		_, err = r.WriteTo(&sink)
 		compare(fmt.Sprintf("WriteTo (ahead %v)", ahead), sink.Bytes(), err)
 	}
+}
+
+// onSegstore copies every block a's store serves — a corrupted block as
+// it is served — into a segstore.Lattice in a fresh directory, and
+// returns that behind the use-after-release guard: the same archive, read
+// through pooled blocks that are poisoned the moment they are released.
+func (a *testArchive) onSegstore(t testing.TB) *storetest.Poisoned {
+	t.Helper()
+	seg, err := segstore.Open(t.TempDir(), segstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { seg.Close() })
+	view, err := segstore.NewLattice(seg, segstore.Shape{Params: testArchiveParams, Blocks: a.blocks, BlockSize: a.code.BlockSize()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blocks []Block
+	for i := 1; i <= a.blocks; i++ {
+		if b, ok := a.st.Data(i); ok {
+			blocks = append(blocks, Block{Ref: DataRef(i), Data: b})
+		}
+	}
+	for _, e := range a.code.Lattice().RealOutEdges(a.blocks) {
+		if b, ok := a.st.Parity(e); ok {
+			blocks = append(blocks, Block{Ref: ParityRef(e), Data: b})
+		}
+	}
+	if err := view.PutMany(context.Background(), blocks); err != nil {
+		t.Fatal(err)
+	}
+	return storetest.NewPoisoned(t, view)
 }
 
 // reference runs the reference reader over the archive as it is now.
@@ -280,10 +315,80 @@ func TestArchiveReaderMatchesSynchronousReader(t *testing.T) {
 					t.Fatalf("the damage ended the reference stream with %q, meant to produce %q", wantClass, damage.want)
 				}
 				for _, window := range size.windows {
-					checkAgainstReference(t, a, window, sizes, want, wantClass)
+					checkAgainstReference(t, a.code, a.st, window, sizes, want, wantClass)
 				}
 			})
 		}
+	}
+}
+
+// TestArchiveReaderReleasesIntoPoison streams archives out of a
+// segstore.Lattice behind the use-after-release guard — 4 KiB and 1 MiB
+// blocks, windows of 1 and 16, clean and damaged, by Read and WriteTo,
+// ahead and in line — and wants every stream byte-exact: no block the
+// reader released, to the store or to the pool, is read again.
+func TestArchiveReaderReleasesIntoPoison(t *testing.T) {
+	for _, size := range []struct {
+		name              string
+		blockSize, blocks int
+	}{{"4KiB", 4 << 10, 40}, {"1MiB", 1 << 20, 12}} {
+		for _, damaged := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/damaged=%v", size.name, damaged), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(size.blocks)))
+				a := newTestArchive(t, size.blockSize, randomPayload(rng, size.blockSize, size.blocks))
+				if damaged {
+					for i := 1; i <= a.blocks; i++ {
+						switch roll := rng.Float64(); {
+						case roll < 0.2:
+							a.st.LoseData(i)
+						case roll < 0.3:
+							a.corrupt(t, i, rng.Intn(size.blockSize), 1<<rng.Intn(8))
+						case roll < 0.4:
+							a.st.LoseParity(a.tuples(t, i)[0].Out)
+						}
+					}
+				}
+				want, wantClass := a.reference(t)
+				if wantClass != "none" {
+					t.Fatalf("the damage ended the reference stream with %q", wantClass)
+				}
+				st := a.onSegstore(t)
+				capacity := archiveCapacity(size.blockSize)
+				for _, window := range []int{1, 16} {
+					checkAgainstReference(t, a.code, st, window, []int{capacity - 1, 3*capacity + 5}, want, wantClass)
+				}
+				if st.Released() == 0 {
+					t.Fatal("the reader released nothing: the guard guarded nothing")
+				}
+			})
+		}
+	}
+}
+
+// TestArchiveRestoreRecyclesBlocks pins what the release buys: once a
+// restore has warmed the pool, a second one reads every block into a
+// block an earlier read handed back, and xorblock/pool.fresh stays flat.
+func TestArchiveRestoreRecyclesBlocks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops what it is handed")
+	}
+	const blockSize, blocks = 64 << 10, 96
+	rng := rand.New(rand.NewSource(5))
+	a := newTestArchive(t, blockSize, randomPayload(rng, blockSize, blocks))
+	st := a.onSegstore(t)
+	restore := func() {
+		got, err := io.ReadAll(OpenArchive(a.code, st))
+		if err != nil || !bytes.Equal(got, a.payload) {
+			t.Fatalf("restore: %d bytes, %v", len(got), err)
+		}
+	}
+	restore()
+	before := obs.Default.Snapshot().Counters["xorblock/pool.fresh"]
+	restore()
+	// A window of 16 is fetched at a time; a GC cycle in between may
+	// take a window's worth from the pool, never a block per block read.
+	if fresh := obs.Default.Snapshot().Counters["xorblock/pool.fresh"] - before; fresh > 16 {
+		t.Fatalf("a warm restore of %d blocks allocated %d fresh ones", blocks, fresh)
 	}
 }
 

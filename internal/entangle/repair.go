@@ -314,7 +314,10 @@ func (r *Repairer) repair(ctx context.Context, st Store, opts Options) (Stats, e
 				if err != nil {
 					return stats, err
 				}
-				if done, err = commitRound(ctx, st, xp, p, blocks, fixes, loss, opts, &stats); err != nil {
+				done, err = commitRound(ctx, st, xp, p, blocks, fixes, loss, opts, &stats)
+				// Neither PutMany nor XorPutMany keeps what it was given.
+				store.Release(st, blocks)
+				if err != nil {
 					return stats, fmt.Errorf("entangle: committing round %d: %w", stats.Rounds+1, err)
 				}
 			}
@@ -514,6 +517,7 @@ func (r *Repairer) DecodeData(ctx context.Context, st Store, positions []int) (o
 		}
 		loss.refused(p.refs, blocks)
 		fixes, err := xorRound(p.jobs, blocks, 1)
+		store.Release(st, blocks)
 		if err != nil {
 			return nil, err
 		}
@@ -608,6 +612,7 @@ func seedLoss(ctx context.Context, st Store, opts Options, stats *Stats) (*lossS
 			loss.add(ref)
 		}
 	}
+	store.Release(st, blocks)
 	return loss, nil
 }
 
@@ -777,13 +782,15 @@ func fetch(ctx context.Context, st Store, refs []store.Ref, opts Options, stats 
 // xorRound computes every job whose two members the fetch returned, each
 // into a buffer from the process-wide block pool (commitRound returns
 // them; DecodeData hands them to its caller), and lists the repairs in
-// job order. A job that lost a member to the fetch is dropped: the member
-// is in the loss set by now, so the block moves to another tuple next
-// round. Workers stride the job list; when one fails, every buffer drawn
-// goes back to the pool.
+// job order. It keeps no fetched block: the caller releases the fetch
+// once the round is done with it. A job that lost a member to the fetch
+// is dropped: the member is in the loss set by now, so the block moves
+// to another tuple next round. Workers stride the job list; when one
+// fails, every buffer drawn goes back to the pool.
 func xorRound(jobs []job, blocks [][]byte, workers int) ([]store.Block, error) {
-	var zero []byte // what a virtual edge reads as; nil while nothing real was fetched
-	if i := slices.IndexFunc(blocks, func(b []byte) bool { return b != nil }); i >= 0 {
+	var zero []byte // what a virtual edge reads as; nil while no job reads one or nothing real was fetched
+	virtual := slices.ContainsFunc(jobs, func(j job) bool { return j.a < 0 || j.b < 0 })
+	if i := slices.IndexFunc(blocks, func(b []byte) bool { return b != nil }); virtual && i >= 0 {
 		zero = store.ZeroBlock(len(blocks[i]))
 	}
 	member := func(idx int) []byte {

@@ -45,10 +45,12 @@ func bulkItems(recSize, total int) []store.KV {
 	return items
 }
 
-// benchBulkRead runs read (GetBatch or ReadBatch) over the grid against
+// benchBulkRead runs read (ReadInto or ReadBatch) over the grid against
 // one store per record size holding the largest batch, reporting
-// allocations: a read that allocates per record shows it.
-func benchBulkRead(b *testing.B, read func(s *segstore.Store, keys []string)) {
+// allocations: a read that allocates per record shows it. read is handed
+// one caller block of the record size per key, the same ones on every
+// iteration, as a reader that recycles its blocks would.
+func benchBulkRead(b *testing.B, read func(s *segstore.Store, keys []string, blocks [][]byte)) {
 	for _, rec := range bulkRecSizes {
 		items := bulkItems(rec, bulkTotals[len(bulkTotals)-1])
 		s, err := segstore.Open(b.TempDir(), segstore.Options{})
@@ -59,8 +61,10 @@ func benchBulkRead(b *testing.B, read func(s *segstore.Store, keys []string)) {
 			b.Fatal(err)
 		}
 		keys := make([]string, len(items))
+		blocks := make([][]byte, len(items))
 		for i, it := range items {
 			keys[i] = it.Key
+			blocks[i] = make([]byte, rec)
 		}
 		for _, total := range bulkTotals {
 			if total < 2*rec {
@@ -75,7 +79,7 @@ func benchBulkRead(b *testing.B, read func(s *segstore.Store, keys []string)) {
 					b.ReportAllocs()
 					b.ResetTimer()
 					for n := 0; n < b.N; n++ {
-						read(s, batch)
+						read(s, batch, blocks[:len(batch)])
 					}
 				})
 			}
@@ -84,17 +88,18 @@ func benchBulkRead(b *testing.B, read func(s *segstore.Store, keys []string)) {
 	}
 }
 
-// BenchmarkGetBatch is a repair fetch or an archive window: every record
-// pread into its own buffer and CRC-checked.
-func BenchmarkGetBatch(b *testing.B) {
-	benchBulkRead(b, func(s *segstore.Store, keys []string) { s.GetBatch(keys) })
+// BenchmarkReadInto is a repair fetch or an archive window over a
+// Lattice: every record preadv'd — its payload straight into the
+// caller's block — and CRC-checked.
+func BenchmarkReadInto(b *testing.B) {
+	benchBulkRead(b, func(s *segstore.Store, keys []string, blocks [][]byte) { s.ReadInto(keys, blocks) })
 }
 
 // BenchmarkReadBatch is a node serving GetMany: every record pread into
 // its slot of one pooled arena and CRC-checked, then lent to a callback
 // that does nothing with it.
 func BenchmarkReadBatch(b *testing.B) {
-	benchBulkRead(b, func(s *segstore.Store, keys []string) {
+	benchBulkRead(b, func(s *segstore.Store, keys []string, _ [][]byte) {
 		s.ReadBatch(keys, func([][]byte) error { return nil })
 	})
 }

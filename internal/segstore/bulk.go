@@ -75,8 +75,8 @@ func runParallel(n, chunks int, total int64, size func(i int) int64, fn func(lo,
 
 // probe is one key of a bulk read resolved under s.mu: the segment file
 // holding its live record and the record's location, or f == nil when
-// the key has none. at is the record's offset in a batch arena holding
-// every record of the call in key order.
+// there is nothing to read for it. at is the record's offset in a batch
+// arena holding every record of the call in key order.
 type probe struct {
 	f   *os.File
 	loc recordLoc
@@ -92,55 +92,82 @@ func (p probe) size() int64 {
 }
 
 // probesLocked resolves keys for a bulk read and returns their probes
-// with the batch's record bytes. Callers hold s.mu (the read lock
-// suffices) until the reads are done.
-func (s *Store) probesLocked(keys []string) ([]probe, int64) {
+// with the batch's record bytes. With blocks, a key whose payload is not
+// exactly len(blocks[i]) bytes has nothing to read. Callers hold s.mu
+// (the read lock suffices) until the reads are done.
+func (s *Store) probesLocked(keys []string, blocks [][]byte) ([]probe, int64) {
 	ps := make([]probe, len(keys))
 	if s.closed {
 		return ps, 0
 	}
 	var at int64
 	for i, key := range keys {
-		if loc, ok := s.index[key]; ok {
-			ps[i] = probe{f: s.files[loc.seg], loc: loc, at: at}
-			at += loc.recLen()
+		loc, ok := s.index[key]
+		if !ok || (blocks != nil && int(loc.dataLen) != len(blocks[i])) {
+			continue
 		}
+		ps[i] = probe{f: s.files[loc.seg], loc: loc, at: at}
+		at += loc.recLen()
 	}
 	return ps, at
 }
 
 // buf returns the buffer p's record is read into: its own slot of arena,
-// capped so no slot reaches into the next, or a fresh one when arena is
-// nil.
+// capped so no slot reaches into the next.
 func (p probe) buf(arena []byte) []byte {
-	if arena == nil {
-		return make([]byte, p.size())
-	}
 	return arena[p.at : p.at+p.size() : p.at+p.size()]
 }
 
+// maxHeadLen bounds the part of a record before its payload: header,
+// keyLen and key.
+const maxHeadLen = recHeaderLen + 2 + MaxKeyLen
+
+// headPool holds the scratch a chunk of ReadInto reads record heads
+// into, one per chunk. It cannot live on the chunk's stack: the CRC
+// update dispatches through a function value, so whatever it checksums
+// escapes.
+var headPool = sync.Pool{New: func() any { return new([maxHeadLen]byte) }}
+
+// verifyRecord is the one check every read of a live record runs, on
+// whichever path and goroutine: Get, ReadBatch, ReadInto, ScrubStep and
+// Compact. head holds the record up to its payload (loc.headLen() bytes)
+// and payload its loc.dataLen payload bytes. The record passes when its
+// version bit is set, its header carries the payload length the index
+// holds, its CRC32-C matches header, key and payload, and its stored key
+// is key.
+func verifyRecord(head, payload []byte, loc recordLoc, key string) bool {
+	word0 := binary.BigEndian.Uint32(head[0:4])
+	crc := crc32.Checksum(head[0:4], castagnoli)
+	crc = crc32.Update(crc, castagnoli, head[recHeaderLen:])
+	crc = crc32.Update(crc, castagnoli, payload)
+	return word0&recVersion != 0 && word0&recLenMask == loc.dataLen &&
+		crc == binary.BigEndian.Uint32(head[4:8]) &&
+		string(head[recHeaderLen+2:]) == key
+}
+
 // readRecord reads the record at loc from f into buf (loc.recLen()
-// bytes) and verifies it — version bit, CRC32-C over the whole record,
-// and the stored key against key — returning the payload within buf.
-// Every read of a live record runs it, on whichever path and goroutine;
-// the caller holds s.mu so f stays open.
+// bytes) with one pread, verifies it and returns the payload within buf.
+// The caller holds s.mu so f stays open.
 func readRecord(f *os.File, buf []byte, loc recordLoc, key string) ([]byte, bool) {
 	if _, err := f.ReadAt(buf, loc.off); err != nil {
 		return nil, false
 	}
-	word0 := binary.BigEndian.Uint32(buf[0:4])
-	wantCRC := binary.BigEndian.Uint32(buf[4:8])
-	rest := buf[recHeaderLen:]
-	crc := crc32.Checksum(buf[0:4], castagnoli)
-	crc = crc32.Update(crc, castagnoli, rest)
-	if word0&recVersion == 0 || crc != wantCRC {
+	head, payload := buf[:loc.headLen()], buf[loc.headLen():]
+	if !verifyRecord(head, payload, loc, key) {
 		return nil, false
 	}
-	stored := rest[2 : 2+loc.keyLen]
-	if string(stored) != key {
+	return payload, true
+}
+
+// readRecordInto reads the record at loc from f with one vectored read —
+// header and key into head (loc.headLen() bytes), the payload straight
+// into block (loc.dataLen bytes) — verifies it and returns block. The
+// caller holds s.mu so f stays open.
+func readRecordInto(f *os.File, head, block []byte, loc recordLoc, key string) ([]byte, bool) {
+	if readvAt(f, head, block, loc.off) != nil || !verifyRecord(head, block, loc, key) {
 		return nil, false
 	}
-	return rest[2+int(loc.keyLen):], true
+	return block, true
 }
 
 // scratchPool holds the buffers ScrubStep verifies records in, grown to

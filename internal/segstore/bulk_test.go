@@ -163,7 +163,7 @@ func bulkFixture(t *testing.T, rng *rand.Rand) (*Store, []string) {
 // TestBulkReadsMatchSerial is the equivalence property: for random
 // batches (missing keys, empty blocks, duplicates, deleted keys, records
 // in sealed and active segments, records corrupted at rest) StatBatch,
-// GetBatch and ReadBatch return what one Get per key returns — whether
+// ReadInto and ReadBatch return what one Get per key returns — whether
 // the batch runs as one chunk or split, on one core or four. A corrupt
 // record reads as nil through all of them, and once the Get has dropped
 // it, stats -1.
@@ -189,13 +189,13 @@ func TestBulkReadsMatchSerial(t *testing.T) {
 			for _, procs := range []int{1, 4} {
 				withBulk(floor, procs, func() {
 					sizes := s.StatBatch(batch)
-					blocks := s.GetBatch(batch)
+					blocks := ReadSized(s, batch)
 					for i, key := range batch {
 						if sizes[i] != wantSize[i] {
 							t.Fatalf("trial %d floor %d procs %d: StatBatch[%d] (%s) = %d, want %d", trial, floor, procs, i, key, sizes[i], wantSize[i])
 						}
 						if (blocks[i] == nil) != (wantData[i] == nil) || !bytes.Equal(blocks[i], wantData[i]) {
-							t.Fatalf("trial %d floor %d procs %d: GetBatch[%d] (%s) differs from Get", trial, floor, procs, i, key)
+							t.Fatalf("trial %d floor %d procs %d: ReadInto[%d] (%s) differs from Get", trial, floor, procs, i, key)
 						}
 					}
 					err := s.ReadBatch(batch, func(lent [][]byte) error {
@@ -226,7 +226,7 @@ func TestBulkPathsReadTheSameRecords(t *testing.T) {
 	sweep := func(floor int64, procs int) (readBytes, dropped, parallel int64) {
 		withBulk(floor, procs, func() {
 			before := obs.Default.Snapshot()
-			s.GetBatch(keys)
+			ReadSized(s, keys)
 			after := obs.Default.Snapshot()
 			readBytes = after.Counters["segstore/read.bytes"] - before.Counters["segstore/read.bytes"]
 			dropped = after.Counters["segstore/read.dropped"] - before.Counters["segstore/read.dropped"]
@@ -260,7 +260,7 @@ func TestBulkPathsReadTheSameRecords(t *testing.T) {
 }
 
 // TestBulkReadsBesideWritesDeletesAndCompaction races split StatBatch,
-// GetBatch and ReadBatch calls against PutBatch across rotations, Del
+// ReadInto and ReadBatch calls against PutBatch across rotations, Del
 // and Compact (run it under -race). A read returns a key's old or new
 // value, never another key's bytes, and once the store is closed no
 // goroutine of the bulk path is left running.
@@ -324,11 +324,11 @@ func TestBulkReadsBesideWritesDeletesAndCompaction(t *testing.T) {
 						return
 					default:
 					}
-					blocks := s.GetBatch(all)
+					blocks := ReadSized(s, all)
 					sizes := s.StatBatch(all)
 					for i, b := range blocks {
 						if b != nil && !valid(all[i], b) {
-							t.Errorf("GetBatch(%s) served bytes that are no version of it: %.24q", all[i], b)
+							t.Errorf("ReadInto(%s) served bytes that are no version of it: %.24q", all[i], b)
 							return
 						}
 						if sizes[i] < -1 {

@@ -7,3 +7,15 @@ func SetBulkFloor(n int64) int64 {
 	bulkFloor = n
 	return old
 }
+
+// ReadSized reads keys through ReadInto, each into a fresh buffer of the
+// length StatBatch reports for it: entry i is the verified block of
+// keys[i], nil when it is missing, fails its check, or changed length
+// between the two calls.
+func ReadSized(s *Store, keys []string) [][]byte {
+	blocks := make([][]byte, len(keys))
+	for i, n := range s.StatBatch(keys) {
+		blocks[i] = make([]byte, max(n, 0))
+	}
+	return s.ReadInto(keys, blocks)
+}

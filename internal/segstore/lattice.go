@@ -8,6 +8,7 @@ import (
 
 	"aecodes/internal/lattice"
 	"aecodes/internal/store"
+	"aecodes/internal/xorblock"
 )
 
 // shapeKey is the reserved key holding a Lattice view's persisted shape.
@@ -37,7 +38,10 @@ type Lattice struct {
 	lat   *lattice.Lattice
 }
 
-var _ store.BlockStore = (*Lattice)(nil)
+var (
+	_ store.BlockStore = (*Lattice)(nil)
+	_ store.Releaser   = (*Lattice)(nil)
+)
 
 // NewLattice creates a view with the given shape and persists the shape
 // in the store, overwriting any previous one.
@@ -205,49 +209,63 @@ func (v *Lattice) Missing(ctx context.Context) (store.Missing, error) {
 }
 
 // GetMany implements store.BlockStore natively: one Store batch (one
-// lock acquisition) for the whole round. Entries for blocks that are
-// absent, corrupt at rest or the wrong size are nil; virtual edges read
-// as zero blocks.
+// lock acquisition) for the whole round, every block read into a block
+// of the process-wide pool for the view's block size
+// (xorblock.PoolFor), which the caller hands back with Release once it
+// is done with it. Entries for blocks that are absent, corrupt at rest
+// or the wrong size are nil, their pooled blocks back in the pool
+// already; virtual edges read as cleared pooled blocks.
 func (v *Lattice) GetMany(ctx context.Context, refs []store.Ref) ([][]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	keys := make([]string, len(refs))
+	drawn := make([][]byte, len(refs))
+	pool := xorblock.PoolFor(v.shape.BlockSize)
 	for i, r := range refs {
 		keys[i] = refKey(r)
+		drawn[i] = pool.Get()
 	}
-	blocks := v.getBatch(keys)
+	blocks := v.readInto(keys, drawn)
 	for i, r := range refs {
-		if r.Parity && r.Edge.IsVirtual() {
-			blocks[i] = store.ZeroBlock(v.shape.BlockSize)
-			continue
-		}
-		if blocks[i] != nil && len(blocks[i]) != v.shape.BlockSize {
-			blocks[i] = nil
+		switch {
+		case r.Parity && r.Edge.IsVirtual():
+			clear(drawn[i])
+			blocks[i] = drawn[i]
+		case blocks[i] == nil:
+			pool.Put(drawn[i])
 		}
 	}
 	return blocks, nil
 }
 
-// getBatch reads keys into buffers the caller keeps: the repair engine
-// and the archive reader hold blocks across calls, so a lent block will
-// not do. A Store reads each record straight into a buffer of its own
-// (GetBatch); any other Keyed lends, and each block is copied out.
-func (v *Lattice) getBatch(keys []string) [][]byte {
+// readInto reads the blocks of keys into blocks, every one of the view's
+// block size: entry i is blocks[i] holding the block, or nil. A Store
+// reads each payload straight into its block (ReadInto); any other Keyed
+// lends, and each block of the right size is copied out of the loan.
+func (v *Lattice) readInto(keys []string, blocks [][]byte) [][]byte {
 	if s, ok := v.s.(*Store); ok {
-		return s.GetBatch(keys)
+		return s.ReadInto(keys, blocks)
 	}
-	var out [][]byte
-	v.s.ReadBatch(keys, func(blocks [][]byte) error {
-		out = make([][]byte, len(blocks))
-		for i, b := range blocks {
-			if b != nil {
-				out[i] = append([]byte{}, b...)
+	out := make([][]byte, len(keys))
+	v.s.ReadBatch(keys, func(lent [][]byte) error {
+		for i, b := range lent {
+			if len(b) == len(blocks[i]) {
+				out[i] = blocks[i][:copy(blocks[i], b)]
 			}
 		}
 		return nil
 	})
 	return out
+}
+
+// Release implements store.Releaser: the blocks go back to the pool
+// GetMany drew them from.
+func (v *Lattice) Release(blocks [][]byte) {
+	pool := xorblock.PoolFor(v.shape.BlockSize)
+	for _, b := range blocks {
+		pool.Put(b)
+	}
 }
 
 // PutMany implements store.BlockStore natively: the whole batch is

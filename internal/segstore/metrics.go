@@ -27,7 +27,7 @@ var (
 	obsAppendBytes    = segScope.Counter("append.bytes")
 	obsAppendBlocks   = segScope.Counter("append.blocks")
 
-	// Read path: one latency sample per Get, GetBatch or ReadBatch call,
+	// Read path: one latency sample per Get, ReadInto or ReadBatch call,
 	// plus payload bytes returned. ReadBatch's sample ends before its
 	// callback runs: it times the reads, not what the caller does with
 	// them.
@@ -43,7 +43,7 @@ var (
 	obsStatLatency = segScope.Histogram("stat.latency")
 	obsStatKeys    = segScope.Counter("stat.keys")
 
-	// Bulk reads (GetBatch, ReadBatch) split across cores from bulkFloor
+	// Bulk reads (ReadInto, ReadBatch) split across cores from bulkFloor
 	// record bytes up: the record bytes of every call that was split —
 	// the share of a workload's record verification that can use a
 	// second core.

@@ -20,7 +20,7 @@ import (
 // against a Put rewriting the key (run it under -race). Whichever takes
 // the write lock first, the read drops the key only while the index
 // still points at the record it found rotten, so the rewrite is never
-// lost, and the read never serves the rotten bytes. Get and GetBatch
+// lost, and the read never serves the rotten bytes. Get and ReadInto
 // take turns.
 func TestReadDropKeepsARewrite(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), Options{})
@@ -41,7 +41,7 @@ func TestReadDropKeepsARewrite(t *testing.T) {
 				b, _ := s.Get("k")
 				got = append(got, b)
 			} else {
-				got = s.GetBatch([]string{"k", "k"})
+				got = ReadSized(s, []string{"k", "k"})
 			}
 			for _, b := range got {
 				if b != nil && !bytes.Equal(b, fresh) {

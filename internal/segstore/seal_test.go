@@ -398,9 +398,9 @@ func TestFailedFsyncFailStops(t *testing.T) {
 					t.Errorf("Get(%s) on the fail-stopped store = %v, %v", key, got, ok)
 				}
 			}
-			for i, b := range s.GetBatch(keys) {
+			for i, b := range ReadSized(s, keys) {
 				if b == nil {
-					t.Errorf("GetBatch misses %s on the fail-stopped store", keys[i])
+					t.Errorf("ReadInto misses %s on the fail-stopped store", keys[i])
 				}
 			}
 			for i, n := range s.StatBatch(keys) {
@@ -479,9 +479,9 @@ func TestConcurrentUseAcrossRotations(t *testing.T) {
 					fmt.Sprintf("w%d-%03d", i%writers, (i*7+r)%120),
 					fmt.Sprintf("w%d-%03d", (i+1)%writers, (i*11+r)%120),
 				}
-				for k, b := range s.GetBatch(keys) {
+				for k, b := range ReadSized(s, keys) {
 					if b != nil && !bytes.HasPrefix(b, []byte(keys[k]+"@")) {
-						t.Errorf("GetBatch(%s) served another key's bytes: %.20q", keys[k], b)
+						t.Errorf("ReadInto(%s) served another key's bytes: %.20q", keys[k], b)
 					}
 				}
 				s.StatBatch(keys)

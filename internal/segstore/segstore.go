@@ -147,9 +147,11 @@ type recordLoc struct {
 	dataLen uint32
 }
 
-func (l recordLoc) recLen() int64 {
-	return recHeaderLen + 2 + int64(l.keyLen) + int64(l.dataLen)
-}
+// headLen is the bytes of the record before its payload: header, keyLen
+// and key.
+func (l recordLoc) headLen() int { return recHeaderLen + 2 + int(l.keyLen) }
+
+func (l recordLoc) recLen() int64 { return int64(l.headLen()) + int64(l.dataLen) }
 
 // Stats describes the store after open or at any later point.
 type Stats struct {
@@ -634,7 +636,7 @@ func (s *Store) Del(key string) {
 }
 
 // ReadBatch implements store.Keyed: the batch is read and verified as
-// GetBatch reads it, but every record lands in its own slot of one arena
+// ReadInto reads it, but every record lands in its own slot of one arena
 // drawn from scratchPool, so once the pool is warm serving a batch
 // allocates no record buffer. fn runs after the read lock is released;
 // the arena goes back to the pool when fn returns, which is why fn must
@@ -642,39 +644,53 @@ func (s *Store) Del(key string) {
 func (s *Store) ReadBatch(keys []string, fn func(blocks [][]byte) error) error {
 	arena := scratchPool.Get().(*[]byte)
 	defer scratchPool.Put(arena)
-	return fn(s.readBatch(keys, arena))
+	return fn(s.readBatch(keys, nil, arena))
 }
 
-// GetBatch returns one entry per key in order under a single lock
-// acquisition; entries for missing (or corrupt-at-rest) keys are nil.
-// Each block is read into a buffer of its own, which the caller keeps:
-// Lattice serves it to the archive reader and the repair engine, which
-// hold blocks across calls.
-func (s *Store) GetBatch(keys []string) [][]byte {
-	return s.readBatch(keys, nil)
+// ReadInto reads the blocks of keys into the caller's buffers under a
+// single lock acquisition: entry i of the result is blocks[i] holding
+// the verified payload of keys[i], or nil when keys[i] has no record,
+// its record fails the check, or its payload is not exactly
+// len(blocks[i]) bytes. A record that fails the check is dropped from
+// the index, as on every read; a record of another length is neither
+// read nor dropped — it is not corrupt, only not what the caller asked
+// for. Each record is one vectored read: header and key into a pooled
+// scratch of the chunk, the payload straight into its block, so a caller
+// that recycles its blocks (Lattice draws them from the block pool)
+// reads without a buffer per record. A block whose entry is nil holds
+// unspecified bytes.
+func (s *Store) ReadInto(keys []string, blocks [][]byte) [][]byte {
+	return s.readBatch(keys, blocks, nil)
 }
 
 // readBatch is the one batch read path: keys are resolved under the read
-// lock, every live record is read and verified by readRecord — in chunks
-// on every core once the batch is large enough (see runChunks) — and the
-// lock is released before it returns. Entry i is the payload of keys[i],
-// nil when it has no record or the record fails the check; a record that
-// fails it is dropped from the index once the read lock is released. The
-// records land in *arena, grown to the batch's record bytes, or, when
-// arena is nil, each in a fresh buffer.
-func (s *Store) readBatch(keys []string, arena *[]byte) [][]byte {
+// lock, every live record is read and verified — in chunks on every
+// core once the batch is large enough (see runChunks) — and the lock is
+// released before it returns. Entry i is the payload of keys[i], nil
+// when it has no record or the record fails the check; a record that
+// fails it is dropped from the index once the read lock is released.
+// With blocks (ReadInto) the payload of keys[i] lands in blocks[i];
+// otherwise (ReadBatch) every record lands in its slot of *arena, grown
+// to the batch's record bytes.
+func (s *Store) readBatch(keys []string, blocks [][]byte, arena *[]byte) [][]byte {
 	start := time.Now()
 	out := make([][]byte, len(keys))
 	s.mu.RLock()
-	ps, total := s.probesLocked(keys)
+	ps, total := s.probesLocked(keys, blocks)
 	var slots []byte
-	if arena != nil {
+	if blocks == nil {
 		slots = scratchFor(arena, total)
 	}
 	runChunks(len(ps), func(i int) int64 { return ps[i].size() }, func(lo, hi int) {
+		head := headPool.Get().(*[maxHeadLen]byte)
+		defer headPool.Put(head)
 		for i := lo; i < hi; i++ {
-			if p := ps[i]; p.f != nil {
-				// A verified payload is never nil: it slices the buffer.
+			// A verified payload is never nil: it slices a buffer.
+			switch p := ps[i]; {
+			case p.f == nil:
+			case blocks != nil:
+				out[i], _ = readRecordInto(p.f, head[:p.loc.headLen()], blocks[i], p.loc, keys[i])
+			default:
 				out[i], _ = readRecord(p.f, p.buf(slots), p.loc, keys[i])
 			}
 		}

@@ -241,12 +241,12 @@ func TestBatchOps(t *testing.T) {
 	if err := s.PutBatch(items); err != nil {
 		t.Fatal(err)
 	}
-	got := s.GetBatch([]string{"x", "missing", "z", "y"})
+	got := segstore.ReadSized(s, []string{"x", "missing", "z", "y"})
 	if len(got) != 4 {
-		t.Fatalf("GetBatch returned %d entries, want 4", len(got))
+		t.Fatalf("ReadInto returned %d entries, want 4", len(got))
 	}
 	if string(got[0]) != "ex" || string(got[3]) != "why" {
-		t.Fatalf("GetBatch content wrong: %q %q", got[0], got[3])
+		t.Fatalf("ReadInto content wrong: %q %q", got[0], got[3])
 	}
 	if got[1] != nil {
 		t.Fatal("missing key came back non-nil")
@@ -405,9 +405,9 @@ func TestSecondOpenRefused(t *testing.T) {
 }
 
 // TestStatBatchAgreesWithGetBatch pins the presence probe's contract: it
-// answers from the index and reads nothing, so it agrees with GetBatch
+// answers from the index and reads nothing, so it agrees with ReadInto
 // on every record except one corrupted at rest that no read has found
-// yet — that one stats present until GetBatch returns nil for it, and
+// yet — that one stats present until ReadInto returns nil for it, and
 // absent from then on.
 func TestStatBatchAgreesWithGetBatch(t *testing.T) {
 	dir := t.TempDir()
@@ -443,7 +443,7 @@ func TestStatBatchAgreesWithGetBatch(t *testing.T) {
 	if moved := after.Counters["segstore/read.bytes"] - before.Counters["segstore/read.bytes"]; moved != 0 {
 		t.Errorf("StatBatch moved segstore/read.bytes by %d: it must read no record", moved)
 	}
-	blocks := s.GetBatch(keys)
+	blocks := segstore.ReadSized(s, keys)
 	for i, want := range []int{5, 0, -1, 64} {
 		if sizes[i] != want {
 			t.Errorf("StatBatch[%s] = %d, want %d", keys[i], sizes[i], want)
@@ -451,11 +451,11 @@ func TestStatBatchAgreesWithGetBatch(t *testing.T) {
 	}
 	for i, key := range keys[:3] {
 		if (sizes[i] >= 0) != (blocks[i] != nil) {
-			t.Errorf("StatBatch and GetBatch disagree on %s: size %d, block %v", key, sizes[i], blocks[i])
+			t.Errorf("StatBatch and ReadInto disagree on %s: size %d, block %v", key, sizes[i], blocks[i])
 		}
 	}
 	if blocks[3] != nil {
-		t.Fatalf("GetBatch served the corrupt record: %v", blocks[3])
+		t.Fatalf("ReadInto served the corrupt record: %v", blocks[3])
 	}
 	if got := s.StatBatch(keys); got[3] != -1 || got[0] != 5 {
 		t.Errorf("after the read found the rot StatBatch = %v, want the corrupt key at -1 and the rest unchanged", got)
@@ -505,7 +505,7 @@ func TestStatBatchIsObserved(t *testing.T) {
 	if _, ok := s.Get("c"); ok {
 		t.Fatal("Get served the corrupt record")
 	}
-	s.GetBatch([]string{"a", "c"})
+	segstore.ReadSized(s, []string{"a", "c"})
 	after = obs.Default.Snapshot()
 	if got := after.Counters["segstore/read.dropped"] - before.Counters["segstore/read.dropped"]; got != 1 {
 		t.Errorf("segstore/read.dropped moved by %d, want 1 (the corrupt key, once)", got)

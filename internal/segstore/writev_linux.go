@@ -3,6 +3,7 @@
 package segstore
 
 import (
+	"io"
 	"os"
 	"syscall"
 	"unsafe"
@@ -96,4 +97,44 @@ func writevAt(f *os.File, vecs [][]byte, off int64) error {
 		return ctrlErr
 	}
 	return werr
+}
+
+// readvAt fills head and then payload from f at offset off with
+// preadv(2) — one syscall for a whole record, its payload landing
+// straight in the caller's block. A short read continues; a file that
+// ends first is io.ErrUnexpectedEOF. It issues the syscall on f's
+// descriptor directly — a regular file never sits in the poller, and no
+// closure is allocated per record; the caller holds the store's read
+// lock, which keeps f open.
+func readvAt(f *os.File, head, payload []byte, off int64) error {
+	fd := f.Fd()
+	for len(head)+len(payload) > 0 {
+		var iov [2]syscall.Iovec
+		n := 0
+		for _, v := range [2][]byte{head, payload} {
+			if len(v) > 0 {
+				iov[n].Base = &v[0]
+				iov[n].SetLen(len(v))
+				n++
+			}
+		}
+		got, _, errno := syscall.Syscall6(
+			syscall.SYS_PREADV, fd,
+			uintptr(unsafe.Pointer(&iov[0])), uintptr(n),
+			uintptr(off), uintptr(uint64(off)>>32), 0)
+		if errno == syscall.EINTR {
+			continue
+		}
+		if errno != 0 {
+			return errno
+		}
+		if got == 0 {
+			return io.ErrUnexpectedEOF
+		}
+		off += int64(got)
+		k := int(got)
+		h := min(k, len(head))
+		head, payload = head[h:], payload[k-h:]
+	}
+	return nil
 }

@@ -25,3 +25,14 @@ func writevAt(f *os.File, vecs [][]byte, off int64) error {
 	_, err := f.WriteAt(buf, off)
 	return err
 }
+
+// readvAt fills head and then payload from f at offset off — the
+// portable fallback for platforms without preadv(2): two preads, the
+// payload still straight into the caller's block.
+func readvAt(f *os.File, head, payload []byte, off int64) error {
+	if _, err := f.ReadAt(head, off); err != nil {
+		return err
+	}
+	_, err := f.ReadAt(payload, off+int64(len(head)))
+	return err
+}

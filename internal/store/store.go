@@ -212,6 +212,13 @@ type Single interface {
 // corrupted at rest that no read has found yet: it may be listed present
 // until a GetMany returns nil for it, and is enumerated from then on.
 //
+// Ownership: every non-nil GetMany entry is the caller's — no later call
+// on the store changes its bytes — until the caller hands it back with
+// Release, after which the caller must never touch it again. A caller
+// that keeps a block never releases it. A store that recycles its read
+// buffers implements Releaser; for any other store Release does nothing
+// and the garbage collector reclaims what the caller drops.
+//
 // Implementations must be safe for concurrent use. The encode pipeline
 // calls PutMany from all of its workers at once, and a streaming archive
 // reader keeps one GetMany running in the background (the next window)
@@ -256,6 +263,30 @@ type XorPut struct {
 type XorPutter interface {
 	InPlace(ctx context.Context, dst, src Ref) bool
 	XorPutMany(ctx context.Context, items []XorPut) ([]bool, error)
+}
+
+// Releaser is the optional capability of a BlockStore whose GetMany
+// entries come from memory it recycles — segstore.Lattice reads each
+// block into one from the process-wide block pool. It is the mirror of
+// Keyed's lending contract: there the store lends for the length of a
+// callback, here the caller hands back, once it is done, GetMany entries
+// it will never touch again. Release takes any number of them from any
+// number of calls, skips nil entries, and must be given each entry at
+// most once. It is optional, and opt-in by the store, because a store
+// whose GetMany lends its stored slices (entangle.MemoryStore) must not
+// have them recycled under it, and because the benchmark's traced store
+// asserts at compile time that it is a BlockStore; a store without it
+// leaves released blocks to the garbage collector.
+type Releaser interface {
+	Release(blocks [][]byte)
+}
+
+// Release hands blocks — GetMany entries of st the caller is done with —
+// back to st when st implements Releaser, and does nothing otherwise.
+func Release(st BlockStore, blocks [][]byte) {
+	if r, ok := st.(Releaser); ok {
+		r.Release(blocks)
+	}
 }
 
 // Get dispatches a single-block read through a ref.

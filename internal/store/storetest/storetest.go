@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -215,6 +216,41 @@ func Run(t *testing.T, h Harness) {
 		}
 		if !bytes.Equal(got[0], h.block(1)) {
 			t.Error("GetMany result changed after overwrite: store handed out an aliased internal buffer")
+		}
+	})
+
+	t.Run("GetManyAfterRelease", func(t *testing.T) {
+		// A store that recycles what GetMany returned serves the same
+		// blocks again after they came back poisoned: nothing it hands out
+		// still aliases a released block.
+		s := h.New(t)
+		if _, ok := s.(store.Releaser); !ok {
+			t.Skip("the store recycles nothing")
+		}
+		ps := NewPoisoned(t, s)
+		e := h.realEdge(t, lat)
+		if err := s.PutMany(ctx, []store.Block{{Ref: store.DataRef(1), Data: h.block(1)}, {Ref: store.ParityRef(e), Data: h.block(100)}}); err != nil {
+			t.Fatal(err)
+		}
+		refs := []store.Ref{store.DataRef(1), store.DataRef(2), store.ParityRef(e)}
+		want := [][]byte{h.block(1), nil, h.block(100)}
+		if v, ok := virtualEdge(lat, h.Blocks); ok {
+			refs, want = append(refs, store.ParityRef(v)), append(want, make([]byte, h.BlockSize))
+		}
+		for round := 0; round < 3; round++ {
+			got, err := ps.GetMany(ctx, refs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range refs {
+				if (got[i] == nil) != (want[i] == nil) || !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("round %d: GetMany after a poisoned release served a wrong %v", round, refs[i])
+				}
+			}
+			ps.Release(got)
+		}
+		if n, want := ps.Released(), int64(3*(len(refs)-1)); n != want {
+			t.Errorf("%d blocks released, want %d", n, want)
 		}
 	})
 
@@ -477,6 +513,52 @@ func RunKeyed(t *testing.T, newStore func(t *testing.T) store.Keyed) {
 		}
 	})
 }
+
+// Poison is the byte Poisoned overwrites every released block with.
+const Poison = 0xA5
+
+// Poisoned is the use-after-release guard: it wraps a store whose
+// GetMany entries go back through store.Release and overwrites every
+// block released through it with Poison before handing it on. A reader
+// that touches a block after releasing it — or releases one it still
+// delivers from — then delivers poison where its data should be, and a
+// byte-exact check of what it delivered fails.
+type Poisoned struct {
+	store.BlockStore
+	rel      store.Releaser
+	released atomic.Int64
+}
+
+var _ store.Releaser = (*Poisoned)(nil)
+
+// NewPoisoned wraps st, which must implement store.Releaser: a store
+// that lends what it stores must never have its blocks overwritten.
+func NewPoisoned(t testing.TB, st store.BlockStore) *Poisoned {
+	t.Helper()
+	rel, ok := st.(store.Releaser)
+	if !ok {
+		t.Fatalf("storetest: %T recycles nothing, so nothing may be poisoned", st)
+	}
+	return &Poisoned{BlockStore: st, rel: rel}
+}
+
+// Release implements store.Releaser: every block is poisoned, counted
+// and handed to the wrapped store.
+func (p *Poisoned) Release(blocks [][]byte) {
+	for _, b := range blocks {
+		if b != nil {
+			for i := range b {
+				b[i] = Poison
+			}
+			p.released.Add(1)
+		}
+	}
+	p.rel.Release(blocks)
+}
+
+// Released counts the blocks released through p: a guard that nothing
+// was released through guards nothing.
+func (p *Poisoned) Released() int64 { return p.released.Load() }
 
 // ReadCopy returns what one ReadBatch call lends for keys, copied out
 // inside the callback: nil stays nil, and an empty block stays a non-nil

@@ -3,6 +3,7 @@ package xorblock
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -99,6 +100,39 @@ func TestPoolRecycles(t *testing.T) {
 	p.Put(nil)
 	if got := p.Get(); len(got) != 64 {
 		t.Fatalf("Get after bad Puts returned %d bytes, want 64", len(got))
+	}
+}
+
+// TestPoolSteadyStateAllocatesNothing pins the recycling: once a block
+// has been put back, a Get and a Put allocate neither a block nor the
+// box it travels through the pool in, and pool.fresh stays still.
+func TestPoolSteadyStateAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts over pooled buffers mean nothing under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: every Get meets the slot the last Put filled
+	p := NewPool(1 << 10)
+	p.Put(p.Get())
+	fresh := obsPoolFresh.Value()
+	if allocs := testing.AllocsPerRun(100, func() { p.Put(p.Get()) }); allocs != 0 {
+		t.Errorf("a warm Get+Put allocates %v objects, want 0", allocs)
+	}
+	if n := obsPoolFresh.Value() - fresh; n != 0 {
+		t.Errorf("pool.fresh moved by %d over warm Get+Put pairs, want 0", n)
+	}
+}
+
+// TestPoolCountsFreshBlocks pins pool.fresh: a Get from an empty pool
+// allocates a zeroed block and counts it.
+func TestPoolCountsFreshBlocks(t *testing.T) {
+	p := NewPool(48)
+	before := obsPoolFresh.Value()
+	a, b := p.Get(), p.Get()
+	if n := obsPoolFresh.Value() - before; n != 2 {
+		t.Fatalf("two Gets from an empty pool moved pool.fresh by %d, want 2", n)
+	}
+	if !IsZero(a) || !IsZero(b) || len(a) != 48 || len(b) != 48 {
+		t.Fatal("a fresh block is not 48 zero bytes")
 	}
 }
 

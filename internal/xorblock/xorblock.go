@@ -15,6 +15,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+
+	"aecodes/internal/obs"
 )
 
 // wordSize is the number of bytes processed per wide XOR step.
@@ -91,13 +93,22 @@ func XorManyInto(dst []byte, srcs ...[]byte) error {
 }
 
 // Pool is a sync.Pool-backed allocator for blocks of one fixed size. It
-// keeps the steady-state encode/repair paths allocation-free: every block
-// handed out by Get was either recycled via Put or freshly zero-allocated.
+// keeps the steady-state encode, repair and read paths allocation-free:
+// every block handed out by Get was either recycled via Put or freshly
+// zero-allocated, and the fresh ones are counted in xorblock/pool.fresh.
 // The zero value is unusable; construct with NewPool or use PoolFor.
 type Pool struct {
 	size int
-	p    sync.Pool
+	p    sync.Pool // *[]byte holding a block
+	// boxes recycles the *[]byte a block travels through p in, emptied,
+	// so a Put allocates no box and a Get leaves none for the collector.
+	boxes sync.Pool
 }
+
+// obsPoolFresh counts the blocks pools had to allocate because none was
+// waiting: flat across a warm steady state, it rises with every block a
+// reader keeps instead of handing back.
+var obsPoolFresh = obs.Default.Scope("xorblock").Counter("pool.fresh")
 
 // NewPool returns a pool handing out blocks of exactly size bytes.
 // It panics if size is not positive.
@@ -105,12 +116,7 @@ func NewPool(size int) *Pool {
 	if size <= 0 {
 		panic(fmt.Sprintf("xorblock: pool block size must be positive, got %d", size))
 	}
-	pl := &Pool{size: size}
-	pl.p.New = func() any {
-		b := make([]byte, size)
-		return &b
-	}
-	return pl
+	return &Pool{size: size}
 }
 
 // BlockSize returns the fixed size of blocks managed by the pool.
@@ -118,7 +124,17 @@ func (p *Pool) BlockSize() int { return p.size }
 
 // Get returns a block of the pool's size. Its content is unspecified;
 // callers that need zeroes must clear it themselves.
-func (p *Pool) Get() []byte { return *(p.p.Get().(*[]byte)) }
+func (p *Pool) Get() []byte {
+	box, _ := p.p.Get().(*[]byte)
+	if box == nil {
+		obsPoolFresh.Inc()
+		return make([]byte, p.size)
+	}
+	b := *box
+	*box = nil
+	p.boxes.Put(box)
+	return b
+}
 
 // Put recycles a block previously returned by Get. Blocks of the wrong
 // size are dropped rather than poisoning the pool; putting nil is a no-op.
@@ -126,7 +142,12 @@ func (p *Pool) Put(b []byte) {
 	if len(b) != p.size {
 		return
 	}
-	p.p.Put(&b)
+	box, _ := p.boxes.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = b
+	p.p.Put(box)
 }
 
 // pools registers one Pool per block size so unrelated subsystems sharing a
