@@ -216,7 +216,7 @@ func New(params Params, blockSize int) (*Code, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := entangle.NewRepairer(params)
+	rep, err := entangle.NewRepairer(params, blockSize)
 	if err != nil {
 		return nil, err
 	}
@@ -298,9 +298,14 @@ func (c *Code) RepairParity(ctx context.Context, src Source, e Edge) ([]byte, er
 // once — one Missing call, or with opts.Targets one GetMany of the
 // targets, which then are the only blocks it may write; each round then
 // fetches only the repair tuple it chose for every missing block — two
-// reads per repaired block — with one GetMany and commits with a single
-// PutMany, so a batch-native store moves whole rounds in one exchange per
-// location.
+// reads per repaired block. A round runs in windows, one after another,
+// of at most 32 MiB of fetched and rebuilt blocks: each fetches with one
+// GetMany the members no earlier window fetched, commits with a single
+// PutMany and hands back what no later window reads. A round that fits
+// one window is one GetMany and one PutMany, so a batch-native store
+// moves it in one exchange per location, and a larger round holds one
+// window at a time whatever was lost. A run stopped by a failed commit
+// or the context still reports what its earlier windows committed.
 func (c *Code) Repair(ctx context.Context, st BlockStore, opts RepairOptions) (RepairStats, error) {
 	return c.rep.Repair(ctx, st, opts)
 }

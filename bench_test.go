@@ -29,6 +29,7 @@ import (
 	"aecodes/internal/reedsolomon"
 	"aecodes/internal/segstore"
 	"aecodes/internal/sim"
+	"aecodes/internal/store/storetest"
 	"aecodes/internal/transport"
 	"aecodes/internal/writeperf"
 	"aecodes/internal/xorblock"
@@ -680,7 +681,9 @@ func BenchmarkEncodePipelinedAE355(b *testing.B) {
 }
 
 // benchmarkRepairRound measures whole-lattice round-based repair latency
-// after a 30% correlated failure, serial vs parallel planning.
+// after a 30% correlated failure, serial vs parallel planning, with the
+// most fetched block bytes the repair held at once (peak-MiB/op): at most
+// one window of a round.
 func benchmarkRepairRound(b *testing.B, workers int) {
 	const n, blockSize = 400, 32 << 10
 	params := lattice.Params{Alpha: 3, S: 2, P: 5}
@@ -688,7 +691,7 @@ func benchmarkRepairRound(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rep, err := entangle.NewRepairer(params)
+	rep, err := entangle.NewRepairer(params, blockSize)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -732,15 +735,19 @@ func benchmarkRepairRound(b *testing.B, workers int) {
 		}
 		return store
 	}
+	var peak int64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		store := build()
+		held := &storetest.Held{BlockStore: build()}
 		b.StartTimer()
-		if _, err := rep.Repair(bg, store, entangle.Options{Workers: workers}); err != nil {
+		if _, err := rep.Repair(bg, held, entangle.Options{Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
+		peak = max(peak, held.Peak())
 	}
+	b.ReportMetric(float64(peak*blockSize)/(1<<20), "peak-MiB/op")
 }
 
 func BenchmarkRepairRoundsSerial(b *testing.B)   { benchmarkRepairRound(b, 1) }

@@ -528,7 +528,7 @@ func repairRoundBench() error {
 		}
 		return nil
 	}
-	rep, err := entangle.NewRepairer(params)
+	rep, err := entangle.NewRepairer(params, blockSize)
 	if err != nil {
 		return err
 	}
@@ -616,7 +616,7 @@ func repairBandwidthBench() error {
 		}
 		return st, lost, nil
 	}
-	rep, err := entangle.NewRepairer(params)
+	rep, err := entangle.NewRepairer(params, blockSize)
 	if err != nil {
 		return err
 	}

@@ -282,7 +282,7 @@ func main() {
 					if err != nil {
 						return nil, err // wraps store.ErrNotFound until a shape is archived
 					}
-					rep, err := entangle.NewRepairer(lat.Shape().Params)
+					rep, err := entangle.NewRepairer(lat.Shape().Params, lat.Shape().BlockSize)
 					if err != nil {
 						return nil, err
 					}

@@ -501,7 +501,7 @@ func NewRoutedBroker(user string, params lattice.Params, blockSize int, router R
 	if err != nil {
 		return nil, err
 	}
-	rep, err := entangle.NewRepairer(params)
+	rep, err := entangle.NewRepairer(params, blockSize)
 	if err != nil {
 		return nil, err
 	}

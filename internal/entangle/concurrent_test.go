@@ -113,7 +113,7 @@ func BenchmarkRepairWorkers(b *testing.B) {
 					}
 				}
 			}
-			r, err := NewRepairer(params)
+			r, err := NewRepairer(params, blockSize)
 			if err != nil {
 				b.Fatal(err)
 			}

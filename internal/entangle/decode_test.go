@@ -49,7 +49,7 @@ func TestDecodeDataMatchesSetOracle(t *testing.T) {
 	const n, blockSize = 150, 8
 	for _, params := range soundnessSettings {
 		t.Run(params.String(), func(t *testing.T) {
-			rep, err := NewRepairer(params)
+			rep, err := NewRepairer(params, blockSize)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +126,7 @@ func TestDecodeDataBeyondTheEnd(t *testing.T) {
 	const n = 40
 	params := lattice.Params{Alpha: 3, S: 2, P: 5}
 	ref := buildReference(t, params, n, 8, 1)
-	rep, err := NewRepairer(params)
+	rep, err := NewRepairer(params, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestDecodeDataCancelled(t *testing.T) {
 	params := lattice.Params{Alpha: 3, S: 2, P: 5}
 	ref := buildReference(t, params, 20, 8, 1)
 	ref.st.LoseData(7)
-	rep, err := NewRepairer(params)
+	rep, err := NewRepairer(params, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func TestRepairSurvivesFlakyBackend(t *testing.T) {
 		FailEvery: 3, // every third GetMany starts a burst...
 		FailBurst: 2, // ...of two consecutive failures, within prefetch retries
 	})
-	rep, err := NewRepairer(params)
+	rep, err := NewRepairer(params, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestRepairPatienceRidesOutBurstBeyondRetries(t *testing.T) {
 		FailEvery: 2, // every second GetMany starts a burst...
 		FailBurst: 5, // ...outlasting the 3 in-round retries: whole rounds fail
 	})
-	rep, err := NewRepairer(params)
+	rep, err := NewRepairer(params, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRepairAbortsOnLongBurst(t *testing.T) {
 		FailEvery: 1,   // every GetMany call...
 		FailBurst: 100, // ...fails, far beyond the bounded retries
 	})
-	rep, err := NewRepairer(params)
+	rep, err := NewRepairer(params, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

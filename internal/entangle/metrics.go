@@ -27,7 +27,7 @@ func priorityLabel(p Priority) string {
 // repair.<seed>.<priority>.<field>, where seed says what the run started
 // from: "lattice" for the store's enumeration, "targets" for
 // Options.Targets.
-func recordRepairObs(opts Options, stats Stats, err error) {
+func recordRepairObs(opts Options, stats Stats, windows int, err error) {
 	seed := "lattice"
 	if len(opts.Targets) > 0 {
 		seed = "targets"
@@ -37,6 +37,7 @@ func recordRepairObs(opts Options, stats Stats, err error) {
 	if err != nil {
 		entangleScope.Counter(p + "errors").Inc()
 	}
+	entangleScope.Counter(p + "windows").Add(int64(windows))
 	entangleScope.Counter(p + "bytes_read").Add(stats.BytesRead)
 	entangleScope.Counter(p + "data_repaired").Add(int64(stats.DataRepaired))
 	entangleScope.Counter(p + "parity_repaired").Add(int64(stats.ParityRepaired))

@@ -140,15 +140,6 @@ func buildReference(t testing.TB, params lattice.Params, n, blockSize int, seed 
 	return ref
 }
 
-// position is the lattice position a stored block belongs to: a data
-// block's own, a parity's left endpoint (the block that produced it).
-func position(r store.Ref) int {
-	if r.Parity {
-		return r.Edge.Left
-	}
-	return r.Index
-}
-
 // lose marks the k-th block of the damage order unavailable.
 func (ref *referenceSystem) lose(k int) {
 	if r := ref.ordered[k]; r.Parity {
@@ -168,8 +159,9 @@ func (ref *referenceSystem) lose(k int) {
 // only by fetching a tuple it is in, so a target may slip a round behind
 // the oracle and read a tuple it cannot use. It reports whether that was
 // so. With push the store rebuilds parities in place (xorPutStore), and
-// its writes are checked like the engine's commits.
-func checkAgainstOracle(t testing.TB, ref *referenceSystem, opts Options, mask byte, push bool) (stats Stats, partial bool) {
+// its writes are checked like the engine's commits. A non-zero window is
+// the blocks a window of the engine's rounds may hold.
+func checkAgainstOracle(t testing.TB, ref *referenceSystem, opts Options, mask byte, push bool, window int) (stats Stats, partial bool) {
 	t.Helper()
 	enumerated, err := ref.st.Missing(bg)
 	if err != nil {
@@ -192,9 +184,12 @@ func checkAgainstOracle(t testing.TB, ref *referenceSystem, opts Options, mask b
 	partial = targeted && len(targets) < len(enumerated.Data)+len(enumerated.Parities)
 	want := setOracle(t, ref.lat, ref.n, enumerated, opts.DataOnly, targets)
 
-	rep, err := NewRepairer(ref.lat.Params())
+	rep, err := NewRepairer(ref.lat.Params(), len(ref.data[1]))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if window > 0 {
+		rep.window = window
 	}
 	cs := &countingStore{inner: ref.st}
 	var st Store = cs
@@ -268,19 +263,22 @@ func checkAgainstOracle(t testing.TB, ref *referenceSystem, opts Options, mask b
 
 // TestRepairMatchesSetOracle is round equivalence as a property: over
 // every evaluated code setting, light to catastrophic damage, both
-// worker counts and both seeds — the store's enumeration, and everything
-// it lists handed over as Targets — the engine's rounds, per-round
-// counts, first-round share and unrepairable residue are exactly the set
-// oracle's.
+// worker counts, both seeds — the store's enumeration, and everything
+// it lists handed over as Targets — and whole or windowed rounds, the
+// engine's rounds, per-round counts, first-round share and unrepairable
+// residue are exactly the set oracle's.
 func TestRepairMatchesSetOracle(t *testing.T) {
 	const n, blockSize = 150, 8
+	counter := entangleScope.Counter("repair.lattice.normal.windows")
+	var windows [2]int64 // enumerated runs on four workers: whole rounds, windows of 7 blocks
 	for _, params := range soundnessSettings {
 		t.Run(params.String(), func(t *testing.T) {
 			for _, damage := range []float64{0.1, 0.3, 0.5, 0.7} {
 				for _, run := range []struct {
 					workers int
 					mask    byte
-				}{{1, 0}, {4, 0}, {1, 0xff}, {4, 0xff}} {
+					window  int
+				}{{1, 0, 0}, {4, 0, 0}, {1, 0xff, 0}, {4, 0xff, 0}, {4, 0, 7}, {1, 0xff, 20}} {
 					ref := buildReference(t, params, n, blockSize, int64(damage*100))
 					rng := rand.New(rand.NewSource(int64(damage * 1000)))
 					for k := range ref.ordered {
@@ -288,21 +286,32 @@ func TestRepairMatchesSetOracle(t *testing.T) {
 							ref.lose(k)
 						}
 					}
-					checkAgainstOracle(t, ref, Options{Workers: run.workers}, run.mask, false)
+					before := counter.Value()
+					checkAgainstOracle(t, ref, Options{Workers: run.workers}, run.mask, false, run.window)
+					if run.workers == 4 && run.mask == 0 {
+						windows[min(run.window, 1)] += counter.Value() - before
+					}
 				}
 			}
 		})
 	}
+	if windows[1] <= windows[0] {
+		t.Fatalf("windows of 7 blocks ran %d windows against %d for whole rounds: no round was cut", windows[1], windows[0])
+	}
 }
 
 // FuzzRepairPlan drives the planner with arbitrary damage: the first five
-// bytes pick the code setting, lattice length, worker count, DataOnly
+// bytes pick the code setting, lattice length, worker count and window
+// size (in[2]: bit 0 the workers, bits 1–2 whole rounds or windows of
+// three, six or nine blocks — about one, two or three repairs), DataOnly
 // and checkAgainstOracle's target mask, the rest is a damage bitmap over
 // the blocks in encoding order (repeated when shorter than the lattice).
 // The engine must match the set oracle and never write a block outside
 // 1..n or, given Targets, outside them — over a plain store, and over one
 // that rebuilds parities in place, whose run must then agree with the
-// plain one block for block and figure for figure.
+// plain one block for block and figure for figure. A windowed run must
+// agree with the whole-round run over the same kind of store block for
+// block and figure for figure.
 func FuzzRepairPlan(f *testing.F) {
 	f.Add([]byte{4, 63, 1, 0, 0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0}) // more under testdata/fuzz
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -312,24 +321,33 @@ func FuzzRepairPlan(f *testing.F) {
 		params := soundnessSettings[int(in[0])%len(soundnessSettings)]
 		n := 4 + int(in[1])%93
 		opts := Options{Workers: 1 + 3*int(in[2]&1), DataOnly: in[3]&1 == 1}
+		window := 3 * int(in[2]>>1&3)
 		bitmap := in[5:]
-		var refs [2]*referenceSystem
+		run := func(push bool, window int) (*MemoryStore, Stats, bool) {
+			ref := buildReference(t, params, n, 8, int64(in[1]))
+			for b := range ref.ordered {
+				if bitmap[(b/8)%len(bitmap)]&(1<<(b%8)) != 0 {
+					ref.lose(b)
+				}
+			}
+			stats, partial := checkAgainstOracle(t, ref, opts, in[4], push, window)
+			return ref.st, stats, partial
+		}
+		var stores [2]*MemoryStore
 		var stats [2]Stats
 		var partial bool
 		for k, push := range []bool{false, true} {
-			refs[k] = buildReference(t, params, n, 8, int64(in[1]))
-			for b := range refs[k].ordered {
-				if bitmap[(b/8)%len(bitmap)]&(1<<(b%8)) != 0 {
-					refs[k].lose(b)
-				}
+			stores[k], stats[k], partial = run(push, 0)
+			if window > 0 {
+				st, windowed, _ := run(push, window)
+				samePlan(t, stores[k], st, stats[k], windowed, true)
 			}
-			stats[k], partial = checkAgainstOracle(t, refs[k], opts, in[4], push)
 		}
 		// A target run that leaves a missing data block out may plan a
 		// parity over it. The fetch then also reads the companion and, when
 		// that is missing too, learns so a round early; the push never asks
 		// for it. Only the outcome is compared then.
-		samePlan(t, refs[0].st, refs[1].st, stats[0], stats[1], !partial)
+		samePlan(t, stores[0], stores[1], stats[0], stats[1], !partial)
 	})
 }
 

@@ -160,7 +160,7 @@ func TestRepairRoundPrefetchShape(t *testing.T) {
 		}
 
 		cs := &countingStore{inner: st}
-		rep, err := NewRepairer(params)
+		rep, err := NewRepairer(params, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +246,7 @@ func TestRepairPrefetchSnapshotIsolation(t *testing.T) {
 			}
 		}
 	}}
-	rep, err := NewRepairer(params)
+	rep, err := NewRepairer(params, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

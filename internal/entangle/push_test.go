@@ -77,17 +77,18 @@ func (x *xorPutStore) XorPutMany(ctx context.Context, items []store.XorPut) ([]b
 
 // samePlan fails unless two runs over equally damaged stores ended alike:
 // the same blocks with the same bytes and the same residue — and, when
-// exact is set, the same rounds, repairs and BytesRead.
+// exact is set, the same rounds, repairs and BytesRead. The first run is
+// a's, the second b's.
 func samePlan(t testing.TB, a, b *MemoryStore, sa, sb Stats, exact bool) {
 	t.Helper()
 	if !slices.Equal(sa.UnrepairedData, sb.UnrepairedData) || !slices.Equal(sa.UnrepairedParities, sb.UnrepairedParities) {
-		t.Fatalf("residue differs: fetch %v %v, push %v %v", sa.UnrepairedData, sa.UnrepairedParities, sb.UnrepairedData, sb.UnrepairedParities)
+		t.Fatalf("residue differs: first %v %v, second %v %v", sa.UnrepairedData, sa.UnrepairedParities, sb.UnrepairedData, sb.UnrepairedParities)
 	}
 	if exact && (sa.Rounds != sb.Rounds || !slices.Equal(sa.PerRound, sb.PerRound) || sa.FirstRoundData != sb.FirstRoundData) {
-		t.Fatalf("rounds differ: fetch %d %+v, push %d %+v", sa.Rounds, sa.PerRound, sb.Rounds, sb.PerRound)
+		t.Fatalf("rounds differ: first %d %+v, second %d %+v", sa.Rounds, sa.PerRound, sb.Rounds, sb.PerRound)
 	}
 	if exact && sa.BytesRead != sb.BytesRead {
-		t.Fatalf("BytesRead differs: fetch %d, push %d", sa.BytesRead, sb.BytesRead)
+		t.Fatalf("BytesRead differs: first %d, second %d", sa.BytesRead, sb.BytesRead)
 	}
 	if !maps.EqualFunc(a.data, b.data, bytes.Equal) || !maps.Equal(a.lostData, b.lostData) {
 		t.Fatal("data blocks differ after the two runs")
@@ -146,7 +147,7 @@ func TestRepairPushMatchesFetch(t *testing.T) {
 							pushes = &xorPutStore{lyingStore: st.(*lyingStore)}
 							st = pushes
 						}
-						rep, err := NewRepairer(params)
+						rep, err := NewRepairer(params, blockSize)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -18,6 +18,10 @@ import (
 // "try again next round".
 var ErrUnrepairable = errors.New("entangle: no complete repair tuple available")
 
+// windowBytes bounds what one window of a repair round holds: the blocks
+// it fetched, or carries for a later window, and the blocks it rebuilt.
+const windowBytes = 32 << 20
+
 // Repairer rebuilds missing blocks using the lattice geometry. Repairers are
 // stateless and safe for concurrent use.
 //
@@ -27,15 +31,23 @@ var ErrUnrepairable = errors.New("entangle: no complete repair tuple available")
 // tuple search and round boundary and surfaces as ctx.Err().
 type Repairer struct {
 	lat *lattice.Lattice
+	// window is how many blocks one window of a repair round may hold:
+	// windowBytes of the block size, at least one. Only tests change it.
+	window int
 }
 
-// NewRepairer returns a repairer for the given code parameters.
-func NewRepairer(params lattice.Params) (*Repairer, error) {
+// NewRepairer returns a repairer for the given code parameters and block
+// size in bytes; the block size sizes the windows Repair runs its rounds
+// in.
+func NewRepairer(params lattice.Params, blockSize int) (*Repairer, error) {
 	lat, err := lattice.New(params)
 	if err != nil {
 		return nil, err
 	}
-	return &Repairer{lat: lat}, nil
+	if blockSize <= 0 {
+		return nil, fmt.Errorf("entangle: block size must be positive, got %d", blockSize)
+	}
+	return &Repairer{lat: lat, window: max(windowBytes/blockSize, 1)}, nil
 }
 
 // Lattice returns the geometry this repairer operates on.
@@ -239,24 +251,32 @@ func (s Stats) DataLoss() int { return len(s.UnrepairedData) }
 // engine's own set of missing blocks, and every later round works from
 // that set minus what the engine has committed since. A round picks, for
 // each missing block, the first repair tuple none of whose members is in
-// the set, fetches exactly the chosen tuples with one GetMany — the
-// paper's two reads per repaired block — XORs each pair, and commits all
-// of its repairs with a single PutMany batch, so a batch-native store
-// moves a whole round in a constant number of requests per storage
-// location. The fetch freezes the pre-round state: every worker reads the
-// same snapshot whatever the worker count.
+// the set — the paper's two reads per repaired block — and runs the plan
+// in windows, one after another, each holding at most 32 MiB of fetched
+// and rebuilt blocks. A window fetches with one GetMany the chosen tuple
+// members no earlier window fetched, XORs its repairs, commits them with
+// a single PutMany and hands back (store.Release) every block no later
+// window reads. A round's memory is thus bounded whatever was lost, and a
+// round that fits one window moves in one GetMany and one PutMany: a
+// batch-native store moves it in a constant number of requests per
+// storage location. No round writes a block one of its tuples reads, so
+// its windows read exactly what one fetch of the whole plan would: every
+// worker reads the pre-round state, whatever the worker count or the
+// cut.
 //
 // On a store that rebuilds in place (store.XorPutter), a parity the round
 // repairs from a dp-tuple whose parity member — the companion — the store
 // reports in place with it is not XORed by the engine: the round fetches
 // only the data member d and hands it to one XorPutMany, and the store
 // stores d ⊕ companion where the companion lives. Every other repair
-// takes the fetch and the PutMany. The pushes and the commit go out
-// together once the fetch is in — no push reads a block the round writes
-// — so a round stays a fetch and one write deep. A push reads, like every
-// repair of the round, only blocks present when the round started, so
-// rounds, repairs and reads come out as on any other store. A companion
-// the store cannot serve is handled as a nil fetch entry.
+// takes the fetch and the PutMany. The pushes go out in the round's first
+// window, beside its commit — on a broker their data members are its own
+// blocks, which cost no memory — and no push reads a block the round
+// writes, so a round that fits one window stays a fetch and one write
+// deep. A push reads, like every repair of the round, only blocks present
+// when the round started, so rounds, repairs and reads come out as on any
+// other store. A companion the store cannot serve is handled as a nil
+// fetch entry.
 //
 // A block the seed called present but a fetch cannot return (corrupted at
 // rest since, on a node that just went away, beyond the lattice's extent
@@ -266,60 +286,54 @@ func (s Stats) DataLoss() int { return len(s.UnrepairedData) }
 // next round. The engine seeds again only after a stalled round tolerated
 // by Options.Patience; the statistics' Unrepaired lists are the engine's
 // set at exit.
+//
+// A window whose fetch still fails after its retries ends the round with
+// what the windows before it committed; the rest of the plan is planned
+// again next round. A window whose commit fails, or a context that ends,
+// stops the run — and either way the statistics, and the repair counters,
+// count every repair earlier windows committed, the stopped round in
+// PerRound included.
 func (r *Repairer) Repair(ctx context.Context, st Store, opts Options) (Stats, error) {
-	stats, err := r.repair(ctx, st, opts)
-	recordRepairObs(opts, stats, err)
+	stats, windows, err := r.repair(ctx, st, opts)
+	recordRepairObs(opts, stats, windows, err)
 	return stats, err
 }
 
-// repair is Repair without the counters.
-func (r *Repairer) repair(ctx context.Context, st Store, opts Options) (Stats, error) {
-	var stats Stats
+// repair is Repair without the counters; it also returns how many
+// windows the run's rounds ran.
+func (r *Repairer) repair(ctx context.Context, st Store, opts Options) (stats Stats, windows int, err error) {
 	xp, _ := st.(store.XorPutter) // nil: the engine XORs every repair
 	var loss *lossSet             // nil: seed before the next round
 	stalled := 0
 	for opts.MaxRounds <= 0 || stats.Rounds < opts.MaxRounds {
 		if err := ctx.Err(); err != nil {
-			return stats, err
+			return stats, windows, err
 		}
 		if loss == nil {
 			var err error
 			if loss, err = seedLoss(ctx, st, opts, &stats); err != nil {
-				return stats, err
+				return stats, windows, err
 			}
 		}
 		if len(loss.data) == 0 && (opts.DataOnly || len(loss.par) == 0) {
 			break
 		}
 
-		// Plan from the set, fetch the chosen tuples with one batch, XOR
-		// against that frozen snapshot, then commit the round — the XORed
-		// repairs with one PutMany, the pushes with one XorPutMany —
-		// making its repairs visible to the next.
+		// Plan from the set, then fetch, XOR and commit the plan window by
+		// window; the round's repairs become visible to the next.
 		p, err := r.chooseTuples(ctx, loss, opts.DataOnly, xp)
 		if err != nil {
-			return stats, err
+			return stats, windows, err
 		}
 		var done []store.Ref
 		var fetchErr error
 		if len(p.refs) > 0 {
-			var blocks [][]byte
-			blocks, fetchErr = fetch(ctx, st, p.refs, opts, &stats)
-			if cerr := ctx.Err(); cerr != nil {
-				return stats, cerr
-			}
-			if fetchErr == nil {
-				loss.refused(p.refs, blocks)
-				fixes, err := xorRound(p.jobs, blocks, opts.Workers)
-				if err != nil {
-					return stats, err
-				}
-				done, err = commitRound(ctx, st, xp, p, blocks, fixes, loss, opts, &stats)
-				// Neither PutMany nor XorPutMany keeps what it was given.
-				store.Release(st, blocks)
-				if err != nil {
-					return stats, fmt.Errorf("entangle: committing round %d: %w", stats.Rounds+1, err)
-				}
+			var n int
+			done, n, fetchErr, err = r.runRound(ctx, st, xp, p, loss, opts, &stats)
+			windows += n
+			if err != nil {
+				stats.addRound(done) // what earlier windows committed is on disk
+				return stats, windows, err
 			}
 		}
 
@@ -338,60 +352,122 @@ func (r *Repairer) repair(ctx context.Context, st Store, opts Options) (Stats, e
 			stalled++
 			if stalled > opts.Patience {
 				if fetchErr != nil {
-					return stats, fmt.Errorf("entangle: prefetching round %d: %w", stats.Rounds+1, fetchErr)
+					return stats, windows, fmt.Errorf("entangle: prefetching round %d: %w", stats.Rounds+1, fetchErr)
 				}
 				break
 			}
 			if serr := store.SleepCtx(ctx, opts.retryDelay()); serr != nil {
-				return stats, serr
+				return stats, windows, serr
 			}
 			loss = nil
 			continue
 		}
 		stalled = 0
 		loss.repaired(done)
-
-		// Rounds counts productive rounds only, whatever unproductive
-		// iterations were interleaved: PerRound[i].Round == i+1 always
-		// holds, and the Table VI round count stays comparable across
-		// stable and flaky backends.
-		stats.Rounds++
-		rs := RoundStats{Round: stats.Rounds}
-		for _, ref := range done {
-			if ref.Parity {
-				rs.ParityRepaired++
-			} else {
-				rs.DataRepaired++
-			}
-		}
-		stats.PerRound = append(stats.PerRound, rs)
-		stats.DataRepaired += rs.DataRepaired
-		stats.ParityRepaired += rs.ParityRepaired
-		if stats.Rounds == 1 {
-			stats.FirstRoundData = rs.DataRepaired
-		}
+		stats.addRound(done)
 	}
 	stats.UnrepairedData = loss.data
 	stats.UnrepairedParities = loss.par
-	return stats, nil
+	return stats, windows, nil
 }
 
-// commitRound writes one round's repairs and returns the refs written:
-// the XORed fixes with a single PutMany and, on a store that rebuilds in
-// place, the pushes whose data member the fetch returned with a single
+// addRound records a round that committed done. Rounds counts productive
+// rounds only, whatever unproductive iterations were interleaved:
+// PerRound[i].Round == i+1 always holds, and the Table VI round count
+// stays comparable across stable and flaky backends.
+func (s *Stats) addRound(done []store.Ref) {
+	if len(done) == 0 {
+		return
+	}
+	s.Rounds++
+	rs := RoundStats{Round: s.Rounds}
+	for _, ref := range done {
+		if ref.Parity {
+			rs.ParityRepaired++
+		} else {
+			rs.DataRepaired++
+		}
+	}
+	s.PerRound = append(s.PerRound, rs)
+	s.DataRepaired += rs.DataRepaired
+	s.ParityRepaired += rs.ParityRepaired
+	if s.Rounds == 1 {
+		s.FirstRoundData = rs.DataRepaired
+	}
+}
+
+// runRound runs one round's plan window by window — fetch, XOR, commit,
+// release — and returns the refs the windows committed and how many
+// windows ran. A window fetch that fails after its retries ends the round
+// and comes back as fetchErr; any other failure stops it and comes back
+// as err. Either way done holds what earlier windows committed.
+func (r *Repairer) runRound(ctx context.Context, st Store, xp store.XorPutter, p plan, loss *lossSet, opts Options, stats *Stats) (done []store.Ref, windows int, fetchErr, err error) {
+	cut := r.cut(p)
+	// blocks parallels p.refs: an entry holds its block from the window
+	// that fetches it to the last window that reads it.
+	blocks := make([][]byte, len(p.refs))
+	defer func() { store.Release(st, blocks) }() // what a stopped round still holds
+	for w, jobs := range cut.jobs {
+		if idxs := cut.fetch[w]; len(idxs) > 0 {
+			refs := make([]store.Ref, len(idxs))
+			for k, idx := range idxs {
+				refs[k] = p.refs[idx]
+			}
+			got, err := fetch(ctx, st, refs, opts, stats)
+			if err == nil {
+				for k, idx := range idxs {
+					blocks[idx] = got[k]
+				}
+			}
+			if cerr := ctx.Err(); cerr != nil {
+				return done, windows, nil, cerr
+			}
+			if err != nil {
+				return done, windows, err, nil
+			}
+			loss.refused(refs, got)
+		}
+		windows++
+		fixes, err := xorRound(jobs, blocks, opts.Workers)
+		if err != nil {
+			return done, windows, nil, err
+		}
+		var items []store.XorPut
+		var reads []bool
+		if w == 0 {
+			items, reads = p.sendable(blocks)
+		}
+		committed, err := commitWindow(ctx, st, xp, items, reads, fixes, loss, opts, stats)
+		if err != nil {
+			return done, windows, nil, fmt.Errorf("entangle: committing round %d: %w", stats.Rounds+1, err)
+		}
+		done = append(done, committed...)
+		// Neither PutMany nor XorPutMany keeps what it was given.
+		held := make([][]byte, 0, len(cut.release[w]))
+		for _, idx := range cut.release[w] {
+			held = append(held, blocks[idx])
+			blocks[idx] = nil
+		}
+		store.Release(st, held)
+	}
+	return done, windows, nil, nil
+}
+
+// commitWindow writes one window's repairs and returns the refs written:
+// the XORed fixes with a single PutMany and, in the round's first window
+// on a store that rebuilds in place, the sendable pushes with a single
 // XorPutMany in flight beside it. Neither reads what the other writes.
 // A push answered false puts its companion into the loss set, as a nil
 // fetch entry would, so its parity moves to its other dp-tuple next
 // round. The fixes' pooled buffers go back to the pool on return: store
 // implementations copy (or transmit) on PutMany — see the Store contract
-// — which keeps whole-round repair allocation-free in steady state.
-func commitRound(ctx context.Context, st Store, xp store.XorPutter, p plan, blocks [][]byte, fixes []store.Block, loss *lossSet, opts Options, stats *Stats) ([]store.Ref, error) {
+// — which keeps repair allocation-free in steady state.
+func commitWindow(ctx context.Context, st Store, xp store.XorPutter, items []store.XorPut, reads []bool, fixes []store.Block, loss *lossSet, opts Options, stats *Stats) ([]store.Ref, error) {
 	defer func() {
 		for _, f := range fixes {
 			xorblock.PoolFor(len(f.Data)).Put(f.Data)
 		}
 	}()
-	items, reads := p.sendable(blocks)
 	var applied []bool
 	var pushErr error
 	var wg sync.WaitGroup
@@ -425,7 +501,7 @@ func commitRound(ctx context.Context, st Store, xp store.XorPutter, p plan, bloc
 	return done, nil
 }
 
-// putRound writes the round's XORed fixes with a single PutMany, charged
+// putRound writes a window's XORed fixes with a single PutMany, charged
 // to the rate limiter first.
 func putRound(ctx context.Context, st Store, fixes []store.Block, opts Options) error {
 	if opts.RateLimit != nil {
@@ -643,8 +719,8 @@ type plan struct {
 
 // sendable lists the pushes whose data member the fetch returned as
 // XorPutMany items. reads[k] is true when item k is the first to read a
-// companion the round's fetch did not: what the push adds to the round's
-// reads.
+// companion no window of the round fetches: what the push adds to the
+// round's reads.
 func (p plan) sendable(blocks [][]byte) (items []store.XorPut, reads []bool) {
 	read := make(map[store.Ref]bool)
 	for _, j := range p.pushes {
@@ -658,6 +734,97 @@ func (p plan) sendable(blocks [][]byte) (items []store.XorPut, reads []bool) {
 		read[j.companion] = true
 	}
 	return items, reads
+}
+
+// position is the lattice position a stored block belongs to: a data
+// block's own, a parity's left endpoint (the block that produced it).
+func position(r store.Ref) int {
+	if r.Parity {
+		return r.Edge.Left
+	}
+	return r.Index
+}
+
+// windows is one round's plan cut into the windows Repair runs one after
+// another: jobs[w] are window w's repairs in plan order, fetch[w] indexes
+// the refs it fetches — those no earlier window fetched — and release[w]
+// those no later window reads, handed back once it has committed. The
+// round's pushes go out in window 0, which fetches their data members.
+type windows struct {
+	jobs           [][]job
+	fetch, release [][]int
+}
+
+// cut splits p into windows of at most r.window blocks each, counting the
+// fetched blocks a window reads or carries for a later one and the blocks
+// it rebuilds; a window takes at least one job. Jobs are taken in lattice
+// order, so the members neighbouring repairs share are mostly read by one
+// window, and each window keeps its jobs and fetches in plan order: a
+// round that fits one window runs the plan as it stands. A push's data
+// member is fetched by window 0 and counted only where a job reads it:
+// on a broker it is a block of its own.
+func (r *Repairer) cut(p plan) windows {
+	order := make([]int, len(p.jobs))
+	for k := range order {
+		order[k] = k
+	}
+	slices.SortStableFunc(order, func(x, y int) int { return position(p.jobs[x].ref) - position(p.jobs[y].ref) })
+	lastJob := make([]int, len(p.refs)) // the last job in order to read each ref
+	for s, k := range order {
+		for _, idx := range [2]int{p.jobs[k].a, p.jobs[k].b} {
+			if idx >= 0 {
+				lastJob[idx] = s
+			}
+		}
+	}
+	first := make([]int, len(p.refs)) // the window fetching each ref
+	last := make([]int, len(p.refs))  // the window releasing each ref
+	for idx := range first {
+		first[idx] = -1
+	}
+	win := make([]int, len(p.jobs))
+	// held is what window w holds so far; open counts the fetched refs a
+	// job still to come reads, which the next window carries.
+	w, held, open, taken := 0, 0, 0, 0
+	for s, k := range order {
+		members := [2]int{p.jobs[k].a, p.jobs[k].b}
+		fresh := 0
+		for _, idx := range members {
+			if idx >= 0 && first[idx] < 0 {
+				fresh++
+			}
+		}
+		if taken > 0 && held+fresh+1 > r.window {
+			w, held, taken = w+1, open, 0
+		}
+		for _, idx := range members {
+			if idx >= 0 && first[idx] < 0 {
+				first[idx] = w
+				open++
+			}
+		}
+		held += fresh + 1
+		taken++
+		win[k] = w
+		for _, idx := range members {
+			if idx >= 0 && lastJob[idx] == s {
+				last[idx] = w
+				open--
+			}
+		}
+	}
+	for _, ps := range p.pushes {
+		first[ps.a] = 0
+	}
+	cut := windows{jobs: make([][]job, w+1), fetch: make([][]int, w+1), release: make([][]int, w+1)}
+	for k, j := range p.jobs {
+		cut.jobs[win[k]] = append(cut.jobs[win[k]], j)
+	}
+	for idx := range p.refs {
+		cut.fetch[first[idx]] = append(cut.fetch[first[idx]], idx)
+		cut.release[last[idx]] = append(cut.release[last[idx]], idx)
+	}
+	return cut
 }
 
 // chooseTuples picks, for every missing block, the first pp-tuple (data)
@@ -780,18 +947,20 @@ func fetch(ctx context.Context, st Store, refs []store.Ref, opts Options, stats 
 }
 
 // xorRound computes every job whose two members the fetch returned, each
-// into a buffer from the process-wide block pool (commitRound returns
+// into a buffer from the process-wide block pool (commitWindow returns
 // them; DecodeData hands them to its caller), and lists the repairs in
 // job order. It keeps no fetched block: the caller releases the fetch
-// once the round is done with it. A job that lost a member to the fetch
+// once the window is done with it. A job that lost a member to the fetch
 // is dropped: the member is in the loss set by now, so the block moves
 // to another tuple next round. Workers stride the job list; when one
 // fails, every buffer drawn goes back to the pool.
 func xorRound(jobs []job, blocks [][]byte, workers int) ([]store.Block, error) {
-	var zero []byte // what a virtual edge reads as; nil while no job reads one or nothing real was fetched
-	virtual := slices.ContainsFunc(jobs, func(j job) bool { return j.a < 0 || j.b < 0 })
-	if i := slices.IndexFunc(blocks, func(b []byte) bool { return b != nil }); virtual && i >= 0 {
-		zero = store.ZeroBlock(len(blocks[i]))
+	var zero []byte // what a virtual edge reads as: zeros the size of a real member beside one
+	for _, j := range jobs {
+		if m := max(j.a, j.b); min(j.a, j.b) < 0 && blocks[m] != nil {
+			zero = store.ZeroBlock(len(blocks[m]))
+			break
+		}
 	}
 	member := func(idx int) []byte {
 		if idx < 0 {

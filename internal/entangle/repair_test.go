@@ -10,9 +10,11 @@ import (
 	"aecodes/internal/lattice"
 )
 
+// mustRepairer returns a repairer for the small blocks (at most 1 KiB)
+// the tests entangle: every round they plan fits one window.
 func mustRepairer(t *testing.T, params lattice.Params) *Repairer {
 	t.Helper()
-	r, err := NewRepairer(params)
+	r, err := NewRepairer(params, 1<<10)
 	if err != nil {
 		t.Fatalf("NewRepairer: %v", err)
 	}
@@ -439,7 +441,7 @@ func TestPropertyRandomParityLossAlwaysRecoverable(t *testing.T) {
 	const n = 150
 	prop := func(seed int64, lossPct uint8) bool {
 		store, _ := buildSystemQuick(params, n, 8, seed)
-		r, err := NewRepairer(params)
+		r, err := NewRepairer(params, 8)
 		if err != nil {
 			return false
 		}
@@ -476,7 +478,7 @@ func TestPropertyScatteredDataLossRecoverable(t *testing.T) {
 	const n = 200
 	prop := func(seed int64) bool {
 		store, _ := buildSystemQuick(params, n, 8, seed)
-		r, err := NewRepairer(params)
+		r, err := NewRepairer(params, 8)
 		if err != nil {
 			return false
 		}

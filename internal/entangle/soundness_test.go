@@ -77,7 +77,7 @@ func TestRepairSoundnessAllSettings(t *testing.T) {
 					}
 				}
 
-				if _, err := NewRepairer(params); err != nil {
+				if _, err := NewRepairer(params, blockSize); err != nil {
 					t.Fatal(err)
 				}
 				rep := mustRepairer(t, params)

@@ -132,7 +132,7 @@ func TestEndToEndRepair(t *testing.T) {
 	if got := s.MissingData(); len(got) != 2 {
 		t.Fatalf("MissingData = %v", got)
 	}
-	rep, err := entangle.NewRepairer(m.Params())
+	rep, err := entangle.NewRepairer(m.Params(), m.BlockSize)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,7 +137,7 @@ func healTask(seg *segstore.Store, bucket *maintain.Bucket) *maintain.HealTask {
 			if err != nil {
 				return nil, err
 			}
-			rep, err := entangle.NewRepairer(lat.Shape().Params)
+			rep, err := entangle.NewRepairer(lat.Shape().Params, lat.Shape().BlockSize)
 			if err != nil {
 				return nil, err
 			}

@@ -110,10 +110,13 @@ type HealTask struct {
 	// overwritten per step, everything else (RateLimit, Workers, ...)
 	// passes through.
 	Opts entangle.Options
-	// Batch caps targets per step; <=0 defaults to 32. It is also the
-	// grain of the rate limit: the engine charges the limiter once per
-	// fetched batch of at most Batch targets (and their tuples), not per
-	// block.
+	// Batch caps targets per step; <=0 defaults to 32. It also bounds
+	// the grain of the rate limit: the engine charges the limiter once
+	// per fetched batch — the targets' one GetMany, then each repair
+	// window's fetch of their tuples and each window's commit — not per
+	// block, and a window holds at most 32 MiB of blocks, so neither
+	// the targeted step nor the whole-lattice fallback charges a round
+	// of unbounded size at once.
 	Batch int
 }
 

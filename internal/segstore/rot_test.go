@@ -88,7 +88,7 @@ func newRotFixture(t *testing.T, n int) *rotFixture {
 	if f.lat, err = NewLattice(f.seg, Shape{Params: params, Blocks: n, BlockSize: blockSize}); err != nil {
 		t.Fatal(err)
 	}
-	if f.rep, err = entangle.NewRepairer(params); err != nil {
+	if f.rep, err = entangle.NewRepairer(params, blockSize); err != nil {
 		t.Fatal(err)
 	}
 	enc, err := entangle.NewEncoder(params, blockSize)

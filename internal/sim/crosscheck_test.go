@@ -110,7 +110,7 @@ func TestCrossCheckSimVsEntangleEngine(t *testing.T) {
 				}
 			}
 		}
-		rep, err := entangle.NewRepairer(params)
+		rep, err := entangle.NewRepairer(params, 16)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -517,15 +517,61 @@ func RunKeyed(t *testing.T, newStore func(t *testing.T) store.Keyed) {
 // Poison is the byte Poisoned overwrites every released block with.
 const Poison = 0xA5
 
+// Held wraps a store and records the most blocks a reader held at once:
+// handed out by GetMany and not yet released. Release passes what it is
+// given on with store.Release, so Held wraps a store that lends what it
+// stores as well as one that recycles.
+type Held struct {
+	store.BlockStore
+	mu   sync.Mutex
+	held int64 // guarded by mu
+	peak int64 // guarded by mu
+}
+
+var _ store.Releaser = (*Held)(nil)
+
+// GetMany implements store.BlockStore: the wrapped store's answer, whose
+// blocks count as held until they are released.
+func (h *Held) GetMany(ctx context.Context, refs []store.Ref) ([][]byte, error) {
+	blocks, err := h.BlockStore.GetMany(ctx, refs)
+	h.hold(blocks, 1)
+	return blocks, err
+}
+
+// Release implements store.Releaser.
+func (h *Held) Release(blocks [][]byte) {
+	h.hold(blocks, -1)
+	store.Release(h.BlockStore, blocks)
+}
+
+// hold moves the count of held blocks by sign for each block.
+func (h *Held) hold(blocks [][]byte, sign int64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, b := range blocks {
+		if b != nil {
+			h.held += sign
+		}
+	}
+	h.peak = max(h.peak, h.held)
+}
+
+// Peak returns the most blocks held at once since h was made.
+func (h *Held) Peak() int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.peak
+}
+
 // Poisoned is the use-after-release guard: it wraps a store whose
 // GetMany entries go back through store.Release and overwrites every
 // block released through it with Poison before handing it on. A reader
 // that touches a block after releasing it — or releases one it still
 // delivers from — then delivers poison where its data should be, and a
-// byte-exact check of what it delivered fails.
+// byte-exact check of what it delivered fails. Like Held, it records the
+// most blocks a reader held at once.
 type Poisoned struct {
-	store.BlockStore
-	rel      store.Releaser
+	*Held
 	released atomic.Int64
 }
 
@@ -535,11 +581,10 @@ var _ store.Releaser = (*Poisoned)(nil)
 // that lends what it stores must never have its blocks overwritten.
 func NewPoisoned(t testing.TB, st store.BlockStore) *Poisoned {
 	t.Helper()
-	rel, ok := st.(store.Releaser)
-	if !ok {
+	if _, ok := st.(store.Releaser); !ok {
 		t.Fatalf("storetest: %T recycles nothing, so nothing may be poisoned", st)
 	}
-	return &Poisoned{BlockStore: st, rel: rel}
+	return &Poisoned{Held: &Held{BlockStore: st}}
 }
 
 // Release implements store.Releaser: every block is poisoned, counted
@@ -553,7 +598,7 @@ func (p *Poisoned) Release(blocks [][]byte) {
 			p.released.Add(1)
 		}
 	}
-	p.rel.Release(blocks)
+	p.Held.Release(blocks)
 }
 
 // Released counts the blocks released through p: a guard that nothing
