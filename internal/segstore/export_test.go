@@ -19,3 +19,12 @@ func ReadSized(s *Store, keys []string) [][]byte {
 	}
 	return s.ReadInto(keys, blocks)
 }
+
+// SetFooters turns seal-time footers on or off — off, the seal job
+// writes none and Open scans every segment — and returns the setting it
+// replaced: for the footered-vs-scanned benchmark.
+func SetFooters(on bool) bool {
+	old := footers
+	footers = on
+	return old
+}

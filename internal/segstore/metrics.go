@@ -66,6 +66,15 @@ var (
 	obsSyncLatency = segScope.Histogram("sync.latency")
 	obsSealWait    = segScope.Histogram("seal.wait")
 
+	// Open: one latency sample per Open, from the first segment's replay
+	// to the last; the sealed segments whose index came from their
+	// footer; and the segments — the active one, and sealed ones without
+	// a valid footer — read through the verifying scan, with their bytes.
+	obsOpenLatency         = segScope.Histogram("open.latency")
+	obsOpenFooterSegments  = segScope.Counter("open.footer_segments")
+	obsOpenScannedSegments = segScope.Counter("open.scanned_segments")
+	obsOpenScannedBytes    = segScope.Counter("open.scanned_bytes")
+
 	// Compaction: completed runs, failures, and time spent.
 	obsCompactRuns    = segScope.Counter("compact.runs")
 	obsCompactErrors  = segScope.Counter("compact.errors")

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"aecodes/internal/obs"
 	"aecodes/internal/segstore"
 )
 
@@ -168,52 +170,106 @@ func TestCorruptionAtRestReadsAsMissing(t *testing.T) {
 }
 
 // TestSealedSegmentCorruptionLosesOnlyThatSegmentTail pins the blast
-// radius of at-rest corruption in a sealed segment: the scan serves the
-// segment's prefix and every later segment in full.
+// radius of at-rest corruption in a sealed segment. With its footer
+// corrupted too, Open scans the segment: it serves the segment's prefix
+// and every later segment in full. With its footer intact, Open lists
+// the corrupt record like every other; the first read drops it, and
+// every other record is served.
 func TestSealedSegmentCorruptionLosesOnlyThatSegmentTail(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir, segstore.Options{SegmentSize: 256})
-	for i := 0; i < 30; i++ {
-		if err := s.Put(fmt.Sprintf("k%02d", i), bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
+	// 77-byte records in 256-byte segments: three per segment, k00–k02
+	// in the first.
+	build := func(t *testing.T) (dir, first string) {
+		dir = t.TempDir()
+		s := openStore(t, dir, segstore.Options{SegmentSize: 256})
+		for i := 0; i < 30; i++ {
+			if err := s.Put(fmt.Sprintf("k%02d", i), bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if segs := s.Stats().Segments; segs < 4 {
+			t.Fatalf("need several segments, got %d", segs)
+		}
+		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
+		// Corrupt the first record (k00's payload) of the FIRST (sealed)
+		// segment.
+		first = filepath.Join(dir, segFiles(t, dir)[0])
+		flipByteAt(t, first, 20)
+		return dir, first
 	}
-	if segs := s.Stats().Segments; segs < 4 {
-		t.Fatalf("need several segments, got %d", segs)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the first record of the FIRST (sealed) segment.
-	first := filepath.Join(dir, segFiles(t, dir)[0])
-	f, err := os.OpenFile(first, os.O_WRONLY, 0)
+
+	t.Run("footer corrupt too", func(t *testing.T) {
+		dir, first := build(t)
+		// The footer's last body byte, just ahead of its 16-byte trailer.
+		info, err := os.Stat(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flipByteAt(t, first, info.Size()-17)
+
+		r := openStore(t, dir, segstore.Options{SegmentSize: 256})
+		if st := r.Stats(); st.TruncatedBytes != 0 {
+			t.Fatalf("sealed-segment corruption truncated %d bytes; only the active segment may be truncated", st.TruncatedBytes)
+		}
+		// The corrupted segment's records are no longer live, so its bytes
+		// count as reclaimable — the -compactdead gate must see them.
+		if st := r.Stats(); st.DeadBytes < 200 {
+			t.Fatalf("DeadBytes = %d after losing a ~256-byte sealed segment to corruption; the compaction gate would never fire", st.DeadBytes)
+		}
+		if r.Len() >= 30 {
+			t.Fatal("corrupted segment's records still all indexed")
+		}
+		// The last blocks written live in later segments and must be intact.
+		for i := 25; i < 30; i++ {
+			key := fmt.Sprintf("k%02d", i)
+			got, ok := r.Get(key)
+			if !ok || !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, 64)) {
+				t.Fatalf("block %s in a healthy segment lost to another segment's corruption", key)
+			}
+		}
+	})
+
+	t.Run("footer intact", func(t *testing.T) {
+		dir, _ := build(t)
+		r := openStore(t, dir, segstore.Options{SegmentSize: 256})
+		if st := r.Stats(); st.TruncatedBytes != 0 || st.DeadBytes != 0 || st.Blocks != 30 {
+			t.Fatalf("Stats = %+v, want all 30 records listed, nothing dead or truncated", st)
+		}
+		if got := r.StatBatch([]string{"k00"}); got[0] != 64 {
+			t.Fatalf("StatBatch(k00) = %d before a read, want 64: the footer lists it", got[0])
+		}
+		if _, ok := r.Get("k00"); ok {
+			t.Fatal("Get served the corrupt record")
+		}
+		if r.Len() != 29 {
+			t.Fatalf("Len = %d after the read, want 29: only the corrupt record is lost", r.Len())
+		}
+		for i := 1; i < 30; i++ {
+			key := fmt.Sprintf("k%02d", i)
+			got, ok := r.Get(key)
+			if !ok || !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, 64)) {
+				t.Fatalf("block %s lost to another record's corruption", key)
+			}
+		}
+	})
+}
+
+// flipByteAt flips the byte at off of the file at path.
+func flipByteAt(t *testing.T, path string, off int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt([]byte{0xFF}, 20); err != nil {
+	defer f.Close()
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-
-	r := openStore(t, dir, segstore.Options{SegmentSize: 256})
-	if st := r.Stats(); st.TruncatedBytes != 0 {
-		t.Fatalf("sealed-segment corruption truncated %d bytes; only the active segment may be truncated", st.TruncatedBytes)
-	}
-	// The corrupted segment's records are no longer live, so its bytes
-	// count as reclaimable — the -compactdead gate must see them.
-	if st := r.Stats(); st.DeadBytes < 200 {
-		t.Fatalf("DeadBytes = %d after losing a ~256-byte sealed segment to corruption; the compaction gate would never fire", st.DeadBytes)
-	}
-	if r.Len() >= 30 {
-		t.Fatal("corrupted segment's records still all indexed")
-	}
-	// The last blocks written live in later segments and must be intact.
-	for i := 25; i < 30; i++ {
-		key := fmt.Sprintf("k%02d", i)
-		got, ok := r.Get(key)
-		if !ok || !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, 64)) {
-			t.Fatalf("block %s in a healthy segment lost to another segment's corruption", key)
-		}
+	b[0] ^= 0xFF
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -340,4 +396,235 @@ func TestPowerCutMidSealRecovery(t *testing.T) {
 		}
 		check(t, openStore(t, dir, segstore.Options{SegmentSize: 256}), []int{0, 1, 2, 3, 4, 5}, 0)
 	})
+}
+
+// footeredLog writes k00..k(n-1), 64-byte blocks of byte i, into
+// 256-byte segments — three 77-byte records a segment, so every segment
+// but the last is sealed with a footer after its first 231 bytes — and
+// closes the store.
+func footeredLog(t *testing.T, n int) string {
+	t.Helper()
+	dir := t.TempDir()
+	s := openStore(t, dir, segstore.Options{SegmentSize: 256})
+	for i := 0; i < n; i++ {
+		if err := s.Put(fmt.Sprintf("k%02d", i), bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// footeredRecEnd is where the records of a sealed segment of footeredLog
+// end and its footer starts.
+const footeredRecEnd = 3 * 77
+
+// contents is every live key of s with the bytes it serves.
+func contents(t *testing.T, s *segstore.Store) map[string]string {
+	t.Helper()
+	got := map[string]string{}
+	s.Each(func(key string, _ int64) bool {
+		got[key] = ""
+		return true
+	})
+	for key := range got {
+		b, ok := s.Get(key)
+		if !ok {
+			t.Fatalf("%s listed but not served", key)
+		}
+		got[key] = string(b)
+	}
+	return got
+}
+
+// openDelta opens dir and returns the store with what the open moved of
+// the segstore/open.* counters: segments taken from their footers,
+// segments scanned and the bytes scanned.
+func openDelta(t *testing.T, dir string) (s *segstore.Store, footered, scanned, scannedBytes int64) {
+	t.Helper()
+	before := obs.Default.Snapshot()
+	s = openStore(t, dir, segstore.Options{SegmentSize: 256})
+	after := obs.Default.Snapshot()
+	moved := func(key string) int64 { return after.Counters[key] - before.Counters[key] }
+	if got := after.Hists["segstore/open.latency"].Count - before.Hists["segstore/open.latency"].Count; got != 1 {
+		t.Errorf("segstore/open.latency took %d samples, want 1 per Open", got)
+	}
+	return s, moved("segstore/open.footer_segments"), moved("segstore/open.scanned_segments"), moved("segstore/open.scanned_bytes")
+}
+
+// TestFooteredOpenScansOnlyTheActiveSegment pins what footers save: a
+// reopen takes every sealed segment's index from its footer and reads
+// only the active segment's bytes through the scan.
+func TestFooteredOpenScansOnlyTheActiveSegment(t *testing.T) {
+	dir := footeredLog(t, 20) // six sealed segments, two records in the active one
+	info, err := os.Stat(activeSegment(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, footered, scanned, scannedBytes := openDelta(t, dir)
+	if footered != 6 || scanned != 1 || scannedBytes != info.Size() {
+		t.Fatalf("reopen took %d segments from footers and scanned %d (%d bytes); want 6 and 1 (the active segment's %d bytes)",
+			footered, scanned, scannedBytes, info.Size())
+	}
+	if s.Len() != 20 {
+		t.Fatalf("Len = %d, want 20", s.Len())
+	}
+}
+
+// TestTornFooterFallsBackToScan cuts the footer of a sealed segment at
+// every byte offset, and in another pass zeroes it from every offset to
+// its end (a power cut that left the file's length but not its last
+// pages): each time Open scans that segment, and the index it rebuilds
+// is the one the intact footer gives. The torn footer's bytes count as
+// dead, as a whole footerless segment does.
+func TestTornFooterFallsBackToScan(t *testing.T) {
+	dir := footeredLog(t, 9)
+	ref := openStore(t, dir, segstore.Options{SegmentSize: 256})
+	want, wantStats := contents(t, ref), ref.Stats()
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+	first := filepath.Join(dir, segFiles(t, dir)[0])
+	intact, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, zeroed := range []bool{false, true} {
+		for at := footeredRecEnd; at < len(intact); at++ {
+			torn := intact[:at]
+			if zeroed {
+				torn = append(bytes.Clone(torn), make([]byte, len(intact)-at)...)
+			}
+			if err := os.WriteFile(first, torn, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, footered, scanned, _ := openDelta(t, dir)
+			if footered != 1 || scanned != 2 {
+				t.Fatalf("zeroed=%v, torn at %d: %d segments from footers, %d scanned; want 1 and 2", zeroed, at, footered, scanned)
+			}
+			if got := contents(t, s); !reflect.DeepEqual(got, want) {
+				t.Fatalf("zeroed=%v, torn at %d: the scan rebuilt %d keys, the footer %d", zeroed, at, len(got), len(want))
+			}
+			st := s.Stats()
+			if st.Blocks != wantStats.Blocks || st.LiveBytes != wantStats.LiveBytes || st.TruncatedBytes != 0 ||
+				st.DeadBytes != wantStats.DeadBytes+int64(len(torn)-footeredRecEnd) {
+				t.Fatalf("zeroed=%v, torn at %d: Stats %+v, want %+v with the %d torn footer bytes dead", zeroed, at, st, wantStats, len(torn)-footeredRecEnd)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestFooteredSegmentMadeLast covers a sealed segment that becomes the
+// last one, its newer file's directory entry lost to a power cut: Open
+// scans it, cuts its footer as a torn tail, and appends continue behind
+// its records; a reopen serves the same index.
+func TestFooteredSegmentMadeLast(t *testing.T) {
+	dir := footeredLog(t, 9)
+	segs := segFiles(t, dir)
+	if err := os.Remove(filepath.Join(dir, segs[len(segs)-1])); err != nil {
+		t.Fatal(err)
+	}
+	second := filepath.Join(dir, segs[1])
+	info, err := os.Stat(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := openStore(t, dir, segstore.Options{SegmentSize: 256})
+	if got := s.Stats().TruncatedBytes; got != info.Size()-footeredRecEnd {
+		t.Fatalf("TruncatedBytes = %d, want the %d footer bytes", got, info.Size()-footeredRecEnd)
+	}
+	if after, err := os.Stat(second); err != nil || after.Size() != footeredRecEnd {
+		t.Fatalf("the footer of the segment made last was not cut: %v, %v", after, err)
+	}
+	// The segment is full: this append rotates it, sealing it again.
+	if err := s.Put("k09", bytes.Repeat([]byte{9}, 64)); err != nil {
+		t.Fatal(err)
+	}
+	want := contents(t, s)
+	if len(want) != 7 {
+		t.Fatalf("%d keys served, want k00–k05 and k09", len(want))
+	}
+	for i := 0; i < 6; i++ {
+		if want[fmt.Sprintf("k%02d", i)] != string(bytes.Repeat([]byte{byte(i)}, 64)) {
+			t.Fatalf("k%02d lost", i)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, footered, _, _ := openDelta(t, dir)
+	if footered != 2 {
+		t.Fatalf("%d segments opened from footers, want 2 (the resealed one too)", footered)
+	}
+	if got := contents(t, r); !reflect.DeepEqual(got, want) || r.Stats().TruncatedBytes != 0 {
+		t.Fatalf("reopen serves %d keys (truncated %d), want the %d before it", len(got), r.Stats().TruncatedBytes, len(want))
+	}
+}
+
+// TestCompactFooteredSegments compacts a log whose sealed segments were
+// all opened from their footers, one live record's bytes zeroed under
+// an intact footer: Compact copies every other live record, drops the
+// zeroed one, and the compacted log reopens to the same index.
+func TestCompactFooteredSegments(t *testing.T) {
+	dir := footeredLog(t, 12)
+	s := openStore(t, dir, segstore.Options{SegmentSize: 256})
+	want := map[string]string{}
+	for i := 0; i < 12; i++ {
+		want[fmt.Sprintf("k%02d", i)] = string(bytes.Repeat([]byte{byte(i)}, 64))
+	}
+	for i := 0; i < 4; i++ {
+		key, data := fmt.Sprintf("k%02d", i), bytes.Repeat([]byte{byte(100 + i)}, 50)
+		if err := s.Put(key, data); err != nil {
+			t.Fatal(err)
+		}
+		want[key] = string(data)
+	}
+	for _, key := range []string{"k04", "k05"} {
+		s.Del(key)
+		delete(want, key)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// k07 is the second record of the third segment.
+	zeroBytes(t, filepath.Join(dir, segFiles(t, dir)[2]), 77, 77)
+	delete(want, "k07")
+
+	r, footered, _, _ := openDelta(t, dir)
+	if footered < 4 {
+		t.Fatalf("only %d segments opened from footers", footered)
+	}
+	if err := r.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Dropped() != 1 {
+		t.Fatalf("Compact dropped %d records, want the zeroed one", r.Dropped())
+	}
+	if got := contents(t, r); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after Compact %d keys served, want %d", len(got), len(want))
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := contents(t, openStore(t, dir, segstore.Options{SegmentSize: 256})); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the compacted log reopens to %d keys, want %d", len(got), len(want))
+	}
+}
+
+// zeroBytes zeroes n bytes at off of the file at path.
+func zeroBytes(t *testing.T, path string, off, n int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(make([]byte, n), off); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -9,6 +9,7 @@ package segstore
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -20,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"aecodes/internal/entangle"
 	"aecodes/internal/obs"
 	"aecodes/internal/store"
 )
@@ -606,5 +608,73 @@ func TestSealObservability(t *testing.T) {
 	}
 	if got := count("segstore/append.lockwait"); got != 5 {
 		t.Errorf("segstore/append.lockwait took %d samples, want one per Put (5)", got)
+	}
+}
+
+// TestFooterOutlivesRecordBytes is the power cut that reorders pages: a
+// sealed segment's footer reached the disk, the bytes of records it
+// lists did not. Open takes the index from the footer, so StatBatch
+// lists the records; the first read finds them zeroed and drops them,
+// Lattice.Missing then reports them, and Repair rebuilds them
+// byte-exact.
+func TestFooterOutlivesRecordBytes(t *testing.T) {
+	ctx := context.Background()
+	f := newRotFixture(t, 30)
+	lost := f.refs[:2] // data block 1 and its first parity, in segment 1
+	keys := []string{refKey(lost[0]), refKey(lost[1])}
+	dir := f.seg.Dir()
+	f.seg.mu.RLock()
+	locs := []recordLoc{f.seg.index[keys[0]], f.seg.index[keys[1]]}
+	active := f.seg.active
+	f.seg.mu.RUnlock()
+	if err := f.seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, loc := range locs {
+		if loc.seg == active {
+			t.Fatalf("record at %+v is in the active segment, want a sealed one", loc)
+		}
+		seg, err := os.OpenFile(filepath.Join(dir, segName(int(loc.seg))), os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := seg.WriteAt(make([]byte, loc.recLen()), loc.off); err != nil {
+			t.Fatal(err)
+		}
+		seg.Close()
+	}
+
+	s := mustOpen(t, dir, Options{SegmentSize: 4 << 10})
+	lat, err := OpenLattice(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.StatBatch(keys); got[0] != 64 || got[1] != 64 {
+		t.Fatalf("StatBatch = %v before a read, want both listed at 64 bytes: the footer lists them", got)
+	}
+	if m, err := lat.Missing(ctx); err != nil || !m.Empty() {
+		t.Fatalf("Missing = %+v, %v before a read, want nothing", m, err)
+	}
+	blocks, err := lat.GetMany(ctx, lost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blocks[0] != nil || blocks[1] != nil || s.Dropped() != 2 {
+		t.Fatalf("the first read served %v and dropped %d keys, want nothing served and both dropped", blocks, s.Dropped())
+	}
+	m, err := lat.Missing(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Data) != 1 || m.Data[0] != lost[0].Index || len(m.Parities) != 1 || m.Parities[0] != lost[1].Edge {
+		t.Fatalf("Missing = %+v, want data %d and parity %v", m, lost[0].Index, lost[1].Edge)
+	}
+	if _, err := f.rep.Repair(ctx, lat, entangle.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range f.read(t, "after Repair", lat)[:2] {
+		if b == nil {
+			t.Fatalf("%v not rebuilt", lost[i])
+		}
 	}
 }

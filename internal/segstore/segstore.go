@@ -1,10 +1,10 @@
 // Package segstore is the durable storage backend for aestored: an
 // append-only segment store that survives a SIGKILL. Blocks live in
 // fixed-size segment files as checksummed records; an in-memory index
-// (key → record location) is rebuilt by scanning the segments on open,
-// so a restarted node serves every block whose record survived intact —
-// a restart becomes a cheap rejoin instead of a full entanglement
-// repair.
+// (key → record location) is rebuilt on open from the footers of the
+// sealed segments and a scan of the active one, so a restarted node
+// serves every block whose record survived — a restart becomes a cheap
+// rejoin instead of a full entanglement repair.
 //
 // Record framing follows the archive v2 convention (an 8-byte header of
 // one flag/length word plus one CRC32-C word covering the header word
@@ -17,17 +17,28 @@
 //
 // The version bit doubles as a validity gate during recovery: a torn
 // tail of zeros (or a header sliced mid-write) fails it immediately.
-// Recovery scans every segment in order, rebuilding the index with
-// last-write-wins semantics; the first invalid record ends the scan of
-// its segment, and when that segment is the active (highest-numbered)
-// one, the torn tail is truncated so the next append lands at a valid
-// offset. Reads re-verify the record CRC, so a block corrupted at rest
-// reads as missing — the repair engine regenerates it from its strands —
-// instead of serving bad bytes, and the read drops the key from the
-// index. Presence (StatBatch, Size, Has, Each) is answered from the
-// index alone: every entry was verified when it entered the index, so a
-// record that rots after Open stays listed until a read, ScrubStep or
-// Compact finds it.
+//
+// Rotation seals the active segment once an append would grow it past
+// Options.SegmentSize, and the seal job appends a footer to it: the
+// key, payload length and tombstone flag of every record it holds, in
+// log order, under a CRC (see footer.go). Recovery replays the segments
+// in order with last-write-wins semantics: a sealed segment from its
+// footer, reading none of its records; the active (highest-numbered)
+// segment, and any sealed one whose footer is missing, torn or fails its
+// CRC (a log written before footers, a seal cut off by a crash), by a
+// scan that verifies every record. The first invalid record ends the
+// scan of its segment, and when that segment is the active one, the torn
+// tail is truncated so the next append lands at a valid offset.
+//
+// Reads re-verify the record CRC, so a block corrupted at rest reads as
+// missing — the repair engine regenerates it from its strands — instead
+// of serving bad bytes, and the read drops the key from the index.
+// Presence (StatBatch, Size, Has, Each) is answered from the index
+// alone. Every entry was verified when its record was appended — by
+// Open's scan too, when it came from one — but not by an Open that took
+// it from a footer: a footer can outlive the bytes of a record it lists
+// (a power cut that reordered pages), and a record that rots after its
+// append stays listed until a read, ScrubStep or Compact finds it.
 //
 // Deletes append a tombstone record; Compact rewrites the live records
 // of sealed segments to the tail of the log and removes the sealed
@@ -108,9 +119,10 @@ type Options struct {
 	// would grow the active segment past it seals the segment and starts
 	// a new one. Values < 1 default to 64 MiB. A single record larger
 	// than the threshold still fits — a segment always accepts at least
-	// one record. The sealed segment is fsynced beside the appends that
-	// follow and the next rotation waits for that, so without Sync at
-	// most two segments' worth of acknowledged bytes are not yet on disk.
+	// one record — and the footer sealing a segment lies past it. The
+	// sealed segment is fsynced beside the appends that follow and the
+	// next rotation waits for that, so without Sync at most two
+	// segments' worth of acknowledged bytes are not yet on disk.
 	SegmentSize int64
 	// Sync makes every write call (single or batch) a durability barrier:
 	// it returns only after every segment it touched and, when it crossed
@@ -160,9 +172,10 @@ type Stats struct {
 	// Segments is the number of segment files.
 	Segments int
 	// DeadBytes is the space a Compact call can reclaim: bytes in sealed
-	// segments not occupied by live records. (Superseded records in the
-	// active segment are not counted — only a later rotation makes them
-	// reclaimable.)
+	// segments not occupied by live records. A sealed segment counts up
+	// to its footer, or whole when it has none. (Superseded records in
+	// the active segment are not counted — only a later rotation makes
+	// them reclaimable.)
 	DeadBytes int64
 	// LiveBytes is the on-disk space live records occupy (payload plus
 	// record framing) — the used-bytes signal a node reports in cluster
@@ -192,6 +205,7 @@ type Store struct {
 	w          *os.File             // == files[active]; guarded by mu
 	woff       int64                // append offset in the active segment; guarded by mu
 	batchArena []byte               // reusable header+key scratch for putBatchLocked; guarded by mu
+	entries    []logEntry           // the active segment's records in log order, for its footer; guarded by mu
 	truncated  int64                // torn tail removed by the last Open; guarded by mu
 	compactErr error                // first auto-compaction failure; guarded by mu
 
@@ -211,9 +225,10 @@ type Store struct {
 
 var _ store.Keyed = (*Store)(nil)
 
-// Open opens (or creates) the segment store in dir, scanning every
-// segment to rebuild the index and truncating a torn tail left by a
-// crash mid-append.
+// Open opens (or creates) the segment store in dir. It rebuilds the
+// index from the footer of every sealed segment that has a valid one and
+// by scanning the rest — the active segment always — and truncates a
+// torn tail of the active segment left by a crash mid-append.
 //
 //lint:ignore lockscope s is unpublished until Open returns; no other goroutine can hold mu yet
 func Open(dir string, opts Options) (*Store, error) {
@@ -256,46 +271,66 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("segstore: syncing %s: %w", dir, err)
 		}
 	}
+	start := time.Now()
 	for i, id := range ids {
+		f := s.files[id]
+		info, err := f.Stat()
+		if err != nil {
+			s.closeFiles()
+			return nil, fmt.Errorf("segstore: segment %d: %w", id, err)
+		}
+		size := info.Size()
+		last := i == len(ids)-1
+		var (
+			recs     []footerRecord
+			recEnd   int64
+			footered bool
+		)
+		if !last {
+			recs, recEnd, footered = readFooter(f, id, size)
+		}
+		if footered && footers {
+			for _, r := range recs {
+				s.applyRecord(r.key, r.tombstone, r.loc)
+			}
+			s.sealedLen[id] = recEnd
+			obsOpenFooterSegments.Inc()
+			continue
+		}
+		s.entries = s.entries[:0]
 		valid, err := s.scanSegment(id)
 		if err != nil {
 			s.closeFiles()
 			return nil, err
 		}
-		last := i == len(ids)-1
+		obsOpenScannedSegments.Inc()
+		obsOpenScannedBytes.Add(size)
 		if !last {
-			// Dead-bytes accounting uses the physical file size, not the
-			// valid prefix: a sealed segment with a corrupt suffix is
-			// reclaimed whole by Compact, so the whole file must count.
-			info, err := s.files[id].Stat()
-			if err != nil {
-				s.closeFiles()
-				return nil, fmt.Errorf("segstore: segment %d: %w", id, err)
+			// Dead-bytes accounting counts a sealed segment up to its
+			// footer, or whole when it has none: a sealed segment with a
+			// corrupt suffix is reclaimed whole by Compact, so the whole
+			// file must count.
+			s.sealedLen[id] = size
+			if footered {
+				s.sealedLen[id] = recEnd
 			}
-			s.sealedLen[id] = info.Size()
+			continue
 		}
-		if last {
-			// Truncate the torn tail so the next append starts at a
-			// CRC-valid offset; sealed segments are never appended to, so
-			// their invalid tails (mid-segment corruption) are only
-			// skipped, not rewritten.
-			info, err := s.files[id].Stat()
-			if err != nil {
+		// Truncate the torn tail so the next append starts at a CRC-valid
+		// offset; sealed segments are never appended to, so their invalid
+		// tails (mid-segment corruption) are only skipped, not rewritten.
+		if size > valid {
+			s.truncated = size - valid
+			if err := f.Truncate(valid); err != nil {
 				s.closeFiles()
-				return nil, fmt.Errorf("segstore: segment %d: %w", id, err)
+				return nil, fmt.Errorf("segstore: truncating torn tail of segment %d: %w", id, err)
 			}
-			if info.Size() > valid {
-				s.truncated = info.Size() - valid
-				if err := s.files[id].Truncate(valid); err != nil {
-					s.closeFiles()
-					return nil, fmt.Errorf("segstore: truncating torn tail of segment %d: %w", id, err)
-				}
-			}
-			s.active = id
-			s.w = s.files[id]
-			s.woff = valid
 		}
+		s.active = id
+		s.w = f
+		s.woff = valid
 	}
+	obsOpenLatency.Record(time.Since(start).Nanoseconds())
 	return s, nil
 }
 
@@ -324,10 +359,10 @@ func listSegments(dir string) ([]uint64, error) {
 	return ids, nil
 }
 
-// scanSegment replays one segment into the index and returns the offset
-// of the first invalid byte (== the file size when the whole segment is
-// intact). Records are applied in order, so within and across segments
-// the last write wins.
+// scanSegment replays one segment into the index and into s.entries and
+// returns the offset of the first invalid byte (== the file size when
+// the whole segment is intact). Records are applied in order, so within
+// and across segments the last write wins.
 //
 //lint:ignore lockscope runs only from Open, before the store is published
 func (s *Store) scanSegment(id uint64) (int64, error) {
@@ -353,14 +388,10 @@ func (s *Store) scanSegment(id uint64) (int64, error) {
 		word0 := binary.BigEndian.Uint32(hdr[0:4])
 		wantCRC := binary.BigEndian.Uint32(hdr[4:8])
 		keyLen := binary.BigEndian.Uint16(hdr[8:10])
-		if word0&recVersion == 0 {
-			return off, nil // zeros or garbage: torn tail
+		if !validHeader(word0, keyLen) {
+			return off, nil // zeros, garbage or a footer: end of the records
 		}
 		dataLen := word0 & recLenMask
-		tombstone := word0&recTombstone != 0
-		if dataLen > MaxBlockLen || keyLen > MaxKeyLen || keyLen == 0 || (tombstone && dataLen != 0) {
-			return off, nil
-		}
 		if cap(kbuf) < int(keyLen) {
 			kbuf = make([]byte, MaxKeyLen)
 		}
@@ -382,7 +413,7 @@ func (s *Store) scanSegment(id uint64) (int64, error) {
 		if crc != wantCRC {
 			return off, nil
 		}
-		s.applyRecord(string(key), tombstone, recordLoc{seg: id, off: off, keyLen: keyLen, dataLen: dataLen})
+		s.appliedLocked(string(key), word0, recordLoc{seg: id, off: off, keyLen: keyLen, dataLen: dataLen})
 	}
 }
 
@@ -390,7 +421,7 @@ func (s *Store) scanSegment(id uint64) (int64, error) {
 // per-segment live-byte counters (behind the incremental dead-bytes
 // accounting) in step.
 //
-//lint:ignore lockscope runs only from scanSegment during Open, before the store is published
+//lint:ignore lockscope callers hold mu, or run in Open before the store is published
 func (s *Store) applyRecord(key string, tombstone bool, loc recordLoc) {
 	if old, ok := s.index[key]; ok {
 		s.liveInSeg[old.seg] -= old.recLen()
@@ -401,6 +432,14 @@ func (s *Store) applyRecord(key string, tombstone bool, loc recordLoc) {
 	}
 	s.index[key] = loc
 	s.liveInSeg[loc.seg] += loc.recLen()
+}
+
+// appliedLocked replays a record of the active segment — just appended,
+// or met by Open's scan — into the index and into the entries its footer
+// will list. Callers hold s.mu (or run in Open, before it is published).
+func (s *Store) appliedLocked(key string, word0 uint32, loc recordLoc) {
+	s.applyRecord(key, word0&recTombstone != 0, loc)
+	s.entries = append(s.entries, logEntry{key: key, word0: word0})
 }
 
 // dropLiveLocked removes a key whose record turned out unreadable,
@@ -557,7 +596,8 @@ func (s *Store) deadBytesLocked() int64 {
 
 // Size reports the payload length of the block under key from the index,
 // without reading it: StatBatch's answer for one key. Like StatBatch it
-// lists a record that rotted after Open until a read or scrub finds it.
+// lists a record whose bytes are bad — rotted since its append, or lost
+// under a footer that outlived them — until a read or scrub finds it.
 func (s *Store) Size(key string) (int64, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -714,9 +754,12 @@ func (s *Store) readBatch(keys []string, blocks [][]byte, arena *[]byte) [][]byt
 
 // StatBatch probes presence from the index: one entry per key in order,
 // the block's byte length when the index holds a record for it, -1
-// otherwise. It reads no record. Every index entry was verified when it
-// entered the index — at append or by Open's scan — so the answer agrees
-// with ReadBatch except for a record corrupted at rest since, which
+// otherwise. It reads no record. Every index entry was verified at its
+// append — again by Open's scan for the active segment and footerless
+// ones, not by an Open that took it from a sealed segment's footer — so
+// the answer agrees with ReadBatch except for a record whose bytes went
+// bad since: corrupted at rest, or lost under a footer that reached the
+// disk without them (a power cut that reordered pages). Such a record
 // stats present until a read, ScrubStep or Compact finds it and drops
 // the key.
 func (s *Store) StatBatch(keys []string) []int {
@@ -816,7 +859,7 @@ func (s *Store) putBatchLocked(items []store.KV) error {
 			obsCopiedBytes.Add(payload)
 		}
 		for _, p := range pending {
-			s.applyRecord(p.key, false, p.loc)
+			s.appliedLocked(p.key, recVersion|p.loc.dataLen, p.loc)
 		}
 		vecs, pending, payload = vecs[:0], pending[:0], 0
 		chunkStart = s.woff
@@ -934,7 +977,7 @@ func (s *Store) appendTombstoneLocked(key string) error {
 	}
 	loc := recordLoc{seg: s.active, off: s.woff, keyLen: uint16(len(key))}
 	s.woff += recLen
-	s.applyRecord(key, true, loc)
+	s.appliedLocked(key, recVersion|recTombstone, loc)
 	return nil
 }
 
@@ -962,27 +1005,36 @@ func (s *Store) rotateLocked() error {
 	if err != nil {
 		return fmt.Errorf("segstore: creating segment %d: %w", id, err)
 	}
-	sealedID, sealed := s.active, s.w
+	sealedID, sealed, ents := s.active, s.w, s.entries
 	s.sealedLen[sealedID] = s.woff
 	s.files[id] = f
 	s.active = id
 	s.w = f
 	s.woff = 0
+	s.entries = make([]logEntry, 0, len(ents))
 	s.sealing = true
 	s.seal.Add(1)
-	go s.sealSegment(sealedID, sealed)
+	go s.sealSegment(sealedID, sealed, s.sealedLen[sealedID], ents, footers)
 	return nil
 }
 
-// sealSegment is the seal job: it fsyncs the sealed segment and then the
-// directory, which pins the entry of the segment created after it —
-// without that a power loss could drop the file and every record in it
-// although the records themselves were fsynced. The directory sync runs
-// here and not in rotateLocked because, issued while the file's fsync is
-// in flight, it joins the same journal commit and takes as long. The job
-// takes no lock: a barrier holds s.mu while it waits for it.
-func (s *Store) sealSegment(id uint64, f *os.File) {
+// sealSegment is the seal job: it appends the segment's footer (listing
+// ents, its records) at end, the offset where its records end, then
+// fsyncs the segment and the directory, which pins the entry of the
+// segment created after it — without that a power loss could drop the
+// file and every record in it although the records themselves were
+// fsynced. The footer rides the segment's fsync. A footer that does not
+// land is one Open does not find, so it scans the segment: a failed
+// footer write does not stop the store (the fsync after it reports a
+// disk that loses writes). The directory sync runs here and not in
+// rotateLocked because, issued while the file's fsync is in flight, it
+// joins the same journal commit and takes as long. The job takes no
+// lock: a barrier holds s.mu while it waits for it.
+func (s *Store) sealSegment(id uint64, f *os.File, end int64, ents []logEntry, footer bool) {
 	defer s.seal.Done()
+	if footer {
+		f.WriteAt(appendFooter(nil, ents), end)
+	}
 	if err := timedSync(f); err != nil {
 		s.fail(fmt.Errorf("segstore: sealing segment %d: %w", id, err))
 		return
