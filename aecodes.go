@@ -12,12 +12,11 @@
 //
 // All storage flows through one context-aware, batch-native dialect: the
 // BlockStore interface family. Every backend in the repository — the
-// in-memory MemoryStore, the directory-backed archive store, the
-// clustered location store, the cooperative TCP network — speaks it, so
-// the codec, the streaming Archive API and the repair engine run
-// unchanged on any of them. Single-block backends are promoted with
-// NewBatchAdapter; implementations agree on the ErrNotFound /
-// ErrUnavailable sentinels instead of ad-hoc (value, bool) conventions.
+// in-memory MemoryStore, the segment-log archive store, the cooperative
+// TCP network — speaks it, so the codec, the streaming Archive API and
+// the repair engine run unchanged on any of them; implementations agree
+// on the ErrNotFound / ErrUnavailable sentinels instead of ad-hoc
+// (value, bool) conventions.
 //
 // # Quick start
 //
@@ -111,14 +110,10 @@ var ErrQuotaExceeded = store.ErrQuotaExceeded
 // reads, with ErrNotFound reporting unavailability.
 type Source = store.Source
 
-// SingleStore is the single-block mutable store: Source plus writes and
-// missing-block enumeration. Promote one to a BlockStore with
-// NewBatchAdapter.
-type SingleStore = store.Single
-
 // BlockStore is the unified storage dialect: context-aware single-block
-// operations plus the GetMany/PutMany batches that let engines move a
-// whole encode batch or repair round in one request per backend.
+// operations, missing-block enumeration, and the GetMany/PutMany batches
+// that let engines move a whole encode batch or repair round in one
+// request per backend.
 type BlockStore = store.BlockStore
 
 // BlockRef addresses one lattice block: a data position or a parity edge.
@@ -136,11 +131,6 @@ type Block = store.Block
 // MissingBlocks enumerates the blocks a store should hold but cannot
 // serve.
 type MissingBlocks = store.Missing
-
-// NewBatchAdapter promotes a single-block store to the full BlockStore
-// dialect, synthesizing GetMany/PutMany by looping. Stores that already
-// implement BlockStore are returned unchanged.
-func NewBatchAdapter(s SingleStore) BlockStore { return store.Batch(s) }
 
 // MemoryStore is an in-memory BlockStore for tests, tools and examples.
 type MemoryStore = entangle.MemoryStore
@@ -313,7 +303,7 @@ func (c *Code) Repair(ctx context.Context, st BlockStore, opts RepairOptions) (R
 // Health probes st's repair urgency with one Missing enumeration plus
 // lattice geometry: no block contents move. blocks is the expected
 // data-block count.
-func (c *Code) Health(ctx context.Context, st SingleStore, blocks int) (LatticeHealth, error) {
+func (c *Code) Health(ctx context.Context, st BlockStore, blocks int) (LatticeHealth, error) {
 	return c.rep.Health(ctx, st, blocks)
 }
 

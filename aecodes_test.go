@@ -1,14 +1,13 @@
 package aecodes_test
 
 import (
-	"aecodes/internal/blockstore"
-	"aecodes/internal/filestore"
 	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
 
 	"aecodes"
+	"aecodes/internal/segstore"
 )
 
 func newCode(t *testing.T, params aecodes.Params, blockSize int) *aecodes.Code {
@@ -228,6 +227,5 @@ func TestPublicMinimalErasure(t *testing.T) {
 // netStore carries the same assertion in its own package).
 var (
 	_ aecodes.BlockStore = (*aecodes.MemoryStore)(nil)
-	_ aecodes.BlockStore = (*blockstore.LatticeView)(nil)
-	_ aecodes.BlockStore = aecodes.NewBatchAdapter(&filestore.Store{})
+	_ aecodes.BlockStore = (*segstore.Lattice)(nil)
 )

@@ -2,7 +2,6 @@ package aecodes_test
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"io"
 	"math/rand"
@@ -274,55 +273,4 @@ func TestArchiveWriterClosedSemantics(t *testing.T) {
 	if _, err := w.Write([]byte("x")); err == nil {
 		t.Error("Write after Close succeeded")
 	}
-}
-
-// TestArchiveBatchAdapterBackend runs the round trip through a
-// single-block store promoted with NewBatchAdapter, proving the adapter
-// synthesizes the batches the archive reader depends on.
-func TestArchiveBatchAdapterBackend(t *testing.T) {
-	payload := make([]byte, 3000)
-	rand.New(rand.NewSource(8)).Read(payload)
-
-	code, err := aecodes.New(archiveParams(), archiveParamsBlock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := aecodes.NewMemoryStore(archiveParamsBlock)
-	adapted := aecodes.NewBatchAdapter(singleOnly{m: mem})
-	w, err := aecodes.NewArchiveWriter(code, adapted, aecodes.ArchiveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got := readArchive(t, archiveParamsBlock, adapted, aecodes.ArchiveOptions{Window: 2})
-	if !bytes.Equal(got, payload) {
-		t.Fatal("batch-adapter round trip mismatch")
-	}
-}
-
-// singleOnly re-exposes only MemoryStore's single-block surface, so
-// NewBatchAdapter has to synthesize the batches.
-type singleOnly struct {
-	m *aecodes.MemoryStore
-}
-
-var _ aecodes.SingleStore = singleOnly{}
-
-func (s singleOnly) GetData(ctx context.Context, i int) ([]byte, error) { return s.m.GetData(ctx, i) }
-func (s singleOnly) GetParity(ctx context.Context, e aecodes.Edge) ([]byte, error) {
-	return s.m.GetParity(ctx, e)
-}
-func (s singleOnly) PutData(ctx context.Context, i int, b []byte) error {
-	return s.m.PutData(ctx, i, b)
-}
-func (s singleOnly) PutParity(ctx context.Context, e aecodes.Edge, b []byte) error {
-	return s.m.PutParity(ctx, e, b)
-}
-func (s singleOnly) Missing(ctx context.Context) (aecodes.MissingBlocks, error) {
-	return s.m.Missing(ctx)
 }

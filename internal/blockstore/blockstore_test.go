@@ -1,19 +1,12 @@
 package blockstore
 
 import (
-	"bytes"
-	"context"
-	"fmt"
 	"testing"
 
 	"aecodes/internal/lattice"
-	"aecodes/internal/store"
 )
 
 func TestKeys(t *testing.T) {
-	if got := DataKey(26); got != "d:26" {
-		t.Errorf("DataKey(26) = %q", got)
-	}
 	e := lattice.Edge{Class: lattice.Horizontal, Left: 21, Right: 26}
 	if got := ParityKey(e); got != "p:h:21:26" {
 		t.Errorf("ParityKey = %q", got)
@@ -21,324 +14,5 @@ func TestKeys(t *testing.T) {
 	e2 := lattice.Edge{Class: lattice.LeftHanded, Left: 22, Right: 26}
 	if got := ParityKey(e2); got != "p:lh:22:26" {
 		t.Errorf("ParityKey = %q", got)
-	}
-}
-
-func TestClusterPutGet(t *testing.T) {
-	c, err := NewCluster(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Size() != 3 {
-		t.Fatalf("Size = %d", c.Size())
-	}
-	if err := c.Put(1, "k", []byte{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c.Get("k")
-	if !ok || !bytes.Equal(got, []byte{1, 2}) {
-		t.Fatalf("Get = %v,%v", got, ok)
-	}
-	// Get returns a copy.
-	got[0] = 99
-	again, _ := c.Get("k")
-	if again[0] != 1 {
-		t.Error("Get aliases stored content")
-	}
-	node, ok := c.Locate("k")
-	if !ok || node != 1 {
-		t.Errorf("Locate = %d,%v, want 1,true", node, ok)
-	}
-	if _, ok := c.Get("absent"); ok {
-		t.Error("Get found absent key")
-	}
-	if err := c.Put(7, "k2", nil); err == nil {
-		t.Error("Put accepted out-of-range node")
-	}
-}
-
-func TestClusterMoveOnRewrite(t *testing.T) {
-	c, err := NewCluster(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put(0, "k", []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put(1, "k", []byte{2}); err != nil {
-		t.Fatal(err)
-	}
-	if c.NodeLen(0) != 0 || c.NodeLen(1) != 1 {
-		t.Errorf("block not moved: node0=%d node1=%d", c.NodeLen(0), c.NodeLen(1))
-	}
-	got, ok := c.Get("k")
-	if !ok || got[0] != 2 {
-		t.Errorf("Get after move = %v,%v", got, ok)
-	}
-}
-
-func TestClusterAvailability(t *testing.T) {
-	c, err := NewCluster(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put(0, "a", []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put(1, "b", []byte{2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetAvailable(0, false); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Error("Get served a block from a failed node")
-	}
-	if _, ok := c.Get("b"); !ok {
-		t.Error("Get failed for a healthy node")
-	}
-	if keys := c.UnavailableKeys(); len(keys) != 1 || keys[0] != "a" {
-		t.Errorf("UnavailableKeys = %v, want [a]", keys)
-	}
-	if err := c.SetAvailable(0, true); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get("a"); !ok {
-		t.Error("Get failed after recovery — content must survive downtime")
-	}
-	if err := c.SetAvailable(9, false); err == nil {
-		t.Error("SetAvailable accepted bad node id")
-	}
-	if c.Available(9) {
-		t.Error("Available(9) = true for nonexistent node")
-	}
-}
-
-func TestClusterEvict(t *testing.T) {
-	c, err := NewCluster(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put(0, "k", []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	c.Evict("k")
-	if _, ok := c.Get("k"); ok {
-		t.Error("Get found evicted key")
-	}
-	c.Evict("absent") // must not panic
-}
-
-func TestNewClusterValidation(t *testing.T) {
-	if _, err := NewCluster(0); err == nil {
-		t.Error("NewCluster(0) succeeded")
-	}
-}
-
-func TestParseKeys(t *testing.T) {
-	if i, ok := parseDataKey("d:42"); !ok || i != 42 {
-		t.Errorf("parseDataKey = %d,%v", i, ok)
-	}
-	if _, ok := parseDataKey("p:h:1:2"); ok {
-		t.Error("parseDataKey accepted parity key")
-	}
-	if _, ok := parseDataKey("d:x"); ok {
-		t.Error("parseDataKey accepted garbage")
-	}
-	e, ok := parseParityKey("p:rh:25:26")
-	if !ok || e.Class != lattice.RightHanded || e.Left != 25 || e.Right != 26 {
-		t.Errorf("parseParityKey = %v,%v", e, ok)
-	}
-	for _, bad := range []string{"d:1", "p:zz:1:2", "p:h:1", "p:h:a:2", "p:h:1:b"} {
-		if _, ok := parseParityKey(bad); ok {
-			t.Errorf("parseParityKey accepted %q", bad)
-		}
-	}
-}
-
-func TestLatticeViewValidation(t *testing.T) {
-	c, err := NewCluster(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	place := func(string) int { return 0 }
-	if _, err := NewLatticeView(nil, 8, place); err == nil {
-		t.Error("accepted nil cluster")
-	}
-	if _, err := NewLatticeView(c, 0, place); err == nil {
-		t.Error("accepted zero block size")
-	}
-	if _, err := NewLatticeView(c, 8, nil); err == nil {
-		t.Error("accepted nil placement")
-	}
-}
-
-func TestLatticeViewStoreContract(t *testing.T) {
-	c, err := NewCluster(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, err := NewLatticeView(c, 4, func(key string) int { return int(key[len(key)-1]) % 4 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := view.PutData(bg, 1, []byte{1, 2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := view.Data(1)
-	if !ok || !bytes.Equal(got, []byte{1, 2, 3, 4}) {
-		t.Fatalf("Data = %v,%v", got, ok)
-	}
-	e := lattice.Edge{Class: lattice.Horizontal, Left: 1, Right: 2}
-	if err := view.PutParity(bg, e, []byte{9, 9, 9, 9}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := view.Parity(e); !ok {
-		t.Fatal("Parity missing after PutParity")
-	}
-	// Virtual edges always readable, never writable.
-	virt := lattice.Edge{Class: lattice.Horizontal, Left: -1, Right: 1}
-	zb, ok := view.Parity(virt)
-	if !ok || !bytes.Equal(zb, make([]byte, 4)) {
-		t.Error("virtual edge not zero/available")
-	}
-	if err := view.PutParity(bg, virt, make([]byte, 4)); err == nil {
-		t.Error("PutParity accepted virtual edge")
-	}
-	// Size validation.
-	if err := view.PutData(bg, 2, []byte{1}); err == nil {
-		t.Error("PutData accepted wrong size")
-	}
-	if err := view.PutParity(bg, e, []byte{1}); err == nil {
-		t.Error("PutParity accepted wrong size")
-	}
-}
-
-func TestLatticeViewMissingEnumeration(t *testing.T) {
-	c, err := NewCluster(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Everything on node 0 except d:2 on node 1.
-	place := func(key string) int {
-		if key == "d:2" {
-			return 1
-		}
-		return 0
-	}
-	view, err := NewLatticeView(c, 2, place)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := view.PutData(bg, 1, []byte{1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := view.PutData(bg, 2, []byte{2, 2}); err != nil {
-		t.Fatal(err)
-	}
-	edges := []lattice.Edge{
-		{Class: lattice.Horizontal, Left: 1, Right: 2},
-		{Class: lattice.RightHanded, Left: 2, Right: 3},
-	}
-	for _, e := range edges {
-		if err := view.PutParity(bg, e, []byte{3, 3}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.SetAvailable(0, false); err != nil {
-		t.Fatal(err)
-	}
-	missData := view.MissingData()
-	if len(missData) != 1 || missData[0] != 1 {
-		t.Errorf("MissingData = %v, want [1]", missData)
-	}
-	missPar := view.MissingParities()
-	if len(missPar) != 2 {
-		t.Errorf("MissingParities = %v, want both edges", missPar)
-	}
-}
-
-func TestClusterConcurrency(t *testing.T) {
-	c, err := NewCluster(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	for w := 0; w < 8; w++ {
-		go func(w int) {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 200; i++ {
-				key := fmt.Sprintf("w%d-k%d", w, i)
-				if err := c.Put(w, key, []byte{byte(i)}); err != nil {
-					t.Errorf("Put: %v", err)
-					return
-				}
-				if _, ok := c.Get(key); !ok {
-					t.Errorf("Get(%s) missing", key)
-					return
-				}
-			}
-		}(w)
-	}
-	for w := 0; w < 8; w++ {
-		<-done
-	}
-	total := 0
-	for n := 0; n < 8; n++ {
-		total += c.NodeLen(n)
-	}
-	if total != 1600 {
-		t.Errorf("total blocks = %d, want 1600", total)
-	}
-}
-
-// bg is the context used by tests that do not exercise cancellation.
-var bg = context.Background()
-
-// TestLatticeViewGetManyPartialUnderDownNode pins the prefetch contract:
-// blocks on a down location come back as nil entries — not a batch error
-// — and Missing agrees with that availability view, so the repair
-// engine's round prefetch sees a consistent picture of the cluster.
-func TestLatticeViewGetManyPartialUnderDownNode(t *testing.T) {
-	c, err := NewCluster(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, err := NewLatticeView(c, 4, func(key string) int {
-		if parsed, ok := parseDataKey(key); ok {
-			return parsed % 2
-		}
-		return 0
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 4; i++ {
-		if err := view.PutData(bg, i, []byte{byte(i), 0, 0, 0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.SetAvailable(1, false); err != nil { // odd data positions vanish
-		t.Fatal(err)
-	}
-
-	refs := []store.Ref{store.DataRef(1), store.DataRef(2), store.DataRef(3), store.DataRef(4)}
-	blocks, err := view.GetMany(bg, refs)
-	if err != nil {
-		t.Fatalf("GetMany over a half-down cluster failed: %v", err)
-	}
-	if blocks[0] != nil || blocks[2] != nil {
-		t.Errorf("down-location entries = %v, %v; want nil, nil", blocks[0], blocks[2])
-	}
-	if blocks[1] == nil || blocks[3] == nil {
-		t.Error("healthy-location entries missing")
-	}
-	missing, err := view.Missing(bg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMissing := map[int]bool{1: true, 3: true}
-	if len(missing.Data) != 2 || !wantMissing[missing.Data[0]] || !wantMissing[missing.Data[1]] {
-		t.Errorf("Missing.Data = %v, want the two down positions", missing.Data)
 	}
 }

@@ -1150,7 +1150,7 @@ func (s *netStore) GetParity(ctx context.Context, e lattice.Edge) ([]byte, error
 	return data, err
 }
 
-// PutData implements store.Single: repaired data returns to the user.
+// PutData implements store.BlockStore: repaired data returns to the user.
 func (s *netStore) PutData(ctx context.Context, i int, b []byte) error {
 	cp := make([]byte, len(b))
 	copy(cp, b)
@@ -1160,7 +1160,7 @@ func (s *netStore) PutData(ctx context.Context, i int, b []byte) error {
 	return nil
 }
 
-// PutParity implements store.Single: repaired parities are re-uploaded
+// PutParity implements store.BlockStore: repaired parities are re-uploaded
 // (Table III step 5). The node transmits or copies before returning, so
 // callers may recycle the slice after return.
 func (s *netStore) PutParity(ctx context.Context, e lattice.Edge, data []byte) error {
@@ -1600,7 +1600,7 @@ func (s *netStore) heldOnNode(ctx context.Context, node NodeStore, keys []string
 	return held
 }
 
-// Missing implements store.Single: every data block the user's machine
+// Missing implements store.BlockStore: every data block the user's machine
 // lost, and every parity the lattice says should exist but no node
 // serves, asked of all nodes concurrently. Nodes answer with StatMany
 // flags — no block contents cross the wire for enumeration, and the

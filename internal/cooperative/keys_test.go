@@ -48,14 +48,6 @@ func TestKeysMatchFmtSpelling(t *testing.T) {
 		if got := blockstore.ParityKey(e); got != want {
 			t.Fatalf("blockstore.ParityKey(%+v) = %q, want %q", e, got, want)
 		}
-		i := pos()
-		want = fmt.Sprintf("d:%d", i)
-		if got := store.DataKey(i); got != want {
-			t.Fatalf("store.DataKey(%d) = %q, want %q", i, got, want)
-		}
-		if got := blockstore.DataKey(i); got != want {
-			t.Fatalf("blockstore.DataKey(%d) = %q, want %q", i, got, want)
-		}
 	}
 	for _, user := range []string{"alice", strings.Repeat("u", 100)} {
 		b, err := NewBroker(user, testParams, testBlockSize, []NodeStore{NewInMemoryNode()})

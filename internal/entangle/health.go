@@ -95,7 +95,7 @@ func (h Health) Targets(max int) []store.Ref {
 // with pure lattice geometry. blocks is the expected data-block count:
 // it is recorded in the result and bounds the lattice, so a tail parity's
 // option that names a data block beyond it does not count.
-func (r *Repairer) Health(ctx context.Context, st store.Single, blocks int) (Health, error) {
+func (r *Repairer) Health(ctx context.Context, st Store, blocks int) (Health, error) {
 	m, err := st.Missing(ctx)
 	if err != nil {
 		return Health{}, fmt.Errorf("entangle: health probe: %w", err)

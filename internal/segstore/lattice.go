@@ -139,7 +139,7 @@ func (v *Lattice) GetParity(ctx context.Context, e lattice.Edge) ([]byte, error)
 	return b, nil
 }
 
-// PutData implements store.Single.
+// PutData implements store.BlockStore.
 func (v *Lattice) PutData(ctx context.Context, i int, b []byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -153,7 +153,7 @@ func (v *Lattice) PutData(ctx context.Context, i int, b []byte) error {
 	return v.s.Put(refKey(store.DataRef(i)), b)
 }
 
-// PutParity implements store.Single.
+// PutParity implements store.BlockStore.
 func (v *Lattice) PutParity(ctx context.Context, e lattice.Edge, b []byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -167,7 +167,7 @@ func (v *Lattice) PutParity(ctx context.Context, e lattice.Edge, b []byte) error
 	return v.s.Put(refKey(store.ParityRef(e)), b)
 }
 
-// Missing implements store.Single: the expected set is data positions
+// Missing implements store.BlockStore: the expected set is data positions
 // 1..Blocks plus every real out-edge of those positions
 // (lattice.RealOutEdges), probed with ONE StatBatch — over a Store, one
 // read lock and one index lookup per key, no record read. A record

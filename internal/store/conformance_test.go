@@ -3,44 +3,19 @@ package store
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 )
-
-// TestBatchAdapterGetManyUnavailableIsNil pins the prefetch contract on
-// adapted stores: a block on a down location (ErrUnavailable) is a nil
-// entry, exactly like a missing block — never a batch failure — so the
-// repair engine's round prefetch behaves the same over an adapter as
-// over a batch-native backend.
-func TestBatchAdapterGetManyUnavailableIsNil(t *testing.T) {
-	f := newFakeSingle()
-	f.data[1] = []byte{1}
-	f.data[2] = []byte{2}
-	f.failOn = 2
-	f.failErr = fmt.Errorf("location down: %w", ErrUnavailable)
-
-	got, err := Batch(f).GetMany(context.Background(), []Ref{DataRef(1), DataRef(2)})
-	if err != nil {
-		t.Fatalf("GetMany over a partially-down store failed: %v", err)
-	}
-	if got[0] == nil || got[0][0] != 1 {
-		t.Errorf("healthy entry = %v, want d1 content", got[0])
-	}
-	if got[1] != nil {
-		t.Errorf("unavailable entry = %v, want nil", got[1])
-	}
-}
 
 // TestFlakyDeterministic pins that two Flaky wrappers with the same seed
 // inject the same faults, so flaky-repair tests are reproducible.
 func TestFlakyDeterministic(t *testing.T) {
 	mk := func() *Flaky {
-		f := newFakeSingle()
+		f := newFakeStore()
 		for i := 1; i <= 64; i++ {
 			f.data[i] = []byte{byte(i)}
 		}
-		return NewFlaky(Batch(f), FlakyOptions{Seed: 3, DropRate: 0.3, FailEvery: 4, FailBurst: 2})
+		return NewFlaky(f, FlakyOptions{Seed: 3, DropRate: 0.3, FailEvery: 4, FailBurst: 2})
 	}
 	refs := make([]Ref, 64)
 	for i := range refs {
@@ -70,9 +45,9 @@ func TestFlakyDeterministic(t *testing.T) {
 // TestFlakyBurstSchedule pins the burst shape: with FailEvery=2 and
 // FailBurst=2, calls fail in pairs starting at every second counted call.
 func TestFlakyBurstSchedule(t *testing.T) {
-	f := newFakeSingle()
+	f := newFakeStore()
 	f.data[1] = []byte{1}
-	fl := NewFlaky(Batch(f), FlakyOptions{FailEvery: 2, FailBurst: 2})
+	fl := NewFlaky(f, FlakyOptions{FailEvery: 2, FailBurst: 2})
 	refs := []Ref{DataRef(1)}
 	var outcomes []bool // true = failed
 	for i := 0; i < 8; i++ {
@@ -88,17 +63,17 @@ func TestFlakyBurstSchedule(t *testing.T) {
 	}
 }
 
-// TestGetManyConsistentUnderConcurrentFaults hammers one adapted store
+// TestGetManyConsistentUnderConcurrentFaults hammers one store
 // with concurrent GetMany prefetches and concurrent fault flips, pinning
 // the documented consistency: the entry count always matches the ref
 // count and non-nil entries always carry full content. Run under -race
 // this is the contract's race-cleanliness check.
 func TestGetManyConsistentUnderConcurrentFaults(t *testing.T) {
-	f := newFakeSingle()
+	f := newFakeStore()
 	for i := 1; i <= 32; i++ {
 		f.data[i] = []byte{byte(i)}
 	}
-	fl := NewFlaky(Batch(f), FlakyOptions{Seed: 11, DropRate: 0.4, FailEvery: 5, FailBurst: 1})
+	fl := NewFlaky(f, FlakyOptions{Seed: 11, DropRate: 0.4, FailEvery: 5, FailBurst: 1})
 	refs := make([]Ref, 32)
 	for i := range refs {
 		refs[i] = DataRef(i + 1)

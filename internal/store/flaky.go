@@ -132,7 +132,7 @@ func (f *Flaky) GetParity(ctx context.Context, e lattice.Edge) ([]byte, error) {
 	return f.inner.GetParity(ctx, e)
 }
 
-// PutData implements Single, passing through.
+// PutData implements BlockStore, passing through.
 func (f *Flaky) PutData(ctx context.Context, i int, b []byte) error {
 	if err := f.sleep(ctx); err != nil {
 		return err
@@ -140,7 +140,7 @@ func (f *Flaky) PutData(ctx context.Context, i int, b []byte) error {
 	return f.inner.PutData(ctx, i, b)
 }
 
-// PutParity implements Single, passing through.
+// PutParity implements BlockStore, passing through.
 func (f *Flaky) PutParity(ctx context.Context, e lattice.Edge, b []byte) error {
 	if err := f.sleep(ctx); err != nil {
 		return err
@@ -148,7 +148,7 @@ func (f *Flaky) PutParity(ctx context.Context, e lattice.Edge, b []byte) error {
 	return f.inner.PutParity(ctx, e, b)
 }
 
-// Missing implements Single, passing through.
+// Missing implements BlockStore, passing through.
 func (f *Flaky) Missing(ctx context.Context) (Missing, error) {
 	if err := f.sleep(ctx); err != nil {
 		return Missing{}, err

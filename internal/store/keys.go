@@ -6,17 +6,12 @@ import (
 	"aecodes/internal/lattice"
 )
 
-// The block names of the keyed lower tier. They are a persisted format —
-// segstore logs, tenant namespaces and brokers' "<user>/" prefixes all
-// spell them — so their bytes never change: DataKey is "d:<i>" and
-// ParityKey is "p:<class>:<left>:<right>", the class as lattice.Class
-// prints it, exactly as fmt.Sprintf("p:%s:%d:%d", …) spelled them. They
-// are built with strconv instead, so a broker naming thousands of keys
-// per call pays no formatting machinery.
-
-// DataKey names the data block at lattice position i ("d26" in the
-// paper's notation).
-func DataKey(i int) string { return "d:" + strconv.Itoa(i) }
+// The parity names of the keyed lower tier. They are a persisted format —
+// nodes' segment logs, tenant namespaces and brokers' "<user>/" prefixes
+// all spell them — so their bytes never change: ParityKey is "p:<class>:<left>:<right>", the class
+// as lattice.Class prints it, exactly as fmt.Sprintf("p:%s:%d:%d", …)
+// spelled them. They are built with strconv instead, so a broker naming
+// thousands of keys per call pays no formatting machinery.
 
 // ParityKey names the parity block on edge e ("p21,26" tagged with its
 // strand class, as in Table V).

@@ -1,21 +1,16 @@
 // Package store defines the unified storage dialect of the repository: a
 // context-aware, batch-native BlockStore interface that every backend —
-// in-memory maps, directory archives, clustered locations, remote TCP
-// nodes — implements, so the encoder pipeline and the repair engine run
-// unchanged on top of any of them.
+// in-memory maps, segment-log archives, remote TCP nodes — implements,
+// so the encoder pipeline and the repair engine run unchanged on top of
+// any of them.
 //
 // The interface family is layered:
 //
 //   - Source is the read view the repair engine needs.
-//   - Single adds writes and missing-block enumeration — enough for
-//     round-based whole-system repair, one block per call.
-//   - BlockStore adds the batch operations GetMany/PutMany, letting a
-//     round of reads or a commit of writes travel as one request per
-//     backend (one frame per TCP node, one lock acquisition in memory).
-//
-// Backends that are naturally single-block implement Single and are
-// promoted with Batch (which wraps them in a BatchAdapter); batch-capable
-// backends implement BlockStore directly and Batch returns them as-is.
+//   - BlockStore adds single-block writes, missing-block enumeration and
+//     the batch operations GetMany/PutMany, letting a round of reads or
+//     a commit of writes travel as one request per backend (one frame
+//     per TCP node, one lock acquisition in memory).
 //
 // Below the ref dialect sits the lower tier's one contract, Keyed: what a
 // storage node serves — blocks under opaque keys, single and batched,
@@ -175,27 +170,14 @@ type Source interface {
 	GetParity(ctx context.Context, e lattice.Edge) ([]byte, error)
 }
 
-// Single extends Source with single-block writes and missing-block
-// enumeration: the minimal mutable store, one block per call.
+// BlockStore is the full dialect: single-block reads and writes,
+// missing-block enumeration, and batches. Every in-repo backend
+// implements it.
 //
-// Put implementations must not retain b after returning (copy it, or
-// transmit it before returning): the engines recycle block buffers
-// through a pool the moment a Put call completes. Every store in this
-// repository complies.
-type Single interface {
-	Source
-	// PutData stores (or restores) a data block.
-	PutData(ctx context.Context, i int, b []byte) error
-	// PutParity stores (or restores) a parity block.
-	PutParity(ctx context.Context, e lattice.Edge, b []byte) error
-	// Missing enumerates every block the store should hold but cannot
-	// serve. Batch-capable backends may use one bulk fetch per location
-	// to answer, seeding any read cache they keep for the round.
-	Missing(ctx context.Context) (Missing, error)
-}
-
-// BlockStore is the full dialect: single-block operations plus batches.
-// All in-repo backends implement it (directly, or via Batch).
+// Put implementations — PutData, PutParity and PutMany — must not retain
+// the block after returning (copy it, or transmit it before returning):
+// the engines recycle block buffers through a pool the moment a put
+// completes.
 //
 // GetMany is the repair engine's round-prefetch primitive, so its
 // partial-result semantics are load-bearing: a nil entry means "this
@@ -224,7 +206,15 @@ type Single interface {
 // reader keeps one GetMany running in the background (the next window)
 // while the goroutine it is read from may issue another.
 type BlockStore interface {
-	Single
+	Source
+	// PutData stores (or restores) a data block.
+	PutData(ctx context.Context, i int, b []byte) error
+	// PutParity stores (or restores) a parity block.
+	PutParity(ctx context.Context, e lattice.Edge, b []byte) error
+	// Missing enumerates every block the store should hold but cannot
+	// serve. Batch-capable backends may use one bulk fetch per location
+	// to answer, seeding any read cache they keep for the round.
+	Missing(ctx context.Context) (Missing, error)
 	// GetMany returns one entry per ref in order; entries for blocks the
 	// store cannot serve are nil — a missing block or an unavailable
 	// location is not an error. The error return is reserved for failures
@@ -232,8 +222,6 @@ type BlockStore interface {
 	GetMany(ctx context.Context, refs []Ref) ([][]byte, error)
 	// PutMany stores all blocks, applied in order; the first failing
 	// entry aborts the batch and earlier entries may have been stored.
-	// Like the single-block puts, implementations must not retain the
-	// Data slices after returning.
 	PutMany(ctx context.Context, blocks []Block) error
 }
 
@@ -297,76 +285,10 @@ func Get(ctx context.Context, src Source, r Ref) ([]byte, error) {
 	return src.GetData(ctx, r.Index)
 }
 
-// Put dispatches a single-block write through a ref.
-func Put(ctx context.Context, s Single, b Block) error {
-	if b.Ref.Parity {
-		return s.PutParity(ctx, b.Ref.Edge, b.Data)
-	}
-	return s.PutData(ctx, b.Ref.Index, b.Data)
-}
-
 // ZeroBlock returns an all-zero block of the given size, backing every
 // virtual-edge read. Callers must not mutate the returned slice when an
 // implementation chooses to share one.
 func ZeroBlock(size int) []byte { return make([]byte, size) }
-
-// Batch promotes a Single to the full BlockStore dialect: stores that are
-// already batch-native are returned unchanged, anything else is wrapped
-// in a BatchAdapter.
-func Batch(s Single) BlockStore {
-	if bs, ok := s.(BlockStore); ok {
-		return bs
-	}
-	return BatchAdapter{Single: s}
-}
-
-// BatchAdapter synthesizes GetMany/PutMany for a single-block backend by
-// looping, honouring context cancellation between blocks. It adds no
-// concurrency of its own: the adapter is as goroutine-safe as the store
-// it wraps.
-type BatchAdapter struct {
-	Single
-}
-
-var _ BlockStore = BatchAdapter{}
-
-// GetMany implements BlockStore: one Get per ref, with unavailability
-// mapped to a nil entry — ErrNotFound and ErrUnavailable both mean "this
-// block cannot be served right now", matching the batch-native backends'
-// partial-result semantics so the repair engine's prefetch behaves the
-// same over an adapter as over a native store. Any other error aborts
-// the batch.
-func (a BatchAdapter) GetMany(ctx context.Context, refs []Ref) ([][]byte, error) {
-	out := make([][]byte, len(refs))
-	for i, r := range refs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		b, err := Get(ctx, a.Single, r)
-		if errors.Is(err, ErrNotFound) || errors.Is(err, ErrUnavailable) {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		out[i] = b
-	}
-	return out, nil
-}
-
-// PutMany implements BlockStore: one Put per block, in order, first error
-// aborts.
-func (a BatchAdapter) PutMany(ctx context.Context, blocks []Block) error {
-	for _, b := range blocks {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := Put(ctx, a.Single, b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Putter is the write slice of the dialect the encode pipeline needs: it
 // delivers data blocks and freshly computed parities. Every BlockStore is

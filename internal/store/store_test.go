@@ -2,29 +2,21 @@ package store
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"testing"
 
 	"aecodes/internal/lattice"
 )
 
-// fakeSingle is a map-backed Single for adapter tests.
-type fakeSingle struct {
-	data    map[int][]byte
-	parity  map[lattice.Edge][]byte
-	failOn  int // PutData/GetData on this index returns failErr
-	failErr error
+// fakeStore is a map-backed BlockStore of data blocks for the Flaky
+// tests; it is written before the tests read it and never after.
+type fakeStore struct {
+	data map[int][]byte
 }
 
-func newFakeSingle() *fakeSingle {
-	return &fakeSingle{data: make(map[int][]byte), parity: make(map[lattice.Edge][]byte)}
-}
+func newFakeStore() *fakeStore { return &fakeStore{data: make(map[int][]byte)} }
 
-func (f *fakeSingle) GetData(ctx context.Context, i int) ([]byte, error) {
-	if f.failErr != nil && i == f.failOn {
-		return nil, f.failErr
-	}
+func (f *fakeStore) GetData(ctx context.Context, i int) ([]byte, error) {
 	b, ok := f.data[i]
 	if !ok {
 		return nil, fmt.Errorf("fake d%d: %w", i, ErrNotFound)
@@ -32,117 +24,32 @@ func (f *fakeSingle) GetData(ctx context.Context, i int) ([]byte, error) {
 	return b, nil
 }
 
-func (f *fakeSingle) GetParity(ctx context.Context, e lattice.Edge) ([]byte, error) {
-	b, ok := f.parity[e]
-	if !ok {
-		return nil, fmt.Errorf("fake %v: %w", e, ErrNotFound)
-	}
-	return b, nil
+func (f *fakeStore) GetParity(ctx context.Context, e lattice.Edge) ([]byte, error) {
+	return nil, fmt.Errorf("fake %v: %w", e, ErrNotFound)
 }
 
-func (f *fakeSingle) PutData(ctx context.Context, i int, b []byte) error {
-	if f.failErr != nil && i == f.failOn {
-		return f.failErr
-	}
-	f.data[i] = append([]byte(nil), b...)
-	return nil
+func (f *fakeStore) PutData(ctx context.Context, i int, b []byte) error {
+	return fmt.Errorf("fake: read-only")
 }
 
-func (f *fakeSingle) PutParity(ctx context.Context, e lattice.Edge, b []byte) error {
-	f.parity[e] = append([]byte(nil), b...)
-	return nil
+func (f *fakeStore) PutParity(ctx context.Context, e lattice.Edge, b []byte) error {
+	return fmt.Errorf("fake: read-only")
 }
 
-func (f *fakeSingle) Missing(ctx context.Context) (Missing, error) { return Missing{}, nil }
+func (f *fakeStore) Missing(ctx context.Context) (Missing, error) { return Missing{}, nil }
 
-func TestBatchAdapterGetMany(t *testing.T) {
-	f := newFakeSingle()
-	f.data[1] = []byte{1}
-	f.data[3] = []byte{3}
-	e := lattice.Edge{Class: lattice.Horizontal, Left: 1, Right: 2}
-	f.parity[e] = []byte{9}
-
-	bs := Batch(f)
-	refs := []Ref{DataRef(1), DataRef(2), DataRef(3), ParityRef(e)}
-	got, err := bs.GetMany(context.Background(), refs)
-	if err != nil {
-		t.Fatal(err)
+func (f *fakeStore) GetMany(ctx context.Context, refs []Ref) ([][]byte, error) {
+	out := make([][]byte, len(refs))
+	for i, r := range refs {
+		if !r.Parity {
+			out[i] = f.data[r.Index]
+		}
 	}
-	if len(got) != 4 {
-		t.Fatalf("got %d entries, want 4", len(got))
-	}
-	if got[0] == nil || got[0][0] != 1 {
-		t.Errorf("entry 0 = %v, want d1 content", got[0])
-	}
-	if got[1] != nil {
-		t.Errorf("missing block came back non-nil: %v", got[1])
-	}
-	if got[2] == nil || got[2][0] != 3 {
-		t.Errorf("entry 2 = %v, want d3 content", got[2])
-	}
-	if got[3] == nil || got[3][0] != 9 {
-		t.Errorf("entry 3 = %v, want parity content", got[3])
-	}
+	return out, nil
 }
 
-func TestBatchAdapterGetManyAbortsOnRealError(t *testing.T) {
-	f := newFakeSingle()
-	f.data[1] = []byte{1}
-	f.failOn = 2
-	f.failErr = errors.New("disk on fire")
-	bs := Batch(f)
-	if _, err := bs.GetMany(context.Background(), []Ref{DataRef(1), DataRef(2)}); err == nil {
-		t.Fatal("GetMany swallowed a non-NotFound error")
-	}
-}
-
-func TestBatchAdapterPutManyOrderAndAbort(t *testing.T) {
-	f := newFakeSingle()
-	f.failOn = 3
-	f.failErr = errors.New("quota exceeded")
-	bs := Batch(f)
-	blocks := []Block{
-		{Ref: DataRef(1), Data: []byte{1}},
-		{Ref: DataRef(2), Data: []byte{2}},
-		{Ref: DataRef(3), Data: []byte{3}},
-		{Ref: DataRef(4), Data: []byte{4}},
-	}
-	if err := bs.PutMany(context.Background(), blocks); err == nil {
-		t.Fatal("PutMany swallowed a put error")
-	}
-	if len(f.data) != 2 {
-		t.Errorf("PutMany stored %d blocks before aborting, want 2 (in order)", len(f.data))
-	}
-	if _, ok := f.data[4]; ok {
-		t.Error("PutMany stored a block after the failing entry")
-	}
-}
-
-func TestBatchAdapterHonoursContext(t *testing.T) {
-	f := newFakeSingle()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	bs := Batch(f)
-	if _, err := bs.GetMany(ctx, []Ref{DataRef(1)}); !errors.Is(err, context.Canceled) {
-		t.Errorf("GetMany on canceled context = %v, want context.Canceled", err)
-	}
-	if err := bs.PutMany(ctx, []Block{{Ref: DataRef(1), Data: []byte{1}}}); !errors.Is(err, context.Canceled) {
-		t.Errorf("PutMany on canceled context = %v, want context.Canceled", err)
-	}
-}
-
-// batchNative embeds a fakeSingle and adds its own batch ops, to check
-// Batch does not double-wrap.
-type batchNative struct{ *fakeSingle }
-
-func (batchNative) GetMany(ctx context.Context, refs []Ref) ([][]byte, error) { return nil, nil }
-func (batchNative) PutMany(ctx context.Context, blocks []Block) error         { return nil }
-
-func TestBatchPassesThroughNativeStores(t *testing.T) {
-	n := batchNative{newFakeSingle()}
-	if got := Batch(n); got != BlockStore(n) {
-		t.Errorf("Batch wrapped a store that is already batch-native")
-	}
+func (f *fakeStore) PutMany(ctx context.Context, blocks []Block) error {
+	return fmt.Errorf("fake: read-only")
 }
 
 func TestRefString(t *testing.T) {

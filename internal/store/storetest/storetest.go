@@ -1,11 +1,11 @@
 // Package storetest is the executable form of the storage dialect's
 // contract: one conformance suite that every store.BlockStore backend —
-// memory maps, clustered locations, directory archives, durable segment
-// logs — runs against its own constructor, so the contracts the repair
-// engine leans on (ErrNotFound sentinels, copy-on-put, GetMany's
-// nil-entry partial results, Missing agreeing with the availability
-// view, virtual edges reading as zero) are pinned in one place instead
-// of re-derived per backend. RunKeyed does the same for store.Keyed, the
+// memory maps, durable segment logs, tenant namespaces of either — runs
+// against its own constructor, so the contracts the repair engine leans
+// on (ErrNotFound sentinels, copy-on-put, GetMany's nil-entry partial
+// results, Missing agreeing with the availability view, virtual edges
+// reading as zero) are pinned in one place instead of re-derived per
+// backend. RunKeyed does the same for store.Keyed, the
 // contract a storage node serves.
 package storetest
 
