@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"aecodes"
@@ -209,6 +210,33 @@ func TestPublicHeadsRoundTrip(t *testing.T) {
 			if !bytes.Equal(ent.Parities[pi].Data, wantParities[15+bi][pi].Data) {
 				t.Fatalf("parities diverged at block %d", 16+bi)
 			}
+		}
+	}
+}
+
+// TestNewAllocatesNoStrandHeads holds New to what reading, repair and
+// health checks need: the encoder's strand heads — twelve blocks at
+// AE(3,2,5), 12 MiB at 1 MiB blocks — come with the first encoder call.
+func TestNewAllocatesNoStrandHeads(t *testing.T) {
+	const blockSize = 1 << 20
+	params := aecodes.Params{Alpha: 3, S: 2, P: 5}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := aecodes.New(params, blockSize)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= blockSize {
+		t.Fatalf("New allocated %d bytes, want less than one %d-byte block", got, blockSize)
+	}
+	next, heads := c.Heads()
+	if next != 1 || len(heads) != params.StrandCount() {
+		t.Fatalf("Heads of a fresh code = next %d, %d heads", next, len(heads))
+	}
+	for _, h := range heads {
+		if bytes.Count(h.Data, []byte{0}) != blockSize {
+			t.Fatalf("strand %d head is not a zero block", h.StrandID)
 		}
 	}
 }

@@ -53,7 +53,7 @@ type Encoder struct {
 	lat       *lattice.Lattice
 	blockSize int
 	next      int      // position assigned to the next data block (counter c+1)
-	heads     [][]byte // current head parity per dense strand id
+	heads     [][]byte // current head parity per dense strand id; nil until first use
 	puncture  PuncturePolicy
 }
 
@@ -69,16 +69,24 @@ func NewEncoder(params lattice.Params, blockSize int) (*Encoder, error) {
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("entangle: block size must be positive, got %d", blockSize)
 	}
-	heads := make([][]byte, params.StrandCount())
-	for i := range heads {
-		heads[i] = make([]byte, blockSize) // strands are zero-seeded
-	}
 	return &Encoder{
 		lat:       lat,
 		blockSize: blockSize,
 		next:      1,
-		heads:     heads,
 	}, nil
+}
+
+// initHeads allocates the strand heads, zero-seeded, on first use: a Code
+// that only reads, repairs or checks health never pays for them. Only the
+// single-threaded entry points call it; ApplyOp runs after PlanNext has.
+func (e *Encoder) initHeads() {
+	if e.heads != nil {
+		return
+	}
+	e.heads = make([][]byte, e.lat.Params().StrandCount())
+	for i := range e.heads {
+		e.heads[i] = make([]byte, e.blockSize)
+	}
 }
 
 // Lattice returns the lattice geometry the encoder writes into.
@@ -99,6 +107,7 @@ func (e *Encoder) SetPuncture(p PuncturePolicy) { e.puncture = p }
 // caller owns them. The input slice is retained only for the duration of
 // the call.
 func (e *Encoder) Entangle(data []byte) (Entanglement, error) {
+	e.initHeads()
 	return e.entangle(data, func(int) []byte { return make([]byte, e.blockSize) })
 }
 
@@ -117,6 +126,7 @@ func (e *Encoder) EntangleInto(data []byte, bufs [][]byte) (Entanglement, error)
 			return Entanglement{}, fmt.Errorf("entangle: parity buffer %d has %d bytes, want %d", k, len(b), e.blockSize)
 		}
 	}
+	e.initHeads()
 	return e.entangle(data, func(k int) []byte { return bufs[k] })
 }
 
@@ -128,6 +138,7 @@ func (e *Encoder) EntangleBatch(blocks [][]byte, pool *xorblock.Pool) ([]Entangl
 	if pool != nil && pool.BlockSize() != e.blockSize {
 		return nil, fmt.Errorf("entangle: pool block size %d, want %d", pool.BlockSize(), e.blockSize)
 	}
+	e.initHeads()
 	alloc := func(int) []byte { return make([]byte, e.blockSize) }
 	if pool != nil {
 		alloc = func(int) []byte { return pool.Get() }
@@ -198,6 +209,7 @@ type StrandOp struct {
 // itself must be called serially, but the returned ops may be applied
 // concurrently by ApplyOp as long as per-strand order is preserved.
 func (e *Encoder) PlanNext() (int, []StrandOp, error) {
+	e.initHeads()
 	i := e.next
 	classes := e.lat.Classes()
 	ops := make([]StrandOp, 0, len(classes))
@@ -223,7 +235,8 @@ func (e *Encoder) PlanNext() (int, []StrandOp, error) {
 // on the same strand is applied; consumers must copy (or transmit) it
 // before then. ApplyOp calls for distinct strand ids may run concurrently;
 // calls for one strand must be serialised in plan order. ApplyOp must not
-// race with Entangle, Heads or RestoreHeads.
+// race with Entangle, Heads or RestoreHeads, and applies only what a
+// PlanNext planned: the strand heads are allocated there, not here.
 func (e *Encoder) ApplyOp(op StrandOp, data []byte) (Parity, error) {
 	if len(data) != e.blockSize {
 		return Parity{}, fmt.Errorf("entangle: data block has %d bytes, want %d", len(data), e.blockSize)
@@ -251,6 +264,7 @@ type StrandHead struct {
 // Heads returns a deep copy of the current strand heads together with the
 // next position, forming a complete resumable encoder state.
 func (e *Encoder) Heads() (next int, heads []StrandHead) {
+	e.initHeads()
 	heads = make([]StrandHead, len(e.heads))
 	for i, h := range e.heads {
 		cp := make([]byte, len(h))
@@ -267,6 +281,7 @@ func (e *Encoder) RestoreHeads(next int, heads []StrandHead) error {
 	if next < 1 {
 		return fmt.Errorf("entangle: next position must be >= 1, got %d", next)
 	}
+	e.initHeads()
 	for _, h := range heads {
 		if h.StrandID < 0 || h.StrandID >= len(e.heads) {
 			return fmt.Errorf("entangle: strand id %d out of range [0,%d)", h.StrandID, len(e.heads))

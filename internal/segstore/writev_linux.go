@@ -59,7 +59,8 @@ func writevAt(f *os.File, vecs [][]byte, off int64) error {
 					break
 				}
 				n := min(len(v), room)
-				iov = append(iov, syscall.Iovec{Base: &v[0], Len: uint64(n)})
+				iov = append(iov, syscall.Iovec{Base: &v[0]})
+				iov[len(iov)-1].SetLen(n)
 				room -= n
 			}
 			// pos_l carries the full offset on 64-bit (the kernel's

@@ -108,10 +108,6 @@ func FuzzHelloFrame(f *testing.F) {
 	})
 }
 
-// exactBuf is readResponse's allocator for a caller that keeps the
-// payload.
-func exactBuf(n int) []byte { return make([]byte, n) }
-
 // FuzzReadResponse does the same for the client-side parser.
 func FuzzReadResponse(f *testing.F) {
 	var good bytes.Buffer

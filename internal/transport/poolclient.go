@@ -3,8 +3,10 @@
 //
 // The wire protocol answers requests in order on each connection, so a
 // connection can carry many requests in flight: a writer appends a pending
-// slot and sends the frame under one lock, and a per-connection reader
-// goroutine matches each arriving response to the oldest pending slot.
+// slot and sends the frame under one lock, and then reads its own response
+// — at once when the connection was idle, otherwise once every response
+// ahead of its own has been read and the reader role is passed to it. No
+// goroutine is started per connection.
 // Concurrent callers therefore overlap their round-trips instead of
 // queueing behind a single in-flight request, and the pool spreads load
 // over several TCP connections on top.
@@ -328,7 +330,9 @@ func (p *PoolClient) Live() int {
 func (p *PoolClient) pick() (*pipeConn, error) {
 	n := len(p.slots)
 	for i := 0; i < n; i++ {
-		if pc := p.slots[int(p.next.Add(1))%n].live(); pc != nil {
+		// Unsigned throughout: on 32-bit, int of a counter past 2³¹ is
+		// negative, and so would be the index.
+		if pc := p.slots[p.next.Add(1)%uint32(n)].live(); pc != nil {
 			return pc, nil
 		}
 	}
@@ -495,49 +499,56 @@ var errConnFault = fmt.Errorf("transport: connection fault: %w", store.ErrUnavai
 // deadline expires before the node answers.
 var errResponseTimeout = errors.New("response deadline exceeded")
 
-// pipeResult is one matched response (or the connection's fatal error).
-type pipeResult struct {
-	status  byte
-	payload []byte
-	err     error
-}
-
 // pipePending is one in-flight request slot awaiting its response.
 type pipePending struct {
-	ch       chan pipeResult
+	// turn is nil for the caller that took the reader role. A pipelined
+	// caller receives nil on it when the role passes to it — its response
+	// is next on the wire — or the connection's fault.
+	turn     chan error
 	deadline time.Time // zero means no deadline
-	recycled bool      // the caller returns the response to the frame pool
 }
 
-// pipeConn is one pipelined connection: writes are serialised, responses
-// are matched FIFO by a dedicated reader goroutine, and a timeout wheel
-// (one timer armed for the earliest pending deadline) poisons the
-// connection when a response is overdue — the pairing with later
-// responses can no longer be trusted, so the whole connection dies, and
-// only this connection.
+// pipeConn is one pipelined connection: writes are serialised, and the
+// callers read their own responses. The caller that finds the connection
+// idle takes the reader role; callers that pipeline behind it wait on a
+// channel, and each reader, once it has read its own response, passes the
+// role to the oldest pending caller. Responses arrive in request order, so
+// the role always sits with the request whose response is next on the
+// wire. A timeout wheel (one timer armed for the earliest pending
+// deadline) poisons the connection when a response is overdue — the
+// pairing with later responses can no longer be trusted, so the whole
+// connection dies, and only this connection.
 type pipeConn struct {
 	conn           net.Conn
 	defaultTimeout time.Duration // applied when a request's ctx has no deadline
+	probe          *idleProbe    // peeks at the socket while nobody reads it
 
 	wmu sync.Mutex // serialises frame writes and pending-slot pushes
 
 	mu      sync.Mutex
-	pending []pipePending // oldest first; guarded by mu
+	pending []pipePending // oldest first, the reader at the head; guarded by mu
 	err     error         // sticky fatal error; guarded by mu
 	timer   *time.Timer   // armed for the earliest pending deadline
 }
 
 func newPipeConn(conn net.Conn, defaultTimeout time.Duration) *pipeConn {
-	c := &pipeConn{conn: conn, defaultTimeout: defaultTimeout}
-	//lint:ignore goroleak readLoop exits when close() or a fault tears down the socket: every Read then fails and fail() resolves all pending slots
-	go c.readLoop()
-	return c
+	return &pipeConn{conn: conn, defaultTimeout: defaultTimeout, probe: newIdleProbe(conn)}
 }
 
-// broken reports whether the connection has been poisoned.
+// broken reports whether the connection has been poisoned. An idle
+// connection has no reader, so nothing else would see the node close it or
+// send a frame nobody asked for: broken probes the socket of a connection
+// with nothing pending, and EOF or an unsolicited byte poisons it — a stray
+// frame is never paired with the next request.
 func (c *pipeConn) broken() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.err == nil && len(c.pending) == 0 {
+		if err := c.probe.check(); err != nil {
+			c.err = fmt.Errorf("%w: idle connection: %w", errConnFault, err)
+			c.conn.Close()
+		}
+	}
 	return c.err != nil
 }
 
@@ -586,7 +597,7 @@ func (c *pipeConn) roundTripSegments(ctx context.Context, segs net.Buffers) (byt
 // payload back to the frame pool: acknowledgements (ackError) and flag
 // lists (flagsResponse) are decoded and recycled. Every other response
 // escapes — Get, GetMany and XorMany give theirs to the caller, and the
-// control ops decode from theirs without recycling — so readLoop
+// control ops decode from theirs without recycling — so the reader
 // allocates it exact-size instead of draining a pooled buffer that never
 // returns.
 func recycledResponse(op byte) bool {
@@ -597,12 +608,13 @@ func recycledResponse(op byte) bool {
 	return false
 }
 
-// send enqueues a pending response slot with its deadline and whether
-// its caller recycles the response, performs the write under the write
-// lock, and waits for the reader (or the timeout wheel) to deliver the
-// matching response.
+// send enqueues a pending response slot with its deadline, performs the
+// write under the write lock, and returns the matching response. A caller
+// that finds nothing pending takes the reader role and reads its response
+// itself; otherwise it waits for the role (or the connection's fault) on a
+// channel, so only a pipelined request allocates one. recycled says
+// whether the caller returns the response to the frame pool.
 func (c *pipeConn) send(deadline time.Time, recycled bool, write func() error) (byte, []byte, error) {
-	ch := make(chan pipeResult, 1)
 	c.wmu.Lock()
 	c.mu.Lock()
 	if c.err != nil {
@@ -611,19 +623,77 @@ func (c *pipeConn) send(deadline time.Time, recycled bool, write func() error) (
 		c.wmu.Unlock()
 		return 0, nil, err
 	}
-	c.pending = append(c.pending, pipePending{ch: ch, deadline: deadline, recycled: recycled})
+	var turn chan error
+	if len(c.pending) > 0 { // a reader is ahead of us
+		turn = make(chan error, 1)
+	}
+	c.pending = append(c.pending, pipePending{turn: turn, deadline: deadline})
 	c.armTimeoutLocked()
 	c.mu.Unlock()
 	err := write()
 	c.wmu.Unlock()
 	if err != nil {
-		// Poison the connection: the reader fails and drains every pending
-		// slot, including ours, so we just wait for the verdict.
+		// Poison the connection: whoever reads next — this caller or the
+		// reader ahead of it — fails and drains every pending slot,
+		// including ours.
 		c.conn.Close()
 	}
-	res := <-ch
-	return res.status, res.payload, res.err
+	if turn != nil {
+		if err := <-turn; err != nil {
+			return 0, nil, err
+		}
+	}
+	return c.readOwn(recycled)
 }
+
+// readOwn reads the response at the head of the wire, which answers the
+// reader's own request, and passes the reader role to the next pending
+// caller. A failed read poisons the connection and fails every pending
+// request with the connection's first fault.
+func (c *pipeConn) readOwn(recycled bool) (byte, []byte, error) {
+	alloc := exactBuf
+	if recycled {
+		alloc = getBuf
+	}
+	status, payload, err := readResponse(c.conn, alloc)
+	c.mu.Lock()
+	if err != nil {
+		if c.err == nil {
+			c.err = fmt.Errorf("%w: %w", errConnFault, err)
+		}
+		failure := c.err
+		waiting := c.pending[1:]
+		c.pending = nil
+		if c.timer != nil {
+			c.timer.Stop()
+		}
+		c.mu.Unlock()
+		c.conn.Close()
+		for _, p := range waiting {
+			p.turn <- failure
+		}
+		return 0, nil, failure
+	}
+	// Shift rather than reslice, so the slot array never moves and a
+	// connection that is never pipelined never grows it again.
+	n := copy(c.pending, c.pending[1:])
+	c.pending[n] = pipePending{}
+	c.pending = c.pending[:n]
+	c.armTimeoutLocked()
+	var next chan error
+	if n > 0 {
+		next = c.pending[0].turn
+	}
+	c.mu.Unlock()
+	if next != nil {
+		next <- nil
+	}
+	return status, payload, nil
+}
+
+// exactBuf is readResponse's allocator for a caller that keeps the
+// payload.
+func exactBuf(n int) []byte { return make([]byte, n) }
 
 // armTimeoutLocked (re)arms the timer for the earliest pending deadline.
 // Callers hold c.mu. The pending list is short (the connection's
@@ -657,8 +727,8 @@ func (c *pipeConn) armTimeoutLocked() {
 }
 
 // onTimeout fires when the earliest pending deadline may have expired. A
-// genuine expiry poisons the connection (closing the socket fails the
-// reader, which drains every pending slot with the timeout fault); a
+// genuine expiry poisons the connection (closing the socket fails whoever
+// is reading, which drains every pending slot with the timeout fault); a
 // stale wake-up re-arms for the new earliest deadline.
 func (c *pipeConn) onTimeout() {
 	c.mu.Lock()
@@ -683,59 +753,6 @@ func (c *pipeConn) onTimeout() {
 	c.mu.Unlock()
 	obsPoolTimeouts.Inc()
 	c.conn.Close()
-}
-
-// readLoop matches responses to pending slots until the connection dies,
-// then fails every outstanding and future request with the connection's
-// first fault.
-func (c *pipeConn) readLoop() {
-	for {
-		status, payload, err := readResponse(c.conn, c.responseBuf)
-		if err == nil {
-			c.mu.Lock()
-			if len(c.pending) == 0 {
-				c.mu.Unlock()
-				err = errors.New("transport: unsolicited response")
-			} else {
-				ch := c.pending[0].ch
-				c.pending = c.pending[1:]
-				c.armTimeoutLocked()
-				c.mu.Unlock()
-				ch <- pipeResult{status: status, payload: payload}
-				continue
-			}
-		}
-		c.mu.Lock()
-		if c.err == nil {
-			c.err = fmt.Errorf("%w: %w", errConnFault, err)
-		}
-		failure := c.err
-		drained := c.pending
-		c.pending = nil
-		if c.timer != nil {
-			c.timer.Stop()
-		}
-		c.mu.Unlock()
-		c.conn.Close()
-		for _, p := range drained {
-			p.ch <- pipeResult{err: failure}
-		}
-		return
-	}
-}
-
-// responseBuf allocates the payload buffer of the response readLoop is
-// reading: from the frame pool when the oldest pending slot — the one
-// the response answers — recycles it, exact-size otherwise. Only
-// readLoop pops slots, so the slot it looks at is the one it resolves.
-func (c *pipeConn) responseBuf(n int) []byte {
-	c.mu.Lock()
-	recycled := len(c.pending) > 0 && c.pending[0].recycled
-	c.mu.Unlock()
-	if recycled {
-		return getBuf(n)
-	}
-	return make([]byte, n)
 }
 
 func (c *pipeConn) close() error {

@@ -581,7 +581,7 @@ func writeResponse(w io.Writer, status byte, payload []byte) error {
 }
 
 // readResponse reads one response frame, its payload into the buffer
-// alloc returns for the payload length: the client's readLoop draws it
+// alloc returns for the payload length: the client's reader draws it
 // from the frame pool only when the caller recycles the response (see
 // recycledResponse).
 func readResponse(r io.Reader, alloc func(n int) []byte) (status byte, payload []byte, err error) {
