@@ -29,6 +29,7 @@ import (
 	"aecodes/internal/reedsolomon"
 	"aecodes/internal/segstore"
 	"aecodes/internal/sim"
+	"aecodes/internal/store"
 	"aecodes/internal/store/storetest"
 	"aecodes/internal/transport"
 	"aecodes/internal/writeperf"
@@ -756,8 +757,7 @@ func BenchmarkRepairRoundsParallel(b *testing.B) { benchmarkRepairRound(b, 8) }
 // benchmarkTransport measures moving 64 blocks of 64 KiB to a storage node
 // one frame per block vs one batched frame.
 func benchmarkTransport(b *testing.B, batched bool) {
-	store := transport.NewMemStore()
-	srv, err := transport.NewServer(store)
+	srv, err := transport.NewServer(store.NewMem())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"aecodes/internal/cooperative"
 	"aecodes/internal/entangle"
 	"aecodes/internal/lattice"
+	"aecodes/internal/store"
 	"aecodes/internal/transport"
 )
 
@@ -41,7 +42,7 @@ type clusterNode struct {
 	id    string
 	addr  string
 	srv   *transport.Server
-	store *transport.MemStore
+	store *store.Mem
 }
 
 // TestClusterEndToEnd is the fleet-scale integration test: one cluster
@@ -80,8 +81,8 @@ func TestClusterEndToEnd(t *testing.T) {
 	// Four storage nodes, each a real listener.
 	fleet := make([]*clusterNode, fleetSize)
 	for i := range fleet {
-		store := transport.NewMemStore()
-		srv, err := transport.NewServer(store)
+		mem := store.NewMem()
+		srv, err := transport.NewServer(mem)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func TestClusterEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		fleet[i] = &clusterNode{id: fmt.Sprintf("node-%d", i), addr: addr, srv: srv, store: store}
+		fleet[i] = &clusterNode{id: fmt.Sprintf("node-%d", i), addr: addr, srv: srv, store: mem}
 	}
 
 	// Heartbeats travel the wire like aestored's loop sends them; the

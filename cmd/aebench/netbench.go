@@ -70,11 +70,11 @@ func (m copyMeter) perBlock(n int) *float64 {
 }
 
 // transportBench measures the batch ops end to end over a real TCP
-// loopback: a server over a MemStore, a pooled pipelined client, and
+// loopback: a server over a store.Mem, a pooled pipelined client, and
 // one PutMany / GetMany / StatMany frame per batch — the exact shape a
 // repair round's commit, prefetch and enumeration travel in.
 func transportBench(cfg netConfig) error {
-	srv, err := transport.NewServer(transport.NewMemStore())
+	srv, err := transport.NewServer(store.NewMem())
 	if err != nil {
 		return err
 	}

@@ -134,7 +134,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	var backing tenant.Backing = transport.NewMemStore()
+	var backing tenant.Backing = store.NewMem()
 	var seg *segstore.Store
 	if *data != "" {
 		var err error

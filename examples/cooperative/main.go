@@ -21,6 +21,7 @@ import (
 
 	"aecodes"
 	"aecodes/internal/cooperative"
+	"aecodes/internal/store"
 	"aecodes/internal/transport"
 )
 
@@ -32,11 +33,11 @@ const (
 func main() {
 	ctx := context.Background()
 	// Lower tier: five storage nodes, each a real TCP server.
-	stores := make([]*transport.MemStore, nodeCount)
+	stores := make([]*store.Mem, nodeCount)
 	servers := make([]*transport.Server, nodeCount)
 	nodes := make([]cooperative.NodeStore, nodeCount)
 	for i := range servers {
-		stores[i] = transport.NewMemStore()
+		stores[i] = store.NewMem()
 		srv, err := transport.NewServer(stores[i])
 		if err != nil {
 			log.Fatal(err)

@@ -177,7 +177,7 @@ func TestRepairAfterNodeWipeBatched(t *testing.T) {
 	if lost == 0 {
 		t.Skip("placement put nothing on node 2 for this seed")
 	}
-	mems[2].blocks = map[string][]byte{}
+	mems[2].blocks.Clear()
 	for _, m := range mems {
 		m.ResetCounters()
 	}
@@ -214,7 +214,7 @@ func TestTargetedRepairBatchesPerNode(t *testing.T) {
 			t.Fatal(err)
 		}
 		key := b.parityKey(e)
-		delete(mems[flatIndex(t, b, key, e)].blocks, key)
+		mems[flatIndex(t, b, key, e)].blocks.Del(key)
 		targets = append(targets, store.ParityRef(e))
 	}
 	for _, m := range mems {
@@ -363,7 +363,7 @@ func TestRepairCommitBatchesPerNode(t *testing.T) {
 	if lost == 0 {
 		t.Skip("placement put nothing on node 1 for this seed")
 	}
-	mems[1].blocks = map[string][]byte{}
+	mems[1].blocks.Clear()
 	for _, m := range mems {
 		m.ResetCounters()
 	}

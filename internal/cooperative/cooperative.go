@@ -19,9 +19,10 @@
 // tuple straddling two nodes, or a node without the op, falls back to the
 // broker fetching the p-block, XORing and uploading. Data blocks lost
 // with the user's machine are regenerated from pp-tuples fetched from two
-// nodes. Whole-lattice repair reuses the round-based engine of
-// internal/entangle through a network-backed BlockStore adapter that is
-// pure routing + batching.
+// nodes. Every repair — of the whole lattice, or of the blocks
+// Options.Targets names, one parity being Table III's walk — runs the
+// round-based engine of internal/entangle through a network-backed
+// BlockStore adapter that is pure routing + batching.
 //
 // Every bulk operation groups its keys by the NodeStore the Router
 // resolves — not by the router's group id, which under cluster.Router is
@@ -45,6 +46,7 @@
 package cooperative
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -179,13 +181,15 @@ func chunkEntries(blockSize int) int {
 	return n
 }
 
-// InMemoryNode is a NodeStore backed by a map, with a switchable
-// availability flag to simulate node failures. It is safe for concurrent
-// use and counts single-block and batched requests in both directions so
-// tests can assert traffic shapes.
+// InMemoryNode is a NodeStore over one store.Mem, with a switchable
+// availability flag to simulate node failures. Each op is one or two
+// Keyed calls under the node's lock, by the rules a transport.Server
+// applies, so the double answers as a TCP node over a store.Mem would.
+// It is safe for concurrent use and counts single-block and batched
+// requests in both directions so tests can assert traffic shapes.
 type InMemoryNode struct {
 	mu            sync.RWMutex
-	blocks        map[string][]byte
+	blocks        *store.Mem
 	down          bool
 	tenant        string
 	getCalls      int
@@ -205,7 +209,7 @@ var (
 
 // NewInMemoryNode returns an empty, available node.
 func NewInMemoryNode() *InMemoryNode {
-	return &InMemoryNode{blocks: make(map[string][]byte)}
+	return &InMemoryNode{blocks: store.NewMem()}
 }
 
 // SetDown toggles the node's availability.
@@ -215,21 +219,28 @@ func (n *InMemoryNode) SetDown(down bool) {
 	n.down = down
 }
 
+// serve counts one request in *calls and fails it while the node is
+// down; the caller holds n.mu.
+func (n *InMemoryNode) serve(calls *int) error {
+	*calls++
+	if n.down {
+		return fmt.Errorf("cooperative: %w", store.ErrUnavailable)
+	}
+	return nil
+}
+
 // Get implements NodeStore.
 func (n *InMemoryNode) Get(ctx context.Context, key string) ([]byte, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.getCalls++
-	if n.down {
-		return nil, fmt.Errorf("cooperative: %w", store.ErrUnavailable)
+	if err := n.serve(&n.getCalls); err != nil {
+		return nil, err
 	}
-	b, ok := n.blocks[key]
+	b, ok := n.blocks.Get(key)
 	if !ok {
 		return nil, ErrNotFound
 	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out, nil
+	return b, nil
 }
 
 // GetMany implements NodeStore: one simulated request frame however
@@ -237,18 +248,18 @@ func (n *InMemoryNode) Get(ctx context.Context, key string) ([]byte, error) {
 func (n *InMemoryNode) GetMany(ctx context.Context, keys []string) ([][]byte, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.batchGetCalls++
-	if n.down {
-		return nil, fmt.Errorf("cooperative: %w", store.ErrUnavailable)
+	if err := n.serve(&n.batchGetCalls); err != nil {
+		return nil, err
 	}
 	out := make([][]byte, len(keys))
-	for i, key := range keys {
-		if b, ok := n.blocks[key]; ok {
-			cp := make([]byte, len(b))
-			copy(cp, b)
-			out[i] = cp
+	n.blocks.ReadBatch(keys, func(blocks [][]byte) error {
+		for i, b := range blocks {
+			if b != nil {
+				out[i] = bytes.Clone(b)
+			}
 		}
-	}
+		return nil
+	})
 	return out, nil
 }
 
@@ -258,21 +269,21 @@ func (n *InMemoryNode) GetMany(ctx context.Context, keys []string) ([][]byte, er
 func (n *InMemoryNode) XorMany(ctx context.Context, keys []string) ([][]byte, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.xorCalls++
-	if n.down {
-		return nil, fmt.Errorf("cooperative: %w", store.ErrUnavailable)
+	if err := n.serve(&n.xorCalls); err != nil {
+		return nil, err
 	}
 	if len(keys)%2 != 0 {
 		return nil, fmt.Errorf("cooperative: xor of %d keys is not a list of pairs", len(keys))
 	}
 	out := make([][]byte, len(keys)/2)
-	for k := range out {
-		a, okA := n.blocks[keys[2*k]]
-		b, okB := n.blocks[keys[2*k+1]]
-		if okA && okB && len(a) == len(b) {
-			out[k], _ = xorblock.Xor(a, b)
+	n.blocks.ReadBatch(keys, func(blocks [][]byte) error {
+		for k := range out {
+			if a, b := blocks[2*k], blocks[2*k+1]; a != nil && b != nil && len(a) == len(b) {
+				out[k], _ = xorblock.Xor(a, b)
+			}
 		}
-	}
+		return nil
+	})
 	return out, nil
 }
 
@@ -283,26 +294,29 @@ func (n *InMemoryNode) XorMany(ctx context.Context, keys []string) ([][]byte, er
 func (n *InMemoryNode) XorPutMany(ctx context.Context, items []store.XorKV) ([]bool, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.xorPutCalls++
-	if n.down {
-		return nil, fmt.Errorf("cooperative: %w", store.ErrUnavailable)
+	if err := n.serve(&n.xorPutCalls); err != nil {
+		return nil, err
 	}
+	srcs := make([]string, len(items))
 	written := make(map[string]bool, len(items))
-	for _, it := range items {
+	for k, it := range items {
+		srcs[k] = it.Src
 		written[it.Dst] = true
 	}
 	out := make([]bool, len(items))
-	rebuilt := make([][]byte, len(items))
-	for k, it := range items {
-		if src, ok := n.blocks[it.Src]; ok && len(src) == len(it.Data) && !written[it.Src] {
-			rebuilt[k], _ = xorblock.Xor(it.Data, src)
-			out[k] = true
+	var puts []store.KV
+	n.blocks.ReadBatch(srcs, func(blocks [][]byte) error {
+		for k, src := range blocks {
+			if it := items[k]; src != nil && len(src) == len(it.Data) && !written[it.Src] {
+				rebuilt, _ := xorblock.Xor(it.Data, src)
+				puts = append(puts, store.KV{Key: it.Dst, Data: rebuilt})
+				out[k] = true
+			}
 		}
-	}
-	for k, it := range items {
-		if out[k] {
-			n.blocks[it.Dst] = rebuilt[k]
-		}
+		return nil
+	})
+	if err := n.blocks.PutBatch(puts); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -312,19 +326,18 @@ func (n *InMemoryNode) XorPutMany(ctx context.Context, items []store.XorKV) ([]b
 func (n *InMemoryNode) StatMany(ctx context.Context, keys []string) ([]bool, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.statCalls++
-	if n.down {
-		return nil, fmt.Errorf("cooperative: %w", store.ErrUnavailable)
+	if err := n.serve(&n.statCalls); err != nil {
+		return nil, err
 	}
 	out := make([]bool, len(keys))
-	for i, key := range keys {
-		_, out[i] = n.blocks[key]
+	for i, size := range n.blocks.StatBatch(keys) {
+		out[i] = size >= 0
 	}
 	return out, nil
 }
 
 // Hello implements NodeStore: the test double just records the
-// credential (its flat map stands in for one tenant's namespace).
+// credential (its one store stands in for one tenant's namespace).
 func (n *InMemoryNode) Hello(ctx context.Context, tenant string) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -346,12 +359,10 @@ func (n *InMemoryNode) Tenant() string {
 func (n *InMemoryNode) Put(ctx context.Context, key string, data []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.putCalls++
-	if n.down {
-		return fmt.Errorf("cooperative: %w", store.ErrUnavailable)
+	if err := n.serve(&n.putCalls); err != nil {
+		return err
 	}
-	n.storeLocked(key, data)
-	return nil
+	return n.blocks.Put(key, data)
 }
 
 // PutMany implements NodeStore: one simulated request frame for the
@@ -359,70 +370,39 @@ func (n *InMemoryNode) Put(ctx context.Context, key string, data []byte) error {
 func (n *InMemoryNode) PutMany(ctx context.Context, items []store.KV) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.batchPutCalls++
-	if n.down {
-		return fmt.Errorf("cooperative: %w", store.ErrUnavailable)
+	if err := n.serve(&n.batchPutCalls); err != nil {
+		return err
 	}
-	for _, it := range items {
-		n.storeLocked(it.Key, it.Data)
-	}
-	return nil
+	return n.blocks.PutBatch(items)
 }
 
-func (n *InMemoryNode) storeLocked(key string, data []byte) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	n.blocks[key] = cp
+// count reads one request counter.
+func (n *InMemoryNode) count(calls *int) int {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return *calls
 }
 
 // GetCalls returns the number of single-block Get requests served.
-func (n *InMemoryNode) GetCalls() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.getCalls
-}
+func (n *InMemoryNode) GetCalls() int { return n.count(&n.getCalls) }
 
 // BatchCalls returns the number of GetMany requests served.
-func (n *InMemoryNode) BatchCalls() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.batchGetCalls
-}
+func (n *InMemoryNode) BatchCalls() int { return n.count(&n.batchGetCalls) }
 
 // PutCalls returns the number of single-block Put requests served.
-func (n *InMemoryNode) PutCalls() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.putCalls
-}
+func (n *InMemoryNode) PutCalls() int { return n.count(&n.putCalls) }
 
 // BatchPutCalls returns the number of PutMany requests served.
-func (n *InMemoryNode) BatchPutCalls() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.batchPutCalls
-}
+func (n *InMemoryNode) BatchPutCalls() int { return n.count(&n.batchPutCalls) }
 
 // BatchStatCalls returns the number of StatMany requests served.
-func (n *InMemoryNode) BatchStatCalls() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.statCalls
-}
+func (n *InMemoryNode) BatchStatCalls() int { return n.count(&n.statCalls) }
 
 // XorCalls returns the number of XorMany requests served.
-func (n *InMemoryNode) XorCalls() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.xorCalls
-}
+func (n *InMemoryNode) XorCalls() int { return n.count(&n.xorCalls) }
 
 // XorPutCalls returns the number of XorPutMany requests served.
-func (n *InMemoryNode) XorPutCalls() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.xorPutCalls
-}
+func (n *InMemoryNode) XorPutCalls() int { return n.count(&n.xorPutCalls) }
 
 // ResetCounters zeroes the request counters.
 func (n *InMemoryNode) ResetCounters() {
@@ -432,11 +412,7 @@ func (n *InMemoryNode) ResetCounters() {
 }
 
 // Len returns the number of blocks held (even while down).
-func (n *InMemoryNode) Len() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.blocks)
-}
+func (n *InMemoryNode) Len() int { return n.blocks.Len() }
 
 // Broker is a user's encoding/decoding agent. The encoder pipeline is
 // not safe for concurrent use (serialise Backup/Read/Repair calls
@@ -933,62 +909,6 @@ func (b *Broker) Read(ctx context.Context, i int) ([]byte, error) {
 	}
 	b.mu.RUnlock()
 	return nil, fmt.Errorf("cooperative: block %d is unrecoverable", i)
-}
-
-// RepairParity regenerates one parity block following the Table III steps
-// and re-uploads it. It returns the routing group (node ordinal in flat
-// mode, volume ID in cluster mode) now holding the block. The dp-tuples
-// are tried in order, skipping any whose data block the user lost. When
-// the companion parity shares the parity's node, the tuple goes out as
-// one in-place rebuild: steps 4–5 run there and the user's d-block is the
-// one block on the wire. Otherwise the broker fetches the companion, XORs
-// and uploads. A tuple whose companion is missing moves on to the next;
-// with none left the error is entangle.ErrUnrepairable.
-func (b *Broker) RepairParity(ctx context.Context, e lattice.Edge) (string, error) {
-	st := b.netStore()
-	key := b.parityKey(e)
-	node, gid, err := st.routes.route(ctx, e, key)
-	if err != nil {
-		return "", fmt.Errorf("cooperative: routing %s: %w", key, err)
-	}
-	options, err := b.rep.Lattice().ParityOptions(e)
-	if err != nil {
-		return "", err
-	}
-	dst := store.ParityRef(e)
-	for _, opt := range options {
-		if err := ctx.Err(); err != nil {
-			return "", err
-		}
-		d, err := st.GetData(ctx, opt.Data)
-		if err != nil {
-			continue
-		}
-		if src := store.ParityRef(opt.Parity); st.InPlace(ctx, dst, src) {
-			applied, err := st.XorPutMany(ctx, []store.XorPut{{Dst: dst, Src: src, Data: d}})
-			if err != nil {
-				return "", fmt.Errorf("cooperative: rebuilding %s: %w", key, err)
-			}
-			if applied[0] {
-				return gid, nil
-			}
-			continue
-		}
-		p, err := st.GetParity(ctx, opt.Parity)
-		if err != nil {
-			continue
-		}
-		data, err := xorblock.Xor(d, p)
-		if err != nil {
-			return "", err
-		}
-		if err := node.Put(ctx, key, data); err != nil {
-			return "", fmt.Errorf("cooperative: re-uploading %s: %w", key, err)
-		}
-		obsRepairPairFetch.Inc()
-		return gid, nil
-	}
-	return "", entangle.ErrUnrepairable
 }
 
 // Missing reports the broker's current loss picture without repairing

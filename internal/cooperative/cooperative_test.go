@@ -9,6 +9,7 @@ import (
 
 	"aecodes/internal/entangle"
 	"aecodes/internal/lattice"
+	"aecodes/internal/store"
 )
 
 var testParams = lattice.Params{Alpha: 3, S: 2, P: 5}
@@ -173,12 +174,16 @@ func TestReadValidation(t *testing.T) {
 	}
 }
 
+// TestRepairParityTableIIIFlow walks Table III for one parity: its node
+// comes back with an empty disk, and a Repair that names the parity as
+// its one target regenerates it from a dp-tuple onto that node, with the
+// original bytes, and writes nothing else.
 func TestRepairParityTableIIIFlow(t *testing.T) {
 	nodes, mems := newNetwork(6)
 	b := newBroker(t, nodes)
 	backupRandom(t, b, 30, 6)
 
-	// Pick a concrete parity, wipe it from its node, regenerate.
+	// Pick a concrete parity, wipe its node, regenerate.
 	lat := b.rep.Lattice()
 	e, err := lat.OutEdge(lattice.Horizontal, 10)
 	if err != nil {
@@ -190,18 +195,13 @@ func TestRepairParityTableIIIFlow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parity %s not on its node: %v", key, err)
 	}
-	mems[idx].SetDown(true)
-	// While the node is down the parity is unavailable; repair it from the
-	// dp-tuple and store it... the placement still routes to the down node,
-	// so bring it back first (recovered hardware) after deleting content.
-	mems[idx].SetDown(false)
-	mems[idx].blocks = map[string][]byte{}
-	gotGroup, err := b.RepairParity(bg, e)
+	mems[idx].blocks.Clear()
+	stats, err := b.Repair(bg, entangle.Options{Targets: []store.Ref{store.ParityRef(e)}})
 	if err != nil {
-		t.Fatalf("RepairParity: %v", err)
+		t.Fatalf("Repair: %v", err)
 	}
-	if gotGroup != strconv.Itoa(idx) {
-		t.Errorf("repaired parity stored on group %s, want node %d", gotGroup, idx)
+	if stats.ParityRepaired != 1 || mems[idx].Len() != 1 {
+		t.Errorf("repaired %d parities and node %d holds %d blocks, want the one target", stats.ParityRepaired, idx, mems[idx].Len())
 	}
 	after, err := mems[idx].Get(bg, key)
 	if err != nil {
@@ -220,7 +220,7 @@ func TestRepairLatticeAfterNodeWipe(t *testing.T) {
 	// Permanently wipe one node's content (disk loss) while it stays
 	// reachable: its parities must be regenerated onto it.
 	lost := mems[3].Len()
-	mems[3].blocks = map[string][]byte{}
+	mems[3].blocks.Clear()
 	if lost == 0 {
 		t.Skip("placement put nothing on node 3 for this seed")
 	}

@@ -177,10 +177,8 @@ func dropColocated(t *testing.T, b *Broker, pick func(lattice.Edge) bool) map[la
 				continue
 			}
 			key := b.parityKey(e)
-			node.mu.Lock()
-			dropped[e] = node.blocks[key]
-			delete(node.blocks, key)
-			node.mu.Unlock()
+			dropped[e], _ = node.blocks.Get(key)
+			node.blocks.Del(key)
 		}
 	}
 	return dropped
@@ -202,6 +200,26 @@ func resetAll(mems []*InMemoryNode) {
 	for _, m := range mems {
 		m.ResetCounters()
 	}
+}
+
+// heldKeys returns the keys node m holds, sorted.
+func heldKeys(m *InMemoryNode) []string {
+	var keys []string
+	m.blocks.Each(func(key string, _ int64) bool {
+		keys = append(keys, key)
+		return true
+	})
+	sort.Strings(keys)
+	return keys
+}
+
+// held returns the blocks node m holds, by key.
+func held(m *InMemoryNode) map[string][]byte {
+	out := make(map[string][]byte)
+	for _, key := range heldKeys(m) {
+		out[key], _ = m.blocks.Get(key)
+	}
+	return out
 }
 
 // tupleFrames returns the frames one try of tuple tu costs: one XorMany
@@ -341,10 +359,7 @@ func TestClusterShapedTraffic(t *testing.T) {
 		}
 		in := tuples[0].In
 		node, _, _ := b.router.Route(bg, b.parityKey(in), in)
-		mem := node.(*InMemoryNode)
-		mem.mu.Lock()
-		delete(mem.blocks, b.parityKey(in))
-		mem.mu.Unlock()
+		node.(*InMemoryNode).blocks.Del(b.parityKey(in))
 		first, second := tupleFrames(t, b, tuples[0]), tupleFrames(t, b, tuples[1])
 		want := frames{xor: first.xor + second.xor, getMany: first.getMany + second.getMany}
 		b.DropLocal(i)
@@ -377,18 +392,11 @@ func TestClusterShapedTraffic(t *testing.T) {
 		}
 	}
 	for _, m := range mems {
-		m.mu.Lock()
-		keys := make([]string, 0, len(m.blocks))
-		for k := range m.blocks {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range heldKeys(m) {
 			if rng.Float64() < 0.15 {
-				delete(m.blocks, k)
+				m.blocks.Del(k)
 			}
 		}
-		m.mu.Unlock()
 	}
 	resetAll(mems)
 	xor0, pair0 = repairCounters()
@@ -528,14 +536,9 @@ func TestRepairEnumeratesOncePerRun(t *testing.T) {
 		}
 	}
 	for _, tap := range taps {
-		keys := make([]string, 0, len(tap.blocks))
-		for k := range tap.blocks {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range heldKeys(tap.InMemoryNode) {
 			if rng.Float64() < 0.2 {
-				delete(tap.blocks, k)
+				tap.blocks.Del(k)
 			}
 		}
 	}
@@ -704,7 +707,7 @@ func TestUploadRetriesPerVolume(t *testing.T) {
 	if spare.PutCalls() != 0 {
 		t.Errorf("replacement node served %d single Puts, want batched uploads only", spare.PutCalls())
 	}
-	if !reflect.DeepEqual(spare.blocks, dead.blocks) {
+	if !reflect.DeepEqual(held(spare), held(dead)) {
 		t.Errorf("replacement node holds %d blocks that differ from the dead node's %d", spare.Len(), dead.Len())
 	}
 	b.DropLocal()

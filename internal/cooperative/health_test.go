@@ -21,7 +21,7 @@ func TestBrokerHealthProbe(t *testing.T) {
 	}
 
 	lost := mems[2].Len()
-	mems[2].blocks = map[string][]byte{}
+	mems[2].blocks.Clear()
 	if lost == 0 {
 		t.Skip("placement put nothing on node 2 for this seed")
 	}
@@ -70,7 +70,7 @@ func TestBrokerRepairChargesRateLimit(t *testing.T) {
 	if mems[1].Len() == 0 {
 		t.Skip("placement put nothing on node 1 for this seed")
 	}
-	mems[1].blocks = map[string][]byte{}
+	mems[1].blocks.Clear()
 
 	lim := &chargeCounter{}
 	stats, err := b.Repair(bg, entangle.Options{RateLimit: lim, Priority: entangle.PriorityBackground})

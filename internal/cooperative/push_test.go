@@ -54,13 +54,14 @@ func kindedSystem(t *testing.T, kind string, n int) (*Broker, []*InMemoryNode, [
 	return b, mems, buildBrokerSystem(t, b, n, 17)
 }
 
-// TestRepairParityOnNode is Table III's single-parity repair: a parity
-// whose first dp-tuple companion shares its node costs one XorPutMany
-// frame and no read — steps 4–5 run on the node — while a parity whose
-// companion sits on another node, or any parity on nodes without the op
-// or refusing it, is fetched, XORed and uploaded by the broker. Every way
-// restores the original bytes on the parity's own node, also when the
-// first tuple's companion is gone and the second tuple serves.
+// TestRepairParityOnNode is Table III's single-parity repair, one lost
+// parity handed to Repair as its only target: a parity whose dp-tuple
+// companion shares its node is rebuilt there — steps 4–5 run on the node
+// — while a parity whose companion sits on another node, or any parity
+// on nodes without the op or refusing it, is fetched, XORed and uploaded
+// by the broker. Every way restores the original bytes on the parity's
+// own node, also when the first tuple's companion is gone and the second
+// tuple serves.
 func TestRepairParityOnNode(t *testing.T) {
 	lat, err := lattice.New(testParams)
 	if err != nil {
@@ -74,9 +75,19 @@ func TestRepairParityOnNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	repairOne := func(t *testing.T, b *Broker, e lattice.Edge) {
+		t.Helper()
+		stats, err := b.Repair(bg, entangle.Options{Targets: []store.Ref{store.ParityRef(e)}})
+		if err != nil {
+			t.Fatalf("Repair(%v): %v", e, err)
+		}
+		if stats.ParityRepaired != 1 || stats.DataRepaired != 0 || len(stats.UnrepairedParities) != 0 {
+			t.Fatalf("Repair(%v) = %+v, want the one parity rebuilt", e, stats)
+		}
+	}
 	for _, kind := range []string{"current", "bare", "refusing"} {
 		for _, e := range []lattice.Edge{colocated, straddling} {
-			b, mems, _ := kindedSystem(t, kind, 200)
+			b, _, _ := kindedSystem(t, kind, 200)
 			opts, err := lat.ParityOptions(e)
 			if err != nil {
 				t.Fatal(err)
@@ -85,64 +96,48 @@ func TestRepairParityOnNode(t *testing.T) {
 			if onNode != (kind == "current" && e == colocated) {
 				t.Fatalf("%v: the placement this test relies on changed", e)
 			}
-			home := nodeOf(t, b, e)
-			key := b.parityKey(e)
-			want := bytes.Clone(home.blocks[key])
-			delete(home.blocks, key)
-			resetAll(mems)
+			home, key := nodeOf(t, b, e), b.parityKey(e)
+			want, _ := home.blocks.Get(key)
+			home.blocks.Del(key)
 			xor0, pair0 := repairCounters()
-			gid, err := b.RepairParity(bg, e)
-			if err != nil {
-				t.Fatalf("%s %v: RepairParity: %v", kind, e, err)
-			}
-			if _, wantGid, _ := b.router.Route(bg, key, e); gid != wantGid {
-				t.Errorf("%s %v: RepairParity reported group %s, want %s", kind, e, gid, wantGid)
-			}
-			if !bytes.Equal(home.blocks[key], want) {
+			repairOne(t, b, e)
+			if got, _ := home.blocks.Get(key); !bytes.Equal(got, want) {
 				t.Fatalf("%s %v: the rebuilt parity differs from the original", kind, e)
 			}
-			f, _ := countFrames(mems)
 			xor1, pair1 := repairCounters()
-			switch {
-			case onNode:
-				if f != (frames{xorPut: 1}) || xor1-xor0 != 1 || pair1 != pair0 {
-					t.Errorf("%s %v: cost %+v and counted %d node / %d broker rebuilds, want one XorPutMany frame and 1 / 0",
-						kind, e, f, xor1-xor0, pair1-pair0)
-				}
-			case kind == "current":
-				if f.get+f.getMany != 1 || f.put+f.putMany != 1 || xor1 != xor0 || pair1-pair0 != 1 {
-					t.Errorf("%s %v: cost %+v and counted %d node / %d broker rebuilds, want one read, one write, 0 / 1",
-						kind, e, f, xor1-xor0, pair1-pair0)
-				}
-			default:
-				if xor1 != xor0 || pair1-pair0 != 1 {
-					t.Errorf("%s %v: counted %d node / %d broker rebuilds, want 0 / 1", kind, e, xor1-xor0, pair1-pair0)
-				}
+			if onNode && (xor1-xor0 != 1 || pair1 != pair0) || !onNode && (xor1 != xor0 || pair1-pair0 != 1) {
+				t.Errorf("%s %v: counted %d node / %d broker rebuilds, want %d / %d",
+					kind, e, xor1-xor0, pair1-pair0, btoi(onNode), btoi(!onNode))
 			}
 		}
 	}
 
-	// A rebuild whose companion is gone moves on to the next dp-tuple:
-	// one exchange per tuple tried, and no tuple tried twice.
-	b, mems, _ := kindedSystem(t, "current", 200)
+	// A parity whose first companion is gone is rebuilt from the second
+	// dp-tuple, and the companion, not a target, stays missing.
+	b, _, _ := kindedSystem(t, "current", 200)
 	opts, err := lat.ParityOptions(colocated)
 	if err != nil {
 		t.Fatal(err)
 	}
 	home, key := nodeOf(t, b, colocated), b.parityKey(colocated)
-	want := bytes.Clone(home.blocks[key])
-	delete(home.blocks, key)
-	delete(nodeOf(t, b, opts[0].Parity).blocks, b.parityKey(opts[0].Parity))
-	resetAll(mems)
-	if _, err := b.RepairParity(bg, colocated); err != nil {
-		t.Fatalf("RepairParity with the first companion gone: %v", err)
-	}
-	if !bytes.Equal(home.blocks[key], want) {
+	want, _ := home.blocks.Get(key)
+	home.blocks.Del(key)
+	companion, companionKey := nodeOf(t, b, opts[0].Parity), b.parityKey(opts[0].Parity)
+	companion.blocks.Del(companionKey)
+	repairOne(t, b, colocated)
+	if got, _ := home.blocks.Get(key); !bytes.Equal(got, want) {
 		t.Fatal("the parity rebuilt from the second dp-tuple differs from the original")
 	}
-	if f, _ := countFrames(mems); f.xorPut == 0 || f.get+f.getMany+f.xorPut != 2 {
-		t.Errorf("with the first companion gone RepairParity cost %+v, want the failed XorPutMany and one exchange for the second tuple", f)
+	if _, ok := companion.blocks.Get(companionKey); ok {
+		t.Error("a targeted repair wrote the first tuple's companion, which was not a target")
 	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestRepairFallsBackToBroker: the same loss — a sixth of the parities
@@ -167,8 +162,8 @@ func TestRepairFallsBackToBroker(t *testing.T) {
 				}
 				if rng.Float64() < 0.16 {
 					home, key := nodeOf(t, b, e), b.parityKey(e)
-					dropped[e] = home.blocks[key]
-					delete(home.blocks, key)
+					dropped[e], _ = home.blocks.Get(key)
+					home.blocks.Del(key)
 				}
 			}
 		}

@@ -13,6 +13,7 @@ import (
 	"aecodes/internal/cooperative"
 	"aecodes/internal/lattice"
 	"aecodes/internal/obs"
+	"aecodes/internal/store"
 	"aecodes/internal/transport"
 )
 
@@ -106,7 +107,7 @@ func TestReadOverTCP(t *testing.T) {
 			name = "node without OpXorMany"
 		}
 		t.Run(name, func(t *testing.T) {
-			srv, err := transport.NewServer(transport.NewMemStore())
+			srv, err := transport.NewServer(store.NewMem())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -117,7 +117,7 @@ func TestRepairSurvivesMidPrefetchConnPoison(t *testing.T) {
 	var pools []*transport.PoolClient
 	var proxy *killableProxy
 	for i := 0; i < nodesCount; i++ {
-		srv, err := transport.NewServer(transport.NewMemStore())
+		srv, err := transport.NewServer(store.NewMem())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,7 +367,7 @@ func TestRepairQuotaOverTCP(t *testing.T) {
 		blockSize = 256
 	)
 	params := lattice.Params{Alpha: 3, S: 2, P: 5}
-	reg, err := tenant.NewRegistry(transport.NewMemStore(), tenant.Config{
+	reg, err := tenant.NewRegistry(store.NewMem(), tenant.Config{
 		Tenants: map[string]tenant.Quota{"alice": {MaxBytes: n * 3 * blockSize}},
 	})
 	if err != nil {
@@ -563,7 +563,7 @@ func TestRepairFollowsReplacementMidRun(t *testing.T) {
 	servers := make(map[string]*transport.Server) // node address → server
 	ids := make(map[string]string)                // node address → node ID
 	for i := 0; i < 5; i++ {
-		srv, err := transport.NewServer(transport.NewMemStore())
+		srv, err := transport.NewServer(store.NewMem())
 		if err != nil {
 			t.Fatal(err)
 		}

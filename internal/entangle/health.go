@@ -106,16 +106,16 @@ func (r *Repairer) Health(ctx context.Context, st Store, blocks int) (Health, er
 		IntactTuples: make(map[int]int, len(m.Data)),
 		unlocks:      make(map[int][]lattice.Edge),
 	}
-	missPar := make(map[edgeKey]bool, len(m.Parities))
+	missPar := make(map[lattice.Edge]bool, len(m.Parities))
 	for _, e := range m.Parities {
-		missPar[keyOf(e)] = true
+		missPar[e] = true
 	}
 	missData := make(map[int]bool, len(m.Data))
 	for _, i := range m.Data {
 		missData[i] = true
 	}
 	present := func(e lattice.Edge) bool {
-		return e.IsVirtual() || !missPar[keyOf(e)]
+		return e.IsVirtual() || !missPar[e]
 	}
 	for _, i := range m.Data {
 		tuples, err := r.lat.Tuples(i)

@@ -90,12 +90,22 @@ func samePlan(t testing.TB, a, b *MemoryStore, sa, sb Stats, exact bool) {
 	if exact && sa.BytesRead != sb.BytesRead {
 		t.Fatalf("BytesRead differs: first %d, second %d", sa.BytesRead, sb.BytesRead)
 	}
-	if !maps.EqualFunc(a.data, b.data, bytes.Equal) || !maps.Equal(a.lostData, b.lostData) {
-		t.Fatal("data blocks differ after the two runs")
+	if !maps.Equal(a.known, b.known) || !maps.EqualFunc(contents(a), contents(b), bytes.Equal) {
+		t.Fatal("blocks differ after the two runs")
 	}
-	if !maps.EqualFunc(a.parity, b.parity, bytes.Equal) || !maps.Equal(a.lostPar, b.lostPar) {
-		t.Fatal("parity blocks differ after the two runs")
+}
+
+// contents returns every block m holds, by key.
+func contents(m *MemoryStore) map[string][]byte {
+	out := make(map[string][]byte)
+	m.mem.Each(func(key string, _ int64) bool {
+		out[key] = nil
+		return true
+	})
+	for key := range out {
+		out[key], _ = m.mem.Get(key)
 	}
+	return out
 }
 
 // chargeLog is a Limiter that sums what it is charged.

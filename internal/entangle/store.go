@@ -1,6 +1,7 @@
 package entangle
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -31,34 +32,26 @@ type Store = store.BlockStore
 // virtual-edge read. Callers must not mutate the returned slice.
 func ZeroBlock(size int) []byte { return store.ZeroBlock(size) }
 
-// edgeKey uniquely identifies a stored parity: (class, left) determines the
-// right endpoint, but keeping Right in the key lets us detect inconsistent
-// writes early.
-type edgeKey struct {
-	Class lattice.Class
-	Left  int
-	Right int
-}
-
-func keyOf(e lattice.Edge) edgeKey { return edgeKey{Class: e.Class, Left: e.Left, Right: e.Right} }
-
-// MemoryStore is an in-memory BlockStore for tests, tools and examples.
-// A block is "available" when present and not marked lost. The zero value
-// is not usable; construct with NewMemoryStore.
+// MemoryStore is an in-memory BlockStore for tests, tools and examples:
+// a view over one store.Mem, holding each block under its ref's
+// canonical string ("d26", "p21,26(h)"), the key segstore.Lattice uses.
+// Its only other state is the set of refs ever stored, the blocks it
+// should hold: a block is lost when it is known but the Mem no longer
+// holds it, and a put restores it. The zero value is not usable;
+// construct with NewMemoryStore.
 //
 // Beyond the interface it keeps bool-style accessors (Data, Parity,
 // MissingData, MissingParities) and the failure levers (LoseData,
-// LoseParity, CorruptData) used by tests and simulators.
+// LoseParity, CorruptData) used by tests and simulators. Every read
+// returns a copy the caller owns.
 //
 // MemoryStore is safe for concurrent use. Its batch operations are
-// natively batched: one lock acquisition per GetMany/PutMany call.
+// natively batched: one Mem batch call per GetMany/PutMany.
 type MemoryStore struct {
 	mu        sync.RWMutex
 	blockSize int
-	data      map[int][]byte
-	parity    map[edgeKey][]byte
-	lostData  map[int]bool
-	lostPar   map[edgeKey]bool
+	mem       *store.Mem
+	known     map[store.Ref]string // every ref ever stored, with its key
 }
 
 var _ store.BlockStore = (*MemoryStore)(nil)
@@ -67,53 +60,56 @@ var _ store.BlockStore = (*MemoryStore)(nil)
 func NewMemoryStore(blockSize int) *MemoryStore {
 	return &MemoryStore{
 		blockSize: blockSize,
-		data:      make(map[int][]byte),
-		parity:    make(map[edgeKey][]byte),
-		lostData:  make(map[int]bool),
-		lostPar:   make(map[edgeKey]bool),
+		mem:       store.NewMem(),
+		known:     make(map[store.Ref]string),
 	}
 }
 
-// Data returns the content of data block i and whether it is available.
+// Data returns a copy of data block i and whether it is available.
 func (m *MemoryStore) Data(i int) ([]byte, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.dataLocked(i)
+	return m.get(store.DataRef(i))
 }
 
-func (m *MemoryStore) dataLocked(i int) ([]byte, bool) {
-	if m.lostData[i] {
-		return nil, false
-	}
-	b, ok := m.data[i]
-	return b, ok
-}
-
-// Parity returns the content of the parity on edge e and whether it is
+// Parity returns a copy of the parity on edge e and whether it is
 // available. Virtual edges read as zero blocks.
 func (m *MemoryStore) Parity(e lattice.Edge) ([]byte, bool) {
-	if e.IsVirtual() {
-		return ZeroBlock(m.blockSize), true
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.parityLocked(e)
+	return m.get(store.ParityRef(e))
 }
 
-func (m *MemoryStore) parityLocked(e lattice.Edge) ([]byte, bool) {
-	if e.IsVirtual() {
-		return ZeroBlock(m.blockSize), true
+func (m *MemoryStore) get(r store.Ref) ([]byte, bool) {
+	b := m.read([]store.Ref{r})[0]
+	return b, b != nil
+}
+
+// read returns a copy of every ref's block, nil for one not held;
+// virtual edges read as zero blocks.
+func (m *MemoryStore) read(refs []store.Ref) [][]byte {
+	out := make([][]byte, len(refs))
+	keys := make([]string, len(refs))
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for i, r := range refs {
+		keys[i] = m.known[r] // "" for a ref never stored: the Mem holds no such key
 	}
-	k := keyOf(e)
-	if m.lostPar[k] {
-		return nil, false
-	}
-	b, ok := m.parity[k]
-	return b, ok
+	m.mem.ReadBatch(keys, func(blocks [][]byte) error {
+		for i, b := range blocks {
+			switch {
+			case refs[i].Parity && refs[i].Edge.IsVirtual():
+				out[i] = ZeroBlock(m.blockSize)
+			case b != nil:
+				out[i] = bytes.Clone(b)
+			}
+		}
+		return nil
+	})
+	return out
 }
 
 // GetData implements Source.
 func (m *MemoryStore) GetData(ctx context.Context, i int) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	b, ok := m.Data(i)
 	if !ok {
 		return nil, fmt.Errorf("entangle: d%d: %w", i, store.ErrNotFound)
@@ -123,6 +119,9 @@ func (m *MemoryStore) GetData(ctx context.Context, i int) ([]byte, error) {
 
 // GetParity implements Source.
 func (m *MemoryStore) GetParity(ctx context.Context, e lattice.Edge) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	b, ok := m.Parity(e)
 	if !ok {
 		return nil, fmt.Errorf("entangle: parity %v: %w", e, store.ErrNotFound)
@@ -130,136 +129,74 @@ func (m *MemoryStore) GetParity(ctx context.Context, e lattice.Edge) ([]byte, er
 	return b, nil
 }
 
-// PutData stores (or restores) a data block and clears its lost mark.
+// PutData stores (or restores) a data block.
 func (m *MemoryStore) PutData(ctx context.Context, i int, b []byte) error {
-	cp, err := m.checkData(i, b)
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.putDataLocked(i, cp)
-	return nil
+	return m.PutMany(ctx, []store.Block{{Ref: store.DataRef(i), Data: b}})
 }
 
-func (m *MemoryStore) checkData(i int, b []byte) ([]byte, error) {
-	if i < 1 {
-		return nil, fmt.Errorf("entangle: data position must be >= 1, got %d", i)
-	}
-	if len(b) != m.blockSize {
-		return nil, fmt.Errorf("entangle: data block %d has %d bytes, want %d", i, len(b), m.blockSize)
-	}
-	cp := make([]byte, len(b))
-	copy(cp, b)
-	return cp, nil
-}
-
-func (m *MemoryStore) putDataLocked(i int, cp []byte) {
-	m.data[i] = cp
-	delete(m.lostData, i)
-}
-
-// PutParity stores (or restores) a parity block and clears its lost mark.
+// PutParity stores (or restores) a parity block.
 func (m *MemoryStore) PutParity(ctx context.Context, e lattice.Edge, b []byte) error {
-	cp, err := m.checkParity(e, b)
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.putParityLocked(e, cp)
-	return nil
+	return m.PutMany(ctx, []store.Block{{Ref: store.ParityRef(e), Data: b}})
 }
 
-func (m *MemoryStore) checkParity(e lattice.Edge, b []byte) ([]byte, error) {
-	if e.IsVirtual() {
-		return nil, fmt.Errorf("entangle: cannot store virtual edge %v", e)
-	}
-	if len(b) != m.blockSize {
-		return nil, fmt.Errorf("entangle: parity %v has %d bytes, want %d", e, len(b), m.blockSize)
-	}
-	cp := make([]byte, len(b))
-	copy(cp, b)
-	return cp, nil
-}
-
-func (m *MemoryStore) putParityLocked(e lattice.Edge, cp []byte) {
-	m.parity[keyOf(e)] = cp
-	delete(m.lostPar, keyOf(e))
-}
-
-// GetMany implements Store natively: one lock acquisition for the whole
-// batch. Entries for unavailable blocks are nil.
+// GetMany implements Store natively: one Mem batch for the whole call.
+// Entries for unavailable blocks are nil.
 func (m *MemoryStore) GetMany(ctx context.Context, refs []store.Ref) ([][]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	out := make([][]byte, len(refs))
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for idx, r := range refs {
-		if r.Parity {
-			if b, ok := m.parityLocked(r.Edge); ok {
-				out[idx] = b
-			}
-			continue
-		}
-		if b, ok := m.dataLocked(r.Index); ok {
-			out[idx] = b
-		}
-	}
-	return out, nil
+	return m.read(refs), nil
 }
 
-// PutMany implements Store natively: the whole batch is validated and
-// copied first, then applied under one lock acquisition.
+// PutMany implements Store natively: the whole batch is validated first,
+// then applied as one Mem batch, which copies it.
 func (m *MemoryStore) PutMany(ctx context.Context, blocks []store.Block) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	copies := make([][]byte, len(blocks))
-	for idx, b := range blocks {
-		var cp []byte
-		var err error
-		if b.Ref.Parity {
-			cp, err = m.checkParity(b.Ref.Edge, b.Data)
-		} else {
-			cp, err = m.checkData(b.Ref.Index, b.Data)
-		}
-		if err != nil {
+	for _, b := range blocks {
+		if err := m.check(b); err != nil {
 			return err
 		}
-		copies[idx] = cp
 	}
+	items := make([]store.KV, len(blocks))
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for idx, b := range blocks {
-		if b.Ref.Parity {
-			m.putParityLocked(b.Ref.Edge, copies[idx])
-		} else {
-			m.putDataLocked(b.Ref.Index, copies[idx])
+	for i, b := range blocks {
+		key, ok := m.known[b.Ref]
+		if !ok {
+			key = b.Ref.String()
+			m.known[b.Ref] = key
 		}
+		items[i] = store.KV{Key: key, Data: b.Data}
+	}
+	return m.mem.PutBatch(items)
+}
+
+func (m *MemoryStore) check(b store.Block) error {
+	switch {
+	case b.Ref.Parity && b.Ref.Edge.IsVirtual():
+		return fmt.Errorf("entangle: cannot store virtual edge %v", b.Ref.Edge)
+	case !b.Ref.Parity && b.Ref.Index < 1:
+		return fmt.Errorf("entangle: data position must be >= 1, got %d", b.Ref.Index)
+	case len(b.Data) != m.blockSize:
+		return fmt.Errorf("entangle: block %v has %d bytes, want %d", b.Ref, len(b.Data), m.blockSize)
 	}
 	return nil
 }
 
-// LoseData marks data block i unavailable without forgetting that it should
-// exist, simulating a failed location.
-func (m *MemoryStore) LoseData(i int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.data[i]; ok {
-		m.lostData[i] = true
-	}
-}
+// LoseData drops data block i without forgetting that it should exist,
+// simulating a failed location.
+func (m *MemoryStore) LoseData(i int) { m.lose(store.DataRef(i)) }
 
-// LoseParity marks the parity on e unavailable.
-func (m *MemoryStore) LoseParity(e lattice.Edge) {
+// LoseParity drops the parity on e.
+func (m *MemoryStore) LoseParity(e lattice.Edge) { m.lose(store.ParityRef(e)) }
+
+func (m *MemoryStore) lose(r store.Ref) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	k := keyOf(e)
-	if _, ok := m.parity[k]; ok {
-		m.lostPar[k] = true
+	if key, ok := m.known[r]; ok {
+		m.mem.Del(key)
 	}
 }
 
@@ -271,13 +208,11 @@ func (m *MemoryStore) CorruptData(i int, b []byte) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.data[i]; !ok {
+	key, ok := m.known[store.DataRef(i)]
+	if !ok || m.mem.StatBatch([]string{key})[0] < 0 {
 		return fmt.Errorf("entangle: no data block at %d", i)
 	}
-	cp := make([]byte, len(b))
-	copy(cp, b)
-	m.data[i] = cp
-	return nil
+	return m.mem.Put(key, b)
 }
 
 // Missing implements Store.
@@ -285,52 +220,65 @@ func (m *MemoryStore) Missing(ctx context.Context) (store.Missing, error) {
 	if err := ctx.Err(); err != nil {
 		return store.Missing{}, err
 	}
-	return store.Missing{Data: m.MissingData(), Parities: m.MissingParities()}, nil
+	return m.missing(), nil
 }
 
 // MissingData lists the positions of unavailable data blocks, ascending.
-func (m *MemoryStore) MissingData() []int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]int, 0, len(m.lostData))
-	for i := range m.lostData {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
-}
+func (m *MemoryStore) MissingData() []int { return m.missing().Data }
 
 // MissingParities lists the unavailable parity edges; order: by class,
 // then left index.
-func (m *MemoryStore) MissingParities() []lattice.Edge {
+func (m *MemoryStore) MissingParities() []lattice.Edge { return m.missing().Parities }
+
+// missing lists the known refs the Mem lacks, under one lock.
+func (m *MemoryStore) missing() store.Missing {
 	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]lattice.Edge, 0, len(m.lostPar))
-	for k := range m.lostPar {
-		out = append(out, lattice.Edge{Class: k.Class, Left: k.Left, Right: k.Right})
+	refs := make([]store.Ref, 0, len(m.known))
+	keys := make([]string, 0, len(m.known))
+	for r, key := range m.known {
+		refs = append(refs, r)
+		keys = append(keys, key)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Class != out[b].Class {
-			return out[a].Class < out[b].Class
+	sizes := m.mem.StatBatch(keys)
+	m.mu.RUnlock()
+	var out store.Missing
+	for i, r := range refs {
+		switch {
+		case sizes[i] >= 0:
+		case r.Parity:
+			out.Parities = append(out.Parities, r.Edge)
+		default:
+			out.Data = append(out.Data, r.Index)
 		}
-		if out[a].Left != out[b].Left {
-			return out[a].Left < out[b].Left
+	}
+	sort.Ints(out.Data)
+	sort.Slice(out.Parities, func(a, b int) bool {
+		pa, pb := out.Parities[a], out.Parities[b]
+		if pa.Class != pb.Class {
+			return pa.Class < pb.Class
 		}
-		return out[a].Right < out[b].Right
+		if pa.Left != pb.Left {
+			return pa.Left < pb.Left
+		}
+		return pa.Right < pb.Right
 	})
 	return out
 }
 
 // DataCount returns the number of data blocks ever stored (available or not).
-func (m *MemoryStore) DataCount() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.data)
-}
+func (m *MemoryStore) DataCount() int { return m.count(false) }
 
 // ParityCount returns the number of parity blocks ever stored.
-func (m *MemoryStore) ParityCount() int {
+func (m *MemoryStore) ParityCount() int { return m.count(true) }
+
+func (m *MemoryStore) count(parity bool) int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.parity)
+	n := 0
+	for r := range m.known {
+		if r.Parity == parity {
+			n++
+		}
+	}
+	return n
 }

@@ -51,10 +51,10 @@ var (
 
 	// Block-payload bytes copied in user space on the socket↔store path:
 	// the number the zero-copy frame path exists to keep at zero. Only
-	// deliberate copies count — a store copying on put (transport's
-	// MemStore), a staging fallback before a write — never kernel-side
-	// socket or page-cache transfers. transport resolves the same
-	// counter; aebench reports it per block moved.
+	// deliberate copies count — a store copying on put (store.Mem), a
+	// staging fallback before a write — never kernel-side socket or
+	// page-cache transfers. store resolves the same counter; aebench
+	// reports it per block moved.
 	obsCopiedBytes = obs.Default.Scope("hotpath").Counter("copied_bytes")
 
 	// Durability: one sample per fsync of a segment file, wherever it

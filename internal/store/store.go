@@ -71,8 +71,8 @@ type XorKV struct {
 // Keyed is the lower tier's one contract: a storage node that puts and
 // gets blocks under "a value derived from the node id and the block
 // position" (§IV.A, Table III). Every store a transport.Server serves
-// implements all of it — the in-memory transport.MemStore, the durable
-// segstore.Store, a tenant.Store view of either — so one wire frame is
+// implements all of it — the in-memory Mem, the durable segstore.Store,
+// a tenant.Store view of either — so one wire frame is
 // one call, whatever the store. Implementations must be safe for
 // concurrent use.
 //
@@ -260,11 +260,10 @@ type XorPutter interface {
 // callback, here the caller hands back, once it is done, GetMany entries
 // it will never touch again. Release takes any number of them from any
 // number of calls, skips nil entries, and must be given each entry at
-// most once. It is optional, and opt-in by the store, because a store
-// whose GetMany lends its stored slices (entangle.MemoryStore) must not
-// have them recycled under it, and because the benchmark's traced store
-// asserts at compile time that it is a BlockStore; a store without it
-// leaves released blocks to the garbage collector.
+// most once. It is optional, and opt-in by the store, because the
+// benchmark's traced store asserts at compile time that it is a
+// BlockStore; a store without it — entangle.MemoryStore, whose GetMany
+// returns fresh copies — leaves released blocks to the garbage collector.
 type Releaser interface {
 	Release(blocks [][]byte)
 }

@@ -2,10 +2,10 @@
 // contract: one conformance suite that every store.BlockStore backend —
 // memory maps, durable segment logs, tenant namespaces of either — runs
 // against its own constructor, so the contracts the repair engine leans
-// on (ErrNotFound sentinels, copy-on-put, GetMany's nil-entry partial
-// results, Missing agreeing with the availability view, virtual edges
-// reading as zero) are pinned in one place instead of re-derived per
-// backend. RunKeyed does the same for store.Keyed, the
+// on (ErrNotFound sentinels, copy-on-put, reads the caller owns, GetMany's
+// nil-entry partial results, Missing agreeing with the availability
+// view, virtual edges reading as zero, every method checking its
+// context) are pinned in one place instead of re-derived per backend. RunKeyed does the same for store.Keyed, the
 // contract a storage node serves.
 package storetest
 
@@ -219,6 +219,51 @@ func Run(t *testing.T, h Harness) {
 		}
 	})
 
+	t.Run("GetManyOwnedByCaller", func(t *testing.T) {
+		// Every block a read returns is the caller's to write: scribbling
+		// over it must not reach the store, so later reads of the same
+		// refs still return what was stored.
+		s := h.New(t)
+		e := h.realEdge(t, lat)
+		if err := s.PutMany(ctx, []store.Block{{Ref: store.DataRef(1), Data: h.block(1)}, {Ref: store.ParityRef(e), Data: h.block(100)}}); err != nil {
+			t.Fatal(err)
+		}
+		refs := []store.Ref{store.DataRef(1), store.ParityRef(e)}
+		scribble := func(blocks ...[]byte) {
+			for _, b := range blocks {
+				for i := range b {
+					b[i] = 0xA5
+				}
+			}
+		}
+		single, err := s.GetData(ctx, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scribble(single)
+		got, err := s.GetMany(ctx, refs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scribble(got...)
+		again, err := s.GetData(ctx, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, h.block(1)) {
+			t.Error("GetData after the caller wrote over earlier reads: the store lent its stored block")
+		}
+		got, err = s.GetMany(ctx, refs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range []int{1, 100} {
+			if !bytes.Equal(got[i], h.block(want)) {
+				t.Errorf("GetMany %v after the caller wrote over earlier reads: the store lent its stored block", refs[i])
+			}
+		}
+	})
+
 	t.Run("GetManyAfterRelease", func(t *testing.T) {
 		// A store that recycles what GetMany returned serves the same
 		// blocks again after they came back poisoned: nothing it hands out
@@ -293,15 +338,30 @@ func Run(t *testing.T, h Harness) {
 	})
 
 	t.Run("CanceledContext", func(t *testing.T) {
+		// Every method checks ctx first, also for a block the store holds.
 		s := h.New(t)
+		e := h.realEdge(t, lat)
+		h.fillAll(t, s, lat)
 		canceled, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := s.GetMany(canceled, []store.Ref{store.DataRef(1)}); !errors.Is(err, context.Canceled) {
-			t.Errorf("GetMany on canceled context = %v, want context.Canceled", err)
+		calls := []struct {
+			name string
+			call func() error
+		}{
+			{"GetData", func() error { _, err := s.GetData(canceled, 1); return err }},
+			{"GetParity", func() error { _, err := s.GetParity(canceled, e); return err }},
+			{"GetMany", func() error { _, err := s.GetMany(canceled, []store.Ref{store.DataRef(1)}); return err }},
+			{"PutData", func() error { return s.PutData(canceled, 1, h.block(1)) }},
+			{"PutParity", func() error { return s.PutParity(canceled, e, h.block(100)) }},
+			{"PutMany", func() error {
+				return s.PutMany(canceled, []store.Block{{Ref: store.DataRef(1), Data: h.block(1)}})
+			}},
+			{"Missing", func() error { _, err := s.Missing(canceled); return err }},
 		}
-		err := s.PutMany(canceled, []store.Block{{Ref: store.DataRef(1), Data: h.block(1)}})
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("PutMany on canceled context = %v, want context.Canceled", err)
+		for _, c := range calls {
+			if err := c.call(); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s on canceled context = %v, want context.Canceled", c.name, err)
+			}
 		}
 	})
 

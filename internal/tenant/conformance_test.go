@@ -8,7 +8,6 @@ import (
 	"aecodes/internal/store"
 	"aecodes/internal/store/storetest"
 	"aecodes/internal/tenant"
-	"aecodes/internal/transport"
 )
 
 // conformanceShape is the lattice geometry the tenant-wrapped views are
@@ -33,7 +32,7 @@ func latticeOver(t *testing.T, h *tenant.Store) store.BlockStore {
 }
 
 // TestTenantWrappedMemStoreConformance runs the full BlockStore
-// conformance suite over a tenant view of the in-memory transport store
+// conformance suite over a tenant view of the in-memory store.Mem
 // — with a sibling tenant's data interleaved in the same backing, so any
 // namespace leak fails the suite.
 func TestTenantWrappedMemStoreConformance(t *testing.T) {
@@ -42,7 +41,7 @@ func TestTenantWrappedMemStoreConformance(t *testing.T) {
 		Blocks:    conformanceShape.Blocks,
 		BlockSize: conformanceShape.BlockSize,
 		New: func(t *testing.T) store.BlockStore {
-			reg, err := tenant.NewRegistry(transport.NewMemStore(), tenant.Config{
+			reg, err := tenant.NewRegistry(store.NewMem(), tenant.Config{
 				Tenants: map[string]tenant.Quota{"suite": {MaxBytes: 1 << 20}},
 			})
 			if err != nil {
@@ -104,7 +103,7 @@ func TestTenantWrappedSegstoreConformance(t *testing.T) {
 // fails it.
 func TestTenantStoreKeyedContract(t *testing.T) {
 	backings := map[string]func(t *testing.T) tenant.Backing{
-		"MemStore": func(*testing.T) tenant.Backing { return transport.NewMemStore() },
+		"MemStore": func(*testing.T) tenant.Backing { return store.NewMem() },
 		"Segstore": func(t *testing.T) tenant.Backing {
 			s, err := segstore.Open(t.TempDir(), segstore.Options{SegmentSize: 64})
 			if err != nil {

@@ -12,8 +12,8 @@ import (
 )
 
 // Backing is the store a Registry wraps: the store.Keyed contract plus
-// the index reads quota accounting needs. transport.MemStore and
-// segstore.Store both implement it.
+// the index reads quota accounting needs. store.Mem and segstore.Store
+// both implement it.
 type Backing interface {
 	store.Keyed
 	// Size returns the byte length of the block under key from the

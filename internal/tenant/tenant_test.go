@@ -15,7 +15,6 @@ import (
 	"aecodes/internal/store"
 	"aecodes/internal/store/storetest"
 	"aecodes/internal/tenant"
-	"aecodes/internal/transport"
 )
 
 func TestValidateID(t *testing.T) {
@@ -56,7 +55,7 @@ func openTenant(t *testing.T, reg *tenant.Registry, id string) *tenant.Store {
 // other's blocks, the anonymous tenant owns the raw keyspace, and the
 // backing store carries the documented prefixes.
 func TestNamespaceIsolation(t *testing.T) {
-	backing := transport.NewMemStore()
+	backing := store.NewMem()
 	reg, err := tenant.NewRegistry(backing, tenant.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +107,7 @@ func TestNamespaceIsolation(t *testing.T) {
 // namespace, store internals — must be unaddressable through its view
 // in every operation.
 func TestAnonymousCannotAddressReservedKeys(t *testing.T) {
-	backing := transport.NewMemStore()
+	backing := store.NewMem()
 	reg, err := tenant.NewRegistry(backing, tenant.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +151,7 @@ func TestAnonymousCannotAddressReservedKeys(t *testing.T) {
 // would cross the budget is refused with store.ErrQuotaExceeded, leaves
 // the store untouched, and a neighbour tenant keeps writing.
 func TestQuotaExhaustion(t *testing.T) {
-	backing := transport.NewMemStore()
+	backing := store.NewMem()
 	reg, err := tenant.NewRegistry(backing, tenant.Config{
 		Tenants: map[string]tenant.Quota{"alice": {MaxBytes: 100}},
 	})
@@ -193,7 +192,7 @@ func TestQuotaExhaustion(t *testing.T) {
 // fit as a whole is refused up front — no partial application, no
 // accounting drift.
 func TestQuotaBatchAtomic(t *testing.T) {
-	backing := transport.NewMemStore()
+	backing := store.NewMem()
 	reg, err := tenant.NewRegistry(backing, tenant.Config{
 		Tenants: map[string]tenant.Quota{"alice": {MaxBytes: 100}},
 	})
@@ -234,7 +233,7 @@ func TestQuotaBatchAtomic(t *testing.T) {
 
 // TestBlockQuota pins the block-count budget.
 func TestBlockQuota(t *testing.T) {
-	reg, err := tenant.NewRegistry(transport.NewMemStore(), tenant.Config{
+	reg, err := tenant.NewRegistry(store.NewMem(), tenant.Config{
 		Tenants: map[string]tenant.Quota{"alice": {MaxBlocks: 2}},
 	})
 	if err != nil {
@@ -264,7 +263,7 @@ func TestBlockQuota(t *testing.T) {
 // with the typed quota sentinel, configured tenants and the anonymous
 // tenant are served.
 func TestStrictNode(t *testing.T) {
-	reg, err := tenant.NewRegistry(transport.NewMemStore(), tenant.Config{
+	reg, err := tenant.NewRegistry(store.NewMem(), tenant.Config{
 		Strict:  true,
 		Tenants: map[string]tenant.Quota{"alice": {}},
 	})
@@ -286,7 +285,7 @@ func TestStrictNode(t *testing.T) {
 // leaves the node above its high-water mark sheds the least-recently
 // used evictable tenant — the whole lattice, not a slice of it.
 func TestEvictionShedsColdLattice(t *testing.T) {
-	backing := transport.NewMemStore()
+	backing := store.NewMem()
 	reg, err := tenant.NewRegistry(backing, tenant.Config{HighWater: 1000})
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +338,7 @@ func TestEvictionShedsColdLattice(t *testing.T) {
 // TestEvictionFloor pins the reservation guarantee: a tenant at or below
 // its reservation is never chosen as a victim, whoever is colder.
 func TestEvictionFloor(t *testing.T) {
-	backing := transport.NewMemStore()
+	backing := store.NewMem()
 	reg, err := tenant.NewRegistry(backing, tenant.Config{
 		HighWater: 500,
 		Tenants:   map[string]tenant.Quota{"reserved": {Reservation: 400}},
@@ -524,10 +523,10 @@ func TestUsageExactAcrossADropAndRewrite(t *testing.T) {
 	}
 }
 
-// parkingBacking is a MemStore whose PutBatch, once armed, parks until
+// parkingBacking is a store.Mem whose PutBatch, once armed, parks until
 // released — a write holding the registry lock across a slow append.
 type parkingBacking struct {
-	*transport.MemStore
+	*store.Mem
 	armed   atomic.Bool
 	parked  chan struct{}
 	release chan struct{}
@@ -538,7 +537,7 @@ func (p *parkingBacking) PutBatch(items []store.KV) error {
 		close(p.parked)
 		<-p.release
 	}
-	return p.MemStore.PutBatch(items)
+	return p.Mem.PutBatch(items)
 }
 
 // TestReadsDoNotQueueBehindWrites pins that a tenant's reads take no
@@ -547,9 +546,9 @@ func (p *parkingBacking) PutBatch(items []store.KV) error {
 // ReadBatch and StatBatch on a neighbour still return.
 func TestReadsDoNotQueueBehindWrites(t *testing.T) {
 	backing := &parkingBacking{
-		MemStore: transport.NewMemStore(),
-		parked:   make(chan struct{}),
-		release:  make(chan struct{}),
+		Mem:     store.NewMem(),
+		parked:  make(chan struct{}),
+		release: make(chan struct{}),
 	}
 	reg, err := tenant.NewRegistry(backing, tenant.Config{})
 	if err != nil {

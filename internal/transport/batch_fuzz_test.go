@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net"
 	"testing"
+
+	"aecodes/internal/store"
 )
 
 // captureConn is a net.Conn that keeps everything written to it.
@@ -114,7 +116,7 @@ func FuzzBatchFrames(f *testing.F) {
 			// Serve the same answer back: a GetMany of one key per entry,
 			// and an XorMany of one pair per entry whose second member is
 			// zeros, so its XOR is the entry itself.
-			st := NewMemStore()
+			st := store.NewMem()
 			keys := make([]string, len(blocks))
 			pairs := make([]string, 0, 2*len(blocks))
 			for k, b := range blocks {
@@ -143,7 +145,7 @@ func FuzzBatchFrames(f *testing.F) {
 
 		if held, err := decodeStatManyResp(frame); err == nil {
 			sized("statManyR", len(held), cap(held))
-			st := NewMemStore()
+			st := store.NewMem()
 			keys := make([]string, len(held))
 			for k, h := range held {
 				keys[k] = batchKey(k)

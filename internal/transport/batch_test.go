@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"aecodes/internal/store"
 )
 
 func TestPutManyGetManyRoundTrip(t *testing.T) {
@@ -348,7 +350,7 @@ func TestDialPoolValidation(t *testing.T) {
 }
 
 func TestServerCloseIdempotent(t *testing.T) {
-	srv, err := NewServer(NewMemStore())
+	srv, err := NewServer(store.NewMem())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +366,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 	// Concurrent closes must not race or error either.
-	srv2, err := NewServer(NewMemStore())
+	srv2, err := NewServer(store.NewMem())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,52 +7,45 @@ import (
 	"testing"
 
 	"aecodes/internal/store"
-	"aecodes/internal/store/storetest"
 	"aecodes/internal/tenant"
 )
 
-// TestMemStoreKeyedContract runs the store.Keyed conformance suite over
-// the in-memory store.
-func TestMemStoreKeyedContract(t *testing.T) {
-	storetest.RunKeyed(t, func(*testing.T) store.Keyed { return NewMemStore() })
-}
-
-// countingStore wraps MemStore and counts the store calls the server
+// countingStore wraps a store.Mem and counts the store calls the server
 // makes.
 type countingStore struct {
-	*MemStore
+	*store.Mem
 	singles                              atomic.Int64 // Get + Put + Del
 	readBatches, putBatches, statBatches atomic.Int64
 }
 
 func (c *countingStore) Get(key string) ([]byte, bool) {
 	c.singles.Add(1)
-	return c.MemStore.Get(key)
+	return c.Mem.Get(key)
 }
 
 func (c *countingStore) Put(key string, data []byte) error {
 	c.singles.Add(1)
-	return c.MemStore.Put(key, data)
+	return c.Mem.Put(key, data)
 }
 
 func (c *countingStore) Del(key string) {
 	c.singles.Add(1)
-	c.MemStore.Del(key)
+	c.Mem.Del(key)
 }
 
 func (c *countingStore) ReadBatch(keys []string, fn func(blocks [][]byte) error) error {
 	c.readBatches.Add(1)
-	return c.MemStore.ReadBatch(keys, fn)
+	return c.Mem.ReadBatch(keys, fn)
 }
 
 func (c *countingStore) PutBatch(items []store.KV) error {
 	c.putBatches.Add(1)
-	return c.MemStore.PutBatch(items)
+	return c.Mem.PutBatch(items)
 }
 
 func (c *countingStore) StatBatch(keys []string) []int {
 	c.statBatches.Add(1)
-	return c.MemStore.StatBatch(keys)
+	return c.Mem.StatBatch(keys)
 }
 
 // TestServerUsesNativeBatchStore pins that a batch frame is applied with
@@ -77,7 +70,7 @@ func TestServerUsesNativeBatchStore(t *testing.T) {
 	}
 	for name, view := range views {
 		t.Run(name, func(t *testing.T) {
-			cs := &countingStore{MemStore: NewMemStore()}
+			cs := &countingStore{Mem: store.NewMem()}
 			c := dial(t, startServerOn(t, view(t, cs)))
 			ctx := context.Background()
 
@@ -115,7 +108,7 @@ func TestServerUsesNativeBatchStore(t *testing.T) {
 
 // discardStore consumes writes by dropping them, so the only allocation a
 // write frame can cause is the server's own receive buffer.
-type discardStore struct{ *MemStore }
+type discardStore struct{ *store.Mem }
 
 func (discardStore) Put(string, []byte) error  { return nil }
 func (discardStore) PutBatch([]store.KV) error { return nil }
@@ -126,7 +119,7 @@ func (discardStore) PutBatch([]store.KV) error { return nil }
 // sync.Pool sheds a quarter of its puts under the race detector, on the
 // server's buffer and on the client's OpPut frame alike.
 func TestServerRecyclesWriteFrames(t *testing.T) {
-	c := dial(t, startServerOn(t, discardStore{NewMemStore()}))
+	c := dial(t, startServerOn(t, discardStore{store.NewMem()}))
 	ctx := context.Background()
 	block := make([]byte, 256<<10-64) // frame and payload share the 256 KiB bucket
 	const frames = 256

@@ -60,7 +60,7 @@ func (h *fakeClusterHandler) last() (NodeStat, bool) {
 
 func clusterTestServer(t *testing.T, h ClusterHandler) string {
 	t.Helper()
-	srv, err := NewServer(NewMemStore())
+	srv, err := NewServer(store.NewMem())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 // the background while a whole round of operations completes on the
 // surviving connections.
 func TestPoolEvictsAndRedialsPoisonedConn(t *testing.T) {
-	addr := startServerOn(t, NewMemStore())
+	addr := startServerOn(t, store.NewMem())
 	p, err := DialPoolOptions(addr, 3, PoolOptions{RedialBackoff: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestPoolEvictsAndRedialsPoisonedConn(t *testing.T) {
 // stallStore is a store.Keyed whose Get blocks on stalled keys until
 // release is closed — a hung storage node.
 type stallStore struct {
-	*MemStore
+	*store.Mem
 	prefix  string
 	release chan struct{}
 }
@@ -117,12 +117,12 @@ func (s *stallStore) Get(key string) ([]byte, bool) {
 	if strings.HasPrefix(key, s.prefix) {
 		<-s.release
 	}
-	return s.MemStore.Get(key)
+	return s.Mem.Get(key)
 }
 
 // ReadBatch keeps the stall visible on the batch path too: without this
 // override the server would serve OpGetMany via the promoted
-// MemStore.ReadBatch and bypass the hung-node simulation.
+// Mem.ReadBatch and bypass the hung-node simulation.
 func (s *stallStore) ReadBatch(keys []string, fn func(blocks [][]byte) error) error {
 	for _, key := range keys {
 		if strings.HasPrefix(key, s.prefix) {
@@ -130,7 +130,7 @@ func (s *stallStore) ReadBatch(keys []string, fn func(blocks [][]byte) error) er
 			break
 		}
 	}
-	return s.MemStore.ReadBatch(keys, fn)
+	return s.Mem.ReadBatch(keys, fn)
 }
 
 // TestPoolResponseTimeoutFailsHungRequest pins the timeout wheel: a node
@@ -143,7 +143,7 @@ func (s *stallStore) ReadBatch(keys []string, fn func(blocks [][]byte) error) er
 func TestPoolResponseTimeoutFailsHungRequest(t *testing.T) {
 	for _, conns := range []int{1, 2} {
 		t.Run(fmt.Sprintf("conns=%d", conns), func(t *testing.T) {
-			st := &stallStore{MemStore: NewMemStore(), prefix: "stall/", release: make(chan struct{})}
+			st := &stallStore{Mem: store.NewMem(), prefix: "stall/", release: make(chan struct{})}
 			defer close(st.release) // let the server's conn goroutines exit
 			p, err := DialPoolOptions(startServerOn(t, st), conns, PoolOptions{
 				ResponseTimeout: 50 * time.Millisecond,
@@ -190,7 +190,7 @@ func TestPoolResponseTimeoutFailsHungRequest(t *testing.T) {
 // store.ErrUnavailable, and Close still shuts the redial loops down
 // promptly.
 func TestPoolAllConnsDown(t *testing.T) {
-	srv, err := NewServer(NewMemStore())
+	srv, err := NewServer(store.NewMem())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestPoolAllConnsDown(t *testing.T) {
 // context failure: a cancelled caller gets its context error back at
 // once.
 func TestPoolContextErrorsAreNotRetried(t *testing.T) {
-	addr := startServerOn(t, NewMemStore())
+	addr := startServerOn(t, store.NewMem())
 	p, err := DialPool(addr, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +243,7 @@ func TestPoolContextErrorsAreNotRetried(t *testing.T) {
 // deadlines: a long-deadline request issued before a short-deadline one
 // must not mask the short one's expiry.
 func TestPipeConnTimeoutWheelRearm(t *testing.T) {
-	st := &stallStore{MemStore: NewMemStore(), prefix: "stall/", release: make(chan struct{})}
+	st := &stallStore{Mem: store.NewMem(), prefix: "stall/", release: make(chan struct{})}
 	defer close(st.release)
 	addr := startServerOn(t, st)
 	p, err := DialPoolOptions(addr, 1, PoolOptions{RedialBackoff: 2 * time.Millisecond})
@@ -289,7 +289,7 @@ func TestPipeConnTimeoutWheelRearm(t *testing.T) {
 // dropped by the server, and a pool client that comes back simply rides
 // its eviction + redial and keeps working.
 func TestServerIdleTimeoutReapsAndPoolHeals(t *testing.T) {
-	srv, err := NewServer(NewMemStore())
+	srv, err := NewServer(store.NewMem())
 	if err != nil {
 		t.Fatal(err)
 	}

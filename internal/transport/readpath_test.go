@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"aecodes/internal/obs"
+	"aecodes/internal/store"
 )
 
 // discardConn is a net.Conn that counts what is written to it and drops
@@ -48,14 +49,14 @@ func measureAllocs(fn func()) (objects float64, bytes uint64) {
 }
 
 // TestServeGetManyAllocatesNoRecordBuffers pins the server half of the
-// read path over MemStore, which lends its stored blocks: serving 2 or
+// read path over store.Mem, which lends its stored blocks: serving 2 or
 // 256 blocks of 64 KiB allocates the same handful of objects, and well
 // under 1 % of the bytes it sends.
 func TestServeGetManyAllocatesNoRecordBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts over pooled buffers mean nothing under -race")
 	}
-	st := NewMemStore()
+	st := store.NewMem()
 	block := make([]byte, 64<<10)
 	keys := make([]string, 256)
 	for i := range keys {

@@ -11,10 +11,10 @@ import (
 )
 
 // startTenantServer boots a server over a tenant registry wrapping a
-// fresh MemStore and returns the address, the registry and the backing.
-func startTenantServer(t *testing.T, cfg tenant.Config) (string, *tenant.Registry, *MemStore) {
+// fresh store.Mem and returns the address, the registry and the backing.
+func startTenantServer(t *testing.T, cfg tenant.Config) (string, *tenant.Registry, *store.Mem) {
 	t.Helper()
-	backing := NewMemStore()
+	backing := store.NewMem()
 	reg, err := tenant.NewRegistry(backing, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestHelloTenantIsolation(t *testing.T) {
 // answers) is an error, an anonymous hello against a resolver-less node
 // succeeds, a named one is refused.
 func TestHelloVersionGate(t *testing.T) {
-	srv, err := NewServer(NewMemStore())
+	srv, err := NewServer(store.NewMem())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestStatManyOverWire(t *testing.T) {
 // must re-handshake before rejoining rotation — a healed pool keeps
 // writing into the same tenant namespace.
 func TestPoolRedialRehandshakes(t *testing.T) {
-	backing := NewMemStore()
+	backing := store.NewMem()
 	newSrv := func(addr string) (*Server, string) {
 		reg, err := tenant.NewRegistry(backing, tenant.Config{})
 		if err != nil {

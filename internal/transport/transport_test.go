@@ -15,10 +15,10 @@ import (
 
 // startServer returns a ready server, its address, and a cleanup-registered
 // client factory.
-func startServer(t *testing.T) (*MemStore, string) {
+func startServer(t *testing.T) (*store.Mem, string) {
 	t.Helper()
-	store := NewMemStore()
-	srv, err := NewServer(store)
+	st := store.NewMem()
+	srv, err := NewServer(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func startServer(t *testing.T) (*MemStore, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return store, addr
+	return st, addr
 }
 
 // dial connects a pool of one: a single connection, requests in order.
@@ -163,8 +163,7 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 func TestServerCloseStopsService(t *testing.T) {
-	store := NewMemStore()
-	srv, err := NewServer(store)
+	srv, err := NewServer(store.NewMem())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,39 +196,15 @@ func TestNewServerValidation(t *testing.T) {
 	}
 }
 
-func TestMemStore(t *testing.T) {
-	s := NewMemStore()
-	if _, ok := s.Get("a"); ok {
-		t.Error("empty store Get succeeded")
-	}
-	if err := s.Put("a", []byte{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.Get("a")
-	if !ok || !bytes.Equal(got, []byte{1, 2}) {
-		t.Fatalf("Get = %v,%v", got, ok)
-	}
-	got[0] = 9
-	again, _ := s.Get("a")
-	if again[0] != 1 {
-		t.Error("MemStore aliases stored data")
-	}
-	s.Del("a")
-	if _, ok := s.Get("a"); ok {
-		t.Error("Get succeeded after Del")
-	}
-	s.Del("absent") // no panic
-}
-
 // slowStore delays Gets so a client deadline can expire mid-exchange.
 type slowStore struct {
-	MemStore
+	*store.Mem
 	delay time.Duration
 }
 
 func (s *slowStore) Get(key string) ([]byte, bool) {
 	time.Sleep(s.delay)
-	return s.MemStore.Get(key)
+	return s.Mem.Get(key)
 }
 
 // TestLateResponseNeverAttributedToNextRequest pins the desynchronization
@@ -238,8 +213,9 @@ func (s *slowStore) Get(key string) ([]byte, bool) {
 // as the next request's. Until the redial lands the next call fails with
 // store.ErrUnavailable; it never returns the stale payload.
 func TestLateResponseNeverAttributedToNextRequest(t *testing.T) {
-	st := &slowStore{delay: 300 * time.Millisecond}
-	st.MemStore.m = map[string][]byte{"a": []byte("AAAA"), "b": []byte("BBBB")}
+	st := &slowStore{Mem: store.NewMem(), delay: 300 * time.Millisecond}
+	st.Put("a", []byte("AAAA"))
+	st.Put("b", []byte("BBBB"))
 	c, err := DialPoolOptions(startServerOn(t, st), 1, PoolOptions{RedialBackoff: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

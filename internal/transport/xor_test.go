@@ -10,11 +10,12 @@ import (
 	"testing"
 
 	"aecodes/internal/segstore"
+	"aecodes/internal/store"
 	"aecodes/internal/tenant"
 	"aecodes/internal/xorblock"
 )
 
-// xorBackends returns a fresh MemStore and a fresh segstore, by name.
+// xorBackends returns a fresh store.Mem and a fresh segstore, by name.
 func xorBackends(t *testing.T) map[string]tenant.Backing {
 	t.Helper()
 	seg, err := segstore.Open(t.TempDir(), segstore.Options{})
@@ -22,7 +23,7 @@ func xorBackends(t *testing.T) map[string]tenant.Backing {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { seg.Close() })
-	return map[string]tenant.Backing{"memstore": NewMemStore(), "segstore": seg}
+	return map[string]tenant.Backing{"memstore": store.NewMem(), "segstore": seg}
 }
 
 // serveViews serves backing raw, through its anonymous tenant view, and
@@ -48,7 +49,7 @@ func serveViews(t *testing.T, backing tenant.Backing) map[string]*PoolClient {
 	}
 }
 
-// TestXorManyMatchesClientXor: over MemStore and segstore, raw and through
+// TestXorManyMatchesClientXor: over store.Mem and segstore, raw and through
 // tenant views, XorMany answers each pair with exactly the bytes a client
 // XOR of the two GetMany blocks gives, and nil for a pair with a member
 // missing or of another length.
@@ -196,7 +197,7 @@ func TestXorManyRefusals(t *testing.T) {
 	// Four complete pairs of 17 MiB answer 68 MiB. The store lends one
 	// block for every key, so the test holds only one.
 	big := make([]byte, 17<<20)
-	lender := lendingStore{MemStore: st, block: big}
+	lender := lendingStore{Mem: st, block: big}
 	req, err := encodeGetManyReq([]string{"1", "2", "3", "4", "5", "6", "7", "8"})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +217,7 @@ func TestXorManyRefusals(t *testing.T) {
 
 // lendingStore lends block for every key it is asked to read.
 type lendingStore struct {
-	*MemStore
+	*store.Mem
 	block []byte
 }
 
@@ -229,14 +230,14 @@ func (s lendingStore) ReadBatch(keys []string, fn func(blocks [][]byte) error) e
 }
 
 // TestServeXorManyAllocatesNoBlockBuffers: serving 2 or 256 pairs of
-// 64 KiB from MemStore allocates the same handful of objects — the answer
+// 64 KiB from store.Mem allocates the same handful of objects — the answer
 // is XORed into one pooled frame — and well under 1 % of the bytes it
 // sends.
 func TestServeXorManyAllocatesNoBlockBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts over pooled buffers mean nothing under -race")
 	}
-	st := NewMemStore()
+	st := store.NewMem()
 	block := make([]byte, 64<<10)
 	keys := make([]string, 512)
 	for i := range keys {

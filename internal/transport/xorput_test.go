@@ -16,7 +16,7 @@ import (
 	"aecodes/internal/xorblock"
 )
 
-// TestXorPutManyRoundTrip: over MemStore and segstore, raw and through
+// TestXorPutManyRoundTrip: over store.Mem and segstore, raw and through
 // tenant views, an applied item leaves dst = data ⊕ src byte for byte,
 // and an item whose src is missing, of another length, or written by the
 // same frame answers false and leaves dst untouched. The caller's data
@@ -147,7 +147,7 @@ func TestXorPutManyCorruptSource(t *testing.T) {
 // nothing of the batch is written and the tenant's usage does not move.
 func TestXorPutManyQuota(t *testing.T) {
 	const size = 4 << 10
-	backing := NewMemStore()
+	backing := store.NewMem()
 	reg, err := tenant.NewRegistry(backing, tenant.Config{Tenants: map[string]tenant.Quota{"alice": {MaxBytes: 3 * size}}})
 	if err != nil {
 		t.Fatal(err)
@@ -228,9 +228,9 @@ func TestXorPutManyRefusals(t *testing.T) {
 	}
 }
 
-// putsDiscarded is a MemStore whose PutBatch keeps nothing, so a handler's
+// putsDiscarded is a store.Mem whose PutBatch keeps nothing, so a handler's
 // own allocations are all an allocation count sees.
-type putsDiscarded struct{ *MemStore }
+type putsDiscarded struct{ *store.Mem }
 
 func (putsDiscarded) PutBatch([]KV) error { return nil }
 
@@ -242,7 +242,7 @@ func TestServeXorPutManyAllocatesNoBlockBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts over pooled buffers mean nothing under -race")
 	}
-	st := putsDiscarded{NewMemStore()}
+	st := putsDiscarded{store.NewMem()}
 	block := make([]byte, 64<<10)
 	items := make([]XorPut, 256)
 	for i := range items {
