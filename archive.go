@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"slices"
 
@@ -52,18 +51,16 @@ const (
 	archiveLenMaskV1   = archiveLastFlag - 1
 )
 
-// castagnoli is the CRC32-C table shared by the writer and reader.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // archiveCapacity returns the payload bytes per block written (v2
 // framing).
 func archiveCapacity(blockSize int) int { return blockSize - archiveHeaderLen }
 
-// archiveCRC computes the v2 block checksum: the first header word (so
-// flag and length corruption is detected, not just payload corruption)
-// followed by the payload.
+// archiveCRC computes the v2 block checksum: the CRC32-C
+// (xorblock.CRC32C) of the first header word (so flag and length
+// corruption is detected, not just payload corruption) followed by the
+// payload.
 func archiveCRC(hdrWord []byte, payload []byte) uint32 {
-	return crc32.Update(crc32.Checksum(hdrWord, castagnoli), castagnoli, payload)
+	return xorblock.CRC32C(xorblock.CRC32C(0, hdrWord), payload)
 }
 
 // parseArchiveBlock validates one raw block's framing and returns its

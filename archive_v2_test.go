@@ -17,8 +17,22 @@ import (
 // exactly what the pre-v2 ArchiveWriter produced on disk.
 func writeV1Archive(t *testing.T, code *aecodes.Code, st *aecodes.MemoryStore, payload []byte) int {
 	t.Helper()
-	const v1Header = 4
-	capacity := code.BlockSize() - v1Header
+	return writeFramedArchive(t, code, st, payload, 4, func(raw []byte, n int, last bool) {
+		hdr := uint32(n)
+		if last {
+			hdr |= 1 << 31
+		}
+		binary.BigEndian.PutUint32(raw[:4], hdr)
+	})
+}
+
+// writeFramedArchive cuts payload into blocks of headerLen header bytes
+// and the rest payload, has frame write each block's header (n payload
+// bytes, last on the final block) and entangles the blocks through code
+// into st. It returns the number of blocks.
+func writeFramedArchive(t *testing.T, code *aecodes.Code, st *aecodes.MemoryStore, payload []byte, headerLen int, frame func(raw []byte, n int, last bool)) int {
+	t.Helper()
+	capacity := code.BlockSize() - headerLen
 	blocks := 0
 	rest := payload
 	for {
@@ -28,12 +42,8 @@ func writeV1Archive(t *testing.T, code *aecodes.Code, st *aecodes.MemoryStore, p
 			n = capacity
 		}
 		raw := make([]byte, code.BlockSize())
-		hdr := uint32(n)
-		if last {
-			hdr |= 1 << 31
-		}
-		binary.BigEndian.PutUint32(raw[:v1Header], hdr)
-		copy(raw[v1Header:], rest[:n])
+		copy(raw[headerLen:], rest[:n])
+		frame(raw, n, last)
 		rest = rest[n:]
 		ent, err := code.Entangle(raw)
 		if err != nil {

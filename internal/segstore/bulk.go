@@ -2,10 +2,11 @@ package segstore
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"runtime"
 	"sync"
+
+	"aecodes/internal/xorblock"
 )
 
 // Bulk calls use every core. The batch reads spend their time preading
@@ -123,9 +124,11 @@ func (p probe) buf(arena []byte) []byte {
 const maxHeadLen = recHeaderLen + 2 + MaxKeyLen
 
 // headPool holds the scratch a chunk of ReadInto reads record heads
-// into, one per chunk. It cannot live on the chunk's stack: the CRC
-// update dispatches through a function value, so whatever it checksums
-// escapes.
+// into, one per chunk. It cannot live on the chunk's stack:
+// xorblock.CRC32C hands what its folding kernel does not take (buffers
+// under 256 bytes such as a head, tails, and everything on CPUs without
+// the kernel) to hash/crc32, whose update dispatches through a function
+// value, so whatever CRC32C checksums escapes.
 var headPool = sync.Pool{New: func() any { return new([maxHeadLen]byte) }}
 
 // verifyRecord is the one check every read of a live record runs, on
@@ -137,9 +140,9 @@ var headPool = sync.Pool{New: func() any { return new([maxHeadLen]byte) }}
 // is key.
 func verifyRecord(head, payload []byte, loc recordLoc, key string) bool {
 	word0 := binary.BigEndian.Uint32(head[0:4])
-	crc := crc32.Checksum(head[0:4], castagnoli)
-	crc = crc32.Update(crc, castagnoli, head[recHeaderLen:])
-	crc = crc32.Update(crc, castagnoli, payload)
+	crc := xorblock.CRC32C(0, head[0:4])
+	crc = xorblock.CRC32C(crc, head[recHeaderLen:])
+	crc = xorblock.CRC32C(crc, payload)
 	return word0&recVersion != 0 && word0&recLenMask == loc.dataLen &&
 		crc == binary.BigEndian.Uint32(head[4:8]) &&
 		string(head[recHeaderLen+2:]) == key

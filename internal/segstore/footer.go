@@ -20,8 +20,9 @@ package segstore
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"io"
+
+	"aecodes/internal/xorblock"
 )
 
 const (
@@ -78,7 +79,7 @@ func appendFooter(b []byte, ents []logEntry) []byte {
 		b = append(b, e.key...)
 	}
 	b = binary.BigEndian.AppendUint64(b, uint64(len(b)-start))
-	b = binary.BigEndian.AppendUint32(b, crc32.Checksum(b[start:], castagnoli))
+	b = binary.BigEndian.AppendUint32(b, xorblock.CRC32C(0, b[start:]))
 	return binary.BigEndian.AppendUint32(b, footerMagic)
 }
 
@@ -106,7 +107,7 @@ func readFooter(r io.ReaderAt, seg uint64, size int64) (recs []footerRecord, rec
 	if _, err := r.ReadAt(body, recEnd); err != nil {
 		return nil, 0, false
 	}
-	crc := crc32.Update(crc32.Checksum(body, castagnoli), castagnoli, tr[0:8])
+	crc := xorblock.CRC32C(xorblock.CRC32C(0, body), tr[0:8])
 	if crc != binary.BigEndian.Uint32(tr[8:12]) || binary.BigEndian.Uint32(body) != footerLead {
 		return nil, 0, false
 	}

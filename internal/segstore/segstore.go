@@ -62,7 +62,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -74,6 +73,7 @@ import (
 	"time"
 
 	"aecodes/internal/store"
+	"aecodes/internal/xorblock"
 )
 
 // Record framing constants. The limits match the transport protocol's,
@@ -108,10 +108,6 @@ const lockName = "LOCK"
 // storage. Every flush the store issues goes through it; tests swap it
 // to record the order of flushes and to inject a failure.
 var fsync = (*os.File).Sync
-
-// castagnoli is the CRC32-C table shared by the writer and the recovery
-// scan — the same polynomial the archive framing uses.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Options tunes a Store.
 type Options struct {
@@ -406,10 +402,10 @@ func (s *Store) scanSegment(id uint64) (int64, error) {
 		if _, err := io.ReadFull(r, data); err != nil {
 			return off, nil
 		}
-		crc := crc32.Checksum(hdr[0:4], castagnoli)
-		crc = crc32.Update(crc, castagnoli, hdr[8:10])
-		crc = crc32.Update(crc, castagnoli, key)
-		crc = crc32.Update(crc, castagnoli, data)
+		crc := xorblock.CRC32C(0, hdr[0:4])
+		crc = xorblock.CRC32C(crc, hdr[8:10])
+		crc = xorblock.CRC32C(crc, key)
+		crc = xorblock.CRC32C(crc, data)
 		if crc != wantCRC {
 			return off, nil
 		}
@@ -883,9 +879,9 @@ func (s *Store) putBatchLocked(items []store.KV) error {
 		arena = binary.BigEndian.AppendUint16(arena, uint16(len(it.Key)))
 		arena = append(arena, it.Key...)
 		hdr := arena[hdrStart:]
-		crc := crc32.Checksum(hdr[0:4], castagnoli)
-		crc = crc32.Update(crc, castagnoli, hdr[recHeaderLen:])
-		crc = crc32.Update(crc, castagnoli, it.Data)
+		crc := xorblock.CRC32C(0, hdr[0:4])
+		crc = xorblock.CRC32C(crc, hdr[recHeaderLen:])
+		crc = xorblock.CRC32C(crc, it.Data)
 		binary.BigEndian.PutUint32(hdr[4:8], crc)
 		vecs = append(vecs, hdr)
 		if len(it.Data) > 0 {
@@ -965,8 +961,8 @@ func (s *Store) appendTombstoneLocked(key string) error {
 	rec = binary.BigEndian.AppendUint32(rec, 0) // CRC placeholder
 	rec = binary.BigEndian.AppendUint16(rec, uint16(len(key)))
 	rec = append(rec, key...)
-	crc := crc32.Checksum(rec[0:4], castagnoli)
-	crc = crc32.Update(crc, castagnoli, rec[recHeaderLen:])
+	crc := xorblock.CRC32C(0, rec[0:4])
+	crc = xorblock.CRC32C(crc, rec[recHeaderLen:])
 	binary.BigEndian.PutUint32(rec[4:8], crc)
 
 	if _, err := s.w.WriteAt(rec, s.woff); err != nil {

@@ -28,28 +28,31 @@ var (
 )
 
 // detectCPU probes CPUID for the vector extensions the asm kernels
-// need. OS support must be checked too: a kernel that does not enable
-// AVX (or AVX-512) XSAVE state leaves the CPUID feature flags set, so
-// the XCR0 state bits and the feature bits must both agree.
-func detectCPU() (avx2, avx512 bool) {
+// need: AVX2 and AVX-512 for the XOR ladder, and AVX-512 with
+// VPCLMULQDQ and PCLMULQDQ (clmul512) for the CRC32-C folding kernel.
+// OS support must be checked too: a kernel that does not enable AVX (or
+// AVX-512) XSAVE state leaves the CPUID feature flags set, so the XCR0
+// state bits and the feature bits must both agree.
+func detectCPU() (avx2, avx512, clmul512 bool) {
 	maxID, _, _, _ := cpuidex(0, 0)
 	if maxID < 7 {
-		return false, false
+		return false, false, false
 	}
 	_, _, ecx1, _ := cpuidex(1, 0)
 	const (
-		osxsaveBit = 1 << 27
-		avxBit     = 1 << 28
+		pclmulqdqBit = 1 << 1
+		osxsaveBit   = 1 << 27
+		avxBit       = 1 << 28
 	)
 	if ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
-		return false, false
+		return false, false, false
 	}
 	xlo, _ := xgetbv0()
 	const ymmState = 0x6 // XCR0: XMM (bit 1) and YMM (bit 2) state enabled
 	if xlo&ymmState != ymmState {
-		return false, false
+		return false, false, false
 	}
-	_, ebx7, _, _ := cpuidex(7, 0)
+	_, ebx7, ecx7, _ := cpuidex(7, 0)
 	avx2 = ebx7&(1<<5) != 0
 	const zmmState = 0xe0 // XCR0: opmask (bit 5), ZMM_Hi256 (6), Hi16_ZMM (7)
 	const (
@@ -63,11 +66,13 @@ func detectCPU() (avx2, avx512 bool) {
 		// enough to lose to AVX2.
 		avx512 = ebx7&avx512f != 0 && ebx7&avx512bw != 0 && ebx7&avx512vl != 0
 	}
-	return avx2, avx512
+	const vpclmulqdqBit = 1 << 10 // leaf 7, ECX
+	clmul512 = avx512 && ecx7&vpclmulqdqBit != 0 && ecx1&pclmulqdqBit != 0
+	return avx2, avx512, clmul512
 }
 
 func init() {
-	hasAVX2, hasAVX512 = detectCPU()
+	hasAVX2, hasAVX512, hasCRC32CFold = detectCPU()
 	selectKernel(os.Getenv(KernelEnv))
 }
 

@@ -1,14 +1,24 @@
-// Package xorblock provides wide XOR kernels for fixed-size blocks.
+// Package xorblock provides wide XOR kernels for fixed-size blocks, the
+// block pools that recycle them, and the one CRC32-C every stored block
+// is checked with.
 //
 // Entanglement codes are "essentially based on exclusive-or operations"
 // (paper §VII); every encode, decode and repair in this repository reduces to
-// the primitives in this package. Two kernel implementations back the
-// exported helpers, selected at build time: an unsafe 8×-unrolled 64-bit
-// kernel on amd64/arm64 (where unaligned loads are architecturally safe),
-// and a portable word-at-a-time encoding/binary kernel everywhere else or
-// under the `purego` build tag. Both process the bulk of the buffers in
-// 64-bit words and fall back to byte loops for the ragged tail; the
-// benchmarks report both side by side.
+// the primitives in this package. The exported XOR helpers dispatch at
+// process start to the fastest kernel of a ladder (kernels.go): AVX-512
+// or AVX2 assembly on amd64 and NEON on arm64, chosen by CPUID, over an
+// unsafe 8×-unrolled 64-bit kernel on amd64/arm64 (where unaligned loads
+// are architecturally safe), and a portable word-at-a-time
+// encoding/binary kernel everywhere else or under the `purego` build
+// tag. Every kernel processes the bulk of the buffers in wide words and
+// falls back to narrower loops for the ragged tail; the benchmarks
+// report each rung side by side.
+//
+// CRC32C is crc32.Update with the Castagnoli table, computed by a
+// VPCLMULQDQ folding kernel where the same probe finds AVX-512 with
+// VPCLMULQDQ and PCLMULQDQ, and by hash/crc32 everywhere else and for
+// what the kernel does not take. segstore's records and footers and the
+// archive's v2 frames are all checked with it.
 package xorblock
 
 import (
