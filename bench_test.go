@@ -8,7 +8,9 @@
 //
 // Each experiment prints its table once (first timed iteration) so that a
 // captured bench log doubles as the reproduction record; cmd/aebench
-// regenerates the same tables at arbitrary scale.
+// regenerates the same tables at arbitrary scale. Layer benchmarks live in
+// their packages; the encode and repair-round ones below are among those CI
+// guards (GUARDED_BENCH in .github/workflows/ci.yml).
 package aecodes_test
 
 import (
@@ -29,9 +31,7 @@ import (
 	"aecodes/internal/reedsolomon"
 	"aecodes/internal/segstore"
 	"aecodes/internal/sim"
-	"aecodes/internal/store"
 	"aecodes/internal/store/storetest"
-	"aecodes/internal/transport"
 	"aecodes/internal/writeperf"
 	"aecodes/internal/xorblock"
 )
@@ -622,7 +622,7 @@ func BenchmarkXorBlock(b *testing.B) {
 	}
 }
 
-// --- pipeline and transport benchmarks --------------------------------
+// --- pipeline benchmarks ---------------------------------------------
 
 // pipeBlockSize is the 1 MiB block size of the encode-throughput
 // acceptance target: pipelined AE(3,5,5) encode must beat sequential by
@@ -753,61 +753,6 @@ func benchmarkRepairRound(b *testing.B, workers int) {
 
 func BenchmarkRepairRoundsSerial(b *testing.B)   { benchmarkRepairRound(b, 1) }
 func BenchmarkRepairRoundsParallel(b *testing.B) { benchmarkRepairRound(b, 8) }
-
-// benchmarkTransport measures moving 64 blocks of 64 KiB to a storage node
-// one frame per block vs one batched frame.
-func benchmarkTransport(b *testing.B, batched bool) {
-	srv, err := transport.NewServer(store.NewMem())
-	if err != nil {
-		b.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := transport.DialPool(addr, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-
-	const blocks, blockSize = 64, 64 << 10
-	items := make([]transport.KV, blocks)
-	keys := make([]string, blocks)
-	payload := make([]byte, blockSize)
-	rand.New(rand.NewSource(3)).Read(payload)
-	for i := range items {
-		items[i] = transport.KV{Key: fmt.Sprintf("blk%04d", i), Data: payload}
-		keys[i] = items[i].Key
-	}
-	b.SetBytes(int64(blocks * blockSize))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if batched {
-			if err := c.PutMany(bg, items); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := c.GetMany(bg, keys); err != nil {
-				b.Fatal(err)
-			}
-		} else {
-			for _, it := range items {
-				if err := c.Put(bg, it.Key, it.Data); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, k := range keys {
-				if _, err := c.Get(bg, k); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkTransportPerBlock(b *testing.B) { benchmarkTransport(b, false) }
-func BenchmarkTransportBatched(b *testing.B)  { benchmarkTransport(b, true) }
 
 // BenchmarkArchiveRead streams an archive back out of a segstore.Lattice
 // in 1 MiB Read calls at three block sizes, clean and with 15 % of its

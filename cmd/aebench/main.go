@@ -6,210 +6,89 @@
 //	aebench -exp all                         # everything, paper defaults
 //	aebench -exp fig11 -blocks 1000000       # one experiment at 1M blocks
 //	aebench -exp table6 -blocks 200000 -seed 7
-//	aebench -exp encode,transport,segstore -json > BENCH.json   # perf record
 //
 // Experiments: table4, fig8, fig9, fig10, fig11, fig12, fig13, table6,
-// placement, mirror, raid, ablation, encode, xor, transport, segstore,
-// cluster, repair, obs, all. -exp accepts a comma-separated list. -cpu repeats the
-// selected experiments at several GOMAXPROCS values in one run (and one
-// JSON document), e.g. -cpu 1,2.
-//
-// With -json the human-readable tables are suppressed and a single JSON
-// document is written to stdout: one entry per measurement (ns/op and
-// MB/s where meaningful, wall time per experiment), so successive runs
-// can be archived as BENCH_*.json and diffed to track the perf
-// trajectory.
+// placement, mirror, raid, ablation, all. -exp accepts a comma-separated
+// list. Layer numbers (codec, XOR kernels, transport, segstore, cluster,
+// repair traffic, metrics) are `go test -bench` benchmarks in their
+// packages, not experiments here.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"runtime"
-	"strconv"
 	"strings"
-	"time"
 
-	"aecodes/internal/benchfmt"
-	"aecodes/internal/entangle"
 	"aecodes/internal/entmirror"
 	"aecodes/internal/failure"
 	"aecodes/internal/lattice"
 	"aecodes/internal/mep"
-	"aecodes/internal/pipeline"
 	"aecodes/internal/raidae"
 	"aecodes/internal/sim"
-	"aecodes/internal/store"
 	"aecodes/internal/writeperf"
-	"aecodes/internal/xorblock"
 )
-
-// recorder accumulates the run's measurements; emitted as one
-// benchfmt.Document when -json is set, ignored otherwise. The schema
-// lives in internal/benchfmt, shared with cmd/benchguard.
-var recorder []benchfmt.Result
-
-// record stamps each measurement with the GOMAXPROCS it ran at — with
-// -cpu one document carries the same experiments at several parallelism
-// levels, and benchguard keys its comparisons on the pair.
-func record(r benchfmt.Result) {
-	if r.GoMaxProcs == 0 {
-		r.GoMaxProcs = runtime.GOMAXPROCS(0)
-	}
-	recorder = append(recorder, r)
-}
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiments, comma separated: table4|fig8|fig9|fig10|fig11|fig12|fig13|table6|placement|mirror|raid|ablation|encode|xor|transport|segstore|cluster|repair|obs|all")
+		exp       = flag.String("exp", "all", "experiments, comma separated: table4|fig8|fig9|fig10|fig11|fig12|fig13|table6|placement|mirror|raid|ablation|all")
 		blocks    = flag.Int("blocks", 1_000_000, "number of data blocks (paper: 1,000,000)")
 		locations = flag.Int("locations", 100, "number of storage locations (paper: 100)")
 		seed      = flag.Int64("seed", 1, "random seed")
 		trials    = flag.Int("trials", 6000, "Monte-Carlo trials for the mirror experiment")
-		blockSize = flag.Int("blocksize", 1<<20, "block size in bytes for the encode experiment")
-		encBlocks = flag.Int("encblocks", 256, "blocks per measurement in the encode experiment")
-		jsonOut   = flag.Bool("json", false, "emit one JSON document of measurements instead of tables")
-		cpuList   = flag.String("cpu", "", "comma-separated GOMAXPROCS values to repeat the experiments at (default: current setting only)")
 	)
 	flag.Parse()
-	procs, err := parseCPUList(*cpuList)
-	if err != nil {
+	if err := run(*exp, sim.Config{DataBlocks: *blocks, Locations: *locations, Seed: *seed}, *trials); err != nil {
 		fmt.Fprintln(os.Stderr, "aebench:", err)
 		os.Exit(1)
 	}
-	realStdout := os.Stdout
-	if *jsonOut {
-		// The experiments print their tables via fmt.Printf; with -json the
-		// document must be the only thing on stdout, so the tables go to
-		// the void and JSON to the real descriptor.
-		devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "aebench:", err)
-			os.Exit(1)
-		}
-		os.Stdout = devnull
-	}
-	encCfg := encodeConfig{blockSize: *blockSize, blocks: *encBlocks}
-	ambient := runtime.GOMAXPROCS(0)
-	for _, n := range procs {
-		runtime.GOMAXPROCS(n)
-		if len(procs) > 1 {
-			fmt.Printf("==== gomaxprocs %d ====\n\n", n)
-		}
-		if err := run(*exp, sim.Config{DataBlocks: *blocks, Locations: *locations, Seed: *seed}, *trials, encCfg); err != nil {
-			fmt.Fprintln(os.Stderr, "aebench:", err)
-			os.Exit(1)
-		}
-	}
-	runtime.GOMAXPROCS(ambient)
-	if *jsonOut {
-		os.Stdout = realStdout
-		doc := benchfmt.Document{
-			Timestamp:  time.Now().UTC().Format(time.RFC3339),
-			GoMaxProcs: ambient,
-			Results:    recorder,
-		}
-		enc := json.NewEncoder(realStdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			fmt.Fprintln(os.Stderr, "aebench:", err)
-			os.Exit(1)
-		}
-	}
 }
 
-// parseCPUList parses the -cpu flag: a comma-separated list of positive
-// GOMAXPROCS values; empty means "just the current setting".
-func parseCPUList(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return []int{runtime.GOMAXPROCS(0)}, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("-cpu: %q is not a positive integer", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-func run(exp string, cfg sim.Config, trials int, encCfg encodeConfig) error {
+func run(exp string, cfg sim.Config, trials int) error {
 	type experiment struct {
 		name string
-		fn   func(sim.Config, int) error
+		fn   func() error
 	}
 	experiments := []experiment{
-		{"table4", func(c sim.Config, _ int) error { return table4() }},
-		{"fig8", func(c sim.Config, _ int) error { return figME(2, "Fig 8: |ME(2)| vs p") }},
-		{"fig9", func(c sim.Config, _ int) error { return figME(4, "Fig 9: |ME(4)| vs p") }},
-		{"fig10", func(c sim.Config, _ int) error { return fig10() }},
-		{"fig11", func(c sim.Config, _ int) error {
-			return sweepMetric(c, "Fig 11: data loss AFTER repairs (# of data blocks)", func(r sim.Result) string { return fmt.Sprintf("%d", r.DataLoss) })
+		{"table4", func() error { return table4() }},
+		{"fig8", func() error { return figME(2, "Fig 8: |ME(2)| vs p") }},
+		{"fig9", func() error { return figME(4, "Fig 9: |ME(4)| vs p") }},
+		{"fig10", func() error { return fig10() }},
+		{"fig11", func() error {
+			return sweepMetric(cfg, "Fig 11: data loss AFTER repairs (# of data blocks)", func(r sim.Result) string { return fmt.Sprintf("%d", r.DataLoss) })
 		}},
-		{"fig12", func(c sim.Config, _ int) error {
-			return sweepMetric(c, "Fig 12: data blocks without redundancy (% of data blocks)", func(r sim.Result) string {
+		{"fig12", func() error {
+			return sweepMetric(cfg, "Fig 12: data blocks without redundancy (% of data blocks)", func(r sim.Result) string {
 				return fmt.Sprintf("%.2f%%", r.VulnerableFraction()*100)
 			})
 		}},
-		{"fig13", func(c sim.Config, _ int) error {
-			return sweepMetric(c, "Fig 13: single-failure repairs (% single/total loss)", func(r sim.Result) string {
+		{"fig13", func() error {
+			return sweepMetric(cfg, "Fig 13: single-failure repairs (% single/total loss)", func(r sim.Result) string {
 				return fmt.Sprintf("%.1f%%", r.SingleFailureShare()*100)
 			})
 		}},
-		{"table6", func(c sim.Config, _ int) error { return table6(c) }},
-		{"placement", func(c sim.Config, _ int) error { return placementStats(c) }},
-		{"mirror", func(c sim.Config, tr int) error { return mirror(tr) }},
-		{"raid", func(c sim.Config, _ int) error { return raid() }},
-		{"ablation", func(c sim.Config, _ int) error { return ablations(c) }},
-		{"encode", func(c sim.Config, _ int) error { return encodeBench(encCfg) }},
-		{"xor", func(c sim.Config, _ int) error { return xorBench() }},
-		// The node-facing hot paths, sized so one run stays in CI budget:
-		// 64 KiB blocks keep per-entry framing overhead realistic while a
-		// batch stays far under the 64 MiB frame cap.
-		{"transport", func(c sim.Config, _ int) error {
-			return transportBench(netConfig{blockSize: 64 << 10, blocks: 128, batches: 24})
-		}},
-		{"segstore", func(c sim.Config, _ int) error {
-			return segstoreBench(netConfig{blockSize: 64 << 10, blocks: 128, batches: 24})
-		}},
-		// Control-plane latencies: tiny frames and in-memory tables, so
-		// generous iteration counts still finish in well under a second.
-		{"cluster", func(c sim.Config, _ int) error {
-			return clusterBench(clusterConfig{fleet: 16, placements: 20000, lookups: 200000, heartbeats: 4000})
-		}},
-		{"repair", func(c sim.Config, _ int) error { return repairBench() }},
-		{"obs", func(c sim.Config, _ int) error { return obsBench() }},
-	}
-	timed := func(e experiment) error {
-		start := time.Now()
-		if err := e.fn(cfg, trials); err != nil {
-			return err
-		}
-		record(benchfmt.Result{Experiment: e.name, Name: "wall", WallNs: time.Since(start).Nanoseconds()})
-		return nil
+		{"table6", func() error { return table6(cfg) }},
+		{"placement", func() error { return placementStats(cfg) }},
+		{"mirror", func() error { return mirror(trials) }},
+		{"raid", func() error { return raid() }},
+		{"ablation", func() error { return ablations(cfg) }},
 	}
 	if exp == "all" {
 		for _, e := range experiments {
-			if err := timed(e); err != nil {
+			if err := e.fn(); err != nil {
 				return fmt.Errorf("%s: %w", e.name, err)
 			}
 			fmt.Println()
 		}
 		return nil
 	}
-	// -exp accepts a comma-separated list, so one invocation (and one
-	// JSON document) can cover every guarded experiment.
+	// -exp accepts a comma-separated list.
 	for _, name := range strings.Split(exp, ",") {
 		name = strings.TrimSpace(name)
 		found := false
 		for _, e := range experiments {
 			if e.name == name {
-				if err := timed(e); err != nil {
+				if err := e.fn(); err != nil {
 					return fmt.Errorf("%s: %w", name, err)
 				}
 				found = true
@@ -399,261 +278,6 @@ func raid() error {
 			r.System, r.SmallWriteIOs, r.DegradedReadIOs, r.ReencodeOnGrow, r.FaultTolerance)
 	}
 	return nil
-}
-
-// encodeConfig sizes the throughput experiment.
-type encodeConfig struct {
-	blockSize int
-	blocks    int
-}
-
-// encodeBench measures the codec hot path end to end: sequential vs
-// pipelined encode throughput for AE(3,5,5). (Repair latency and
-// bandwidth live in the repair experiment.)
-func encodeBench(cfg encodeConfig) error {
-	params := lattice.Params{Alpha: 3, S: 5, P: 5}
-	fmt.Printf("Encode throughput — %s, %d blocks of %d KiB, %d cores\n",
-		params, cfg.blocks, cfg.blockSize>>10, runtime.GOMAXPROCS(0))
-
-	pool := xorblock.PoolFor(cfg.blockSize)
-	data := make([]byte, cfg.blockSize)
-	rand.New(rand.NewSource(1)).Read(data)
-	mbps := func(d time.Duration) float64 {
-		return float64(cfg.blocks) * float64(cfg.blockSize) / (1 << 20) / d.Seconds()
-	}
-
-	// Sequential: one goroutine, allocation-free via EntangleInto.
-	enc, err := entangle.NewEncoder(params, cfg.blockSize)
-	if err != nil {
-		return err
-	}
-	bufs := make([][]byte, params.Alpha)
-	for i := range bufs {
-		bufs[i] = pool.Get()
-	}
-	start := time.Now()
-	for b := 0; b < cfg.blocks; b++ {
-		if _, err := enc.EntangleInto(data, bufs); err != nil {
-			return err
-		}
-	}
-	seq := time.Since(start)
-	for _, b := range bufs {
-		pool.Put(b)
-	}
-
-	// Pipelined: strand workers, pooled block buffers.
-	penc, err := entangle.NewEncoder(params, cfg.blockSize)
-	if err != nil {
-		return err
-	}
-	fill := func(_ int, buf []byte) { copy(buf, data) }
-	start = time.Now()
-	if _, err := pipeline.EncodePooled(context.Background(), penc, cfg.blocks, fill, pipeline.NullSink{}, pool, pipeline.Options{}); err != nil {
-		return err
-	}
-	pip := time.Since(start)
-	fmt.Printf("  sequential: %8.1f MB/s (%v)\n", mbps(seq), seq.Round(time.Millisecond))
-	fmt.Printf("  pipelined:  %8.1f MB/s (%v)  speedup %.2fx\n", mbps(pip), pip.Round(time.Millisecond), seq.Seconds()/pip.Seconds())
-	record(benchfmt.Result{Experiment: "encode", Name: "sequential",
-		NsPerOp: float64(seq.Nanoseconds()) / float64(cfg.blocks), MBps: mbps(seq)})
-	record(benchfmt.Result{Experiment: "encode", Name: "pipelined",
-		NsPerOp: float64(pip.Nanoseconds()) / float64(cfg.blocks), MBps: mbps(pip)})
-
-	return nil
-}
-
-// repairBench covers the repair engine: whole-lattice round latency and
-// repair bandwidth (bytes moved per repaired block, tuple-scoped vs
-// round-based).
-func repairBench() error {
-	if err := repairRoundBench(); err != nil {
-		return err
-	}
-	return repairBandwidthBench()
-}
-
-// repairRoundBench times one whole-lattice repair, serial vs parallel
-// planning, on an AE(3,2,5) system with a 30% failure.
-func repairRoundBench() error {
-	const (
-		n         = 512
-		blockSize = 64 << 10
-	)
-	params := lattice.Params{Alpha: 3, S: 2, P: 5}
-	rng := rand.New(rand.NewSource(7))
-	build := func() (*entangle.MemoryStore, error) {
-		enc, err := entangle.NewEncoder(params, blockSize)
-		if err != nil {
-			return nil, err
-		}
-		store := entangle.NewMemoryStore(blockSize)
-		data := make([]byte, blockSize)
-		for i := 1; i <= n; i++ {
-			rng.Read(data)
-			ent, err := enc.Entangle(data)
-			if err != nil {
-				return nil, err
-			}
-			if err := store.PutData(context.Background(), ent.Index, data); err != nil {
-				return nil, err
-			}
-			for _, p := range ent.Parities {
-				if err := store.PutParity(context.Background(), p.Edge, p.Data); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return store, nil
-	}
-	damage := func(store *entangle.MemoryStore) error {
-		lat, err := lattice.New(params)
-		if err != nil {
-			return err
-		}
-		dmg := rand.New(rand.NewSource(99))
-		for i := 1; i <= n; i++ {
-			if dmg.Float64() < 0.3 {
-				store.LoseData(i)
-			}
-			for _, class := range lat.Classes() {
-				if dmg.Float64() < 0.3 {
-					e, err := lat.OutEdge(class, i)
-					if err != nil {
-						return err
-					}
-					store.LoseParity(e)
-				}
-			}
-		}
-		return nil
-	}
-	rep, err := entangle.NewRepairer(params, blockSize)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Repair round latency — %s, %d blocks of %d KiB, 30%% failures\n",
-		params, n, blockSize>>10)
-	// At GOMAXPROCS=1 the parallel setting IS the serial setting: skip it
-	// so the document never carries two results under one name.
-	workerSettings := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		workerSettings = append(workerSettings, n)
-	}
-	for _, workers := range workerSettings {
-		store, err := build()
-		if err != nil {
-			return err
-		}
-		if err := damage(store); err != nil {
-			return err
-		}
-		start := time.Now()
-		stats, err := rep.Repair(context.Background(), store, entangle.Options{Workers: workers})
-		if err != nil {
-			return err
-		}
-		elapsed := time.Since(start)
-		fmt.Printf("  workers=%-2d %v for %d rounds (%d data + %d parity repairs)\n",
-			workers, elapsed.Round(time.Millisecond), stats.Rounds,
-			stats.DataRepaired, stats.ParityRepaired)
-		repairs := stats.DataRepaired + stats.ParityRepaired
-		if repairs > 0 {
-			record(benchfmt.Result{Experiment: "repair", Name: fmt.Sprintf("workers=%d", workers),
-				NsPerOp: float64(elapsed.Nanoseconds()) / float64(repairs),
-				MBps:    float64(repairs) * blockSize / (1 << 20) / elapsed.Seconds(),
-				WallNs:  elapsed.Nanoseconds()})
-		}
-	}
-	return nil
-}
-
-// repairBandwidthBench measures bytes moved per repaired block over
-// identical data-only damage. Its two keys are one engine seeded two
-// ways: "tuple" hands it the lost blocks as Options.Targets (the
-// maintenance scheduler's healing path), "round" lets it enumerate the
-// store. Both should sit near two block reads per repair — the engine
-// fetches only the tuple it chose for each missing block.
-func repairBandwidthBench() error {
-	const (
-		n         = 512
-		blockSize = 64 << 10
-	)
-	params := lattice.Params{Alpha: 3, S: 2, P: 5}
-	build := func() (*entangle.MemoryStore, []store.Ref, error) {
-		enc, err := entangle.NewEncoder(params, blockSize)
-		if err != nil {
-			return nil, nil, err
-		}
-		st := entangle.NewMemoryStore(blockSize)
-		rng := rand.New(rand.NewSource(7))
-		data := make([]byte, blockSize)
-		for i := 1; i <= n; i++ {
-			rng.Read(data)
-			ent, err := enc.Entangle(data)
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := st.PutData(context.Background(), ent.Index, data); err != nil {
-				return nil, nil, err
-			}
-			for _, p := range ent.Parities {
-				if err := st.PutParity(context.Background(), p.Edge, p.Data); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		// Data-only damage keeps every repair a single surviving tuple
-		// away, so both paths repair the same block set and the ratio
-		// isolates traffic, not repairability.
-		dmg := rand.New(rand.NewSource(99))
-		var lost []store.Ref
-		for i := 1; i <= n; i++ {
-			if dmg.Float64() < 0.15 {
-				st.LoseData(i)
-				lost = append(lost, store.DataRef(i))
-			}
-		}
-		return st, lost, nil
-	}
-	rep, err := entangle.NewRepairer(params, blockSize)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Repair bandwidth — %s, %d blocks of %d KiB, 15%% data-only failures\n",
-		params, n, blockSize>>10)
-	measure := func(name string, targeted bool) error {
-		st, lost, err := build()
-		if err != nil {
-			return err
-		}
-		var opts entangle.Options
-		if targeted {
-			opts.Targets = lost
-		}
-		start := time.Now()
-		stats, err := rep.Repair(context.Background(), st, opts)
-		if err != nil {
-			return err
-		}
-		elapsed := time.Since(start)
-		repairs := stats.DataRepaired + stats.ParityRepaired
-		if repairs == 0 {
-			return fmt.Errorf("repair bandwidth (%s): nothing repaired", name)
-		}
-		perBlock := float64(stats.BytesRead) / float64(repairs)
-		fmt.Printf("  %-6s %6.2f blocks read per repair (%d repairs, %.1f MiB moved, %v)\n",
-			name, perBlock/blockSize, repairs, float64(stats.BytesRead)/(1<<20),
-			elapsed.Round(time.Millisecond))
-		record(benchfmt.Result{Experiment: "repair", Name: name,
-			NsPerOp:    float64(elapsed.Nanoseconds()) / float64(repairs),
-			BytesBlock: &perBlock, WallNs: elapsed.Nanoseconds()})
-		return nil
-	}
-	if err := measure("tuple", true); err != nil {
-		return err
-	}
-	return measure("round", false)
 }
 
 func ablations(cfg sim.Config) error {

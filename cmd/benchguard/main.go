@@ -1,48 +1,44 @@
-// Command benchguard compares an `aebench -json` run against a
-// committed baseline and reports throughput regressions. It is the CI
-// benchmark guard: shared runners are noisy, so by default it only
-// warns (exit 0) and leaves failing the build to a human; -strict turns
-// regressions into a non-zero exit for controlled environments.
+// Command benchguard compares a `go test -bench` run against a committed
+// baseline and reports regressions. It is the CI benchmark guard:
+// shared runners are noisy, so by default it only warns (exit 0) and
+// leaves failing the build to a human; -strict turns regressions into a
+// non-zero exit for controlled environments.
 //
 // Usage:
 //
-//	aebench -exp encode -json > current.json
-//	benchguard -baseline BENCH_2026-07-28.json -current current.json
-//	benchguard -baseline BENCH_*.json -current current.json -tolerance 0.5 -github
+//	go test -run '^$' -bench "$GUARDED_BENCH" -cpu 1,2 ./... > current.txt
+//	benchguard -baseline BENCH.txt -current current.txt -tolerance 0.5 -github
 //
-// Measurements are matched by (experiment, name, gomaxprocs) — the
-// parallelism rides in the key as "@procs=N", so a 2-proc run is never
-// compared against a 1-proc baseline; when either file carries several
-// samples for one key (e.g. repeated repair runs) the best wins, which
-// filters scheduler noise in the direction that avoids false alarms.
-// Throughput measurements (mb_s present) compare as MB/s, best =
-// highest, and regress when the current value drops below baseline ×
-// (1 - tolerance). Latency-style measurements (ns_per_op only — routing
-// lookups, heartbeat round-trips, stat frames) compare as ns/op under a
-// "(ns/op)"-suffixed key, best = lowest, and regress when the current
-// value rises above baseline ÷ (1 - tolerance) — the same relative
-// change, mirrored. Copy-budget measurements (bytes_block present)
-// compare the same lower-is-better way under a "(bytes/block)" suffix;
-// a zero baseline tolerates nothing — any copy appearing on a zero-copy
-// path is a regression. Tail-latency measurements (p99_ns / p999_ns
-// present) also compare lower-is-better, under "(p99 ns)" / "(p999 ns)"
-// suffixes: an operation can hold its MB/s while its tail collapses,
-// and the tail is guarded separately so the average cannot hide it.
-// Entries present only in the current
-// run are informational; entries present only in the baseline mean the
-// guard is blind to a committed metric (e.g. a renamed experiment), so
-// they are annotated and fail a -strict run. -github renders findings
-// as GitHub Actions workflow annotations.
+// Every value a benchmark line reports is one measurement, keyed by the
+// package (from the `pkg:` line above it), the benchmark name with go's
+// -N GOMAXPROCS suffix, and the unit:
+// "aecodes/internal/obs.BenchmarkRecordParallel-2 (ns/op)". So a 2-proc
+// run is never compared against a 1-proc baseline, and a unit change
+// surfaces as a coverage hole, never a cross-unit comparison. When
+// either file carries several samples for one key (-count repeats) the
+// best wins, which filters scheduler noise in the direction that avoids
+// false alarms.
+//
+// MB/s is higher-is-better and regresses when it drops below baseline ×
+// (1 - tolerance). Every other unit (ns/op, p99-ns, B/op, allocs/op,
+// read-blocks/repair, ...) is lower-is-better and regresses when it
+// rises above baseline ÷ (1 - tolerance), the same relative change
+// mirrored; so a zero baseline tolerates no rise at all. Keys present
+// only in the current run are informational; keys present only in the
+// baseline mean the guard is blind to a committed measurement (e.g. a
+// renamed benchmark), so they are annotated and fail a -strict run.
+// -github renders findings as GitHub Actions workflow annotations.
 package main
 
 import (
-	"encoding/json"
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
-
-	"aecodes/internal/benchfmt"
+	"strconv"
+	"strings"
 )
 
 // finding is one compared measurement.
@@ -51,9 +47,7 @@ type finding struct {
 	Baseline   float64
 	Current    float64
 	Regression bool
-	// LowerBetter marks ns/op and bytes/block measurements, where a rise
-	// regresses; MB/s measurements use the default higher-is-better
-	// direction.
+	// LowerBetter marks every unit but MB/s, where a rise regresses.
 	LowerBetter bool
 	// Unit names the measurement unit for reports.
 	Unit string
@@ -66,69 +60,45 @@ type metric struct {
 	unit        string
 }
 
-// bestByKey folds a document into the best sample per (experiment,
-// name, gomaxprocs): highest MB/s for throughput entries, lowest ns/op
-// for latency-only entries, lowest bytes/block for copy-budget entries
-// (the latter two keyed with a unit suffix so a unit change surfaces as
-// a coverage hole, never a nonsense comparison). Results carry their
-// GOMAXPROCS in the key as "@procs=N" — aebench -cpu measures several
-// parallelism levels in one document, and a 2-proc run must never be
-// compared against a 1-proc baseline; results without the per-result
-// field (older documents) inherit the document-level value. Entries
-// with no figure at all (wall-time-only records) are dropped.
-func bestByKey(doc benchfmt.Document) map[string]metric {
+// bestByKey folds `go test -bench` output into the best sample per key:
+// highest MB/s, lowest anything else. Lines that are not benchmark
+// results (headers, PASS, ok, a benchmark's own prints) are skipped.
+func bestByKey(r io.Reader) (map[string]metric, error) {
 	best := make(map[string]metric)
-	for _, r := range doc.Results {
-		key := r.Experiment + "/" + r.Name
-		procs := r.GoMaxProcs
-		if procs == 0 {
-			procs = doc.GoMaxProcs
+	pkg := ""
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := sc.Text()
+		if p, ok := strings.CutPrefix(line, "pkg: "); ok {
+			pkg = strings.TrimSpace(p)
+			continue
 		}
-		if procs > 0 {
-			key += fmt.Sprintf("@procs=%d", procs)
+		f := strings.Fields(line)
+		if len(f) < 4 || len(f)%2 != 0 || !strings.HasPrefix(f[0], "Benchmark") {
+			continue
 		}
-		if r.BytesBlock != nil {
-			bk := key + " (bytes/block)"
-			if m, ok := best[bk]; !ok || *r.BytesBlock < m.value {
-				best[bk] = metric{value: *r.BytesBlock, lowerBetter: true, unit: "bytes/block"}
+		if _, err := strconv.ParseInt(f[1], 10, 64); err != nil {
+			continue
+		}
+		for i := 2; i < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				break
 			}
-		}
-		// Tail latencies guard lower-is-better under their own unit
-		// suffixes, alongside whatever throughput figure the result
-		// carries: an op can keep its MB/s while its p99 collapses, and
-		// that collapse must not hide behind the average.
-		if r.P99Ns > 0 {
-			pk := key + " (p99 ns)"
-			if m, ok := best[pk]; !ok || r.P99Ns < m.value {
-				best[pk] = metric{value: r.P99Ns, lowerBetter: true, unit: "p99 ns"}
-			}
-		}
-		if r.P999Ns > 0 {
-			pk := key + " (p999 ns)"
-			if m, ok := best[pk]; !ok || r.P999Ns < m.value {
-				best[pk] = metric{value: r.P999Ns, lowerBetter: true, unit: "p999 ns"}
-			}
-		}
-		switch {
-		case r.MBps > 0:
-			if m, ok := best[key]; !ok || r.MBps > m.value {
-				best[key] = metric{value: r.MBps, unit: "MB/s"}
-			}
-		case r.NsPerOp > 0:
-			key += " (ns/op)"
-			if m, ok := best[key]; !ok || r.NsPerOp < m.value {
-				best[key] = metric{value: r.NsPerOp, lowerBetter: true, unit: "ns/op"}
+			m := metric{value: v, lowerBetter: f[i+1] != "MB/s", unit: f[i+1]}
+			key := fmt.Sprintf("%s.%s (%s)", pkg, f[0], m.unit)
+			if old, ok := best[key]; !ok || (m.lowerBetter && v < old.value) || (!m.lowerBetter && v > old.value) {
+				best[key] = m
 			}
 		}
 	}
-	return best
+	return best, sc.Err()
 }
 
 // regressed applies the tolerance in the metric's direction: MB/s may
-// drop to baseline × (1 - tolerance), ns/op may rise to the mirrored
-// baseline ÷ (1 - tolerance). A lower-is-better baseline of zero (a
-// zero-copy bytes/block entry) gets no headroom at all: any copy
-// appearing on a path that had none is a regression.
+// drop to baseline × (1 - tolerance), anything else may rise to the
+// mirrored baseline ÷ (1 - tolerance). A lower-is-better baseline of
+// zero (no allocations, say) gets no headroom at all.
 func regressed(baseline, current metric, tolerance float64) bool {
 	if baseline.lowerBetter {
 		return current.value > baseline.value/(1-tolerance)
@@ -139,9 +109,7 @@ func regressed(baseline, current metric, tolerance float64) bool {
 // compare evaluates current against baseline with the given relative
 // tolerance, returning per-key findings sorted by key plus the keys
 // present on only one side.
-func compare(baseline, current benchfmt.Document, tolerance float64) (findings []finding, onlyBaseline, onlyCurrent []string) {
-	base := bestByKey(baseline)
-	cur := bestByKey(current)
+func compare(base, cur map[string]metric, tolerance float64) (findings []finding, onlyBaseline, onlyCurrent []string) {
 	for key, b := range base {
 		c, ok := cur[key]
 		if !ok {
@@ -168,23 +136,24 @@ func compare(baseline, current benchfmt.Document, tolerance float64) (findings [
 	return findings, onlyBaseline, onlyCurrent
 }
 
-func readDocument(path string) (benchfmt.Document, error) {
-	raw, err := os.ReadFile(path)
+func readRun(path string) (map[string]metric, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return benchfmt.Document{}, err
+		return nil, err
 	}
-	var doc benchfmt.Document
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return benchfmt.Document{}, fmt.Errorf("parsing %s: %w", path, err)
+	defer f.Close()
+	best, err := bestByKey(f)
+	if err != nil {
+		return nil, fmt.Errorf("reading %s: %w", path, err)
 	}
-	return doc, nil
+	return best, nil
 }
 
 func main() {
 	var (
-		baselinePath = flag.String("baseline", "", "committed aebench -json baseline")
-		currentPath  = flag.String("current", "", "fresh aebench -json run to check")
-		tolerance    = flag.Float64("tolerance", 0.5, "allowed relative MB/s drop before a measurement counts as a regression")
+		baselinePath = flag.String("baseline", "", "committed go test -bench output")
+		currentPath  = flag.String("current", "", "fresh go test -bench output to check")
+		tolerance    = flag.Float64("tolerance", 0.5, "allowed relative change in the worse direction before a measurement counts as a regression")
 		github       = flag.Bool("github", false, "emit GitHub Actions ::warning:: / ::error:: annotations")
 		strict       = flag.Bool("strict", false, "exit 1 on regression instead of warning only")
 	)
@@ -197,12 +166,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchguard: -tolerance must be in [0, 1)")
 		os.Exit(2)
 	}
-	baseline, err := readDocument(*baselinePath)
+	baseline, err := readRun(*baselinePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchguard:", err)
 		os.Exit(2)
 	}
-	current, err := readDocument(*currentPath)
+	current, err := readRun(*currentPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchguard:", err)
 		os.Exit(2)
@@ -210,20 +179,20 @@ func main() {
 
 	findings, onlyBaseline, onlyCurrent := compare(baseline, current, *tolerance)
 	regressions := 0
-	fmt.Printf("benchguard: baseline %s (%s) vs current (%s), tolerance %.0f%%\n",
-		*baselinePath, orUnknown(baseline.Timestamp), orUnknown(current.Timestamp), *tolerance*100)
+	fmt.Printf("benchguard: baseline %s vs current %s, tolerance %.0f%%\n",
+		*baselinePath, *currentPath, *tolerance*100)
 	for _, f := range findings {
 		verdict := "ok"
 		if f.Regression {
 			verdict = "REGRESSION"
 			regressions++
 		}
-		delta := "n/a" // a zero baseline (zero-copy bytes/block) has no relative change
+		delta := "n/a" // a zero baseline has no relative change
 		if f.Baseline != 0 {
 			delta = fmt.Sprintf("%+.1f%%", (f.Current/f.Baseline-1)*100)
 		}
-		fmt.Printf("  %-44s baseline %11.1f %s  current %11.1f %s  (%s)  %s\n",
-			f.Key, f.Baseline, f.Unit, f.Current, f.Unit, delta, verdict)
+		fmt.Printf("  %-72s baseline %13.2f  current %13.2f  (%s)  %s\n",
+			f.Key, f.Baseline, f.Current, delta, verdict)
 		if f.Regression && *github {
 			// Warn-only runs annotate as warnings; under -strict the job
 			// will fail, so the annotation matches at error level.
@@ -235,35 +204,28 @@ func main() {
 			if f.LowerBetter {
 				worsened = "rose"
 			}
-			fmt.Printf("::%s title=Benchmark regression::%s %s to %.1f %s (baseline %.1f %s, tolerance %.0f%%)\n",
+			fmt.Printf("::%s title=Benchmark regression::%s %s to %.2f %s (baseline %.2f %s, tolerance %.0f%%)\n",
 				level, f.Key, worsened, f.Current, f.Unit, f.Baseline, f.Unit, *tolerance*100)
 		}
 	}
-	// A baseline metric the current run never measured is a hole in the
-	// guard (a renamed experiment would silently go unwatched), so it is
+	// A baseline measurement the current run never made is a hole in the
+	// guard (a renamed benchmark would silently go unwatched), so it is
 	// annotated like a regression and fails a -strict run.
 	for _, key := range onlyBaseline {
-		fmt.Printf("  %-44s in baseline only (experiment not run)\n", key)
+		fmt.Printf("  %-72s in baseline only (benchmark not run)\n", key)
 		if *github {
-			fmt.Printf("::warning title=Benchmark coverage::baseline metric %s was not measured by this run — regression guard is blind to it\n", key)
+			fmt.Printf("::warning title=Benchmark coverage::baseline measurement %s was not made by this run — regression guard is blind to it\n", key)
 		}
 	}
 	for _, key := range onlyCurrent {
-		fmt.Printf("  %-44s new measurement (no baseline)\n", key)
+		fmt.Printf("  %-72s new measurement (no baseline)\n", key)
 	}
 	if regressions == 0 && len(onlyBaseline) == 0 {
 		fmt.Println("benchguard: no regressions")
 		return
 	}
-	fmt.Printf("benchguard: %d regression(s), %d unmeasured baseline metric(s)\n", regressions, len(onlyBaseline))
+	fmt.Printf("benchguard: %d regression(s), %d unmeasured baseline measurement(s)\n", regressions, len(onlyBaseline))
 	if *strict {
 		os.Exit(1)
 	}
-}
-
-func orUnknown(s string) string {
-	if s == "" {
-		return "unknown"
-	}
-	return s
 }

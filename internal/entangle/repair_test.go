@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"aecodes/internal/lattice"
+	"aecodes/internal/store"
 )
 
 // mustRepairer returns a repairer for the small blocks (at most 1 KiB)
@@ -526,4 +527,60 @@ func buildSystemQuick(params lattice.Params, n, blockSize int, seed int64) (*Mem
 		}
 	}
 	return store, originals
+}
+
+// BenchmarkRepairSeeds repairs the same data-only damage (15 % of 512
+// blocks of 64 KiB in an AE(3,2,5) lattice) from the engine's two seeds:
+// "targets" hands it the lost blocks as Options.Targets (the healer's
+// path), "enumerated" lets it enumerate the store's Missing. Data-only
+// damage keeps every repair one surviving tuple away, so both repair the
+// same blocks and read-blocks/repair isolates traffic: both should read
+// about two blocks per repair, the tuple each chose.
+func BenchmarkRepairSeeds(b *testing.B) {
+	const n, blockSize = 512, 64 << 10
+	params := lattice.Params{Alpha: 3, S: 2, P: 5}
+	rep, err := NewRepairer(params, blockSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, seed := range []struct {
+		name     string
+		targeted bool
+	}{{"targets", true}, {"enumerated", false}} {
+		b.Run(seed.name, func(b *testing.B) {
+			// A repair puts back exactly the data blocks it lost, so one
+			// store serves every iteration: each loses the same blocks.
+			st, _ := buildSystemQuick(params, n, blockSize, 7)
+			dmg := rand.New(rand.NewSource(99))
+			var lost []store.Ref
+			for pos := 1; pos <= n; pos++ {
+				if dmg.Float64() < 0.15 {
+					lost = append(lost, store.DataRef(pos))
+				}
+			}
+			var opts Options
+			if seed.targeted {
+				opts.Targets = lost
+			}
+			var read, repairs int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for _, ref := range lost {
+					st.LoseData(ref.Index)
+				}
+				b.StartTimer()
+				stats, err := rep.Repair(bg, st, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				read += stats.BytesRead
+				repairs += int64(stats.DataRepaired + stats.ParityRepaired)
+			}
+			if repairs == 0 {
+				b.Fatal("nothing repaired")
+			}
+			b.ReportMetric(float64(read)/blockSize/float64(repairs), "read-blocks/repair")
+		})
+	}
 }

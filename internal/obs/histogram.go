@@ -17,10 +17,10 @@ import (
 // the overflow bucket for v ≥ 2^62.
 const NumBuckets = 64
 
-// histShards is the shard count for histograms. Smaller than the
-// counter shard count: a record touches two adjacent atomics (bucket
-// and sum), so each shard is already line-private, and fewer shards
-// keep the per-histogram footprint and snapshot cost down.
+// histShards is the shard count for histograms: the counter shard count
+// capped at 8. A record touches two adjacent atomics (bucket and sum),
+// so each shard is already line-private, and fewer shards keep the
+// per-histogram footprint and snapshot cost down.
 var histShards = func() int {
 	n := numShards
 	if n > 8 {
@@ -81,7 +81,7 @@ func bucketHi(i int) float64 {
 
 // Record adds one sample.
 func (h *Histogram) Record(v int64) {
-	sh := &h.shards[shardIndex()&(len(h.shards)-1)]
+	sh := &h.shards[shardIndex(len(h.shards))]
 	sh.counts[bucketIndex(v)].Add(1)
 	sh.sum.Add(v)
 }

@@ -8,8 +8,9 @@
 // Design constraints, in order:
 //
 //  1. Hot-path cost. Counter.Add and Histogram.Record must stay cheap
-//     enough (~a few ns, ≤ ~20ns worst case; see `aebench -exp obs`)
-//     that instrumentation is always on — no sampling, no build tags.
+//     enough (~a few ns, ≤ ~20ns worst case; see this package's
+//     benchmarks) that instrumentation is always on — no sampling, no
+//     build tags.
 //     Both are one or two uncontended atomic adds on a per-P-ish
 //     shard; no locks, no maps, no string formatting. Instrumented
 //     code resolves its handles once (package init or construction)
@@ -30,6 +31,7 @@
 package obs
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -48,25 +50,28 @@ type cell struct {
 	_ [cacheLine - 8]byte
 }
 
+// maxShards caps the shard count so snapshot cost and footprint stay
+// bounded on very wide boxes.
+const maxShards = 64
+
 // numShards is the shard count for counters and gauges: the power of
-// two covering the machine's parallelism, capped so snapshot cost and
-// footprint stay bounded on very wide boxes.
+// two covering four shards per unit of the machine's parallelism,
+// capped at maxShards. The head room is for the hash: with one shard
+// per core, even a perfect hash puts two of two running goroutines on
+// one shard half the time.
 var numShards = func() int {
 	n := runtime.GOMAXPROCS(0)
 	if c := runtime.NumCPU(); c > n {
 		n = c
 	}
 	p := 1
-	for p < n {
+	for p < 4*n {
 		p <<= 1
 	}
-	if p > 64 {
-		p = 64
-	}
-	return p
+	return min(p, maxShards)
 }()
 
-// shardIndex picks the calling goroutine's shard. Go offers no
+// shardIndex picks the calling goroutine's shard among n. Go offers no
 // portable per-P identifier, so we hash the goroutine's stack address:
 // stacks live in distinct spans, so goroutines running concurrently
 // (necessarily on distinct Ps) land on different shards with high
@@ -74,9 +79,18 @@ var numShards = func() int {
 // address is used only as an integer — never dereferenced — so this is
 // safe under any GC behaviour, and a goroutine migrating or growing
 // its stack merely switches shards.
-func shardIndex() int {
+func shardIndex(n int) int {
 	var marker byte
-	return int(uintptr(unsafe.Pointer(&marker))>>10) & (numShards - 1)
+	return shardOf(uintptr(unsafe.Pointer(&marker)), n)
+}
+
+// shardOf hashes a stack address to one of n shards, n a power of two.
+// Stacks are at least 2 KiB and aligned to their size, so the bits below
+// 11 are an offset inside the stack, the same for every goroutine at the
+// same call depth: the hash drops them and mixes all the bits above
+// (multiplicative hashing, keeping the product's top log2(n) bits).
+func shardOf(addr uintptr, n int) int {
+	return int(uint64(addr>>11) * 0x9e3779b97f4a7c15 >> (64 - bits.TrailingZeros(uint(n))))
 }
 
 // A Counter is a monotonically-increasing sum, sharded across padded
@@ -89,7 +103,7 @@ func newCounter() *Counter { return &Counter{cells: make([]cell, numShards)} }
 
 // Add adds n to the counter. Negative n is legal (some callers account
 // refunds) but Value should stay ≥ 0 for the result to mean anything.
-func (c *Counter) Add(n int64) { c.cells[shardIndex()].n.Add(n) }
+func (c *Counter) Add(n int64) { c.cells[shardIndex(len(c.cells))].n.Add(n) }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
@@ -125,7 +139,7 @@ type Gauge struct {
 func newGauge() *Gauge { return &Gauge{cells: make([]cell, numShards)} }
 
 // Add adds n to the gauge (delta style).
-func (g *Gauge) Add(n int64) { g.cells[shardIndex()].n.Add(n) }
+func (g *Gauge) Add(n int64) { g.cells[shardIndex(len(g.cells))].n.Add(n) }
 
 // Sub subtracts n from the gauge (delta style).
 func (g *Gauge) Sub(n int64) { g.Add(-n) }

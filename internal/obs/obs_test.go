@@ -150,3 +150,23 @@ func TestHTTPEndpoint(t *testing.T) {
 		t.Fatal("Serve did not stop on ctx cancel")
 	}
 }
+
+// TestShardOfSpreadsStacks feeds shardOf what one variable's address is
+// in goroutines whose stacks sit side by side: consecutive bases aligned
+// to the stack size, one shared offset inside the stack, as for
+// goroutines started together and at the same call depth. At every
+// shard count numShards can take, every shard must be hit.
+func TestShardOfSpreadsStacks(t *testing.T) {
+	const base, depth = 0x38400000, 0x2c8
+	for _, stack := range []uintptr{2 << 10, 8 << 10, 32 << 10} {
+		for n := 2; n <= maxShards; n <<= 1 {
+			hit := make(map[int]bool)
+			for i := uintptr(0); i < 16*uintptr(n); i++ {
+				hit[shardOf(base+(i+1)*stack-depth, n)] = true
+			}
+			if len(hit) != n {
+				t.Errorf("%d KiB stacks, %d shards: %d stacks hit only %d shards", stack>>10, n, 16*n, len(hit))
+			}
+		}
+	}
+}

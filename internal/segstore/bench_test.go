@@ -3,8 +3,11 @@ package segstore_test
 import (
 	"fmt"
 	"math"
+	"os"
 	"testing"
+	"time"
 
+	"aecodes/internal/obs"
 	"aecodes/internal/segstore"
 	"aecodes/internal/store"
 )
@@ -137,6 +140,61 @@ func BenchmarkAppendAcrossRotations(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPutBatch appends batches of 128 fresh keys of 64 KiB: a
+// durable node's PutMany, a repair round's commit. p99-ns and p999-ns
+// are per-batch tails from an obs histogram. Every 16 batches (128 MiB)
+// the store is replaced by a fresh one outside the timer, so the
+// benchmark's disk use stays bounded.
+func BenchmarkPutBatch(b *testing.B) {
+	const (
+		blocks, recSize = 128, 64 << 10
+		perStore        = 16
+	)
+	data := bulkItems(recSize, blocks*recSize)
+	batches := make([][]store.KV, perStore)
+	for n := range batches {
+		batches[n] = make([]store.KV, blocks)
+		for i, it := range data {
+			batches[n][i] = store.KV{Key: fmt.Sprintf("b%02d-%s", n, it.Key), Data: it.Data}
+		}
+	}
+	dir := b.TempDir()
+	var s *segstore.Store
+	lat := obs.NewHistogram()
+	b.SetBytes(blocks * recSize)
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if n%perStore == 0 {
+			b.StopTimer()
+			if s != nil {
+				if err := s.Close(); err != nil {
+					b.Fatal(err)
+				}
+				if err := os.RemoveAll(dir); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var err error
+			if s, err = segstore.Open(dir, segstore.Options{}); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		start := time.Now()
+		if err := s.PutBatch(batches[n%perStore]); err != nil {
+			b.Fatal(err)
+		}
+		lat.Record(time.Since(start).Nanoseconds())
+	}
+	b.StopTimer()
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	snap := lat.Snapshot()
+	b.ReportMetric(snap.P99(), "p99-ns")
+	b.ReportMetric(snap.P999(), "p999-ns")
 }
 
 // BenchmarkOpen reopens a log of 16 sealed segments of 4 MiB, written in

@@ -416,6 +416,30 @@ func TestReadBatchAllocatesNoRecordBuffers(t *testing.T) {
 	}
 }
 
+// TestPutBatchCopiedBytes pins PutBatch's copy budget, read from
+// hotpath/copied_bytes around the call: where writevAt hands the
+// caller's slices to pwritev the batch copies no payload byte; the
+// staging fallback of other platforms copies each block at most once.
+func TestPutBatchCopiedBytes(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{})
+	items := make([]store.KV, 128)
+	for i := range items {
+		items[i] = store.KV{Key: fmt.Sprintf("blk-%03d", i), Data: make([]byte, 64<<10)}
+	}
+	copied := obs.Default.Scope("hotpath").Counter("copied_bytes")
+	before := copied.Value()
+	if err := s.PutBatch(items); err != nil {
+		t.Fatal(err)
+	}
+	got, budget := copied.Value()-before, int64(0)
+	if writevCopies {
+		budget = int64(len(items)) << 16
+	}
+	if got > budget {
+		t.Errorf("PutBatch of %d blocks of 64 KiB copied %d bytes, budget %d", len(items), got, budget)
+	}
+}
+
 // measureAllocs runs fn once to warm the pools, then reports the objects
 // one call allocates and the bytes it allocates on average over ten
 // calls — both with one P, so every call meets the pool slot the last

@@ -53,8 +53,8 @@ var (
 	// the number the zero-copy frame path exists to keep at zero. Only
 	// deliberate copies count — a store copying on put (store.Mem), a
 	// staging fallback before a write — never kernel-side socket or
-	// page-cache transfers. store resolves the same counter; aebench
-	// reports it per block moved.
+	// page-cache transfers. store resolves the same counter;
+	// TestPutBatchCopiedBytes holds PutBatch's share to its budget.
 	obsCopiedBytes = obs.Default.Scope("hotpath").Counter("copied_bytes")
 
 	// Durability: one sample per fsync of a segment file, wherever it

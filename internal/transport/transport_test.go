@@ -15,7 +15,7 @@ import (
 
 // startServer returns a ready server, its address, and a cleanup-registered
 // client factory.
-func startServer(t *testing.T) (*store.Mem, string) {
+func startServer(t testing.TB) (*store.Mem, string) {
 	t.Helper()
 	st := store.NewMem()
 	srv, err := NewServer(st)
@@ -31,7 +31,7 @@ func startServer(t *testing.T) (*store.Mem, string) {
 }
 
 // dial connects a pool of one: a single connection, requests in order.
-func dial(t *testing.T, addr string) *PoolClient {
+func dial(t testing.TB, addr string) *PoolClient {
 	t.Helper()
 	c, err := DialPool(addr, 1)
 	if err != nil {
