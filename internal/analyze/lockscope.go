@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/types"
 	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -15,16 +16,24 @@ import (
 //	backing Keyed    // write-guarded by mu
 //
 // "guarded by" means every use needs the lock (RLock suffices for
-// reads, writes need the write lock). "write-guarded by" is for
+// reads, writes need the write lock). A field may name several locks,
+// "guarded by amu and mu": it is written holding all of them, so any
+// one of them admits a read, and a write needs every one, each as a
+// write lock. "write-guarded by" is for
 // backing-store handles whose mutating calls (Put*, Del*, Set*) must
 // stay atomic with bookkeeping under the lock, while reads may run
 // outside it — the tenant registry's charge-then-write protocol.
 //
 // Methods named *Locked are assumed to run with the receiver's
 // annotated locks held; calling one without holding the lock is itself
-// a violation. Finally, calling (*os.File).Sync while holding a mutex
-// belonging to a DIFFERENT object stalls that object's lock for a disk
-// flush it does not own — the fsync-under-foreign-lock rule.
+// a violation. A struct with more than one lock may have *Locked
+// methods that need only some: the method's doc comment names them,
+// "Callers hold amu" or "Callers hold amu and mu", and the names that
+// are locks of the receiver are the ones it runs with and its callers
+// must hold. A doc comment that names none means all of them. Finally,
+// calling (*os.File).Sync while holding a mutex belonging to a
+// DIFFERENT object stalls that object's lock for a disk flush it does
+// not own — the fsync-under-foreign-lock rule.
 var LockScope = &Analyzer{
 	Name: "lockscope",
 	Doc:  "flags uses of lock-guarded fields outside the owning mutex, unlocked *Locked calls, and fsync under a foreign lock",
@@ -34,12 +43,16 @@ var LockScope = &Analyzer{
 // guardRE recognises the annotation as a standalone clause of the field
 // comment, so prose can precede ("oldest first; guarded by mu") or
 // follow ("write-guarded by mu: must stay atomic with accounting") it.
-var guardRE = regexp.MustCompile(`(?:^|;\s*)(write-)?guarded by ([A-Za-z_][A-Za-z0-9_]*)(?:$|[;:.,])`)
+var guardRE = regexp.MustCompile(`(?:^|;\s*)(write-)?guarded by ([A-Za-z_][A-Za-z0-9_]*(?: and [A-Za-z_][A-Za-z0-9_]*)*)(?:$|[;:.,])`)
+
+// holdRE finds the locks a *Locked method's doc comment names: "Callers
+// hold amu", "Callers hold s.mu", "Callers hold amu and mu".
+var holdRE = regexp.MustCompile(`Callers\s+hold\s+((?:\w+\.)?\w+(?:\s+and\s+(?:\w+\.)?\w+)*)`)
 
 // guardInfo describes one annotated field.
 type guardInfo struct {
-	mutex     string // sibling mutex field name
-	writeOnly bool   // write-guarded: only mutating calls need the lock
+	mutexes   []string // sibling mutex field names
+	writeOnly bool     // write-guarded: only mutating calls need the lock
 }
 
 // lockKey identifies a mutex instance as seen from one function: the
@@ -68,19 +81,20 @@ func runLockScope(pass *Pass) error {
 	if len(guards.fields) == 0 {
 		return nil
 	}
+	needs := collectNeeds(pass, guards)
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			lw := &lockWalker{pass: pass, guards: guards}
+			lw := &lockWalker{pass: pass, guards: guards, needs: needs}
 			held := make(map[lockKey]lockMode)
 			// A *Locked method documents "caller holds the lock": seed
-			// the receiver's annotated mutexes as held.
+			// the locks it needs as held.
 			if strings.HasSuffix(fd.Name.Name, "Locked") {
 				if recv := funcRecv(pass.Pkg.Info, fd); recv != nil {
-					for _, mu := range guards.mutexesOf(namedOf(recv.Type())) {
+					for _, mu := range lw.lockedNeeds(pass.Pkg.Info.Defs[fd.Name], namedOf(recv.Type())) {
 						held[lockKey{root: recv, path: mu}] = modeWrite
 					}
 				}
@@ -138,9 +152,11 @@ func collectGuards(pass *Pass) guardSet {
 						g.fields[obj] = info
 					}
 				}
-				if !seen[info.mutex] {
-					seen[info.mutex] = true
-					g.structMutexes[typeObj] = append(g.structMutexes[typeObj], info.mutex)
+				for _, mu := range info.mutexes {
+					if !seen[mu] {
+						seen[mu] = true
+						g.structMutexes[typeObj] = append(g.structMutexes[typeObj], mu)
+					}
 				}
 			}
 			return true
@@ -159,16 +175,60 @@ func fieldGuard(field *ast.Field) (guardInfo, bool) {
 		for _, c := range cg.List {
 			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
 			if m := guardRE.FindStringSubmatch(text); m != nil {
-				return guardInfo{mutex: m[2], writeOnly: m[1] != ""}, true
+				return guardInfo{mutexes: strings.Split(m[2], " and "), writeOnly: m[1] != ""}, true
 			}
 		}
 	}
 	return guardInfo{}, false
 }
 
+// collectNeeds maps each *Locked method whose doc comment names some of
+// its receiver's locks to those locks. A method it leaves out needs all
+// of them.
+func collectNeeds(pass *Pass, g guardSet) map[types.Object][]string {
+	needs := make(map[types.Object][]string)
+	for _, f := range pass.Pkg.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Doc == nil || !strings.HasSuffix(fd.Name.Name, "Locked") {
+				continue
+			}
+			recv := funcRecv(pass.Pkg.Info, fd)
+			if recv == nil {
+				continue
+			}
+			all := g.mutexesOf(namedOf(recv.Type()))
+			var named []string
+			for _, m := range holdRE.FindAllStringSubmatch(fd.Doc.Text(), -1) {
+				for _, name := range strings.Fields(m[1]) {
+					name = name[strings.LastIndex(name, ".")+1:] // "and" is never a lock of the receiver
+					if slices.Contains(all, name) && !slices.Contains(named, name) {
+						named = append(named, name)
+					}
+				}
+			}
+			if obj := pass.Pkg.Info.Defs[fd.Name]; obj != nil && len(named) > 0 {
+				needs[obj] = named
+			}
+		}
+	}
+	return needs
+}
+
 type lockWalker struct {
 	pass   *Pass
 	guards guardSet
+	needs  map[types.Object][]string
+}
+
+// lockedNeeds is the locks the *Locked method fn of a receiver of type
+// named runs with: those its doc comment names, or all of the
+// receiver's.
+func (lw *lockWalker) lockedNeeds(fn types.Object, named *types.Named) []string {
+	if n, ok := lw.needs[fn]; ok {
+		return n
+	}
+	return lw.guards.mutexesOf(named)
 }
 
 // stmts walks a statement list in source order, threading the held-lock
@@ -448,21 +508,28 @@ func (lw *lockWalker) checkFieldUse(sel *ast.SelectorExpr, held map[lockKey]lock
 	if !guarded || info.writeOnly {
 		return // write-guarded fields are checked at call sites
 	}
-	key, ok := lw.guardKey(sel.X, info.mutex)
-	if !ok {
+	name := selection.Obj().Name()
+	if !write {
+		// A read needs any one of the locks.
+		for _, mu := range info.mutexes {
+			if key, ok := lw.guardKey(sel.X, mu); !ok || held[key] != 0 {
+				return
+			}
+		}
+		lw.pass.Reportf(sel.Pos(), "read of guarded field %s without holding %s", name, strings.Join(info.mutexes, " or "))
 		return
 	}
-	mode := held[key]
-	if mode == 0 || (write && mode != modeWrite) {
-		verb := "read of"
-		need := info.mutex
-		if write {
-			verb = "write to"
+	// A write needs every one, as a write lock.
+	for _, mu := range info.mutexes {
+		key, ok := lw.guardKey(sel.X, mu)
+		if !ok || held[key] == modeWrite {
+			continue
 		}
-		if mode == modeRead {
+		need := mu
+		if held[key] == modeRead {
 			need += " (write lock; only RLock is held)"
 		}
-		lw.pass.Reportf(sel.Pos(), "%s guarded field %s without holding %s", verb, selection.Obj().Name(), need)
+		lw.pass.Reportf(sel.Pos(), "write to guarded field %s without holding %s", name, need)
 	}
 }
 
@@ -478,22 +545,20 @@ func (lw *lockWalker) checkCall(call *ast.CallExpr, held map[lockKey]lockMode) {
 	if inner, ok := sel.X.(*ast.SelectorExpr); ok && mutatingCalls[sel.Sel.Name] {
 		if selection, ok := lw.pass.Pkg.Info.Selections[inner]; ok && selection.Kind() == types.FieldVal {
 			if info, guarded := lw.guards.fields[selection.Obj()]; guarded && info.writeOnly {
-				if key, ok := lw.guardKey(inner.X, info.mutex); ok {
-					if held[key] != modeWrite {
-						lw.pass.Reportf(call.Pos(), "%s on write-guarded field %s without holding %s: the mutation is no longer atomic with the bookkeeping the lock protects", sel.Sel.Name, selection.Obj().Name(), info.mutex)
+				for _, mu := range info.mutexes {
+					if key, ok := lw.guardKey(inner.X, mu); ok && held[key] != modeWrite {
+						lw.pass.Reportf(call.Pos(), "%s on write-guarded field %s without holding %s: the mutation is no longer atomic with the bookkeeping the lock protects", sel.Sel.Name, selection.Obj().Name(), mu)
 					}
 				}
 			}
 		}
 	}
-	// Rule: calling a *Locked method without the receiver's locks.
+	// Rule: calling a *Locked method without the locks it needs.
 	if strings.HasSuffix(sel.Sel.Name, "Locked") {
 		if tv, ok := lw.pass.Pkg.Info.Types[sel.X]; ok {
-			if mutexes := lw.guards.mutexesOf(namedOf(tv.Type)); len(mutexes) > 0 {
-				for _, mu := range mutexes {
-					if key, ok := lw.guardKey(sel.X, mu); ok && held[key] == 0 {
-						lw.pass.Reportf(call.Pos(), "call to %s without holding %s: *Locked methods assume the caller locked", sel.Sel.Name, mu)
-					}
+			for _, mu := range lw.lockedNeeds(lw.pass.Pkg.Info.Uses[sel.Sel], namedOf(tv.Type)) {
+				if key, ok := lw.guardKey(sel.X, mu); ok && held[key] == 0 {
+					lw.pass.Reportf(call.Pos(), "call to %s without holding %s: *Locked methods assume the caller locked", sel.Sel.Name, mu)
 				}
 			}
 		}

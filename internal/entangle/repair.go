@@ -252,17 +252,23 @@ func (s Stats) DataLoss() int { return len(s.UnrepairedData) }
 // that set minus what the engine has committed since. A round picks, for
 // each missing block, the first repair tuple none of whose members is in
 // the set — the paper's two reads per repaired block — and runs the plan
-// in windows, one after another, each holding at most 32 MiB of fetched
-// and rebuilt blocks. A window fetches with one GetMany the chosen tuple
-// members no earlier window fetched, XORs its repairs, commits them with
-// a single PutMany and hands back (store.Release) every block no later
-// window reads. A round's memory is thus bounded whatever was lost, and a
-// round that fits one window moves in one GetMany and one PutMany: a
-// batch-native store moves it in a constant number of requests per
-// storage location. No round writes a block one of its tuples reads, so
-// its windows read exactly what one fetch of the whole plan would: every
-// worker reads the pre-round state, whatever the worker count or the
-// cut.
+// in windows that together hold at most 32 MiB of fetched and rebuilt
+// blocks. A window fetches with one GetMany the chosen tuple members no
+// earlier window fetched, XORs its repairs, commits them with a single
+// PutMany and hands back (store.Release) every block no later window
+// reads. A round that fits one window runs it so, in line: one GetMany
+// and one PutMany, which a batch-native store moves in a constant number
+// of requests per storage location. A round that needs more windows is
+// cut at half the bound and runs them two deep: window k's commit runs
+// on a goroutine while window k+1 fetches and XORs, and is waited for
+// before window k+1's commit starts; the last window commits in line. A
+// round's memory is thus bounded whatever was lost. No round writes a
+// block one of its tuples reads, so its windows read exactly what one
+// fetch of the whole plan would: every worker reads the pre-round state,
+// whatever the worker count, the cut or the overlap. The statistics, the
+// loss set and the counters are kept on the caller's goroutine, once a
+// commit has been waited for; Options.RateLimit may be charged by a
+// commit and the next fetch at once.
 //
 // On a store that rebuilds in place (store.XorPutter), a parity the round
 // repairs from a dp-tuple whose parity member — the companion — the store
@@ -290,9 +296,10 @@ func (s Stats) DataLoss() int { return len(s.UnrepairedData) }
 // A window whose fetch still fails after its retries ends the round with
 // what the windows before it committed; the rest of the plan is planned
 // again next round. A window whose commit fails, or a context that ends,
-// stops the run — and either way the statistics, and the repair counters,
-// count every repair earlier windows committed, the stopped round in
-// PerRound included.
+// stops the run. Whatever stops a round, the commit in flight is waited
+// for first — no goroutine outlives Repair — and it counts if and only if
+// it returned nil: the statistics, and the repair counters, count exactly
+// the commits that landed, the stopped round in PerRound included.
 func (r *Repairer) Repair(ctx context.Context, st Store, opts Options) (Stats, error) {
 	stats, windows, err := r.repair(ctx, st, opts)
 	recordRepairObs(opts, stats, windows, err)
@@ -398,15 +405,52 @@ func (s *Stats) addRound(done []store.Ref) {
 
 // runRound runs one round's plan window by window — fetch, XOR, commit,
 // release — and returns the refs the windows committed and how many
-// windows ran. A window fetch that fails after its retries ends the round
-// and comes back as fetchErr; any other failure stops it and comes back
-// as err. Either way done holds what earlier windows committed.
+// windows ran. A round cut into several windows runs them two deep: the
+// commit of window k runs on a goroutine while window k+1 fetches and
+// XORs, and is waited for before window k+1's commit starts, so at most
+// one commit is ever in flight and the last one runs in line. A round
+// that fits one window commits it in line, as one fetch and one write.
+// Bookkeeping — done, the loss set, stats — happens only here, once a
+// commit has been waited for, and only for a commit that returned nil.
+//
+// A window fetch that fails after its retries ends the round and comes
+// back as fetchErr; any other failure stops it and comes back as err.
+// Either way the commit in flight is waited for first, and done holds
+// what the windows that committed wrote.
 func (r *Repairer) runRound(ctx context.Context, st Store, xp store.XorPutter, p plan, loss *lossSet, opts Options, stats *Stats) (done []store.Ref, windows int, fetchErr, err error) {
-	cut := r.cut(p)
+	cut := r.cut(p, r.window)
+	if len(cut.jobs) > 1 {
+		// Two windows are held at once — one commits while the next
+		// fetches and XORs — so each holds half of what one may.
+		cut = r.cut(p, max(r.window/2, 1))
+	}
 	// blocks parallels p.refs: an entry holds its block from the window
-	// that fetches it to the last window that reads it.
+	// that fetches it to the commit of the last window that reads it.
 	blocks := make([][]byte, len(p.refs))
 	defer func() { store.Release(st, blocks) }() // what a stopped round still holds
+	var inflight *windowCommit
+	// settle waits for the commit in flight, books it when it returned
+	// nil and hands back every block no later window reads.
+	settle := func() error {
+		c := inflight
+		if c == nil {
+			return nil
+		}
+		inflight = nil
+		<-c.done
+		if c.err != nil {
+			return fmt.Errorf("entangle: committing round %d: %w", stats.Rounds+1, c.err)
+		}
+		done = append(done, c.book(loss, stats)...)
+		// Neither PutMany nor XorPutMany keeps what it was given.
+		held := make([][]byte, 0, len(cut.release[c.window]))
+		for _, idx := range cut.release[c.window] {
+			held = append(held, blocks[idx])
+			blocks[idx] = nil
+		}
+		store.Release(st, held)
+		return nil
+	}
 	for w, jobs := range cut.jobs {
 		if idxs := cut.fetch[w]; len(idxs) > 0 {
 			refs := make([]store.Ref, len(idxs))
@@ -420,62 +464,76 @@ func (r *Repairer) runRound(ctx context.Context, st Store, xp store.XorPutter, p
 				}
 			}
 			if cerr := ctx.Err(); cerr != nil {
+				settle() // counted only if it landed; the run ends with ctx's error either way
 				return done, windows, nil, cerr
 			}
 			if err != nil {
+				if serr := settle(); serr != nil {
+					return done, windows, nil, serr
+				}
 				return done, windows, err, nil
 			}
 			loss.refused(refs, got)
 		}
 		windows++
 		fixes, err := xorRound(jobs, blocks, opts.Workers)
-		if err != nil {
-			return done, windows, nil, err
+		if serr := settle(); serr != nil || err != nil {
+			recycle(fixes)
+			return done, windows, nil, errors.Join(serr, err)
 		}
 		var items []store.XorPut
 		var reads []bool
 		if w == 0 {
 			items, reads = p.sendable(blocks)
 		}
-		committed, err := commitWindow(ctx, st, xp, items, reads, fixes, loss, opts, stats)
-		if err != nil {
-			return done, windows, nil, fmt.Errorf("entangle: committing round %d: %w", stats.Rounds+1, err)
-		}
-		done = append(done, committed...)
-		// Neither PutMany nor XorPutMany keeps what it was given.
-		held := make([][]byte, 0, len(cut.release[w]))
-		for _, idx := range cut.release[w] {
-			held = append(held, blocks[idx])
-			blocks[idx] = nil
-		}
-		store.Release(st, held)
+		inflight = startCommit(ctx, st, xp, w, items, reads, fixes, opts, w < len(cut.jobs)-1)
 	}
-	return done, windows, nil, nil
+	err = settle()
+	return done, windows, nil, err
 }
 
-// commitWindow writes one window's repairs and returns the refs written:
-// the XORed fixes with a single PutMany and, in the round's first window
-// on a store that rebuilds in place, the sendable pushes with a single
-// XorPutMany in flight beside it. Neither reads what the other writes.
-// A push answered false puts its companion into the loss set, as a nil
-// fetch entry would, so its parity moves to its other dp-tuple next
-// round. The fixes' pooled buffers go back to the pool on return: store
+// windowCommit is one window's writes, run in line or on a goroutine
+// beside the next window's fetch and XOR: the XORed fixes with a single
+// PutMany and, in the round's first window on a store that rebuilds in
+// place, the sendable pushes with a single XorPutMany in flight beside
+// it. Neither reads what the other writes. Until done is closed only the
+// goroutine running the writes touches applied and err.
+type windowCommit struct {
+	window  int
+	fixed   []store.Ref // the fixes' refs
+	items   []store.XorPut
+	reads   []bool
+	applied []bool
+	err     error
+	done    chan struct{}
+}
+
+// startCommit starts window's writes — on a goroutine when async — and
+// returns them in flight.
+func startCommit(ctx context.Context, st Store, xp store.XorPutter, window int, items []store.XorPut, reads []bool, fixes []store.Block, opts Options, async bool) *windowCommit {
+	c := &windowCommit{window: window, fixed: blockRefs(fixes), items: items, reads: reads, done: make(chan struct{})}
+	if async {
+		go c.write(ctx, st, xp, fixes, opts) // runRound waits for c.done on every path
+	} else {
+		c.write(ctx, st, xp, fixes, opts)
+	}
+	return c
+}
+
+// write runs the commit's writes and closes c.done. The fixes' pooled
+// buffers go back to the pool once the writes return: store
 // implementations copy (or transmit) on PutMany — see the Store contract
 // — which keeps repair allocation-free in steady state.
-func commitWindow(ctx context.Context, st Store, xp store.XorPutter, items []store.XorPut, reads []bool, fixes []store.Block, loss *lossSet, opts Options, stats *Stats) ([]store.Ref, error) {
-	defer func() {
-		for _, f := range fixes {
-			xorblock.PoolFor(len(f.Data)).Put(f.Data)
-		}
-	}()
-	var applied []bool
+func (c *windowCommit) write(ctx context.Context, st Store, xp store.XorPutter, fixes []store.Block, opts Options) {
+	defer close(c.done)
+	defer recycle(fixes)
 	var pushErr error
 	var wg sync.WaitGroup
-	if len(items) > 0 {
+	if len(c.items) > 0 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			applied, pushErr = pushRound(ctx, xp, items, reads, opts)
+			c.applied, pushErr = pushRound(ctx, xp, c.items, c.reads, opts)
 		}()
 	}
 	var putErr error
@@ -483,22 +541,34 @@ func commitWindow(ctx context.Context, st Store, xp store.XorPutter, items []sto
 		putErr = putRound(ctx, st, fixes, opts)
 	}
 	wg.Wait()
-	if err := errors.Join(putErr, pushErr); err != nil {
-		return nil, err
-	}
+	c.err = errors.Join(putErr, pushErr)
+}
 
-	done := blockRefs(fixes)
-	for k, ok := range applied {
+// book returns the refs a commit that returned nil wrote: its fixes, and
+// the pushes the store applied. A push answered false puts its companion
+// into the loss set, as a nil fetch entry would, so its parity moves to
+// its other dp-tuple next round; one that read a companion no fetch read
+// counts that read in stats.
+func (c *windowCommit) book(loss *lossSet, stats *Stats) []store.Ref {
+	done := c.fixed
+	for k, ok := range c.applied {
 		if !ok {
-			loss.gone[items[k].Src] = true
+			loss.gone[c.items[k].Src] = true
 			continue
 		}
-		done = append(done, items[k].Dst)
-		if reads[k] {
-			stats.BytesRead += int64(len(items[k].Data))
+		done = append(done, c.items[k].Dst)
+		if c.reads[k] {
+			stats.BytesRead += int64(len(c.items[k].Data))
 		}
 	}
-	return done, nil
+	return done
+}
+
+// recycle hands fixes' buffers back to the block pool.
+func recycle(fixes []store.Block) {
+	for _, f := range fixes {
+		xorblock.PoolFor(len(f.Data)).Put(f.Data)
+	}
 }
 
 // putRound writes a window's XORed fixes with a single PutMany, charged
@@ -745,8 +815,8 @@ func position(r store.Ref) int {
 	return r.Index
 }
 
-// windows is one round's plan cut into the windows Repair runs one after
-// another: jobs[w] are window w's repairs in plan order, fetch[w] indexes
+// windows is one round's plan cut into the windows Repair runs in order,
+// two deep: jobs[w] are window w's repairs in plan order, fetch[w] indexes
 // the refs it fetches — those no earlier window fetched — and release[w]
 // those no later window reads, handed back once it has committed. The
 // round's pushes go out in window 0, which fetches their data members.
@@ -755,7 +825,7 @@ type windows struct {
 	fetch, release [][]int
 }
 
-// cut splits p into windows of at most r.window blocks each, counting the
+// cut splits p into windows of at most window blocks each, counting the
 // fetched blocks a window reads or carries for a later one and the blocks
 // it rebuilds; a window takes at least one job. Jobs are taken in lattice
 // order, so the members neighbouring repairs share are mostly read by one
@@ -763,7 +833,7 @@ type windows struct {
 // round that fits one window runs the plan as it stands. A push's data
 // member is fetched by window 0 and counted only where a job reads it:
 // on a broker it is a block of its own.
-func (r *Repairer) cut(p plan) windows {
+func (r *Repairer) cut(p plan, window int) windows {
 	order := make([]int, len(p.jobs))
 	for k := range order {
 		order[k] = k
@@ -794,7 +864,7 @@ func (r *Repairer) cut(p plan) windows {
 				fresh++
 			}
 		}
-		if taken > 0 && held+fresh+1 > r.window {
+		if taken > 0 && held+fresh+1 > window {
 			w, held, taken = w+1, open, 0
 		}
 		for _, idx := range members {

@@ -6,7 +6,10 @@ import "context"
 // engine charges actual I/O after it happens (a debt model): Acquire may
 // admit the caller into debt and recover before admitting the next one,
 // so measured rates converge on the configured ones without the engine
-// knowing transfer sizes up front. maintain.Bucket satisfies it.
+// knowing transfer sizes up front. The engine may call Acquire from two
+// goroutines at once — a window's commit beside the next window's fetch,
+// an in-place rebuild beside a commit — so an implementation must be safe
+// for concurrent use. maintain.Bucket satisfies it.
 type Limiter interface {
 	// Acquire blocks until the caller may spend ops operations and bytes
 	// bytes of repair I/O, or returns ctx's error on cancellation.

@@ -197,6 +197,98 @@ func BenchmarkPutBatch(b *testing.B) {
 	b.ReportMetric(snap.P999(), "p999-ns")
 }
 
+// BenchmarkReadDuringAppend is a node serving a 2-record GetMany of
+// 64 KiB blocks while a writer appends beside it: 1 MiB batches of 64 KiB
+// records into 64 MiB segments, each rotation's seal fsyncing for real.
+// p99-ns and p999-ns are the reads' tails, which show what a read waits
+// behind: an index update, or — when the writers' lock is the readers'
+// too — a whole write syscall or fsync. A store takes 128 MiB of appends
+// (two rotations) and is then replaced outside the timer, so the
+// benchmark's disk use stays bounded.
+func BenchmarkReadDuringAppend(b *testing.B) {
+	const (
+		recSize   = 64 << 10
+		batchRecs = 16  // 1 MiB a batch
+		perStore  = 128 // batches a store takes
+	)
+	data := bulkItems(recSize, 2*recSize)
+	batches := make([][]store.KV, perStore)
+	for n := range batches {
+		batches[n] = make([]store.KV, batchRecs)
+		for i := range batches[n] {
+			batches[n][i] = store.KV{Key: fmt.Sprintf("w%03d-%02d", n, i), Data: data[i%2].Data}
+		}
+	}
+	keys := []string{data[0].Key, data[1].Key}
+	dir := b.TempDir()
+	var (
+		s       *segstore.Store
+		stop    chan struct{}
+		written chan error // the writer's result, once it has stopped
+	)
+	// start opens a fresh store holding the two read records and starts
+	// the writer on it; finish stops the writer and removes the store.
+	start := func() {
+		var err error
+		if s, err = segstore.Open(dir, segstore.Options{}); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.PutBatch(data); err != nil {
+			b.Fatal(err)
+		}
+		stop, written = make(chan struct{}), make(chan error, 1)
+		go func(s *segstore.Store, stop <-chan struct{}, written chan<- error) {
+			for _, batch := range batches {
+				select {
+				case <-stop:
+					written <- nil
+					return
+				default:
+				}
+				if err := s.PutBatch(batch); err != nil {
+					written <- err
+					return
+				}
+			}
+			written <- nil
+		}(s, stop, written)
+	}
+	finish := func() {
+		close(stop)
+		if err := <-written; err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+	}
+	lat := obs.NewHistogram()
+	noop := func([][]byte) error { return nil }
+	start()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if len(written) > 0 { // the writer is through this store: start the next
+			b.StopTimer()
+			finish()
+			start()
+			b.StartTimer()
+		}
+		t0 := time.Now()
+		if err := s.ReadBatch(keys, noop); err != nil {
+			b.Fatal(err)
+		}
+		lat.Record(time.Since(t0).Nanoseconds())
+	}
+	b.StopTimer()
+	finish()
+	snap := lat.Snapshot()
+	b.ReportMetric(snap.P99(), "p99-ns")
+	b.ReportMetric(snap.P999(), "p999-ns")
+}
+
 // BenchmarkOpen reopens a log of 16 sealed segments of 4 MiB, written in
 // 64 KiB records, plus an active one holding a single record: "footered"
 // rebuilds the sealed segments' index from their footers, "scanned"

@@ -28,7 +28,7 @@ type Shape struct {
 // natively, or a tenant-namespaced view of a shared node, or an in-memory
 // transport store: data and parity refs map to canonical keys
 // (store.Ref's String form), batches ride the store's batch operations
-// (for the segment store: one lock acquisition, one optional fsync per
+// (for the segment store: each lock taken once, one optional fsync per
 // batch), and the shape is persisted in the store itself so reopening
 // the directory restores the full view. One store (or one tenant
 // namespace of it) backs one view — the view owns that whole key space.

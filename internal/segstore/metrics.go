@@ -21,7 +21,9 @@ var (
 	// Append path: one latency sample per batch (a single Put is a
 	// batch of one), plus payload bytes and block counts. The latency is
 	// the whole call; append.lockwait is the part of it spent waiting for
-	// the store lock, so the write itself is the difference.
+	// amu, the writers' lock — behind other appends, barriers and
+	// compactions, never behind reads — so the write itself is the
+	// difference.
 	obsAppendLatency  = segScope.Histogram("append.latency")
 	obsAppendLockWait = segScope.Histogram("append.lockwait")
 	obsAppendBytes    = segScope.Counter("append.bytes")
@@ -62,7 +64,8 @@ var (
 	// compaction). seal.wait is the time a rotation or a barrier spent
 	// waiting for the last seal job — one sample per job, near zero when
 	// the job had finished by then; not an fsync of its own, and in its
-	// tail the sign that the disk is not keeping up with the appends.
+	// tail the sign that the disk is not keeping up with the appends. The
+	// wait holds amu alone: it stalls writers, not reads.
 	obsSyncLatency = segScope.Histogram("sync.latency")
 	obsSealWait    = segScope.Histogram("seal.wait")
 
@@ -117,7 +120,7 @@ func timedSync(f *os.File) error {
 }
 
 // timedCompactLocked runs one compaction and charges run count,
-// failures and latency. Callers hold s.mu.
+// failures and latency. Callers hold amu and mu.
 func (s *Store) timedCompactLocked() error {
 	start := time.Now()
 	err := s.compactLocked()

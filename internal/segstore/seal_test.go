@@ -211,6 +211,89 @@ func TestBarriersWaitForTheSeal(t *testing.T) {
 	}
 }
 
+// TestReadsDoNotWaitForTheDisk holds a seal job's fsync while a writer
+// waits for it — a second rotation, a Sync, a PutBatch under
+// Options.Sync — and wants every read path to serve a key written
+// earlier before the fsync is released: the writer waits holding the
+// writers' lock alone, so no read waits on the disk.
+func TestReadsDoNotWaitForTheDisk(t *testing.T) {
+	cases := []struct {
+		name    string
+		opts    Options
+		held    int                  // the segment whose seal is held
+		prefill int                  // records put before the writer starts
+		writer  func(s *Store) error // waits for the held seal
+	}{
+		// Put 3 rotates (segment 1 holds three records) and starts the
+		// seal of 1; record 6 rotates again and must wait for it.
+		{"second rotation", Options{SegmentSize: 256}, 1, 5,
+			func(s *Store) error { return s.PutBatch(recs(5, 7)) }},
+		{"Sync", Options{SegmentSize: 256}, 1, 5, (*Store).Sync},
+		// The batch rotates twice: the seal of 2 is held and its barrier
+		// waits for it.
+		{"PutBatch under Options.Sync", Options{SegmentSize: 256, Sync: true}, 2, 3,
+			func(s *Store) error { return s.PutBatch(recs(3, 7)) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := mustOpen(t, t.TempDir(), tc.opts)
+			g := newGate(segName(tc.held))
+			defer g.open()
+			hookFsync(t, g.before)
+			t.Cleanup(func() { s.Close() }) // ahead of the hook's removal: Close waits for the last seal
+			mustPut(t, s, 0, tc.prefill)
+			done := make(chan error, 1)
+			go func() { done <- tc.writer(s) }()
+			<-g.reached
+			stillBlocked(t, done, tc.name)
+
+			key, data := rec(0)
+			reads := []struct {
+				name string
+				read func() bool
+			}{
+				{"Get", func() bool {
+					got, ok := s.Get(key)
+					return ok && bytes.Equal(got, data)
+				}},
+				{"ReadBatch", func() bool {
+					var ok bool
+					s.ReadBatch([]string{key}, func(blocks [][]byte) error {
+						ok = bytes.Equal(blocks[0], data)
+						return nil
+					})
+					return ok
+				}},
+				{"ReadInto", func() bool { return bytes.Equal(ReadSized(s, []string{key})[0], data) }},
+				{"StatBatch", func() bool { return s.StatBatch([]string{key})[0] == len(data) }},
+				{"ScrubStep", func() bool { return s.ScrubStep("", 1<<20).Scanned > 0 }},
+			}
+			for _, r := range reads {
+				served := make(chan bool, 1)
+				start := time.Now()
+				go func() { served <- r.read() }()
+				select {
+				case ok := <-served:
+					if !ok {
+						t.Errorf("%s of %s served the wrong answer while the writer waited", r.name, key)
+					}
+				case <-time.After(2 * time.Second):
+					t.Fatalf("%s still waiting after %v: the read waits for the held fsync", r.name, time.Since(start))
+				}
+			}
+			select {
+			case err := <-done:
+				t.Fatalf("the writer returned (%v) while the seal was held", err)
+			default:
+			}
+			g.open()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestEveryRotationSealedInOrder walks a store through many rotations
 // with a barrier now and then and checks the log as a whole: after each
 // Sync, every sealed segment N has fsync(N) followed by a directory sync,
@@ -623,10 +706,12 @@ func TestFooterOutlivesRecordBytes(t *testing.T) {
 	lost := f.refs[:2] // data block 1 and its first parity, in segment 1
 	keys := []string{refKey(lost[0]), refKey(lost[1])}
 	dir := f.seg.Dir()
+	f.seg.amu.Lock()
+	active := f.seg.active
 	f.seg.mu.RLock()
 	locs := []recordLoc{f.seg.index[keys[0]], f.seg.index[keys[1]]}
-	active := f.seg.active
 	f.seg.mu.RUnlock()
+	f.seg.amu.Unlock()
 	if err := f.seg.Close(); err != nil {
 		t.Fatal(err)
 	}

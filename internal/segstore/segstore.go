@@ -55,6 +55,17 @@
 // that job before it syncs the active segment. The first fsync that
 // fails, wherever it ran, fail-stops the store: reads keep serving,
 // every later write and barrier returns that error.
+//
+// Locking. Two locks, always taken in the order amu, then mu. amu
+// serialises the writers and the barriers: an append frames and writes
+// its records, a rotation waits for the previous seal job, and a barrier
+// fsyncs, all under amu alone. mu guards what a read resolves — the
+// index, the open segment files, the byte accounting — and a writer
+// takes it once per call, after its write, to publish what it wrote. So
+// a read (Get, ReadBatch, ReadInto, StatBatch, a scrub step) waits at
+// most for an index update, never for a write syscall or an fsync, and
+// never sees a record before it is whole in the file. The exception is
+// compaction, which stops the world: it holds both locks throughout.
 package segstore
 
 import (
@@ -191,27 +202,34 @@ type Store struct {
 
 	lock *os.File // held flock on dir/LOCK; nil on platforms without flock
 
+	// amu is the writers' lock (see the package doc): the append
+	// position, the active segment's footer entries and the seal job.
+	amu        sync.Mutex
+	active     uint64     // highest segment id; appends go here; guarded by amu
+	w          *os.File   // the active segment's file; guarded by amu
+	woff       int64      // append offset in the active segment; guarded by amu
+	batchArena []byte     // reusable header+key scratch for putBatchLocked; guarded by amu
+	entries    []logEntry // the active segment's records in log order, for its footer; guarded by amu
+	rotated    []rotation // rotations applyLocked has yet to publish; guarded by amu
+
+	// The seal job in flight, at most one: rotateLocked starts it, and
+	// the next rotation and every barrier wait for it, under amu.
+	seal    sync.WaitGroup
+	sealing bool // a job was started and not yet waited for; guarded by amu
+
+	// mu is the readers' lock: what a read resolves a key to.
 	mu         sync.RWMutex
-	closed     bool                 // guarded by mu
+	closed     bool                 // set holding both locks, so either suffices to read it; guarded by amu and mu
 	index      map[string]recordLoc // guarded by mu
-	files      map[uint64]*os.File  // all segments, open for ReadAt; guarded by mu
+	files      map[uint64]*os.File  // all published segments, open for ReadAt; guarded by mu
 	sealedLen  map[uint64]int64     // valid byte length of each sealed segment; guarded by mu
 	liveInSeg  map[uint64]int64     // live record bytes per segment; guarded by mu
-	active     uint64               // highest segment id; appends go here; guarded by mu
-	w          *os.File             // == files[active]; guarded by mu
-	woff       int64                // append offset in the active segment; guarded by mu
-	batchArena []byte               // reusable header+key scratch for putBatchLocked; guarded by mu
-	entries    []logEntry           // the active segment's records in log order, for its footer; guarded by mu
 	truncated  int64                // torn tail removed by the last Open; guarded by mu
 	compactErr error                // first auto-compaction failure; guarded by mu
 
-	// The seal job in flight, at most one: rotateLocked starts it, and
-	// the next rotation and every barrier wait for it, all under mu.
-	seal    sync.WaitGroup
-	sealing bool // a job was started and not yet waited for; guarded by mu
-
-	// failed holds the first fsync failure. The seal job sets it without
-	// mu (a barrier may hold mu while it waits for the job), hence atomic.
+	// failed holds the first fsync failure. The seal job sets it holding
+	// no lock (a barrier holds amu while it waits for the job), hence
+	// atomic.
 	failed atomic.Pointer[error]
 
 	// dropped counts the keys dropped because their record failed its
@@ -409,7 +427,9 @@ func (s *Store) scanSegment(id uint64) (int64, error) {
 		if crc != wantCRC {
 			return off, nil
 		}
-		s.appliedLocked(string(key), word0, recordLoc{seg: id, off: off, keyLen: keyLen, dataLen: dataLen})
+		k := string(key)
+		s.applyRecord(k, word0&recTombstone != 0, recordLoc{seg: id, off: off, keyLen: keyLen, dataLen: dataLen})
+		s.entries = append(s.entries, logEntry{key: k, word0: word0})
 	}
 }
 
@@ -430,12 +450,51 @@ func (s *Store) applyRecord(key string, tombstone bool, loc recordLoc) {
 	s.liveInSeg[loc.seg] += loc.recLen()
 }
 
-// appliedLocked replays a record of the active segment — just appended,
-// or met by Open's scan — into the index and into the entries its footer
-// will list. Callers hold s.mu (or run in Open, before it is published).
-func (s *Store) appliedLocked(key string, word0 uint32, loc recordLoc) {
-	s.applyRecord(key, word0&recTombstone != 0, loc)
-	s.entries = append(s.entries, logEntry{key: key, word0: word0})
+// logRec is a record the append path wrote: its footer entry and where
+// it lies. The writer applies it to the index under mu once the write
+// is done (applyLocked).
+type logRec struct {
+	logEntry
+	loc recordLoc
+}
+
+// rotation is a segment switch rotateLocked made and applyLocked has
+// yet to publish: segment sealed, whose records end at end, and the file
+// of segment sealed+1, where the appends went on.
+type rotation struct {
+	sealed uint64
+	end    int64
+	next   *os.File
+}
+
+// applyLocked publishes what the append path wrote since the last call:
+// first the rotations — the new segments' files and the sealed ones'
+// lengths — then recs, in log order, into the index. Every caller of the
+// append path runs it before it lets go of amu, even after a failed
+// write, so nothing stays unpublished between two writers. Callers hold
+// amu and mu.
+func (s *Store) applyLocked(recs []logRec) {
+	for _, r := range s.rotated {
+		s.sealedLen[r.sealed] = r.end
+		s.files[r.sealed+1] = r.next
+	}
+	s.rotated = s.rotated[:0]
+	for _, r := range recs {
+		s.applyRecord(r.key, r.word0&recTombstone != 0, r.loc)
+	}
+}
+
+// commitLocked is how a write call ends: under one hold of mu it applies
+// recs (applyLocked), runs the auto-compaction trigger when the call
+// succeeded, and refreshes the shape gauges. Callers hold amu.
+func (s *Store) commitLocked(recs []logRec, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.applyLocked(recs)
+	if ok {
+		s.maybeCompactLocked()
+	}
+	s.updateShapeLocked()
 }
 
 // dropLiveLocked removes a key whose record turned out unreadable,
@@ -468,10 +527,10 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // closeFiles closes every open segment plus the directory lock. It runs
-// either pre-publication (Open's error paths) or with mu held (Close),
-// so it cannot take the lock itself.
+// either pre-publication (Open's error paths) or with both locks held
+// (Close), so it cannot take them itself.
 //
-//lint:ignore lockscope callers either hold mu (Close) or own the sole reference (Open error paths)
+//lint:ignore lockscope callers either hold amu and mu (Close) or own the sole reference (Open error paths)
 func (s *Store) closeFiles() {
 	for _, f := range s.files {
 		f.Close()
@@ -485,15 +544,18 @@ func (s *Store) closeFiles() {
 // segment and closes every segment file, so no goroutine or descriptor
 // of the store outlives it. A store that fail-stopped returns the fsync
 // error that stopped it. The store is unusable afterwards; Close is
-// idempotent.
+// idempotent. Reads go on serving while the barrier runs: only closing
+// the files takes mu.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.amu.Lock()
+	defer s.amu.Unlock()
 	if s.closed {
 		return nil
 	}
-	s.closed = true
 	err := s.barrierLocked()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
 	s.closeFiles()
 	return err
 }
@@ -501,9 +563,10 @@ func (s *Store) Close() error {
 // Sync is a durability barrier: when it returns nil, every write
 // acknowledged before the call is on stable storage — the segment being
 // sealed, the directory entry of the active one, and the active segment.
+// It holds amu alone: writers wait for it, readers do not.
 func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.amu.Lock()
+	defer s.amu.Unlock()
 	if err := s.writableLocked(); err != nil {
 		return err
 	}
@@ -531,7 +594,7 @@ func (s *Store) fail(err error) error {
 }
 
 // writableLocked returns the error a write or barrier is refused with:
-// the store is closed, or an fsync failed. Callers hold s.mu.
+// the store is closed, or an fsync failed. Callers hold amu.
 func (s *Store) writableLocked() error {
 	if s.closed {
 		return errors.New("segstore: store closed")
@@ -654,21 +717,18 @@ func (s *Store) Put(key string, data []byte) error {
 // missing key is a no-op (no tombstone is written), and so is any Del on
 // a closed or fail-stopped store: the key stays.
 func (s *Store) Del(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.writableLocked() != nil {
-		return
-	}
-	if _, ok := s.index[key]; !ok {
+	s.amu.Lock()
+	defer s.amu.Unlock()
+	if s.writableLocked() != nil || !s.Has(key) {
 		return
 	}
 	// A failed tombstone append leaves the key present — the caller sees
 	// delete-after-restart semantics no worse than delete-never-happened.
-	if err := s.appendTombstoneLocked(key); err == nil {
+	recs, err := s.appendTombstoneLocked(key)
+	if err == nil {
 		s.maybeSyncLocked()
-		s.maybeCompactLocked()
-		s.updateShapeLocked()
 	}
+	s.commitLocked(recs, err == nil)
 }
 
 // ReadBatch implements store.Keyed: the batch is read and verified as
@@ -774,13 +834,15 @@ func (s *Store) StatBatch(keys []string) []int {
 	return out
 }
 
-// PutBatch stores all items in order under one lock acquisition and (with
-// Options.Sync) one barrier for the whole batch. The first failing write
-// aborts the batch; items in earlier flushed chunks are stored. Records
-// are laid out as scatter/gather segments and land with one vectored
-// write per rotation-bounded chunk — block payloads go from the caller's
-// slices to the file without a user-space staging copy on platforms with
-// pwritev (see writevAt).
+// PutBatch stores all items in order and (with Options.Sync) behind one
+// barrier for the whole batch. It writes and syncs under amu alone and
+// then takes mu once, to publish the batch: a read meanwhile serves the
+// state before the batch, whole. The first failing write aborts the
+// batch; items in earlier flushed chunks are stored. Records are laid
+// out as scatter/gather segments and land with one vectored write per
+// rotation-bounded chunk — block payloads go from the caller's slices to
+// the file without a user-space staging copy on platforms with pwritev
+// (see writevAt).
 func (s *Store) PutBatch(items []store.KV) error {
 	var payload int64
 	for _, it := range items {
@@ -790,36 +852,37 @@ func (s *Store) PutBatch(items []store.KV) error {
 		payload += int64(len(it.Data))
 	}
 	start := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.amu.Lock()
+	defer s.amu.Unlock()
 	obsAppendLockWait.Record(time.Since(start).Nanoseconds())
 	if err := s.writableLocked(); err != nil {
 		return err
 	}
-	if err := s.putBatchLocked(items); err != nil {
+	recs, err := s.putBatchLocked(items)
+	if err == nil {
+		err = s.maybeSyncLocked()
+	}
+	s.commitLocked(recs, err == nil)
+	if err != nil {
 		return err
 	}
-	if err := s.maybeSyncLocked(); err != nil {
-		return err
-	}
-	s.maybeCompactLocked()
 	obsAppendLatency.Record(time.Since(start).Nanoseconds())
 	obsAppendBytes.Add(payload)
 	obsAppendBlocks.Add(int64(len(items)))
-	s.updateShapeLocked()
 	return nil
 }
 
 // putBatchLocked appends all items with one vectored write per
-// rotation-bounded chunk. Record headers and keys are assembled into a
-// reusable arena (sized up front — segments alias into it, so it must
-// never reallocate mid-chunk); block payloads are gathered straight from
-// the caller's slices. The index is applied per flushed chunk, so a
-// failing write aborts the batch with earlier chunks stored and the
-// active segment truncated back to the chunk start — the same torn-tail
-// discipline as the single-record path. Callers hold s.mu and have
-// validated every item.
-func (s *Store) putBatchLocked(items []store.KV) error {
+// rotation-bounded chunk and returns the records it wrote, for the caller
+// to apply. Record headers and keys are assembled into a reusable arena
+// (sized up front — segments alias into it, so it must never reallocate
+// mid-chunk); block payloads are gathered straight from the caller's
+// slices. A failing write aborts the batch with the active segment
+// truncated back to the chunk start — the same torn-tail discipline as
+// the tombstone path — and returns the records of the earlier chunks
+// with the error: they are in the log, so they are applied too. Callers
+// hold amu and have validated every item.
+func (s *Store) putBatchLocked(items []store.KV) ([]logRec, error) {
 	need := 0
 	for _, it := range items {
 		need += recHeaderLen + 2 + len(it.Key)
@@ -829,35 +892,35 @@ func (s *Store) putBatchLocked(items []store.KV) error {
 	}
 	arena := s.batchArena[:0]
 
-	type pendingRec struct {
-		key string
-		loc recordLoc
-	}
+	recs := make([]logRec, 0, len(items))
 	var (
 		vecs       [][]byte
-		pending    []pendingRec
+		flushed    int   // recs[:flushed] are in the file
 		payload    int64 // block-payload bytes in the current chunk
 		chunkStart = s.woff
 	)
 	flush := func() error {
-		if len(pending) == 0 {
+		if flushed == len(recs) {
 			return nil
 		}
 		if err := writevAt(s.w, vecs, chunkStart); err != nil {
 			// A partial chunk is a torn tail in the making: cut the file
 			// and the in-memory offset back to the chunk start so they
-			// agree again. Records of earlier chunks stay applied.
+			// agree again. No reader can see the cut bytes: the index
+			// never pointed at them.
 			s.w.Truncate(chunkStart)
 			s.woff = chunkStart
+			recs = recs[:flushed]
 			return fmt.Errorf("segstore: appending to segment %d: %w", s.active, err)
 		}
 		if writevCopies {
 			obsCopiedBytes.Add(payload)
 		}
-		for _, p := range pending {
-			s.appliedLocked(p.key, recVersion|p.loc.dataLen, p.loc)
+		for _, r := range recs[flushed:] {
+			s.entries = append(s.entries, r.logEntry)
 		}
-		vecs, pending, payload = vecs[:0], pending[:0], 0
+		flushed = len(recs)
+		vecs, payload = vecs[:0], 0
 		chunkStart = s.woff
 		return nil
 	}
@@ -865,10 +928,10 @@ func (s *Store) putBatchLocked(items []store.KV) error {
 		recLen := int64(recHeaderLen + 2 + len(it.Key) + len(it.Data))
 		if s.woff > 0 && s.woff+recLen > s.opts.segmentSize() {
 			if err := flush(); err != nil {
-				return err
+				return recs, err
 			}
 			if err := s.rotateLocked(); err != nil {
-				return err
+				return recs, err
 			}
 			chunkStart = s.woff
 		}
@@ -887,7 +950,7 @@ func (s *Store) putBatchLocked(items []store.KV) error {
 		if len(it.Data) > 0 {
 			vecs = append(vecs, it.Data)
 		}
-		pending = append(pending, pendingRec{it.Key, recordLoc{
+		recs = append(recs, logRec{logEntry{it.Key, word0}, recordLoc{
 			seg: s.active, off: s.woff,
 			keyLen: uint16(len(it.Key)), dataLen: uint32(len(it.Data)),
 		}})
@@ -896,13 +959,13 @@ func (s *Store) putBatchLocked(items []store.KV) error {
 	}
 	err := flush()
 	s.batchArena = arena[:0]
-	return err
+	return recs, err
 }
 
 // maybeCompactLocked runs the auto-compaction trigger after a completed
 // write: when Options.CompactRatio is set and dead bytes make up at
 // least that share of the log's physical size, compact in place.
-// Callers hold s.mu. The write that got us here has already been
+// Callers hold amu and mu. The write that got us here has already been
 // applied and synced, so a compaction failure never fails the write —
 // it is recorded (CompactErr) and disables the auto-trigger, so a
 // persistently failing store does not re-attempt a full compaction on
@@ -948,12 +1011,13 @@ func checkRecord(key string, data []byte) error {
 // appendTombstoneLocked writes the tombstone record of key, rotating the
 // active segment first when the append would overflow it, and drops the
 // key from the index. Block records take the vectored batch path
-// (putBatchLocked); a tombstone is a header and a key. Callers hold s.mu.
-func (s *Store) appendTombstoneLocked(key string) error {
+// (putBatchLocked); a tombstone is a header and a key. It returns the
+// record for the caller to apply. Callers hold amu.
+func (s *Store) appendTombstoneLocked(key string) ([]logRec, error) {
 	recLen := int64(recHeaderLen + 2 + len(key))
 	if s.woff > 0 && s.woff+recLen > s.opts.segmentSize() {
 		if err := s.rotateLocked(); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	rec := make([]byte, 0, recLen)
@@ -969,14 +1033,16 @@ func (s *Store) appendTombstoneLocked(key string) error {
 		// A partial write is a torn tail in the making: cut it off so the
 		// in-memory offset and the file agree again.
 		s.w.Truncate(s.woff)
-		return fmt.Errorf("segstore: appending to segment %d: %w", s.active, err)
+		return nil, fmt.Errorf("segstore: appending to segment %d: %w", s.active, err)
 	}
-	loc := recordLoc{seg: s.active, off: s.woff, keyLen: uint16(len(key))}
+	r := logRec{logEntry{key, recVersion | recTombstone}, recordLoc{seg: s.active, off: s.woff, keyLen: uint16(len(key))}}
 	s.woff += recLen
-	s.appliedLocked(key, recVersion|recTombstone, loc)
-	return nil
+	s.entries = append(s.entries, r.logEntry)
+	return []logRec{r}, nil
 }
 
+// maybeSyncLocked is the barrier of a write call under Options.Sync.
+// Callers hold amu.
 func (s *Store) maybeSyncLocked() error {
 	if !s.opts.Sync {
 		return nil
@@ -991,7 +1057,10 @@ func (s *Store) maybeSyncLocked() error {
 // flight — a rotation first waits for the previous one — so what a power
 // cut can take from a store without Options.Sync is bounded by two
 // segments. Nothing in the new segment is claimed durable before a
-// barrier has waited for the job, which fsyncs its directory entry.
+// barrier has waited for the job, which fsyncs its directory entry. The
+// rotation touches nothing a read resolves: the new file and the sealed
+// length reach readers with the records that need them (applyLocked), so
+// the wait for the previous job holds amu alone. Callers hold amu.
 func (s *Store) rotateLocked() error {
 	if err := s.awaitSealLocked(); err != nil {
 		return err
@@ -1001,16 +1070,15 @@ func (s *Store) rotateLocked() error {
 	if err != nil {
 		return fmt.Errorf("segstore: creating segment %d: %w", id, err)
 	}
-	sealedID, sealed, ents := s.active, s.w, s.entries
-	s.sealedLen[sealedID] = s.woff
-	s.files[id] = f
+	sealedID, sealed, end, ents := s.active, s.w, s.woff, s.entries
+	s.rotated = append(s.rotated, rotation{sealed: sealedID, end: end, next: f})
 	s.active = id
 	s.w = f
 	s.woff = 0
 	s.entries = make([]logEntry, 0, len(ents))
 	s.sealing = true
 	s.seal.Add(1)
-	go s.sealSegment(sealedID, sealed, s.sealedLen[sealedID], ents, footers)
+	go s.sealSegment(sealedID, sealed, end, ents, footers)
 	return nil
 }
 
@@ -1025,7 +1093,7 @@ func (s *Store) rotateLocked() error {
 // disk that loses writes). The directory sync runs here and not in
 // rotateLocked because, issued while the file's fsync is in flight, it
 // joins the same journal commit and takes as long. The job takes no
-// lock: a barrier holds s.mu while it waits for it.
+// lock: a barrier holds amu while it waits for it.
 func (s *Store) sealSegment(id uint64, f *os.File, end int64, ents []logEntry, footer bool) {
 	defer s.seal.Done()
 	if footer {
@@ -1042,8 +1110,8 @@ func (s *Store) sealSegment(id uint64, f *os.File, end int64, ents []logEntry, f
 
 // awaitSealLocked waits for the seal job in flight, if any, and returns
 // the store's sticky failure — the job's own, when it just failed.
-// Callers hold s.mu, which is what keeps appends out while a barrier
-// waits and makes "at most one job" hold.
+// Callers hold amu, which is what keeps appends out while a barrier
+// waits and makes "at most one job" hold; reads go on beside the wait.
 func (s *Store) awaitSealLocked() error {
 	if s.sealing {
 		start := time.Now()
@@ -1056,7 +1124,7 @@ func (s *Store) awaitSealLocked() error {
 
 // barrierLocked makes everything acknowledged so far durable: it waits
 // for the seal job, then fsyncs the active segment. A failure of either
-// is sticky. Callers hold s.mu.
+// is sticky. Callers hold amu.
 func (s *Store) barrierLocked() error {
 	if err := s.awaitSealLocked(); err != nil {
 		return err
@@ -1079,12 +1147,17 @@ func (s *Store) barrierLocked() error {
 // them. A live record whose CRC no longer verifies is dropped from the
 // index — the block reads as missing either way, and keeping the index
 // honest lets Missing-style enumeration report it for repair.
+//
+// Compaction stops the world: it holds both locks throughout, so reads
+// wait for it.
 func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.amu.Lock()
+	defer s.amu.Unlock()
 	if err := s.writableLocked(); err != nil {
 		return err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	err := s.timedCompactLocked()
 	if err == nil {
 		s.compactErr = nil // a clean explicit run re-arms the auto-trigger
@@ -1098,7 +1171,7 @@ func (s *Store) Compact() error {
 const compactBatchBytes = 4 << 20
 
 // compactLocked is Compact's body, shared with the auto-compaction
-// trigger. Callers hold s.mu.
+// trigger. Callers hold amu and mu.
 func (s *Store) compactLocked() error {
 	sealedActive := s.active
 	type liveRec struct {
@@ -1136,7 +1209,9 @@ func (s *Store) compactLocked() error {
 			batchBytes += len(data)
 		}
 		if batchBytes >= compactBatchBytes || i == len(live)-1 {
-			if err := s.putBatchLocked(batch); err != nil {
+			recs, err := s.putBatchLocked(batch)
+			s.applyLocked(recs)
+			if err != nil {
 				return err
 			}
 			batch, batchBytes = batch[:0], 0

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"aecodes/internal/obs"
@@ -332,6 +333,114 @@ func TestConcurrentPutGet(t *testing.T) {
 	wg.Wait()
 	if s.Len() != 8*45 {
 		t.Fatalf("Len = %d, want %d", s.Len(), 8*45)
+	}
+}
+
+// TestReadersBesideWriter runs readers on every read path beside one
+// writer that appends across rotations, deletes and compacts. A value
+// names its key and version and is otherwise a function of both, so a
+// reader can tell a written value from torn, stale-offset or foreign
+// bytes: every read must serve a value the writer had written for that
+// key, or nothing. Run under -race it also checks the writer publishes
+// what readers resolve only under the readers' lock.
+func TestReadersBesideWriter(t *testing.T) {
+	const (
+		nKeys, rounds = 24, 300
+		perRound      = 6
+	)
+	s := openStore(t, t.TempDir(), segstore.Options{SegmentSize: 16 << 10})
+	key := func(k int) string { return fmt.Sprintf("key-%02d", k) }
+	value := func(k, v int) []byte {
+		b := fmt.Appendf(nil, "%s@%d:", key(k), v)
+		for i := 0; i < 200+(k*37+v*11)%300; i++ {
+			b = append(b, byte(k*131+v*17+i))
+		}
+		return b
+	}
+	var written [nKeys]atomic.Int64 // the newest version put, before it is put
+	// check reports a value read for key k that the writer never wrote.
+	check := func(path string, k int, got []byte) {
+		if got == nil {
+			return
+		}
+		var v int
+		if _, err := fmt.Sscanf(string(got), key(k)+"@%d:", &v); err != nil ||
+			int64(v) > written[k].Load() || !bytes.Equal(got, value(k, v)) {
+			t.Errorf("%s of %s served %d bytes that were never written for it", path, key(k), len(got))
+		}
+	}
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			names := make([]string, nKeys)
+			for k := range names {
+				names[k] = key(k)
+			}
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := (n*7 + r) % nKeys
+				got, _ := s.Get(key(k))
+				check("Get", k, got)
+				s.ReadBatch(names, func(blocks [][]byte) error {
+					for k, b := range blocks {
+						check("ReadBatch", k, b)
+					}
+					return nil
+				})
+				for k, b := range segstore.ReadSized(s, names) {
+					check("ReadInto", k, b)
+				}
+				for k, size := range s.StatBatch(names) {
+					if size == 0 || size < -1 {
+						t.Errorf("StatBatch of %s = %d", key(k), size)
+					}
+				}
+			}
+		}(r)
+	}
+
+	final := make(map[int]int) // key → its last version; absent when deleted
+	for round := 1; round <= rounds && !t.Failed(); round++ {
+		var batch []store.KV
+		for j := 0; j < perRound; j++ {
+			k := (round*perRound + j*5) % nKeys
+			written[k].Store(int64(round))
+			batch = append(batch, store.KV{Key: key(k), Data: value(k, round)})
+			final[k] = round
+		}
+		if err := s.PutBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if round%5 == 0 {
+			k := round % nKeys
+			s.Del(key(k))
+			delete(final, k)
+		}
+		if round%40 == 0 {
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	readers.Wait()
+	if segs := s.Stats().Segments; segs < 2 {
+		t.Fatalf("%d segments: the writer never rotated", segs)
+	}
+	for k := 0; k < nKeys; k++ {
+		got, ok := s.Get(key(k))
+		v, live := final[k]
+		if ok != live || (live && !bytes.Equal(got, value(k, v))) {
+			t.Errorf("%s after the run: present=%v, want present=%v at version %d", key(k), ok, live, v)
+		}
 	}
 }
 
