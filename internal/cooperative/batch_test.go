@@ -238,19 +238,21 @@ func TestTargetedRepairBatchesPerNode(t *testing.T) {
 	}
 }
 
-// TestChunkEntriesBounded pins the batch-fetch sizing: small blocks are
-// bounded by entry count, large blocks by response bytes, and a block
-// bigger than the byte budget still fetches one at a time.
+// TestChunkEntriesBounded pins the frame sizing: small blocks are
+// bounded by entry count, 64 KiB blocks by the byte budget (several to a
+// frame), and a block bigger than the budget still travels one at a time.
 func TestChunkEntriesBounded(t *testing.T) {
 	if got := chunkEntries(32); got != batchChunk {
 		t.Errorf("chunkEntries(32) = %d, want %d", got, batchChunk)
 	}
-	const mib = 1 << 20
-	if got := chunkEntries(mib); got < 1 || got*(mib+64) > batchChunkBytes {
-		t.Errorf("chunkEntries(1MiB) = %d overflows the %d-byte budget", got, batchChunkBytes)
+	const kib64 = 64 << 10
+	if got := chunkEntries(kib64); got < 2 || got*(kib64+64) > batchChunkBytes {
+		t.Errorf("chunkEntries(64KiB) = %d, want ≥ 2 within the %d-byte budget", got, batchChunkBytes)
 	}
-	if got := chunkEntries(1 << 30); got != 1 {
-		t.Errorf("chunkEntries(1GiB) = %d, want 1", got)
+	for _, size := range []int{batchChunkBytes, 1 << 20, 1 << 30} {
+		if got := chunkEntries(size); got != 1 {
+			t.Errorf("chunkEntries(%d) = %d, want 1", size, got)
+		}
 	}
 }
 

@@ -30,15 +30,15 @@
 // concurrently. So under any router the engine's missing-block
 // enumeration (once per Repair), each round's GetMany of the tuples it
 // chose, and its commit — in-place rebuilds and uploads in flight
-// together — cost one batched frame of each kind per storage node touched
-// (one per chunkEntries-sized chunk when a batch outgrows a frame), and
-// their wall clock is the slowest node's, not the sum. Naming and routing
-// cost per group, not per key, where the router names its groups
-// (GroupRouter, which cluster.Router implements): a bulk call builds its
-// keys as substrings of one allocation, one Read, Repair, Health or
-// Missing call routes each volume once, and a Backup routes its α
-// parities once. Read decodes a
-// lost block from a pp-tuple on the node when it can: when both parities
+// together — cost one batched exchange of each kind per storage node
+// touched, streamed to the node as frames of at most batchChunkBytes, two
+// in flight, and their wall clock is the slowest node's, not the sum.
+// Naming and routing cost per group, not per key, where the router names
+// its groups (GroupRouter, which cluster.Router implements): a bulk call
+// builds its keys as substrings of one allocation, one Read, Repair,
+// Health or Missing call routes each volume once, and a Backup routes its
+// α parities once. Read decodes a lost block from a pp-tuple on the node
+// when it can: when both parities
 // share a node that answers XorMany, that node sends their XOR — one
 // block on the wire, one exchange. Otherwise the tuple is fetched the
 // bulk way: one GetMany frame when both parities share a node, two frames
@@ -54,6 +54,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"aecodes/internal/entangle"
 	"aecodes/internal/lattice"
@@ -156,19 +157,25 @@ type xorPutNode interface {
 	XorPutMany(ctx context.Context, items []store.XorKV) ([]bool, error)
 }
 
-// batchChunk bounds one GetMany/PutMany call by entry count
-// (conservatively below transport.MaxBatchEntries = 4096, without
-// importing that package), and batchChunkBytes bounds the expected frame
-// size so a chunk of large blocks cannot overflow a transport frame
-// (MaxPayloadLen = 64 MiB) and get the whole node misreported as
-// unreachable.
+// batchChunk bounds one frame to a node by entry count (conservatively
+// below transport.MaxBatchEntries = 4096, without importing that
+// package), and batchChunkBytes bounds the block bytes one frame carries.
+// A node's share of a repair round — several MiB on a large lattice —
+// thus travels as a stream of small frames, two in flight (sendFrames):
+// the node reads, XORs and writes one while the next is on the wire, and
+// neither side stages the whole share in one buffer. A Backup's α
+// parities and a Read's pp-tuple fit one frame of blocks up to
+// batchChunkBytes/α, and go out in line. A block larger than the budget
+// goes alone, so no frame nears the transport's MaxPayloadLen (64 MiB)
+// and gets the whole node misreported as unreachable.
 const (
 	batchChunk      = 1024
-	batchChunkBytes = 32 << 20
+	batchChunkBytes = 512 << 10
 )
 
-// chunkEntries returns how many blocks of the given size fit one batched
-// transfer, always at least 1.
+// chunkEntries returns how many blocks of the given size one frame
+// carries: as many as fit batchChunkBytes, at most batchChunk, and always
+// at least 1.
 func chunkEntries(blockSize int) int {
 	perEntry := blockSize + 64 // content plus generous per-entry framing
 	n := batchChunkBytes / perEntry
@@ -179,6 +186,50 @@ func chunkEntries(blockSize int) int {
 		return batchChunk
 	}
 	return n
+}
+
+// sendFrames cuts n entries into frames of at most step and calls
+// send(start, end) for each, in order, with two frames in flight to one
+// node: frame k+1 is sent once frame k-1 is answered, so one is on the
+// wire while the node serves the other. A send that fails stops the
+// stream — no frame is sent once its answer is in, so at most the one
+// already in flight follows it — and sendFrames returns the error of the
+// earliest frame that failed. A call that fits one frame runs in line,
+// with no goroutine; otherwise every frame runs on a goroutine of its own
+// and sendFrames returns when all have.
+func sendFrames(n, step int, send func(start, end int) error) error {
+	if n <= step {
+		if n == 0 {
+			return nil
+		}
+		return send(0, n)
+	}
+	var stopped atomic.Bool
+	errs := make([]error, (n+step-1)/step)
+	var inFlight [2]sync.WaitGroup // frame k runs under inFlight[k%2]
+	for k := 0; k < len(errs) && !stopped.Load(); k++ {
+		wg := &inFlight[k%2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start := k * step
+			if err := send(start, min(start+step, n)); err != nil {
+				errs[k] = err
+				stopped.Store(true)
+			}
+		}()
+		if k > 0 {
+			inFlight[(k-1)%2].Wait()
+		}
+	}
+	inFlight[0].Wait()
+	inFlight[1].Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // InMemoryNode is a NodeStore over one store.Mem, with a switchable
@@ -609,18 +660,17 @@ func addToGroup(groups map[string]*routeGroup, node NodeStore, gid string, e lat
 	g.items = append(g.items, store.KV{Key: key, Data: data})
 }
 
-// putGroup ships items to node as one PutMany frame per chunkEntries-sized
-// chunk: a single frame for a Backup call and for any repair round of up
-// to chunkEntries parities on that node.
+// putGroup ships items to node in PutMany frames of at most
+// chunkEntries blocks, two in flight (sendFrames): one frame, in line,
+// for a Backup call. The first failure in frame order is the error, and
+// no frame is sent after it.
 func (b *Broker) putGroup(ctx context.Context, node NodeStore, items []store.KV) error {
-	step := chunkEntries(b.blockSize)
-	for start := 0; start < len(items); start += step {
-		chunk := items[start:min(start+step, len(items))]
-		if err := node.PutMany(ctx, chunk); err != nil {
-			return fmt.Errorf("cooperative: uploading %d blocks: %w", len(chunk), err)
+	return sendFrames(len(items), chunkEntries(b.blockSize), func(start, end int) error {
+		if err := node.PutMany(ctx, items[start:end]); err != nil {
+			return fmt.Errorf("cooperative: uploading %d blocks: %w", end-start, err)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // fanOut runs fn(0) … fn(n-1) — one call per storage node an operation
@@ -1009,10 +1059,11 @@ func (b *Broker) RecoverState(ctx context.Context, opts RecoverOptions) error {
 // BlockStore dialect so the generic repair engine can drive repairs. It
 // is pure routing and batching: refs and keys map to responsible nodes,
 // and bulk operations group by node — whatever routing groups the router
-// reports — and reach all nodes concurrently, one batched frame per node
-// and chunk. It keeps no block cache — round-based repair's read locality
-// lives in the engine's own round prefetch, which arrives here as one
-// GetMany over the tuples the round chose — only the call's routes.
+// reports — and reach all nodes concurrently, each node's share a stream
+// of frames (sendFrames). It keeps no block cache — round-based repair's
+// read locality lives in the engine's own round prefetch, which arrives
+// here as one GetMany over the tuples the round chose — only the call's
+// routes.
 type netStore struct {
 	b      *Broker // block state accessed under b.mu (the broker's own lock)
 	routes routeTable
@@ -1096,29 +1147,46 @@ func (s *netStore) PutParity(ctx context.Context, e lattice.Edge, data []byte) e
 	return err
 }
 
-// fetchFromNode fetches keys from one node, one GetMany frame per
-// chunkEntries-sized chunk. The result has one entry per key; a nil entry
-// means the block is missing, is not blockSize long (no XOR could use
-// it), or the node was unreachable for its chunk.
+// fetchFromNode fetches keys from one node in GetMany frames of at most
+// chunkEntries blocks, two in flight (sendFrames). The result has one
+// entry per key; a nil entry means the block is missing, is not blockSize
+// long (no XOR could use it), or its frame was not answered. A node found
+// unreachable, or a context that ends, stops the stream: no frame goes to
+// the node after that answer, and the keys not fetched stay nil.
 func (s *netStore) fetchFromNode(ctx context.Context, node NodeStore, keys []string) [][]byte {
 	out := make([][]byte, len(keys))
-	step := chunkEntries(s.b.blockSize)
-	for start := 0; start < len(keys); start += step {
-		end := min(start+step, len(keys))
+	sendFrames(len(keys), chunkEntries(s.b.blockSize), func(start, end int) error {
 		blocks, err := node.GetMany(ctx, keys[start:end])
-		if errors.Is(err, store.ErrUnavailable) {
-			s.routes.forgetNode(node)
+		if stop := s.stopFor(ctx, node, err); stop != nil {
+			return stop
 		}
 		if err != nil || len(blocks) != end-start {
-			continue // node unreachable (or confused): chunk stays nil
+			return nil // a refusal (or a confused answer): the frame stays nil
 		}
 		for j, blk := range blocks {
 			if len(blk) == s.b.blockSize {
 				out[start+j] = blk
 			}
 		}
-	}
+		return nil
+	})
 	return out
+}
+
+// stopFor returns the error that ends a stream of frames to node after
+// a frame that failed with err: a node that could not be reached —
+// forgotten by the call's route table, as every such answer is — or a
+// context that ended. An answer, or any other failure, lets the stream
+// go on.
+func (s *netStore) stopFor(ctx context.Context, node any, err error) error {
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, store.ErrUnavailable):
+		s.routes.forgetNode(node)
+		return err
+	}
+	return ctx.Err()
 }
 
 // nodeKeys is one storage node's share of a bulk read: the keys it is
@@ -1182,7 +1250,7 @@ func (g *keysByNode) fill(owner []int, keys []string) {
 
 // GetMany implements store.BlockStore: data refs are served from the
 // user's machine, parity refs are grouped by responsible node and fetched
-// from all nodes concurrently, one batched frame per node and chunk. This
+// from all nodes concurrently, a stream of GetMany frames per node. This
 // is the path the repair engine's round prefetch travels, and Read's
 // pp-tuple fetch when no one node can decode the tuple. A context that
 // ends during the fetch is an error, not a batch of missing blocks.
@@ -1291,8 +1359,8 @@ func (s *netStore) fetchGroups(ctx context.Context, groups *keysByNode, out [][]
 
 // PutMany implements store.BlockStore: repaired data blocks return to the
 // user's machine, repaired parities are grouped by responsible node and
-// re-uploaded to all nodes concurrently, one batched frame per node and
-// chunk — the commit half of the one-frame-per-node-per-round traffic
+// re-uploaded to all nodes concurrently, a stream of PutMany frames per
+// node — the commit half of the one-exchange-per-node-per-round traffic
 // shape. Its only caller is repair, so every parity it uploads counts as
 // one the broker rebuilt.
 func (s *netStore) PutMany(ctx context.Context, blocks []store.Block) error {
@@ -1362,13 +1430,13 @@ func (s *netStore) inPlace(ctx context.Context, dst, src store.Ref) (xorPutNode,
 
 // XorPutMany implements store.XorPutter, Table III steps 4–5 on the node:
 // the items go to the node InPlace found them on, all nodes concurrently,
-// one XorPutMany frame per node and chunkEntries-sized chunk, and the
-// node stores Data ⊕ Src. An unreachable node answers false for its
-// items, as its GetMany leaves them nil; a quota refusal or a context
-// that ends is the batch's error. A node that refuses the op — one that
-// predates it answers "unknown op" — is not asked again, and the items
-// it refused, like any whose route has moved off one node since InPlace,
-// are rebuilt by the broker.
+// in XorPutMany frames of at most chunkEntries items, two in flight per
+// node, and the node stores Data ⊕ Src. An unreachable node answers false
+// for the items it did not apply, as its GetMany leaves them nil; a quota
+// refusal or a context that ends is the batch's error. A node that
+// refuses the op — one that predates it answers "unknown op" — is not
+// asked again, and the items it did not apply, like any whose route has
+// moved off one node since InPlace, are rebuilt by the broker.
 func (s *netStore) XorPutMany(ctx context.Context, items []store.XorPut) ([]bool, error) {
 	type nodeItems struct {
 		node  xorPutNode
@@ -1430,39 +1498,77 @@ func (s *netStore) XorPutMany(ctx context.Context, items []store.XorPut) ([]bool
 	return applied, nil
 }
 
-// pushToNode sends one node its items, one XorPutMany frame per
-// chunkEntries-sized chunk, and marks the slots of the parities it stored
-// in applied. A chunk the node could not be reached for stays false, and
-// a quota refusal is the error. When the node refuses the op it is
-// remembered as refusing, and the slots of the chunk and of every chunk
-// after it are returned unsent for the broker to rebuild.
+// pushToNode sends one node its items in XorPutMany frames of at most
+// chunkEntries items, two in flight (sendFrames), and marks the slots of
+// the parities it stored in applied. A quota refusal in any frame is the
+// error. A node that cannot be reached, a context that ends or a node
+// that refuses the op stops the stream, and the slots of the frames not
+// answered stay false. A refusing node is remembered, and the slots of
+// every frame it did not answer — refused, or never sent — are returned
+// for the broker to rebuild.
 func (s *netStore) pushToNode(ctx context.Context, node xorPutNode, items []store.XorKV, slots []int, applied []bool) ([]int, error) {
 	step := chunkEntries(s.b.blockSize)
-	for start := 0; start < len(items); start += step {
-		end := min(start+step, len(items))
-		res, err := node.XorPutMany(ctx, items[start:end])
-		switch {
-		case err == nil && len(res) == end-start:
-			for m, k := range slots[start:end] {
-				if res[m] {
-					applied[k] = true
-					obsRepairNodeXor.Inc()
-				}
-			}
-		case errors.Is(err, store.ErrQuotaExceeded):
-			return nil, fmt.Errorf("cooperative: rebuilding %d parities: %w", end-start, err)
-		case errors.Is(err, store.ErrUnavailable):
-			// As a failed GetMany: the companions are missing this round.
-			s.routes.forgetNode(node)
-		case ctx.Err() != nil:
-			// The caller gave up; the node refused nothing.
-		default: // a refusal, or an answer of the wrong length
-			s.b.noXorPut.Store(node, true)
-			return slots[start:], nil
+	frames := make([]error, (len(items)+step-1)/step) // per frame: nil once answered
+	for f := range frames {
+		frames[f] = errUnsent
+	}
+	sendFrames(len(items), step, func(start, end int) error {
+		err := s.pushFrame(ctx, node, items[start:end], slots[start:end], applied)
+		frames[start/step] = err
+		return err
+	})
+	refused := false
+	for _, err := range frames {
+		if errors.Is(err, store.ErrQuotaExceeded) {
+			return nil, err
+		}
+		refused = refused || errors.Is(err, errRefused)
+	}
+	if !refused {
+		return nil, nil
+	}
+	var rest []int
+	for f, err := range frames {
+		if err != nil {
+			rest = append(rest, slots[f*step:min((f+1)*step, len(slots))]...)
 		}
 	}
-	return nil, nil
+	return rest, nil
 }
+
+// pushFrame sends node one XorPutMany frame and marks the slots of the
+// parities it stored in applied. It returns nil for an answer, the error
+// that stops the stream (stopFor) for an unreachable node or a context
+// that ended, a quota refusal as is, and errRefused — with the node
+// remembered as refusing — for a refusal of the op or an answer of the
+// wrong length.
+func (s *netStore) pushFrame(ctx context.Context, node xorPutNode, items []store.XorKV, slots []int, applied []bool) error {
+	res, err := node.XorPutMany(ctx, items)
+	switch {
+	case err == nil && len(res) == len(items):
+		for m, k := range slots {
+			if res[m] {
+				applied[k] = true
+				obsRepairNodeXor.Inc()
+			}
+		}
+		return nil
+	case errors.Is(err, store.ErrQuotaExceeded):
+		return fmt.Errorf("cooperative: rebuilding %d parities: %w", len(items), err)
+	}
+	if stop := s.stopFor(ctx, node, err); stop != nil {
+		return stop // the items are missing this round, as a failed GetMany leaves them
+	}
+	s.b.noXorPut.Store(node, true)
+	return errRefused
+}
+
+// errUnsent marks a frame no answer came back for, and errRefused one a
+// node refused to rebuild in place.
+var (
+	errUnsent  = errors.New("cooperative: frame not sent")
+	errRefused = errors.New("cooperative: in-place rebuild refused")
+)
 
 // rebuildHere is Table III steps 4–5 on the broker for the items at
 // slots: their companions in one GetMany, the XOR here, the results in
@@ -1499,24 +1605,23 @@ func (s *netStore) rebuildHere(ctx context.Context, items []store.XorPut, slots 
 }
 
 // heldOnNode answers the enumeration question for one node — which of
-// these keys do you hold — in presence-only StatMany frames. One entry
-// per key; an unreachable node holds nothing this round.
+// these keys do you hold — in presence-only StatMany frames of at most
+// batchChunk keys, two in flight (sendFrames). Presence flags are one
+// byte per key, so only the entry count bounds a frame. One entry per
+// key; an unreachable node holds nothing this round, and a node found
+// unreachable, or a context that ends, gets no frame after that answer.
 func (s *netStore) heldOnNode(ctx context.Context, node NodeStore, keys []string) []bool {
 	held := make([]bool, len(keys))
-	// Presence flags are one byte per key, so the chunking that keeps
-	// content batches under the frame limit is only needed for the entry
-	// count, not the byte budget.
-	for start := 0; start < len(keys); start += batchChunk {
-		end := min(start+batchChunk, len(keys))
+	sendFrames(len(keys), batchChunk, func(start, end int) error {
 		flags, err := node.StatMany(ctx, keys[start:end])
-		if errors.Is(err, store.ErrUnavailable) {
-			s.routes.forgetNode(node)
+		if stop := s.stopFor(ctx, node, err); stop != nil {
+			return stop
 		}
-		if err != nil || len(flags) != end-start {
-			continue // node unreachable (or confused): chunk stays false
+		if err == nil && len(flags) == end-start {
+			copy(held[start:end], flags)
 		}
-		copy(held[start:end], flags)
-	}
+		return nil // a refusal (or a confused answer): the frame stays false
+	})
 	return held
 }
 

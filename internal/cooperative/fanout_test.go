@@ -143,6 +143,8 @@ func nodeOf(t *testing.T, b *Broker, e lattice.Edge) *InMemoryNode {
 		return n.NodeStore.(*InMemoryNode)
 	case refusingNode:
 		return n.InMemoryNode
+	case *frameNode:
+		return n.InMemoryNode
 	}
 	t.Fatalf("no in-memory node behind a %T", node)
 	return nil
