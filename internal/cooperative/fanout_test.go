@@ -151,12 +151,16 @@ func nodeOf(t *testing.T, b *Broker, e lattice.Edge) *InMemoryNode {
 }
 
 // dropColocated deletes each parity pick accepts whose first dp-tuple
-// companion is a real parity on the same node that stays, and returns
-// the deleted parities with their content. Every deleted parity can then
-// be rebuilt on its node in one round. pick sees positions in ascending
-// order, so a companion — the in-edge of the parity's left end — is
-// decided before the parity it serves.
-func dropColocated(t *testing.T, b *Broker, pick func(lattice.Edge) bool) map[lattice.Edge][]byte {
+// companion — or, when every is set, each of its two companions — is a
+// real parity on the same node that stays, and returns the deleted
+// parities with their content. With every, each deleted parity is rebuilt
+// on its node in one round whichever tuple the repair plan picks; without,
+// the plan may pick the other tuple, whose companion can lie on another
+// node, and leave that parity to the broker. pick sees positions in
+// ascending order, so a parity's first companion — the in-edge of its left
+// end — is decided before it, and its second — the out-edge of its right
+// end — after it, and skipped then as a parity whose first companion went.
+func dropColocated(t *testing.T, b *Broker, every bool, pick func(lattice.Edge) bool) map[lattice.Edge][]byte {
 	t.Helper()
 	lat := b.rep.Lattice()
 	dropped := make(map[lattice.Edge][]byte)
@@ -176,6 +180,9 @@ func dropColocated(t *testing.T, b *Broker, pick func(lattice.Edge) bool) map[la
 			}
 			node := nodeOf(t, b, e)
 			if nodeOf(t, b, c) != node {
+				continue
+			}
+			if c := opts[1].Parity; every && (c.Left > b.Count() || nodeOf(t, b, c) != node) {
 				continue
 			}
 			key := b.parityKey(e)
@@ -328,7 +335,7 @@ func TestClusterShapedTraffic(t *testing.T) {
 	// frame per node — no GetMany, no PutMany, nothing single-block — and
 	// every parity is rebuilt on its node.
 	drop := rand.New(rand.NewSource(43))
-	dropped := dropColocated(t, b, func(lattice.Edge) bool { return drop.Float64() < 0.15 })
+	dropped := dropColocated(t, b, true, func(lattice.Edge) bool { return drop.Float64() < 0.15 })
 	resetAll(mems)
 	xor0, pair0 := repairCounters()
 	stats, err := b.Repair(bg, entangle.Options{})

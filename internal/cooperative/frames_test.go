@@ -215,7 +215,7 @@ func TestRepairStreamsFrames(t *testing.T) {
 			lostData++
 		}
 	}
-	dropped := dropColocated(t, b, func(lattice.Edge) bool { return rng.Float64() < 0.5 })
+	dropped := dropColocated(t, b, false, func(lattice.Edge) bool { return rng.Float64() < 0.5 })
 	// A tenth of the rest goes as well, so the broker rebuilds some.
 	lat := b.rep.Lattice()
 	for i := 1; i <= b.Count(); i++ {
@@ -281,7 +281,7 @@ func TestFramesAnswerEveryItemOnce(t *testing.T) {
 	lat := b.rep.Lattice()
 	var refs []store.Ref
 	var pushes []store.XorPut
-	dropped := dropColocated(t, b, func(lattice.Edge) bool { return true })
+	dropped := dropColocated(t, b, false, func(lattice.Edge) bool { return true })
 	for e := range dropped {
 		opts, err := lat.ParityOptions(e)
 		if err != nil {
@@ -456,7 +456,7 @@ func TestPushRefusedMidStream(t *testing.T) {
 		}
 		return nil
 	})
-	dropped := dropColocated(t, b, func(lattice.Edge) bool { return true })
+	dropped := dropColocated(t, b, false, func(lattice.Edge) bool { return true })
 	xor0, pair0 := repairCounters()
 	stats, err := b.Repair(bg, entangle.Options{})
 	if err != nil {
@@ -497,7 +497,7 @@ func TestPushQuotaOnAnyFrame(t *testing.T) {
 				}
 				return nil
 			})
-			dropColocated(t, b, func(lattice.Edge) bool { return true })
+			dropColocated(t, b, false, func(lattice.Edge) bool { return true })
 			stats, err := b.Repair(bg, entangle.Options{})
 			if !errors.Is(err, store.ErrQuotaExceeded) {
 				t.Fatalf("Repair = %v, want store.ErrQuotaExceeded", err)

@@ -125,7 +125,7 @@ func TestRoutesPerGroup(t *testing.T) {
 		phase()
 
 		drop := rand.New(rand.NewSource(43))
-		dropped := dropColocated(t, b, func(lattice.Edge) bool { return drop.Float64() < 0.15 })
+		dropped := dropColocated(t, b, false, func(lattice.Edge) bool { return drop.Float64() < 0.15 })
 		res.dropped = len(dropped)
 		resetAll(mems)
 		if gr != nil {

@@ -271,10 +271,11 @@ func TestRepairMatchesSetOracle(t *testing.T) {
 	const n, blockSize = 150, 8
 	counter := entangleScope.Counter("repair.lattice.normal.windows")
 	var windows [2]int64 // enumerated runs on four workers: whole rounds, windows of 7 blocks
+	var reads, reference int
 	for _, params := range soundnessSettings {
 		t.Run(params.String(), func(t *testing.T) {
 			for _, damage := range []float64{0.1, 0.3, 0.5, 0.7} {
-				for _, run := range []struct {
+				for idx, run := range []struct {
 					workers int
 					mask    byte
 					window  int
@@ -285,6 +286,10 @@ func TestRepairMatchesSetOracle(t *testing.T) {
 						if rng.Float64() < damage {
 							ref.lose(k)
 						}
+					}
+					if idx == 0 { // the same damage as every other run
+						r, f := checkPlanReads(t, ref, false)
+						reads, reference = reads+r, reference+f
 					}
 					before := counter.Value()
 					checkAgainstOracle(t, ref, Options{Workers: run.workers}, run.mask, false, run.window)
@@ -297,6 +302,10 @@ func TestRepairMatchesSetOracle(t *testing.T) {
 	}
 	if windows[1] <= windows[0] {
 		t.Fatalf("windows of 7 blocks ran %d windows against %d for whole rounds: no round was cut", windows[1], windows[0])
+	}
+	t.Logf("the rounds plan to read %d blocks, the first-tuple rule %d", reads, reference)
+	if reads >= reference {
+		t.Fatalf("the rounds plan to read %d blocks, the first-tuple rule %d: no tuple member was shared", reads, reference)
 	}
 }
 
@@ -333,6 +342,13 @@ func FuzzRepairPlan(f *testing.F) {
 			stats, partial := checkAgainstOracle(t, ref, opts, in[4], push, window)
 			return ref.st, stats, partial
 		}
+		ref := buildReference(t, params, n, 8, int64(in[1]))
+		for b := range ref.ordered {
+			if bitmap[(b/8)%len(bitmap)]&(1<<(b%8)) != 0 {
+				ref.lose(b)
+			}
+		}
+		checkPlanReads(t, ref, opts.DataOnly)
 		var stores [2]*MemoryStore
 		var stats [2]Stats
 		var partial bool
@@ -349,6 +365,147 @@ func FuzzRepairPlan(f *testing.F) {
 		// for it. Only the outcome is compared then.
 		samePlan(t, stores[0], stores[1], stats[0], stats[1], !partial)
 	})
+}
+
+// firstTupleReads counts the real blocks a round reads when every missing
+// block takes its first complete tuple — the rule the planner had before it
+// chose tuples that share members, kept as the reference it must not
+// exceed.
+func firstTupleReads(t testing.TB, lat *lattice.Lattice, loss *lossSet, dataOnly bool) int {
+	t.Helper()
+	read := make(map[store.Ref]bool)
+	first := func(options [][2]store.Ref) {
+		for _, o := range options {
+			if !loss.gone[blockKey(o[0])] && !loss.gone[blockKey(o[1])] {
+				for _, m := range o {
+					if !m.Parity || !m.Edge.IsVirtual() {
+						read[m] = true
+					}
+				}
+				return
+			}
+		}
+	}
+	for _, i := range loss.data {
+		tuples, err := lat.Tuples(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var options [][2]store.Ref
+		for _, tu := range tuples {
+			options = append(options, [2]store.Ref{store.ParityRef(tu.In), store.ParityRef(tu.Out)})
+		}
+		first(options)
+	}
+	for _, e := range loss.par {
+		if dataOnly {
+			break
+		}
+		dp, err := lat.ParityOptions(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var options [][2]store.Ref
+		for _, o := range dp {
+			options = append(options, [2]store.Ref{store.DataRef(o.Data), store.ParityRef(o.Parity)})
+		}
+		first(options)
+	}
+	return len(read)
+}
+
+// checkPlanReads walks the rounds of a repair of the reference system's
+// damage through the planner alone — a fetch returns every block of the
+// lattice's extent, as the reference store does — and fails if a round
+// plans to read more distinct blocks than the first-tuple rule would. It
+// returns the blocks the rounds plan to read and what the rule would read.
+func checkPlanReads(t testing.TB, ref *referenceSystem, dataOnly bool) (reads, reference int) {
+	t.Helper()
+	rep, err := NewRepairer(ref.lat.Params(), len(ref.data[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loss, err := seedLoss(bg, ref.st, Options{}, &Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inside := func(r store.Ref) bool { return position(r) <= ref.n }
+	for round := 1; ; round++ {
+		first := firstTupleReads(t, ref.lat, loss, dataOnly)
+		p, err := rep.chooseTuples(bg, loss, dataOnly, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.refs) > first {
+			t.Fatalf("round %d plans to read %d blocks, the first-tuple rule %d", round, len(p.refs), first)
+		}
+		if len(p.jobs) == 0 {
+			return reads, reference
+		}
+		reads += len(p.refs)
+		reference += first
+		var done []store.Ref
+		for _, j := range p.jobs {
+			if (j.a < 0 || inside(p.refs[j.a])) && (j.b < 0 || inside(p.refs[j.b])) {
+				done = append(done, j.ref)
+			}
+		}
+		for _, r := range p.refs {
+			if !inside(r) {
+				loss.gone[blockKey(r)] = true
+			}
+		}
+		loss.repaired(done)
+	}
+}
+
+// TestRepairSharesTupleMembers hand-builds a loss the first-tuple rule
+// reads one block too many for: a lost horizontal parity p_{i,j} and the
+// lost right-handed out-edge of d_j. The first rule reads d_i and the
+// horizontal in-edge of d_i for the one, d_j and the right-handed in-edge
+// of d_j for the other — four blocks. Taking the horizontal parity's right
+// dp-tuple, d_j with the horizontal out-edge of d_j, shares d_j: three. A
+// plain store and one that rebuilds in place read the same.
+func TestRepairSharesTupleMembers(t *testing.T) {
+	params := lattice.Params{Alpha: 3, S: 2, P: 5}
+	const n, blockSize, i = 60, 32, 21
+	rep := mustRepairer(t, params)
+	h, err := rep.Lattice().OutEdge(lattice.Horizontal, i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rh, err := rep.Lattice().OutEdge(lattice.RightHanded, h.Right)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, push := range []bool{false, true} {
+		st, _ := buildDamagedStore(t, params, n, blockSize, 0, 5)
+		want := make(map[lattice.Edge][]byte)
+		for _, e := range []lattice.Edge{h, rh} {
+			b, _ := st.Parity(e)
+			want[e] = bytes.Clone(b)
+			st.LoseParity(e)
+		}
+		var s Store = &countingStore{inner: st}
+		if push {
+			s = &xorPutStore{lyingStore: &lyingStore{countingStore: s.(*countingStore)}}
+		}
+		stats, err := rep.Repair(bg, s, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Rounds != 1 || stats.ParityRepaired != 2 {
+			t.Fatalf("push=%v: stats %+v, want both parities in one round", push, stats)
+		}
+		if got := stats.BytesRead / blockSize; got != 3 {
+			t.Errorf("push=%v: the round read %d blocks, want 3: d%d serves both parities", push, got, h.Right)
+		}
+		for e, b := range want {
+			if got, ok := st.Parity(e); !ok || !bytes.Equal(got, b) {
+				t.Errorf("push=%v: %v missing or wrong after repair", push, e)
+			}
+		}
+	}
 }
 
 // lyingStore answers GetMany with nil for the refs in lies although its
@@ -379,29 +536,29 @@ func TestRepairReplansAroundFetchContradiction(t *testing.T) {
 	const n = 120
 	st, originals := buildDamagedStore(t, params, n, 32, 0.25, 3)
 	rep := mustRepairer(t, params)
-	enumerated, err := st.Missing(bg)
+	loss, err := seedLoss(bg, st, Options{}, &Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	listed := make(map[store.Ref]bool)
-	for _, e := range enumerated.Parities {
-		listed[store.ParityRef(e)] = true
+	cands, _, err := rep.candidates(loss, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := rep.chooseTuples(bg, loss, false, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// Lie about the second parity of the first tuple of some missing data
-	// blocks: the tuple the plan picks first whenever it looks complete.
+	// Lie about the out-edge of the tuple the first round's plan picks for
+	// some missing data blocks that have another complete tuple.
 	lies := make(map[store.Ref]bool)
-	for _, i := range enumerated.Data {
-		tuples, err := rep.Lattice().Tuples(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r := store.ParityRef(tuples[0].Out); !listed[r] && !listed[store.ParityRef(tuples[0].In)] && len(lies) < 5 {
-			lies[r] = true
+	for k, j := range p.jobs {
+		if !j.ref.Parity && len(cands[k].options) > 1 && len(lies) < 5 {
+			lies[p.refs[j.b]] = true
 		}
 	}
 	if len(lies) < 3 {
-		t.Fatalf("damage pattern left only %d first tuples to lie about", len(lies))
+		t.Fatalf("damage pattern left only %d chosen tuples to lie about", len(lies))
 	}
 
 	ls := &lyingStore{countingStore: &countingStore{inner: st}, lies: lies}

@@ -250,25 +250,26 @@ func (s Stats) DataLoss() int { return len(s.UnrepairedData) }
 // Options.Targets, the targets one GetMany cannot serve — becomes the
 // engine's own set of missing blocks, and every later round works from
 // that set minus what the engine has committed since. A round picks, for
-// each missing block, the first repair tuple none of whose members is in
-// the set — the paper's two reads per repaired block — and runs the plan
-// in windows that together hold at most 32 MiB of fetched and rebuilt
-// blocks. A window fetches with one GetMany the chosen tuple members no
-// earlier window fetched, XORs its repairs, commits them with a single
-// PutMany and hands back (store.Release) every block no later window
-// reads. A round that fits one window runs it so, in line: one GetMany
-// and one PutMany, which a batch-native store moves in a constant number
-// of requests per storage location. A round that needs more windows is
-// cut at half the bound and runs them two deep: window k's commit runs
-// on a goroutine while window k+1 fetches and XORs, and is waited for
-// before window k+1's commit starts; the last window commits in line. A
-// round's memory is thus bounded whatever was lost. No round writes a
-// block one of its tuples reads, so its windows read exactly what one
-// fetch of the whole plan would: every worker reads the pre-round state,
-// whatever the worker count, the cut or the overlap. The statistics, the
-// loss set and the counters are kept on the caller's goroutine, once a
-// commit has been waited for; Options.RateLimit may be charged by a
-// commit and the next fetch at once.
+// each missing block, one repair tuple none of whose members is in the set
+// — the paper's two reads per repaired block, fewer where the round's
+// repairs share a member, and the planner picks the tuples that do (see
+// shareReads) — and runs the plan in windows that together hold at most
+// 32 MiB of fetched and rebuilt blocks. A window fetches with one GetMany
+// the chosen tuple members no earlier window fetched, XORs its repairs,
+// commits them with a single PutMany and hands back (store.Release) every
+// block no later window reads. A round that fits one window runs it so,
+// in line: one GetMany and one PutMany, which a batch-native store moves
+// in a constant number of requests per storage location. A round that
+// needs more windows is cut at half the bound and runs them two deep:
+// window k's commit runs on a goroutine while window k+1 fetches and
+// XORs, and is waited for before window k+1's commit starts; the last
+// window commits in line. A round's memory is thus bounded whatever was
+// lost. No round writes a block one of its tuples reads, so its windows
+// read exactly what one fetch of the whole plan would: every worker reads
+// the pre-round state, whatever the worker count, the cut or the overlap.
+// The statistics, the loss set and the counters are kept on the caller's
+// goroutine, once a commit has been waited for; Options.RateLimit may be
+// charged by a commit and the next fetch at once.
 //
 // On a store that rebuilds in place (store.XorPutter), a parity the round
 // repairs from a dp-tuple whose parity member — the companion — the store
@@ -553,7 +554,7 @@ func (c *windowCommit) book(loss *lossSet, stats *Stats) []store.Ref {
 	done := c.fixed
 	for k, ok := range c.applied {
 		if !ok {
-			loss.gone[c.items[k].Src] = true
+			loss.gone[blockKey(c.items[k].Src)] = true
 			continue
 		}
 		done = append(done, c.items[k].Dst)
@@ -626,14 +627,16 @@ func pushRound(ctx context.Context, xp store.XorPutter, items []store.XorPut, re
 // the positions that came back short move on to their next tuple. Pass k
 // therefore reads strands of the k-th class only: a call is at most α
 // store calls, however many positions it is given, and fetches no block
-// twice.
+// twice. That is why it does not pick shared tuples as Repair's rounds
+// do: a pass that mixed classes could fetch again, in a later pass, a
+// block an earlier one returned.
 //
 // The result is parallel to positions: the rebuilt block — drawn from the
 // process-wide pool and the caller's to keep — or nil where no tuple is
 // complete, as for any position beyond the lattice's extent, whose
 // out-edges were never written.
 func (r *Repairer) DecodeData(ctx context.Context, st Store, positions []int) (out [][]byte, err error) {
-	loss := &lossSet{gone: make(map[store.Ref]bool)}
+	loss := &lossSet{gone: make(map[int64]bool)}
 	for _, i := range positions {
 		loss.add(store.DataRef(i))
 	}
@@ -650,10 +653,11 @@ func (r *Repairer) DecodeData(ctx context.Context, st Store, positions []int) (o
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p, err := r.chooseTuples(ctx, loss, true, nil)
+		cands, named, err := r.candidates(loss, true)
 		if err != nil {
 			return nil, err
 		}
+		p := planRound(ctx, cands, named, nil, nil)
 		if len(p.jobs) == 0 {
 			break
 		}
@@ -695,16 +699,17 @@ type lossSet struct {
 	// the lattice's tail does not) or leave to rebuild them (a missing
 	// block the caller's Targets left out) — and the companions an
 	// in-place rebuild was refused over. Virtual edges are never
-	// enumerated, fetched or pushed, so they are never in it.
-	gone map[store.Ref]bool
+	// enumerated, fetched or pushed, so they are never in it. Blocks are
+	// keyed by blockKey.
+	gone map[int64]bool
 }
 
 // add lists ref as missing, once.
 func (l *lossSet) add(ref store.Ref) {
-	if l.gone[ref] {
+	if l.gone[blockKey(ref)] {
 		return
 	}
-	l.gone[ref] = true
+	l.gone[blockKey(ref)] = true
 	if ref.Parity {
 		l.par = append(l.par, ref.Edge)
 	} else {
@@ -717,7 +722,7 @@ func (l *lossSet) add(ref store.Ref) {
 func (l *lossSet) refused(refs []store.Ref, blocks [][]byte) {
 	for idx, b := range blocks {
 		if b == nil {
-			l.gone[refs[idx]] = true
+			l.gone[blockKey(refs[idx])] = true
 		}
 	}
 }
@@ -725,17 +730,17 @@ func (l *lossSet) refused(refs []store.Ref, blocks [][]byte) {
 // repaired subtracts one round's committed repairs from the set.
 func (l *lossSet) repaired(refs []store.Ref) {
 	for _, ref := range refs {
-		delete(l.gone, ref)
+		delete(l.gone, blockKey(ref))
 	}
-	l.data = slices.DeleteFunc(l.data, func(i int) bool { return !l.gone[store.DataRef(i)] })
-	l.par = slices.DeleteFunc(l.par, func(e lattice.Edge) bool { return !l.gone[store.ParityRef(e)] })
+	l.data = slices.DeleteFunc(l.data, func(i int) bool { return !l.gone[blockKey(store.DataRef(i))] })
+	l.par = slices.DeleteFunc(l.par, func(e lattice.Edge) bool { return !l.gone[blockKey(store.ParityRef(e))] })
 }
 
 // seedLoss builds a run's loss set: everything the store's enumeration
 // lists, or — when the caller named Targets — the targets one fetch
 // cannot serve.
 func seedLoss(ctx context.Context, st Store, opts Options, stats *Stats) (*lossSet, error) {
-	loss := &lossSet{gone: make(map[store.Ref]bool)}
+	loss := &lossSet{gone: make(map[int64]bool)}
 	if len(opts.Targets) == 0 {
 		missing, err := st.Missing(ctx)
 		if err != nil {
@@ -771,20 +776,23 @@ type job struct {
 }
 
 // push is one planned in-place rebuild: the store writes ref = a ⊕
-// companion where the companion lives, a indexing the round's fetch list.
+// companion where the companion lives, a indexing the round's fetch list
+// and cid numbering the companion as candidates does.
 type push struct {
 	ref, companion store.Ref
 	a              int
+	cid            int32
 }
 
 // plan is one round's repairs: jobs the engine XORs from the fetched
-// refs, and pushes a store that rebuilds in place runs. fetching indexes
-// refs.
+// refs, and pushes a store that rebuilds in place runs. slots maps each
+// block candidates numbered to its index in refs plus one, or to zero
+// when the round fetches it not.
 type plan struct {
-	jobs     []job
-	pushes   []push
-	refs     []store.Ref
-	fetching map[store.Ref]int
+	jobs   []job
+	pushes []push
+	refs   []store.Ref
+	slots  []int
 }
 
 // sendable lists the pushes whose data member the fetch returned as
@@ -792,16 +800,15 @@ type plan struct {
 // companion no window of the round fetches: what the push adds to the
 // round's reads.
 func (p plan) sendable(blocks [][]byte) (items []store.XorPut, reads []bool) {
-	read := make(map[store.Ref]bool)
+	read := make([]bool, len(p.slots))
 	for _, j := range p.pushes {
 		d := blocks[j.a]
 		if d == nil {
 			continue
 		}
-		_, fetched := p.fetching[j.companion]
 		items = append(items, store.XorPut{Dst: j.ref, Src: j.companion, Data: d})
-		reads = append(reads, !fetched && !read[j.companion])
-		read[j.companion] = true
+		reads = append(reads, p.slots[j.cid] == 0 && !read[j.cid])
+		read[j.cid] = true
 	}
 	return items, reads
 }
@@ -828,8 +835,9 @@ type windows struct {
 // cut splits p into windows of at most window blocks each, counting the
 // fetched blocks a window reads or carries for a later one and the blocks
 // it rebuilds; a window takes at least one job. Jobs are taken in lattice
-// order, so the members neighbouring repairs share are mostly read by one
-// window, and each window keeps its jobs and fetches in plan order: a
+// order, each at the last position it touches, so the members neighbouring
+// repairs share are mostly read by one window and seldom carried to the
+// next, and each window keeps its jobs and fetches in plan order: a
 // round that fits one window runs the plan as it stands. A push's data
 // member is fetched by window 0 and counted only where a job reads it:
 // on a broker it is a block of its own.
@@ -838,7 +846,18 @@ func (r *Repairer) cut(p plan, window int) windows {
 	for k := range order {
 		order[k] = k
 	}
-	slices.SortStableFunc(order, func(x, y int) int { return position(p.jobs[x].ref) - position(p.jobs[y].ref) })
+	// A parity rebuilt from its right dp-tuple sits beside the repairs
+	// that share its data member.
+	at := make([]int, len(p.jobs))
+	for k, j := range p.jobs {
+		at[k] = position(j.ref)
+		for _, idx := range [2]int{j.a, j.b} {
+			if idx >= 0 {
+				at[k] = max(at[k], position(p.refs[idx]))
+			}
+		}
+	}
+	slices.SortStableFunc(order, func(x, y int) int { return at[x] - at[y] })
 	lastJob := make([]int, len(p.refs)) // the last job in order to read each ref
 	for s, k := range order {
 		for _, idx := range [2]int{p.jobs[k].a, p.jobs[k].b} {
@@ -897,65 +916,228 @@ func (r *Repairer) cut(p plan, window int) windows {
 	return cut
 }
 
-// chooseTuples picks, for every missing block, the first pp-tuple (data)
-// or dp-tuple (parity) none of whose members is in the set — the tuple
-// the round will XOR if the fetch agrees with the seed — and returns the
-// repairs with the deduplicated list of real blocks they read. A block
-// with no such tuple sits the round out. With xp, a parity whose chosen
-// companion xp reports in place with it becomes a push.
-func (r *Repairer) chooseTuples(ctx context.Context, loss *lossSet, dataOnly bool, xp store.XorPutter) (plan, error) {
-	p := plan{fetching: make(map[store.Ref]int)}
-	slot := func(ref store.Ref) int {
+// option is one repair tuple of a missing block, ref = a ⊕ b: a pp-tuple
+// (a the in-edge, b the out-edge) of a data block, a dp-tuple (a the data
+// member, b the parity member — the companion) of a parity. ia and ib
+// number the members among the real blocks the round's options name; a
+// virtual member is -1.
+type option struct {
+	a, b   store.Ref
+	ia, ib int32
+}
+
+// candidate is a missing block and its complete options — those none of
+// whose members is in the loss set — in the lattice's order: by strand
+// class for a data block, left before right for a parity.
+type candidate struct {
+	ref     store.Ref
+	options []option
+}
+
+// candidates lists every missing block that has a complete option — data
+// blocks in the set's order, then, unless dataOnly, parities — and how
+// many real blocks their options name. A block with no complete option
+// sits the round out. The options of all candidates share one array.
+func (r *Repairer) candidates(loss *lossSet, dataOnly bool) ([]candidate, int, error) {
+	n := len(r.lat.Classes()) * len(loss.data)
+	if !dataOnly {
+		n += 2 * len(loss.par)
+	}
+	all := make([]option, 0, n)
+	ids := make(map[int64]int32, n)
+	id := func(ref store.Ref) int32 {
 		if ref.Parity && ref.Edge.IsVirtual() {
 			return -1
 		}
-		idx, ok := p.fetching[ref]
+		key := blockKey(ref)
+		v, ok := ids[key]
 		if !ok {
-			idx = len(p.refs)
-			p.fetching[ref] = idx
-			p.refs = append(p.refs, ref)
+			v = int32(len(ids))
+			ids[key] = v
 		}
-		return idx
+		return v
 	}
-	// choose takes the tuple (a, b) for ref unless the set holds a member
-	// of it.
-	choose := func(ref, a, b store.Ref) bool {
-		if loss.gone[a] || loss.gone[b] {
-			return false
+	out := make([]candidate, 0, len(loss.data)+len(loss.par))
+	// complete keeps the options appended since from that no member of
+	// which is in the set.
+	complete := func(ref store.Ref, from int) {
+		kept := slices.DeleteFunc(all[from:], func(o option) bool { return loss.gone[blockKey(o.a)] || loss.gone[blockKey(o.b)] })
+		all = all[:from+len(kept)]
+		if len(kept) == 0 {
+			return
 		}
-		if xp != nil && ref.Parity && !b.Edge.IsVirtual() && xp.InPlace(ctx, ref, b) {
-			p.pushes = append(p.pushes, push{ref: ref, companion: b, a: slot(a)})
-			return true
+		for x := range kept {
+			kept[x].ia, kept[x].ib = id(kept[x].a), id(kept[x].b)
 		}
-		p.jobs = append(p.jobs, job{ref: ref, a: slot(a), b: slot(b)})
-		return true
+		out = append(out, candidate{ref: ref, options: kept[:len(kept):len(kept)]})
 	}
 	for _, i := range loss.data {
 		tuples, err := r.lat.Tuples(i)
 		if err != nil {
-			return plan{}, err
+			return nil, 0, err
 		}
+		from := len(all)
 		for _, t := range tuples {
-			if choose(store.DataRef(i), store.ParityRef(t.In), store.ParityRef(t.Out)) {
-				break
+			all = append(all, option{a: store.ParityRef(t.In), b: store.ParityRef(t.Out)})
+		}
+		complete(store.DataRef(i), from)
+	}
+	if !dataOnly {
+		for _, e := range loss.par {
+			dp, err := r.lat.ParityOptions(e)
+			if err != nil {
+				return nil, 0, err
+			}
+			from := len(all)
+			for _, o := range dp {
+				all = append(all, option{a: store.DataRef(o.Data), b: store.ParityRef(o.Parity)})
+			}
+			complete(store.ParityRef(e), from)
+		}
+	}
+	return out, len(ids), nil
+}
+
+// blockKey packs a block's identity — its position and, for a parity,
+// its strand class, which with the position names the edge — into one
+// integer, a cheaper map key than the Ref itself.
+func blockKey(ref store.Ref) int64 {
+	if ref.Parity {
+		return int64(ref.Edge.Left)<<2 | int64(ref.Edge.Class)
+	}
+	return int64(ref.Index) << 2
+}
+
+// shareReads picks an option for every candidate so that the round reads
+// few of the blocks their options name, and returns the picks parallel to
+// cands. A candidate with a single option takes it first. Every other
+// one, in lattice order, takes the option with the fewest members the
+// round does not read yet; among equals the one whose unread members the
+// options of the most candidates still to pick also use, so a block a
+// later repair can share is read early; then the earlier option. A
+// virtual member costs nothing. An option whose data member lies past
+// reach — the highest position the loss set names — comes last whatever
+// it shares: that block may lie beyond the lattice's end, and a fetch
+// that misses it would cost its parity the round.
+//
+// The picks depend on nothing but cands and reach, so a store that
+// rebuilds in place is planned exactly as a plain one: its pushes read the
+// companions the plain plan fetches.
+func shareReads(cands []candidate, blocks, reach int) []int {
+	beyond := func(o option) bool { return !o.a.Parity && o.a.Index > reach }
+	// uses holds, per block the round does not read yet, how many options
+	// of candidates still to pick read it; a block the round reads holds
+	// read.
+	const read = -1
+	uses := make([]int32, blocks)
+	count := func(c candidate, delta int32) {
+		for _, o := range c.options {
+			if beyond(o) {
+				continue
+			}
+			for _, m := range [2]int32{o.ia, o.ib} {
+				if m >= 0 && uses[m] != read {
+					uses[m] += delta
+				}
 			}
 		}
 	}
-	if dataOnly {
-		return p, nil
-	}
-	for _, e := range loss.par {
-		options, err := r.lat.ParityOptions(e)
-		if err != nil {
-			return plan{}, err
-		}
-		for _, opt := range options {
-			if choose(store.ParityRef(e), store.DataRef(opt.Data), store.ParityRef(opt.Parity)) {
-				break
+	take := func(o option) {
+		for _, m := range [2]int32{o.ia, o.ib} {
+			if m >= 0 {
+				uses[m] = read
 			}
 		}
 	}
-	return p, nil
+	picks := make([]int, len(cands))
+	var open []int // candidates with a choice, in lattice order
+	for k, c := range cands {
+		if len(c.options) == 1 {
+			take(c.options[0])
+		} else {
+			open = append(open, k)
+			count(c, 1)
+		}
+	}
+	slices.SortStableFunc(open, func(x, y int) int { return position(cands[x].ref) - position(cands[y].ref) })
+	for _, k := range open {
+		c := cands[k]
+		count(c, -1) // its own options are no reason to read a block
+		best, bestCost, bestShare := -1, 0, int32(0)
+		for x, o := range c.options {
+			cost, share := 0, int32(0)
+			for _, m := range [2]int32{o.ia, o.ib} {
+				if m >= 0 && uses[m] != read {
+					cost++
+					share += uses[m]
+				}
+			}
+			if beyond(o) {
+				cost += 3 // after every option within reach
+			}
+			if best < 0 || cost < bestCost || cost == bestCost && share > bestShare {
+				best, bestCost, bestShare = x, cost, share
+			}
+		}
+		picks[k] = best
+		take(c.options[best])
+	}
+	return picks
+}
+
+// reach is the highest position the set names: every data block up to it
+// lies within the lattice.
+func (l *lossSet) reach() int {
+	top := 0
+	for _, i := range l.data {
+		top = max(top, i)
+	}
+	for _, e := range l.par {
+		top = max(top, e.Left)
+	}
+	return top
+}
+
+// chooseTuples plans a repair round: for every missing block with a
+// complete option, the option shareReads picks — the tuple the round will
+// XOR if the fetch agrees with the seed — with the deduplicated list of
+// real blocks the repairs read. With xp, a parity whose chosen companion
+// xp reports in place with it becomes a push.
+func (r *Repairer) chooseTuples(ctx context.Context, loss *lossSet, dataOnly bool, xp store.XorPutter) (plan, error) {
+	cands, blocks, err := r.candidates(loss, dataOnly)
+	if err != nil {
+		return plan{}, err
+	}
+	return planRound(ctx, cands, blocks, shareReads(cands, blocks, loss.reach()), xp), nil
+}
+
+// planRound turns each candidate's picked option — its first when picks
+// is nil — into a job, or with xp into a push where the store holds the
+// companion in place with the parity. blocks is what candidates counted.
+func planRound(ctx context.Context, cands []candidate, blocks int, picks []int, xp store.XorPutter) plan {
+	p := plan{slots: make([]int, blocks)}
+	slot := func(ref store.Ref, id int32) int {
+		if id < 0 {
+			return -1
+		}
+		if p.slots[id] == 0 {
+			p.refs = append(p.refs, ref)
+			p.slots[id] = len(p.refs)
+		}
+		return p.slots[id] - 1
+	}
+	for k, c := range cands {
+		o := c.options[0]
+		if picks != nil {
+			o = c.options[picks[k]]
+		}
+		if xp != nil && c.ref.Parity && o.ib >= 0 && xp.InPlace(ctx, c.ref, o.b) {
+			p.pushes = append(p.pushes, push{ref: c.ref, companion: o.b, a: slot(o.a, o.ia), cid: o.ib})
+			continue
+		}
+		p.jobs = append(p.jobs, job{ref: c.ref, a: slot(o.a, o.ia), b: slot(o.b, o.ib)})
+	}
+	return p
 }
 
 // blockRefs lists the refs of blocks.

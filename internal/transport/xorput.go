@@ -151,30 +151,44 @@ func decodeXorPutMany(payload []byte) ([]XorPut, error) {
 }
 
 // serveXorPutMany handles one OpXorPutMany frame with one ReadBatch and
-// one PutBatch. The ReadBatch callback XORs each lent source — verified
-// by the store, as every read is — into the item's own data slice, which
-// lives in the request payload, and keeps nothing it was lent; the
-// PutBatch then stores the applied items, so the write meets the view's
-// namespace and quota exactly as a PutMany would: a refusal refuses the
-// whole frame and stores nothing. No buffer is allocated per block.
+// one PutBatch. The ReadBatch reads each distinct source once, however
+// many items of the frame name it — two lost parities of one strand
+// rebuilt from the parity between them, say. Its callback XORs each lent
+// source — verified by the store, as every read is — into the data slice
+// of every item naming it, which lives in the request payload, and keeps
+// nothing it was lent; the PutBatch then stores the applied items, so the
+// write meets the view's namespace and quota exactly as a PutMany would:
+// a refusal refuses the whole frame and stores nothing. No buffer is
+// allocated per block.
 func serveXorPutMany(conn net.Conn, st store.Keyed, payload []byte) error {
 	items, err := decodeXorPutMany(payload)
 	if err != nil {
 		return writeResponse(conn, StatusError, []byte(err.Error()))
 	}
-	srcs := make([]string, len(items))
+	// srcs holds the distinct sources in key order; item k reads srcs[slot[k]].
+	order := make([]int, len(items))
 	written := make([]string, len(items))
 	for k, it := range items {
-		srcs[k], written[k] = it.Src, it.Dst
+		order[k], written[k] = k, it.Dst
 	}
 	slices.Sort(written)
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(items[a].Src, items[b].Src) })
+	srcs := make([]string, 0, len(items))
+	slot := make([]int, len(items))
+	for x, k := range order {
+		if x == 0 || items[k].Src != srcs[len(srcs)-1] {
+			srcs = append(srcs, items[k].Src)
+		}
+		slot[k] = len(srcs) - 1
+	}
 	frame := getBuf(1 + 4 + 4 + len(items))
 	frame[0] = StatusOK
 	binary.BigEndian.PutUint32(frame[1:], uint32(4+len(items)))
 	binary.BigEndian.PutUint32(frame[5:], uint32(len(items)))
 	applied := frame[9:]
 	err = st.ReadBatch(srcs, func(blocks [][]byte) error {
-		for k, src := range blocks {
+		for k := range items {
+			src := blocks[slot[k]]
 			applied[k] = 0
 			data := items[k].Data
 			if _, clash := slices.BinarySearch(written, items[k].Src); src == nil || len(src) != len(data) || clash {

@@ -278,3 +278,57 @@ func TestServeXorPutManyAllocatesNoBlockBuffers(t *testing.T) {
 		t.Errorf("serving 2 items allocates %v objects, 256 items %v: something is allocated per block", objects[2], objects[256])
 	}
 }
+
+// readCounter is a store.Mem that counts how often ReadBatch is asked for
+// each key.
+type readCounter struct {
+	*store.Mem
+	reads map[string]int
+}
+
+func (r *readCounter) ReadBatch(keys []string, fn func(blocks [][]byte) error) error {
+	for _, k := range keys {
+		r.reads[k]++
+	}
+	return r.Mem.ReadBatch(keys, fn)
+}
+
+// TestServeXorPutManyReadsSharedSourceOnce: a frame whose two items name
+// one source reads it once and applies both, each from its own data.
+func TestServeXorPutManyReadsSharedSourceOnce(t *testing.T) {
+	st := &readCounter{Mem: store.NewMem(), reads: make(map[string]int)}
+	src, other := []byte{0xf0, 0x0f, 0xff}, []byte{1, 2, 3}
+	if err := st.Put("src", src); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("other", other); err != nil {
+		t.Fatal(err)
+	}
+	items := []XorPut{
+		{Dst: "left", Src: "src", Data: []byte{1, 1, 1}},
+		{Dst: "solo", Src: "other", Data: []byte{4, 4, 4}},
+		{Dst: "right", Src: "src", Data: []byte{2, 2, 2}},
+	}
+	want := make(map[string][]byte)
+	for _, it := range items {
+		b := bytes.Clone(it.Data)
+		stored, _ := st.Get(it.Src)
+		xorblock.XorInto(b, b, stored)
+		want[it.Dst] = b
+	}
+	var conn discardConn
+	if err := serveXorPutMany(&conn, st, xorPutFrame(t, items)); err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 + 4 + 4 + len(items); conn.n != want {
+		t.Fatalf("wrote %d response bytes, want %d", conn.n, want)
+	}
+	if st.reads["src"] != 1 || st.reads["other"] != 1 {
+		t.Errorf("ReadBatch was asked for src %d times and other %d, want each once", st.reads["src"], st.reads["other"])
+	}
+	for dst, b := range want {
+		if got, ok := st.Get(dst); !ok || !bytes.Equal(got, b) {
+			t.Errorf("%s = %x (present %v), want %x", dst, got, ok, b)
+		}
+	}
+}
