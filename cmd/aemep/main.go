@@ -3,17 +3,17 @@
 //
 // Usage:
 //
-//	aemep -fig 6          # primitive forms (single entanglements)
-//	aemep -fig 7          # complex forms A–D
-//	aemep -fig 8          # |ME(2)| sweep over p
-//	aemep -fig 9          # |ME(4)| sweep over p
-//	aemep -alpha 3 -s 2 -p 5 -x 2    # one custom search
+//	aemep -alpha 3 -s 2 -p 5 -x 2          # one search
+//	aemep -alpha 2 -s 2 -p 2 -x 4 -draw    # and the pattern on the lattice
+//
+// The paper's Figs 6–9 are printed by `aebench -exp fig6,fig7,fig8,fig9`.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"aecodes/internal/lattice"
 	"aecodes/internal/mep"
@@ -21,43 +21,24 @@ import (
 
 func main() {
 	var (
-		fig    = flag.Int("fig", 0, "paper figure to regenerate: 6, 7, 8 or 9")
-		alpha  = flag.Int("alpha", 3, "α for a custom search")
-		s      = flag.Int("s", 2, "s for a custom search")
-		p      = flag.Int("p", 5, "p for a custom search")
+		alpha  = flag.Int("alpha", 3, "α of the code")
+		s      = flag.Int("s", 2, "s of the code")
+		p      = flag.Int("p", 5, "p of the code")
 		x      = flag.Int("x", 2, "number of data blocks in the pattern")
 		window = flag.Int("window", 0, "search window override (0 = default)")
-		draw   = flag.Bool("draw", false, "draw the found pattern on an ASCII lattice (custom searches)")
+		draw   = flag.Bool("draw", false, "draw the found pattern on an ASCII lattice")
 	)
 	flag.Parse()
 
-	var err error
-	switch *fig {
-	case 0:
-		err = custom(*alpha, *s, *p, *x, *window, *draw)
-	case 6:
-		err = fig6()
-	case 7:
-		err = fig7()
-	case 8:
-		err = sweep(2, "Fig 8: |ME(2)| vs p")
-	case 9:
-		err = sweep(4, "Fig 9: |ME(4)| vs p")
-	default:
-		err = fmt.Errorf("unknown figure %d", *fig)
-	}
-	if err != nil {
+	if err := search(*alpha, *s, *p, *x, *window, *draw); err != nil {
 		fmt.Fprintln(os.Stderr, "aemep:", err)
 		os.Exit(1)
 	}
 }
 
-func search(alpha, s, p, x, window int) (mep.Pattern, error) {
-	return mep.MinimalErasure(lattice.Params{Alpha: alpha, S: s, P: p}, x, mep.Options{Window: window})
-}
-
-func custom(alpha, s, p, x, window int, draw bool) error {
-	pat, err := search(alpha, s, p, x, window)
+func search(alpha, s, p, x, window int, draw bool) error {
+	params := lattice.Params{Alpha: alpha, S: s, P: p}
+	pat, err := mep.MinimalErasure(params, x, mep.Options{Window: window})
 	if err != nil {
 		return err
 	}
@@ -67,25 +48,17 @@ func custom(alpha, s, p, x, window int, draw bool) error {
 		fmt.Println("  edge: ", e)
 	}
 	if draw {
-		lat, err := lattice.New(lattice.Params{Alpha: alpha, S: s, P: p})
+		lat, err := lattice.New(params)
 		if err != nil {
 			return err
 		}
-		first, last := pat.Nodes[0], pat.Nodes[0]
-		for _, n := range pat.Nodes {
-			if n < first {
-				first = n
-			}
-			if n > last {
-				last = n
-			}
-		}
+		first, last := slices.Min(pat.Nodes), slices.Max(pat.Nodes)
 		for _, e := range pat.Edges {
 			if e.Right > last {
 				last = e.Right
 			}
 		}
-		cols := (last-first)/maxInt(s, 1) + 2
+		cols := (last-first)/max(s, 1) + 2
 		out, err := lat.Render(lattice.RenderOptions{
 			From:      first,
 			Columns:   cols,
@@ -96,85 +69,6 @@ func custom(alpha, s, p, x, window int, draw bool) error {
 			return err
 		}
 		fmt.Print(out)
-	}
-	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func fig6() error {
-	fmt.Println("Fig 6: primitive forms for single entanglements (α=1)")
-	pat, err := search(1, 1, 0, 2, 0)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  form I  (adjacent nodes + shared edge):   |ME(2)| = %d\n", pat.Size())
-	// Form II is the stretched variant: nodes 4 hops apart with every
-	// connecting edge erased; verify it with the checker.
-	form2 := mep.Pattern{
-		Params: lattice.Params{Alpha: 1, S: 1, P: 0},
-		Nodes:  []int{50, 54},
-		Edges: []lattice.Edge{
-			{Class: lattice.Horizontal, Left: 50, Right: 51},
-			{Class: lattice.Horizontal, Left: 51, Right: 52},
-			{Class: lattice.Horizontal, Left: 52, Right: 53},
-			{Class: lattice.Horizontal, Left: 53, Right: 54},
-		},
-	}
-	if err := mep.Check(form2); err != nil {
-		return err
-	}
-	fmt.Printf("  form II (extended, all connecting edges): |ME(2)| = %d\n", form2.Size())
-	return nil
-}
-
-func fig7() error {
-	fmt.Println("Fig 7: complex forms (α ≥ 2)")
-	for _, tt := range []struct {
-		label       string
-		alpha, s, p int
-	}{
-		{"A", 2, 1, 1},
-		{"B", 3, 1, 1},
-		{"C", 3, 1, 4},
-		{"D", 3, 4, 4},
-	} {
-		pat, err := search(tt.alpha, tt.s, tt.p, 2, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  form %s AE(%d,%d,%d): |ME(2)| = %d\n",
-			tt.label, tt.alpha, tt.s, tt.p, pat.Size())
-	}
-	return nil
-}
-
-func sweep(x int, title string) error {
-	fmt.Println(title)
-	fmt.Printf("%-12s", "p:")
-	for p := 2; p <= 8; p++ {
-		fmt.Printf("%6d", p)
-	}
-	fmt.Println()
-	for _, st := range []struct{ alpha, s int }{{2, 2}, {2, 3}, {3, 2}, {3, 3}} {
-		fmt.Printf("AE(%d,%d,p)  ", st.alpha, st.s)
-		for p := 2; p <= 8; p++ {
-			if p < st.s {
-				fmt.Printf("%6s", "-")
-				continue
-			}
-			pat, err := search(st.alpha, st.s, p, x, 0)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%6d", pat.Size())
-		}
-		fmt.Println()
 	}
 	return nil
 }

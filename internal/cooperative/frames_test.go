@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -207,29 +208,58 @@ func TestRepairStreamsFrames(t *testing.T) {
 		t.Errorf("8 Backups sent %d frames, want one each", backupFrames)
 	}
 
-	rng := rand.New(rand.NewSource(43))
-	lostData := 0
-	for i := 1; i <= b.Count(); i++ {
-		if rng.Float64() < 0.33 {
-			b.DropLocal(i)
-			lostData++
-		}
-	}
-	dropped := dropColocated(t, b, false, func(lattice.Edge) bool { return rng.Float64() < 0.5 })
-	// A tenth of the rest goes as well, so the broker rebuilds some.
+	// The broker must rebuild some parities of every node. No parity has
+	// both dp-tuple companions on other nodes (an edge spans a few
+	// positions, a volume 64), so on every node each parity whose first
+	// companion is on another node or virtual goes together with its
+	// second companion, which is on its node. The first round can rebuild
+	// it only from the tuple that straddles nodes, which the broker XORs:
+	// its data block and first companion are spared the random damage
+	// below.
 	lat := b.rep.Lattice()
+	dropped := make(map[lattice.Edge][]byte)
+	spared := make(map[lattice.Edge]bool)
+	keepData := make(map[int]bool)
+	brokerBuilt := make([]int, len(fns))
 	for i := 1; i <= b.Count(); i++ {
 		for _, class := range lat.Classes() {
 			e, err := lat.OutEdge(class, i)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, gone := dropped[e]; !gone && rng.Float64() < 0.1 {
-				home, key := nodeOf(t, b, e), b.parityKey(e)
-				dropped[e], _ = home.blocks.Get(key)
-				home.blocks.Del(key)
+			opts, err := lat.ParityOptions(e)
+			if err != nil {
+				t.Fatal(err)
 			}
+			first, second, node := opts[0].Parity, opts[1].Parity, nodeOf(t, b, e)
+			if spared[e] || spared[second] || second.Left > b.Count() || nodeOf(t, b, second) != node ||
+				!first.IsVirtual() && (spared[first] || nodeOf(t, b, first) == node) {
+				continue
+			}
+			for _, p := range []lattice.Edge{e, second} {
+				dropped[p], _ = node.blocks.Get(b.parityKey(p))
+				node.blocks.Del(b.parityKey(p))
+			}
+			spared[e], spared[first], spared[second] = true, true, true
+			keepData[opts[0].Data] = true
+			brokerBuilt[slices.IndexFunc(fns, func(fn *frameNode) bool { return fn.InMemoryNode == node })]++
 		}
+	}
+	if slices.Contains(brokerBuilt, 0) {
+		t.Fatalf("parities only the broker can rebuild, per node: %v; want some on every node", brokerBuilt)
+	}
+	t.Logf("parities only the broker can rebuild in the first round, per node: %v", brokerBuilt)
+
+	rng := rand.New(rand.NewSource(43))
+	lostData := 0
+	for i := 1; i <= b.Count(); i++ {
+		if !keepData[i] && rng.Float64() < 0.33 {
+			b.DropLocal(i)
+			lostData++
+		}
+	}
+	for e, blk := range dropColocated(t, b, false, func(e lattice.Edge) bool { return !spared[e] && rng.Float64() < 0.5 }) {
+		dropped[e] = blk
 	}
 	if len(dropped) < 200 {
 		t.Fatalf("dropped %d parities, want several hundred", len(dropped))

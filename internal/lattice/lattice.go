@@ -193,9 +193,6 @@ func (l *Lattice) IsTop(i int) bool { return l.Row(i) == 0 }
 // every node is bottom).
 func (l *Lattice) IsBottom(i int) bool { return l.Row(i) == l.params.S-1 }
 
-// IsCentral reports whether node i is a central node.
-func (l *Lattice) IsCentral(i int) bool { return !l.IsTop(i) && !l.IsBottom(i) }
-
 // Category returns the paper's node category name for diagnostics.
 func (l *Lattice) Category(i int) string {
 	switch {
@@ -388,11 +385,6 @@ func (l *Lattice) StrandID(class Class, i int) (int, error) {
 	default: // LeftHanded; StrandIndex already rejected invalid classes.
 		return l.params.S + l.params.P + idx, nil
 	}
-}
-
-// EdgeAt reconstructs the full Edge for a parity keyed by (class, left).
-func (l *Lattice) EdgeAt(class Class, left int) (Edge, error) {
-	return l.OutEdge(class, left)
 }
 
 // TamperScope returns the parities an attacker must recompute to modify

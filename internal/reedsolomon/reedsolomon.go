@@ -64,12 +64,6 @@ func buildGenerator(k, m int) (*matrix.Matrix, error) {
 	return gen, nil
 }
 
-// K returns the number of data shards.
-func (c *Code) K() int { return c.k }
-
-// M returns the number of parity shards.
-func (c *Code) M() int { return c.m }
-
 // StorageOverhead returns the additional-storage fraction m/k (Table IV).
 func (c *Code) StorageOverhead() float64 { return float64(c.m) / float64(c.k) }
 
