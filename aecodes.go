@@ -45,11 +45,11 @@
 // anti-tampering property.
 //
 // The internal packages contain the full evaluation apparatus of the
-// paper: a Reed–Solomon baseline, the disaster simulator behind Figs
-// 11–13, the minimal-erasure-pattern searcher behind Figs 6–9, the
-// entangled-mirror reliability study, and a cooperative backup system with
-// a TCP block transport. See DESIGN.md for the system inventory: the
-// package map, the commands, and how data flows between them.
+// paper: the disaster simulator behind Figs 11–13 with its Reed–Solomon
+// and replication baselines, the minimal-erasure-pattern searcher behind
+// Figs 6–9, the entangled-mirror reliability study, and a cooperative
+// backup system with a TCP block transport. DESIGN.md has the system
+// inventory: the package map, the commands, and how data flows.
 package aecodes
 
 import (

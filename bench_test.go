@@ -1,7 +1,7 @@
-// Codec and layer benchmarks of the root package: AE and RS encode and
+// Codec and layer benchmarks of the root package: AE encode and
 // single-failure repair (the §III/§VII claims about lightweight XOR-only
-// coding, and Table IV's single-failure cost in wall-clock form), the
-// encode pipeline, whole-lattice repair rounds and archive reads.
+// coding and a fixed two-block repair), the encode pipeline,
+// whole-lattice repair rounds and archive reads.
 //
 //	go test -run '^$' -bench . -benchmem
 //
@@ -21,7 +21,6 @@ import (
 	"aecodes/internal/entangle"
 	"aecodes/internal/lattice"
 	"aecodes/internal/pipeline"
-	"aecodes/internal/reedsolomon"
 	"aecodes/internal/segstore"
 	"aecodes/internal/store/storetest"
 	"aecodes/internal/xorblock"
@@ -52,30 +51,6 @@ func BenchmarkEncodeAE1(b *testing.B) { benchmarkEncodeAE(b, aecodes.Params{Alph
 func BenchmarkEncodeAE2(b *testing.B) { benchmarkEncodeAE(b, aecodes.Params{Alpha: 2, S: 2, P: 5}) }
 func BenchmarkEncodeAE3(b *testing.B) { benchmarkEncodeAE(b, aecodes.Params{Alpha: 3, S: 2, P: 5}) }
 
-func benchmarkEncodeRS(b *testing.B, k, m int) {
-	b.Helper()
-	code, err := reedsolomon.New(k, m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	shards := make([][]byte, k)
-	for i := range shards {
-		shards[i] = make([]byte, microBlockSize)
-		rng.Read(shards[i])
-	}
-	b.SetBytes(int64(k * microBlockSize))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := code.Encode(shards); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEncodeRS10_4(b *testing.B) { benchmarkEncodeRS(b, 10, 4) }
-func BenchmarkEncodeRS4_12(b *testing.B) { benchmarkEncodeRS(b, 4, 12) }
-
 // BenchmarkRepairSingleFailureAE3 measures AE's fixed two-block repair.
 func BenchmarkRepairSingleFailureAE3(b *testing.B) {
 	code, err := aecodes.New(aecodes.Params{Alpha: 3, S: 2, P: 5}, microBlockSize)
@@ -105,37 +80,6 @@ func BenchmarkRepairSingleFailureAE3(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := code.RepairData(bg, store, 50); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRepairSingleFailureRS10_4 measures RS's k-block repair of the
-// same failure — the Table IV "SF" cost asymmetry in wall-clock form.
-func BenchmarkRepairSingleFailureRS10_4(b *testing.B) {
-	const k, m = 10, 4
-	code, err := reedsolomon.New(k, m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	data := make([][]byte, k)
-	for i := range data {
-		data[i] = make([]byte, microBlockSize)
-		rng.Read(data[i])
-	}
-	parities, err := code.Encode(data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(microBlockSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		shards := make([][]byte, k+m)
-		copy(shards, data)
-		copy(shards[k:], parities)
-		shards[5] = nil
-		if _, err := code.Reconstruct(shards); err != nil {
 			b.Fatal(err)
 		}
 	}

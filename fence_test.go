@@ -8,12 +8,11 @@ import (
 
 // TestServingBinariesSkipPaperBaselines fails if a serving binary links,
 // directly or transitively, a package that exists only to reproduce the
-// paper's evaluation: the Reed-Solomon baseline and its field and matrix
-// arithmetic, the RAID-AE, write-performance and entangled-mirror
+// paper's evaluation: the RAID-AE, write-performance and entangled-mirror
 // studies, and the disaster simulator with its failure models.
 func TestServingBinariesSkipPaperBaselines(t *testing.T) {
 	fenced := map[string]bool{}
-	for _, pkg := range []string{"reedsolomon", "gf256", "matrix", "raidae", "writeperf", "entmirror", "sim", "failure"} {
+	for _, pkg := range []string{"raidae", "writeperf", "entmirror", "sim", "failure"} {
 		fenced["aecodes/internal/"+pkg] = true
 	}
 	for _, cmd := range []string{"aestored", "aecluster", "aefile"} {

@@ -1,56 +1,29 @@
 package tenant
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"strings"
+)
 
-// Candidate is one evictable tenant offered to a Policy: a tenant other
-// than the writer that triggered the eviction, holding live bytes above
-// its reservation floor.
-type Candidate struct {
-	// ID is the tenant.
-	ID string
-	// Bytes is the tenant's live footprint — what evicting it frees,
-	// since eviction sheds the whole lattice.
-	Bytes int64
-	// LastUse is the registry's logical clock at the tenant's most recent
+// candidate is one evictable tenant: a tenant other than the writer that
+// triggered the eviction, holding live bytes above its reservation floor.
+type candidate struct {
+	id string
+	// lastUse is the registry's logical clock at the tenant's most recent
 	// operation; smaller means colder.
-	LastUse int64
+	lastUse int64
 }
 
-// Policy picks eviction victims. Implementations must be deterministic
-// given the candidate slice — the registry calls them under its lock.
-type Policy interface {
-	// Victims returns tenant IDs to evict, in order, chosen to free at
-	// least need bytes (the registry stops early once the node is back
-	// under its high-water mark, and tolerates a selection that frees
-	// less — it simply stays above the mark until the next trigger).
-	Victims(candidates []Candidate, need int64) []string
-}
-
-// LRU is the default policy: shed the least-recently-used tenant
-// lattices first, coldest first, until the requested bytes are covered.
-// Whole lattices only — a partially evicted lattice would keep paying
-// its index cost while losing the read locality repair needs, whereas a
-// wholly shed lattice is exactly what entanglement repair regenerates.
-type LRU struct{}
-
-// Victims implements Policy.
-func (LRU) Victims(candidates []Candidate, need int64) []string {
-	sorted := make([]Candidate, len(candidates))
-	copy(sorted, candidates)
-	sort.Slice(sorted, func(a, b int) bool {
-		if sorted[a].LastUse != sorted[b].LastUse {
-			return sorted[a].LastUse < sorted[b].LastUse
-		}
-		return sorted[a].ID < sorted[b].ID // deterministic tie-break
+// lruOrder sorts eviction candidates coldest first, ties broken by ID, so
+// the choice is deterministic; eviction sheds them in this order until
+// the node is back under its high-water mark. Whole lattices only — a
+// partially evicted lattice would keep paying its index cost while losing
+// the read locality repair needs, whereas a wholly shed lattice is
+// exactly what entanglement repair regenerates.
+func lruOrder(cands []candidate) []candidate {
+	slices.SortFunc(cands, func(a, b candidate) int {
+		return cmp.Or(cmp.Compare(a.lastUse, b.lastUse), strings.Compare(a.id, b.id))
 	})
-	var out []string
-	var freed int64
-	for _, c := range sorted {
-		if freed >= need {
-			break
-		}
-		out = append(out, c.ID)
-		freed += c.Bytes
-	}
-	return out
+	return cands
 }

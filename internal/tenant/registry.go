@@ -239,13 +239,6 @@ func (r *Registry) Evictions() int64 {
 	return r.evictions
 }
 
-func (r *Registry) policy() Policy {
-	if r.cfg.Policy != nil {
-		return r.cfg.Policy
-	}
-	return LRU{}
-}
-
 // touch advances the LRU clock and stamps a tenant with it. It takes no
 // lock: reads must not queue behind another tenant's write.
 func (r *Registry) touch(u *usage) {
@@ -302,25 +295,18 @@ func (r *Registry) maybeEvictLocked(writer string) {
 	if r.cfg.HighWater <= 0 || r.total <= r.cfg.HighWater {
 		return
 	}
-	need := r.total - r.cfg.HighWater
-	var cands []Candidate
+	var cands []candidate
 	for id, u := range r.tenants {
 		if id == writer || u.bytes == 0 || u.bytes <= u.quota.Reservation {
 			continue
 		}
-		cands = append(cands, Candidate{ID: id, Bytes: u.bytes, LastUse: u.lastUse.Load()})
+		cands = append(cands, candidate{id: id, lastUse: u.lastUse.Load()})
 	}
-	for _, id := range r.policy().Victims(cands, need) {
+	for _, c := range lruOrder(cands) {
 		if r.total <= r.cfg.HighWater {
 			break
 		}
-		// Re-verify against a misbehaving custom policy: the floor and
-		// the writer exemption hold whatever Victims returned.
-		u, ok := r.tenants[id]
-		if !ok || id == writer || u.bytes == 0 || u.bytes <= u.quota.Reservation {
-			continue
-		}
-		r.evictTenantLocked(id, u)
+		r.evictTenantLocked(c.id, r.tenants[c.id])
 	}
 }
 

@@ -105,8 +105,6 @@ type Config struct {
 	// node is back below (or no evictable tenant remains). 0 disables
 	// eviction.
 	HighWater int64 `json:"high_water,omitempty"`
-	// Policy picks eviction victims; nil selects LRU{}.
-	Policy Policy `json:"-"`
 }
 
 // quotaFor resolves the quota a tenant gets under this config.

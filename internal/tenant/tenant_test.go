@@ -371,25 +371,6 @@ func TestEvictionFloor(t *testing.T) {
 	}
 }
 
-// TestLRUPolicy pins the default policy in isolation: coldest first,
-// stop once the need is covered, deterministic ties.
-func TestLRUPolicy(t *testing.T) {
-	cands := []tenant.Candidate{
-		{ID: "hot", Bytes: 500, LastUse: 30},
-		{ID: "cold", Bytes: 100, LastUse: 10},
-		{ID: "mild", Bytes: 400, LastUse: 20},
-	}
-	var lru tenant.LRU
-	got := lru.Victims(cands, 450)
-	want := []string{"cold", "mild"}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("LRU.Victims = %v, want %v", got, want)
-	}
-	if got := lru.Victims(nil, 10); len(got) != 0 {
-		t.Errorf("LRU.Victims(nil) = %v, want none", got)
-	}
-}
-
 // TestReopenAccounting is the durability leg: per-tenant usage is
 // rebuilt from a reopened segment store — including the anonymous
 // tenant's unprefixed keys — with no side file.
